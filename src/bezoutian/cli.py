@@ -12,12 +12,14 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
+from fractions import Fraction
 
 import numpy as np
 
-from . import __version__
+from . import __version__, exactla
 from .bezout import (
     bezout_matrix,
     companion_matrix,
@@ -184,8 +186,6 @@ def cmd_nuij(args, report: CertifiedReport):
                         strict.is_hyperbolic and strict.is_strict,
                         "strict" if strict.is_strict else "not strict")
         # exact transforms keep intermediate multiple roots certifiable
-        from fractions import Fraction
-
         base = p if p.backend == BACKEND_EXACT else p.as_float()
         eps_scalar = Fraction(eps) if p.backend == BACKEND_EXACT else float(eps)
         cascade_ok = True
@@ -243,6 +243,37 @@ def cmd_quasi(args, report: CertifiedReport):
     return table
 
 
+def _scientific(sign, log10_abs: float) -> str:
+    """10**log10_abs with the sign of ``sign``, as a short string beyond the float range."""
+    exp = math.floor(log10_abs)
+    return f"{'-' if sign < 0 else ''}{10 ** (log10_abs - exp):.9f}e{exp:+d}"
+
+
+def _adjugate_determinant_law(sym, m: int, tol: float) -> tuple:
+    """(det B == (det S)^(m-1), det B as a witness) without overflowing a float.
+
+    Exact input compares the rationals exactly.  Float input compares to
+    relative ``tol``, in log space once (det S)^(m-1) leaves the float range.
+    """
+    det_s = sym.det_power_sum_gram
+    det_b = exactla.det(sym.adjugate)
+    if isinstance(det_b, Fraction):
+        try:
+            witness = float(det_b)
+        except OverflowError:
+            witness = _scientific(det_b, math.log10(abs(det_b.numerator))
+                                  - math.log10(det_b.denominator))
+        return det_b == det_s ** (m - 1), witness
+    try:
+        target = float(det_s) ** (m - 1)
+    except OverflowError:
+        sign_b, log_b = np.linalg.slogdet(np.asarray(sym.adjugate, dtype=float))
+        ok = (sign_b == math.copysign(1.0, det_s) ** (m - 1)
+              and abs(log_b - (m - 1) * math.log(abs(det_s))) <= tol)
+        return ok, _scientific(sign_b, log_b / math.log(10))
+    return abs(det_b - target) <= tol * max(1.0, abs(target)), det_b
+
+
 def cmd_leray(args, report: CertifiedReport):
     p = _parse_poly(args.poly, args.poly_file)
     tol = args.tol
@@ -259,13 +290,9 @@ def cmd_leray(args, report: CertifiedReport):
     err = abs(float(sym.det_power_sum_gram) - float(disc))
     report.add_bool("det equals discriminant", "leray-determinant",
                     err <= tol * max(1.0, abs(float(disc))), float(sym.det_power_sum_gram), tol)
-    from . import exactla
-
-    det_b = exactla.det(sym.adjugate)
-    target = float(sym.det_power_sum_gram) ** (m - 1)
-    err_b = abs(float(det_b) - target)
+    law_ok, det_b = _adjugate_determinant_law(sym, m, tol)
     report.add_bool("adjugate determinant law", "leray-adjugate-determinant",
-                    err_b <= tol * max(1.0, abs(target)), float(det_b), tol)
+                    law_ok, det_b, tol)
     report.add_bool("definiteness matches strictness", "leray-definiteness",
                     sym.definiteness.is_pd == profile.is_strict,
                     "positive definite" if sym.definiteness.is_pd else "semidefinite")
@@ -275,7 +302,7 @@ def cmd_leray(args, report: CertifiedReport):
         report.add_bool("adjugate equals bezout form (m=2)", "leray-bezout-m2",
                         diff <= tol, diff, tol)
     if profile.is_strict:
-        residual = h_b_relation_check(p, profile)
+        residual = h_b_relation_check(p, profile, sym.adjugate)
         report.add_bool("bezout relation residual", "leray-bezout-relation",
                         residual <= max(tol, 1e-10), residual, max(tol, 1e-10))
     return None

@@ -1,13 +1,17 @@
 """Small dense matrix helpers over both scalar backends.
 
 Exact matrices are numpy object arrays of Fractions; float matrices are
-ordinary float64 arrays.  Everything here targets the m <= 10 sizes the
-package works with, so cofactor expansions and Gaussian elimination with
-Fraction arithmetic are perfectly adequate.
+ordinary float64 arrays.  The exact determinant and adjugate clear the
+denominators once, M = A / D with A an integer matrix and D the lcm of the
+entry denominators, and run on Python ints: det(M) = det(A) / D^m by
+Bareiss fraction-free elimination, adj(M) = adj(A) / D^(m-1) by
+Faddeev-LeVerrier, whose divisions are exact over the integers.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,30 +63,67 @@ def symmetry_defect(M: np.ndarray):
     return max_abs(M - M.T)
 
 
-def exact_det(M: np.ndarray) -> Fraction:
-    """Determinant by fraction Gaussian elimination (exact)."""
-    A = [list(row) for row in np.asarray(M, dtype=object)]
+def _integer_matrix(M: np.ndarray) -> tuple[list[list[int]], int]:
+    """(A, D) with A integer rows and D the lcm of the denominators: M = A / D."""
+    rows = [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row]
+            for row in np.asarray(M, dtype=object)]
+    D = math.lcm(1, *(v.denominator for row in rows for v in row))
+    return [[v.numerator * (D // v.denominator) for v in row] for row in rows], D
+
+
+def _bareiss_det(A: list[list[int]]) -> int:
+    """Determinant of an integer matrix by fraction-free elimination (Bareiss 1968).
+
+    After step k every trailing entry is a (k+1)x(k+1) minor, so the division
+    by the previous pivot is exact.
+    """
+    A = [row[:] for row in A]
     n = len(A)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if A[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            A[col], A[pivot] = A[pivot], A[col]
-            det = -det
-        det *= A[col][col]
-        inv = 1 / Fraction(A[col][col])
-        for r in range(col + 1, n):
-            f = A[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    A[r][c] -= f * A[col][c]
-    return det
+    if n == 0:
+        return 1
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if A[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if A[r][k] != 0), None)
+            if swap is None:
+                return 0
+            A[k], A[swap] = A[swap], A[k]
+            sign = -sign
+        pivot, row_k = A[k][k], A[k]
+        for row in A[k + 1:]:
+            a = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pivot * row[j] - a * row_k[j]) // prev
+        prev = pivot
+    return sign * A[n - 1][n - 1]
+
+
+def _faddeev_adjugate(A: list[list[int]]) -> list[list[int]]:
+    """Adjugate of an integer matrix by Faddeev-LeVerrier.
+
+    With M_1 = I, c_(n-1) = -tr(A), M_k = A M_(k-1) + c_(n-k+1) I and
+    c_(n-k) = -tr(A M_k) / k, Cayley-Hamilton gives A M_n = -c_0 I, so
+    adj(A) = (-1)^(n+1) M_n.  The c_k are the integer coefficients of the
+    characteristic polynomial, so every division is exact; singular A needs
+    no special case.
+    """
+    n = len(A)
+    M = [[int(i == j) for j in range(n)] for i in range(n)]
+    c = -sum(A[i][i] for i in range(n))
+    for k in range(2, n + 1):
+        cols = list(zip(*M))
+        M = [[sum(map(operator.mul, row, col)) for col in cols] for row in A]
+        for i in range(n):
+            M[i][i] += c
+        if k < n:
+            c = -sum(A[i][j] * M[j][i] for i in range(n) for j in range(n)) // k
+    return M if n % 2 else [[-v for v in row] for row in M]
+
+
+def exact_det(M: np.ndarray) -> Fraction:
+    """Exact determinant: Bareiss on the integer matrix with denominators cleared."""
+    A, D = _integer_matrix(M)
+    return Fraction(_bareiss_det(A), D ** len(A))
 
 
 def det(M: np.ndarray):
@@ -93,20 +134,27 @@ def det(M: np.ndarray):
 
 
 def adjugate(M: np.ndarray) -> np.ndarray:
-    """Cofactor transpose; total (defined for singular input as well)."""
+    """Cofactor transpose; total (defined for singular input as well).
+
+    Exact input runs Faddeev-LeVerrier on Python ints; float input takes
+    the cofactor of every minor.
+    """
     M = np.asarray(M)
     n = M.shape[0]
-    backend = backend_of(M)
-    if n == 1:
-        out = zeros(1, 1, backend)
-        out[0, 0] = Fraction(1) if backend == BACKEND_EXACT else 1.0
+    if M.dtype == object:
+        A, D = _integer_matrix(M)
+        scale = D ** (n - 1)
+        out = np.empty((n, n), dtype=object)
+        for i, row in enumerate(_faddeev_adjugate(A)):
+            for j, v in enumerate(row):
+                out[i, j] = Fraction(v, scale)
         return out
-    out = zeros(n, n, backend)
-    rows = list(range(n))
-    cols = list(range(n))
+    if n == 1:
+        return np.ones((1, 1))
+    out = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
-            minor = M[np.ix_([r for r in rows if r != i], [c for c in cols if c != j])]
+            minor = M[np.ix_([r for r in range(n) if r != i], [c for c in range(n) if c != j])]
             cof = det(minor)
             if (i + j) % 2:
                 cof = -cof

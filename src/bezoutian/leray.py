@@ -52,11 +52,13 @@ def leray_symmetrizer(p: Polynomial, tol: float = 1e-9) -> LeraySymmetrizer:
     return LeraySymmetrizer(S, B, exactla.det(S), defect, verdict)
 
 
-def h_b_relation_check(p: Polynomial, profile: RootProfile | None = None) -> float:
+def h_b_relation_check(p: Polynomial, profile: RootProfile | None = None,
+                       adjugate: np.ndarray | None = None) -> float:
     """Max-norm residual of H R diag(p'(root)^-2) R^-1 - B / delta^2.
 
     Requires simple roots; raises MultipleRootError otherwise.  Float path:
-    the identity is root-based and delta vanishes at multiple roots.
+    the identity is root-based and delta vanishes at multiple roots.  Pass
+    the ``adjugate`` B = adj(S) when it is already built.
     """
     p.require_monic("relation check input")
     if profile is None:
@@ -74,6 +76,8 @@ def h_b_relation_check(p: Polynomial, profile: RootProfile | None = None) -> flo
     for i in range(m):
         for j in range(i + 1, m):
             delta *= roots[j] - roots[i]
-    B = np.asarray(leray_symmetrizer(p).adjugate, dtype=float)
+    if adjugate is None:
+        adjugate = exactla.adjugate(power_sum_matrix(p))
+    B = np.asarray(adjugate, dtype=float)
     lhs = np.linalg.solve(R.T, (H @ R @ D).T).T
     return float(np.max(np.abs(lhs - B / delta**2)))

@@ -106,48 +106,88 @@ def sturm_real_root_count(p: Polynomial) -> int:
 
 
 def _divisors(n: int) -> list[int]:
+    """Positive divisors of n != 0, ascending, from its factorization by trial division."""
     n = abs(n)
-    small, large = [], []
-    d = 1
+    divs = [1]
+    d = 2
     while d * d <= n:
         if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            divs = [x * d**k for x in divs for k in range(e + 1)]
+        d += 1 if d == 2 else 2
+    if n > 1:
+        divs += [x * n for x in divs]
+    return sorted(divs)
+
+
+def _vanishes_at(c: list[int], r: int, q: int) -> bool:
+    """Whether c (integers, leading first) vanishes at r/q: sum c_i r^(n-i) q^i == 0."""
+    acc, qpow = 0, 1
+    for ci in c:
+        acc = acc * r + ci * qpow
+        qpow *= q
+    return acc == 0
+
+
+def _deflate(c: list[int], r: int, q: int) -> list[int]:
+    """The integer quotient of c by q x - r, which must divide it."""
+    out = [c[0] // q]
+    for ci in c[1:-1]:
+        out.append((ci + r * out[-1]) // q)
+    return out
+
+
+def _search_state(c: list[int]) -> tuple[int, int, int, int, int]:
+    """|lc|, c_0, B, c(1), c(-1); every root has |x| <= B / |lc| (Cauchy's bound)."""
+    lc = abs(c[0])
+    bound = lc + max(abs(v) for v in c[1:])
+    rev = c[::-1]
+    return lc, c[-1], bound, sum(c), sum(rev[0::2]) - sum(rev[1::2])
 
 
 def _rational_roots(f: Polynomial) -> tuple[list[Fraction], Polynomial]:
-    """All rational roots of a square-free exact polynomial, plus the cofactor."""
-    den = 1
-    for c in f.coeffs:
-        den = den * Fraction(c).denominator // math.gcd(den, Fraction(c).denominator)
-    ints = [int(Fraction(c) * den) for c in f.coeffs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
+    """All rational roots of a square-free exact polynomial, plus the cofactor.
+
+    The cofactor is f's primitive integer multiple divided by x - root for
+    every root found.  A root r/q in lowest terms of the current integer
+    polynomial c has q | lc and r | c_0 (rational root theorem), lies within
+    the Cauchy bound, and q x - r divides c, so q - r divides c(1) and q + r
+    divides c(-1); each candidate passing these tests is checked by
+    homogeneous integer Horner and deflated exactly.
+    """
+    den = math.lcm(*(c.denominator for c in f.coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in f.coeffs]
+    g = math.gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
-    work = Polynomial.exact(ints)
     found: list[Fraction] = []
-    while work.degree >= 1 and work.coeffs[-1] == 0:
+    while len(ints) > 1 and ints[-1] == 0:
         found.append(Fraction(0))
-        work = Polynomial.exact(work.coeffs[:-1])
-    if work.degree >= 1:
-        c0 = abs(int(work.coeffs[-1]))
-        lc = abs(int(work.coeffs[0]))
-        if c0 <= _FACTOR_BOUND and lc <= _FACTOR_BOUND:
-            cands = sorted(
-                {Fraction(s * r, q) for r in _divisors(c0) for q in _divisors(lc) for s in (1, -1)}
-            )
-            for cand in cands:
-                if work.degree < 1:
+        ints.pop()
+    scale = 1  # product of the found denominators: the cofactor is over x - r/q, not q x - r
+    if len(ints) > 1 and abs(ints[-1]) <= _FACTOR_BOUND and abs(ints[0]) <= _FACTOR_BOUND:
+        numerators = _divisors(ints[-1])
+        lc, c0, cauchy, at_one, at_minus_one = _search_state(ints)
+        for q in _divisors(ints[0]):
+            for r in numerators:
+                if len(ints) < 2 or lc % q or r * lc > cauchy * q:
                     break
-                if work(cand) == 0:
-                    found.append(cand)
-                    work = work // Polynomial.exact((1, -cand))
-    return sorted(found), work
+                if c0 % r or math.gcd(r, q) != 1:
+                    continue
+                for num in (r, -r):
+                    if ((q == num or at_one % (q - num) == 0)
+                            and (q == -num or at_minus_one % (q + num) == 0)
+                            and _vanishes_at(ints, num, q)):
+                        found.append(Fraction(num, q))
+                        ints = _deflate(ints, num, q)
+                        scale *= q
+                        if len(ints) < 2:
+                            break
+                        lc, c0, cauchy, at_one, at_minus_one = _search_state(ints)
+    return sorted(found), Polynomial.exact([scale * v for v in ints])
 
 
 def _companion_floats(p: Polynomial) -> np.ndarray:

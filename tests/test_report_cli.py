@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from bezoutian import Polynomial
 from bezoutian.cli import main
 from bezoutian.report import CertifiedReport
 
@@ -203,3 +204,21 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["all_pass"] is True
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_leray_strict_degree_10_does_not_overflow(capsys, exact):
+    # det B = (det S)^9 is about 5.6e382 for the roots 1..10, past the float range
+    p = Polynomial.from_roots(list(range(1, 11)))
+    coeffs = [f"{c.numerator}/{c.denominator}" if exact else float(c) for c in p.coeffs]
+    code, out, _ = run_cli(capsys, "leray", "--poly", json.dumps(coeffs))
+    assert code in (0, 1)
+    report = CertifiedReport.from_json(out)
+    assert report.to_json() == out
+    law = next(c for c in report.checks if c.check_id == "leray-adjugate-determinant")
+    assert isinstance(law.witness, str)
+    if exact:
+        assert law.verdict == "pass"
+        assert law.witness.startswith("5.56116") and law.witness.endswith("e+382")
+        assert {c.check_id for c in report.checks} >= {"leray-determinant",
+                                                        "leray-bezout-relation"}

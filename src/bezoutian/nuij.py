@@ -5,6 +5,10 @@ degree m produces a strictly hyperbolic polynomial whose consecutive roots
 are separated by at least a degree-dependent constant times eps.  The
 operator family is exactly invertible on degree-m polynomials, which is
 what makes the perturbation p - p_eps small of order eps.
+
+On exact p and eps the transform is a sum of scaled derivatives of p's
+primitive integer coefficients, on Python ints, divided once at the end; it
+equals the Fraction derivative sum coefficient for coefficient.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polynomial import Polynomial, RootProfile
-from .roots import real_roots
+from .polynomial import Polynomial, RootProfile, _primitive
+from .roots import _derivative, real_roots
 from .scalars import BACKEND_EXACT, is_exact_value
 
 
@@ -22,7 +26,9 @@ def nuij_transform(p: Polynomial, epsilon, applications: int | None = None) -> P
     """(1 + eps d/dx)**applications applied to p; default is deg(p) - 1 times.
 
     Computed as the finite sum of scaled derivatives, so the result is exact
-    whenever p and eps are exact.
+    whenever p and eps are exact.  With p = content * P for an integer P and
+    eps = a/b, that is sum_k C(n,k) a^k b^(n-k) P^(k) on Python ints, with
+    one division by b^n per coefficient at the end.
     """
     if applications is None:
         applications = max(int(p.degree) - 1, 0) if not p.is_zero else 0
@@ -30,7 +36,20 @@ def nuij_transform(p: Polynomial, epsilon, applications: int | None = None) -> P
         raise ValueError("applications must be nonnegative")
     if p.backend == BACKEND_EXACT and not is_exact_value(epsilon):
         p = p.as_float()
-    eps = Fraction(epsilon) if p.backend == BACKEND_EXACT else float(epsilon)
+    if p.backend == BACKEND_EXACT:
+        eps = Fraction(epsilon)
+        a, b = eps.numerator, eps.denominator
+        dk, content = _primitive(p.coeffs)
+        acc = [0] * len(dk)
+        for k in range(min(applications, len(dk) - 1) + 1):
+            w = math.comb(applications, k) * a**k * b ** (applications - k)
+            shift = len(acc) - len(dk)
+            for i, v in enumerate(dk):
+                acc[shift + i] += w * v
+            dk = _derivative(dk)
+        den = content.denominator * b**applications
+        return Polynomial.exact([Fraction(content.numerator * v, den) for v in acc])
+    eps = float(epsilon)
     out = Polynomial.zero(p.backend)
     for k in range(applications + 1):
         dk = p.derivative(k)

@@ -265,6 +265,21 @@ class Polynomial:
         return " + ".join(parts).replace("+ -", "- ")
 
 
+def _primitive(coeffs: Sequence) -> tuple[list, Fraction]:
+    """Primitive integer coefficients and rational content of exact coefficients.
+
+    ``coeffs`` are ints or Fractions, leading first.  Returns ``(ints,
+    content)`` with coprime ints and ``coeffs[i] == content * ints[i]``;
+    the content is positive (0 for no coefficients), so signs are kept.
+    """
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    g = math.gcd(*ints)
+    if g > 1:
+        ints = [v // g for v in ints]
+    return ints, Fraction(g, den)
+
+
 @dataclass(frozen=True)
 class RootProfile:
     """Sorted distinct real roots with multiplicities."""

@@ -5,6 +5,14 @@ from gcd structure (Yun decomposition) and hyperbolicity from Sturm counts,
 so rational inputs get exact multiplicity profiles and exact verdicts.  Root
 values that are irrational are polished eigenvalues of the companion matrix
 of a square-free factor, where they are simple and well conditioned.
+
+The exact kernels clear a polynomial's denominators once and run on its
+primitive integer coefficients (Python ints, leading first): the gcd is a
+primitive remainder sequence of pseudo-remainders, Yun's quotients are exact
+integer divisions, the Sturm count reads the degrees and leading signs of a
+chain of pseudo-remainders, and the rational-root search tests integer
+candidates.  The monic factors, counts and roots they return equal those of
+Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NonHyperbolicError, NonMonicError
-from .polynomial import Polynomial, RootProfile
+from .polynomial import Polynomial, RootProfile, _primitive
 from .scalars import BACKEND_EXACT
 
 DEFAULT_TOL = 1e-9
@@ -25,38 +33,116 @@ DEFAULT_TOL = 1e-9
 _FACTOR_BOUND = 10**12
 
 
+def _derivative(c: list) -> list:
+    """Derivative of an integer coefficient list, leading first."""
+    n = len(c) - 1
+    return [v * (n - i) for i, v in enumerate(c[:-1])]
+
+
+def _strip(c: list) -> list:
+    i = 0
+    while i < len(c) and c[i] == 0:
+        i += 1
+    return c[i:]
+
+
+def _sub(a: list, b: list) -> list:
+    """a - b for integer coefficient lists, leading first."""
+    n = max(len(a), len(b))
+    a = [0] * (n - len(a)) + a
+    b = [0] * (n - len(b)) + b
+    return _strip([x - y for x, y in zip(a, b)])
+
+
+def _prem(a: list, b: list) -> list:
+    """The remainder of c * a on division by b, for some integer c > 0.
+
+    Integer coefficient lists, leading first, deg a >= deg b >= 0.  Each
+    elimination step multiplies by |lc b|, so the result is a positive
+    multiple of the rational remainder and keeps its sign.
+    """
+    lead, sign = abs(b[0]), 1 if b[0] > 0 else -1
+    r = list(a)
+    steps = len(a) - len(b) + 1
+    for i in range(steps):
+        f = sign * r[i]
+        if f:
+            for j in range(i + 1, len(r)):
+                r[j] *= lead
+            for j in range(1, len(b)):
+                r[i + j] -= f * b[j]
+    return _strip(r[steps:])
+
+
+def _exact_quotient(a: list, b: list) -> list:
+    """a / b for integer coefficient lists when the quotient is integral.
+
+    By Gauss's lemma it is whenever b is primitive and divides a over Q.
+    """
+    lead = b[0]
+    r = list(a)
+    q = []
+    for i in range(len(a) - len(b) + 1):
+        f = r[i] // lead
+        q.append(f)
+        if f:
+            for j in range(1, len(b)):
+                r[i + j] -= f * b[j]
+    return q
+
+
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Monic gcd over the rationals (Euclid with monic normalization)."""
-    a, b = f, g
-    while not b.is_zero:
-        a, b = b, a % b
-    if a.is_zero:
-        return a
-    return a * (Fraction(1) / Fraction(a.leading))
+    """Monic gcd over the rationals; the zero polynomial when both are zero.
+
+    A primitive polynomial remainder sequence on Python ints (Collins 1967,
+    Brown 1971): pseudo-remainders, each divided by its integer content.
+    """
+    if f.backend != BACKEND_EXACT or g.backend != BACKEND_EXACT:
+        raise ValueError("poly_gcd requires the exact backend")
+    a, b = _primitive(f.coeffs)[0], _primitive(g.coeffs)[0]
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive(_prem(a, b))[0]
+    if not a:
+        return Polynomial.zero()
+    return Polynomial.exact([Fraction(v, a[0]) for v in a])
+
+
+def _int_gcd(a: list, b: list) -> tuple[Polynomial, list]:
+    """poly_gcd of integer polynomials: the monic gcd and its primitive ints."""
+    g = poly_gcd(Polynomial.exact(a), Polynomial.exact(b))
+    return g, _primitive(g.coeffs)[0]
 
 
 def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
-    """Yun decomposition p = lc * prod f_i^i with square-free monic f_i."""
+    """Yun decomposition p = lc * prod f_i^i with square-free monic f_i (Yun 1976).
+
+    Runs on the primitive integer multiple of p.  Every divisor is a
+    primitive gcd, so every quotient is an exact integer division (Gauss's
+    lemma).
+    """
     if p.backend != BACKEND_EXACT:
         raise ValueError("square-free decomposition requires the exact backend")
     if p.degree < 1:
         return []
-    f = p * (Fraction(1) / Fraction(p.leading))
-    g = poly_gcd(f, f.derivative())
-    if g.degree == 0:
-        return [(f, 1)]
-    c = f // g
-    d = (f.derivative() // g) - c.derivative()
+    f = _primitive(p.coeffs)[0]
+    df = _derivative(f)
+    g = _int_gcd(f, df)[1]
+    if len(g) == 1:
+        return [(Polynomial.exact([Fraction(v, f[0]) for v in f]), 1)]
+    c = _exact_quotient(f, g)
+    d = _sub(_exact_quotient(df, g), _derivative(c))
     out = []
     i = 1
     while True:
-        a = poly_gcd(c, d)
-        if a.degree >= 1:
-            out.append((a, i))
-        c = c // a if a.degree >= 1 else c
-        if c.degree == 0:
+        factor, a = _int_gcd(c, d)
+        if len(a) > 1:
+            out.append((factor, i))
+            c = _exact_quotient(c, a)
+        if len(c) == 1:
             break
-        d = (d // a if a.degree >= 1 else d) - c.derivative()
+        d = _sub(_exact_quotient(d, a), _derivative(c))
         i += 1
     return out
 
@@ -70,39 +156,32 @@ def radical(p: Polynomial) -> Polynomial:
     return out
 
 
-def sturm_chain(f: Polynomial) -> list[Polynomial]:
-    chain = [f, f.derivative()]
-    while not chain[-1].is_zero:
-        chain.append(-(chain[-2] % chain[-1]))
-    chain.pop()
-    return chain
-
-
-def _sign_at_inf(g: Polynomial, positive: bool) -> int:
-    if g.is_zero:
-        return 0
-    s = 1 if g.leading > 0 else -1
-    if not positive and (len(g.coeffs) - 1) % 2 == 1:
-        s = -s
-    return s
-
-
-def _variations(signs) -> int:
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
-
-
 def sturm_real_root_count(p: Polynomial) -> int:
-    """Number of distinct real roots, exact (Sturm sequence over Q)."""
+    """Number of distinct real roots, exact (Sturm's theorem on integer polynomials).
+
+    The chain p, p', -c_1 rem(p, p'), ... scales each remainder by a
+    positive c_k (pseudo-remainder multiplier over integer content), which
+    leaves its signs, and so the sign variations, as in the classical
+    chain.  It ends at gcd(p, p'), a common factor that changes no
+    variation count at +-infinity, so p need not be square-free.
+    """
     if p.backend != BACKEND_EXACT:
         raise ValueError("Sturm counting requires the exact backend")
     if p.degree < 1:
         return 0
-    f = radical(p)
-    chain = sturm_chain(f)
-    v_neg = _variations([_sign_at_inf(g, positive=False) for g in chain])
-    v_pos = _variations([_sign_at_inf(g, positive=True) for g in chain])
-    return v_neg - v_pos
+    a = _primitive(p.coeffs)[0]
+    b = _primitive(_derivative(a))[0]
+    ends = [(len(a), a[0] > 0)]  # (degree + 1, leading sign) of each chain member
+    while b:
+        ends.append((len(b), b[0] > 0))
+        a, b = b, [-v for v in _primitive(_prem(a, b))[0]]
+    at_pos = [s for _, s in ends]
+    at_neg = [s if n % 2 else not s for n, s in ends]
+    return _variations(at_neg) - _variations(at_pos)
+
+
+def _variations(signs: list) -> int:
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def _divisors(n: int) -> list[int]:
@@ -158,11 +237,7 @@ def _rational_roots(f: Polynomial) -> tuple[list[Fraction], Polynomial]:
     divides c(-1); each candidate passing these tests is checked by
     homogeneous integer Horner and deflated exactly.
     """
-    den = math.lcm(*(c.denominator for c in f.coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in f.coeffs]
-    g = math.gcd(*ints)
-    if g > 1:
-        ints = [v // g for v in ints]
+    ints = _primitive(f.coeffs)[0]
     found: list[Fraction] = []
     while len(ints) > 1 and ints[-1] == 0:
         found.append(Fraction(0))
@@ -293,7 +368,10 @@ def is_hyperbolic(p: Polynomial, tol: float = DEFAULT_TOL) -> HyperbolicityVerdi
 
     The two certificates are independent: the Sturm count needs no matrix
     work, the Hermite route checks positive semidefiniteness of the Bezout
-    matrix of (p, p').  They must agree on exact input.
+    matrix of (p, p').  They must agree on exact input.  On the exact
+    backend p is hyperbolic when its Sturm count of distinct real roots
+    reaches its number of distinct roots, deg p - deg gcd(p, p'); only the
+    root extraction decomposes p.
     """
     from .bezout import bezout_matrix, psd_check
 
@@ -302,7 +380,7 @@ def is_hyperbolic(p: Polynomial, tol: float = DEFAULT_TOL) -> HyperbolicityVerdi
     monic = p * (1 / p.leading) if not p.is_monic else p
     if p.backend == BACKEND_EXACT:
         count = sturm_real_root_count(monic)
-        distinct = radical(monic).degree
+        distinct = monic.degree - poly_gcd(monic, monic.derivative()).degree
         sturm_verdict = count == distinct
         hermite = psd_check(bezout_matrix(monic, monic.derivative()), tol)
         if hermite.is_psd != sturm_verdict:

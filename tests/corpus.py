@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from bezoutian import Polynomial, RootProfile
 
@@ -131,3 +135,44 @@ def non_separating_q(rg, profile: RootProfile, mode: str) -> Polynomial | None:
     if mode == "negative":
         return -1 * separating_q(rg, profile, lead=Fraction(1))
     raise ValueError(mode)
+
+
+# -- hypothesis strategies -----------------------------------------------------
+
+
+@st.composite
+def irreducible_quadratic(draw):
+    """Integer (a, b, c) with a x^2 + b x + c irreducible over Q."""
+    a = draw(st.integers(1, 4))
+    b = draw(st.integers(-6, 6))
+    c = draw(st.integers(-6, 6).filter(lambda v: v != 0))
+    disc = b * b - 4 * a * c
+    assume(disc < 0 or math.isqrt(disc) ** 2 != disc)
+    return (a, b, c)
+
+
+@st.composite
+def factored_poly(draw, max_linear=4, max_mult=3):
+    """content * x^z * prod (x - r)^k * prod quadratic^j, of degree >= 1.
+
+    Rational roots r != 0 with multiplicities k <= max_mult, irreducible
+    quadratics with j <= 2, a zero root of multiplicity z <= max_mult, and
+    a nonzero rational content of either sign, so the leading coefficient
+    is rarely 1.
+    """
+    roots = draw(st.lists(st.fractions(min_value=-8, max_value=8, max_denominator=6)
+                          .filter(lambda v: v != 0), max_size=max_linear, unique=True))
+    mults = draw(st.lists(st.integers(1, max_mult), min_size=len(roots), max_size=len(roots)))
+    quads = draw(st.lists(st.tuples(irreducible_quadratic(), st.integers(1, 2)), max_size=2))
+    zero = draw(st.integers(0, max_mult))
+    content = draw(st.fractions(min_value=-30, max_value=30, max_denominator=5)
+                   .filter(lambda v: v != 0))
+    p = Polynomial.exact([content] + [0] * zero)
+    for r, k in zip(roots, mults):
+        for _ in range(k):
+            p = p * Polynomial.exact([1, -r])
+    for q, j in quads:
+        for _ in range(j):
+            p = p * Polynomial.exact(q)
+    assume(p.degree >= 1)
+    return p

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import corpus
 from bezoutian import Polynomial
 from bezoutian.exactla import adjugate, det, identity, mat
 from bezoutian.roots import _divisors, _rational_roots
@@ -165,18 +166,8 @@ roots_st = st.lists(st.fractions(min_value=-8, max_value=8, max_denominator=6), 
                     unique=True)
 
 
-@st.composite
-def irreducible_quadratic(draw):
-    a = draw(st.integers(1, 4))
-    b = draw(st.integers(-6, 6))
-    c = draw(st.integers(-6, 6).filter(lambda v: v != 0))
-    disc = b * b - 4 * a * c
-    assume(disc < 0 or math.isqrt(disc) ** 2 != disc)
-    return (a, b, c)
-
-
 @settings(max_examples=80, deadline=None)
-@given(roots_st, st.lists(irreducible_quadratic(), max_size=2),
+@given(roots_st, st.lists(corpus.irreducible_quadratic(), max_size=2),
        st.fractions(min_value=-30, max_value=30, max_denominator=5).filter(lambda v: v != 0),
        st.booleans())
 def test_rational_roots_match_enumeration(roots, quadratics, content, zero_root):

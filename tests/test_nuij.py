@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpus
 from bezoutian import (
@@ -34,6 +36,36 @@ def test_transform_defaults_to_degree_minus_one():
     p = Polynomial.exact([1, 0, 0, 0])
     assert nuij_transform(p, EPS) == nuij_transform(p, EPS, 2)
     assert nuij_transform(p, EPS, 0) == p
+
+
+def derivative_sum_reference(p: Polynomial, eps: Fraction, applications: int) -> Polynomial:
+    """sum_k C(n,k) eps^k p^(k) over Fraction polynomials."""
+    out = Polynomial.zero()
+    for k in range(applications + 1):
+        dk = p.derivative(k)
+        if dk.is_zero:
+            break
+        out = out + math.comb(applications, k) * eps**k * dk
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpus.factored_poly(max_linear=3),
+       st.sampled_from([Fraction(1e-4), Fraction(1, 10), Fraction(-3, 7), Fraction(0), Fraction(2)]),
+       st.data())
+def test_transform_matches_derivative_sum(p, eps, data):
+    applications = data.draw(st.integers(0, int(p.degree) + 2))
+    got = nuij_transform(p, eps, applications)
+    assert got.coeffs == derivative_sum_reference(p, eps, applications).coeffs
+    assert all(type(c) is Fraction for c in got.coeffs)
+
+
+def test_transform_exact_edge_cases():
+    assert nuij_transform(Polynomial.zero(), EPS, 3).is_zero
+    assert nuij_transform(Polynomial.exact([Fraction(-5, 3)]), EPS, 2).coeffs == (Fraction(-5, 3),)
+    # integer eps; the default count is deg - 1
+    p = Polynomial.exact([Fraction(1, 2), 0, 0, -1])
+    assert nuij_transform(p, 2) == derivative_sum_reference(p, Fraction(2), 2)
 
 
 def test_transform_float_epsilon_promotes_backend():

@@ -1,8 +1,15 @@
-"""Root extraction, multiplicity recovery and the two hyperbolicity certificates."""
+"""Root extraction, multiplicity recovery and the two hyperbolicity certificates.
+
+The integer gcd, Yun and Sturm kernels are compared with plain Fraction
+references kept here: Euclid's algorithm with monic normalization, Yun's
+algorithm over Fraction polynomials and the Sturm chain of the radical.
+"""
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpus
 from bezoutian import (
@@ -17,7 +24,7 @@ from bezoutian import (
     squarefree_decomposition,
     sturm_real_root_count,
 )
-from bezoutian.roots import radical
+from bezoutian.roots import poly_gcd, radical
 
 
 def test_real_roots_examples():
@@ -154,3 +161,117 @@ def test_max_multiplicity():
     assert max_multiplicity(real_roots(Polynomial.exact([1, 0, 0]))) == 2
     p = Polynomial.from_roots([0, 0, 3])
     assert max_multiplicity(real_roots(p)) == 2
+
+
+# -- integer kernels against the Fraction references ----------------------------
+
+
+def euclid_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
+    a, b = f, g
+    while not b.is_zero:
+        a, b = b, a % b
+    if a.is_zero:
+        return a
+    return a * (Fraction(1) / Fraction(a.leading))
+
+
+def yun_reference(p: Polynomial) -> list:
+    f = p * (Fraction(1) / Fraction(p.leading))
+    g = euclid_gcd(f, f.derivative())
+    if g.degree == 0:
+        return [(f, 1)]
+    c = f // g
+    d = (f.derivative() // g) - c.derivative()
+    out = []
+    i = 1
+    while True:
+        a = euclid_gcd(c, d)
+        if a.degree >= 1:
+            out.append((a, i))
+            c = c // a
+        if c.degree == 0:
+            return out
+        d = d // a - c.derivative()
+        i += 1
+
+
+def sturm_reference(p: Polynomial) -> int:
+    """Sign variations at -inf minus +inf of the Fraction Sturm chain of the radical."""
+    f = Polynomial.one()
+    for factor, _ in yun_reference(p):
+        f = f * factor
+    chain = [f, f.derivative()]
+    while not chain[-1].is_zero:
+        chain.append(-(chain[-2] % chain[-1]))
+    chain.pop()
+
+    def variations(signs):
+        return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+
+    at_pos = [1 if g.leading > 0 else -1 for g in chain]
+    at_neg = [s if g.degree % 2 == 0 else -s for s, g in zip(at_pos, chain)]
+    return variations(at_neg) - variations(at_pos)
+
+
+def same_coeffs(a: Polynomial, b: Polynomial) -> bool:
+    return a.coeffs == b.coeffs and all(type(c) is Fraction for c in a.coeffs)
+
+
+@settings(max_examples=120, deadline=None)
+@given(corpus.factored_poly(), corpus.factored_poly(), st.sampled_from([0, 1, 2]))
+def test_poly_gcd_matches_euclid(f, g, shared):
+    # multiply in a common factor so the gcd is not always 1
+    h = Polynomial.one()
+    for _ in range(shared):
+        h = h * g.derivative() if g.degree >= 2 else h * g
+    f, g = f * h, g * h
+    assert same_coeffs(poly_gcd(f, g), euclid_gcd(f, g))
+    assert same_coeffs(poly_gcd(g, f), euclid_gcd(g, f))
+    assert same_coeffs(poly_gcd(f, f.derivative()), euclid_gcd(f, f.derivative()))
+
+
+@settings(max_examples=120, deadline=None)
+@given(corpus.factored_poly())
+def test_squarefree_decomposition_matches_yun_reference(p):
+    got = squarefree_decomposition(p)
+    want = yun_reference(p)
+    assert [k for _, k in got] == [k for _, k in want]
+    assert all(same_coeffs(a, b) for (a, _), (b, _) in zip(got, want))
+
+
+@settings(max_examples=120, deadline=None)
+@given(corpus.factored_poly())
+def test_sturm_count_matches_radical_chain(p):
+    # the integer chain runs on p itself, repeated factors included
+    want = sturm_reference(p)
+    assert sturm_real_root_count(p) == want == sturm_real_root_count(radical(p))
+    assert p.degree - poly_gcd(p, p.derivative()).degree == radical(p).degree
+
+
+def test_poly_gcd_edge_cases():
+    zero = Polynomial.zero()
+    f = Polynomial.exact([-4, 0, 4])  # -4 (x^2 - 1)
+    assert poly_gcd(zero, zero).is_zero
+    assert poly_gcd(f, zero).coeffs == (1, 0, -1)
+    assert poly_gcd(zero, f).coeffs == (1, 0, -1)
+    assert poly_gcd(Polynomial.exact([Fraction(-3, 7)]), f).coeffs == (1,)
+    assert poly_gcd(zero, Polynomial.exact([5])).coeffs == (1,)
+    assert poly_gcd(f, Polynomial.exact([2, 2])).coeffs == (1, 1)
+    with pytest.raises(ValueError):
+        poly_gcd(Polynomial.float64([1, 0, -1]), Polynomial.float64([1, 1]))
+    with pytest.raises(ValueError):
+        poly_gcd(f, Polynomial.float64([1, 1]))
+
+
+def test_squarefree_and_sturm_edge_cases():
+    assert squarefree_decomposition(Polynomial.exact([7])) == []
+    assert sturm_real_root_count(Polynomial.exact([7])) == 0
+    # -2 x^3 (x - 1/2)^2: negative leading coefficient, zero root
+    p = Polynomial.exact([-2, 0, 0, 0]) * Polynomial.from_roots([Fraction(1, 2)] * 2)
+    parts = squarefree_decomposition(p)
+    assert [(f.coeffs, k) for f, k in parts] == [((1, Fraction(-1, 2)), 2), ((1, 0), 3)]
+    assert sturm_real_root_count(p) == 2
+    with pytest.raises(ValueError):
+        squarefree_decomposition(Polynomial.float64([1, 0, -1]))
+    with pytest.raises(ValueError):
+        sturm_real_root_count(Polynomial.float64([1, 0, -1]))

@@ -4,19 +4,31 @@ The Bezout matrix H of (p, q) collects the coefficients of the bivariate
 form (p(x)q(y) - p(y)q(x)) / (x - y); entry (i, j) multiplies x**i y**j.
 For hyperbolic p and separating q it is positive semidefinite and makes
 H @ A symmetric, where A is the companion matrix of p.
+
+Exact forms are built on Python ints: with p = cp * P and q = cq * Q for
+primitive integer P, Q (``polynomial._primitive``), H(p, q) = cp * cq *
+H(P, Q), and the synthetic division, its remainder and symmetry checks run
+on the integer coefficients.  The symmetrization defect, the deleted-factor
+gram and the separation bound H - c * gram are taken on integer matrices as
+well (``exactla``), and only results become Fractions.  Callers that already
+hold a form pass it on (``discriminant``, ``resultant``,
+``separation_lower_bound_check``), and a ``BezoutMatrix`` computes its
+determinant once, so one request builds each distinct form once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from . import exactla
 from .errors import BackendMismatchError, DegreeMismatchError, NonzeroRemainderError
 from .exactla import PsdVerdict, psd_certificate
-from .polynomial import Polynomial, RootProfile, deleted_root_factor
+from .polynomial import Polynomial, RootProfile, _primitive, deleted_root_factor
 from .scalars import BACKEND_EXACT
 
 
@@ -32,6 +44,11 @@ class BezoutMatrix:
     @property
     def backend(self) -> str:
         return exactla.backend_of(self.matrix)
+
+    @cached_property
+    def det(self):
+        """det H, computed on first use and kept with the form."""
+        return exactla.det(self.matrix)
 
     def to_jsonable(self) -> dict:
         from .scalars import scalar_to_json
@@ -69,23 +86,16 @@ def _as_matrix(M) -> np.ndarray:
     return np.asarray(M)
 
 
-def bezout_matrix(p: Polynomial, q: Polynomial) -> BezoutMatrix:
-    """Bezout matrix by two-variable synthetic division of the defining form.
+def _divide_form(pa: list, qa: list, n: int) -> tuple[list, list]:
+    """(H rows, leftovers) of (p(x)q(y) - p(y)q(x)) / (x - y).
 
-    The numerator p(x)q(y) - p(y)q(x) is treated as a polynomial in x whose
-    coefficients are polynomials in y, and divided by (x - y).  The division
-    is exact in algebra; a surviving remainder raises NonzeroRemainderError.
-    The matrix size is max(deg p, deg q); shorter arguments are zero padded.
+    ``pa`` and ``qa`` are ascending coefficients of length n + 1.  The
+    numerator is a polynomial in x whose coefficients are polynomials in y,
+    divided synthetically by (x - y); row i of H is the quotient coefficient
+    of x**i, ascending in y.  The leftovers (the remainder, and the y**n terms
+    the quotient never reaches) vanish in exact arithmetic.
     """
-    if p.backend != q.backend:
-        raise BackendMismatchError("bezout_matrix arguments must share a backend")
-    n = max(int(p.degree) if not p.is_zero else 0, int(q.degree) if not q.is_zero else 0)
-    if n < 1:
-        raise DegreeMismatchError("bezout_matrix needs at least one argument of degree >= 1")
-    pa = list(p.ascending(n + 1))
-    qa = list(q.ascending(n + 1))
     zero = pa[0] * 0
-    # quotient coefficient of x**k is a polynomial in y, stored ascending
     quo = [None] * n
     carry = [zero] * (n + 1)
     for k in range(n, 0, -1):
@@ -93,24 +103,42 @@ def bezout_matrix(p: Polynomial, q: Polynomial) -> BezoutMatrix:
         quo[k - 1] = row
         carry = [zero] + row[:-1]  # multiply by y
     remainder = [pa[0] * qb - qa[0] * pb + c for qb, pb, c in zip(qa, pa, carry)]
-    # the quotient never reaches y**n; anything there belongs with the remainder
-    leftovers = list(remainder) + [row[n] for row in quo]
-    H = exactla.zeros(n, n, p.backend)
-    for i in range(n):
-        for b in range(n):
-            H[i, b] = quo[i][b]
+    return [row[:n] for row in quo], remainder + [row[n] for row in quo]
+
+
+def bezout_matrix(p: Polynomial, q: Polynomial) -> BezoutMatrix:
+    """Bezout matrix by two-variable synthetic division of the defining form.
+
+    The division is exact in algebra; a surviving remainder raises
+    NonzeroRemainderError.  Exact input is divided on the primitive integer
+    coefficients and scaled by the two contents.  The matrix size is
+    max(deg p, deg q); shorter arguments are zero padded.
+    """
+    if p.backend != q.backend:
+        raise BackendMismatchError("bezout_matrix arguments must share a backend")
+    n = max(int(p.degree) if not p.is_zero else 0, int(q.degree) if not q.is_zero else 0)
+    if n < 1:
+        raise DegreeMismatchError("bezout_matrix needs at least one argument of degree >= 1")
     if p.backend == BACKEND_EXACT:
-        if any(v != 0 for v in leftovers):
+        (P, cp), (Q, cq) = _primitive(p.coeffs), _primitive(q.coeffs)
+        pa = P[::-1] + [0] * (n + 1 - len(P))
+        qa = Q[::-1] + [0] * (n + 1 - len(Q))
+        rows, leftovers = _divide_form(pa, qa, n)
+        if any(leftovers):
             raise NonzeroRemainderError("bezout division left a remainder (arithmetic fault)")
-    else:
-        scale = (n + 1) * max(1.0, max(abs(v) for v in pa) * max(abs(v) for v in qa))
-        if max(abs(v) for v in leftovers) > 1e-10 * scale:
-            raise NonzeroRemainderError("bezout division remainder above float tolerance")
-    defect = exactla.symmetry_defect(H)
-    if p.backend == BACKEND_EXACT:
-        if defect != 0:
+        if exactla._asymmetry(rows):
             raise NonzeroRemainderError("bezout matrix came out asymmetric (arithmetic fault)")
-    elif defect > 1e-12 * max(1.0, exactla.max_abs(H)):
+        scale = cp * cq
+        return BezoutMatrix(exactla._fraction_matrix(rows, scale.numerator, scale.denominator),
+                            p, q)
+    pa = list(p.ascending(n + 1))
+    qa = list(q.ascending(n + 1))
+    rows, leftovers = _divide_form(pa, qa, n)
+    H = exactla.mat(rows, p.backend)
+    scale = (n + 1) * max(1.0, max(abs(v) for v in pa) * max(abs(v) for v in qa))
+    if max(abs(v) for v in leftovers) > 1e-10 * scale:
+        raise NonzeroRemainderError("bezout division remainder above float tolerance")
+    if exactla.symmetry_defect(H) > 1e-12 * max(1.0, exactla.max_abs(H)):
         raise NonzeroRemainderError("bezout matrix asymmetric beyond float tolerance")
     return BezoutMatrix(H, p, q)
 
@@ -132,10 +160,16 @@ def companion_matrix(p: Polynomial) -> CompanionMatrix:
 
 
 def symmetrization_defect(H, A):
-    """Max-norm of HA - (HA)^T; zero iff H symmetrizes A."""
+    """Max-norm of HA - (HA)^T; zero iff H symmetrizes A.
+
+    Two exact matrices are multiplied as integer matrices, H = X / dx and
+    A = Y / dy, so the defect is that of XY over dx * dy.
+    """
     Hm, Am = _as_matrix(H), _as_matrix(A)
-    HA = Hm @ Am
-    return exactla.symmetry_defect(HA)
+    if Hm.dtype == object and Am.dtype == object:
+        (X, dx), (Y, dy) = exactla._integer_matrix(Hm), exactla._integer_matrix(Am)
+        return Fraction(exactla._asymmetry(exactla._matmul(X, Y)), dx * dy)
+    return exactla.symmetry_defect(Hm @ Am)
 
 
 def psd_check(H, tol: float = 1e-9) -> PsdVerdict:
@@ -143,10 +177,17 @@ def psd_check(H, tol: float = 1e-9) -> PsdVerdict:
     return psd_certificate(_as_matrix(H), tol)
 
 
-def discriminant(p: Polynomial):
-    """det of the Bezout matrix of (p, p'); the squared root difference product."""
+def _form_det(H):
+    return H.det if isinstance(H, BezoutMatrix) else exactla.det(np.asarray(H))
+
+
+def discriminant(p: Polynomial, H=None):
+    """det of the Bezout matrix of (p, p'); the squared root difference product.
+
+    Pass ``H``, the Bezout matrix of (p, p'), when it is already built.
+    """
     p.require_monic("discriminant input")
-    return exactla.det(bezout_matrix(p, p.derivative()).matrix)
+    return _form_det(H if H is not None else bezout_matrix(p, p.derivative()))
 
 
 def resultant_sign(m: int) -> int:
@@ -168,13 +209,17 @@ class Resultant:
         return abs(self.det_h - self.sign_factor * self.root_product)
 
 
-def resultant(p: Polynomial, q: Polynomial, profile: RootProfile | None = None) -> Resultant:
-    """det H next to the root product prod_j q(lambda_j) and their sign factor."""
+def resultant(p: Polynomial, q: Polynomial, profile: RootProfile | None = None,
+              H=None) -> Resultant:
+    """det H next to the root product prod_j q(lambda_j) and their sign factor.
+
+    Pass ``H``, the Bezout matrix of (p, q), when it is already built.
+    """
     p.require_monic("resultant input")
     m = int(p.degree)
     if not q.is_zero and q.degree > m - 1:
         raise DegreeMismatchError("resultant requires deg q <= deg p - 1")
-    det_h = exactla.det(bezout_matrix(p, q).matrix)
+    det_h = _form_det(H if H is not None else bezout_matrix(p, q))
     if profile is None:
         from .roots import real_roots
 
@@ -186,13 +231,41 @@ def resultant(p: Polynomial, q: Polynomial, profile: RootProfile | None = None) 
     return Resultant(det_h, product, resultant_sign(m))
 
 
+def _integer_gram(roots) -> tuple[list[list[int]], int]:
+    """(G, D): the deleted-factor gram of rational roots is G / D, G integer.
+
+    With the roots c_j / L over a common denominator L, the deleted factor
+    prod_{j != k}(x - c_j / L) is w_k / L^(m-1) for the integer coefficients
+    w_k of prod_{j != k}(L x - c_j), so the gram is sum_k w_k w_k^T / L^(2m-2).
+    """
+    roots = [Fraction(r) for r in roots]
+    m = len(roots)
+    L = math.lcm(1, *(r.denominator for r in roots))
+    c = [r.numerator * (L // r.denominator) for r in roots]
+    G = [[0] * m for _ in range(m)]
+    for k in range(m):
+        w = [1]  # ascending coefficients of prod_{j != k}(L x - c_j)
+        for j, cj in enumerate(c):
+            if j != k:
+                w = [L * lo - cj * hi for lo, hi in zip([0] + w, w + [0])]
+        for wi, row in zip(w, G):
+            if wi:
+                for j, wj in enumerate(w):
+                    row[j] += wi * wj
+    return G, L ** (2 * max(m - 1, 0))
+
+
 def deleted_factors_gram(roots, backend: str) -> np.ndarray:
     """Gram matrix sum_k v_k v_k^T of the deleted-root factor coefficients.
 
     v_k is the ascending coefficient vector of prod_{j != k}(x - lambda_j),
     padded to length m.  As a quadratic form this is sum_k |p_k_hat(z)|^2.
+    Exact roots are summed on Python ints.
     """
     roots = list(roots)
+    if backend == BACKEND_EXACT:
+        G, D = _integer_gram(roots)
+        return exactla._fraction_matrix(G, den=D)
     m = len(roots)
     G = exactla.zeros(m, m, backend)
     for k in range(m):
@@ -211,20 +284,31 @@ def separation_lower_bound_check(
     c,
     profile: RootProfile | None = None,
     tol: float = 1e-9,
+    H=None,
 ) -> bool:
-    """Check H - c * sum_k v_k v_k^T >= 0 for the Bezout matrix H of (p, q)."""
+    """Check H - c * sum_k v_k v_k^T >= 0 for the Bezout matrix H of (p, q).
+
+    Pass ``H`` when it is already built.  With an exact H and rational roots
+    the difference is formed and certified on integer matrices; an
+    irrational root sends the check to float64 eigenvalues.
+    """
     if profile is None:
         from .roots import real_roots
 
         profile = real_roots(p)
-    H = bezout_matrix(p, q).matrix
-    backend = exactla.backend_of(H)
+    H = _as_matrix(H if H is not None else bezout_matrix(p, q))
     roots = profile.flattened
-    if backend == BACKEND_EXACT and any(not isinstance(r, (int, Fraction)) for r in roots):
-        H = H.astype(float)
-        backend = "float64"
-    gram = deleted_factors_gram(
-        [r if backend == BACKEND_EXACT else float(r) for r in roots], backend
-    )
-    cc = Fraction(c) if backend == BACKEND_EXACT else float(c)
-    return psd_certificate(H - cc * gram, tol).is_psd
+    if H.shape != (len(roots), len(roots)):
+        raise DegreeMismatchError(
+            f"Bezout matrix of shape {H.shape} against {len(roots)} roots of p"
+        )
+    exact_roots = all(isinstance(r, (int, Fraction)) for r in roots)
+    if exactla.backend_of(H) == BACKEND_EXACT and exact_roots:
+        (X, dx), (G, dg), c = exactla._integer_matrix(H), _integer_gram(roots), Fraction(c)
+        # H - c G = (X c.den dg - G c.num dx) / (dx c.den dg)
+        a, b = c.denominator * dg, c.numerator * dx
+        diff = [[a * h - b * g for h, g in zip(hr, gr)] for hr, gr in zip(X, G)]
+        return exactla._integer_psd(diff, dx * a).is_psd
+    H = H.astype(float)
+    gram = deleted_factors_gram([float(r) for r in roots], "float64")
+    return psd_certificate(H - float(c) * gram, tol).is_psd

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -111,26 +112,39 @@ def _require_hyperbolic(p: Polynomial):
     return verdict
 
 
+def _check_q(p: Polynomial, q: Polynomial) -> None:
+    """Reject a --q that cannot pair with p, before any form of the pair is built."""
+    if q.backend != p.backend:
+        raise InputError(f"--q is {q.backend} but --poly is {p.backend}; use one backend for both")
+    if not q.is_zero and q.degree > p.degree:
+        raise DegreeMismatchError(f"deg q = {q.degree} exceeds deg p = {p.degree}")
+
+
 def cmd_analyze(args, report: CertifiedReport):
     p = _parse_poly(args.poly, args.poly_file)
     tol = args.tol
     verdict = _require_hyperbolic(p)
     profile = verdict.witness
-    q = _parse_poly(args.q, None) if args.q else p.derivative()
+    dp = p.derivative()
+    q = _parse_poly(args.q, None) if args.q else dp
+    _check_q(p, q)
     report.backend = p.backend
     report.inputs = {"poly": _echo_poly(p), "q": _echo_poly(q)}
 
-    H = bezout_matrix(p, q)
     A = companion_matrix(p)
+    # p is monic now, so is_hyperbolic's form is the Bezout matrix of (p, p');
+    # an exact PSD verdict does not depend on the tolerance
+    Hp = verdict.hermite_form
+    hermite = verdict.hermite if p.backend == BACKEND_EXACT else psd_check(Hp, tol)
+    H = Hp if q == dp else bezout_matrix(p, q)
     report.inputs["bezout_matrix"] = H.to_jsonable()
     report.inputs["companion_matrix"] = A.to_jsonable()
     defect = float(symmetrization_defect(H, A))
     report.add_bool("companion symmetrization defect", "companion-symmetrization",
                     defect <= tol, defect, tol)
-    psd = psd_check(H, tol)
+    psd = hermite if H is Hp else psd_check(H, tol)
     witness = float(psd.min_eigenvalue) if psd.min_eigenvalue is not None else (
         float(min(psd.pivots)) if psd.pivots else 0.0)
-    hermite = psd_check(bezout_matrix(p, p.derivative()), tol)
     report.add_bool("derivative form semidefinite (hyperbolicity certificate)",
                     "hermite-criterion", hermite.is_psd,
                     "psd" if hermite.is_psd else hermite.witness)
@@ -144,17 +158,17 @@ def cmd_analyze(args, report: CertifiedReport):
         report.add_bool("separation structure", "separation-interlacing",
                         cert.separates, cert.failure_reason or float(cert.constant_c))
         if cert.separates:
-            ok = separation_lower_bound_check(p, q, cert.constant_c, profile, tol)
+            ok = separation_lower_bound_check(p, q, cert.constant_c, profile, tol, H)
             report.add_bool("separation lower bound", "separation-lower-bound",
                             ok, float(cert.constant_c), tol)
             report.add_bool("bezout form semidefinite", "bezout-psd", psd.is_psd, witness, tol)
-    disc = discriminant(p)
+    disc = discriminant(p, Hp)
     delta = difference_product(profile.flattened)
     disc_err = abs(float(disc) - float(delta) ** 2)
     scale = max(1.0, abs(float(disc)))
     report.add_bool("determinant equals squared root spread", "discriminant-product",
                     disc_err <= tol * scale, float(disc), tol)
-    res = resultant(p, q, profile)
+    res = resultant(p, q, profile, H)
     res_err = float(res.consistency_residual()) / max(1.0, abs(float(res.det_h)))
     report.add_bool("determinant against root product", "resultant-sign",
                     res_err <= tol, float(res.det_h), tol)
@@ -286,7 +300,7 @@ def cmd_leray(args, report: CertifiedReport):
     defect = float(sym.symmetry_defect)
     report.add_bool("power-sum symmetrizer defect", "leray-symmetry",
                     defect <= tol, defect, tol)
-    disc = discriminant(p)
+    disc = discriminant(p, verdict.hermite_form)
     err = abs(float(sym.det_power_sum_gram) - float(disc))
     report.add_bool("det equals discriminant", "leray-determinant",
                     err <= tol * max(1.0, abs(float(disc))), float(sym.det_power_sum_gram), tol)
@@ -297,8 +311,7 @@ def cmd_leray(args, report: CertifiedReport):
                     sym.definiteness.is_pd == profile.is_strict,
                     "positive definite" if sym.definiteness.is_pd else "semidefinite")
     if m == 2:
-        H = bezout_matrix(p, p.derivative()).matrix
-        diff = float(exactla.max_abs(sym.adjugate - H))
+        diff = float(exactla.max_abs(sym.adjugate - verdict.hermite_form.matrix))
         report.add_bool("adjugate equals bezout form (m=2)", "leray-bezout-m2",
                         diff <= tol, diff, tol)
     if profile.is_strict:
@@ -354,7 +367,9 @@ def cmd_energy(args, report: CertifiedReport):
     return table
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="bezoutian",
         description="Certified Bezout-matrix symmetrizers for hyperbolic polynomials",

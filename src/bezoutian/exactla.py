@@ -1,11 +1,14 @@
 """Small dense matrix helpers over both scalar backends.
 
 Exact matrices are numpy object arrays of Fractions; float matrices are
-ordinary float64 arrays.  The exact determinant and adjugate clear the
-denominators once, M = A / D with A an integer matrix and D the lcm of the
-entry denominators, and run on Python ints: det(M) = det(A) / D^m by
-Bareiss fraction-free elimination, adj(M) = adj(A) / D^(m-1) by
-Faddeev-LeVerrier, whose divisions are exact over the integers.
+ordinary float64 arrays.  The exact kernels clear the denominators once,
+M = A / D with A an integer matrix and D the lcm of the entry denominators,
+and run on Python ints: det(M) = det(A) / D^m by Bareiss fraction-free
+elimination, adj(M) = adj(A) / D^(m-1) by Faddeev-LeVerrier, and the LDL
+pivot signs of the PSD certificate by symmetric fraction-free elimination;
+every division is exact over the integers.  Symmetry defects and products
+are taken on the integer matrices too, and only the results are turned back
+into Fractions.
 """
 
 from __future__ import annotations
@@ -60,6 +63,11 @@ def max_abs(M: np.ndarray):
 
 
 def symmetry_defect(M: np.ndarray):
+    """Max-norm of M - M^T; a Fraction for exact input, a float otherwise."""
+    M = np.asarray(M)
+    if M.dtype == object:
+        A, D = _integer_matrix(M)
+        return Fraction(_asymmetry(A), D)
     return max_abs(M - M.T)
 
 
@@ -69,6 +77,37 @@ def _integer_matrix(M: np.ndarray) -> tuple[list[list[int]], int]:
             for row in np.asarray(M, dtype=object)]
     D = math.lcm(1, *(v.denominator for row in rows for v in row))
     return [[v.numerator * (D // v.denominator) for v in row] for row in rows], D
+
+
+def _fraction_matrix(A: list[list[int]], num: int = 1, den: int = 1) -> np.ndarray:
+    """Object array of the Fractions A[i][j] * num / den."""
+    out = np.empty((len(A), len(A[0]) if A else 0), dtype=object)
+    for i, row in enumerate(A):
+        for j, v in enumerate(row):
+            out[i, j] = Fraction(v * num, den)
+    return out
+
+
+def _require_square(A: list[list[int]], what: str) -> int:
+    n = len(A)
+    if any(len(row) != n for row in A):
+        raise ValueError(f"{what} needs a square matrix")
+    return n
+
+
+def _asymmetry(A: list[list[int]]) -> int:
+    """Max |A[i][j] - A[j][i]| of a square integer matrix (0 when empty)."""
+    n = _require_square(A, "symmetry defect")
+    return max((abs(A[i][j] - A[j][i]) for i in range(n) for j in range(i + 1, n)), default=0)
+
+
+def _matmul(X: list[list[int]], Y: list[list[int]]) -> list[list[int]]:
+    """Integer matrix product X Y; the inner dimensions must agree."""
+    inner = len(Y)
+    if any(len(row) != inner for row in X):
+        raise ValueError(f"cannot multiply: {len(X[0])} columns against {inner} rows")
+    cols = list(zip(*Y))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in X]
 
 
 def _bareiss_det(A: list[list[int]]) -> int:
@@ -143,12 +182,7 @@ def adjugate(M: np.ndarray) -> np.ndarray:
     n = M.shape[0]
     if M.dtype == object:
         A, D = _integer_matrix(M)
-        scale = D ** (n - 1)
-        out = np.empty((n, n), dtype=object)
-        for i, row in enumerate(_faddeev_adjugate(A)):
-            for j, v in enumerate(row):
-                out[i, j] = Fraction(v, scale)
-        return out
+        return _fraction_matrix(_faddeev_adjugate(A), den=D ** (n - 1))
     if n == 1:
         return np.ones((1, 1))
     out = np.zeros((n, n))
@@ -179,18 +213,34 @@ class PsdVerdict:
     witness: str = ""
 
 
-def _exact_psd(M: np.ndarray) -> PsdVerdict:
-    A = [[Fraction(v) for v in row] for row in np.asarray(M, dtype=object)]
-    n = len(A)
+def _integer_psd(A: list[list[int]], D: int = 1) -> PsdVerdict:
+    """LDL pivot signs of the symmetric matrix A / D (D > 0) on Python ints.
+
+    Symmetric fraction-free elimination (Bareiss 1968) with diagonal
+    pivoting: each step takes the largest diagonal entry, the first one on
+    ties.  After pivots k_1..k_t every active entry is the minor on rows
+    {k_1..k_t, i} and columns {k_1..k_t, j}; the Schur complement of the
+    eliminated block is that minor over the last integer pivot, prev, and
+    over D.  prev is a product of positive pivots, so the integer diagonal
+    has the signs and the order of the Schur diagonal, and the certificate
+    (pivots, rank, witness) is the one Gaussian elimination over Fractions
+    gives.
+    """
+    n = _require_square(A, "PSD certificate")
+    if _asymmetry(A):
+        raise ValueError("PSD certificate needs a symmetric matrix")
+    A = [row[:] for row in A]
     active = list(range(n))
     pivots = []
+    prev = 1
     while active:
         neg = next((k for k in active if A[k][k] < 0), None)
         if neg is not None:
             return PsdVerdict(False, False, "ldl-pivot", tuple(pivots), len(pivots),
                               witness=f"negative diagonal entry at index {neg}")
-        pos = [k for k in active if A[k][k] > 0]
-        if not pos:
+        k = max(active, key=lambda i: A[i][i])
+        d = A[k][k]
+        if d == 0:
             # all remaining diagonal entries are zero; PSD forces the block to vanish
             for i in active:
                 for j in active:
@@ -198,17 +248,15 @@ def _exact_psd(M: np.ndarray) -> PsdVerdict:
                         return PsdVerdict(False, False, "ldl-pivot", tuple(pivots), len(pivots),
                                           witness=f"zero diagonal with nonzero entry ({i},{j})")
             break
-        k = max(pos, key=lambda i: A[i][i])
-        d = A[k][k]
-        pivots.append(d)
+        pivots.append(Fraction(d, prev * D))
         active.remove(k)
-        col = {i: A[i][k] for i in active}
-        for i in active:
-            if col[i] == 0:
-                continue
-            f = col[i] / d
-            for j in active:
-                A[i][j] -= f * col[j]
+        row_k = A[k]
+        for t, i in enumerate(active):
+            row_i, a = A[i], A[i][k]
+            for j in active[t:]:
+                v = (d * row_i[j] - a * row_k[j]) // prev
+                row_i[j] = A[j][i] = v
+        prev = d
     rank = len(pivots)
     return PsdVerdict(True, rank == n, "ldl-pivot", tuple(pivots), rank)
 
@@ -217,7 +265,7 @@ def psd_certificate(M: np.ndarray, tol: float = 1e-9) -> PsdVerdict:
     """Certify M >= 0; exact pivots for rational input, eigenvalues for float."""
     M = np.asarray(M)
     if M.dtype == object:
-        return _exact_psd(M)
+        return _integer_psd(*_integer_matrix(M))
     sym = 0.5 * (M + M.T)
     eigs = np.linalg.eigvalsh(sym)
     scale = max(1.0, float(np.max(np.abs(sym))))

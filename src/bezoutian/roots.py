@@ -358,6 +358,8 @@ class HyperbolicityVerdict:
     is_strict: bool
     witness: object  # RootProfile on success, reason string on failure
     method: str
+    hermite_form: object = None  # BezoutMatrix of the monic p and its derivative
+    hermite: object = None       # its PsdVerdict, at the tolerance of the call
 
     def __bool__(self) -> bool:
         return self.is_hyperbolic
@@ -371,36 +373,39 @@ def is_hyperbolic(p: Polynomial, tol: float = DEFAULT_TOL) -> HyperbolicityVerdi
     matrix of (p, p').  They must agree on exact input.  On the exact
     backend p is hyperbolic when its Sturm count of distinct real roots
     reaches its number of distinct roots, deg p - deg gcd(p, p'); only the
-    root extraction decomposes p.
+    root extraction decomposes p.  The verdict carries the Bezout form of
+    (p, p') for monic p and its PSD verdict, so callers need not rebuild them.
     """
     from .bezout import bezout_matrix, psd_check
 
     if p.is_zero or p.degree < 1:
         return HyperbolicityVerdict(False, False, "degree < 1", "degenerate")
     monic = p * (1 / p.leading) if not p.is_monic else p
+    form = bezout_matrix(monic, monic.derivative())
+    hermite = psd_check(form, tol)
     if p.backend == BACKEND_EXACT:
         count = sturm_real_root_count(monic)
         distinct = monic.degree - poly_gcd(monic, monic.derivative()).degree
         sturm_verdict = count == distinct
-        hermite = psd_check(bezout_matrix(monic, monic.derivative()), tol)
         if hermite.is_psd != sturm_verdict:
             raise ArithmeticError(
                 "internal fault: Sturm and Hermite certificates disagree"
             )
         strict = sturm_verdict and distinct == monic.degree
         if not sturm_verdict:
-            return HyperbolicityVerdict(False, False, "complex roots (Sturm count short)", "sturm")
-        return HyperbolicityVerdict(True, strict, real_roots(monic, tol), "sturm")
-    hermite = psd_check(bezout_matrix(monic, monic.derivative()), tol)
+            return HyperbolicityVerdict(False, False, "complex roots (Sturm count short)",
+                                        "sturm", form, hermite)
+        return HyperbolicityVerdict(True, strict, real_roots(monic, tol), "sturm", form, hermite)
     if not hermite.is_psd:
         return HyperbolicityVerdict(
-            False, False, f"Bezout form of (p, p') indefinite: {hermite.witness}", "hermite-psd"
+            False, False, f"Bezout form of (p, p') indefinite: {hermite.witness}", "hermite-psd",
+            form, hermite,
         )
     try:
         profile = real_roots(monic, tol)
     except NonHyperbolicError as exc:
-        return HyperbolicityVerdict(False, False, str(exc), "hermite-psd")
-    return HyperbolicityVerdict(True, profile.is_strict, profile, "hermite-psd")
+        return HyperbolicityVerdict(False, False, str(exc), "hermite-psd", form, hermite)
+    return HyperbolicityVerdict(True, profile.is_strict, profile, "hermite-psd", form, hermite)
 
 
 def max_multiplicity(profile: RootProfile) -> int:

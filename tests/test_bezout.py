@@ -3,13 +3,18 @@
 Oracles used here are independent of the synthetic-division construction:
 bivariate evaluation of the defining identity at random rational points,
 outer products of deleted-root factors, Faddeev-LeVerrier characteristic
-polynomials, and explicit difference products over known roots.
+polynomials, and explicit difference products over known roots.  The
+integer kernels (Bezout division, symmetry and symmetrization defects, the
+deleted-factor gram, the separation bound) are also compared with plain
+Fraction references kept here.
 """
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpus
 from bezoutian import (
@@ -17,6 +22,7 @@ from bezoutian import (
     Polynomial,
     bezout_matrix,
     companion_matrix,
+    deleted_factors_gram,
     deleted_root_factor,
     discriminant,
     psd_check,
@@ -25,7 +31,8 @@ from bezoutian import (
     separation_lower_bound_check,
     symmetrization_defect,
 )
-from bezoutian.exactla import identity, zeros
+from bezoutian.exactla import det, identity, mat, symmetry_defect, zeros
+from test_exactla import reference_psd
 
 X2_MINUS_1 = Polynomial.exact([1, 0, -1])
 X3_MINUS_X = Polynomial.exact([1, 0, -1, 0])
@@ -254,3 +261,139 @@ def test_separation_lower_bound_examples():
     assert separation_lower_bound_check(X2_MINUS_1, Polynomial.exact([2, 0]), 1)
     assert separation_lower_bound_check(X2_MINUS_1, Polynomial.exact([1, 0]), Fraction(1, 2))
     assert not separation_lower_bound_check(X2_MINUS_1, Polynomial.exact([1, 0]), 1)
+
+
+# -- integer kernels against Fraction references -------------------------------
+
+
+def reference_bezout(p: Polynomial, q: Polynomial) -> list:
+    """Synthetic division of (p(x)q(y) - p(y)q(x)) / (x - y) over Fractions."""
+    n = max(0 if p.is_zero else p.degree, 0 if q.is_zero else q.degree)
+    pa, qa = p.ascending(n + 1), q.ascending(n + 1)
+    quo = [None] * n
+    carry = [Fraction(0)] * (n + 1)
+    for k in range(n, 0, -1):
+        row = [pa[k] * qb - qa[k] * pb + c for qb, pb, c in zip(qa, pa, carry)]
+        quo[k - 1] = row
+        carry = [Fraction(0)] + row[:-1]
+    assert all(pa[0] * qb - qa[0] * pb + c == 0 for qb, pb, c in zip(qa, pa, carry))
+    assert all(row[n] == 0 for row in quo)
+    return [row[:n] for row in quo]
+
+
+def reference_symmetry_defect(M) -> Fraction:
+    n = len(M)
+    return max((abs(Fraction(M[i][j]) - Fraction(M[j][i])) for i in range(n) for j in range(n)),
+               default=Fraction(0))
+
+
+def reference_product(X, Y) -> list:
+    return [[sum((Fraction(a) * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*Y)]
+            for row in X]
+
+
+def reference_gram(roots) -> list:
+    m = len(roots)
+    G = [[Fraction(0)] * m for _ in range(m)]
+    for k in range(m):
+        v = deleted_root_factor(roots, k, "exact").ascending(m)
+        for i in range(m):
+            for j in range(m):
+                G[i][j] += v[i] * v[j]
+    return G
+
+
+@st.composite
+def form_pair(draw):
+    """(p, q): p a corpus product, q zero, p', a lower-degree product or any product."""
+    p = draw(corpus.factored_poly())
+    kind = draw(st.sampled_from(["zero", "derivative", "low", "any"]))
+    if kind == "zero":
+        return p, Polynomial.exact([])
+    if kind == "derivative":
+        return p, p.derivative()
+    q = draw(corpus.factored_poly(max_linear=3, max_mult=2))
+    if kind == "low":
+        while q.degree >= p.degree - 1 and q.degree > 0:
+            q = Polynomial.exact(q.coeffs[1:])
+    return p, q
+
+
+@settings(max_examples=120, deadline=None)
+@given(form_pair())
+def test_integer_bezout_matches_fraction_division(pair):
+    p, q = pair
+    H = bezout_matrix(p, q)
+    want = reference_bezout(p, q)
+    assert H.matrix.tolist() == want
+    assert all(type(v) is Fraction for v in H.matrix.flat)
+    assert symmetry_defect(H.matrix) == reference_symmetry_defect(want) == 0
+    if H.matrix.shape[0] == p.degree:
+        monic = p * (1 / p.leading)
+        A = companion_matrix(monic).matrix
+        got = symmetrization_defect(H, A)
+        assert type(got) is Fraction
+        assert got == reference_symmetry_defect(reference_product(want, A.tolist()))
+    assert H.det == det(H.matrix)
+
+
+square_st = st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=6), min_size=n, max_size=n),
+    min_size=n, max_size=n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(square_st, st.data())
+def test_integer_defects_match_fraction_references(rows, data):
+    M = mat(rows, "exact")
+    assert symmetry_defect(M) == reference_symmetry_defect(rows)
+    n = len(rows)
+    other = data.draw(st.lists(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=4),
+                                        min_size=n, max_size=n), min_size=n, max_size=n))
+    got = symmetrization_defect(M, mat(other, "exact"))
+    assert type(got) is Fraction
+    assert got == reference_symmetry_defect(reference_product(rows, other))
+
+
+roots_st = st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=6),
+                    min_size=1, max_size=7)
+
+
+@settings(max_examples=80, deadline=None)
+@given(roots_st)
+def test_integer_gram_matches_fraction_reference(roots):
+    G = deleted_factors_gram(roots, "exact")
+    assert G.tolist() == reference_gram(roots)
+    assert all(type(v) is Fraction for v in G.flat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(roots_st, st.fractions(min_value=0, max_value=4, max_denominator=7),
+       st.sampled_from(["derivative", "low"]))
+def test_integer_separation_bound_matches_fraction_reference(roots, c, kind):
+    p = Polynomial.from_roots(roots)
+    q = p.derivative() if kind == "derivative" else p.derivative().derivative() * Fraction(-2, 3)
+    if q.is_zero:
+        q = Polynomial.exact([1])
+    distinct = sorted(set(roots))
+    profile = corpus.RootProfile(tuple(distinct), tuple(roots.count(r) for r in distinct))
+    H = reference_bezout(p, q)
+    gram = reference_gram(profile.flattened)
+    want = reference_psd([[h - c * g for h, g in zip(hr, gr)] for hr, gr in zip(H, gram)])[0]
+    assert separation_lower_bound_check(p, q, c, profile) == want
+    assert separation_lower_bound_check(p, q, c, profile, H=bezout_matrix(p, q)) == want
+
+
+def test_separation_bound_rejects_mismatched_form():
+    H = bezout_matrix(X3_MINUS_X, X3_MINUS_X.derivative())
+    with pytest.raises(DegreeMismatchError, match="shape"):
+        separation_lower_bound_check(X2_MINUS_1, Polynomial.exact([2, 0]), 1, H=H)
+
+
+def test_prebuilt_forms_give_the_same_determinants():
+    p = Polynomial.from_roots([Fraction(-3, 2), 0, 1, Fraction(5, 2)])
+    q = Polynomial.exact([Fraction(7, 3), 0, -1, Fraction(1, 4)])
+    Hp, H = bezout_matrix(p, p.derivative()), bezout_matrix(p, q)
+    assert discriminant(p, Hp) == discriminant(p) == det(Hp.matrix)
+    assert discriminant(p, Hp.matrix) == discriminant(p)
+    assert resultant(p, q, H=H) == resultant(p, q)

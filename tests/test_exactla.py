@@ -1,8 +1,9 @@
-"""Integer exact kernels: Bareiss det, Faddeev-LeVerrier adjugate, rational-root search.
+"""Integer exact kernels: Bareiss det, Faddeev-LeVerrier adjugate, LDL pivot
+signs, rational-root search.
 
 Each kernel is compared with a plain Fraction reference kept here: cofactor
 expansion for the adjugate, Gaussian elimination for the determinant and
-divisor-pair enumeration for the rational roots.
+for the PSD pivots, and divisor-pair enumeration for the rational roots.
 """
 
 import math
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import corpus
 from bezoutian import Polynomial
-from bezoutian.exactla import adjugate, det, identity, mat
+from bezoutian.exactla import _matmul, adjugate, det, identity, mat, psd_certificate, symmetry_defect
 from bezoutian.roots import _divisors, _rational_roots
 
 F = Fraction
@@ -126,6 +127,131 @@ def test_float_adjugate_matches_cofactors():
     assert B.dtype == float
     assert np.allclose(B, np.array(reference_adjugate([[F(v) for v in r] for r in rows]),
                                    dtype=float))
+
+
+# -- PSD certificate ---------------------------------------------------------
+
+
+def reference_psd(M) -> tuple:
+    """Fraction LDL with diagonal pivoting: (is_psd, is_pd, pivots, rank, witness).
+
+    Each step fails on the first negative diagonal entry, takes the largest
+    positive one (the first on ties) as the pivot, and stops when the
+    remaining diagonal is zero, failing on the first nonzero entry left.
+    """
+    A = [[F(v) for v in row] for row in M]
+    n = len(A)
+    active = list(range(n))
+    pivots = []
+    while active:
+        neg = next((k for k in active if A[k][k] < 0), None)
+        if neg is not None:
+            return False, False, tuple(pivots), len(pivots), \
+                f"negative diagonal entry at index {neg}"
+        pos = [k for k in active if A[k][k] > 0]
+        if not pos:
+            for i in active:
+                for j in active:
+                    if A[i][j] != 0:
+                        return False, False, tuple(pivots), len(pivots), \
+                            f"zero diagonal with nonzero entry ({i},{j})"
+            break
+        k = max(pos, key=lambda i: A[i][i])
+        d = A[k][k]
+        pivots.append(d)
+        active.remove(k)
+        col = {i: A[i][k] for i in active}
+        for i in active:
+            if col[i] == 0:
+                continue
+            f = col[i] / d
+            for j in active:
+                A[i][j] -= f * col[j]
+    return True, len(pivots) == n, tuple(pivots), len(pivots), ""
+
+
+def assert_psd_matches_reference(rows):
+    n = len(rows)
+    M = mat(rows, "exact") if n else np.empty((0, 0), dtype=object)
+    v = psd_certificate(M)
+    assert (v.is_psd, v.is_pd, v.pivots, v.rank, v.witness) == reference_psd(rows)
+    assert v.method == "ldl-pivot" and all(type(d) is Fraction for d in v.pivots)
+    return v
+
+
+fractions_st = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+
+def gram(G) -> list:
+    return [[sum((a * b for a, b in zip(r, s)), F(0)) for s in G] for r in G]
+
+
+@st.composite
+def symmetric_case(draw):
+    """A symmetric rational matrix of one kind, under a random symmetric permutation.
+
+    Kinds: G G^T of rank n, n-1 and n-2 (PD and PSD, generically), a random
+    symmetric (usually indefinite) matrix, and a PD block next to a block
+    with zero diagonal and a nonzero off-diagonal entry, which the
+    elimination reaches after some pivots.
+    """
+    n = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["pd", "rank-1", "rank-2", "indefinite", "zero-diagonal"]))
+    if kind in ("pd", "rank-1", "rank-2"):
+        r = max(n - {"pd": 0, "rank-1": 1, "rank-2": 2}[kind], 0)
+        G = [draw(st.lists(fractions_st, min_size=r, max_size=r)) for _ in range(n)]
+        M = gram(G)
+    else:
+        M = [[F(0)] * n for _ in range(n)]
+        k = draw(st.integers(0, max(n - 2, 0))) if kind == "zero-diagonal" else n
+        G = [draw(st.lists(fractions_st, min_size=k, max_size=k)) for _ in range(k)]
+        for i, row in enumerate(gram(G)):
+            M[i][:k] = row
+        for i in range(k, n):
+            for j in range(i if kind == "indefinite" else i + 1, n):
+                M[i][j] = M[j][i] = draw(fractions_st)
+        if kind == "zero-diagonal" and n - k >= 2:
+            M[k][k + 1] = M[k + 1][k] = draw(fractions_st.filter(lambda v: v != 0))
+    perm = draw(st.permutations(range(n)))
+    return [[M[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_case())
+def test_psd_certificate_matches_fraction_ldl(rows):
+    assert_psd_matches_reference(rows)
+
+
+@pytest.mark.parametrize("rows, verdict", [
+    ([], (True, True, 0)),
+    ([[F(3, 4)]], (True, True, 1)),
+    ([[0]], (True, False, 0)),
+    ([[F(-1, 5)]], (False, False, 0)),
+    ([[0, F(2, 3)], [F(2, 3), 0]], (False, False, 0)),
+    ([[1, 1, 0], [1, 1, 0], [0, 0, 0]], (True, False, 1)),
+    ([[2, 1, 0], [1, 2, 3], [0, 3, 0]], (False, False, 2)),
+    ([[4, 2, 2], [2, 1, 1], [2, 1, 5]], (True, False, 2)),
+])
+def test_psd_certificate_edge_cases(rows, verdict):
+    v = assert_psd_matches_reference(rows)
+    assert (v.is_psd, v.is_pd, v.rank) == verdict
+
+
+def test_psd_certificate_rejects_nonsymmetric_and_nonsquare_input():
+    with pytest.raises(ValueError, match="symmetric"):
+        psd_certificate(mat([[1, 2], [0, 1]], "exact"))
+    with pytest.raises(ValueError, match="square"):
+        psd_certificate(mat([[1, 2, 3], [2, 1, 0]], "exact"))
+
+
+def test_integer_shape_checks():
+    with pytest.raises(ValueError, match="square"):
+        symmetry_defect(mat([[1, 2, 3], [2, 1, 0]], "exact"))
+    with pytest.raises(ValueError, match="cannot multiply"):
+        _matmul([[1, 2], [3, 4]], [[1, 2, 3]])
+    assert _matmul([[1, 2], [3, 4]], [[5], [6]]) == [[17], [39]]
+    assert symmetry_defect(mat([[1, F(1, 2)], [F(-1, 3), 0]], "exact")) == F(5, 6)
+    assert symmetry_defect(np.empty((0, 0), dtype=object)) == 0
 
 
 # -- rational roots ----------------------------------------------------------

@@ -1,13 +1,15 @@
 """CertifiedReport round-trips and the command-line front end."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from bezoutian import Polynomial
-from bezoutian.cli import main
+from bezoutian.cli import build_parser, main
 from bezoutian.report import CertifiedReport
 
 
@@ -81,6 +83,20 @@ def test_parse_error_exits_2(capsys):
 def test_wrong_degree_q_exits_2(capsys):
     code, _, err = run_cli(capsys, "energy", "--poly", "[1,0,-1]", "--q", "[1,0,0,0]")
     assert code == 2
+
+
+@pytest.mark.parametrize("poly, q", [("[1,0,-1]", "[1.0,0.5]"), ("[1.0,0.0,-1.0]", "[1,0]")])
+def test_analyze_q_of_the_other_backend_exits_2(capsys, poly, q):
+    code, out, err = run_cli(capsys, "analyze", "--poly", poly, "--q", q)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:") and "backend" in err
+
+
+def test_analyze_q_above_the_degree_of_p_exits_2(capsys):
+    code, out, err = run_cli(capsys, "analyze", "--poly", "[1,0,-1]", "--q", "[1,0,0,5]")
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:") and "deg q = 3" in err and "deg p = 2" in err
+    assert "matmul" not in err
 
 
 def test_nuij_single_eps_csv(capsys):
@@ -195,6 +211,42 @@ def test_poly_file_input(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "analyze", "--poly-file", str(path))
     assert code == 0
     assert json.loads(out)["all_pass"] is True
+
+
+def fresh_cli(argv, env_seed=None) -> tuple:
+    env = {k: v for k, v in os.environ.items() if k != "SYMM_SEED"}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    if env_seed is not None:
+        env["SYMM_SEED"] = env_seed
+    # bytes, not text: the csv rows end in CRLF, which text mode would translate
+    proc = subprocess.run([sys.executable, "-m", "bezoutian.cli", *argv],
+                          capture_output=True, env=env)
+    return proc.returncode, proc.stdout.decode()
+
+
+def test_parser_built_once_gives_the_output_of_fresh_processes(capsys, monkeypatch):
+    first = ["quasi", "--poly", "[1,0,0]", "--eps-grid", "1:1e-2:3(log)", "--seed", "5",
+             "--output", "both"]
+    second = ["analyze", "--poly", "[1,0,-1]", "--q", "[2,0]", "--tol", "1e-6"]
+    want = [fresh_cli(first, env_seed="11"), fresh_cli(second)]
+    monkeypatch.setenv("SYMM_SEED", "11")
+    got = [run_cli(capsys, *first)[:2]]
+    monkeypatch.delenv("SYMM_SEED")
+    got.append(run_cli(capsys, *second)[:2])
+    assert got == want
+    assert json.loads(want[1][1])["seed"] == 0 and '"seed": 11' in want[0][1]
+    assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("argv", [["analyze", "--tol", "abc"], ["nosuch"], [],
+                                  ["quasi", "--poly", "[1,0]", "--output", "xml"]])
+def test_bad_arguments_exit_2_and_leave_the_parser_usable(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    code, out, _ = run_cli(capsys, "analyze", "--poly", "[1,0,-1]")
+    assert code == 0 and json.loads(out)["all_pass"] is True
 
 
 def test_module_entry_point():

@@ -8,9 +8,9 @@ H @ A symmetric, where A is the companion matrix of p.
 Exact forms are built on Python ints: with p = cp * P and q = cq * Q for
 primitive integer P, Q (``polynomial._primitive``), H(p, q) = cp * cq *
 H(P, Q), and the synthetic division, its remainder and symmetry checks run
-on the integer coefficients.  The symmetrization defect, the deleted-factor
-gram and the separation bound H - c * gram are taken on integer matrices as
-well (``exactla``), and only results become Fractions.  Callers that already
+on the integer coefficients.  The exact symmetrization defect and the
+separation bound H - c * gram, with its deleted-factor gram, are taken on
+integer matrices as well (``exactla``), and only results become Fractions.  Callers that already
 hold a form pass it on (``discriminant``, ``resultant``,
 ``separation_lower_bound_check``), and a ``BezoutMatrix`` computes its
 determinant once, so one request builds each distinct form once.
@@ -177,17 +177,13 @@ def psd_check(H, tol: float = 1e-9) -> PsdVerdict:
     return psd_certificate(_as_matrix(H), tol)
 
 
-def _form_det(H):
-    return H.det if isinstance(H, BezoutMatrix) else exactla.det(np.asarray(H))
-
-
-def discriminant(p: Polynomial, H=None):
+def discriminant(p: Polynomial, H: BezoutMatrix | None = None):
     """det of the Bezout matrix of (p, p'); the squared root difference product.
 
-    Pass ``H``, the Bezout matrix of (p, p'), when it is already built.
+    Pass ``H``, the ``BezoutMatrix`` of (p, p'), when it is already built.
     """
     p.require_monic("discriminant input")
-    return _form_det(H if H is not None else bezout_matrix(p, p.derivative()))
+    return (H if H is not None else bezout_matrix(p, p.derivative())).det
 
 
 def resultant_sign(m: int) -> int:
@@ -210,16 +206,16 @@ class Resultant:
 
 
 def resultant(p: Polynomial, q: Polynomial, profile: RootProfile | None = None,
-              H=None) -> Resultant:
+              H: BezoutMatrix | None = None) -> Resultant:
     """det H next to the root product prod_j q(lambda_j) and their sign factor.
 
-    Pass ``H``, the Bezout matrix of (p, q), when it is already built.
+    Pass ``H``, the ``BezoutMatrix`` of (p, q), when it is already built.
     """
     p.require_monic("resultant input")
     m = int(p.degree)
     if not q.is_zero and q.degree > m - 1:
         raise DegreeMismatchError("resultant requires deg q <= deg p - 1")
-    det_h = _form_det(H if H is not None else bezout_matrix(p, q))
+    det_h = (H if H is not None else bezout_matrix(p, q)).det
     if profile is None:
         from .roots import real_roots
 
@@ -260,12 +256,8 @@ def deleted_factors_gram(roots, backend: str) -> np.ndarray:
 
     v_k is the ascending coefficient vector of prod_{j != k}(x - lambda_j),
     padded to length m.  As a quadratic form this is sum_k |p_k_hat(z)|^2.
-    Exact roots are summed on Python ints.
     """
     roots = list(roots)
-    if backend == BACKEND_EXACT:
-        G, D = _integer_gram(roots)
-        return exactla._fraction_matrix(G, den=D)
     m = len(roots)
     G = exactla.zeros(m, m, backend)
     for k in range(m):

@@ -6,9 +6,10 @@ M = A / D with A an integer matrix and D the lcm of the entry denominators,
 and run on Python ints: det(M) = det(A) / D^m by Bareiss fraction-free
 elimination, adj(M) = adj(A) / D^(m-1) by Faddeev-LeVerrier, and the LDL
 pivot signs of the PSD certificate by symmetric fraction-free elimination;
-every division is exact over the integers.  Symmetry defects and products
-are taken on the integer matrices too, and only the results are turned back
-into Fractions.
+every division is exact over the integers.  ``_asymmetry`` and ``_matmul``
+give the symmetry defect and the product of integer matrices for the exact
+Bezout-form checks (``bezout``), and only the results are turned back into
+Fractions.
 """
 
 from __future__ import annotations
@@ -65,9 +66,6 @@ def max_abs(M: np.ndarray):
 def symmetry_defect(M: np.ndarray):
     """Max-norm of M - M^T; a Fraction for exact input, a float otherwise."""
     M = np.asarray(M)
-    if M.dtype == object:
-        A, D = _integer_matrix(M)
-        return Fraction(_asymmetry(A), D)
     return max_abs(M - M.T)
 
 

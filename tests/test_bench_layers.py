@@ -1,8 +1,7 @@
 """Smoke test: tools/bench_layers.py times every layer and writes its JSON."""
 
+import importlib.util
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -11,17 +10,20 @@ LAYERS = {"bezout_matrix", "psd_certificate", "symmetrization_defect", "deleted_
           "det"}
 
 
-def test_bench_layers_writes_rows_for_every_layer_and_degree(tmp_path):
-    env = dict(os.environ)
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    out = tmp_path / "layers.json"
+def load_tool():
+    spec = importlib.util.spec_from_file_location("bench_layers", ROOT / "tools" / "bench_layers.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_layers_writes_rows_for_every_layer_and_degree(tmp_path, monkeypatch):
+    tool = load_tool()
+    monkeypatch.setattr(tool, "MIN_TIME", 0.0005)
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "BENCH_5.json"
     out.write_text(json.dumps({"runs": {"earlier": {"rows": []}}}))
-    done = subprocess.run([sys.executable, str(ROOT / "tools" / "bench_layers.py"),
-                           "--label", "smoke", "--out", str(out), "--degrees", "2,3",
-                           "--min-time", "0.0005"],
-                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr[-2000:]
+    assert tool.main(["--label", "smoke", "--degrees", "2,3"]) == 0
     doc = json.loads(out.read_text())
     assert set(doc["runs"]) == {"earlier", "smoke"}
     run = doc["runs"]["smoke"]

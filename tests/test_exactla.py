@@ -16,7 +16,16 @@ from hypothesis import strategies as st
 
 import corpus
 from bezoutian import Polynomial
-from bezoutian.exactla import _matmul, adjugate, det, identity, mat, psd_certificate, symmetry_defect
+from bezoutian.exactla import (
+    _asymmetry,
+    _matmul,
+    adjugate,
+    det,
+    identity,
+    mat,
+    psd_certificate,
+    symmetry_defect,
+)
 from bezoutian.roots import _divisors, _rational_roots
 
 F = Fraction
@@ -246,7 +255,9 @@ def test_psd_certificate_rejects_nonsymmetric_and_nonsquare_input():
 
 def test_integer_shape_checks():
     with pytest.raises(ValueError, match="square"):
-        symmetry_defect(mat([[1, 2, 3], [2, 1, 0]], "exact"))
+        _asymmetry([[1, 2, 3], [2, 1, 0]])
+    assert _asymmetry([]) == 0
+    assert _asymmetry([[1, 2], [-3, 0]]) == 5
     with pytest.raises(ValueError, match="cannot multiply"):
         _matmul([[1, 2], [3, 4]], [[1, 2, 3]])
     assert _matmul([[1, 2], [3, 4]], [[5], [6]]) == [[17], [39]]

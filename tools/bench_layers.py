@@ -5,10 +5,10 @@ Times ``bezout_matrix``, ``psd_certificate``, ``symmetrization_defect``,
 monic p with m distinct rational roots drawn from a fixed seed, its Bezout
 form H of (p, p') and its companion matrix A.  Each layer is timed as the
 best of five batches (stdlib ``time.perf_counter``); a batch repeats the
-call until it lasts ``--min-time`` seconds, and the per-call time is
-reported.  The rows go into a JSON file under ``--label``, next to the rows
-other labels left there, with the Python version and the commit of the
-timed source.
+call until it lasts ``MIN_TIME`` seconds, and the per-call time is reported.
+The rows go into ``BENCH_5.json`` in the working directory under
+``--label``, next to the rows other labels left there, with the Python
+version and the commit of the timed source.
 
     PYTHONPATH=src python tools/bench_layers.py --label change
     PYTHONPATH=<other checkout>/src python tools/bench_layers.py --label parent
@@ -34,6 +34,8 @@ from bezoutian.exactla import det, psd_certificate
 
 DEGREES = (4, 8, 12, 16, 24)
 REPEATS = 5
+MIN_TIME = 0.02  # seconds one timed batch lasts at least
+OUT = Path("BENCH_5.json")
 
 
 def exact_input(m: int) -> list:
@@ -43,13 +45,13 @@ def exact_input(m: int) -> list:
     return sorted(rng.sample(alphabet, m))
 
 
-def best_per_call(fn, min_time: float) -> float:
+def best_per_call(fn) -> float:
     number = 1
     while True:
         start = time.perf_counter()
         for _ in range(number):
             fn()
-        if time.perf_counter() - start >= min_time or number >= 10**6:
+        if time.perf_counter() - start >= MIN_TIME or number >= 10**6:
             break
         number *= 10
     best = float("inf")
@@ -61,7 +63,7 @@ def best_per_call(fn, min_time: float) -> float:
     return best
 
 
-def layer_rows(degrees, min_time: float) -> list:
+def layer_rows(degrees) -> list:
     rows = []
     for m in degrees:
         roots = exact_input(m)
@@ -77,7 +79,7 @@ def layer_rows(degrees, min_time: float) -> list:
             "det": lambda: det(H),
         }
         for layer, fn in calls.items():
-            rows.append({"layer": layer, "m": m, "best_s": best_per_call(fn, min_time)})
+            rows.append({"layer": layer, "m": m, "best_s": best_per_call(fn)})
     return rows
 
 
@@ -97,15 +99,11 @@ def source_commit() -> str | None:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="key of this run in the output file")
-    ap.add_argument("--out", default="BENCH_5.json", help="JSON file to update")
     ap.add_argument("--degrees", default=",".join(map(str, DEGREES)),
                     help="comma-separated degrees (default %(default)s)")
-    ap.add_argument("--min-time", type=float, default=0.02,
-                    help="seconds one timed batch lasts at least (default %(default)s)")
     args = ap.parse_args(argv)
     degrees = [int(d) for d in args.degrees.split(",")]
-    out = Path(args.out)
-    doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
+    doc = json.loads(OUT.read_text(encoding="utf-8")) if OUT.exists() else {}
     doc.setdefault("description", __doc__.splitlines()[0])
     doc.setdefault("runs", {})[args.label] = {
         "commit": source_commit(),
@@ -113,9 +111,9 @@ def main(argv=None) -> int:
         "machine": platform.machine(),
         "nproc": os.cpu_count(),
         "repeats": REPEATS,
-        "rows": layer_rows(degrees, args.min_time),
+        "rows": layer_rows(degrees),
     }
-    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    OUT.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 
 

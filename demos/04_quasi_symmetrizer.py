@@ -13,7 +13,7 @@ from bezoutian import (
     check_conditions,
     commutator_decomposition,
     default_epsilon_grid,
-    quasi_for_multiplicity,
+    verify_quasi,
 )
 
 p = Polynomial.from_roots([0, 0, 1])  # double root: r = 1
@@ -24,7 +24,7 @@ print("p =", p)
 print(f"derivative floor  inf_j |p_eps'(root_j)| / eps^r  = {cond.c_lower:.4f}")
 print(f"perturbation cap  sup_j |q_eps(root_j)| / (eps |p_eps'(root_j)|) = {cond.C_upper:.4f}")
 
-verdict = quasi_for_multiplicity(p, grid)
+verdict = verify_quasi(p, grid)  # r defaults to multiplicity - 1
 print(f"\nr = {verdict.r}, s = {verdict.s}")
 print(f"{'eps':>10} {'lambda_min(H)/eps^2r':>22} {'commutator/eps':>16}")
 for eps, lo, co in zip(verdict.epsilons, verdict.lower_bound_constants,

@@ -3,8 +3,8 @@
 S has entries P_(i+j), the power sums of the roots, computed from the
 coefficients alone through Newton's identities.  Its adjugate B also
 symmetrizes the companion matrix, det S is the discriminant, and
-H R diag(p'(root)^-2) R^-1 = B / delta^2 ties B to the Bezout matrix H.
-For quadratics the two symmetrizers coincide.
+S H = p'(A)^2, so det(S) H = B p'(A)^2, ties B to the Bezout matrix H of
+(p, p') without roots.  For quadratics the two symmetrizers coincide.
 """
 
 from bezoutian import (
@@ -33,7 +33,7 @@ print("det S =", sym.det_power_sum_gram, "= discriminant:", discriminant(p))
 print("det B =", det(sym.adjugate), "= (det S)^(m-1)")
 print("positive definite:", sym.definiteness.is_pd)
 
-print("\nH-B relation residual (float):", h_b_relation_check(p))
+print("\nH-B relation residual (exact):", h_b_relation_check(p))
 
 # for m = 2 the adjugate IS the Bezout matrix of (p, p')
 q2 = Polynomial.exact([1, 0, -4])

@@ -17,7 +17,6 @@ from .bezout import (
     Resultant,
     bezout_matrix,
     companion_matrix,
-    deleted_factors_gram,
     discriminant,
     psd_check,
     resultant,
@@ -87,14 +86,12 @@ from .quasi import (
     check_conditions,
     commutator_decomposition,
     derivative_ratio_constants,
-    quasi_for_multiplicity,
     verify_quasi,
 )
 from .report import CertifiedReport, CheckRecord
 from .roots import (
     HyperbolicityVerdict,
     is_hyperbolic,
-    max_multiplicity,
     real_roots,
     squarefree_decomposition,
     sturm_real_root_count,

@@ -8,17 +8,18 @@ H @ A symmetric, where A is the companion matrix of p.
 Exact forms are built on Python ints: with p = cp * P and q = cq * Q for
 primitive integer P, Q (``polynomial._primitive``), H(p, q) = cp * cq *
 H(P, Q), and the synthetic division, its remainder and symmetry checks run
-on the integer coefficients.  The exact symmetrization defect and the
-separation bound H - c * gram, with its deleted-factor gram, are taken on
-integer matrices as well (``exactla``), and only results become Fractions.  Callers that already
-hold a form pass it on (``discriminant``, ``resultant``,
-``separation_lower_bound_check``), and a ``BezoutMatrix`` computes its
-determinant once, so one request builds each distinct form once.
+on the integer coefficients.  For monic p the form of (p, p') is the
+deleted-factor gram sum_k p_k(x) p_k(y), p_k = p / (x - lambda_k), so the
+separation bound H(p, q) - c * H(p, p') >= 0 needs no roots.  It and the
+exact symmetrization defect are taken on integer matrices (``exactla``),
+and only results become Fractions.  Callers that already hold a form pass
+it on (``discriminant``, ``resultant``, ``separation_lower_bound_check``),
+and a ``BezoutMatrix`` computes its determinant once, so one request
+builds each distinct form once.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -28,7 +29,7 @@ import numpy as np
 from . import exactla
 from .errors import BackendMismatchError, DegreeMismatchError, NonzeroRemainderError
 from .exactla import PsdVerdict, psd_certificate
-from .polynomial import Polynomial, RootProfile, _primitive, deleted_root_factor
+from .polynomial import Polynomial, RootProfile, _primitive
 from .scalars import BACKEND_EXACT
 
 
@@ -227,80 +228,30 @@ def resultant(p: Polynomial, q: Polynomial, profile: RootProfile | None = None,
     return Resultant(det_h, product, resultant_sign(m))
 
 
-def _integer_gram(roots) -> tuple[list[list[int]], int]:
-    """(G, D): the deleted-factor gram of rational roots is G / D, G integer.
+def separation_lower_bound_check(p: Polynomial, q: Polynomial, c, tol: float = 1e-9,
+                                 H=None, hermite=None) -> bool:
+    """Check H(p, q) - c * H(p, p') >= 0 for monic p.
 
-    With the roots c_j / L over a common denominator L, the deleted factor
-    prod_{j != k}(x - c_j / L) is w_k / L^(m-1) for the integer coefficients
-    w_k of prod_{j != k}(L x - c_j), so the gram is sum_k w_k w_k^T / L^(2m-2).
+    H(p, p') is the deleted-factor gram sum_k v_k v_k^T, v_k the ascending
+    coefficients of p / (x - lambda_k), so the lower bound
+    c * sum_k |p_k_hat(z)|^2 needs no roots.  Pass ``H`` and ``hermite``, the
+    forms of (p, q) and (p, p'), when they are already built.  Exact forms
+    are certified on integer matrices: a rational c as it is, a float c
+    (from irrational roots) as the rational Fraction(c) * (1 - tol) below it.
+    Float forms take the eigenvalue test at ``tol``.
     """
-    roots = [Fraction(r) for r in roots]
-    m = len(roots)
-    L = math.lcm(1, *(r.denominator for r in roots))
-    c = [r.numerator * (L // r.denominator) for r in roots]
-    G = [[0] * m for _ in range(m)]
-    for k in range(m):
-        w = [1]  # ascending coefficients of prod_{j != k}(L x - c_j)
-        for j, cj in enumerate(c):
-            if j != k:
-                w = [L * lo - cj * hi for lo, hi in zip([0] + w, w + [0])]
-        for wi, row in zip(w, G):
-            if wi:
-                for j, wj in enumerate(w):
-                    row[j] += wi * wj
-    return G, L ** (2 * max(m - 1, 0))
-
-
-def deleted_factors_gram(roots, backend: str) -> np.ndarray:
-    """Gram matrix sum_k v_k v_k^T of the deleted-root factor coefficients.
-
-    v_k is the ascending coefficient vector of prod_{j != k}(x - lambda_j),
-    padded to length m.  As a quadratic form this is sum_k |p_k_hat(z)|^2.
-    """
-    roots = list(roots)
-    m = len(roots)
-    G = exactla.zeros(m, m, backend)
-    for k in range(m):
-        v = deleted_root_factor(roots, k, backend).ascending(m)
-        for i in range(m):
-            if v[i] == 0:
-                continue
-            for j in range(m):
-                G[i, j] += v[i] * v[j]
-    return G
-
-
-def separation_lower_bound_check(
-    p: Polynomial,
-    q: Polynomial,
-    c,
-    profile: RootProfile | None = None,
-    tol: float = 1e-9,
-    H=None,
-) -> bool:
-    """Check H - c * sum_k v_k v_k^T >= 0 for the Bezout matrix H of (p, q).
-
-    Pass ``H`` when it is already built.  With an exact H and rational roots
-    the difference is formed and certified on integer matrices; an
-    irrational root sends the check to float64 eigenvalues.
-    """
-    if profile is None:
-        from .roots import real_roots
-
-        profile = real_roots(p)
+    p.require_monic("separation bound input")
     H = _as_matrix(H if H is not None else bezout_matrix(p, q))
-    roots = profile.flattened
-    if H.shape != (len(roots), len(roots)):
+    gram = _as_matrix(hermite if hermite is not None else bezout_matrix(p, p.derivative()))
+    if H.shape != gram.shape:
         raise DegreeMismatchError(
-            f"Bezout matrix of shape {H.shape} against {len(roots)} roots of p"
+            f"Bezout matrix of shape {H.shape} against {gram.shape} for (p, p')"
         )
-    exact_roots = all(isinstance(r, (int, Fraction)) for r in roots)
-    if exactla.backend_of(H) == BACKEND_EXACT and exact_roots:
-        (X, dx), (G, dg), c = exactla._integer_matrix(H), _integer_gram(roots), Fraction(c)
+    if exactla.backend_of(H) == BACKEND_EXACT:
+        c = Fraction(c) if isinstance(c, (int, Fraction)) else Fraction(c) * (1 - Fraction(tol))
+        (X, dx), (G, dg) = exactla._integer_matrix(H), exactla._integer_matrix(gram)
         # H - c G = (X c.den dg - G c.num dx) / (dx c.den dg)
         a, b = c.denominator * dg, c.numerator * dx
         diff = [[a * h - b * g for h, g in zip(hr, gr)] for hr, gr in zip(X, G)]
         return exactla._integer_psd(diff, dx * a).is_psd
-    H = H.astype(float)
-    gram = deleted_factors_gram([float(r) for r in roots], "float64")
-    return psd_certificate(H - float(c) * gram, tol).is_psd
+    return psd_certificate(H.astype(float) - float(c) * gram.astype(float), tol).is_psd

@@ -34,7 +34,13 @@ from .energy import ExponentialSignal, chain_bound_check, derivative_identity_ch
 from .errors import DegreeMismatchError, NonHyperbolicError
 from .factorization import difference_product, separates
 from .leray import h_b_relation_check, leray_symmetrizer
-from .nuij import gap_constants, invert_transform, nuij_transform, verify_gaps
+from .nuij import (
+    default_epsilon_grid,
+    gap_constants,
+    invert_transform,
+    nuij_transform,
+    verify_gaps,
+)
 from .polynomial import Polynomial
 from .quasi import check_conditions, default_lower_exponent, verify_quasi
 from .report import FAIL, MARGINAL, PASS, CertifiedReport
@@ -81,11 +87,10 @@ def _parse_grid(spec: str) -> tuple:
         raise InputError(f"bad grid spec {spec!r}") from exc
     if count < 1 or start <= 0 or stop <= 0:
         raise InputError("grid needs positive endpoints and count >= 1")
+    if mode == "log":
+        return default_epsilon_grid(start, stop, count)
     if count == 1:
         return (start,)
-    if mode == "log":
-        ratio = (stop / start) ** (1.0 / (count - 1))
-        return tuple(start * ratio**i for i in range(count))
     step = (stop - start) / (count - 1)
     return tuple(start + step * i for i in range(count))
 
@@ -158,7 +163,7 @@ def cmd_analyze(args, report: CertifiedReport):
         report.add_bool("separation structure", "separation-interlacing",
                         cert.separates, cert.failure_reason or float(cert.constant_c))
         if cert.separates:
-            ok = separation_lower_bound_check(p, q, cert.constant_c, profile, tol, H)
+            ok = separation_lower_bound_check(p, q, cert.constant_c, tol, H, Hp)
             report.add_bool("separation lower bound", "separation-lower-bound",
                             ok, float(cert.constant_c), tol)
             report.add_bool("bezout form semidefinite", "bezout-psd", psd.is_psd, witness, tol)
@@ -217,12 +222,15 @@ def cmd_nuij(args, report: CertifiedReport):
             prev = cur
         report.add_bool(f"stage interlacing at eps={eps:g}", "nuij-interlacing",
                         cascade_ok, "interlaced" if cascade_ok else "violated")
-        recon = invert_transform(nuij_transform(p.as_float(), float(eps)), float(eps))
+        recon = invert_transform(p_eps, float(eps))
         diff = max(
             abs(float(a) - float(b))
             for a, b in zip(recon.ascending(m + 1), p.as_float().ascending(m + 1))
         )
-        coeff_scale = max(1.0, max(abs(float(c)) for c in p.coeffs)) * max(1.0, eps) ** m
+        # rounding in the inverse scales with the p_eps it inverts, which can
+        # dwarf the coefficients of p
+        coeff_scale = max(1.0, *(abs(float(c)) for c in p.coeffs + p_eps.coeffs)) \
+            * max(1.0, eps) ** m
         report.add_bool(f"inversion at eps={eps:g}", "nuij-inversion",
                         diff <= 1e-8 * coeff_scale, diff, 1e-8)
     return table
@@ -315,7 +323,7 @@ def cmd_leray(args, report: CertifiedReport):
         report.add_bool("adjugate equals bezout form (m=2)", "leray-bezout-m2",
                         diff <= tol, diff, tol)
     if profile.is_strict:
-        residual = h_b_relation_check(p, profile, sym.adjugate)
+        residual = h_b_relation_check(p, sym, verdict.hermite_form)
         report.add_bool("bezout relation residual", "leray-bezout-relation",
                         residual <= max(tol, 1e-10), residual, max(tol, 1e-10))
     return None

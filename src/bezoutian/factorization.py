@@ -17,7 +17,7 @@ import numpy as np
 from . import exactla
 from .bezout import bezout_matrix, psd_check
 from .errors import DegreeMismatchError, MultipleRootError
-from .polynomial import Polynomial, RootProfile, deleted_root_factor
+from .polynomial import Polynomial, RootProfile, deleted_root_factor, elementary_symmetric
 from .roots import real_roots
 from .scalars import BACKEND_EXACT, infer_backend
 
@@ -54,21 +54,11 @@ def lagrange_basis_matrix(roots, backend: str | None = None) -> np.ndarray:
     G = exactla.zeros(m, m, backend)
     for i in range(m):
         rest = vals[:i] + vals[i + 1:]
-        elem = _elementary_all(rest, backend)
+        elem = elementary_symmetric(rest, backend)
         for j in range(m):
             v = elem[m - 1 - j]
             G[i, j] = -v if (i + j) % 2 else v
     return G
-
-
-def _elementary_all(values, backend):
-    one = Fraction(1) if backend == BACKEND_EXACT else 1.0
-    zero = one * 0
-    out = [one] + [zero] * len(values)
-    for v in values:
-        for i in range(len(out) - 1, 0, -1):
-            out[i] = out[i] + v * out[i - 1]
-    return out
 
 
 def scaled_inverse_diagonal(roots, p_prime: Polynomial):

@@ -2,23 +2,26 @@
 
 S is a polynomial in the coefficients of p (Newton's identities, no roots),
 equal to R R^T for the Vandermonde R of the roots.  Its adjugate B also
-symmetrizes the companion matrix, is positive definite exactly when p is
-strictly hyperbolic, and relates to the Bezout matrix H of (p, p') through
-congruence by R.
+symmetrizes the companion matrix and is positive definite exactly when p is
+strictly hyperbolic.  For every monic p, S H = p'(A)^2 with H the Bezout
+matrix of (p, p') and A the companion matrix, so det(S) H = B p'(A)^2;
+``h_b_relation_check`` tests that from the coefficients alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from . import exactla
 from .bezout import bezout_matrix, companion_matrix, symmetrization_defect
-from .errors import MultipleRootError
+from .errors import DegreeMismatchError
 from .exactla import PsdVerdict
-from .polynomial import Polynomial, RootProfile, power_sums
-from .roots import real_roots
+from .polynomial import Polynomial, power_sums
+from .scalars import BACKEND_EXACT
 
 
 def power_sum_matrix(p: Polynomial) -> np.ndarray:
@@ -52,32 +55,64 @@ def leray_symmetrizer(p: Polynomial, tol: float = 1e-9) -> LeraySymmetrizer:
     return LeraySymmetrizer(S, B, exactla.det(S), defect, verdict)
 
 
-def h_b_relation_check(p: Polynomial, profile: RootProfile | None = None,
-                       adjugate: np.ndarray | None = None) -> float:
-    """Max-norm residual of H R diag(p'(root)^-2) R^-1 - B / delta^2.
+def _derivative_at_companion(p: Polynomial) -> tuple[list, object]:
+    """(W, d) with p'(A) = W / d for the companion matrix A of monic p.
 
-    Requires simple roots; raises MultipleRootError otherwise.  Float path:
-    the identity is root-based and delta vanishes at multiple roots.  Pass
-    the ``adjugate`` B = adj(S) when it is already built.
+    Row i of p'(A) is x^i p'(x) mod p, so each row is the previous one times
+    x with x^m reduced by p.  Exact input runs on the integers P of L p, L
+    the lcm of the denominators: row i has denominator L^(i+1) and is kept
+    over the common d = L^m, which makes each reduction an exact division.
+    """
+    m = int(p.degree)
+    if p.backend == BACKEND_EXACT:
+        L = math.lcm(*(c.denominator for c in p.coeffs))
+        P = [c.numerator * (L // c.denominator) for c in p.ascending()]
+    else:
+        L, P = 1.0, list(p.ascending())
+    row = [(j + 1) * P[j + 1] * L ** (m - 1) for j in range(m)]
+    W = [row]
+    for _ in range(m - 1):
+        top = row[-1] // L if p.backend == BACKEND_EXACT else row[-1]
+        row = [(row[j - 1] if j else 0) - top * P[j] for j in range(m)]
+        W.append(row)
+    return W, L ** m
+
+
+def h_b_relation_check(p: Polynomial, sym: LeraySymmetrizer | None = None,
+                       H=None) -> float:
+    """Relative max-norm residual of det(S) H - B p'(A)^2, zero in algebra.
+
+    S H = p'(A)^2 for the Bezout matrix H of (p, p') and every monic p, so
+    det(S) H = B p'(A)^2 with B = adj S; no roots enter.  Exact input is
+    checked on integer matrices, over max(1, |det(S) H|), and the residual
+    is exactly 0.  Float input is checked in float64, over the larger of
+    that and the size |B| |p'(A)^2| of the summed terms.  Pass ``sym`` and
+    ``H`` when they are already built.
     """
     p.require_monic("relation check input")
-    if profile is None:
-        profile = real_roots(p)
-    if not profile.is_strict:
-        raise MultipleRootError("the H-B relation requires strict hyperbolicity")
-    pf = p.as_float()
-    roots = [float(r) for r in profile.flattened]
-    m = len(roots)
-    H = np.asarray(bezout_matrix(pf, pf.derivative()).matrix, dtype=float)
-    R = np.vander(roots, m, increasing=True).T
-    dp = pf.derivative()
-    D = np.diag([1.0 / dp(lam) ** 2 for lam in roots])
-    delta = 1.0
-    for i in range(m):
-        for j in range(i + 1, m):
-            delta *= roots[j] - roots[i]
-    if adjugate is None:
-        adjugate = exactla.adjugate(power_sum_matrix(p))
-    B = np.asarray(adjugate, dtype=float)
-    lhs = np.linalg.solve(R.T, (H @ R @ D).T).T
-    return float(np.max(np.abs(lhs - B / delta**2)))
+    if sym is None:
+        S = power_sum_matrix(p)
+        B, det_s = exactla.adjugate(S), exactla.det(S)
+    else:
+        B, det_s = sym.adjugate, sym.det_power_sum_gram
+    H = np.asarray(H if H is not None else bezout_matrix(p, p.derivative()))
+    W, d = _derivative_at_companion(p)
+    if H.shape != (len(W), len(W)):
+        raise DegreeMismatchError(f"Bezout matrix of shape {H.shape} for degree {len(W)}")
+    if p.backend == BACKEND_EXACT:
+        (X, dx), (Y, dy) = exactla._integer_matrix(H), exactla._integer_matrix(B)
+        # over the common denominator den, det(S) H = a X and B p'(A)^2 = b Y W W
+        den = det_s.denominator * dx * dy * d * d
+        a, b = det_s.numerator * dy * d * d, det_s.denominator * dx
+        lhs = [[a * x for x in row] for row in X]
+        rhs = exactla._matmul(Y, exactla._matmul(W, W))
+        diff = max(abs(u - b * v) for lr, rr in zip(lhs, rhs) for u, v in zip(lr, rr))
+        size = max(abs(u) for row in lhs for u in row)
+        return float(Fraction(diff, max(size, den)))
+    W = np.array(W)
+    B, W2 = np.asarray(B, dtype=float), W @ W
+    lhs = float(det_s) * H.astype(float)
+    # the product cancels far below the size of its terms |B| |p'(A)^2|, and
+    # rounding in the float adjugate scales with those terms
+    size = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(B) @ np.abs(W2))))
+    return float(np.max(np.abs(lhs - B @ W2)) / size)

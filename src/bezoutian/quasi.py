@@ -226,13 +226,6 @@ def default_lower_exponent(p: Polynomial) -> int:
     return verdict.witness.max_multiplicity - 1
 
 
-def quasi_for_multiplicity(p: Polynomial, epsilon_grid=None, samples: int = 24,
-                           seed: int = 0) -> QuasiVerdict:
-    """Run the full certification with r = multiplicity - 1 and s = 1."""
-    return verify_quasi(p, epsilon_grid, r=default_lower_exponent(p), s=1.0,
-                        samples=samples, seed=seed)
-
-
 def derivative_ratio_constants(p: Polynomial, epsilon_grid=None) -> tuple:
     """Per-eps sup over roots and orders l of |p_eps^(l)(root)| eps^(l-1) / |p_eps'(root)|."""
     grid = tuple(float(e) for e in (epsilon_grid if epsilon_grid is not None

@@ -406,7 +406,3 @@ def is_hyperbolic(p: Polynomial, tol: float = DEFAULT_TOL) -> HyperbolicityVerdi
     except NonHyperbolicError as exc:
         return HyperbolicityVerdict(False, False, str(exc), "hermite-psd", form, hermite)
     return HyperbolicityVerdict(True, profile.is_strict, profile, "hermite-psd", form, hermite)
-
-
-def max_multiplicity(profile: RootProfile) -> int:
-    return profile.max_multiplicity

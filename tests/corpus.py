@@ -152,13 +152,15 @@ def irreducible_quadratic(draw):
 
 
 @st.composite
-def factored_poly(draw, max_linear=4, max_mult=3):
-    """content * x^z * prod (x - r)^k * prod quadratic^j, of degree >= 1.
+def factored_parts(draw, max_linear=4, max_mult=3):
+    """(content, roots, quadratics) of a product content * prod (x - r) * prod q.
 
-    Rational roots r != 0 with multiplicities k <= max_mult, irreducible
-    quadratics with j <= 2, a zero root of multiplicity z <= max_mult, and
-    a nonzero rational content of either sign, so the leading coefficient
-    is rarely 1.
+    ``roots`` repeats each rational root as often as its multiplicity:
+    roots r != 0 with multiplicities k <= max_mult and a zero root of
+    multiplicity z <= max_mult.  ``quadratics`` repeats integer triples
+    (a, b, c) of irreducible a x^2 + b x + c, each at most twice.  The
+    content is a nonzero rational of either sign, so the leading
+    coefficient is rarely 1; the product has degree >= 1.
     """
     roots = draw(st.lists(st.fractions(min_value=-8, max_value=8, max_denominator=6)
                           .filter(lambda v: v != 0), max_size=max_linear, unique=True))
@@ -167,12 +169,22 @@ def factored_poly(draw, max_linear=4, max_mult=3):
     zero = draw(st.integers(0, max_mult))
     content = draw(st.fractions(min_value=-30, max_value=30, max_denominator=5)
                    .filter(lambda v: v != 0))
-    p = Polynomial.exact([content] + [0] * zero)
-    for r, k in zip(roots, mults):
-        for _ in range(k):
-            p = p * Polynomial.exact([1, -r])
-    for q, j in quads:
-        for _ in range(j):
-            p = p * Polynomial.exact(q)
-    assume(p.degree >= 1)
+    flat_roots = [Fraction(0)] * zero + [r for r, k in zip(roots, mults) for _ in range(k)]
+    flat_quads = [q for q, j in quads for _ in range(j)]
+    assume(flat_roots or flat_quads)
+    return content, flat_roots, flat_quads
+
+
+def factor_product(content, roots, quadratics) -> Polynomial:
+    p = Polynomial.exact([content])
+    for r in roots:
+        p = p * Polynomial.exact([1, -r])
+    for q in quadratics:
+        p = p * Polynomial.exact(q)
     return p
+
+
+@st.composite
+def factored_poly(draw, max_linear=4, max_mult=3):
+    """A ``factored_parts`` product: content * x^z * prod (x - r)^k * prod quadratic^j."""
+    return factor_product(*draw(factored_parts(max_linear, max_mult)))

@@ -60,6 +60,7 @@ from bezoutian import (
 from bezoutian.exactla import det
 from bezoutian.nuij import default_epsilon_grid
 from bezoutian.roots import radical, sturm_real_root_count
+from test_leray import vandermonde_relation_residual
 
 
 def verdict(number, name, ok, detail=""):
@@ -165,7 +166,7 @@ def test_criterion_05_separation_equivalence():
         p = Polynomial.from_roots(profile)
         q = corpus.separating_q(rg, profile)
         cert = separates(p, q, tol=1e-9)
-        psd_ok = separation_lower_bound_check(p, q, cert.constant_c, profile) \
+        psd_ok = separation_lower_bound_check(p, q, cert.constant_c) \
             if cert.separates else False
         if not (cert.separates and psd_ok):
             mis += 1
@@ -180,7 +181,7 @@ def test_criterion_05_separation_equivalence():
         if bad is None:
             continue
         cert = separates(p, bad, tol=1e-9)
-        psd_bad = separation_lower_bound_check(p, bad, tiny, profile)
+        psd_bad = separation_lower_bound_check(p, bad, tiny)
         if cert.separates or psd_bad:
             mis += 1
         non_separating += 1
@@ -283,7 +284,10 @@ def test_criterion_09_leray_block():
     for _ in range(40):
         m = rg.randint(2, 6)
         profile = corpus.strict_profile(rg, m)
-        worst = max(worst, h_b_relation_check(Polynomial.from_roots(profile), profile))
+        p = Polynomial.from_roots(profile)
+        # the exact root-free relation against the float root-based one
+        worst = max(worst, h_b_relation_check(p),
+                    vandermonde_relation_residual(p, profile.flattened))
     ok = worst <= 1e-10
     verdict(9, "power-sum symmetrizer block", ok,
             f"B=H on 100 quadratics; det law exact; relation residual {worst:.2e}")

@@ -5,8 +5,8 @@ bivariate evaluation of the defining identity at random rational points,
 outer products of deleted-root factors, Faddeev-LeVerrier characteristic
 polynomials, and explicit difference products over known roots.  The
 integer kernels (Bezout division, symmetry and symmetrization defects, the
-deleted-factor gram, the separation bound) are also compared with plain
-Fraction references kept here.
+separation bound) are also compared with plain Fraction references kept
+here, and the form of (p, p') with the deleted-factor gram it replaces.
 """
 
 from fractions import Fraction
@@ -22,16 +22,15 @@ from bezoutian import (
     Polynomial,
     bezout_matrix,
     companion_matrix,
-    deleted_factors_gram,
     deleted_root_factor,
     discriminant,
     psd_check,
     resultant,
     resultant_sign,
+    separates,
     separation_lower_bound_check,
     symmetrization_defect,
 )
-from bezoutian.bezout import _integer_gram
 from bezoutian.exactla import det, identity, mat, symmetry_defect, zeros
 from test_exactla import reference_psd
 
@@ -294,6 +293,7 @@ def reference_product(X, Y) -> list:
 
 
 def reference_gram(roots) -> list:
+    """sum_k v_k v_k^T, v_k the ascending coefficients of prod_{j != k}(x - roots[j])."""
     m = len(roots)
     G = [[Fraction(0)] * m for _ in range(m)]
     for k in range(m):
@@ -301,6 +301,37 @@ def reference_gram(roots) -> list:
         for i in range(m):
             for j in range(m):
                 G[i][j] += v[i] * v[j]
+    return G
+
+
+def reference_factor_gram(roots, quadratics) -> list:
+    """The deleted-factor gram of the monic product of (x - r) and the quadratics.
+
+    A linear factor adds v v^T for the product with it deleted.  The two
+    conjugate roots a, b of x^2 + s x + t add the rational form
+    (x - a)(y - a) + (x - b)(y - b) = 2xy + s(x + y) + s^2 - 2t times
+    g(x) g(y), g the product with the quadratic deleted.
+    """
+    monic = [Polynomial.exact([1, Fraction(b, a), Fraction(c, a)]) for a, b, c in quadratics]
+    P = corpus.factor_product(1, roots, [f.coeffs for f in monic])
+    m = P.degree
+    G = [[Fraction(0)] * m for _ in range(m)]
+
+    def add(u, w, scale):
+        u, w = u.ascending(m), w.ascending(m)
+        for i in range(m):
+            for j in range(m):
+                G[i][j] += scale * (u[i] * w[j] + w[i] * u[j]) / 2
+
+    for r in roots:
+        g = P // Polynomial.exact([1, -r])
+        add(g, g, 1)
+    x = Polynomial.exact([1, 0])
+    for f in monic:
+        g, (s, t) = P // f, f.coeffs[1:]
+        add(g, g, s * s - 2 * t)
+        add(x * g, g, 2 * s)
+        add(x * g, x * g, 2)
     return G
 
 
@@ -361,12 +392,16 @@ roots_st = st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=6),
 
 
 @settings(max_examples=80, deadline=None)
-@given(roots_st)
-def test_integer_gram_matches_fraction_reference(roots):
-    G, D = _integer_gram(roots)
-    want = reference_gram(roots)
-    assert [[Fraction(v, D) for v in row] for row in G] == want
-    assert deleted_factors_gram(roots, "exact").tolist() == want
+@given(corpus.factored_parts())
+def test_integer_gram_matches_fraction_reference(parts):
+    # H(p, p') = lc^2 sum_k p_k(x) p_k(y): the gram the separation bound needs
+    content, roots, quadratics = parts
+    p = corpus.factor_product(content, roots, quadratics)
+    want = reference_factor_gram(roots, quadratics)
+    assert bezout_matrix(p, p.derivative()).matrix.tolist() == [
+        [p.leading ** 2 * v for v in row] for row in want]
+    if not quadratics:
+        assert want == reference_gram(roots)
 
 
 @settings(max_examples=60, deadline=None)
@@ -377,13 +412,23 @@ def test_integer_separation_bound_matches_fraction_reference(roots, c, kind):
     q = p.derivative() if kind == "derivative" else p.derivative().derivative() * Fraction(-2, 3)
     if q.is_zero:
         q = Polynomial.exact([1])
-    distinct = sorted(set(roots))
-    profile = corpus.RootProfile(tuple(distinct), tuple(roots.count(r) for r in distinct))
     H = reference_bezout(p, q)
-    gram = reference_gram(profile.flattened)
+    gram = reference_gram(sorted(roots))
     want = reference_psd([[h - c * g for h, g in zip(hr, gr)] for hr, gr in zip(H, gram)])[0]
-    assert separation_lower_bound_check(p, q, c, profile) == want
-    assert separation_lower_bound_check(p, q, c, profile, H=bezout_matrix(p, q)) == want
+    assert separation_lower_bound_check(p, q, c) == want
+    assert separation_lower_bound_check(p, q, c, H=bezout_matrix(p, q),
+                                        hermite=bezout_matrix(p, p.derivative())) == want
+
+
+def test_separation_bound_with_irrational_roots_certifies_just_below_c():
+    # p = (x^2 - 2)(x - 1): separates gives the float c = min weight, which
+    # lies on the boundary; the check certifies Fraction(c) (1 - tol) instead
+    p = Polynomial.exact([1, -1, -2, 2])
+    q = Polynomial.from_roots([Fraction(-1, 2), Fraction(6, 5)])
+    c = separates(p, q).constant_c
+    assert isinstance(c, float)
+    assert separation_lower_bound_check(p, q, c)
+    assert not separation_lower_bound_check(p, q, c * (1 + 1e-6))
 
 
 def test_separation_bound_rejects_mismatched_form():

@@ -216,14 +216,14 @@ def test_separation_equivalence_small_corpus():
         good = corpus.separating_q(rg, profile)
         cert = separates(p, good)
         assert cert.separates
-        assert separation_lower_bound_check(p, good, cert.constant_c, profile)
+        assert separation_lower_bound_check(p, good, cert.constant_c)
         for mode in ("outside", "crowded", "onroot", "negative"):
             bad = corpus.non_separating_q(rg, profile, mode)
             if bad is None:
                 continue
             cert = separates(p, bad)
             assert not cert.separates, (mode, profile)
-            assert not separation_lower_bound_check(p, bad, tiny, profile), mode
+            assert not separation_lower_bound_check(p, bad, tiny), mode
 
 
 def test_derivative_bound_examples():
@@ -247,13 +247,14 @@ def test_derivative_bound_random():
 
 
 def test_deleted_factor_gram_matches_basis_product():
-    # sign pattern of G rows cancels in squares: G^T G = sum_k v_k v_k^T
-    from bezoutian import deleted_factors_gram
-
+    # sign pattern of G rows cancels in squares: G^T G = sum_k v_k v_k^T,
+    # which is the Bezout form of (p, p') for the monic p with these roots
     rg = corpus.rng(49)
     for _ in range(20):
         m = rg.randint(2, 6)
         roots = [corpus.rational(rg, -4, 4) for _ in range(m)]
         G = lagrange_basis_matrix(roots)
-        gram = deleted_factors_gram(roots, "exact")
-        assert ((G.T @ G) == gram).all()
+        assert all(type(v) is Fraction for v in G.flat)
+        p = Polynomial.from_roots(roots)
+        assert ((G.T @ G) == bezout_matrix(p, p.derivative()).matrix).all()
+    assert lagrange_basis_matrix([0.5]).tolist() == [[1.0]]

@@ -2,11 +2,13 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import corpus
 from bezoutian import (
-    MultipleRootError,
+    DegreeMismatchError,
     Polynomial,
     bezout_matrix,
     companion_matrix,
@@ -16,7 +18,7 @@ from bezoutian import (
     power_sum_matrix,
     symmetrization_defect,
 )
-from bezoutian.exactla import det, max_abs
+from bezoutian.exactla import adjugate, det, identity, max_abs, zeros
 
 X2_MINUS_1 = Polynomial.exact([1, 0, -1])
 X3_MINUS_X = Polynomial.exact([1, 0, -1, 0])
@@ -102,9 +104,73 @@ def test_h_b_relation_examples():
     assert (B == H).all()
 
 
-def test_h_b_relation_rejects_multiple_roots():
-    with pytest.raises(MultipleRootError):
-        h_b_relation_check(Polynomial.exact([1, 0, 0]))
+def test_h_b_relation_vanishes_on_multiple_roots():
+    # S H(p, p') = p'(A)^2 holds for every monic p, so no root condition applies
+    for p in (Polynomial.exact([1, 0, 0]), Polynomial.from_roots([1, 1, -2]),
+              Polynomial.from_roots([Fraction(1, 3)] * 3 + [Fraction(-5, 2)] * 2)):
+        assert h_b_relation_check(p) == 0.0
+        H = bezout_matrix(p, p.derivative())
+        assert h_b_relation_check(p, leray_symmetrizer(p), H) == 0.0
+
+
+def test_h_b_relation_rejects_mismatched_form():
+    H = bezout_matrix(X3_MINUS_X, X3_MINUS_X.derivative())
+    with pytest.raises(DegreeMismatchError, match="shape"):
+        h_b_relation_check(X2_MINUS_1, H=H)
+
+
+def vandermonde_relation_residual(p: Polynomial, roots) -> float:
+    """Max-norm of H R diag(p'(root)^-2) R^-1 - B / delta^2 in float64.
+
+    The root-based form of the relation for strict p: B = delta^2 S^-1 and
+    the Vandermonde R of the roots diagonalizes the companion matrix.
+    """
+    pf = p.as_float()
+    roots = [float(r) for r in roots]
+    m = len(roots)
+    H = np.asarray(bezout_matrix(pf, pf.derivative()).matrix, dtype=float)
+    R = np.vander(roots, m, increasing=True).T
+    dp = pf.derivative()
+    D = np.diag([1.0 / dp(lam) ** 2 for lam in roots])
+    delta = 1.0
+    for i in range(m):
+        for j in range(i + 1, m):
+            delta *= roots[j] - roots[i]
+    B = np.asarray(leray_symmetrizer(p).adjugate, dtype=float)
+    lhs = np.linalg.solve(R.T, (H @ R @ D).T).T
+    return float(np.max(np.abs(lhs - B / delta**2)))
+
+
+def horner_at_companion(f: Polynomial, A) -> np.ndarray:
+    m = A.shape[0]
+    out = zeros(m, m, "exact")
+    for c in f.coeffs:
+        out = out @ A + c * identity(m, "exact")
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpus.factored_parts(max_linear=3))
+def test_leray_identities_hold_on_corpus_products(parts):
+    p = corpus.factor_product(*parts)
+    p = p * (1 / p.leading)
+    S, H = power_sum_matrix(p), bezout_matrix(p, p.derivative()).matrix
+    M = horner_at_companion(p.derivative(), companion_matrix(p).matrix)
+    assert (S @ H == M @ M).all()
+    assert (det(S) * H == adjugate(S) @ M @ M).all()
+    assert h_b_relation_check(p) == 0.0
+
+
+def test_h_b_relation_matches_the_vandermonde_residual_on_strict_input():
+    # on float input the identity passes wherever the root-based residual did
+    rg = corpus.rng(76)
+    for _ in range(30):
+        profile = corpus.strict_profile(rg, rg.randint(2, 10))
+        p = Polynomial.from_roots(profile)
+        assert h_b_relation_check(p) == 0.0
+        pf = p.as_float()
+        if vandermonde_relation_residual(pf, profile.flattened) <= 1e-10:
+            assert h_b_relation_check(pf) <= 1e-10
 
 
 def test_entries_polynomial_in_coefficients():

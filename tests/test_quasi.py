@@ -16,7 +16,6 @@ from bezoutian import (
     companion_matrix,
     derivative_ratio_constants,
     nuij_transform,
-    quasi_for_multiplicity,
     symmetrization_defect,
     verify_quasi,
 )
@@ -121,9 +120,9 @@ def test_verify_quasi_double_root():
 
 
 def test_quasi_for_multiplicity_exponents():
-    assert quasi_for_multiplicity(X_SQUARED, GRID).r == 1
-    assert quasi_for_multiplicity(Polynomial.exact([1, 0, -1]), GRID).r == 0
-    assert quasi_for_multiplicity(Polynomial.exact([1, 0, 0, 0]), GRID).r == 2
+    assert verify_quasi(X_SQUARED, GRID).r == 1
+    assert verify_quasi(Polynomial.exact([1, 0, -1]), GRID).r == 0
+    assert verify_quasi(Polynomial.exact([1, 0, 0, 0]), GRID).r == 2
 
 
 def test_quasi_lower_bound_scales_with_exponent():

@@ -274,3 +274,21 @@ def test_leray_strict_degree_10_does_not_overflow(capsys, exact):
         assert law.witness.startswith("5.56116") and law.witness.endswith("e+382")
         assert {c.check_id for c in report.checks} >= {"leray-determinant",
                                                         "leray-bezout-relation"}
+
+
+GOLDEN_CASES = json.loads((Path(__file__).parent / "golden" / "cases.json").read_text())
+
+
+@pytest.mark.parametrize("name, check_id", [
+    ("analyze_d11_quadratic", "separation-lower-bound"),
+    ("analyze_d12_multiple_quadratic", "separation-lower-bound"),
+    ("leray_d11_strict", "leray-bezout-relation"),
+    ("nuij_d8_two_triples", "nuij-inversion"),
+])
+def test_root_free_and_rescaled_checks_pass_where_they_failed(capsys, name, check_id):
+    # irrational roots (x^2 - k factors), a degree-11 strict leray input and
+    # a p_eps with coefficients 2e4 times those of p used to exit 1 here
+    code, out, _ = run_cli(capsys, *GOLDEN_CASES[name]["argv"])
+    assert code == 0
+    records = [c for c in json.loads(out)["checks"] if c["check_id"] == check_id]
+    assert records and all(c["verdict"] == "pass" for c in records)

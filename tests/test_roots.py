@@ -18,7 +18,6 @@ from bezoutian import (
     Polynomial,
     bezout_matrix,
     is_hyperbolic,
-    max_multiplicity,
     psd_check,
     real_roots,
     squarefree_decomposition,
@@ -157,10 +156,10 @@ def test_hermite_matches_sturm_on_mixed_corpus():
 
 
 def test_max_multiplicity():
-    assert max_multiplicity(real_roots(Polynomial.exact([1, 0, -1]))) == 1
-    assert max_multiplicity(real_roots(Polynomial.exact([1, 0, 0]))) == 2
+    assert real_roots(Polynomial.exact([1, 0, -1])).max_multiplicity == 1
+    assert real_roots(Polynomial.exact([1, 0, 0])).max_multiplicity == 2
     p = Polynomial.from_roots([0, 0, 3])
-    assert max_multiplicity(real_roots(p)) == 2
+    assert real_roots(p).max_multiplicity == 2
 
 
 # -- integer kernels against the Fraction references ----------------------------

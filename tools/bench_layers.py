@@ -1,12 +1,15 @@
 """Layer timings of the exact Bezout-form kernels, swept over degree.
 
 Times ``bezout_matrix``, ``psd_certificate``, ``symmetrization_defect``,
-``deleted_factors_gram`` and ``det`` on exact inputs: at each degree m, the
-monic p with m distinct rational roots drawn from a fixed seed, its Bezout
-form H of (p, p') and its companion matrix A.  Each layer is timed as the
+``det``, ``separation_lower_bound_check`` and ``h_b_relation_check`` on
+exact inputs: at each degree m, the monic p with m distinct rational roots
+drawn from a fixed seed, its Bezout form H of (p, p') and its companion
+matrix A.  The two checks get their forms prebuilt, as requests pass them:
+the separation bound H - H / 2 >= 0 takes H twice, and the H-B relation
+takes H and the power-sum symmetrizer of p.  Each layer is timed as the
 best of five batches (stdlib ``time.perf_counter``); a batch repeats the
 call until it lasts ``MIN_TIME`` seconds, and the per-call time is reported.
-The rows go into ``BENCH_5.json`` in the working directory under
+The rows go into ``BENCH_6.json`` in the working directory under
 ``--label``, next to the rows other labels left there, with the Python
 version and the commit of the timed source.
 
@@ -28,14 +31,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import bezoutian
-from bezoutian import Polynomial, bezout_matrix, companion_matrix, deleted_factors_gram
-from bezoutian import symmetrization_defect
+from bezoutian import Polynomial, bezout_matrix, companion_matrix, h_b_relation_check
+from bezoutian import leray_symmetrizer, separation_lower_bound_check, symmetrization_defect
 from bezoutian.exactla import det, psd_certificate
 
 DEGREES = (4, 8, 12, 16, 24)
 REPEATS = 5
 MIN_TIME = 0.02  # seconds one timed batch lasts at least
-OUT = Path("BENCH_5.json")
+OUT = Path("BENCH_6.json")
 
 
 def exact_input(m: int) -> list:
@@ -66,17 +69,20 @@ def best_per_call(fn) -> float:
 def layer_rows(degrees) -> list:
     rows = []
     for m in degrees:
-        roots = exact_input(m)
-        p = Polynomial.from_roots(roots, "exact")
+        p = Polynomial.from_roots(exact_input(m), "exact")
         dp = p.derivative()
         H = bezout_matrix(p, dp).matrix
         A = companion_matrix(p).matrix
+        sym = leray_symmetrizer(p)
+        half = Fraction(1, 2)
         calls = {
             "bezout_matrix": lambda: bezout_matrix(p, dp),
             "psd_certificate": lambda: psd_certificate(H),
             "symmetrization_defect": lambda: symmetrization_defect(H, A),
-            "deleted_factors_gram": lambda: deleted_factors_gram(roots, "exact"),
             "det": lambda: det(H),
+            "separation_lower_bound_check":
+                lambda: separation_lower_bound_check(p, dp, half, H=H, hermite=H),
+            "h_b_relation_check": lambda: h_b_relation_check(p, sym, H),
         }
         for layer, fn in calls.items():
             rows.append({"layer": layer, "m": m, "best_s": best_per_call(fn)})

@@ -54,7 +54,7 @@ def lagrange_basis_matrix(roots, backend: str | None = None) -> np.ndarray:
     G = exactla.zeros(m, m, backend)
     for i in range(m):
         rest = vals[:i] + vals[i + 1:]
-        elem = elementary_symmetric(rest, backend)
+        elem = elementary_symmetric(rest)
         for j in range(m):
             v = elem[m - 1 - j]
             G[i, j] = -v if (i + j) % 2 else v

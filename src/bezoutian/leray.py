@@ -10,7 +10,6 @@ matrix of (p, p') and A the companion matrix, so det(S) H = B p'(A)^2;
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,7 +19,7 @@ from . import exactla
 from .bezout import bezout_matrix, companion_matrix, symmetrization_defect
 from .errors import DegreeMismatchError
 from .exactla import PsdVerdict
-from .polynomial import Polynomial, power_sums
+from .polynomial import Polynomial, _primitive, power_sums
 from .scalars import BACKEND_EXACT
 
 
@@ -59,14 +58,15 @@ def _derivative_at_companion(p: Polynomial) -> tuple[list, object]:
     """(W, d) with p'(A) = W / d for the companion matrix A of monic p.
 
     Row i of p'(A) is x^i p'(x) mod p, so each row is the previous one times
-    x with x^m reduced by p.  Exact input runs on the integers P of L p, L
-    the lcm of the denominators: row i has denominator L^(i+1) and is kept
-    over the common d = L^m, which makes each reduction an exact division.
+    x with x^m reduced by p.  Exact input runs on the primitive integers P
+    of p, whose leading coefficient L is a common denominator of p: row i
+    has denominator L^(i+1) and is kept over the common d = L^m, which
+    makes each reduction an exact division.
     """
     m = int(p.degree)
     if p.backend == BACKEND_EXACT:
-        L = math.lcm(*(c.denominator for c in p.coeffs))
-        P = [c.numerator * (L // c.denominator) for c in p.ascending()]
+        P = _primitive(p.coeffs)[0][::-1]
+        L = P[-1]
     else:
         L, P = 1.0, list(p.ascending())
     row = [(j + 1) * P[j + 1] * L ** (m - 1) for j in range(m)]

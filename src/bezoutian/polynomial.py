@@ -351,14 +351,10 @@ class RootProfile:
         return RootProfile(tuple(float(r) for r in self.distinct_roots), self.multiplicities)
 
 
-def elementary_symmetric(values: Sequence, backend: str | None = None) -> list:
-    """All elementary symmetric functions e_0..e_n of the values.
-
-    The e_k are scalars of ``backend``, by default the one the values imply,
-    so e_0 is 1.0 for float input even when there are no values.
-    """
+def elementary_symmetric(values: Sequence) -> list:
+    """All elementary symmetric functions e_0..e_n of the values."""
     values = list(values)
-    one = to_scalar(1, backend or infer_backend(values))
+    one = to_scalar(1, infer_backend(values))
     out = [one] + [one * 0] * len(values)
     for v in values:
         for i in range(len(out) - 1, 0, -1):

@@ -257,4 +257,5 @@ def test_deleted_factor_gram_matches_basis_product():
         assert all(type(v) is Fraction for v in G.flat)
         p = Polynomial.from_roots(roots)
         assert ((G.T @ G) == bezout_matrix(p, p.derivative()).matrix).all()
-    assert lagrange_basis_matrix([0.5]).tolist() == [[1.0]]
+    G = lagrange_basis_matrix([0.5])
+    assert G.dtype == float and G.tolist() == [[1.0]]

@@ -62,6 +62,7 @@ from .nuij import (
     GapCheck,
     GapConstantTable,
     NuijFamilyPoint,
+    certify_stages,
     default_epsilon_grid,
     gap_constants,
     interlaces,

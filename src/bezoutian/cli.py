@@ -35,6 +35,7 @@ from .errors import DegreeMismatchError, NonHyperbolicError
 from .factorization import difference_product, separates
 from .leray import h_b_relation_check, leray_symmetrizer
 from .nuij import (
+    certify_stages,
     default_epsilon_grid,
     gap_constants,
     invert_transform,
@@ -42,9 +43,9 @@ from .nuij import (
     verify_gaps,
 )
 from .polynomial import Polynomial
-from .quasi import check_conditions, default_lower_exponent, verify_quasi
+from .quasi import check_conditions, verify_quasi
 from .report import FAIL, MARGINAL, PASS, CertifiedReport
-from .roots import is_hyperbolic, real_roots
+from .roots import is_hyperbolic, real_roots  # noqa: F401 (bench/test_bench.py traces it here)
 from .scalars import BACKEND_EXACT, scalar_to_json
 
 
@@ -87,6 +88,8 @@ def _parse_grid(spec: str) -> tuple:
         raise InputError(f"bad grid spec {spec!r}") from exc
     if count < 1 or start <= 0 or stop <= 0:
         raise InputError("grid needs positive endpoints and count >= 1")
+    if mode not in ("log", "lin"):
+        raise InputError(f"grid mode must be log or lin, got {mode!r}")
     if mode == "log":
         return default_epsilon_grid(start, stop, count)
     if count == 1:
@@ -199,29 +202,12 @@ def cmd_nuij(args, report: CertifiedReport):
                    float(check.min_gap_over_eps), verdict)
         table.append((eps, check.min_gap_over_eps * eps, check.floor_constant,
                       check.passed))
-        p_eps = nuij_transform(p.as_float(), float(eps))
-        strict = is_hyperbolic(p_eps)
+        interlaced, strict = certify_stages(p, eps)
         report.add_bool(f"strictification at eps={eps:g}", "nuij-strictification",
-                        strict.is_hyperbolic and strict.is_strict,
-                        "strict" if strict.is_strict else "not strict")
-        # exact transforms keep intermediate multiple roots certifiable
-        base = p if p.backend == BACKEND_EXACT else p.as_float()
-        eps_scalar = Fraction(eps) if p.backend == BACKEND_EXACT else float(eps)
-        cascade_ok = True
-        prev = [float(r) for r in real_roots(base).flattened]
-        for stage in range(1, m):
-            cur = [float(r) for r in
-                   real_roots(nuij_transform(base, eps_scalar, stage)).flattened]
-            # one more application shifts each root down past the previous one;
-            # intermediate stages carry root clusters the float eigensolver only
-            # resolves to ~sqrt(eps_mach), so the order comparison gets that slack
-            tiny = 1e-7 * max(1.0, max(abs(v) for v in prev + cur))
-            for i in range(m):
-                if cur[i] > prev[i] + tiny or (i + 1 < m and prev[i] > cur[i + 1] + tiny):
-                    cascade_ok = False
-            prev = cur
+                        strict, "strict" if strict else "not strict")
         report.add_bool(f"stage interlacing at eps={eps:g}", "nuij-interlacing",
-                        cascade_ok, "interlaced" if cascade_ok else "violated")
+                        interlaced, "interlaced" if interlaced else "violated")
+        p_eps = nuij_transform(p.as_float(), float(eps))
         recon = invert_transform(p_eps, float(eps))
         diff = max(
             abs(float(a) - float(b))
@@ -238,9 +224,9 @@ def cmd_nuij(args, report: CertifiedReport):
 
 def cmd_quasi(args, report: CertifiedReport):
     p = _parse_poly(args.poly, args.poly_file)
-    _require_hyperbolic(p)
+    verdict = _require_hyperbolic(p)
     grid = _parse_grid(args.eps_grid)
-    r = args.r if args.r is not None else default_lower_exponent(p)
+    r = args.r if args.r is not None else verdict.witness.max_multiplicity - 1
     s = args.s
     report.backend = p.backend
     report.inputs = {"poly": _echo_poly(p), "r": r, "s": s, "grid": list(grid)}

@@ -9,6 +9,9 @@ what makes the perturbation p - p_eps small of order eps.
 On exact p and eps the transform is a sum of scaled derivatives of p's
 primitive integer coefficients, on Python ints, divided once at the end; it
 equals the Fraction derivative sum coefficient for coefficient.
+
+A stage p_l + eps p_l' interlaces p_l iff p_l is hyperbolic, as their Bezout
+form is eps H(p_l, p_l'); ``certify_stages`` decides that by one Sturm chain.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .polynomial import Polynomial, RootProfile, _primitive
-from .roots import _derivative, real_roots
+from .roots import _derivative, _hyperbolic_strict, real_roots, sturm_real_root_count
 from .scalars import BACKEND_EXACT, is_exact_value
 
 
@@ -165,9 +168,8 @@ def verify_gaps(p: Polynomial, epsilon, tol: float | None = None) -> GapCheck:
     if tol is None:
         tol = max(1e-12, 1e-6 * eps)
     floor = gap_constants(m).floor
-    # tight cluster tolerance (real gaps must stay unmerged) but a loose
-    # complex-rejection threshold: the family is strictly hyperbolic
-    roots = real_roots(nuij_transform(p, eps).as_float(), 1e-12, imag_tol=1e-7).flattened
+    # tight cluster tolerance: real gaps must stay unmerged
+    roots = nuij_family(p, eps, 1e-12).roots_eps.flattened
     if len(roots) < m:
         # a merged cluster means a gap of numerical zero
         return GapCheck(0.0, floor, False, True)
@@ -176,6 +178,22 @@ def verify_gaps(p: Polynomial, epsilon, tol: float | None = None) -> GapCheck:
     passed = min_gap >= floor * eps - tol
     marginal = passed and min_gap < floor * eps
     return GapCheck(min_gap / eps, floor, passed, marginal)
+
+
+def certify_stages(p: Polynomial, epsilon) -> tuple[bool, bool]:
+    """(interlaced, strict) of the stages p_0 = p, p_(l+1) = p_l + eps p_l'.
+
+    Interlaced: p_0 .. p_(m-2) are hyperbolic.  Strict: p_(m-1) has m distinct
+    real roots.  Decided on the exact p and eps (dyadic for floats).
+    """
+    eps = Fraction(epsilon)
+    if eps <= 0:
+        raise ValueError("epsilon must be positive")
+    stages = [p.as_exact()]
+    for _ in range(int(p.degree) - 1):
+        stages.append(nuij_transform(stages[-1], eps, 1))
+    interlaced = all(_hyperbolic_strict(stage)[0] for stage in stages[:-1])
+    return interlaced, sturm_real_root_count(stages[-1]) == len(stages)
 
 
 def interlaces(upper, lower, strict: bool = False) -> bool:

@@ -24,17 +24,9 @@ import numpy as np
 from .bezout import companion_matrix
 from .errors import NonHyperbolicError
 from .factorization import lagrange_basis_matrix, scaled_inverse_diagonal
-from .nuij import default_epsilon_grid, nuij_transform
+from .nuij import default_epsilon_grid, nuij_family
 from .polynomial import Polynomial
-from .roots import is_hyperbolic, real_roots
-
-
-def _family_floats(p: Polynomial, eps: float):
-    """Float data for one grid point: p_eps, ascending roots, derivative."""
-    pf = p.as_float()
-    p_eps = nuij_transform(pf, float(eps))
-    roots = [float(r) for r in real_roots(p_eps, 1e-12, imag_tol=1e-7).flattened]
-    return pf, p_eps, roots
+from .roots import is_hyperbolic
 
 
 @dataclass(frozen=True)
@@ -61,9 +53,9 @@ def check_conditions(p: Polynomial, epsilon_grid=None, r: float = 0.0,
     C_upper = None
     for eps in grid:
         eps = float(eps)
-        pf, p_eps, roots = _family_floats(p, eps)
+        fam = nuij_family(p, eps, 1e-12)
+        p_eps, q_eps, roots = fam.p_eps, fam.q_eps, fam.roots_eps.flattened
         dp = p_eps.derivative()
-        q_eps = pf - p_eps
         lo = min(abs(dp(lam)) / eps**r for lam in roots)
         hi = max(abs(q_eps(lam)) / (eps**s * abs(dp(lam))) for lam in roots)
         rows.append((eps, lo, hi))
@@ -95,14 +87,14 @@ def commutator_decomposition(p: Polynomial, epsilon) -> CommutatorParts:
     eps = float(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    pf, p_eps, roots = _family_floats(p, eps)
+    fam = nuij_family(p, eps, 1e-12)
+    pf, p_eps, q_eps, roots = p.as_float(), fam.p_eps, fam.q_eps, fam.roots_eps.flattened
     m = int(pf.degree)
     A = np.asarray(companion_matrix(pf).matrix, dtype=float)
     A_eps = np.asarray(companion_matrix(p_eps).matrix, dtype=float)
     Q = A - A_eps
     G = np.asarray(lagrange_basis_matrix(roots, "float64"), dtype=float)
     d = scaled_inverse_diagonal(roots, p_eps.derivative())
-    q_eps = pf - p_eps
     S = np.zeros((m, m))
     for j, lam in enumerate(roots):
         S[m - 1, j] = -q_eps(lam) / d[j]
@@ -182,8 +174,11 @@ def verify_quasi(p: Polynomial, epsilon_grid=None, r: float | None = None,
     noise would swamp eps-scaled quantities at the small end of the grid.
     Sampling of the raw form (H from the bivariate division) cross-checks it.
     """
-    if r is None:
-        r = default_lower_exponent(p)
+    if r is None:  # max root multiplicity - 1, exact for rational input
+        verdict = is_hyperbolic(p)
+        if not verdict.is_hyperbolic:
+            raise NonHyperbolicError(f"not hyperbolic: {verdict.witness}")
+        r = verdict.witness.max_multiplicity - 1
     grid = tuple(float(e) for e in (epsilon_grid if epsilon_grid is not None
                                     else default_epsilon_grid()))
     rng = np.random.default_rng(seed)
@@ -191,11 +186,9 @@ def verify_quasi(p: Polynomial, epsilon_grid=None, r: float | None = None,
     comm = []
     sample_max = []
     sampling_ok = True
-    pf = p.as_float()
-    A = np.asarray(companion_matrix(pf).matrix, dtype=float)
     for eps in grid:
         parts = commutator_decomposition(p, eps)
-        G, S = parts.G_eps, parts.S_eps
+        A, G, S = parts.A, parts.G_eps, parts.S_eps
         svals = np.linalg.svd(G, compute_uv=False)
         lower.append(float(svals[-1]) ** 2 / eps ** (2 * r))
         K_c = G @ S - (G @ S).T
@@ -218,14 +211,6 @@ def verify_quasi(p: Polynomial, epsilon_grid=None, r: float | None = None,
                         sampling_ok, uniformity_factor)
 
 
-def default_lower_exponent(p: Polynomial) -> int:
-    """r = (max root multiplicity) - 1, exact for rational input."""
-    verdict = is_hyperbolic(p)
-    if not verdict.is_hyperbolic:
-        raise NonHyperbolicError(f"not hyperbolic: {verdict.witness}")
-    return verdict.witness.max_multiplicity - 1
-
-
 def derivative_ratio_constants(p: Polynomial, epsilon_grid=None) -> tuple:
     """Per-eps sup over roots and orders l of |p_eps^(l)(root)| eps^(l-1) / |p_eps'(root)|."""
     grid = tuple(float(e) for e in (epsilon_grid if epsilon_grid is not None
@@ -233,7 +218,8 @@ def derivative_ratio_constants(p: Polynomial, epsilon_grid=None) -> tuple:
     out = []
     m = int(p.degree)
     for eps in grid:
-        _, p_eps, roots = _family_floats(p, eps)
+        fam = nuij_family(p, eps, 1e-12)
+        p_eps, roots = fam.p_eps, fam.roots_eps.flattened
         dp = p_eps.derivative()
         worst = 0.0
         for lam in roots:

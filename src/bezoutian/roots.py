@@ -1,18 +1,18 @@
 """Certified real-root extraction and hyperbolicity testing.
 
 The exact backend never trusts a float where it matters: multiplicities come
-from gcd structure (Yun decomposition) and hyperbolicity from Sturm counts,
-so rational inputs get exact multiplicity profiles and exact verdicts.  Root
-values that are irrational are polished eigenvalues of the companion matrix
-of a square-free factor, where they are simple and well conditioned.
+from gcd structure (Yun decomposition) and hyperbolicity from one Sturm
+chain, so rational inputs get exact multiplicity profiles and exact verdicts.
+Root values that are irrational are polished eigenvalues of the companion
+matrix of a square-free factor, where they are simple and well conditioned.
 
 The exact kernels clear a polynomial's denominators once and run on its
 primitive integer coefficients (Python ints, leading first): the gcd is a
 primitive remainder sequence of pseudo-remainders, Yun's quotients are exact
-integer divisions, the Sturm count reads the degrees and leading signs of a
-chain of pseudo-remainders, and the rational-root search tests integer
-candidates.  The monic factors, counts and roots they return equal those of
-Fraction arithmetic.
+integer divisions, the Sturm chain of pseudo-remainders gives the real-root
+count from its degrees and leading signs and ends at gcd(p, p'), and the
+rational-root search tests integer candidates.  The monic factors, counts
+and roots they return equal those of Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -156,19 +156,12 @@ def radical(p: Polynomial) -> Polynomial:
     return out
 
 
-def sturm_real_root_count(p: Polynomial) -> int:
-    """Number of distinct real roots, exact (Sturm's theorem on integer polynomials).
+def _sturm_chain(p: Polynomial) -> tuple[int, int]:
+    """(distinct real roots, deg gcd(p, p')) of exact p from one Sturm chain.
 
-    The chain p, p', -c_1 rem(p, p'), ... scales each remainder by a
-    positive c_k (pseudo-remainder multiplier over integer content), which
-    leaves its signs, and so the sign variations, as in the classical
-    chain.  It ends at gcd(p, p'), a common factor that changes no
-    variation count at +-infinity, so p need not be square-free.
+    Each pseudo-remainder is scaled by a positive integer, which keeps the
+    signs of the classical chain; the last member is gcd(p, p').
     """
-    if p.backend != BACKEND_EXACT:
-        raise ValueError("Sturm counting requires the exact backend")
-    if p.degree < 1:
-        return 0
     a = _primitive(p.coeffs)[0]
     b = _primitive(_derivative(a))[0]
     ends = [(len(a), a[0] > 0)]  # (degree + 1, leading sign) of each chain member
@@ -177,11 +170,31 @@ def sturm_real_root_count(p: Polynomial) -> int:
         a, b = b, [-v for v in _primitive(_prem(a, b))[0]]
     at_pos = [s for _, s in ends]
     at_neg = [s if n % 2 else not s for n, s in ends]
-    return _variations(at_neg) - _variations(at_pos)
+    return _variations(at_neg) - _variations(at_pos), len(a) - 1
 
 
 def _variations(signs: list) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def sturm_real_root_count(p: Polynomial) -> int:
+    """Number of distinct real roots, exact (Sturm's theorem on integer polynomials).
+
+    The chain's common factor gcd(p, p') changes no sign variation, so p need
+    not be square-free.
+    """
+    if p.backend != BACKEND_EXACT:
+        raise ValueError("Sturm counting requires the exact backend")
+    if p.degree < 1:
+        return 0
+    return _sturm_chain(p)[0]
+
+
+def _hyperbolic_strict(p: Polynomial) -> tuple[bool, bool]:
+    """(hyperbolic, strict) of exact p of degree >= 1: Sturm count == deg p - deg gcd(p, p')."""
+    count, gcd_degree = _sturm_chain(p)
+    hyperbolic = count == p.degree - gcd_degree
+    return hyperbolic, hyperbolic and gcd_degree == 0
 
 
 def _divisors(n: int) -> list[int]:
@@ -371,9 +384,9 @@ def is_hyperbolic(p: Polynomial, tol: float = DEFAULT_TOL) -> HyperbolicityVerdi
     The two certificates are independent: the Sturm count needs no matrix
     work, the Hermite route checks positive semidefiniteness of the Bezout
     matrix of (p, p').  They must agree on exact input.  On the exact
-    backend p is hyperbolic when its Sturm count of distinct real roots
-    reaches its number of distinct roots, deg p - deg gcd(p, p'); only the
-    root extraction decomposes p.  The verdict carries the Bezout form of
+    backend one Sturm chain gives the count of distinct real roots and, as
+    its last member, gcd(p, p'): p is hyperbolic when the count reaches
+    deg p - deg gcd(p, p').  The verdict carries the Bezout form of
     (p, p') for monic p and its PSD verdict, so callers need not rebuild them.
     """
     from .bezout import bezout_matrix, psd_check
@@ -384,14 +397,9 @@ def is_hyperbolic(p: Polynomial, tol: float = DEFAULT_TOL) -> HyperbolicityVerdi
     form = bezout_matrix(monic, monic.derivative())
     hermite = psd_check(form, tol)
     if p.backend == BACKEND_EXACT:
-        count = sturm_real_root_count(monic)
-        distinct = monic.degree - poly_gcd(monic, monic.derivative()).degree
-        sturm_verdict = count == distinct
+        sturm_verdict, strict = _hyperbolic_strict(monic)
         if hermite.is_psd != sturm_verdict:
-            raise ArithmeticError(
-                "internal fault: Sturm and Hermite certificates disagree"
-            )
-        strict = sturm_verdict and distinct == monic.degree
+            raise ArithmeticError("internal fault: Sturm and Hermite certificates disagree")
         if not sturm_verdict:
             return HyperbolicityVerdict(False, False, "complex roots (Sturm count short)",
                                         "sturm", form, hermite)

@@ -4,12 +4,14 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import corpus
 from bezoutian import (
     Polynomial,
+    bezout_matrix,
+    certify_stages,
     default_epsilon_grid,
     gap_constants,
     interlaces,
@@ -18,9 +20,11 @@ from bezoutian import (
     nuij_family,
     nuij_inverse_coeffs,
     nuij_transform,
+    psd_check,
     real_roots,
     verify_gaps,
 )
+from bezoutian.roots import _hyperbolic_strict
 
 EPS = Fraction(1, 10)
 
@@ -196,6 +200,36 @@ def test_interlacing_cascade():
                 if i + 1 < m:
                     assert prev[i] <= cur[i + 1] + tiny
             prev = cur
+
+
+@settings(max_examples=80, deadline=None)
+@given(corpus.factored_poly(max_linear=3),
+       st.sampled_from([Fraction(1e-4), Fraction(1, 10), Fraction(1)]))
+def test_certify_stages_agrees_with_the_bezout_forms_of_consecutive_stages(p, eps):
+    # the paper's route: stage l+1 interlaces stage l iff H(p_l, p_(l+1)) >= 0
+    assume(p.degree <= 9)
+    stages = [p]
+    for _ in range(int(p.degree) - 1):
+        stages.append(nuij_transform(stages[-1], eps, 1))
+    psd = [psd_check(bezout_matrix(cur, nxt)).is_psd for cur, nxt in zip(stages, stages[1:])]
+    assert psd == [_hyperbolic_strict(cur)[0] for cur in stages[:-1]]
+    interlaced, strict = certify_stages(p, eps)
+    assert interlaced == all(psd)
+    hyperbolic = is_hyperbolic(p).is_hyperbolic
+    assert interlaced == hyperbolic
+    assert strict or not hyperbolic
+
+
+def test_certify_stages_controls():
+    # (x^2 + 1)(x - 1) is not hyperbolic, so stage 1 does not interlace it;
+    # at eps = 1/10 its full transform keeps a complex pair too
+    p = Polynomial.exact([1, 0, 1]) * Polynomial.exact([1, -1])
+    assert certify_stages(p, Fraction(1, 10)) == (False, False)
+    assert certify_stages(Polynomial.exact([1, 0, 0, 0]), 1e-4) == (True, True)
+    assert certify_stages(Polynomial.float64([1.0, -2.0, 1.0]), 0.1) == (True, True)
+    for eps in (0, -0.1, Fraction(-1, 3)):
+        with pytest.raises(ValueError):
+            certify_stages(Polynomial.exact([1, 0, 0]), eps)
 
 
 def test_interlaces_examples():

@@ -121,6 +121,29 @@ def test_nuij_grid_json(capsys):
     assert len(gap_checks) == 3
 
 
+@pytest.mark.parametrize("poly", [
+    '["1", "51/2", "867/4", "4913/8"]',                 # (x + 17/2)^3
+    '["1", "-28", "292", "-1376", "2816", "-2048"]',    # (x - 2)^2 (x - 8)^3
+    '["1", "-177/2", "10443/4", "-205379/8"]',          # (x - 59/2)^3
+])
+def test_nuij_certifies_the_stages_of_tight_clusters(capsys, poly):
+    # the float stage cascade failed nuij-interlacing on the first two and its
+    # float root extraction exited 3 on the third
+    code, out, _ = run_cli(capsys, "nuij", "--poly", poly)
+    assert code == 0
+    records = [c for c in json.loads(out)["checks"]
+               if c["check_id"] in ("nuij-interlacing", "nuij-strictification")]
+    assert len(records) == 18 and all(c["verdict"] == "pass" for c in records)
+
+
+def test_grid_mode_must_be_log_or_lin(capsys):
+    code, out, err = run_cli(capsys, "quasi", "--poly", "[1,0,0]", "--eps-grid", "1:1e-2:3(lgo)")
+    assert code == 2 and out == "" and "lgo" in err
+    code, out, _ = run_cli(capsys, "nuij", "--poly", "[1,0,0]", "--eps-grid", "1:1e-2:3(lin)")
+    assert code == 0
+    assert json.loads(out)["inputs"]["grid"] == pytest.approx([1.0, 0.505, 0.01])
+
+
 def test_quasi_csv_columns(capsys):
     code, out, _ = run_cli(capsys, "quasi", "--poly", "[1,0,0]",
                            "--eps-grid", "1:1e-2:3(log)", "--output", "csv")

@@ -23,7 +23,7 @@ from bezoutian import (
     squarefree_decomposition,
     sturm_real_root_count,
 )
-from bezoutian.roots import poly_gcd, radical
+from bezoutian.roots import _hyperbolic_strict, _sturm_chain, poly_gcd, radical
 
 
 def test_real_roots_examples():
@@ -245,6 +245,17 @@ def test_sturm_count_matches_radical_chain(p):
     want = sturm_reference(p)
     assert sturm_real_root_count(p) == want == sturm_real_root_count(radical(p))
     assert p.degree - poly_gcd(p, p.derivative()).degree == radical(p).degree
+
+
+@settings(max_examples=120, deadline=None)
+@given(corpus.factored_poly())
+def test_sturm_chain_ends_at_the_gcd_with_the_derivative(p):
+    # one chain gives both the count and deg gcd(p, p'), so the hyperbolicity
+    # decision needs no separate poly_gcd
+    assert _sturm_chain(p) == (sturm_reference(p), poly_gcd(p, p.derivative()).degree)
+    distinct = radical(p).degree
+    hyperbolic = sturm_reference(p) == distinct
+    assert _hyperbolic_strict(p) == (hyperbolic, hyperbolic and distinct == p.degree)
 
 
 def test_poly_gcd_edge_cases():

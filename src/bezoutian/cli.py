@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -68,9 +67,12 @@ def _parse_poly(text: str | None, path: str | None) -> Polynomial:
     if not isinstance(items, list) or not items:
         raise InputError("polynomial must be a nonempty JSON array, leading first")
     try:
-        return Polynomial.from_coeff_list(items)
+        p = Polynomial.from_coeff_list(items)
     except (TypeError, ValueError) as exc:
         raise InputError(str(exc)) from exc
+    if any(isinstance(c, float) and not math.isfinite(c) for c in p.coeffs):
+        raise InputError("polynomial coefficients must be finite")
+    return p
 
 
 def _parse_grid(spec: str) -> tuple:
@@ -251,42 +253,26 @@ def cmd_quasi(args, report: CertifiedReport):
     return table
 
 
-def _scientific(sign, log10_abs: float) -> str:
-    """10**log10_abs with the sign of ``sign``, as a short string beyond the float range."""
-    exp = math.floor(log10_abs)
-    return f"{'-' if sign < 0 else ''}{10 ** (log10_abs - exp):.9f}e{exp:+d}"
+def _adjugate_determinant_law(sym, m: int) -> tuple:
+    """(det B == (det S)^(m-1), det B as a witness), compared exactly.
 
-
-def _adjugate_determinant_law(sym, m: int, tol: float) -> tuple:
-    """(det B == (det S)^(m-1), det B as a witness) without overflowing a float.
-
-    Exact input compares the rationals exactly.  Float input compares to
-    relative ``tol``, in log space once (det S)^(m-1) leaves the float range.
+    The witness is a float, or a short string once det B leaves the float range.
     """
-    det_s = sym.det_power_sum_gram
     det_b = exactla.det(sym.adjugate)
-    if isinstance(det_b, Fraction):
-        try:
-            witness = float(det_b)
-        except OverflowError:
-            witness = _scientific(det_b, math.log10(abs(det_b.numerator))
-                                  - math.log10(det_b.denominator))
-        return det_b == det_s ** (m - 1), witness
     try:
-        target = float(det_s) ** (m - 1)
+        witness = float(det_b)
     except OverflowError:
-        sign_b, log_b = np.linalg.slogdet(np.asarray(sym.adjugate, dtype=float))
-        ok = (sign_b == math.copysign(1.0, det_s) ** (m - 1)
-              and abs(log_b - (m - 1) * math.log(abs(det_s))) <= tol)
-        return ok, _scientific(sign_b, log_b / math.log(10))
-    return abs(det_b - target) <= tol * max(1.0, abs(target)), det_b
+        log10_abs = math.log10(abs(det_b.numerator)) - math.log10(det_b.denominator)
+        exp = math.floor(log10_abs)
+        witness = f"{'-' if det_b < 0 else ''}{10 ** (log10_abs - exp):.9f}e{exp:+d}"
+    return det_b == sym.det_power_sum_gram ** (m - 1), witness
 
 
 def cmd_leray(args, report: CertifiedReport):
-    p = _parse_poly(args.poly, args.poly_file)
+    # a decimal is an exact dyadic rational: certify and echo that value
+    p = _parse_poly(args.poly, args.poly_file).as_exact()
     tol = args.tol
     verdict = _require_hyperbolic(p)
-    profile = verdict.witness
     m = int(p.degree)
     report.backend = p.backend
     report.inputs = {"poly": _echo_poly(p)}
@@ -298,17 +284,17 @@ def cmd_leray(args, report: CertifiedReport):
     err = abs(float(sym.det_power_sum_gram) - float(disc))
     report.add_bool("det equals discriminant", "leray-determinant",
                     err <= tol * max(1.0, abs(float(disc))), float(sym.det_power_sum_gram), tol)
-    law_ok, det_b = _adjugate_determinant_law(sym, m, tol)
+    law_ok, det_b = _adjugate_determinant_law(sym, m)
     report.add_bool("adjugate determinant law", "leray-adjugate-determinant",
                     law_ok, det_b, tol)
     report.add_bool("definiteness matches strictness", "leray-definiteness",
-                    sym.definiteness.is_pd == profile.is_strict,
+                    sym.definiteness.is_pd == verdict.is_strict,
                     "positive definite" if sym.definiteness.is_pd else "semidefinite")
     if m == 2:
         diff = float(exactla.max_abs(sym.adjugate - verdict.hermite_form.matrix))
         report.add_bool("adjugate equals bezout form (m=2)", "leray-bezout-m2",
                         diff <= tol, diff, tol)
-    if profile.is_strict:
+    if verdict.is_strict:
         residual = h_b_relation_check(p, sym, verdict.hermite_form)
         report.add_bool("bezout relation residual", "leray-bezout-relation",
                         residual <= max(tol, 1e-10), residual, max(tol, 1e-10))

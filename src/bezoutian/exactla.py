@@ -6,10 +6,11 @@ M = A / D with A an integer matrix and D the lcm of the entry denominators,
 and run on Python ints: det(M) = det(A) / D^m by Bareiss fraction-free
 elimination, adj(M) = adj(A) / D^(m-1) by Faddeev-LeVerrier, and the LDL
 pivot signs of the PSD certificate by symmetric fraction-free elimination;
-every division is exact over the integers.  ``_asymmetry`` and ``_matmul``
-give the symmetry defect and the product of integer matrices for the exact
-Bezout-form checks (``bezout``), and only the results are turned back into
-Fractions.
+every division is exact over the integers.  ``adjugate`` has no float
+route: it takes float entries at their exact dyadic values.  ``_asymmetry``
+and ``_matmul`` give the symmetry defect and the product of integer
+matrices for the exact Bezout-form checks (``bezout``), and only the
+results are turned back into Fractions.
 """
 
 from __future__ import annotations
@@ -171,27 +172,13 @@ def det(M: np.ndarray):
 
 
 def adjugate(M: np.ndarray) -> np.ndarray:
-    """Cofactor transpose; total (defined for singular input as well).
+    """Cofactor transpose, exact; total (defined for singular input as well).
 
-    Exact input runs Faddeev-LeVerrier on Python ints; float input takes
-    the cofactor of every minor.
+    Faddeev-LeVerrier on Python ints.  Float entries are taken at their
+    exact dyadic values, so the result is always a Fraction matrix.
     """
-    M = np.asarray(M)
-    n = M.shape[0]
-    if M.dtype == object:
-        A, D = _integer_matrix(M)
-        return _fraction_matrix(_faddeev_adjugate(A), den=D ** (n - 1))
-    if n == 1:
-        return np.ones((1, 1))
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            minor = M[np.ix_([r for r in range(n) if r != i], [c for c in range(n) if c != j])]
-            cof = det(minor)
-            if (i + j) % 2:
-                cof = -cof
-            out[j, i] = cof
-    return out
+    A, D = _integer_matrix(M)
+    return _fraction_matrix(_faddeev_adjugate(A), den=D ** (len(A) - 1))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,10 @@ symmetrizes the companion matrix and is positive definite exactly when p is
 strictly hyperbolic.  For every monic p, S H = p'(A)^2 with H the Bezout
 matrix of (p, p') and A the companion matrix, so det(S) H = B p'(A)^2;
 ``h_b_relation_check`` tests that from the coefficients alone.
+
+Everything here is exact: float input is taken at its exact dyadic value
+(``Polynomial.as_exact``), the value the decimal denotes, so S, B and the
+relation are the same for a decimal and for that value typed as a fraction.
 """
 
 from __future__ import annotations
@@ -20,11 +24,11 @@ from .bezout import bezout_matrix, companion_matrix, symmetrization_defect
 from .errors import DegreeMismatchError
 from .exactla import PsdVerdict
 from .polynomial import Polynomial, _primitive, power_sums
-from .scalars import BACKEND_EXACT
 
 
 def power_sum_matrix(p: Polynomial) -> np.ndarray:
     """S[i][j] = P_(i+j), power sums of the roots, from coefficients alone."""
+    p = p.as_exact()
     p.require_monic("power-sum matrix input")
     m = int(p.degree)
     sums = power_sums(p, max(2 * m - 2, 0))
@@ -46,6 +50,7 @@ class LeraySymmetrizer:
 
 def leray_symmetrizer(p: Polynomial, tol: float = 1e-9) -> LeraySymmetrizer:
     """Build S and B = adj(S); B A symmetric, B positive definite iff strict."""
+    p = p.as_exact()
     S = power_sum_matrix(p)
     B = exactla.adjugate(S)
     A = companion_matrix(p)
@@ -55,24 +60,21 @@ def leray_symmetrizer(p: Polynomial, tol: float = 1e-9) -> LeraySymmetrizer:
 
 
 def _derivative_at_companion(p: Polynomial) -> tuple[list, object]:
-    """(W, d) with p'(A) = W / d for the companion matrix A of monic p.
+    """(W, d) with p'(A) = W / d for the companion matrix A of exact monic p.
 
     Row i of p'(A) is x^i p'(x) mod p, so each row is the previous one times
-    x with x^m reduced by p.  Exact input runs on the primitive integers P
-    of p, whose leading coefficient L is a common denominator of p: row i
-    has denominator L^(i+1) and is kept over the common d = L^m, which
-    makes each reduction an exact division.
+    x with x^m reduced by p.  It runs on the primitive integers P of p,
+    whose leading coefficient L is a common denominator of p: row i has
+    denominator L^(i+1) and is kept over the common d = L^m, which makes
+    each reduction an exact division.
     """
     m = int(p.degree)
-    if p.backend == BACKEND_EXACT:
-        P = _primitive(p.coeffs)[0][::-1]
-        L = P[-1]
-    else:
-        L, P = 1.0, list(p.ascending())
+    P = _primitive(p.coeffs)[0][::-1]
+    L = P[-1]
     row = [(j + 1) * P[j + 1] * L ** (m - 1) for j in range(m)]
     W = [row]
     for _ in range(m - 1):
-        top = row[-1] // L if p.backend == BACKEND_EXACT else row[-1]
+        top = row[-1] // L
         row = [(row[j - 1] if j else 0) - top * P[j] for j in range(m)]
         W.append(row)
     return W, L ** m
@@ -83,12 +85,12 @@ def h_b_relation_check(p: Polynomial, sym: LeraySymmetrizer | None = None,
     """Relative max-norm residual of det(S) H - B p'(A)^2, zero in algebra.
 
     S H = p'(A)^2 for the Bezout matrix H of (p, p') and every monic p, so
-    det(S) H = B p'(A)^2 with B = adj S; no roots enter.  Exact input is
-    checked on integer matrices, over max(1, |det(S) H|), and the residual
-    is exactly 0.  Float input is checked in float64, over the larger of
-    that and the size |B| |p'(A)^2| of the summed terms.  Pass ``sym`` and
-    ``H`` when they are already built.
+    det(S) H = B p'(A)^2 with B = adj S; no roots enter.  The check runs on
+    integer matrices of the exact p (and of the exact values of a float H),
+    over max(1, |det(S) H|), and the residual is exactly 0.  Pass ``sym``
+    and ``H`` when they are already built.
     """
+    p = p.as_exact()
     p.require_monic("relation check input")
     if sym is None:
         S = power_sum_matrix(p)
@@ -99,20 +101,12 @@ def h_b_relation_check(p: Polynomial, sym: LeraySymmetrizer | None = None,
     W, d = _derivative_at_companion(p)
     if H.shape != (len(W), len(W)):
         raise DegreeMismatchError(f"Bezout matrix of shape {H.shape} for degree {len(W)}")
-    if p.backend == BACKEND_EXACT:
-        (X, dx), (Y, dy) = exactla._integer_matrix(H), exactla._integer_matrix(B)
-        # over the common denominator den, det(S) H = a X and B p'(A)^2 = b Y W W
-        den = det_s.denominator * dx * dy * d * d
-        a, b = det_s.numerator * dy * d * d, det_s.denominator * dx
-        lhs = [[a * x for x in row] for row in X]
-        rhs = exactla._matmul(Y, exactla._matmul(W, W))
-        diff = max(abs(u - b * v) for lr, rr in zip(lhs, rhs) for u, v in zip(lr, rr))
-        size = max(abs(u) for row in lhs for u in row)
-        return float(Fraction(diff, max(size, den)))
-    W = np.array(W)
-    B, W2 = np.asarray(B, dtype=float), W @ W
-    lhs = float(det_s) * H.astype(float)
-    # the product cancels far below the size of its terms |B| |p'(A)^2|, and
-    # rounding in the float adjugate scales with those terms
-    size = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(B) @ np.abs(W2))))
-    return float(np.max(np.abs(lhs - B @ W2)) / size)
+    (X, dx), (Y, dy) = exactla._integer_matrix(H), exactla._integer_matrix(B)
+    # over the common denominator den, det(S) H = a X and B p'(A)^2 = b Y W W
+    den = det_s.denominator * dx * dy * d * d
+    a, b = det_s.numerator * dy * d * d, det_s.denominator * dx
+    lhs = [[a * x for x in row] for row in X]
+    rhs = exactla._matmul(Y, exactla._matmul(W, W))
+    diff = max(abs(u - b * v) for lr, rr in zip(lhs, rhs) for u, v in zip(lr, rr))
+    size = max(abs(u) for row in lhs for u in row)
+    return float(Fraction(diff, max(size, den)))

@@ -73,9 +73,20 @@ class NuijFamilyPoint:
 
 
 def nuij_family(p: Polynomial, epsilon, tol: float = 1e-9) -> NuijFamilyPoint:
+    """The family point at eps, with the roots of the float p_eps.
+
+    Raises ValueError when p_eps or the residual check of its roots leaves
+    the float64 range.
+    """
     p.require_monic("smoothing family input")
-    p_eps = nuij_transform(p, epsilon)
-    roots_eps = real_roots(p_eps.as_float(), tol, imag_tol=max(tol, 1e-7))
+    try:
+        p_eps = nuij_transform(p, epsilon)
+        floats = p_eps.as_float()
+        if not all(map(math.isfinite, floats.coeffs)):
+            raise OverflowError("nonfinite coefficient")
+        roots_eps = real_roots(floats, tol, imag_tol=max(tol, 1e-7))
+    except OverflowError as exc:
+        raise ValueError(f"smoothing family at eps={epsilon} leaves the float64 range") from exc
     base = p if p.backend == p_eps.backend else p.as_float()
     return NuijFamilyPoint(epsilon, p_eps, roots_eps, base - p_eps)
 

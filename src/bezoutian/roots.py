@@ -3,8 +3,10 @@
 The exact backend never trusts a float where it matters: multiplicities come
 from gcd structure (Yun decomposition) and hyperbolicity from one Sturm
 chain, so rational inputs get exact multiplicity profiles and exact verdicts.
-Root values that are irrational are polished eigenvalues of the companion
-matrix of a square-free factor, where they are simple and well conditioned.
+``is_hyperbolic`` decides exact input without a root and reads the root
+profile only when a caller asks for its witness.  Root values that are
+irrational are polished eigenvalues of the companion matrix of a
+square-free factor, where they are simple and well conditioned.
 
 The exact kernels clear a polynomial's denominators once and run on its
 primitive integer coefficients (Python ints, leading first): the gcd is a
@@ -17,6 +19,7 @@ and roots they return equal those of Fraction arithmetic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -369,13 +372,22 @@ def real_roots(p: Polynomial, tol: float = DEFAULT_TOL,
 class HyperbolicityVerdict:
     is_hyperbolic: bool
     is_strict: bool
-    witness: object  # RootProfile on success, reason string on failure
+    _witness: object  # the witness, or a function computing it on first read
     method: str
     hermite_form: object = None  # BezoutMatrix of the monic p and its derivative
     hermite: object = None       # its PsdVerdict, at the tolerance of the call
 
     def __bool__(self) -> bool:
         return self.is_hyperbolic
+
+    @functools.cached_property
+    def witness(self):
+        """RootProfile on success, reason string on failure.
+
+        On exact input the verdict needs no root, so the roots are read
+        only here, on first access.
+        """
+        return self._witness() if callable(self._witness) else self._witness
 
 
 def is_hyperbolic(p: Polynomial, tol: float = DEFAULT_TOL) -> HyperbolicityVerdict:
@@ -386,8 +398,10 @@ def is_hyperbolic(p: Polynomial, tol: float = DEFAULT_TOL) -> HyperbolicityVerdi
     matrix of (p, p').  They must agree on exact input.  On the exact
     backend one Sturm chain gives the count of distinct real roots and, as
     its last member, gcd(p, p'): p is hyperbolic when the count reaches
-    deg p - deg gcd(p, p').  The verdict carries the Bezout form of
-    (p, p') for monic p and its PSD verdict, so callers need not rebuild them.
+    deg p - deg gcd(p, p'), and strict when that gcd is constant.  No root
+    is computed for that; ``witness`` reads the root profile when first
+    asked.  The verdict carries the Bezout form of (p, p') for monic p and
+    its PSD verdict, so callers need not rebuild them.
     """
     from .bezout import bezout_matrix, psd_check
 
@@ -403,7 +417,8 @@ def is_hyperbolic(p: Polynomial, tol: float = DEFAULT_TOL) -> HyperbolicityVerdi
         if not sturm_verdict:
             return HyperbolicityVerdict(False, False, "complex roots (Sturm count short)",
                                         "sturm", form, hermite)
-        return HyperbolicityVerdict(True, strict, real_roots(monic, tol), "sturm", form, hermite)
+        return HyperbolicityVerdict(True, strict, functools.partial(real_roots, monic, tol),
+                                    "sturm", form, hermite)
     if not hermite.is_psd:
         return HyperbolicityVerdict(
             False, False, f"Bezout form of (p, p') indefinite: {hermite.witness}", "hermite-psd",

@@ -1,14 +1,19 @@
 """CertifiedReport round-trips and the command-line front end."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bezoutian import Polynomial
+from bezoutian import Polynomial, roots
 from bezoutian.cli import build_parser, main
 from bezoutian.report import CertifiedReport
 
@@ -78,6 +83,8 @@ def test_parse_error_exits_2(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "analyze", "--poly", "[]")
     assert code == 2
+    code, _, err = run_cli(capsys, "leray", "--poly", "[1.0, Infinity]")
+    assert code == 2 and "finite" in err
 
 
 def test_wrong_degree_q_exits_2(capsys):
@@ -283,20 +290,89 @@ def test_module_entry_point():
 
 @pytest.mark.parametrize("exact", [True, False])
 def test_leray_strict_degree_10_does_not_overflow(capsys, exact):
-    # det B = (det S)^9 is about 5.6e382 for the roots 1..10, past the float range
+    # det B = (det S)^9 is about 5.6e382 for the roots 1..10, past the float range;
+    # the decimal input is certified at its exact value, like the fraction input
     p = Polynomial.from_roots(list(range(1, 11)))
     coeffs = [f"{c.numerator}/{c.denominator}" if exact else float(c) for c in p.coeffs]
     code, out, _ = run_cli(capsys, "leray", "--poly", json.dumps(coeffs))
-    assert code in (0, 1)
+    assert code == 0
     report = CertifiedReport.from_json(out)
     assert report.to_json() == out
+    assert report.backend == "exact" and report.all_pass
     law = next(c for c in report.checks if c.check_id == "leray-adjugate-determinant")
     assert isinstance(law.witness, str)
-    if exact:
-        assert law.verdict == "pass"
-        assert law.witness.startswith("5.56116") and law.witness.endswith("e+382")
-        assert {c.check_id for c in report.checks} >= {"leray-determinant",
-                                                        "leray-bezout-relation"}
+    assert law.verdict == "pass"
+    assert law.witness.startswith("5.56116") and law.witness.endswith("e+382")
+    assert {c.check_id for c in report.checks} >= {"leray-determinant",
+                                                    "leray-bezout-relation"}
+
+
+def fraction_argv(p: Polynomial) -> str:
+    return json.dumps([f"{c.numerator}/{c.denominator}" for c in p.coeffs])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.builds(Fraction, st.integers(-16, 16), st.sampled_from([1, 2, 4, 8])),
+                min_size=1, max_size=6))
+def test_decimal_leray_reports_equal_those_of_their_exact_values(roots_):
+    # a decimal coefficient is an exact dyadic rational; leray certifies that value
+    p = Polynomial.from_roots(roots_)
+    decimal = json.dumps([float(c) for c in p.coeffs])
+    assert Polynomial.from_coeff_list(json.loads(decimal)).as_exact() == p
+    runs = []
+    for argv in (decimal, fraction_argv(p)):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["leray", "--poly", argv])
+        runs.append((code, out.getvalue()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and json.loads(runs[0][1])["backend"] == "exact"
+
+
+def count_real_roots_calls(monkeypatch) -> list:
+    """Rebind real_roots wherever a bezoutian module holds it; returns the call log."""
+    calls, original = [], roots.real_roots
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "bezoutian" and getattr(module, "real_roots", None) is original:
+            monkeypatch.setattr(module, "real_roots", counted)
+    return calls
+
+
+def test_leray_reads_no_root(capsys, monkeypatch):
+    calls = count_real_roots_calls(monkeypatch)
+    for poly in ("[1,0,-1]", "[1,0,-2]", "[1,-3,3,-1]", "[1.0,-4.0,6.0,-4.0,1.0]"):
+        code, _, _ = run_cli(capsys, "leray", "--poly", poly)
+        assert code == 0
+    assert calls == []
+    run_cli(capsys, "analyze", "--poly", "[1,0,-2]")
+    assert calls  # the counter sees the calls analyze makes
+
+
+@pytest.mark.parametrize("poly", [
+    Polynomial.exact([1, -2, 1 - Fraction(1, 10**40)]),  # roots 1 +- 1e-20
+    Polynomial.float64([1.0, -4.0, 6.0, -4.0, 1.0]),     # (x - 1)^4 as decimals
+])
+def test_leray_certifies_inputs_its_roots_could_not(capsys, poly):
+    argv = fraction_argv(poly) if poly.backend == "exact" else json.dumps(list(poly.coeffs))
+    code, out, err = run_cli(capsys, "leray", "--poly", argv)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["all_pass"] and report["backend"] == "exact"
+
+
+@pytest.mark.parametrize("argv", [
+    ["nuij", "--poly", "[1,0,-1]", "--eps", "1e300"],
+    ["quasi", "--poly", "[1,0,-1]", "--eps-grid", "1e200:1e200:1"],
+])
+def test_smoothing_family_past_the_float_range_is_an_input_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:") and "float64 range" in err
 
 
 GOLDEN_CASES = json.loads((Path(__file__).parent / "golden" / "cases.json").read_text())

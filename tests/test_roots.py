@@ -129,6 +129,28 @@ def test_is_hyperbolic_examples():
     assert v.is_hyperbolic and not v.is_strict
 
 
+def test_is_hyperbolic_reads_exact_roots_on_demand(monkeypatch):
+    from bezoutian import roots
+
+    calls = []
+    original = roots.real_roots
+    monkeypatch.setattr(roots, "real_roots", lambda *a, **k: calls.append(a) or original(*a, **k))
+    p = Polynomial.from_roots([Fraction(-1, 2), 1, 1])
+    v = is_hyperbolic(p)
+    assert v.is_hyperbolic and not v.is_strict and calls == []
+    assert v.witness == original(p) and v.witness is v.witness
+    assert len(calls) == 1
+
+
+def test_is_hyperbolic_raises_when_sturm_and_hermite_disagree(monkeypatch):
+    from bezoutian import bezout
+    from bezoutian.exactla import PsdVerdict
+
+    monkeypatch.setattr(bezout, "psd_check", lambda H, tol=1e-9: PsdVerdict(False, False, "stub"))
+    with pytest.raises(ArithmeticError, match="disagree"):
+        is_hyperbolic(Polynomial.exact([1, 0, -1]))
+
+
 def test_is_hyperbolic_float_backend():
     v = is_hyperbolic(Polynomial.float64([1, 0, -1]))
     assert v.is_hyperbolic and v.method == "hermite-psd"

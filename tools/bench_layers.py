@@ -1,12 +1,15 @@
 """Layer timings of the exact Bezout-form kernels, swept over degree.
 
 Times ``bezout_matrix``, ``psd_certificate``, ``symmetrization_defect``,
-``det``, ``separation_lower_bound_check``, ``h_b_relation_check`` and
-``certify_stages`` on exact inputs: at each degree m, the monic p with m
-distinct rational roots drawn from a fixed seed, its Bezout form H of
-(p, p') and its companion matrix A.  The two checks get their forms
-prebuilt, as requests pass them: the separation bound H - H / 2 >= 0 takes
-H twice, and the H-B relation takes H and the power-sum symmetrizer of p.
+``det``, ``separation_lower_bound_check``, ``h_b_relation_check``,
+``leray_symmetrizer``, ``is_hyperbolic`` and ``certify_stages`` on exact
+inputs: at each degree m, the monic p with m distinct rational roots drawn
+from a fixed seed, its Bezout form H of (p, p') and its companion matrix A.
+The two checks get their forms prebuilt, as requests pass them: the
+separation bound H - H / 2 >= 0 takes H twice, and the H-B relation takes
+H and the power-sum symmetrizer of p.  ``leray_symmetrizer_float`` times
+``leray_symmetrizer`` on the float64 rounding of p, which it certifies at
+its exact dyadic value, as a decimal ``leray`` request does.
 ``certify_stages(p, 1e-4)`` builds and certifies the m - 1 Nuij stages of
 p; it runs at m <= ``STAGES_MAX_DEGREE`` only (one call took 0.07 s at
 m = 12, 0.44 s at m = 16 and 6.6 s at m = 24 on a 2-core x86_64 machine),
@@ -14,7 +17,7 @@ and not at all on a source tree without it.
 Each layer is timed as the best of five batches (stdlib
 ``time.perf_counter``); a batch repeats the call until it lasts
 ``MIN_TIME`` seconds, and the per-call time is reported.  The rows go into
-``BENCH_7.json`` in the working directory under ``--label``, next to the
+``BENCH_8.json`` in the working directory under ``--label``, next to the
 rows other labels left there, with the Python version and the commit of
 the timed source.
 
@@ -37,7 +40,8 @@ from pathlib import Path
 
 import bezoutian
 from bezoutian import Polynomial, bezout_matrix, companion_matrix, h_b_relation_check
-from bezoutian import leray_symmetrizer, separation_lower_bound_check, symmetrization_defect
+from bezoutian import is_hyperbolic, leray_symmetrizer, separation_lower_bound_check
+from bezoutian import symmetrization_defect
 from bezoutian.exactla import det, psd_certificate
 
 try:
@@ -49,7 +53,7 @@ DEGREES = (4, 8, 12, 16, 24)
 STAGES_MAX_DEGREE = 12
 REPEATS = 5
 MIN_TIME = 0.02  # seconds one timed batch lasts at least
-OUT = Path("BENCH_7.json")
+OUT = Path("BENCH_8.json")
 
 
 def exact_input(m: int) -> list:
@@ -84,6 +88,7 @@ def layer_rows(degrees) -> list:
         dp = p.derivative()
         H = bezout_matrix(p, dp).matrix
         A = companion_matrix(p).matrix
+        pf = p.as_float()
         sym = leray_symmetrizer(p)
         half = Fraction(1, 2)
         calls = {
@@ -94,6 +99,9 @@ def layer_rows(degrees) -> list:
             "separation_lower_bound_check":
                 lambda: separation_lower_bound_check(p, dp, half, H=H, hermite=H),
             "h_b_relation_check": lambda: h_b_relation_check(p, sym, H),
+            "leray_symmetrizer": lambda: leray_symmetrizer(p),
+            "leray_symmetrizer_float": lambda: leray_symmetrizer(pf),
+            "is_hyperbolic": lambda: is_hyperbolic(p),
         }
         if certify_stages is not None and m <= STAGES_MAX_DEGREE:
             calls["certify_stages"] = lambda: certify_stages(p, 1e-4)

@@ -132,9 +132,13 @@ def test_is_hyperbolic_examples():
 def test_is_hyperbolic_reads_exact_roots_on_demand(monkeypatch):
     from bezoutian import roots
 
-    calls = []
-    original = roots.real_roots
-    monkeypatch.setattr(roots, "real_roots", lambda *a, **k: calls.append(a) or original(*a, **k))
+    calls, original = [], roots.real_roots
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(roots, "real_roots", counted)
     p = Polynomial.from_roots([Fraction(-1, 2), 1, 1])
     v = is_hyperbolic(p)
     assert v.is_hyperbolic and not v.is_strict and calls == []

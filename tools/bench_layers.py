@@ -7,13 +7,17 @@ inputs: at each degree m, the monic p with m distinct rational roots drawn
 from a fixed seed, its Bezout form H of (p, p') and its companion matrix A.
 The two checks get their forms prebuilt, as requests pass them: the
 separation bound H - H / 2 >= 0 takes H twice, and the H-B relation takes
-H and the power-sum symmetrizer of p.  ``leray_symmetrizer_float`` times
-``leray_symmetrizer`` on the float64 rounding of p, which it certifies at
-its exact dyadic value, as a decimal ``leray`` request does.
+H and the power-sum symmetrizer of p.  Two rows run at
+m <= ``SLOW_MAX_DEGREE`` only, as one call of each takes seconds beyond
+it (2-core x86_64 machine):
 ``certify_stages(p, 1e-4)`` builds and certifies the m - 1 Nuij stages of
-p; it runs at m <= ``STAGES_MAX_DEGREE`` only (one call took 0.07 s at
-m = 12, 0.44 s at m = 16 and 6.6 s at m = 24 on a 2-core x86_64 machine),
-and not at all on a source tree without it.
+p (0.07 s at m = 12, 0.44 s at m = 16, 6.6 s at m = 24), and not at all
+on a source tree without it; ``leray_symmetrizer_float`` times
+``leray_symmetrizer`` on the float64 rounding of p, which it certifies at
+its exact dyadic value, as a decimal ``leray`` request does (0.59 s at
+m = 12, 2.9 s at m = 16, 14.7 s at m = 24: at m = 12 the rounded
+coefficients have 48-bit denominators, and the power sums in S carry
+1035-bit ones, against 77 bits for the exact p).
 Each layer is timed as the best of five batches (stdlib
 ``time.perf_counter``); a batch repeats the call until it lasts
 ``MIN_TIME`` seconds, and the per-call time is reported.  The rows go into
@@ -50,7 +54,7 @@ except ImportError:  # a source tree from before the exact stage certificate
     certify_stages = None
 
 DEGREES = (4, 8, 12, 16, 24)
-STAGES_MAX_DEGREE = 12
+SLOW_MAX_DEGREE = 12
 REPEATS = 5
 MIN_TIME = 0.02  # seconds one timed batch lasts at least
 OUT = Path("BENCH_8.json")
@@ -100,11 +104,12 @@ def layer_rows(degrees) -> list:
                 lambda: separation_lower_bound_check(p, dp, half, H=H, hermite=H),
             "h_b_relation_check": lambda: h_b_relation_check(p, sym, H),
             "leray_symmetrizer": lambda: leray_symmetrizer(p),
-            "leray_symmetrizer_float": lambda: leray_symmetrizer(pf),
             "is_hyperbolic": lambda: is_hyperbolic(p),
         }
-        if certify_stages is not None and m <= STAGES_MAX_DEGREE:
-            calls["certify_stages"] = lambda: certify_stages(p, 1e-4)
+        if m <= SLOW_MAX_DEGREE:
+            calls["leray_symmetrizer_float"] = lambda: leray_symmetrizer(pf)
+            if certify_stages is not None:
+                calls["certify_stages"] = lambda: certify_stages(p, 1e-4)
         for layer, fn in calls.items():
             rows.append({"layer": layer, "m": m, "best_s": best_per_call(fn)})
     return rows

@@ -314,9 +314,9 @@ def fraction_argv(p: Polynomial) -> str:
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.builds(Fraction, st.integers(-16, 16), st.sampled_from([1, 2, 4, 8])),
                 min_size=1, max_size=6))
-def test_decimal_leray_reports_equal_those_of_their_exact_values(roots_):
+def test_decimal_leray_reports_equal_those_of_their_exact_values(root_values):
     # a decimal coefficient is an exact dyadic rational; leray certifies that value
-    p = Polynomial.from_roots(roots_)
+    p = Polynomial.from_roots(root_values)
     decimal = json.dumps([float(c) for c in p.coeffs])
     assert Polynomial.from_coeff_list(json.loads(decimal)).as_exact() == p
     runs = []

@@ -368,6 +368,7 @@ def test_leray_certifies_inputs_its_roots_could_not(capsys, poly):
 @pytest.mark.parametrize("argv", [
     ["nuij", "--poly", "[1,0,-1]", "--eps", "1e300"],
     ["quasi", "--poly", "[1,0,-1]", "--eps-grid", "1e200:1e200:1"],
+    ["nuij", "--poly", "[1,0,-1,0]", "--eps", "1.3e154"],  # p_eps has an inf coefficient
 ])
 def test_smoothing_family_past_the_float_range_is_an_input_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -126,8 +126,8 @@ def _check_q(p: Polynomial, q: Polynomial) -> None:
     """Reject a --q that cannot pair with p, before any form of the pair is built."""
     if q.backend != p.backend:
         raise InputError(f"--q is {q.backend} but --poly is {p.backend}; use one backend for both")
-    if not q.is_zero and q.degree > p.degree:
-        raise DegreeMismatchError(f"deg q = {q.degree} exceeds deg p = {p.degree}")
+    if not q.is_zero and q.degree >= p.degree:
+        raise DegreeMismatchError(f"deg q = {q.degree} is not below deg p = {p.degree}")
 
 
 def cmd_analyze(args, report: CertifiedReport):
@@ -158,13 +158,11 @@ def cmd_analyze(args, report: CertifiedReport):
     report.add_bool("derivative form semidefinite (hyperbolicity certificate)",
                     "hermite-criterion", hermite.is_psd,
                     "psd" if hermite.is_psd else hermite.witness)
-    try:
-        cert = separates(p, q, tol)
-    except DegreeMismatchError:
-        cert = None
+    if q.is_zero or q.degree != p.degree - 1:
         report.add("separation structure", "separation-interlacing",
                    "q degree differs from deg(p) - 1", MARGINAL)
-    if cert is not None:
+    else:
+        cert = separates(p, q, tol, profile, psd, hermite)
         report.add_bool("separation structure", "separation-interlacing",
                         cert.separates, cert.failure_reason or float(cert.constant_c))
         if cert.separates:
@@ -327,8 +325,7 @@ def cmd_energy(args, report: CertifiedReport):
     spread = series.relative_spread()
     report.add_bool("energy conservation", "energy-conservation",
                     spread <= max(tol, 1e-9), spread, max(tol, 1e-9))
-    cert = separates(p.as_float(), q.as_float(), tol) if int(q.degree) == int(p.degree) - 1 else None
-    if cert is not None and cert.separates:
+    if q.degree == m - 1 and separates(p.as_float(), q.as_float(), tol):
         nonneg = float(np.min(series.values)) >= -tol * max(1.0, float(np.max(np.abs(series.values))))
         report.add_bool("energy nonnegative", "energy-nonnegative",
                         nonneg, float(np.min(series.values)), tol)

@@ -5,6 +5,11 @@ matrix of (p, q) factors as G^T diag(alpha) G where row k of G is a signed
 coefficient vector of the deleted-root factor prod_{j!=k}(x - lambda_j) and
 alpha_k = q(lambda_k) / p'(lambda_k).  Multiple roots go through the reduced
 factorization over distinct roots instead.
+
+``separates`` decides exact p and q from the Bezout forms, with no root of
+q: q separates the hyperbolic p iff H(p, q) >= 0 and rank H(p, q) =
+rank H(p, p') (Hermite; Krein-Naimark 1936).  Float input compares roots
+at a tolerance.  The roots of p enter only the lower-bound constant.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 
 from . import exactla
 from .bezout import bezout_matrix, psd_check
-from .errors import DegreeMismatchError, MultipleRootError
+from .errors import DegreeMismatchError, MultipleRootError, NonHyperbolicError
 from .polynomial import Polynomial, RootProfile, deleted_root_factor, elementary_symmetric
 from .roots import real_roots
 from .scalars import BACKEND_EXACT, infer_backend
@@ -200,7 +205,6 @@ def factorization_bundle(p: Polynomial, q: Polynomial,
 @dataclass(frozen=True)
 class SeparationCertificate:
     separates: bool
-    interlacing_witness: tuple
     constant_c: object
     leading_sign: int
     failure_reason: str = ""
@@ -209,93 +213,81 @@ class SeparationCertificate:
         return self.separates
 
 
-def separates(p: Polynomial, q: Polynomial, tol: float = 1e-9) -> SeparationCertificate:
+def _root_failure(profile: RootProfile, q: Polynomial, tol: float) -> str:
+    """Why q does not separate p, read from float roots at ``tol``; "" if it does."""
+    try:
+        prof_q = real_roots(q * (1 / q.leading), tol) if q.degree >= 1 else None
+    except NonHyperbolicError as exc:
+        return f"q is not real rooted: {exc}"
+    lam = [float(x) for x in profile.distinct_roots]
+    q_pairs = [(float(x), k) for x, k in zip(prof_q.distinct_roots, prof_q.multiplicities)] \
+        if prof_q else []
+    # multiplicity carry-over: q must contain lambda_(j) exactly r_j - 1 times
+    used = set()
+    for lv, r in zip(lam, profile.multiplicities):
+        hit = {i for i, (x, _) in enumerate(q_pairs)
+               if abs(x - lv) <= tol * max(1.0, abs(x), abs(lv))}
+        have = sum(q_pairs[i][1] for i in hit)
+        if have != r - 1:
+            return f"root {lv:.6g} of p carries multiplicity {have} in q, expected {r - 1}"
+        used |= hit
+    mu = sorted(x for i, (x, k) in enumerate(q_pairs) if i not in used for _ in range(k))
+    if len(mu) != len(lam) - 1:
+        return f"expected {len(lam) - 1} interlacing roots, found {len(mu)}"
+    for j, (left, mid, right) in enumerate(zip(lam, mu, lam[1:])):
+        margin = tol * max(1.0, abs(mid))
+        if mid - left <= margin or right - mid <= margin:
+            if left <= mid <= right:
+                return "boundary tie in interlacing"
+            return f"interlacing fails at gap {j}: {left:.6g}, {mid:.6g}, {right:.6g}"
+    return ""
+
+
+def separates(p: Polynomial, q: Polynomial, tol: float = 1e-9,
+              profile: RootProfile | None = None, psd=None,
+              hermite=None) -> SeparationCertificate:
     """Decide whether q separates p and emit the certified lower-bound constant.
 
-    The conditions checked: q carries each multiple root of p with
-    multiplicity exactly one less, its remaining roots strictly interlace
-    the distinct roots of p, and its leading coefficient is positive (the
-    sign required for the Bezout form to be nonnegative).  On success
-    constant_c = min_k weight_k / multiplicity_k certifies
-    H - c * sum_k v_k v_k^T >= 0.
+    q separates the hyperbolic p when it carries each multiple root of p
+    with multiplicity exactly one less, its remaining roots strictly
+    interlace the distinct roots of p, and its leading coefficient is
+    positive.  On success constant_c = min_k weight_k / multiplicity_k
+    certifies H - c * sum_k v_k v_k^T >= 0.  Pass ``profile`` (the roots of
+    p) and ``psd`` and ``hermite`` (the PSD verdicts of H(p, q) and
+    H(p, p')) when they are already computed.
     """
     p.require_monic("separation target")
-    m = int(p.degree)
-    if q.is_zero or int(q.degree) != m - 1:
-        raise DegreeMismatchError(f"separating q must have degree {m - 1}")
-    prof_p = real_roots(p, tol)
-    q_monic = q * (1 / q.leading)
-    prof_q = real_roots(q_monic, tol) if m - 1 >= 1 else None
+    if q.is_zero or q.degree != p.degree - 1:
+        raise DegreeMismatchError(f"separating q must have degree {p.degree - 1}")
+    by_forms = p.backend == BACKEND_EXACT and q.backend == BACKEND_EXACT
+    if by_forms:
+        if hermite is None:
+            hermite = psd_check(bezout_matrix(p, p.derivative()))
+        if not hermite.is_psd:
+            raise NonHyperbolicError(f"separation target is not hyperbolic: {hermite.witness}")
+        if psd is None:
+            psd = hermite if q == p.derivative() else psd_check(bezout_matrix(p, q))
+    elif profile is None:
+        profile = real_roots(p, tol)
     lead_sign = 1 if q.leading > 0 else -1
-
-    exact = (
-        p.backend == BACKEND_EXACT
-        and q.backend == BACKEND_EXACT
-        and all(isinstance(r, (int, Fraction)) for r in prof_p.distinct_roots)
-        and (prof_q is None or all(isinstance(r, (int, Fraction)) for r in prof_q.distinct_roots))
-    )
-
-    def close(a, b):
-        if exact:
-            return a == b
-        return abs(float(a) - float(b)) <= tol * max(1.0, abs(float(a)), abs(float(b)))
-
-    lam = list(prof_p.distinct_roots)
-    mults = list(prof_p.multiplicities)
-    s = len(lam)
-    q_roots = list(prof_q.distinct_roots) if prof_q else []
-    q_mults = list(prof_q.multiplicities) if prof_q else []
-
-    witness = tuple(sorted([float(x) for x in lam] + [float(x) for x in q_roots]))
-
-    # multiplicity carry-over: q must contain lambda_(j) exactly r_j - 1 times
-    mu = []
-    used = [False] * len(q_roots)
-    for j, (lv, r) in enumerate(zip(lam, mults)):
-        hit = [i for i, qr in enumerate(q_roots) if close(qr, lv)]
-        have = sum(q_mults[i] for i in hit)
-        if have != r - 1:
-            return SeparationCertificate(
-                False, witness, None, lead_sign,
-                f"root {float(lv):.6g} of p carries multiplicity {have} in q, expected {r - 1}",
-            )
-        for i in hit:
-            used[i] = True
-    for i, qr in enumerate(q_roots):
-        if not used[i]:
-            mu.extend([qr] * q_mults[i])
-    mu.sort()
-
-    if len(mu) != s - 1:
-        return SeparationCertificate(
-            False, witness, None, lead_sign,
-            f"expected {s - 1} interlacing roots, found {len(mu)}",
-        )
-    for j in range(s - 1):
-        left, mid, right = lam[j], mu[j], lam[j + 1]
-        if exact:
-            ok = left < mid < right
-            boundary = False
-        else:
-            margin = tol * max(1.0, abs(float(mid)))
-            ok = float(mid) - float(left) > margin and float(right) - float(mid) > margin
-            boundary = not ok and float(left) <= float(mid) <= float(right)
-        if not ok:
-            reason = "boundary tie in interlacing" if not exact and boundary else (
-                f"interlacing fails at gap {j}: {float(left):.6g}, {float(mid):.6g}, {float(right):.6g}"
-            )
-            return SeparationCertificate(False, witness, None, lead_sign, reason)
-
     if lead_sign < 0:
-        return SeparationCertificate(
-            False, witness, None, lead_sign, "negative leading coefficient"
-        )
-    weights = lagrange_weights(p, q, prof_p, tol)
-    c = None
-    for w, r in zip(weights, mults):
-        val = w / r
-        c = val if c is None else min(c, val)
-    return SeparationCertificate(True, witness, c, lead_sign)
+        reason = "negative leading coefficient"
+    elif not by_forms:
+        reason = _root_failure(profile, q, tol)
+    elif not psd.is_psd:
+        reason = f"interlacing fails: Bezout form of (p, q) is not PSD ({psd.witness})"
+    elif psd.rank != hermite.rank:
+        reason = (f"multiplicities differ: rank H(p, q) = {psd.rank}, "
+                  f"rank H(p, p') = {hermite.rank}")
+    else:
+        reason = ""
+    if reason:
+        return SeparationCertificate(False, None, lead_sign, reason)
+    if profile is None:
+        profile = real_roots(p, tol)
+    weights = lagrange_weights(p, q, profile, tol)
+    c = min(w / r for w, r in zip(weights, profile.multiplicities))
+    return SeparationCertificate(True, c, lead_sign)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ sampling of the raw bilinear form cross-checks the congruence route.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -27,6 +28,14 @@ from .factorization import lagrange_basis_matrix, scaled_inverse_diagonal
 from .nuij import default_epsilon_grid, nuij_family
 from .polynomial import Polynomial
 from .roots import is_hyperbolic
+
+
+def _eps_power(eps: float, k: float) -> float:
+    """eps**k, or ValueError when it leaves the float64 range."""
+    with contextlib.suppress(OverflowError):
+        if power := eps ** k:
+            return power
+    raise ValueError(f"eps**{k:g} at eps={eps:g} leaves the float64 range")
 
 
 @dataclass(frozen=True)
@@ -56,8 +65,8 @@ def check_conditions(p: Polynomial, epsilon_grid=None, r: float = 0.0,
         fam = nuij_family(p, eps, 1e-12)
         p_eps, q_eps, roots = fam.p_eps, fam.q_eps, fam.roots_eps.flattened
         dp = p_eps.derivative()
-        lo = min(abs(dp(lam)) / eps**r for lam in roots)
-        hi = max(abs(q_eps(lam)) / (eps**s * abs(dp(lam))) for lam in roots)
+        lo = min(abs(dp(lam)) / _eps_power(eps, r) for lam in roots)
+        hi = max(abs(q_eps(lam)) / (_eps_power(eps, s) * abs(dp(lam))) for lam in roots)
         rows.append((eps, lo, hi))
         c_lower = lo if c_lower is None else min(c_lower, lo)
         C_upper = hi if C_upper is None else max(C_upper, hi)
@@ -190,9 +199,10 @@ def verify_quasi(p: Polynomial, epsilon_grid=None, r: float | None = None,
         parts = commutator_decomposition(p, eps)
         A, G, S = parts.A, parts.G_eps, parts.S_eps
         svals = np.linalg.svd(G, compute_uv=False)
-        lower.append(float(svals[-1]) ** 2 / eps ** (2 * r))
+        eps_s = _eps_power(eps, s)
+        lower.append(float(svals[-1]) ** 2 / _eps_power(eps, 2 * r))
         K_c = G @ S - (G @ S).T
-        comm_const = float(np.linalg.norm(K_c, 2)) / eps**s
+        comm_const = float(np.linalg.norm(K_c, 2)) / eps_s
         comm.append(comm_const)
         H = G.T @ G
         K = H @ A - A.T @ H
@@ -201,7 +211,7 @@ def verify_quasi(p: Polynomial, epsilon_grid=None, r: float | None = None,
             z = rng.standard_normal(len(G)) + 1j * rng.standard_normal(len(G))
             w = rng.standard_normal(len(G)) + 1j * rng.standard_normal(len(G))
             num = abs(np.vdot(w, K @ z))
-            den = eps**s * np.sqrt(np.vdot(z, H @ z).real * np.vdot(w, H @ w).real)
+            den = eps_s * np.sqrt(np.vdot(z, H @ z).real * np.vdot(w, H @ w).real)
             if den > 0:
                 worst = max(worst, num / den)
         sample_max.append(worst)

@@ -102,9 +102,13 @@ def separating_q(rg, profile: RootProfile, lead=None) -> Polynomial:
 
 
 def non_separating_q(rg, profile: RootProfile, mode: str) -> Polynomial | None:
-    """A real-rooted q of degree m-1 violating separation in the given mode.
+    """A q of degree m-1 violating separation in the given mode.
 
-    Returns None when the mode does not apply to this profile shape.
+    Every mode but "complex" gives a real-rooted q.  "overcarry" carries the
+    last distinct root of p at its full multiplicity and leaves the last gap
+    empty, so H(p, q) stays PSD but has a lower rank than H(p, p');
+    "undercarry" carries a multiple root once too few.  Returns None when
+    the mode does not apply to this profile shape.
     """
     roots = list(profile.distinct_roots)
     mults = list(profile.multiplicities)
@@ -134,6 +138,24 @@ def non_separating_q(rg, profile: RootProfile, mode: str) -> Polynomial | None:
         return Polynomial.from_roots(carried + mus + [roots[0]])
     if mode == "negative":
         return -1 * separating_q(rg, profile, lead=Fraction(1))
+    if mode == "overcarry":
+        if s < 2:
+            return None
+        mus = gap_interior_points(rg, roots, [1] * (s - 2) + [0])
+        return Polynomial.from_roots(carried + mus + [roots[-1]])
+    if mode == "undercarry":
+        if max(mults) < 2:
+            return None
+        carried.remove(roots[mults.index(max(mults))])
+        mus = gap_interior_points(rg, roots, [1] * (s - 1))
+        return Polynomial.from_roots(carried + mus + [roots[-1] + 1])
+    if mode == "complex":
+        real = carried + gap_interior_points(rg, roots, [1] * (s - 1))
+        if len(real) < 2:
+            return None
+        c = roots[0]
+        pair = Polynomial.exact([1, -2 * c, c * c + 1])  # roots c +- i
+        return pair * Polynomial.from_roots(real[2:]) if real[2:] else pair
     raise ValueError(mode)
 
 

@@ -178,8 +178,47 @@ def test_separates_examples():
 def test_separates_guards():
     with pytest.raises(DegreeMismatchError):
         separates(X2_MINUS_1, Polynomial.exact([1, 0, 0]))
+    # a q with complex roots does not separate; it is no fault of p
+    cert = separates(Polynomial.exact([1, 0, -1, 0, 0]), Polynomial.exact([1, 0, 0, 1]))
+    assert not cert.separates and "interlacing" in cert.failure_reason
     with pytest.raises(NonHyperbolicError):
-        separates(Polynomial.exact([1, 0, -1, 0, 0]), Polynomial.exact([1, 0, 0, 1]))
+        separates(Polynomial.exact([1, 0, 1]), Polynomial.exact([1, 0]))
+
+
+@pytest.mark.parametrize("backend", ["exact", "float64"])
+def test_separates_complex_q_fails_without_raising(backend):
+    p, q = X3_MINUS_X, Polynomial.exact([1, 0, 1])
+    if backend == "float64":
+        p, q = p.as_float(), q.as_float()
+    cert = separates(p, q)
+    assert not cert.separates and cert.constant_c is None
+    if backend == "float64":
+        assert cert.failure_reason.startswith("q is not real rooted: ")
+
+
+def test_separates_exact_root_tie_is_decided_exactly():
+    # sqrt(2) = 1.41421356237309504..., between the two decimals below, which
+    # round to adjacent float64 values around it
+    p = Polynomial.exact([1, 0, -2])
+    inside = separates(p, Polynomial.exact([1, -Fraction(14142135623730950, 10**16)]))
+    assert inside.separates, inside.failure_reason
+    outside = separates(p, Polynomial.exact([1, -Fraction(14142135623730951, 10**16)]))
+    assert not outside.separates and "interlacing" in outside.failure_reason
+
+
+def test_separates_exact_reasons_come_from_the_forms():
+    p = Polynomial.from_roots([-1, 0, 1])
+    cert = separates(p, Polynomial.from_roots([2, 3]))
+    assert "interlacing" in cert.failure_reason and "negative diagonal" in cert.failure_reason
+    # q vanishes at the simple root 1 and leaves the gap (0, 1) empty: H(p, q)
+    # is PSD, of rank 2 against rank 3 for (p, p')
+    cert = separates(p, Polynomial.from_roots([Fraction(-1, 2), 1]))
+    assert not cert.separates
+    assert "rank H(p, q) = 2" in cert.failure_reason
+    assert "rank H(p, p') = 3" in cert.failure_reason
+    # the sign is checked first, whatever the roots of q
+    cert = separates(p, -1 * Polynomial.from_roots([2, 3]))
+    assert cert.failure_reason == "negative leading coefficient"
 
 
 def test_separates_negative_leading_coefficient():
@@ -217,7 +256,8 @@ def test_separation_equivalence_small_corpus():
         cert = separates(p, good)
         assert cert.separates
         assert separation_lower_bound_check(p, good, cert.constant_c)
-        for mode in ("outside", "crowded", "onroot", "negative"):
+        for mode in ("outside", "crowded", "onroot", "negative",
+                     "overcarry", "undercarry", "complex"):
             bad = corpus.non_separating_q(rg, profile, mode)
             if bad is None:
                 continue

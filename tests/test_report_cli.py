@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bezoutian import Polynomial, roots
+from bezoutian import Polynomial, exactla, roots
 from bezoutian.cli import build_parser, main
 from bezoutian.report import CertifiedReport
 
@@ -22,6 +22,21 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def count_calls(monkeypatch, original) -> list:
+    """Rebind ``original`` wherever a bezoutian module holds it; returns the call log."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    name = original.__name__
+    for modname, module in list(sys.modules.items()):
+        if modname.split(".")[0] == "bezoutian" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def test_report_json_round_trip_byte_identical():
@@ -104,6 +119,33 @@ def test_analyze_q_above_the_degree_of_p_exits_2(capsys):
     assert (code, out) == (2, "")
     assert err.startswith("input error:") and "deg q = 3" in err and "deg p = 2" in err
     assert "matmul" not in err
+
+
+def test_analyze_q_of_the_degree_of_p_exits_2(capsys):
+    code, out, err = run_cli(capsys, "analyze", "--poly", "[1,0,-1]", "--q", "[1,0,1]")
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:") and "deg q = 2" in err and "deg p = 2" in err
+
+
+@pytest.mark.parametrize("poly, q", [("[1,0,-1,0]", "[1,0,1]"),
+                                     ("[1.0,0.0,-1.0,0.0]", "[1.0,0.0,1.0]")])
+def test_complex_q_fails_separation_and_does_not_blame_p(capsys, poly, q):
+    code, out, err = run_cli(capsys, "analyze", "--poly", poly, "--q", q)
+    assert (code, err) == (1, "")
+    checks = {c["check_id"]: c for c in json.loads(out)["checks"]}
+    assert checks["separation-interlacing"]["verdict"] == "fail"
+    assert checks["hermite-criterion"]["verdict"] == "pass"
+    code, _, err = run_cli(capsys, "energy", "--poly", poly, "--q", q)
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("poly", ["[1,0,-2]", "[1,0,-1,0]", '["1/1","-3/1","3/1","-1/1"]'])
+def test_exact_analyze_reads_roots_once_and_certifies_one_form(capsys, monkeypatch, poly):
+    root_calls = count_calls(monkeypatch, roots.real_roots)
+    psd_calls = count_calls(monkeypatch, exactla.psd_certificate)
+    code, _, _ = run_cli(capsys, "analyze", "--poly", poly)
+    assert code == 0
+    assert (len(root_calls), len(psd_calls)) == (1, 1)
 
 
 def test_nuij_single_eps_csv(capsys):
@@ -329,22 +371,8 @@ def test_decimal_leray_reports_equal_those_of_their_exact_values(root_values):
     assert runs[0][0] == 0 and json.loads(runs[0][1])["backend"] == "exact"
 
 
-def count_real_roots_calls(monkeypatch) -> list:
-    """Rebind real_roots wherever a bezoutian module holds it; returns the call log."""
-    calls, original = [], roots.real_roots
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return original(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "bezoutian" and getattr(module, "real_roots", None) is original:
-            monkeypatch.setattr(module, "real_roots", counted)
-    return calls
-
-
 def test_leray_reads_no_root(capsys, monkeypatch):
-    calls = count_real_roots_calls(monkeypatch)
+    calls = count_calls(monkeypatch, roots.real_roots)
     for poly in ("[1,0,-1]", "[1,0,-2]", "[1,-3,3,-1]", "[1.0,-4.0,6.0,-4.0,1.0]"):
         code, _, _ = run_cli(capsys, "leray", "--poly", poly)
         assert code == 0
@@ -369,6 +397,9 @@ def test_leray_certifies_inputs_its_roots_could_not(capsys, poly):
     ["nuij", "--poly", "[1,0,-1]", "--eps", "1e300"],
     ["quasi", "--poly", "[1,0,-1]", "--eps-grid", "1e200:1e200:1"],
     ["nuij", "--poly", "[1,0,-1,0]", "--eps", "1.3e154"],  # p_eps has an inf coefficient
+    ["quasi", "--poly", "[1,-3,3,-1]", "--eps-grid", "1e100:1e100:1"],  # eps**(2r) overflows
+    ["quasi", "--poly", "[1,0,-1]", "--eps-grid", "1e100:1e100:1", "--s", "4"],
+    ["quasi", "--poly", "[1,0,-1]", "--eps-grid", "1e-200:1e-200:1", "--r", "2"],  # underflow
 ])
 def test_smoothing_family_past_the_float_range_is_an_input_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

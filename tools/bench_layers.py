@@ -2,14 +2,16 @@
 
 Times ``bezout_matrix``, ``psd_certificate``, ``symmetrization_defect``,
 ``det``, ``separation_lower_bound_check``, ``h_b_relation_check``,
-``leray_symmetrizer``, ``is_hyperbolic`` and ``certify_stages`` on exact
-inputs: at each degree m, the monic p with m distinct rational roots drawn
-from a fixed seed, its Bezout form H of (p, p') and its companion matrix A.
-The two checks get their forms prebuilt, as requests pass them: the
-separation bound H - H / 2 >= 0 takes H twice, and the H-B relation takes
-H and the power-sum symmetrizer of p.  Two rows run at
-m <= ``SLOW_MAX_DEGREE`` only, as one call of each takes seconds beyond
-it (2-core x86_64 machine):
+``leray_symmetrizer``, ``is_hyperbolic``, ``separates`` and
+``certify_stages`` on exact inputs: at each degree m, the monic p with m
+distinct rational roots drawn from a fixed seed, its Bezout form H of
+(p, p') and its companion matrix A.  The two checks get their forms
+prebuilt, as requests pass them: the separation bound H - H / 2 >= 0 takes
+H twice, and the H-B relation takes H and the power-sum symmetrizer of p.
+``separates(p, p')`` gets nothing prebuilt, so every source tree runs the
+same call and builds what it needs (the forms, or the roots of p and p').
+Two rows run at m <= ``SLOW_MAX_DEGREE`` only, as one call of each takes
+seconds beyond it (2-core x86_64 machine):
 ``certify_stages(p, 1e-4)`` builds and certifies the m - 1 Nuij stages of
 p (0.07 s at m = 12, 0.44 s at m = 16, 6.6 s at m = 24), and not at all
 on a source tree without it; ``leray_symmetrizer_float`` times
@@ -21,7 +23,7 @@ coefficients have 48-bit denominators, and the power sums in S carry
 Each layer is timed as the best of five batches (stdlib
 ``time.perf_counter``); a batch repeats the call until it lasts
 ``MIN_TIME`` seconds, and the per-call time is reported.  The rows go into
-``BENCH_8.json`` in the working directory under ``--label``, next to the
+``BENCH_9.json`` in the working directory under ``--label``, next to the
 rows other labels left there, with the Python version and the commit of
 the timed source.
 
@@ -44,7 +46,7 @@ from pathlib import Path
 
 import bezoutian
 from bezoutian import Polynomial, bezout_matrix, companion_matrix, h_b_relation_check
-from bezoutian import is_hyperbolic, leray_symmetrizer, separation_lower_bound_check
+from bezoutian import is_hyperbolic, leray_symmetrizer, separates, separation_lower_bound_check
 from bezoutian import symmetrization_defect
 from bezoutian.exactla import det, psd_certificate
 
@@ -57,7 +59,7 @@ DEGREES = (4, 8, 12, 16, 24)
 SLOW_MAX_DEGREE = 12
 REPEATS = 5
 MIN_TIME = 0.02  # seconds one timed batch lasts at least
-OUT = Path("BENCH_8.json")
+OUT = Path("BENCH_9.json")
 
 
 def exact_input(m: int) -> list:
@@ -105,6 +107,7 @@ def layer_rows(degrees) -> list:
             "h_b_relation_check": lambda: h_b_relation_check(p, sym, H),
             "leray_symmetrizer": lambda: leray_symmetrizer(p),
             "is_hyperbolic": lambda: is_hyperbolic(p),
+            "separates": lambda: separates(p, dp),
         }
         if m <= SLOW_MAX_DEGREE:
             calls["leray_symmetrizer_float"] = lambda: leray_symmetrizer(pf)

@@ -38,11 +38,11 @@ from .nuij import (
     default_epsilon_grid,
     gap_constants,
     invert_transform,
-    nuij_transform,
+    nuij_family,
     verify_gaps,
 )
 from .polynomial import Polynomial
-from .quasi import check_conditions, verify_quasi
+from .quasi import check_conditions, max_multiplicity, verify_quasi
 from .report import FAIL, MARGINAL, PASS, CertifiedReport
 from .roots import is_hyperbolic, real_roots  # noqa: F401 (bench/test_bench.py traces it here)
 from .scalars import BACKEND_EXACT, scalar_to_json
@@ -195,7 +195,10 @@ def cmd_nuij(args, report: CertifiedReport):
         consts = gap_constants(m)
         report.add("gap floor constant", "nuij-gap-constants", float(consts.floor), PASS)
     for eps in grid:
-        check = verify_gaps(p, eps)
+        # one float family point per eps serves the gap law and the inversion;
+        # verify_gaps refuses eps <= 0 before it would build one
+        family = nuij_family(p, eps, 1e-12) if eps > 0 else None
+        check = verify_gaps(p, eps, family=family)
         verdict = PASS if check.passed and not check.marginal else (
             MARGINAL if check.passed else FAIL)
         report.add(f"gap law at eps={eps:g}", "nuij-gap-law",
@@ -207,7 +210,7 @@ def cmd_nuij(args, report: CertifiedReport):
                         strict, "strict" if strict else "not strict")
         report.add_bool(f"stage interlacing at eps={eps:g}", "nuij-interlacing",
                         interlaced, "interlaced" if interlaced else "violated")
-        p_eps = nuij_transform(p.as_float(), float(eps))
+        p_eps = family.p_eps
         recon = invert_transform(p_eps, float(eps))
         diff = max(
             abs(float(a) - float(b))
@@ -226,16 +229,19 @@ def cmd_quasi(args, report: CertifiedReport):
     p = _parse_poly(args.poly, args.poly_file)
     verdict = _require_hyperbolic(p)
     grid = _parse_grid(args.eps_grid)
-    r = args.r if args.r is not None else verdict.witness.max_multiplicity - 1
+    r = args.r if args.r is not None else max_multiplicity(p, verdict) - 1
     s = args.s
     report.backend = p.backend
     report.inputs = {"poly": _echo_poly(p), "r": r, "s": s, "grid": list(grid)}
-    conditions = check_conditions(p, grid, r, s)
+    # one float family point per eps serves both the conditions and the verdict
+    families = [nuij_family(p, eps, 1e-12) for eps in grid]
+    conditions = check_conditions(p, grid, r, s, families)
     report.add_bool("derivative floor condition", "quasi-cond-derivative-floor",
                     conditions.c_lower > 0, float(conditions.c_lower))
     report.add_bool("perturbation ratio condition", "quasi-cond-perturbation",
                     np.isfinite(conditions.C_upper), float(conditions.C_upper))
-    verdict = verify_quasi(p, grid, r=r, s=s, samples=args.samples, seed=report.seed)
+    verdict = verify_quasi(p, grid, r=r, s=s, samples=args.samples, seed=report.seed,
+                           families=families)
     factor = verdict.uniformity_factor
     report.add_bool("lower bound uniformity", "quasi-lower-bound",
                     verdict.lower_decay < factor, float(verdict.lower_decay), factor)

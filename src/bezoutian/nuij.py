@@ -12,6 +12,14 @@ equals the Fraction derivative sum coefficient for coefficient.
 
 A stage p_l + eps p_l' interlaces p_l iff p_l is hyperbolic, as their Bezout
 form is eps H(p_l, p_l'); ``certify_stages`` decides that by one Sturm chain.
+It runs the stage chain on one primitive integer list: with eps = a/b,
+P_(l+1) is the primitive part of b P_l + a P_l', a positive multiple of
+p_(l+1), and each stage's Sturm count and gcd degree come from the integer
+Sturm kernel of ``roots``.
+
+The float transform runs on a plain float list, with the products and sums
+of the Polynomial sum of C(n,k) eps^k p^(k) in the same order, so its bits
+are those of that sum.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .polynomial import Polynomial, RootProfile, _primitive
-from .roots import _derivative, _hyperbolic_strict, real_roots, sturm_real_root_count
+from .roots import _derivative, _int_sturm_chain, real_roots, sturm_real_root_count
 from .scalars import BACKEND_EXACT, is_exact_value
 
 
@@ -52,14 +60,21 @@ def nuij_transform(p: Polynomial, epsilon, applications: int | None = None) -> P
             dk = _derivative(dk)
         den = content.denominator * b**applications
         return Polynomial.exact([Fraction(content.numerator * v, den) for v in acc])
+    # floats: the same products and sums, in the same order, as the Polynomial
+    # sum of C(n,k) eps^k p^(k), on plain lists
     eps = float(epsilon)
-    out = Polynomial.zero(p.backend)
+    dk = list(p.coeffs)
+    acc = [0.0] * len(dk)
     for k in range(applications + 1):
-        dk = p.derivative(k)
-        if dk.is_zero:
+        if not dk:
             break
-        out = out + math.comb(applications, k) * eps**k * dk
-    return out
+        w = math.comb(applications, k) * eps**k
+        if w:  # a zero weight is a zero term, which adds nothing
+            shift = len(acc) - len(dk)
+            for i, v in enumerate(dk):
+                acc[shift + i] += v * w
+        dk = _derivative(dk)
+    return Polynomial(tuple(acc), p.backend)
 
 
 @dataclass(frozen=True)
@@ -163,11 +178,13 @@ class GapCheck:
     marginal: bool
 
 
-def verify_gaps(p: Polynomial, epsilon, tol: float | None = None) -> GapCheck:
+def verify_gaps(p: Polynomial, epsilon, tol: float | None = None,
+                family: NuijFamilyPoint | None = None) -> GapCheck:
     """Check the root gaps of the fully smoothed polynomial against c_m * eps.
 
     Failures inside the float tolerance band max(1e-12, 1e-6 * eps) count as
     marginal, not failed; c * eps can sit near double-precision noise.
+    ``family`` is ``nuij_family(p, eps, 1e-12)`` when the caller holds it.
     """
     p.require_monic("gap verification input")
     m = int(p.degree)
@@ -179,8 +196,10 @@ def verify_gaps(p: Polynomial, epsilon, tol: float | None = None) -> GapCheck:
     if tol is None:
         tol = max(1e-12, 1e-6 * eps)
     floor = gap_constants(m).floor
-    # tight cluster tolerance: real gaps must stay unmerged
-    roots = nuij_family(p, eps, 1e-12).roots_eps.flattened
+    if family is None:
+        # tight cluster tolerance: real gaps must stay unmerged
+        family = nuij_family(p, eps, 1e-12)
+    roots = family.roots_eps.flattened
     if len(roots) < m:
         # a merged cluster means a gap of numerical zero
         return GapCheck(0.0, floor, False, True)
@@ -191,20 +210,37 @@ def verify_gaps(p: Polynomial, epsilon, tol: float | None = None) -> GapCheck:
     return GapCheck(min_gap / eps, floor, passed, marginal)
 
 
+def _int_stages(p: Polynomial, eps: Fraction) -> list[list[int]]:
+    """Primitive integer multiples of the stages p_0 = p, p_(l+1) = p_l + eps p_l'.
+
+    With eps = a/b, P_(l+1) is the primitive part of b P_l + a P_l'.
+    """
+    a, b = eps.numerator, eps.denominator
+    stage = _primitive(p.as_exact().coeffs)[0]
+    stages = [stage]
+    for _ in range(int(p.degree) - 1):
+        nxt = [b * v for v in stage]
+        for i, v in enumerate(_derivative(stage), start=1):
+            nxt[i] += a * v
+        stage = _primitive(nxt)[0]
+        stages.append(stage)
+    return stages
+
+
 def certify_stages(p: Polynomial, epsilon) -> tuple[bool, bool]:
     """(interlaced, strict) of the stages p_0 = p, p_(l+1) = p_l + eps p_l'.
 
     Interlaced: p_0 .. p_(m-2) are hyperbolic.  Strict: p_(m-1) has m distinct
-    real roots.  Decided on the exact p and eps (dyadic for floats).
+    real roots.  Decided on the exact p and eps (dyadic for floats), from one
+    integer Sturm chain per stage.
     """
     eps = Fraction(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    stages = [p.as_exact()]
-    for _ in range(int(p.degree) - 1):
-        stages.append(nuij_transform(stages[-1], eps, 1))
-    interlaced = all(_hyperbolic_strict(stage)[0] for stage in stages[:-1])
-    return interlaced, sturm_real_root_count(stages[-1]) == len(stages)
+    stages = _int_stages(p, eps)
+    # hyperbolic iff the distinct real roots and deg gcd(P, P') add up to deg P
+    interlaced = all(sum(_int_sturm_chain(stage)) == len(stage) - 1 for stage in stages[:-1])
+    return interlaced, sturm_real_root_count(Polynomial.exact(stages[-1])) == len(stages)
 
 
 def interlaces(upper, lower, strict: bool = False) -> bool:

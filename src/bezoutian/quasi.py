@@ -25,9 +25,21 @@ import numpy as np
 from .bezout import companion_matrix
 from .errors import NonHyperbolicError
 from .factorization import lagrange_basis_matrix, scaled_inverse_diagonal
-from .nuij import default_epsilon_grid, nuij_family
+from .nuij import NuijFamilyPoint, default_epsilon_grid, nuij_family
 from .polynomial import Polynomial
-from .roots import is_hyperbolic
+from .roots import HyperbolicityVerdict, is_hyperbolic, squarefree_decomposition
+from .scalars import BACKEND_EXACT
+
+
+def max_multiplicity(p: Polynomial, verdict: HyperbolicityVerdict) -> int:
+    """The largest root multiplicity of hyperbolic p, given its verdict.
+
+    Exact p: from the Yun decomposition, with no root.  Float p: from the
+    root profile the verdict holds.
+    """
+    if p.backend == BACKEND_EXACT:
+        return max(mult for _, mult in squarefree_decomposition(p))
+    return verdict.witness.max_multiplicity
 
 
 def _eps_power(eps: float, k: float) -> float:
@@ -54,15 +66,20 @@ class QuasiConditions:
 
 
 def check_conditions(p: Polynomial, epsilon_grid=None, r: float = 0.0,
-                     s: float = 1.0) -> QuasiConditions:
+                     s: float = 1.0, families=None) -> QuasiConditions:
+    """The two family conditions on the grid.
+
+    ``families`` holds ``nuij_family(p, eps, 1e-12)`` for each grid eps, in
+    grid order, when the caller has built them.
+    """
     p.require_monic("family condition input")
     grid = tuple(epsilon_grid) if epsilon_grid is not None else default_epsilon_grid()
     rows = []
     c_lower = None
     C_upper = None
-    for eps in grid:
+    for i, eps in enumerate(grid):
         eps = float(eps)
-        fam = nuij_family(p, eps, 1e-12)
+        fam = families[i] if families is not None else nuij_family(p, eps, 1e-12)
         p_eps, q_eps, roots = fam.p_eps, fam.q_eps, fam.roots_eps.flattened
         dp = p_eps.derivative()
         lo = min(abs(dp(lam)) / _eps_power(eps, r) for lam in roots)
@@ -85,18 +102,20 @@ class CommutatorParts:
     reconstruction_residual: float
 
 
-def commutator_decomposition(p: Polynomial, epsilon) -> CommutatorParts:
+def commutator_decomposition(p: Polynomial, epsilon,
+                             family: NuijFamilyPoint | None = None) -> CommutatorParts:
     """Split the companion matrix of p against the smoothed one.
 
     Q_eps is zero except for its last row, which holds the negated
     coefficients of q_eps = p - p_eps; S_eps carries the root-wise ratios
     -q_eps(root_j) / d_j with d_j the signed derivative values that make
-    G_eps @ vandermonde diagonal.
+    G_eps @ vandermonde diagonal.  ``family`` is ``nuij_family(p, eps, 1e-12)``
+    when the caller holds it.
     """
     eps = float(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    fam = nuij_family(p, eps, 1e-12)
+    fam = family if family is not None else nuij_family(p, eps, 1e-12)
     pf, p_eps, q_eps, roots = p.as_float(), fam.p_eps, fam.q_eps, fam.roots_eps.flattened
     m = int(pf.degree)
     A = np.asarray(companion_matrix(pf).matrix, dtype=float)
@@ -170,7 +189,7 @@ def _worst_factor(epsilons, values, rising: bool) -> float:
 
 def verify_quasi(p: Polynomial, epsilon_grid=None, r: float | None = None,
                  s: float = 1.0, samples: int = 24, seed: int = 0,
-                 uniformity_factor: float = 10.0) -> QuasiVerdict:
+                 uniformity_factor: float = 10.0, families=None) -> QuasiVerdict:
     """Certify the two quasi-symmetrizer bounds over an epsilon grid.
 
     Each grid point gives a lower constant and a commutator constant; the
@@ -182,12 +201,13 @@ def verify_quasi(p: Polynomial, epsilon_grid=None, r: float | None = None,
     of H A - A^T H by G^-1; this avoids forming H-products whose rounding
     noise would swamp eps-scaled quantities at the small end of the grid.
     Sampling of the raw form (H from the bivariate division) cross-checks it.
+    ``families`` is as in ``check_conditions``.
     """
-    if r is None:  # max root multiplicity - 1, exact for rational input
+    if r is None:
         verdict = is_hyperbolic(p)
         if not verdict.is_hyperbolic:
             raise NonHyperbolicError(f"not hyperbolic: {verdict.witness}")
-        r = verdict.witness.max_multiplicity - 1
+        r = max_multiplicity(p, verdict) - 1
     grid = tuple(float(e) for e in (epsilon_grid if epsilon_grid is not None
                                     else default_epsilon_grid()))
     rng = np.random.default_rng(seed)
@@ -195,8 +215,9 @@ def verify_quasi(p: Polynomial, epsilon_grid=None, r: float | None = None,
     comm = []
     sample_max = []
     sampling_ok = True
-    for eps in grid:
-        parts = commutator_decomposition(p, eps)
+    for i, eps in enumerate(grid):
+        family = families[i] if families is not None else None
+        parts = commutator_decomposition(p, eps, family)
         A, G, S = parts.A, parts.G_eps, parts.S_eps
         svals = np.linalg.svd(G, compute_uv=False)
         eps_s = _eps_power(eps, s)

@@ -6,7 +6,8 @@ chain, so rational inputs get exact multiplicity profiles and exact verdicts.
 ``is_hyperbolic`` decides exact input without a root and reads the root
 profile only when a caller asks for its witness.  Root values that are
 irrational are polished eigenvalues of the companion matrix of a
-square-free factor, where they are simple and well conditioned.
+square-free factor, where they are simple and well conditioned; the Newton
+polish stops at a fixed point.
 
 The exact kernels clear a polynomial's denominators once and run on its
 primitive integer coefficients (Python ints, leading first): the gcd is a
@@ -14,7 +15,9 @@ primitive remainder sequence of pseudo-remainders, Yun's quotients are exact
 integer divisions, the Sturm chain of pseudo-remainders gives the real-root
 count from its degrees and leading signs and ends at gcd(p, p'), and the
 rational-root search tests integer candidates.  The monic factors, counts
-and roots they return equal those of Fraction arithmetic.
+and roots they return equal those of Fraction arithmetic.  The Sturm kernel
+takes an integer list directly, so a caller holding one (the Nuij stage
+chain of ``nuij.certify_stages``) builds no Polynomial for it.
 """
 
 from __future__ import annotations
@@ -160,12 +163,16 @@ def radical(p: Polynomial) -> Polynomial:
 
 
 def _sturm_chain(p: Polynomial) -> tuple[int, int]:
-    """(distinct real roots, deg gcd(p, p')) of exact p from one Sturm chain.
+    """(distinct real roots, deg gcd(p, p')) of exact p from one Sturm chain."""
+    return _int_sturm_chain(_primitive(p.coeffs)[0])
+
+
+def _int_sturm_chain(a: list) -> tuple[int, int]:
+    """``_sturm_chain`` of the integer polynomial a (leading first, degree >= 1).
 
     Each pseudo-remainder is scaled by a positive integer, which keeps the
-    signs of the classical chain; the last member is gcd(p, p').
+    signs of the classical chain; the last member is gcd(a, a').
     """
-    a = _primitive(p.coeffs)[0]
     b = _primitive(_derivative(a))[0]
     ends = [(len(a), a[0] > 0)]  # (degree + 1, leading sign) of each chain member
     while b:
@@ -292,15 +299,24 @@ def _companion_floats(p: Polynomial) -> np.ndarray:
     return C
 
 
-def _newton_polish(pf: Polynomial, z: complex, steps: int = 12) -> complex:
-    dp = pf.derivative()
-    best, best_val = z, abs(pf(complex(z)))
+def _newton_polish(pf: Polynomial, dp: Polynomial, z: complex, steps: int = 12) -> complex:
+    """The iterate of least |pf| among z and up to ``steps`` Newton steps from it.
+
+    Each step reuses pf at the current iterate, and a step that leaves z
+    unchanged ends the loop: every later step would repeat it.
+    """
+    fz = pf(z)
+    best, best_val = z, abs(fz)
     for _ in range(steps):
-        d = dp(complex(z))
+        d = dp(z)
         if d == 0:
             break
-        z = z - pf(complex(z)) / d
-        v = abs(pf(complex(z)))
+        step = z - fz / d
+        if step == z:
+            break
+        z = step
+        fz = pf(z)
+        v = abs(fz)
         if v < best_val:
             best, best_val = z, v
     return best
@@ -309,8 +325,9 @@ def _newton_polish(pf: Polynomial, z: complex, steps: int = 12) -> complex:
 def _float_roots(p: Polynomial) -> list[complex]:
     """Polished eigenvalues of the companion matrix (any multiplicity pattern)."""
     pf = p.as_float()
+    dp = pf.derivative()
     eigs = np.linalg.eigvals(_companion_floats(pf))
-    return [_newton_polish(pf, complex(z)) for z in eigs]
+    return [_newton_polish(pf, dp, complex(z)) for z in eigs]
 
 
 def _require_real(values, tol: float) -> list[float]:

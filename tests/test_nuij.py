@@ -24,6 +24,7 @@ from bezoutian import (
     real_roots,
     verify_gaps,
 )
+from bezoutian.nuij import _int_stages
 from bezoutian.roots import _hyperbolic_strict
 
 EPS = Fraction(1, 10)
@@ -75,6 +76,40 @@ def test_transform_exact_edge_cases():
 def test_transform_float_epsilon_promotes_backend():
     out = nuij_transform(Polynomial.exact([1, 0, 0]), 0.1)
     assert out.backend == "float64"
+
+
+def float_sum_reference(p: Polynomial, eps: float, applications: int) -> Polynomial:
+    """The float transform as a sum of float64 Polynomials, term by term."""
+    out = Polynomial.zero("float64")
+    for k in range(applications + 1):
+        dk = p.derivative(k)
+        if dk.is_zero:
+            break
+        out = out + math.comb(applications, k) * eps**k * dk
+    return out
+
+
+def float_bits(fn):
+    """The hex of every coefficent fn() returns (signed zeros apart), or its error type."""
+    try:
+        return tuple(c.hex() for c in fn().coeffs)
+    except OverflowError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+           st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=9)
+           .map(Polynomial.float64),
+           st.lists(st.floats(-100, 100), max_size=9).map(Polynomial.float64),
+           corpus.factored_poly(max_linear=3)),
+       st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-10, 10),
+                 st.sampled_from([1e-4, 0.1, 0.0, -0.0, 5e-324])),
+       st.data())
+def test_float_transform_matches_the_polynomial_sum_bit_for_bit(p, eps, data):
+    applications = data.draw(st.integers(0, len(p.coeffs) + 1))
+    got = float_bits(lambda: nuij_transform(p, eps, applications))
+    assert got == float_bits(lambda: float_sum_reference(p.as_float(), eps, applications))
 
 
 def series_inverse_oracle(m: int) -> list:
@@ -218,6 +253,22 @@ def test_certify_stages_agrees_with_the_bezout_forms_of_consecutive_stages(p, ep
     hyperbolic = is_hyperbolic(p).is_hyperbolic
     assert interlaced == hyperbolic
     assert strict or not hyperbolic
+
+
+@settings(max_examples=80, deadline=None)
+@given(corpus.factored_poly(max_linear=3),
+       st.sampled_from([Fraction(1e-4), Fraction(1, 10), Fraction(1), Fraction(7, 3)]))
+def test_integer_stages_are_positive_multiples_of_the_fraction_chain(p, eps):
+    assume(p.degree <= 9)
+    chain = [p]
+    for _ in range(int(p.degree) - 1):
+        chain.append(nuij_transform(chain[-1], eps, 1))
+    stages = _int_stages(p, eps)
+    assert len(stages) == len(chain)
+    for ints, stage in zip(stages, chain):
+        scale = ints[0] / stage.leading
+        assert scale > 0 and math.gcd(*ints) == 1
+        assert [Fraction(v) for v in ints] == [scale * c for c in stage.coeffs]
 
 
 def test_certify_stages_controls():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bezoutian import Polynomial, exactla, roots
+from bezoutian import Polynomial, exactla, nuij, roots
 from bezoutian.cli import build_parser, main
 from bezoutian.report import CertifiedReport
 
@@ -423,3 +423,34 @@ def test_root_free_and_rescaled_checks_pass_where_they_failed(capsys, name, chec
     assert code == 0
     records = [c for c in json.loads(out)["checks"] if c["check_id"] == check_id]
     assert records and all(c["verdict"] == "pass" for c in records)
+
+
+def test_quasi_builds_one_family_point_per_eps(capsys, monkeypatch):
+    # check_conditions and verify_quasi share the points, and the default r
+    # of exact p comes from its Yun decomposition, not from its roots
+    root_calls = count_calls(monkeypatch, roots.real_roots)
+    family_calls = count_calls(monkeypatch, nuij.nuij_family)
+    code, _, _ = run_cli(capsys, "quasi", "--poly", "[1,0,0]")
+    assert code == 0
+    assert (len(root_calls), len(family_calls)) == (9, 9)
+
+
+def test_nuij_transforms_p_once_per_eps(capsys, monkeypatch):
+    # the family point's p_eps serves the inversion check, and certify_stages
+    # runs its stages on integer lists
+    p = Polynomial.exact([1, -3, 3, -1])
+    calls = count_calls(monkeypatch, nuij.nuij_transform)
+    code, out, _ = run_cli(capsys, "nuij", "--poly", fraction_argv(p))
+    assert code == 0
+    assert calls == [p] * len(json.loads(out)["inputs"]["grid"])
+
+
+def test_quasi_default_r_reads_no_root_of_exact_p(capsys):
+    # roots 1 +- 1e-20 meet in float64; the Yun decomposition still says r = 0
+    p = Polynomial.exact([1, -2, 1 - Fraction(1, 10**40)])
+    code, out, err = run_cli(capsys, "quasi", "--poly", fraction_argv(p))
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert report["inputs"]["r"] == 0
+    failing = {c["check_id"] for c in report["checks"] if c["verdict"] != "pass"}
+    assert failing == {"quasi-lower-bound"}

@@ -23,7 +23,17 @@ from bezoutian import (
     squarefree_decomposition,
     sturm_real_root_count,
 )
-from bezoutian.roots import _hyperbolic_strict, _sturm_chain, poly_gcd, radical
+import numpy as np
+
+from bezoutian.roots import (
+    _companion_floats,
+    _float_roots,
+    _hyperbolic_strict,
+    _newton_polish,
+    _sturm_chain,
+    poly_gcd,
+    radical,
+)
 
 
 def test_real_roots_examples():
@@ -311,3 +321,50 @@ def test_squarefree_and_sturm_edge_cases():
         squarefree_decomposition(Polynomial.float64([1, 0, -1]))
     with pytest.raises(ValueError):
         sturm_real_root_count(Polynomial.float64([1, 0, -1]))
+
+
+# -- root polish against the plain Newton loop -----------------------------------
+
+
+def newton_polish_reference(pf: Polynomial, z: complex, steps: int = 12) -> complex:
+    """Newton on pf from z, keeping the iterate of least |pf|; evaluates pf twice a step."""
+    dp = pf.derivative()
+    best, best_val = z, abs(pf(complex(z)))
+    for _ in range(steps):
+        d = dp(complex(z))
+        if d == 0:
+            break
+        z = z - pf(complex(z)) / d
+        v = abs(pf(complex(z)))
+        if v < best_val:
+            best, best_val = z, v
+    return best
+
+
+def complex_bits(z: complex) -> tuple:
+    return z.real.hex(), z.imag.hex()
+
+
+float_polys = st.one_of(
+    st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8)
+    .map(lambda cs: Polynomial.float64([1.0] + cs)),
+    # multiple and clustered roots, where Newton stalls on a fixed point
+    st.lists(st.sampled_from([-2.0, -0.5, 0.0, 1.0, 1.0 + 2**-40, 3.0]), min_size=1, max_size=8)
+    .map(lambda rs: Polynomial.from_roots(rs, "float64")),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_polys, st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+       st.integers(0, 30))
+def test_newton_polish_matches_the_reference_bit_for_bit(pf, z, steps):
+    got = _newton_polish(pf, pf.derivative(), z, steps)
+    assert complex_bits(got) == complex_bits(newton_polish_reference(pf, z, steps))
+
+
+@settings(max_examples=150, deadline=None)
+@given(float_polys)
+def test_float_roots_match_polished_eigenvalues_bit_for_bit(pf):
+    eigs = np.linalg.eigvals(_companion_floats(pf))
+    want = [newton_polish_reference(pf, complex(z)) for z in eigs]
+    assert [complex_bits(z) for z in _float_roots(pf)] == [complex_bits(z) for z in want]

@@ -10,8 +10,8 @@ prebuilt, as requests pass them: the separation bound H - H / 2 >= 0 takes
 H twice, and the H-B relation takes H and the power-sum symmetrizer of p.
 ``separates(p, p')`` gets nothing prebuilt, so every source tree runs the
 same call and builds what it needs (the forms, or the roots of p and p').
-Two rows run at m <= ``SLOW_MAX_DEGREE`` only, as one call of each takes
-seconds beyond it (2-core x86_64 machine):
+Five rows run at m <= ``SLOW_MAX_DEGREE`` only, two of them because one
+call of each takes seconds beyond it (2-core x86_64 machine):
 ``certify_stages(p, 1e-4)`` builds and certifies the m - 1 Nuij stages of
 p (0.07 s at m = 12, 0.44 s at m = 16, 6.6 s at m = 24), and not at all
 on a source tree without it; ``leray_symmetrizer_float`` times
@@ -19,11 +19,16 @@ on a source tree without it; ``leray_symmetrizer_float`` times
 its exact dyadic value, as a decimal ``leray`` request does (0.59 s at
 m = 12, 2.9 s at m = 16, 14.7 s at m = 24: at m = 12 the rounded
 coefficients have 48-bit denominators, and the power sums in S carry
-1035-bit ones, against 77 bits for the exact p).
+1035-bit ones, against 77 bits for the exact p).  The float rows of the
+smoothing workload run there too: ``nuij_family`` builds the float family
+point ``nuij_family(p, 1e-4, 1e-12)`` (p_eps, its roots and q_eps),
+``real_roots_float`` finds the roots of the float64 rounding of p, and
+``verify_quasi_point`` certifies the quasi-symmetrizer constants of p at the
+one grid point eps = 1e-4 with r = 0, as a ``quasi`` request does per eps.
 Each layer is timed as the best of five batches (stdlib
 ``time.perf_counter``); a batch repeats the call until it lasts
 ``MIN_TIME`` seconds, and the per-call time is reported.  The rows go into
-``BENCH_9.json`` in the working directory under ``--label``, next to the
+``BENCH_10.json`` in the working directory under ``--label``, next to the
 rows other labels left there, with the Python version and the commit of
 the timed source.
 
@@ -46,8 +51,8 @@ from pathlib import Path
 
 import bezoutian
 from bezoutian import Polynomial, bezout_matrix, companion_matrix, h_b_relation_check
-from bezoutian import is_hyperbolic, leray_symmetrizer, separates, separation_lower_bound_check
-from bezoutian import symmetrization_defect
+from bezoutian import is_hyperbolic, leray_symmetrizer, nuij_family, real_roots, separates
+from bezoutian import separation_lower_bound_check, symmetrization_defect, verify_quasi
 from bezoutian.exactla import det, psd_certificate
 
 try:
@@ -59,7 +64,7 @@ DEGREES = (4, 8, 12, 16, 24)
 SLOW_MAX_DEGREE = 12
 REPEATS = 5
 MIN_TIME = 0.02  # seconds one timed batch lasts at least
-OUT = Path("BENCH_9.json")
+OUT = Path("BENCH_10.json")
 
 
 def exact_input(m: int) -> list:
@@ -111,6 +116,9 @@ def layer_rows(degrees) -> list:
         }
         if m <= SLOW_MAX_DEGREE:
             calls["leray_symmetrizer_float"] = lambda: leray_symmetrizer(pf)
+            calls["nuij_family"] = lambda: nuij_family(p, 1e-4, 1e-12)
+            calls["real_roots_float"] = lambda: real_roots(pf)
+            calls["verify_quasi_point"] = lambda: verify_quasi(p, (1e-4,), r=0)
             if certify_stages is not None:
                 calls["certify_stages"] = lambda: certify_stages(p, 1e-4)
         for layer, fn in calls.items():

@@ -16,10 +16,6 @@ It runs the stage chain on one primitive integer list: with eps = a/b,
 P_(l+1) is the primitive part of b P_l + a P_l', a positive multiple of
 p_(l+1), and each stage's Sturm count and gcd degree come from the integer
 Sturm kernel of ``roots``.
-
-The float transform runs on a plain float list, with the products and sums
-of the Polynomial sum of C(n,k) eps^k p^(k) in the same order, so its bits
-are those of that sum.
 """
 
 from __future__ import annotations

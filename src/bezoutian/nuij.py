@@ -15,7 +15,9 @@ form is eps H(p_l, p_l'); ``certify_stages`` decides that by one Sturm chain.
 It runs the stage chain on one primitive integer list: with eps = a/b,
 P_(l+1) is the primitive part of b P_l + a P_l', a positive multiple of
 p_(l+1), and each stage's Sturm count and gcd degree come from the integer
-Sturm kernel of ``roots``.
+Sturm kernel of ``roots``.  A float eps is certified at the simplest
+rational that rounds to it (1/10000 for 1e-4), not at its dyadic value,
+whose denominator would add about 65 bits per stage.
 """
 
 from __future__ import annotations
@@ -121,15 +123,34 @@ def invert_transform(p_eps: Polynomial, epsilon) -> Polynomial:
     """Recover p from its smoothed image (degree-m exact inversion)."""
     m = int(p_eps.degree)
     coeffs = nuij_inverse_coeffs(m)
-    eps = Fraction(epsilon) if p_eps.backend == BACKEND_EXACT else float(epsilon)
-    out = p_eps
+    if p_eps.backend == BACKEND_EXACT:
+        eps = Fraction(epsilon)
+        out = p_eps
+        for l, c in enumerate(coeffs, start=1):
+            term = p_eps.derivative(l)
+            if term.is_zero:
+                break
+            out = out + c * eps**l * term
+        return out
+    # floats: the products and sums of the Polynomial sum above, in its order,
+    # on plain lists, with the derivative carried from one order to the next
+    eps = float(epsilon)
+    out = list(p_eps.coeffs)
+    dk = out
     for l, c in enumerate(coeffs, start=1):
-        term = p_eps.derivative(l)
-        if term.is_zero:
-            break
-        cl = c if p_eps.backend == BACKEND_EXACT else float(c)
-        out = out + cl * eps**l * term
-    return out
+        dk = _derivative(dk)
+        w = float(c) * eps**l
+        if not w:  # a zero weight is a zero term, which adds nothing
+            continue
+        # 0.0 + v * w is the Polynomial product's entry (never -0.0), and its
+        # leading zeros are stripped before the sum
+        term = [0.0 + v * w for v in dk]
+        while term and term[0] == 0:
+            del term[0]
+        shift = len(out) - len(term)
+        for i, v in enumerate(term):
+            out[shift + i] += v
+    return Polynomial(tuple(out), p_eps.backend)
 
 
 @dataclass(frozen=True)
@@ -223,14 +244,48 @@ def _int_stages(p: Polynomial, eps: Fraction) -> list[list[int]]:
     return stages
 
 
+def _simplest_rational(x: float) -> Fraction:
+    """The rational of least denominator that rounds to the positive finite x.
+
+    Searched in the open interval between the midpoints of x and its float
+    neighbours by the continued-fraction (Stern-Brocot) recursion on ints.
+    Falls back to the dyadic value of x if the result does not round to x.
+    """
+    n, d = x.as_integer_ratio()
+    ln, ld = math.nextafter(x, 0.0).as_integer_ratio()
+    un, ud = math.ulp(x).as_integer_ratio()
+    # lo = (x + x_below) / 2 and hi = x + ulp(x) / 2; hi_d == 0 stands for +inf
+    lo_n, lo_d = n * ld + ln * d, 2 * d * ld
+    hi_n, hi_d = 2 * n * ud + un * d, 2 * d * ud
+    # x = (p1 y + p0) / (q1 y + q0) for the rest y of the expansion
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        f = lo_n // lo_d
+        if hi_d == 0 or (f + 1) * hi_d < hi_n:  # f + 1 < hi: the simplest rest
+            num, den = (f + 1) * p1 + p0, (f + 1) * q1 + q0
+            break
+        p0, q0, p1, q1 = p1, q1, f * p1 + p0, f * q1 + q0
+        lo_n, lo_d, hi_n, hi_d = hi_d, hi_n - f * hi_d, lo_d, lo_n - f * lo_d
+    if num / den != x:
+        return Fraction(x)
+    return Fraction(num, den)
+
+
 def certify_stages(p: Polynomial, epsilon) -> tuple[bool, bool]:
     """(interlaced, strict) of the stages p_0 = p, p_(l+1) = p_l + eps p_l'.
 
     Interlaced: p_0 .. p_(m-2) are hyperbolic.  Strict: p_(m-1) has m distinct
-    real roots.  Decided on the exact p and eps (dyadic for floats), from one
-    integer Sturm chain per stage.
+    real roots.  Decided on the exact p and eps, from one integer Sturm chain
+    per stage.  An int or Fraction eps is used as it is; a positive finite
+    float eps is certified at the simplest rational that rounds to it (least
+    denominator; 1/10000 for 1e-4), whose float is the echoed eps.  For
+    hyperbolic p every eps > 0 gives (True, True), so the choice of rational
+    moves no verdict there, only the size of the integers.
     """
-    eps = Fraction(epsilon)
+    if isinstance(epsilon, float) and math.isfinite(epsilon) and epsilon > 0:
+        eps = _simplest_rational(epsilon)
+    else:
+        eps = Fraction(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
     stages = _int_stages(p, eps)

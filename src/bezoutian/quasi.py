@@ -187,6 +187,34 @@ def _worst_factor(epsilons, values, rising: bool) -> float:
     return worst
 
 
+def _sample_pairs(rng: np.random.Generator, samples: int, n: int) -> tuple:
+    """``samples`` random complex pairs (z, w) of length n, as the rows of Z and W.
+
+    The draws of each sample are z_re, z_im, w_re, w_im, rows of one block,
+    so the stream is that of drawing them one sample at a time.  A count
+    below 1 draws nothing.
+    """
+    draws = rng.standard_normal((max(samples, 0), 4, n))
+    return draws[:, 0] + 1j * draws[:, 1], draws[:, 2] + 1j * draws[:, 3]
+
+
+def _sample_ratios(Z: np.ndarray, W: np.ndarray, H: np.ndarray, K: np.ndarray,
+                   eps_s: float) -> np.ndarray:
+    """|(K z, w)| / (eps_s (H z, z)^(1/2) (H w, w)^(1/2)) for each row pair (z, w).
+
+    One matrix product each for K z, H z and H w.  A pair whose denominator
+    is not positive does not count and gives NaN.
+    """
+    num = np.abs(np.einsum("ij,ij->i", W.conj(), Z @ K.T))
+    zhz = np.einsum("ij,ij->i", Z.conj(), Z @ H.T).real
+    whw = np.einsum("ij,ij->i", W.conj(), W @ H.T).real
+    den = eps_s * np.sqrt(zhz * whw)
+    ratios = np.full(len(den), np.nan)
+    counted = den > 0
+    ratios[counted] = num[counted] / den[counted]
+    return ratios
+
+
 def verify_quasi(p: Polynomial, epsilon_grid=None, r: float | None = None,
                  s: float = 1.0, samples: int = 24, seed: int = 0,
                  uniformity_factor: float = 10.0, families=None) -> QuasiVerdict:
@@ -200,8 +228,10 @@ def verify_quasi(p: Polynomial, epsilon_grid=None, r: float | None = None,
     The commutator norm is computed from K' = G S - (G S)^T, the congruence
     of H A - A^T H by G^-1; this avoids forming H-products whose rounding
     noise would swamp eps-scaled quantities at the small end of the grid.
-    Sampling of the raw form (H from the bivariate division) cross-checks it.
-    ``families`` is as in ``check_conditions``.
+    Sampling of the raw form cross-checks it: per eps, ``samples`` complex
+    pairs (z, w) are drawn in one block (``_sample_pairs``) and scored
+    together (``_sample_ratios``); only samples with a positive denominator
+    count.  ``families`` is as in ``check_conditions``.
     """
     if r is None:
         verdict = is_hyperbolic(p)
@@ -227,14 +257,10 @@ def verify_quasi(p: Polynomial, epsilon_grid=None, r: float | None = None,
         comm.append(comm_const)
         H = G.T @ G
         K = H @ A - A.T @ H
-        worst = 0.0
-        for _ in range(samples):
-            z = rng.standard_normal(len(G)) + 1j * rng.standard_normal(len(G))
-            w = rng.standard_normal(len(G)) + 1j * rng.standard_normal(len(G))
-            num = abs(np.vdot(w, K @ z))
-            den = eps_s * np.sqrt(np.vdot(z, H @ z).real * np.vdot(w, H @ w).real)
-            if den > 0:
-                worst = max(worst, num / den)
+        Z, W = _sample_pairs(rng, samples, len(G))
+        # fmax skips NaN: a sample that does not count, or a NaN ratio, which
+        # the running max over samples skipped too
+        worst = float(np.fmax.reduce(_sample_ratios(Z, W, H, K, eps_s), initial=0.0))
         sample_max.append(worst)
         if worst > comm_const * (1 + 1e-6) + 1e-9:
             sampling_ok = False

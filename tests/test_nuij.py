@@ -24,7 +24,7 @@ from bezoutian import (
     real_roots,
     verify_gaps,
 )
-from bezoutian.nuij import _int_stages
+from bezoutian.nuij import _int_stages, _simplest_rational
 from bezoutian.roots import _hyperbolic_strict
 
 EPS = Fraction(1, 10)
@@ -110,6 +110,36 @@ def test_float_transform_matches_the_polynomial_sum_bit_for_bit(p, eps, data):
     applications = data.draw(st.integers(0, len(p.coeffs) + 1))
     got = float_bits(lambda: nuij_transform(p, eps, applications))
     assert got == float_bits(lambda: float_sum_reference(p.as_float(), eps, applications))
+
+
+def float_inversion_reference(p_eps: Polynomial, eps: float) -> Polynomial:
+    """The float inversion as a sum of float64 Polynomials, term by term."""
+    out = p_eps
+    for l, c in enumerate(nuij_inverse_coeffs(int(p_eps.degree)), start=1):
+        term = p_eps.derivative(l)
+        if term.is_zero:
+            break
+        out = out + float(c) * eps**l * term
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+           st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=9)
+           .map(Polynomial.float64),
+           st.lists(st.floats(-100, 100), min_size=3, max_size=9).map(Polynomial.float64),
+           # signed zeros next to values whose products underflow
+           st.lists(st.sampled_from([0.0, -0.0, 1.0, -3.0, 1e-300, -1e-300, 1e300]),
+                    min_size=3, max_size=9).map(Polynomial.float64),
+           corpus.factored_poly(max_linear=3).map(lambda p: nuij_transform(p.as_float(), 0.01))),
+       st.one_of(st.floats(0, 1e3), st.floats(allow_nan=False, allow_infinity=False),
+                 st.sampled_from([1e-4, 0.1, 1e-30, 1e-160, 1e-170, 5e-324])))
+def test_float_inversion_matches_the_polynomial_sum_bit_for_bit(p_eps, eps):
+    # signed zeros included: the list route keeps the Polynomial product's
+    # 0.0 + v * w entries and skips the leading zeros that Polynomial strips
+    assume(p_eps.degree >= 2)
+    got = float_bits(lambda: invert_transform(p_eps, eps))
+    assert got == float_bits(lambda: float_inversion_reference(p_eps, eps))
 
 
 def series_inverse_oracle(m: int) -> list:
@@ -239,13 +269,15 @@ def test_interlacing_cascade():
 
 @settings(max_examples=80, deadline=None)
 @given(corpus.factored_poly(max_linear=3),
-       st.sampled_from([Fraction(1e-4), Fraction(1, 10), Fraction(1)]))
+       st.sampled_from([Fraction(1e-4), Fraction(1, 10), Fraction(1), 1e-4]))
 def test_certify_stages_agrees_with_the_bezout_forms_of_consecutive_stages(p, eps):
-    # the paper's route: stage l+1 interlaces stage l iff H(p_l, p_(l+1)) >= 0
+    # the paper's route: stage l+1 interlaces stage l iff H(p_l, p_(l+1)) >= 0;
+    # a float eps is certified at its simplest rational, 1/10000 for 1e-4
     assume(p.degree <= 9)
+    exact_eps = _simplest_rational(eps) if isinstance(eps, float) else eps
     stages = [p]
     for _ in range(int(p.degree) - 1):
-        stages.append(nuij_transform(stages[-1], eps, 1))
+        stages.append(nuij_transform(stages[-1], exact_eps, 1))
     psd = [psd_check(bezout_matrix(cur, nxt)).is_psd for cur, nxt in zip(stages, stages[1:])]
     assert psd == [_hyperbolic_strict(cur)[0] for cur in stages[:-1]]
     interlaced, strict = certify_stages(p, eps)
@@ -269,6 +301,48 @@ def test_integer_stages_are_positive_multiples_of_the_fraction_chain(p, eps):
         scale = ints[0] / stage.leading
         assert scale > 0 and math.gcd(*ints) == 1
         assert [Fraction(v) for v in ints] == [scale * c for c in stage.coeffs]
+
+
+def away_from_powers_of_two(x: float) -> bool:
+    """x is not a power of two, where the float spacing below x halves."""
+    return math.frexp(x)[0] != 0.5
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(min_value=0, exclude_min=True, allow_infinity=False)
+       .filter(away_from_powers_of_two))
+def test_simplest_rational_rounds_to_x_with_the_least_denominator(x):
+    r = _simplest_rational(x)
+    assert float(r) == x
+    if r.denominator > 1:
+        # the closest fraction with a smaller denominator lies outside the
+        # rounding interval of x, so no smaller denominator rounds to x
+        assert float(Fraction(x).limit_denominator(r.denominator - 1)) != x
+
+
+def test_simplest_rational_examples():
+    assert _simplest_rational(1e-4) == Fraction(1, 10000)
+    assert _simplest_rational(0.1) == Fraction(1, 10)
+    assert _simplest_rational(1 / 3) == Fraction(1, 3)
+    assert _simplest_rational(2.0) == 2
+    assert float(_simplest_rational(5e-324)) == 5e-324
+    huge = _simplest_rational(1.7976931348623157e308)
+    assert huge.denominator == 1 and huge < Fraction(1.7976931348623157e308)
+    assert float(huge) == 1.7976931348623157e308
+    # the default grid lands off the decimals: 1e-4 itself is not on it
+    bits = [_simplest_rational(e).denominator.bit_length() for e in default_epsilon_grid()]
+    assert bits == [1, 28, 4, 31, 7, 31, 52, 33, 52]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.builds(lambda seed, m: Polynomial.from_roots(
+                     corpus.hyperbolic_profile(corpus.rng(seed), m)),
+                 st.integers(0, 10**6), st.integers(2, 7)),
+       st.sampled_from(default_epsilon_grid() + (0.1, 1e-4, 2.5)))
+def test_certify_stages_float_eps_agrees_with_its_dyadic_value(p, x):
+    # for hyperbolic p every eps > 0 gives (True, True), so the rational
+    # certified for a float eps moves no verdict
+    assert certify_stages(p, x) == certify_stages(p, Fraction(x)) == (True, True)
 
 
 def test_certify_stages_controls():

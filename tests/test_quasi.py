@@ -19,6 +19,7 @@ from bezoutian import (
     symmetrization_defect,
     verify_quasi,
 )
+from bezoutian.quasi import _sample_pairs, _sample_ratios
 
 X_SQUARED = Polynomial.exact([1, 0, 0])
 GRID = (1.0, 10**-0.5, 0.1, 10**-1.5, 0.01, 10**-2.5, 1e-3, 10**-3.5, 1e-4)
@@ -190,3 +191,75 @@ def test_reversed_grid_gives_the_same_verdict():
         assert up.uniform_pass == down.uniform_pass
         assert up.lower_decay == pytest.approx(down.lower_decay, rel=1e-9)
         assert up.commutator_growth == pytest.approx(down.commutator_growth, rel=1e-9)
+
+
+def loop_sampling(rng, samples, H, K, eps_s):
+    """The sampling cross-check one sample at a time, as verify_quasi once ran it.
+
+    Returns (z, w, ratio) per sample, with ratio None where the sample does
+    not count.
+    """
+    out = []
+    for _ in range(samples):
+        z = rng.standard_normal(len(H)) + 1j * rng.standard_normal(len(H))
+        w = rng.standard_normal(len(H)) + 1j * rng.standard_normal(len(H))
+        num = abs(np.vdot(w, K @ z))
+        den = eps_s * np.sqrt(np.vdot(z, H @ z).real * np.vdot(w, H @ w).real)
+        out.append((z, w, num / den if den > 0 else None))
+    return out
+
+
+def sampling_cases():
+    """(p, grid, r, s, samples, seed) of the verify_quasi calls above."""
+    cases = [(X_SQUARED, GRID, 1, 1, 24, 3),
+             (Polynomial.exact([1, 0, 0, 0]), GRID[2:], 2, 1, 24, 5)]
+    rg = corpus.rng(63)
+    for _ in range(6):
+        p = Polynomial.from_roots(corpus.hyperbolic_profile(rg, rg.randint(2, 5), max_mult=2))
+        cases.append((p, GRID[::2], None, 1, 40, 7))
+    for coeffs, r, s in (([1, 0, 0, 0], None, 1), ([1, 0, 0, 0], 1, 1),
+                         ([1, 0, 0], None, 2), ([1, 0, -1, 0], None, 1)):
+        cases.append((Polynomial.exact(coeffs), GRID, r, s, 24, 0))
+    return cases
+
+
+def test_batched_sampling_draws_and_scores_as_the_sample_loop():
+    for p, grid, r, s, samples, seed in sampling_cases():
+        verdict = verify_quasi(p, grid, r=r, s=s, samples=samples, seed=seed)
+        loop_rng, batch_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        consistent = True
+        for eps, comm_const in zip(verdict.epsilons, verdict.commutator_constants):
+            parts = commutator_decomposition(p, eps)
+            H = parts.G_eps.T @ parts.G_eps
+            K = H @ parts.A - parts.A.T @ H
+            loop = loop_sampling(loop_rng, samples, H, K, eps**s)
+            Z, W = _sample_pairs(batch_rng, samples, len(H))
+            ratios = _sample_ratios(Z, W, H, K, eps**s)
+            assert Z.shape == W.shape == (samples, len(H))
+            worst = 0.0
+            for k, (z, w, ratio) in enumerate(loop):
+                assert (Z[k].tobytes(), W[k].tobytes()) == (z.tobytes(), w.tobytes())
+                if ratio is None:
+                    assert np.isnan(ratios[k])
+                    continue
+                # the products sum in another order: a few ulps apart
+                assert ratios[k] == pytest.approx(ratio, rel=1e-12, abs=0)
+                worst = max(worst, ratio)
+            if worst > comm_const * (1 + 1e-6) + 1e-9:
+                consistent = False
+        assert verdict.sampling_consistent == consistent
+
+
+def test_batched_sampling_edge_counts():
+    rng = np.random.default_rng(0)
+    for samples in (0, -3):
+        Z, W = _sample_pairs(rng, samples, 3)
+        assert Z.shape == W.shape == (0, 3)
+    # the stream goes on where the empty block left it
+    assert rng.standard_normal() == np.random.default_rng(0).standard_normal()
+    # a pair with a zero quadratic form does not count
+    H = np.diag([1.0, 0.0])
+    K = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    ratios = _sample_ratios(np.array([[0, 1j], [1, 1]]), np.array([[1, 0], [1, 0]]), H, K, 1.0)
+    assert np.isnan(ratios[0]) and ratios[1] == pytest.approx(1.0)
+    assert verify_quasi(X_SQUARED, GRID[:2], r=1, samples=0).sample_max_ratios == (0.0, 0.0)

@@ -10,11 +10,14 @@ prebuilt, as requests pass them: the separation bound H - H / 2 >= 0 takes
 H twice, and the H-B relation takes H and the power-sum symmetrizer of p.
 ``separates(p, p')`` gets nothing prebuilt, so every source tree runs the
 same call and builds what it needs (the forms, or the roots of p and p').
-Five rows run at m <= ``SLOW_MAX_DEGREE`` only, two of them because one
-call of each takes seconds beyond it (2-core x86_64 machine):
+Six rows run at m <= ``SLOW_MAX_DEGREE`` only, two of them because one
+call of each takes seconds beyond it on some source trees (2-core x86_64
+machine):
 ``certify_stages(p, 1e-4)`` builds and certifies the m - 1 Nuij stages of
-p (0.07 s at m = 12, 0.44 s at m = 16, 6.6 s at m = 24), and not at all
-on a source tree without it; ``leray_symmetrizer_float`` times
+p at eps = 1/10000, the simplest rational that rounds to 1e-4 (4.2 ms at
+m = 12, 21 ms at m = 16, 0.27 s at m = 24; at the dyadic value of 1e-4,
+which source trees before that choice certify, 0.07 s, 0.44 s and 6.6 s),
+and not at all on a source tree without it; ``leray_symmetrizer_float`` times
 ``leray_symmetrizer`` on the float64 rounding of p, which it certifies at
 its exact dyadic value, as a decimal ``leray`` request does (0.59 s at
 m = 12, 2.9 s at m = 16, 14.7 s at m = 24: at m = 12 the rounded
@@ -22,13 +25,15 @@ coefficients have 48-bit denominators, and the power sums in S carry
 1035-bit ones, against 77 bits for the exact p).  The float rows of the
 smoothing workload run there too: ``nuij_family`` builds the float family
 point ``nuij_family(p, 1e-4, 1e-12)`` (p_eps, its roots and q_eps),
-``real_roots_float`` finds the roots of the float64 rounding of p, and
+``real_roots_float`` finds the roots of the float64 rounding of p,
+``invert_transform`` recovers p from that point's float p_eps, as the
+``nuij-inversion`` check of a ``nuij`` request does per eps, and
 ``verify_quasi_point`` certifies the quasi-symmetrizer constants of p at the
 one grid point eps = 1e-4 with r = 0, as a ``quasi`` request does per eps.
 Each layer is timed as the best of five batches (stdlib
 ``time.perf_counter``); a batch repeats the call until it lasts
 ``MIN_TIME`` seconds, and the per-call time is reported.  The rows go into
-``BENCH_10.json`` in the working directory under ``--label``, next to the
+``BENCH_11.json`` in the working directory under ``--label``, next to the
 rows other labels left there, with the Python version and the commit of
 the timed source.
 
@@ -51,7 +56,8 @@ from pathlib import Path
 
 import bezoutian
 from bezoutian import Polynomial, bezout_matrix, companion_matrix, h_b_relation_check
-from bezoutian import is_hyperbolic, leray_symmetrizer, nuij_family, real_roots, separates
+from bezoutian import invert_transform, is_hyperbolic, leray_symmetrizer, nuij_family
+from bezoutian import nuij_transform, real_roots, separates
 from bezoutian import separation_lower_bound_check, symmetrization_defect, verify_quasi
 from bezoutian.exactla import det, psd_certificate
 
@@ -64,7 +70,7 @@ DEGREES = (4, 8, 12, 16, 24)
 SLOW_MAX_DEGREE = 12
 REPEATS = 5
 MIN_TIME = 0.02  # seconds one timed batch lasts at least
-OUT = Path("BENCH_10.json")
+OUT = Path("BENCH_11.json")
 
 
 def exact_input(m: int) -> list:
@@ -118,6 +124,8 @@ def layer_rows(degrees) -> list:
             calls["leray_symmetrizer_float"] = lambda: leray_symmetrizer(pf)
             calls["nuij_family"] = lambda: nuij_family(p, 1e-4, 1e-12)
             calls["real_roots_float"] = lambda: real_roots(pf)
+            p_eps = nuij_transform(p, 1e-4)
+            calls["invert_transform"] = lambda: invert_transform(p_eps, 1e-4)
             calls["verify_quasi_point"] = lambda: verify_quasi(p, (1e-4,), r=0)
             if certify_stages is not None:
                 calls["certify_stages"] = lambda: certify_stages(p, 1e-4)

@@ -16,7 +16,7 @@ machine):
 ``certify_stages(p, 1e-4)`` builds and certifies the m - 1 Nuij stages of
 p at eps = 1/10000, the simplest rational that rounds to 1e-4 (4.2 ms at
 m = 12, 21 ms at m = 16, 0.27 s at m = 24; at the dyadic value of 1e-4,
-which source trees before that choice certify, 0.07 s, 0.44 s and 6.6 s),
+which source trees before that choice certify, 33 ms, 0.23 s and 3.8 s),
 and not at all on a source tree without it; ``leray_symmetrizer_float`` times
 ``leray_symmetrizer`` on the float64 rounding of p, which it certifies at
 its exact dyadic value, as a decimal ``leray`` request does (0.59 s at

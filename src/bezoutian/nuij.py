@@ -136,7 +136,7 @@ def invert_transform(p_eps: Polynomial, epsilon) -> Polynomial:
     # on plain lists, with the derivative carried from one order to the next
     eps = float(epsilon)
     out = list(p_eps.coeffs)
-    dk = out
+    dk = p_eps.coeffs
     for l, c in enumerate(coeffs, start=1):
         dk = _derivative(dk)
         w = float(c) * eps**l

@@ -28,12 +28,10 @@ from .energy import (
     ChainBoundResult,
     EnergySeries,
     ExponentialSignal,
-    FormDominance,
     Trajectory,
     chain_bound_check,
     derivative_identity_check,
     energy_series,
-    form_dominates,
     propagate,
 )
 from .errors import (

@@ -44,7 +44,7 @@ from .nuij import (
 from .polynomial import Polynomial
 from .quasi import check_conditions, max_multiplicity, verify_quasi
 from .report import FAIL, MARGINAL, PASS, CertifiedReport
-from .roots import is_hyperbolic, real_roots  # noqa: F401 (bench/test_bench.py traces it here)
+from .roots import DEFAULT_TOL, is_hyperbolic, real_roots
 from .scalars import BACKEND_EXACT, scalar_to_json
 
 
@@ -229,6 +229,8 @@ def cmd_quasi(args, report: CertifiedReport):
     p = _parse_poly(args.poly, args.poly_file)
     verdict = _require_hyperbolic(p)
     grid = _parse_grid(args.eps_grid)
+    if args.samples < 1:
+        raise InputError(f"--samples must be at least 1, got {args.samples}")
     r = args.r if args.r is not None else max_multiplicity(p, verdict) - 1
     s = args.s
     report.backend = p.backend
@@ -308,7 +310,12 @@ def cmd_leray(args, report: CertifiedReport):
 def cmd_energy(args, report: CertifiedReport):
     p = _parse_poly(args.poly, args.poly_file)
     tol = args.tol
-    _require_hyperbolic(p)
+    if not math.isfinite(args.T) or args.T == 0:
+        raise InputError(f"--T must be finite and nonzero, got {args.T}")
+    if args.steps < 4:
+        # the chain bound's 5-point stencil needs five times
+        raise InputError(f"--steps must be at least 4, got {args.steps}")
+    verdict = _require_hyperbolic(p)
     q = _parse_poly(args.q, None) if args.q else p.derivative()
     m = int(p.degree)
     if q.is_zero or int(q.degree) > m - 1:
@@ -325,24 +332,39 @@ def cmd_energy(args, report: CertifiedReport):
     report.backend = p.backend
     report.inputs = {"poly": _echo_poly(p), "q": _echo_poly(q),
                      "U0": [str(u) for u in U0], "T": args.T, "steps": args.steps}
-    A = companion_matrix(p.as_float())
-    traj = propagate(A, U0, args.T, args.steps)
-    series = energy_series(p, q, traj)
+    pf, qf, dpf = p.as_float(), q.as_float(), p.derivative().as_float()
+    A = companion_matrix(pf)
+    # every check reads the roots and Bezout forms of the float rounding of p,
+    # each built once here: the verdict holds them for float p, while exact p
+    # gets float ones, since its exact forms would change the checks' bits
+    if p.backend == BACKEND_EXACT:
+        try:
+            profile = real_roots(pf)
+        except NonHyperbolicError:
+            profile = None  # propagate and separates look at the roots themselves
+        Hp = bezout_matrix(pf, dpf)
+    else:
+        profile, Hp = verdict.witness, verdict.hermite_form
+    H = Hp if qf == dpf else bezout_matrix(pf, qf)
+    traj = propagate(A, U0, args.T, args.steps, profile)
+    series = energy_series(p, q, traj, H)
     spread = series.relative_spread()
     report.add_bool("energy conservation", "energy-conservation",
                     spread <= max(tol, 1e-9), spread, max(tol, 1e-9))
-    if q.degree == m - 1 and separates(p.as_float(), q.as_float(), tol):
+    # the profile holds the roots at the default tolerance
+    if q.degree == m - 1 and separates(pf, qf, tol, profile if tol == DEFAULT_TOL else None):
         nonneg = float(np.min(series.values)) >= -tol * max(1.0, float(np.max(np.abs(series.values))))
         report.add_bool("energy nonnegative", "energy-nonnegative",
                         nonneg, float(np.min(series.values)), tol)
     rng = np.random.default_rng(report.seed)
     freqs = sorted(rng.uniform(-3.0, 3.0, size=3))
     signal = ExponentialSignal.of(*[(1.0 / (k + 1), nu) for k, nu in enumerate(freqs)])
-    residual = derivative_identity_check(p, q, signal, t_max=min(args.T, 10.0))
+    residual = derivative_identity_check(p, q, signal, t_max=min(args.T, 10.0), H=H)
     report.add_bool("derivative identity", "energy-derivative-identity",
                     residual <= 1e-8, residual, 1e-8)
-    if int(p.degree) >= 2:
-        chain = chain_bound_check(p, 0, traj, T=args.T)
+    if m >= 2:
+        # the floor constant reads the roots of p in its own backend
+        chain = chain_bound_check(p, 0, traj, T=args.T, profile=verdict.witness, H=Hp)
         report.add_bool("chain bound along trajectory", "energy-chain-bound",
                         chain.passed, chain.derivative_margin)
     table = [("t", "value")]

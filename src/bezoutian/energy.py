@@ -15,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from . import exactla
-from .bezout import CompanionMatrix, bezout_matrix
+from .bezout import BezoutMatrix, CompanionMatrix, bezout_matrix
 from .errors import NonHyperbolicError
-from .factorization import derivative_bound_constant, lagrange_basis_matrix, lagrange_weights
+from .factorization import derivative_bound_constant
 from .polynomial import Polynomial, RootProfile
 from .roots import real_roots
 
@@ -85,12 +84,15 @@ class Trajectory:
         return np.vstack(rows)
 
 
-def propagate(A: CompanionMatrix, U0, T: float, steps: int) -> Trajectory:
+def propagate(A: CompanionMatrix, U0, T: float, steps: int,
+              profile: RootProfile | None = None) -> Trajectory:
     """Solve D_t U = A U, i.e. dU/dt = i A U, on steps+1 equispaced times.
 
     Strictly hyperbolic generators propagate exactly through the eigenbasis
-    U(t) = R diag(exp(i root_k t)) R^-1 U0; otherwise a dense matrix
-    exponential of the single step is applied repeatedly.
+    U(t) = R diag(exp(i root_k t)) R^-1 U0, all times in one matrix product;
+    otherwise a dense matrix exponential of the single step is applied
+    repeatedly.  Pass ``profile``, the real roots of the float generator
+    polynomial, when it is already computed.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -100,18 +102,18 @@ def propagate(A: CompanionMatrix, U0, T: float, steps: int) -> Trajectory:
     if U0.shape != (m,):
         raise ValueError(f"U0 must have length {m}")
     times = np.linspace(0.0, float(T), steps + 1)
-    try:
-        profile = real_roots(A.p.as_float(), imag_tol=1e-7)
-    except NonHyperbolicError:
-        profile = None
+    if profile is None:
+        try:
+            profile = real_roots(A.p.as_float(), imag_tol=1e-7)
+        except NonHyperbolicError:
+            pass
     roots = [float(r) for r in profile.flattened] if profile is not None else []
     gaps = [b - a for a, b in zip(roots, roots[1:])]
     scale = max(1.0, max((abs(r) for r in roots), default=1.0))
     if profile is not None and profile.is_strict and (not gaps or min(gaps) > _EIGEN_GAP * scale):
         R = np.vander(roots, m, increasing=True).T
         y = np.linalg.solve(R, U0)
-        lam = np.array(roots)
-        states = np.array([R @ (np.exp(1j * lam * t) * y) for t in times])
+        states = (np.exp(1j * np.outer(times, roots)) * y) @ R.T
     else:
         step = expm(1j * Am * (times[1] - times[0]))
         states = np.empty((len(times), m), dtype=complex)
@@ -119,6 +121,13 @@ def propagate(A: CompanionMatrix, U0, T: float, steps: int) -> Trajectory:
         for k in range(1, len(times)):
             states[k] = step @ states[k - 1]
     return Trajectory(times, states, A)
+
+
+def _float_form(p: Polynomial, q: Polynomial, H: BezoutMatrix | None) -> np.ndarray:
+    """The float Bezout matrix of (p, q): ``H`` when passed, else built."""
+    if H is None:
+        H = bezout_matrix(p.as_float(), q.as_float())
+    return np.asarray(H.matrix, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -138,25 +147,33 @@ class EnergySeries:
         return self.spread / scale
 
 
-def energy_series(p: Polynomial, q: Polynomial, traj: Trajectory) -> EnergySeries:
-    """(H U(t), U(t)) along the trajectory, H the Bezout matrix of (p, q)."""
-    H = np.asarray(bezout_matrix(p.as_float(), q.as_float()).matrix, dtype=float)
+def energy_series(p: Polynomial, q: Polynomial, traj: Trajectory,
+                  H: BezoutMatrix | None = None) -> EnergySeries:
+    """(H U(t), U(t)) along the trajectory, H the Bezout matrix of (p, q).
+
+    Every state is scored in one product.  Pass ``H``, the float Bezout
+    matrix of (p, q), when it is already built.
+    """
+    H = _float_form(p, q, H)
     if H.shape[0] != traj.dimension:
         raise ValueError("form dimension does not match the trajectory")
-    vals = np.array([np.vdot(U, H @ U).real for U in traj.states])
+    U = traj.states
+    vals = np.einsum("ti,ti->t", np.conj(U), U @ H.T).real
     return EnergySeries(traj.times, vals, p, q)
 
 
 def derivative_identity_check(p: Polynomial, q: Polynomial, signal: ExponentialSignal,
-                              t_max: float = 10.0, samples: int = 201) -> float:
+                              t_max: float = 10.0, samples: int = 201,
+                              H: BezoutMatrix | None = None) -> float:
     """Residual of d/dt (H Du, Du) = i (p(D_t)u conj(q(D_t)u) - conj(p(D_t)u) q(D_t)u).
 
     The left side expands in closed form through the matrix entries of H,
     the right side through direct application of p and q to the signal; the
-    two routes share no arithmetic.
+    two routes share no arithmetic.  Pass ``H``, the float Bezout matrix of
+    (p, q), when it is already built.
     """
     m = max(int(p.degree), int(q.degree) if not q.is_zero else 0)
-    H = np.asarray(bezout_matrix(p.as_float(), q.as_float()).matrix, dtype=float)
+    H = _float_form(p, q, H)
     times = np.linspace(0.0, t_max, samples)
     coeffs = np.array([c for c, _ in signal.terms])
     freqs = np.array([nu for _, nu in signal.terms])
@@ -186,13 +203,17 @@ class ChainBoundResult:
 
 
 def chain_bound_check(p: Polynomial, j: int, source, T: float = 10.0,
-                      steps: int = 2000, tol: float = 1e-7) -> ChainBoundResult:
+                      steps: int = 2000, tol: float = 1e-7,
+                      profile: RootProfile | None = None,
+                      H: BezoutMatrix | None = None) -> ChainBoundResult:
     """Check d/dt (H_j Du, Du) <= 2 |p^(j)(D_t)u| |p^(j+1)(D_t)u| along u.
 
     H_j is the Bezout matrix of (p^(j), p^(j+1)).  The time derivative uses
     a 5-point central difference on the uniform grid, so the comparison
     carries a slack of tol times the scale of the data.  Also checks the
     floor c_j |p^(j+1)(D_t)u|^2 <= (H_j Du, Du) with the certified c_j.
+    Pass ``H``, the float H_j, and ``profile``, the roots of the monic
+    p^(j) in its own backend, when they are already computed.
     """
     m = int(p.degree)
     if j > m - 2:
@@ -201,7 +222,8 @@ def chain_bound_check(p: Polynomial, j: int, source, T: float = 10.0,
     pj = pj_native.as_float()
     pj1 = p.derivative(j + 1).as_float()
     n = int(pj.degree)
-    H = np.asarray(bezout_matrix(pj, pj1).matrix, dtype=float)
+    form = H if H is not None else bezout_matrix(pj, pj1)
+    H = np.asarray(form.matrix, dtype=float)
 
     times = np.linspace(0.0, float(T), steps + 1)
     if isinstance(source, Trajectory):
@@ -228,42 +250,8 @@ def chain_bound_check(p: Polynomial, j: int, source, T: float = 10.0,
 
     # the floor constant wants exact multiplicity structure where available
     monic = pj_native * (1 / pj_native.leading)
-    c_j = float(derivative_bound_constant(monic).constant)
+    c_j = float(derivative_bound_constant(monic, profile, H=form).constant)
     floor_margin = float(np.max(c_j * np.abs(Pj1) ** 2 - energy))
     floor_slack = tol * max(1.0, float(np.max(energy)))
     passed = derivative_margin <= slack and floor_margin <= floor_slack
     return ChainBoundResult(passed, derivative_margin, floor_margin, c_j, slack)
-
-
-@dataclass(frozen=True)
-class FormDominance:
-    constant: float
-    verified: bool
-
-
-def form_dominates(p: Polynomial, q: Polynomial, r_poly: Polynomial,
-                   profile: RootProfile | None = None, tol: float = 1e-9) -> FormDominance:
-    """Constant C with C * (H z, z) >= |r_hat(z)|^2 for the Bezout H of (p, q).
-
-    Requires strictly hyperbolic p and separating q (so the weights are
-    positive).  C = |G^-T r|^2 / min(weights), certified by a PSD check of
-    C H - r r^T.
-    """
-    if profile is None:
-        profile = real_roots(p.as_float())
-    if not profile.is_strict:
-        raise ValueError("form domination needs simple roots")
-    m = int(p.degree)
-    if not r_poly.is_zero and int(r_poly.degree) > m - 1:
-        raise ValueError("r must have degree at most m-1")
-    roots = [float(r) for r in profile.flattened]
-    G = np.asarray(lagrange_basis_matrix(roots, "float64"), dtype=float)
-    weights = [float(w) for w in lagrange_weights(p.as_float(), q.as_float(), profile.as_float())]
-    if min(weights) <= 0:
-        raise ValueError("q must separate p (weights must be positive)")
-    rv = np.array([float(c) for c in r_poly.as_float().ascending(m)])
-    y = np.linalg.solve(G.T, rv)
-    C = float(y @ y) / min(weights)
-    H = np.asarray(bezout_matrix(p.as_float(), q.as_float()).matrix, dtype=float)
-    verdict = exactla.psd_certificate(C * H - np.outer(rv, rv), tol)
-    return FormDominance(C, verdict.is_psd)

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exactla
-from .bezout import bezout_matrix, psd_check
+from .bezout import BezoutMatrix, bezout_matrix, psd_check
 from .errors import DegreeMismatchError, MultipleRootError, NonHyperbolicError
 from .polynomial import Polynomial, RootProfile, deleted_root_factor, elementary_symmetric
 from .roots import real_roots
@@ -297,12 +297,15 @@ class DerivativeBound:
 
 
 def derivative_bound_constant(p: Polynomial, profile: RootProfile | None = None,
-                              tol: float = 1e-9) -> DerivativeBound:
+                              tol: float = 1e-9, H: BezoutMatrix | None = None) -> DerivativeBound:
     """Constant c with (Bezout form of (p, p')) >= c |p'_hat(z)|^2.
 
     c = 1 / sum_k r_k**2 / w_k over distinct roots, with w the reduced
     interpolation weights of p'.  The certificate checks the matrix
     inequality H - c v v^T >= 0 directly (v = ascending coefficients of p').
+    It runs exactly when p is exact with rational roots, else in floats.
+    Pass ``profile`` and ``H``, the Bezout form of (p, p'), when they are
+    already computed; a form of another backend or pair is not used.
     """
     p.require_monic("derivative bound input")
     if profile is None:
@@ -316,13 +319,15 @@ def derivative_bound_constant(p: Polynomial, profile: RootProfile | None = None,
     c = 1 / acc
     pp, roots = _match_backend(p, profile)
     backend = pp.backend
-    H = bezout_matrix(pp, pp.derivative()).matrix
+    dpp = pp.derivative()
+    if H is None or (H.p, H.q) != (pp, dpp):
+        H = bezout_matrix(pp, dpp)
     m = int(p.degree)
-    v = pp.derivative().ascending(m)
+    v = dpp.ascending(m)
     V = exactla.zeros(m, m, backend)
     for i in range(m):
         for j in range(m):
             V[i, j] = v[i] * v[j]
     cc = Fraction(c) if backend == BACKEND_EXACT else float(c)
-    verdict = psd_check(H - cc * V, tol)
+    verdict = psd_check(H.matrix - cc * V, tol)
     return DerivativeBound(c, verdict.is_psd)

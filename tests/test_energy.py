@@ -2,17 +2,20 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import corpus
 from bezoutian import (
     ExponentialSignal,
+    NonHyperbolicError,
     Polynomial,
+    bezout_matrix,
     chain_bound_check,
     companion_matrix,
     derivative_identity_check,
     energy_series,
-    form_dominates,
     propagate,
+    real_roots,
 )
 
 X2_MINUS_1 = Polynomial.exact([1, 0, -1])
@@ -141,23 +144,58 @@ def test_chain_bound_stage_guard():
         chain_bound_check(X2_MINUS_1, 1, ExponentialSignal.of((1.0, 1.0)))
 
 
-def test_form_dominates_bounds_linear_forms():
-    rg = corpus.rng(84)
-    for _ in range(10):
-        m = rg.randint(2, 5)
-        profile = corpus.strict_profile(rg, m)
-        p = Polynomial.from_roots(profile)
-        q = corpus.separating_q(rg, profile)
-        r_poly = corpus.nonzero_poly(rg, m - 1)
-        out = form_dominates(p, q, r_poly)
-        assert out.verified
-        # spot-check the bound on random complex vectors
-        import bezoutian
+def propagate_by_steps(A, U0, T, steps):
+    """The per-time-step propagation that ``propagate`` does in one product."""
+    Am = np.asarray(A.matrix, dtype=float)
+    m = Am.shape[0]
+    U0 = np.asarray(U0, dtype=complex)
+    times = np.linspace(0.0, float(T), steps + 1)
+    try:
+        profile = real_roots(A.p.as_float(), imag_tol=1e-7)
+    except NonHyperbolicError:
+        profile = None
+    roots = [float(r) for r in profile.flattened] if profile is not None else []
+    gaps = [b - a for a, b in zip(roots, roots[1:])]
+    scale = max(1.0, max((abs(r) for r in roots), default=1.0))
+    if profile is not None and profile.is_strict and (not gaps or min(gaps) > 1e-6 * scale):
+        R = np.vander(roots, m, increasing=True).T
+        y = np.linalg.solve(R, U0)
+        lam = np.array(roots)
+        return np.array([R @ (np.exp(1j * lam * t) * y) for t in times])
+    step = expm(1j * Am * (times[1] - times[0]))
+    states = np.empty((len(times), m), dtype=complex)
+    states[0] = U0
+    for k in range(1, len(times)):
+        states[k] = step @ states[k - 1]
+    return states
 
-        H = np.asarray(bezoutian.bezout_matrix(p.as_float(), q.as_float()).matrix, float)
-        rv = np.array([float(c) for c in r_poly.as_float().ascending(m)])
-        for _ in range(20):
-            z = np.array([complex(rg.gauss(0, 1), rg.gauss(0, 1)) for _ in range(m)])
-            lhs = abs(rv @ z) ** 2
-            rhs = out.constant * np.vdot(z, H @ z).real
-            assert lhs <= rhs * (1 + 1e-9) + 1e-12
+
+def energy_by_rows(p, q, states):
+    """The per-state energy that ``energy_series`` scores in one product."""
+    H = np.asarray(bezout_matrix(p.as_float(), q.as_float()).matrix, dtype=float)
+    return np.array([np.vdot(U, H @ U).real for U in states])
+
+
+def relative_gap(new, old) -> float:
+    return float(np.max(np.abs(new - old))) / max(1.0, float(np.max(np.abs(old))))
+
+
+# two strict inputs, then two that take the expm branch
+@pytest.mark.parametrize("roots", [[-2, -1, 0.5, 1, 3], [-3, -1, 2],
+                                   [-1, -1, 2], [-2, 0.5, 0.5, 3]])
+def test_vectorised_propagation_and_energy_match_the_step_loops(roots):
+    p = Polynomial.from_roots(roots).as_float()
+    q = p.derivative()
+    A = companion_matrix(p)
+    rg = np.random.default_rng(len(roots))
+    U0 = rg.uniform(-1, 1, len(roots)) + 1j * rg.uniform(-1, 1, len(roots))
+    traj = propagate(A, U0, 10.0, 400)
+    reference = propagate_by_steps(A, U0, 10.0, 400)
+    assert relative_gap(traj.states, reference) <= 1e-12
+    # a prebuilt profile and form give the states and energies of the built ones
+    profile = real_roots(p)
+    assert np.array_equal(propagate(A, U0, 10.0, 400, profile).states, traj.states)
+    series = energy_series(p, q, traj)
+    assert relative_gap(series.values, energy_by_rows(p, q, traj.states)) <= 1e-12
+    H = bezout_matrix(p, q)
+    assert np.array_equal(energy_series(p, q, traj, H).values, series.values)

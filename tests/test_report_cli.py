@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bezoutian import Polynomial, exactla, nuij, roots
+from bezoutian import Polynomial, bezout, exactla, nuij, roots
 from bezoutian.cli import build_parser, main
 from bezoutian.report import CertifiedReport
 
@@ -24,12 +24,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def count_calls(monkeypatch, original) -> list:
-    """Rebind ``original`` wherever a bezoutian module holds it; returns the call log."""
+def count_calls(monkeypatch, original, arity: int = 1) -> list:
+    """Rebind ``original`` wherever a bezoutian module holds it; returns the call log.
+
+    The log holds each call's first argument, or its first ``arity``
+    arguments as a tuple when ``arity`` > 1.
+    """
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[0])
+        calls.append(args[0] if arity == 1 else args[:arity])
         return original(*args, **kwargs)
 
     name = original.__name__
@@ -146,6 +150,47 @@ def test_exact_analyze_reads_roots_once_and_certifies_one_form(capsys, monkeypat
     code, _, _ = run_cli(capsys, "analyze", "--poly", poly)
     assert code == 0
     assert (len(root_calls), len(psd_calls)) == (1, 1)
+
+
+@pytest.mark.parametrize("poly", ["[1.0,0.0,-1.25,0.0,0.25]", "[1.0,-2.0,1.0]"])
+def test_float_energy_reads_each_root_profile_and_form_once(capsys, monkeypatch, poly):
+    # the roots and the Bezout form of (p, p') that the hyperbolicity verdict
+    # holds serve propagate, separates, energy_series and the chain bound
+    root_calls = count_calls(monkeypatch, roots.real_roots)
+    form_calls = count_calls(monkeypatch, bezout.bezout_matrix, arity=2)
+    code, _, err = run_cli(capsys, "energy", "--poly", poly)
+    assert (code, err) == (0, "")
+    assert root_calls and len(root_calls) == len(set(root_calls))
+    assert form_calls and len(form_calls) == len(set(form_calls))
+
+
+def test_energy_rejects_a_nan_T(capsys):
+    code, out, err = run_cli(capsys, "energy", "--poly", "[1,0,-1]", "--T", "nan")
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:") and "--T" in err
+
+
+def test_energy_rejects_a_zero_T(capsys):
+    code, out, err = run_cli(capsys, "energy", "--poly", "[1,0,-1]", "--T", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:") and "--T" in err
+
+
+@pytest.mark.parametrize("steps", ["1", "2", "3"])
+def test_energy_rejects_fewer_than_four_steps(capsys, steps):
+    code, out, err = run_cli(capsys, "energy", "--poly", "[1,0,-1]", "--steps", steps)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:") and "--steps" in err
+    assert "zero-size" not in err
+    code, _, _ = run_cli(capsys, "energy", "--poly", "[1,0,-1]", "--steps", "4")
+    assert code == 0
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_quasi_rejects_samples_below_one(capsys, samples):
+    code, out, err = run_cli(capsys, "quasi", "--poly", "[1,0,0]", "--samples", samples)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:") and "--samples" in err
 
 
 def test_nuij_single_eps_csv(capsys):

@@ -10,8 +10,8 @@ prebuilt, as requests pass them: the separation bound H - H / 2 >= 0 takes
 H twice, and the H-B relation takes H and the power-sum symmetrizer of p.
 ``separates(p, p')`` gets nothing prebuilt, so every source tree runs the
 same call and builds what it needs (the forms, or the roots of p and p').
-Six rows run at m <= ``SLOW_MAX_DEGREE`` only, two of them because one
-call of each takes seconds beyond it on some source trees (2-core x86_64
+Twelve rows run at m <= ``SLOW_MAX_DEGREE`` only, three of them because
+one call of each takes seconds beyond it on some source trees (2-core x86_64
 machine):
 ``certify_stages(p, 1e-4)`` builds and certifies the m - 1 Nuij stages of
 p at eps = 1/10000, the simplest rational that rounds to 1e-4 (4.2 ms at
@@ -30,10 +30,23 @@ point ``nuij_family(p, 1e-4, 1e-12)`` (p_eps, its roots and q_eps),
 ``nuij-inversion`` check of a ``nuij`` request does per eps, and
 ``verify_quasi_point`` certifies the quasi-symmetrizer constants of p at the
 one grid point eps = 1e-4 with r = 0, as a ``quasi`` request does per eps.
+``certify_stages_grid_point`` certifies the stages at 0.00010000000000000002,
+the last point of the default grid, which lands off the decimal: its
+simplest rational has a 52-bit denominator, where 1e-4 has 1/10000.  The
+float rows of the energy layer run there as well, on the float64 rounding
+pf of p with q = pf' and T = 10, 400 steps, as an ``energy`` request with
+the defaults does: ``propagate_strict`` propagates U0 = (1, ..., 1) through
+the eigenbasis of pf, ``propagate_multiple`` through the matrix
+exponential for the first m - 1 of those roots with the first one
+doubled, ``energy_series`` scores the strict trajectory with the form of
+(pf, pf'), ``derivative_identity_check`` checks the identity on a
+three-term exponential signal, and ``chain_bound_check`` the chain bound
+of stage 0 along the strict trajectory.  These rows get nothing prebuilt,
+so every source tree runs the same calls.
 Each layer is timed as the best of five batches (stdlib
 ``time.perf_counter``); a batch repeats the call until it lasts
 ``MIN_TIME`` seconds, and the per-call time is reported.  The rows go into
-``BENCH_11.json`` in the working directory under ``--label``, next to the
+``BENCH_12.json`` in the working directory under ``--label``, next to the
 rows other labels left there, with the Python version and the commit of
 the timed source.
 
@@ -55,9 +68,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import bezoutian
-from bezoutian import Polynomial, bezout_matrix, companion_matrix, h_b_relation_check
-from bezoutian import invert_transform, is_hyperbolic, leray_symmetrizer, nuij_family
-from bezoutian import nuij_transform, real_roots, separates
+from bezoutian import ExponentialSignal, Polynomial, bezout_matrix, chain_bound_check
+from bezoutian import companion_matrix, derivative_identity_check, energy_series
+from bezoutian import h_b_relation_check, invert_transform, is_hyperbolic, leray_symmetrizer
+from bezoutian import nuij_family, nuij_transform, propagate, real_roots, separates
 from bezoutian import separation_lower_bound_check, symmetrization_defect, verify_quasi
 from bezoutian.exactla import det, psd_certificate
 
@@ -70,7 +84,10 @@ DEGREES = (4, 8, 12, 16, 24)
 SLOW_MAX_DEGREE = 12
 REPEATS = 5
 MIN_TIME = 0.02  # seconds one timed batch lasts at least
-OUT = Path("BENCH_11.json")
+OUT = Path("BENCH_12.json")
+GRID_POINT = 0.00010000000000000002  # the default grid's last eps
+ENERGY_T, ENERGY_STEPS = 10.0, 400
+SIGNAL = ExponentialSignal.of((1.0, -2.1), (0.5, 0.4), (1 / 3, 2.7))
 
 
 def exact_input(m: int) -> list:
@@ -96,6 +113,24 @@ def best_per_call(fn) -> float:
             fn()
         best = min(best, (time.perf_counter() - start) / number)
     return best
+
+
+def energy_calls(m: int) -> dict:
+    """The float energy rows at degree m, keyed by layer."""
+    roots = exact_input(m)
+    pf = Polynomial.from_roots(roots, "exact").as_float()
+    dpf = pf.derivative()
+    double = Polynomial.from_roots(roots[:1] + roots[:-1], "exact").as_float()
+    A, A_double = companion_matrix(pf), companion_matrix(double)
+    U0 = [1.0] * m
+    traj = propagate(A, U0, ENERGY_T, ENERGY_STEPS)
+    return {
+        "propagate_strict": lambda: propagate(A, U0, ENERGY_T, ENERGY_STEPS),
+        "propagate_multiple": lambda: propagate(A_double, U0, ENERGY_T, ENERGY_STEPS),
+        "energy_series": lambda: energy_series(pf, dpf, traj),
+        "derivative_identity_check": lambda: derivative_identity_check(pf, dpf, SIGNAL),
+        "chain_bound_check": lambda: chain_bound_check(pf, 0, traj, T=ENERGY_T),
+    }
 
 
 def layer_rows(degrees) -> list:
@@ -129,6 +164,8 @@ def layer_rows(degrees) -> list:
             calls["verify_quasi_point"] = lambda: verify_quasi(p, (1e-4,), r=0)
             if certify_stages is not None:
                 calls["certify_stages"] = lambda: certify_stages(p, 1e-4)
+                calls["certify_stages_grid_point"] = lambda: certify_stages(p, GRID_POINT)
+            calls.update(energy_calls(m))
         for layer, fn in calls.items():
             rows.append({"layer": layer, "m": m, "best_s": best_per_call(fn)})
     return rows

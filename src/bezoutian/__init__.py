@@ -84,7 +84,6 @@ from .quasi import (
     QuasiVerdict,
     check_conditions,
     commutator_decomposition,
-    derivative_ratio_constants,
     verify_quasi,
 )
 from .report import CertifiedReport, CheckRecord

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .bezout import BezoutMatrix, CompanionMatrix, bezout_matrix
 from .errors import NonHyperbolicError
@@ -115,6 +114,9 @@ def propagate(A: CompanionMatrix, U0, T: float, steps: int,
         y = np.linalg.solve(R, U0)
         states = (np.exp(1j * np.outer(times, roots)) * y) @ R.T
     else:
+        # Imported here, its one caller: scipy.linalg is most of the package's import time.
+        from scipy.linalg import expm
+
         step = expm(1j * Am * (times[1] - times[0]))
         states = np.empty((len(times), m), dtype=complex)
         states[0] = U0

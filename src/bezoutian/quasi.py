@@ -266,23 +266,3 @@ def verify_quasi(p: Polynomial, epsilon_grid=None, r: float | None = None,
             sampling_ok = False
     return QuasiVerdict(r, s, grid, tuple(lower), tuple(comm), tuple(sample_max),
                         sampling_ok, uniformity_factor)
-
-
-def derivative_ratio_constants(p: Polynomial, epsilon_grid=None) -> tuple:
-    """Per-eps sup over roots and orders l of |p_eps^(l)(root)| eps^(l-1) / |p_eps'(root)|."""
-    grid = tuple(float(e) for e in (epsilon_grid if epsilon_grid is not None
-                                    else default_epsilon_grid()))
-    out = []
-    m = int(p.degree)
-    for eps in grid:
-        fam = nuij_family(p, eps, 1e-12)
-        p_eps, roots = fam.p_eps, fam.roots_eps.flattened
-        dp = p_eps.derivative()
-        worst = 0.0
-        for lam in roots:
-            base = abs(dp(lam))
-            for l in range(1, m + 1):
-                val = abs(p_eps.derivative(l)(lam)) * eps ** (l - 1) / base
-                worst = max(worst, val)
-        out.append(worst)
-    return tuple(out)

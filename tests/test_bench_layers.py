@@ -26,7 +26,7 @@ def test_bench_layers_writes_rows_for_every_layer_and_degree(tmp_path, monkeypat
     tool = load_tool()
     monkeypatch.setattr(tool, "MIN_TIME", 0.0005)
     monkeypatch.chdir(tmp_path)
-    out = tmp_path / "BENCH_12.json"
+    out = tmp_path / "BENCH_13.json"
     out.write_text(json.dumps({"runs": {"earlier": {"rows": []}}}))
     assert tool.main(["--label", "smoke", "--degrees", "2,3"]) == 0
     doc = json.loads(out.read_text())
@@ -34,6 +34,11 @@ def test_bench_layers_writes_rows_for_every_layer_and_degree(tmp_path, monkeypat
     run = doc["runs"]["smoke"]
     assert run["python"] == ".".join(map(str, sys.version_info[:3]))
     assert "commit" in run
+    imported = run["import"]
+    assert 0 < imported["best_cpu_s"] and 0 < imported["best_wall_s"]
+    # the fresh interpreters import the source under test, which leaves scipy
+    # to the multiple-root energy branch
+    assert imported["scipy_linalg_loaded"] is False
     rows = run["rows"]
     assert {(r["layer"], r["m"]) for r in rows} == {(k, m) for k in LAYERS for m in (2, 3)}
     assert all(r["best_s"] > 0 for r in rows)

@@ -14,7 +14,6 @@ from bezoutian import (
     check_conditions,
     commutator_decomposition,
     companion_matrix,
-    derivative_ratio_constants,
     nuij_transform,
     symmetrization_defect,
     verify_quasi,
@@ -142,15 +141,6 @@ def test_sampling_never_exceeds_certified_norm():
         assert v.sampling_consistent
         for sampled, certified in zip(v.sample_max_ratios, v.commutator_constants):
             assert sampled <= certified * (1 + 1e-6) + 1e-9
-
-
-def test_derivative_ratio_constants_bounded():
-    # |p_eps^(l)(root)| eps^(l-1) / |p_eps'(root)| stays uniformly bounded
-    for p in (X_SQUARED, Polynomial.exact([1, 0, 0, 0]), Polynomial.exact([1, 0, -1, 0])):
-        consts = derivative_ratio_constants(p, GRID)
-        assert max(consts) < 50
-        positive = [c for c in consts if c > 0]
-        assert max(positive) / min(positive) < 10
 
 
 def test_zero_lower_constant_is_not_uniform():

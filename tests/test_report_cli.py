@@ -330,15 +330,20 @@ def test_poly_file_input(tmp_path, capsys):
     assert json.loads(out)["all_pass"] is True
 
 
-def fresh_cli(argv, env_seed=None) -> tuple:
+def fresh_env(env_seed=None) -> dict:
+    """The environment of a fresh interpreter that imports bezoutian from src."""
     env = {k: v for k, v in os.environ.items() if k != "SYMM_SEED"}
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     if env_seed is not None:
         env["SYMM_SEED"] = env_seed
+    return env
+
+
+def fresh_cli(argv, env_seed=None) -> tuple:
     # bytes, not text: the csv rows end in CRLF, which text mode would translate
     proc = subprocess.run([sys.executable, "-m", "bezoutian.cli", *argv],
-                          capture_output=True, env=env)
+                          capture_output=True, env=fresh_env(env_seed))
     return proc.returncode, proc.stdout.decode()
 
 
@@ -499,3 +504,32 @@ def test_quasi_default_r_reads_no_root_of_exact_p(capsys):
     assert report["inputs"]["r"] == 0
     failing = {c["check_id"] for c in report["checks"] if c["verdict"] != "pass"}
     assert failing == {"quasi-lower-bound"}
+
+
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+from bezoutian.cli import main
+loaded = ["scipy.linalg" in sys.modules]
+for command in ("analyze", "leray", "nuij", "quasi"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([command, "--poly", "[1,-3,0,4]"]) == 0
+loaded.append("scipy.linalg" in sys.modules)
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(["energy", "--poly", "[1.0,-2.0,1.0]"])
+loaded.append("scipy.linalg" in sys.modules)
+print(json.dumps([loaded, code, out.getvalue()]))
+"""
+
+
+def test_scipy_loads_only_on_the_multiple_root_energy_branch(capsys):
+    # this process has imported scipy already, so only a fresh interpreter
+    # shows what importing the CLI and running its subcommands loads
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE], capture_output=True,
+                          text=True, env=fresh_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded, code, out = json.loads(proc.stdout)
+    # after the import, after the exact analyze/leray/nuij/quasi requests on
+    # (x-2)^2 (x+1), after the energy request on the double root of (x-1)^2
+    assert loaded == [False, False, True]
+    assert (code, out) == run_cli(capsys, "energy", "--poly", "[1.0,-2.0,1.0]")[:2]

@@ -43,10 +43,13 @@ doubled, ``energy_series`` scores the strict trajectory with the form of
 three-term exponential signal, and ``chain_bound_check`` the chain bound
 of stage 0 along the strict trajectory.  These rows get nothing prebuilt,
 so every source tree runs the same calls.
+Each run also records ``import``: the best of five fresh interpreters
+importing ``bezoutian.cli`` from the timed source, in wall and CPU
+seconds, and whether that import loaded ``scipy.linalg``.
 Each layer is timed as the best of five batches (stdlib
 ``time.perf_counter``); a batch repeats the call until it lasts
 ``MIN_TIME`` seconds, and the per-call time is reported.  The rows go into
-``BENCH_12.json`` in the working directory under ``--label``, next to the
+``BENCH_13.json`` in the working directory under ``--label``, next to the
 rows other labels left there, with the Python version and the commit of
 the timed source.
 
@@ -84,10 +87,14 @@ DEGREES = (4, 8, 12, 16, 24)
 SLOW_MAX_DEGREE = 12
 REPEATS = 5
 MIN_TIME = 0.02  # seconds one timed batch lasts at least
-OUT = Path("BENCH_12.json")
+OUT = Path("BENCH_13.json")
 GRID_POINT = 0.00010000000000000002  # the default grid's last eps
 ENERGY_T, ENERGY_STEPS = 10.0, 400
 SIGNAL = ExponentialSignal.of((1.0, -2.1), (0.5, 0.4), (1 / 3, 2.7))
+IMPORT_PROBE = ("import sys, time; t = time.perf_counter(); c = time.process_time(); "
+                "import bezoutian.cli; "
+                "print(time.perf_counter() - t, time.process_time() - c, "
+                "'scipy.linalg' in sys.modules)")
 
 
 def exact_input(m: int) -> list:
@@ -171,6 +178,19 @@ def layer_rows(degrees) -> list:
     return rows
 
 
+def import_row() -> dict:
+    """Best of REPEATS fresh interpreters importing bezoutian.cli from the timed source."""
+    env = dict(os.environ, PYTHONPATH=str(Path(bezoutian.__file__).resolve().parent.parent))
+    runs = []
+    for _ in range(REPEATS):
+        done = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        wall, cpu, scipy_linalg = done.stdout.split()
+        runs.append((float(wall), float(cpu), scipy_linalg == "True"))
+    return {"best_wall_s": min(r[0] for r in runs), "best_cpu_s": min(r[1] for r in runs),
+            "scipy_linalg_loaded": any(r[2] for r in runs)}
+
+
 def source_commit() -> str | None:
     """HEAD of the git checkout holding the imported package, if it is one."""
     where = Path(bezoutian.__file__).resolve().parent
@@ -199,6 +219,7 @@ def main(argv=None) -> int:
         "machine": platform.machine(),
         "nproc": os.cpu_count(),
         "repeats": REPEATS,
+        "import": import_row(),
         "rows": layer_rows(degrees),
     }
     OUT.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")

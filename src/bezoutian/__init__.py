@@ -53,7 +53,6 @@ from .factorization import (
     lagrange_basis_matrix,
     lagrange_weights,
     separates,
-    vandermonde,
 )
 from .leray import LeraySymmetrizer, h_b_relation_check, leray_symmetrizer, power_sum_matrix
 from .nuij import (
@@ -63,7 +62,6 @@ from .nuij import (
     certify_stages,
     default_epsilon_grid,
     gap_constants,
-    interlaces,
     invert_transform,
     nuij_family,
     nuij_inverse_coeffs,
@@ -75,7 +73,6 @@ from .polynomial import (
     RootProfile,
     deleted_root_factor,
     elementary_symmetric,
-    elementary_symmetric_excluding,
     power_sums,
 )
 from .quasi import (

@@ -34,22 +34,19 @@ from .scalars import BACKEND_EXACT
 
 
 @dataclass(frozen=True)
-class BezoutMatrix:
+class _MatrixForm:
+    """A matrix wrapper that numpy reads as its ``matrix``."""
+
     matrix: np.ndarray
-    p: Polynomial
-    q: Polynomial
 
     def __array__(self, dtype=None, copy=None):
-        return self.matrix if dtype is None else self.matrix.astype(dtype)
+        # np.array copies (copy=True) so that writes never reach the form;
+        # np.asarray (copy=None) gets the matrix itself
+        return np.array(self.matrix, dtype=dtype, copy=copy)
 
     @property
     def backend(self) -> str:
         return exactla.backend_of(self.matrix)
-
-    @cached_property
-    def det(self):
-        """det H, computed on first use and kept with the form."""
-        return exactla.det(self.matrix)
 
     def to_jsonable(self) -> dict:
         from .scalars import scalar_to_json
@@ -61,28 +58,23 @@ class BezoutMatrix:
 
 
 @dataclass(frozen=True)
-class CompanionMatrix:
-    matrix: np.ndarray
+class BezoutMatrix(_MatrixForm):
     p: Polynomial
+    q: Polynomial
 
-    def __array__(self, dtype=None, copy=None):
-        return self.matrix if dtype is None else self.matrix.astype(dtype)
+    @cached_property
+    def det(self):
+        """det H, computed on first use and kept with the form."""
+        return exactla.det(self.matrix)
 
-    @property
-    def backend(self) -> str:
-        return exactla.backend_of(self.matrix)
 
-    def to_jsonable(self) -> dict:
-        from .scalars import scalar_to_json
-
-        return {
-            "backend": self.backend,
-            "rows": [[scalar_to_json(v) for v in row] for row in self.matrix],
-        }
+@dataclass(frozen=True)
+class CompanionMatrix(_MatrixForm):
+    p: Polynomial
 
 
 def _as_matrix(M) -> np.ndarray:
-    if isinstance(M, (BezoutMatrix, CompanionMatrix)):
+    if isinstance(M, _MatrixForm):
         return M.matrix
     return np.asarray(M)
 

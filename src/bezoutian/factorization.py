@@ -27,24 +27,8 @@ from .roots import real_roots
 from .scalars import BACKEND_EXACT, infer_backend
 
 
-def vandermonde(roots, backend: str | None = None) -> np.ndarray:
-    """R[i][j] = roots[j]**i; columns follow the given root order."""
-    roots = list(roots)
-    m = len(roots)
-    if backend is None:
-        backend = infer_backend(roots)
-    R = exactla.zeros(m, m, backend)
-    for j, r in enumerate(roots):
-        v = Fraction(r) if backend == BACKEND_EXACT else float(r)
-        acc = Fraction(1) if backend == BACKEND_EXACT else 1.0
-        for i in range(m):
-            R[i, j] = acc
-            acc = acc * v
-    return R
-
-
-def lagrange_basis_matrix(roots, backend: str | None = None) -> np.ndarray:
-    """Signed elementary-symmetric matrix G.
+def lagrange_basis_matrix(roots) -> np.ndarray:
+    """Signed elementary-symmetric matrix G, exact for exact roots.
 
     With 0-based indices, G[i][j] = (-1)**(i+j) * e_{m-1-j} of the roots
     with position i removed.  Row i is, up to the sign (-1)**(i+m+1), the
@@ -53,8 +37,7 @@ def lagrange_basis_matrix(roots, backend: str | None = None) -> np.ndarray:
     """
     roots = list(roots)
     m = len(roots)
-    if backend is None:
-        backend = infer_backend(roots)
+    backend = infer_backend(roots)
     vals = [Fraction(r) if backend == BACKEND_EXACT else float(r) for r in roots]
     G = exactla.zeros(m, m, backend)
     for i in range(m):
@@ -67,7 +50,9 @@ def lagrange_basis_matrix(roots, backend: str | None = None) -> np.ndarray:
 
 
 def scaled_inverse_diagonal(roots, p_prime: Polynomial):
-    """Diagonal d with G @ vandermonde = diag(d); d_i = (-1)**(i+m+1) p'(root_i).
+    """Diagonal d with G @ R = diag(d); d_i = (-1)**(i+m+1) p'(root_i).
+
+    R[i][j] = root_j**i is the Vandermonde matrix np.vander(roots, increasing=True).T.
 
     For ascending simple roots every d_i equals |p'(root_i)| > 0.
     """
@@ -148,58 +133,38 @@ def lagrange_weights(p: Polynomial, q: Polynomial, profile: RootProfile | None =
     return tuple(out)
 
 
+def _weighted_gram(G: np.ndarray, weights) -> np.ndarray:
+    """G^T diag(w) G, with diag(w) G taken as G's rows scaled by the weights."""
+    return G.T @ (np.array(weights, dtype=G.dtype)[:, None] * G)
+
+
 @dataclass(frozen=True)
 class FactorizationBundle:
-    """R, G, weights and difference products realizing H = G^T diag(w) G."""
+    """G and the weights realizing H = G^T diag(w) G, with its residual."""
 
-    vandermonde: np.ndarray
     basis_matrix: np.ndarray
     weights: tuple
-    delta_excluding: tuple
-    delta: object
-    deleted_factor_coeffs: tuple
     residual: object
 
-    @property
-    def weight_diagonal(self) -> np.ndarray:
-        n = len(self.weights)
-        backend = exactla.backend_of(self.basis_matrix)
-        D = exactla.zeros(n, n, backend)
-        for i, w in enumerate(self.weights):
-            D[i, i] = w
-        return D
-
     def reconstruct(self) -> np.ndarray:
-        return self.basis_matrix.T @ self.weight_diagonal @ self.basis_matrix
+        return _weighted_gram(self.basis_matrix, self.weights)
 
 
 def factorization_bundle(p: Polynomial, q: Polynomial,
                          profile: RootProfile | None = None,
                          tol: float = 1e-9) -> FactorizationBundle:
-    """Build R, G, weights for strictly hyperbolic p and report the residual
-    against the directly constructed Bezout matrix."""
+    """Build G and the weights for strictly hyperbolic p and report the
+    residual against the directly constructed Bezout matrix."""
     if profile is None:
         profile = real_roots(p, tol)
     if not profile.is_strict:
         raise MultipleRootError("factorization_bundle requires simple roots")
     pp, roots = _match_backend(p, profile)
     qq, _ = _match_backend(q, profile)
-    backend = pp.backend
-    R = vandermonde(roots, backend)
-    G = lagrange_basis_matrix(roots, backend)
+    G = lagrange_basis_matrix(roots)
     weights = lagrange_weights(pp, qq, profile, tol)
-    m = len(roots)
-    deltas = tuple(
-        difference_product(roots[:i] + roots[i + 1:]) for i in range(m)
-    )
-    delta = difference_product(roots)
-    pk = tuple(deleted_root_factor(roots, k, backend).ascending(m) for k in range(m))
-    H = bezout_matrix(pp, qq).matrix
-    D = exactla.zeros(m, m, backend)
-    for i, w in enumerate(weights):
-        D[i, i] = w
-    residual = exactla.max_abs(G.T @ D @ G - H)
-    return FactorizationBundle(R, G, weights, deltas, delta, pk, residual)
+    residual = exactla.max_abs(_weighted_gram(G, weights) - bezout_matrix(pp, qq).matrix)
+    return FactorizationBundle(G, weights, residual)
 
 
 @dataclass(frozen=True)
@@ -317,17 +282,13 @@ def derivative_bound_constant(p: Polynomial, profile: RootProfile | None = None,
         term = r * r / w
         acc = term if acc is None else acc + term
     c = 1 / acc
-    pp, roots = _match_backend(p, profile)
+    pp, _ = _match_backend(p, profile)
     backend = pp.backend
     dpp = pp.derivative()
     if H is None or (H.p, H.q) != (pp, dpp):
         H = bezout_matrix(pp, dpp)
-    m = int(p.degree)
-    v = dpp.ascending(m)
-    V = exactla.zeros(m, m, backend)
-    for i in range(m):
-        for j in range(m):
-            V[i, j] = v[i] * v[j]
+    v = dpp.ascending(int(p.degree))
+    V = np.outer(v, v)
     cc = Fraction(c) if backend == BACKEND_EXACT else float(c)
     verdict = psd_check(H.matrix - cc * V, tol)
     return DerivativeBound(c, verdict.is_psd)

@@ -294,25 +294,6 @@ def certify_stages(p: Polynomial, epsilon) -> tuple[bool, bool]:
     return interlaced, sturm_real_root_count(Polynomial.exact(stages[-1])) == len(stages)
 
 
-def interlaces(upper, lower, strict: bool = False) -> bool:
-    """True when lower's roots sit between consecutive roots of upper.
-
-    upper has one more root than lower; the generalized (non-strict) chain
-    allows ties, which is how multiple roots interlace their derivative.
-    """
-    up = list(upper.flattened if isinstance(upper, RootProfile) else upper)
-    low = list(lower.flattened if isinstance(lower, RootProfile) else lower)
-    if len(up) != len(low) + 1:
-        raise ValueError("interlacing needs degrees differing by one")
-    up.sort()
-    low.sort()
-    less = (lambda a, b: a < b) if strict else (lambda a, b: a <= b)
-    for i, mu in enumerate(low):
-        if not (less(up[i], mu) and less(mu, up[i + 1])):
-            return False
-    return True
-
-
 def default_epsilon_grid(start: float = 1.0, stop: float = 1e-4, count: int = 9) -> tuple:
     """Logarithmic grid from start down to stop, inclusive."""
     if count < 2:

@@ -362,22 +362,6 @@ def elementary_symmetric(values: Sequence) -> list:
     return out
 
 
-def elementary_symmetric_excluding(roots: Sequence, exclude: int, degree: int):
-    """e_degree of the flattened roots with the entry at ``exclude`` removed.
-
-    ``exclude`` is a 0-based position into the flattened root list; degree
-    ranges over 0..m-1 where m = len(roots).
-    """
-    roots = list(roots)
-    m = len(roots)
-    if not 0 <= exclude < m:
-        raise IndexError(f"exclude index {exclude} out of range for {m} roots")
-    if not 0 <= degree <= m - 1:
-        raise ValueError(f"degree {degree} out of range 0..{m - 1}")
-    rest = roots[:exclude] + roots[exclude + 1:]
-    return elementary_symmetric(rest)[degree]
-
-
 def deleted_root_factor(roots: Sequence, exclude: int, backend: str | None = None) -> Polynomial:
     """The monic factor with the root at position ``exclude`` removed."""
     rest = list(roots[:exclude]) + list(roots[exclude + 1:])

@@ -109,8 +109,8 @@ def commutator_decomposition(p: Polynomial, epsilon,
     Q_eps is zero except for its last row, which holds the negated
     coefficients of q_eps = p - p_eps; S_eps carries the root-wise ratios
     -q_eps(root_j) / d_j with d_j the signed derivative values that make
-    G_eps @ vandermonde diagonal.  ``family`` is ``nuij_family(p, eps, 1e-12)``
-    when the caller holds it.
+    G_eps R diagonal, R the Vandermonde matrix of the roots.  ``family`` is
+    ``nuij_family(p, eps, 1e-12)`` when the caller holds it.
     """
     eps = float(epsilon)
     if eps <= 0:
@@ -121,7 +121,7 @@ def commutator_decomposition(p: Polynomial, epsilon,
     A = np.asarray(companion_matrix(pf).matrix, dtype=float)
     A_eps = np.asarray(companion_matrix(p_eps).matrix, dtype=float)
     Q = A - A_eps
-    G = np.asarray(lagrange_basis_matrix(roots, "float64"), dtype=float)
+    G = lagrange_basis_matrix([float(r) for r in roots])
     d = scaled_inverse_diagonal(roots, p_eps.derivative())
     S = np.zeros((m, m))
     for j, lam in enumerate(roots):

@@ -29,6 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .bezout import companion_matrix
 from .errors import NonHyperbolicError, NonMonicError
 from .polynomial import Polynomial, RootProfile, _primitive
 from .scalars import BACKEND_EXACT
@@ -288,17 +289,6 @@ def _rational_roots(f: Polynomial) -> tuple[list[Fraction], Polynomial]:
     return sorted(found), Polynomial.exact([scale * v for v in ints])
 
 
-def _companion_floats(p: Polynomial) -> np.ndarray:
-    m = len(p.coeffs) - 1
-    lc = float(p.coeffs[0])
-    a = [float(c) / lc for c in p.coeffs[1:]]
-    C = np.zeros((m, m))
-    for i in range(m - 1):
-        C[i, i + 1] = 1.0
-    C[m - 1, :] = [-a[m - 1 - j] for j in range(m)]
-    return C
-
-
 def _newton_polish(pf: Polynomial, dp: Polynomial, z: complex, steps: int = 12) -> complex:
     """The iterate of least |pf| among z and up to ``steps`` Newton steps from it.
 
@@ -326,7 +316,9 @@ def _float_roots(p: Polynomial) -> list[complex]:
     """Polished eigenvalues of the companion matrix (any multiplicity pattern)."""
     pf = p.as_float()
     dp = pf.derivative()
-    eigs = np.linalg.eigvals(_companion_floats(pf))
+    lc = pf.coeffs[0]
+    A = companion_matrix(Polynomial.float64([c / lc for c in pf.coeffs]))
+    eigs = np.linalg.eigvals(A.matrix)
     return [_newton_polish(pf, dp, complex(z)) for z in eigs]
 
 

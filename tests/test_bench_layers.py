@@ -12,7 +12,7 @@ LAYERS = {"bezout_matrix", "psd_certificate", "symmetrization_defect", "det",
           "certify_stages", "nuij_family", "real_roots_float", "invert_transform",
           "verify_quasi_point", "certify_stages_grid_point", "propagate_strict",
           "propagate_multiple", "energy_series", "derivative_identity_check",
-          "chain_bound_check"}
+          "chain_bound_check", "factorization_bundle"}
 
 
 def load_tool():
@@ -26,7 +26,7 @@ def test_bench_layers_writes_rows_for_every_layer_and_degree(tmp_path, monkeypat
     tool = load_tool()
     monkeypatch.setattr(tool, "MIN_TIME", 0.0005)
     monkeypatch.chdir(tmp_path)
-    out = tmp_path / "BENCH_13.json"
+    out = tmp_path / "BENCH_14.json"
     out.write_text(json.dumps({"runs": {"earlier": {"rows": []}}}))
     assert tool.main(["--label", "smoke", "--degrees", "2,3"]) == 0
     doc = json.loads(out.read_text())

@@ -119,6 +119,21 @@ def test_bezout_symmetry_and_float_path():
     assert H == pytest.approx(np.array([[2.0, 0.0], [0.0, 2.0]]))
 
 
+@pytest.mark.parametrize("backend", ["exact", "float64"])
+def test_forms_copy_for_np_array_and_share_for_np_asarray(backend):
+    p = Polynomial((1, 0, -1), backend)
+    H, A = bezout_matrix(p, p.derivative()), companion_matrix(p)
+    for form in (H, A):
+        assert np.asarray(form) is form.matrix
+        before = form.matrix.copy()
+        copied = np.array(form)
+        assert copied is not form.matrix
+        copied[0, 0] = 99.0
+        assert (form.matrix == before).all()
+    assert H.det == 4
+    assert np.array(H, dtype=float).tolist() == [[2.0, 0.0], [0.0, 2.0]]
+
+
 def test_bezout_degenerate_degree():
     with pytest.raises(DegreeMismatchError):
         bezout_matrix(Polynomial.exact([3]), Polynomial.exact([2]))

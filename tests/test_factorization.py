@@ -19,20 +19,11 @@ from bezoutian import (
     lagrange_weights,
     separates,
     separation_lower_bound_check,
-    vandermonde,
 )
 from bezoutian.exactla import zeros
-from bezoutian.factorization import difference_product
 
 X2_MINUS_1 = Polynomial.exact([1, 0, -1])
 X3_MINUS_X = Polynomial.exact([1, 0, -1, 0])
-
-
-def test_vandermonde_examples():
-    assert vandermonde([1, -1]).tolist() == [[1, 1], [1, -1]]
-    assert vandermonde([-1, 0, 1]).tolist() == [[1, 1, 1], [-1, 0, 1], [1, 0, 1]]
-    singular = vandermonde([0, 0])
-    assert singular.tolist() == [[1, 1], [0, 0]]
 
 
 def test_basis_matrix_examples():
@@ -46,6 +37,11 @@ def test_basis_matrix_examples():
     # both rows are +-(coefficients of x)
     for row in repeated:
         assert [abs(v) for v in row] == [0, 1]
+
+
+def vandermonde(roots) -> np.ndarray:
+    """R[i][j] = roots[j]**i, exact on rational roots."""
+    return np.vander(np.array(roots, dtype=object), increasing=True).T
 
 
 def test_companion_times_vandermonde_is_diagonal_scaling():
@@ -106,7 +102,7 @@ def test_factorization_bundle_examples():
     assert b.reconstruct().tolist() == [[1, 0], [0, 1]]
     b = factorization_bundle(X3_MINUS_X, Polynomial.exact([3, 0, -1]))
     assert b.reconstruct().tolist() == [[1, 0, -1], [0, 2, 0], [-1, 0, 3]]
-    assert b.delta == difference_product((-1, 0, 1))
+    assert b.weights == (1, 1, 1)
 
 
 def test_factorization_bundle_random_exact():

@@ -14,7 +14,6 @@ from bezoutian import (
     certify_stages,
     default_epsilon_grid,
     gap_constants,
-    interlaces,
     invert_transform,
     is_hyperbolic,
     nuij_family,
@@ -355,21 +354,6 @@ def test_certify_stages_controls():
     for eps in (0, -0.1, Fraction(-1, 3)):
         with pytest.raises(ValueError):
             certify_stages(Polynomial.exact([1, 0, 0]), eps)
-
-
-def test_interlaces_examples():
-    assert interlaces([-1, 1], [0])
-    assert not interlaces([-1, 1], [2])
-    assert interlaces([0, 0], [0])
-    assert not interlaces([0, 0], [0], strict=True)
-    with pytest.raises(ValueError):
-        interlaces([-1, 1], [0, 1])
-
-
-def test_interlaces_accepts_profiles():
-    p = Polynomial.exact([1, 0, -1, 0])
-    dp_monic = p.derivative() * Fraction(1, 3)
-    assert interlaces(real_roots(p), real_roots(dp_monic))
 
 
 def test_coefficient_convergence_linear_in_eps():

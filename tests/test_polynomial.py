@@ -13,8 +13,6 @@ from bezoutian import (
     NonMonicError,
     Polynomial,
     RootProfile,
-    deleted_root_factor,
-    elementary_symmetric_excluding,
     power_sums,
 )
 
@@ -77,36 +75,6 @@ def test_backend_mismatch_raises():
 def test_exact_backend_rejects_bare_floats():
     with pytest.raises(TypeError):
         Polynomial.exact([1.5, 0])
-
-
-def test_elementary_symmetric_excluding_examples():
-    roots = (-1, 0, 1)
-    # excluding the middle root leaves {-1, 1}
-    assert elementary_symmetric_excluding(roots, 1, 2) == -1
-    # excluding the first root leaves {0, 1}
-    assert elementary_symmetric_excluding(roots, 0, 1) == 1
-    assert elementary_symmetric_excluding(roots, 2, 0) == 1
-
-
-def test_elementary_symmetric_excluding_range_errors():
-    with pytest.raises(ValueError):
-        elementary_symmetric_excluding((1, 2), 0, 2)
-    with pytest.raises(IndexError):
-        elementary_symmetric_excluding((1, 2), 5, 0)
-
-
-def test_sigma_sums_rebuild_deleted_factors():
-    # sum_l sigma_{l,k} (-1)^l x^(m-1-l) must reproduce prod_{j!=k}(x - root_j)
-    rg = corpus.rng(11)
-    for _ in range(50):
-        m = rg.randint(2, 6)
-        roots = [corpus.rational(rg, -5, 5) for _ in range(m)]
-        for k in range(m):
-            coeffs = [
-                (-1) ** l * elementary_symmetric_excluding(roots, k, l) for l in range(m)
-            ]
-            rebuilt = Polynomial.exact(coeffs)
-            assert rebuilt == deleted_root_factor(roots, k)
 
 
 def test_power_sums_examples():

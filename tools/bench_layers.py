@@ -10,7 +10,7 @@ prebuilt, as requests pass them: the separation bound H - H / 2 >= 0 takes
 H twice, and the H-B relation takes H and the power-sum symmetrizer of p.
 ``separates(p, p')`` gets nothing prebuilt, so every source tree runs the
 same call and builds what it needs (the forms, or the roots of p and p').
-Twelve rows run at m <= ``SLOW_MAX_DEGREE`` only, three of them because
+Thirteen rows run at m <= ``SLOW_MAX_DEGREE`` only, three of them because
 one call of each takes seconds beyond it on some source trees (2-core x86_64
 machine):
 ``certify_stages(p, 1e-4)`` builds and certifies the m - 1 Nuij stages of
@@ -42,14 +42,16 @@ doubled, ``energy_series`` scores the strict trajectory with the form of
 (pf, pf'), ``derivative_identity_check`` checks the identity on a
 three-term exponential signal, and ``chain_bound_check`` the chain bound
 of stage 0 along the strict trajectory.  These rows get nothing prebuilt,
-so every source tree runs the same calls.
+so every source tree runs the same calls.  ``factorization_bundle``
+factors the form of (p, p') as G^T diag(w) G on the exact roots of p and
+takes its residual against the directly built form.
 Each run also records ``import``: the best of five fresh interpreters
 importing ``bezoutian.cli`` from the timed source, in wall and CPU
 seconds, and whether that import loaded ``scipy.linalg``.
 Each layer is timed as the best of five batches (stdlib
 ``time.perf_counter``); a batch repeats the call until it lasts
 ``MIN_TIME`` seconds, and the per-call time is reported.  The rows go into
-``BENCH_13.json`` in the working directory under ``--label``, next to the
+``BENCH_14.json`` in the working directory under ``--label``, next to the
 rows other labels left there, with the Python version and the commit of
 the timed source.
 
@@ -73,6 +75,7 @@ from pathlib import Path
 import bezoutian
 from bezoutian import ExponentialSignal, Polynomial, bezout_matrix, chain_bound_check
 from bezoutian import companion_matrix, derivative_identity_check, energy_series
+from bezoutian import factorization_bundle
 from bezoutian import h_b_relation_check, invert_transform, is_hyperbolic, leray_symmetrizer
 from bezoutian import nuij_family, nuij_transform, propagate, real_roots, separates
 from bezoutian import separation_lower_bound_check, symmetrization_defect, verify_quasi
@@ -87,7 +90,7 @@ DEGREES = (4, 8, 12, 16, 24)
 SLOW_MAX_DEGREE = 12
 REPEATS = 5
 MIN_TIME = 0.02  # seconds one timed batch lasts at least
-OUT = Path("BENCH_13.json")
+OUT = Path("BENCH_14.json")
 GRID_POINT = 0.00010000000000000002  # the default grid's last eps
 ENERGY_T, ENERGY_STEPS = 10.0, 400
 SIGNAL = ExponentialSignal.of((1.0, -2.1), (0.5, 0.4), (1 / 3, 2.7))
@@ -169,6 +172,8 @@ def layer_rows(degrees) -> list:
             p_eps = nuij_transform(p, 1e-4)
             calls["invert_transform"] = lambda: invert_transform(p_eps, 1e-4)
             calls["verify_quasi_point"] = lambda: verify_quasi(p, (1e-4,), r=0)
+            profile = real_roots(p)
+            calls["factorization_bundle"] = lambda: factorization_bundle(p, dp, profile)
             if certify_stages is not None:
                 calls["certify_stages"] = lambda: certify_stages(p, 1e-4)
                 calls["certify_stages_grid_point"] = lambda: certify_stages(p, GRID_POINT)

@@ -73,12 +73,6 @@ class CompanionMatrix(_MatrixForm):
     p: Polynomial
 
 
-def _as_matrix(M) -> np.ndarray:
-    if isinstance(M, _MatrixForm):
-        return M.matrix
-    return np.asarray(M)
-
-
 def _divide_form(pa: list, qa: list, n: int) -> tuple[list, list]:
     """(H rows, leftovers) of (p(x)q(y) - p(y)q(x)) / (x - y).
 
@@ -158,7 +152,7 @@ def symmetrization_defect(H, A):
     Two exact matrices are multiplied as integer matrices, H = X / dx and
     A = Y / dy, so the defect is that of XY over dx * dy.
     """
-    Hm, Am = _as_matrix(H), _as_matrix(A)
+    Hm, Am = np.asarray(H), np.asarray(A)
     if Hm.dtype == object and Am.dtype == object:
         (X, dx), (Y, dy) = exactla._integer_matrix(Hm), exactla._integer_matrix(Am)
         return Fraction(exactla._asymmetry(exactla._matmul(X, Y)), dx * dy)
@@ -167,7 +161,7 @@ def symmetrization_defect(H, A):
 
 def psd_check(H, tol: float = 1e-9) -> PsdVerdict:
     """Positive semidefiniteness certificate for a symmetric matrix."""
-    return psd_certificate(_as_matrix(H), tol)
+    return psd_certificate(H, tol)
 
 
 def discriminant(p: Polynomial, H: BezoutMatrix | None = None):
@@ -233,8 +227,8 @@ def separation_lower_bound_check(p: Polynomial, q: Polynomial, c, tol: float = 1
     Float forms take the eigenvalue test at ``tol``.
     """
     p.require_monic("separation bound input")
-    H = _as_matrix(H if H is not None else bezout_matrix(p, q))
-    gram = _as_matrix(hermite if hermite is not None else bezout_matrix(p, p.derivative()))
+    H = np.asarray(H if H is not None else bezout_matrix(p, q))
+    gram = np.asarray(hermite if hermite is not None else bezout_matrix(p, p.derivative()))
     if H.shape != gram.shape:
         raise DegreeMismatchError(
             f"Bezout matrix of shape {H.shape} against {gram.shape} for (p, p')"

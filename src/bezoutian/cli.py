@@ -14,7 +14,6 @@ import functools
 import io
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -42,7 +41,7 @@ from .nuij import (
     verify_gaps,
 )
 from .polynomial import Polynomial
-from .quasi import check_conditions, max_multiplicity, verify_quasi
+from .quasi import UNIFORMITY_FACTOR, check_conditions, max_multiplicity, verify_quasi
 from .report import FAIL, MARGINAL, PASS, CertifiedReport
 from .roots import DEFAULT_TOL, is_hyperbolic, real_roots
 from .scalars import BACKEND_EXACT, scalar_to_json
@@ -56,9 +55,12 @@ def _parse_poly(text: str | None, path: str | None) -> Polynomial:
     if (text is None) == (path is None):
         raise InputError("provide exactly one of an inline list or a file")
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        items = data["coeffs"] if isinstance(data, dict) else data
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise InputError(f"cannot read polynomial file: {exc}") from exc
+        items = data.get("coeffs") if isinstance(data, dict) else data
     else:
         try:
             items = json.loads(text)
@@ -68,7 +70,7 @@ def _parse_poly(text: str | None, path: str | None) -> Polynomial:
         raise InputError("polynomial must be a nonempty JSON array, leading first")
     try:
         p = Polynomial.from_coeff_list(items)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(str(exc)) from exc
     if any(isinstance(c, float) and not math.isfinite(c) for c in p.coeffs):
         raise InputError("polynomial coefficients must be finite")
@@ -197,7 +199,7 @@ def cmd_nuij(args, report: CertifiedReport):
     for eps in grid:
         # one float family point per eps serves the gap law and the inversion;
         # verify_gaps refuses eps <= 0 before it would build one
-        family = nuij_family(p, eps, 1e-12) if eps > 0 else None
+        family = nuij_family(p, eps) if eps > 0 else None
         check = verify_gaps(p, eps, family=family)
         verdict = PASS if check.passed and not check.marginal else (
             MARGINAL if check.passed else FAIL)
@@ -236,7 +238,7 @@ def cmd_quasi(args, report: CertifiedReport):
     report.backend = p.backend
     report.inputs = {"poly": _echo_poly(p), "r": r, "s": s, "grid": list(grid)}
     # one float family point per eps serves both the conditions and the verdict
-    families = [nuij_family(p, eps, 1e-12) for eps in grid]
+    families = [nuij_family(p, eps) for eps in grid]
     conditions = check_conditions(p, grid, r, s, families)
     report.add_bool("derivative floor condition", "quasi-cond-derivative-floor",
                     conditions.c_lower > 0, float(conditions.c_lower))
@@ -244,7 +246,7 @@ def cmd_quasi(args, report: CertifiedReport):
                     np.isfinite(conditions.C_upper), float(conditions.C_upper))
     verdict = verify_quasi(p, grid, r=r, s=s, samples=args.samples, seed=report.seed,
                            families=families)
-    factor = verdict.uniformity_factor
+    factor = UNIFORMITY_FACTOR
     report.add_bool("lower bound uniformity", "quasi-lower-bound",
                     verdict.lower_decay < factor, float(verdict.lower_decay), factor)
     report.add_bool("commutator uniformity", "quasi-commutator",
@@ -387,8 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--poly-file", help="JSON file with {'coeffs': [...]}")
         sp.add_argument("--tol", type=float, default=1e-9,
                         help="certification tolerance (default 1e-9)")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized cross-checks (env SYMM_SEED overrides)")
+        sp.add_argument("--seed", type=int, default=0, help="seed for randomized cross-checks")
         sp.add_argument("--output", choices=("json", "csv", "both"), default="json")
 
     sp = sub.add_parser("analyze", help="symmetrizer, PSD and separation certification")
@@ -435,15 +436,11 @@ COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    seed = args.seed
-    env_seed = os.environ.get("SYMM_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            print(f"bad SYMM_SEED {env_seed!r}", file=sys.stderr)
-            return 2
-    report = CertifiedReport(command=args.command, seed=seed, version=__version__,
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        # NaN fails and a negative tol inverts every "<= tol" check; NaN and inf are not JSON
+        print(f"input error: --tol must be finite and >= 0, got {args.tol}", file=sys.stderr)
+        return 2
+    report = CertifiedReport(command=args.command, seed=args.seed, version=__version__,
                              tolerances={"tol": args.tol})
     try:
         table = COMMANDS[args.command](args, report)

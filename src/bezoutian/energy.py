@@ -21,6 +21,8 @@ from .polynomial import Polynomial, RootProfile
 from .roots import real_roots
 
 _EIGEN_GAP = 1e-6
+# relative slack of chain_bound_check's finite-difference comparisons
+_CHAIN_SLACK = 1e-7
 
 
 @dataclass(frozen=True)
@@ -165,18 +167,19 @@ def energy_series(p: Polynomial, q: Polynomial, traj: Trajectory,
 
 
 def derivative_identity_check(p: Polynomial, q: Polynomial, signal: ExponentialSignal,
-                              t_max: float = 10.0, samples: int = 201,
+                              t_max: float = 10.0,
                               H: BezoutMatrix | None = None) -> float:
     """Residual of d/dt (H Du, Du) = i (p(D_t)u conj(q(D_t)u) - conj(p(D_t)u) q(D_t)u).
 
     The left side expands in closed form through the matrix entries of H,
     the right side through direct application of p and q to the signal; the
-    two routes share no arithmetic.  Pass ``H``, the float Bezout matrix of
+    two routes share no arithmetic.  Both are sampled at 201 times on
+    [0, t_max].  Pass ``H``, the float Bezout matrix of
     (p, q), when it is already built.
     """
     m = max(int(p.degree), int(q.degree) if not q.is_zero else 0)
     H = _float_form(p, q, H)
-    times = np.linspace(0.0, t_max, samples)
+    times = np.linspace(0.0, t_max, 201)
     coeffs = np.array([c for c, _ in signal.terms])
     freqs = np.array([nu for _, nu in signal.terms])
     V = np.vander(freqs, m, increasing=True)  # row k = (1, nu_k, ..., nu_k^(m-1))
@@ -205,15 +208,15 @@ class ChainBoundResult:
 
 
 def chain_bound_check(p: Polynomial, j: int, source, T: float = 10.0,
-                      steps: int = 2000, tol: float = 1e-7,
                       profile: RootProfile | None = None,
                       H: BezoutMatrix | None = None) -> ChainBoundResult:
     """Check d/dt (H_j Du, Du) <= 2 |p^(j)(D_t)u| |p^(j+1)(D_t)u| along u.
 
-    H_j is the Bezout matrix of (p^(j), p^(j+1)).  The time derivative uses
-    a 5-point central difference on the uniform grid, so the comparison
-    carries a slack of tol times the scale of the data.  Also checks the
-    floor c_j |p^(j+1)(D_t)u|^2 <= (H_j Du, Du) with the certified c_j.
+    H_j is the Bezout matrix of (p^(j), p^(j+1)); a signal ``source`` is
+    sampled at 2001 times on [0, T], a ``Trajectory`` at its own.  The time
+    derivative uses a 5-point central difference on the uniform grid, so the
+    comparison carries a slack of 1e-7 times the scale of the data.  Also
+    checks the floor c_j |p^(j+1)(D_t)u|^2 <= (H_j Du, Du) with the certified c_j.
     Pass ``H``, the float H_j, and ``profile``, the roots of the monic
     p^(j) in its own backend, when they are already computed.
     """
@@ -227,7 +230,7 @@ def chain_bound_check(p: Polynomial, j: int, source, T: float = 10.0,
     form = H if H is not None else bezout_matrix(pj, pj1)
     H = np.asarray(form.matrix, dtype=float)
 
-    times = np.linspace(0.0, float(T), steps + 1)
+    times = np.linspace(0.0, float(T), 2001)
     if isinstance(source, Trajectory):
         times = source.times
         stack = source.dt_stack(n + 1)
@@ -247,13 +250,13 @@ def chain_bound_check(p: Polynomial, j: int, source, T: float = 10.0,
     d_energy = (energy[:-4] - 8 * energy[1:-3] + 8 * energy[3:-1] - energy[4:]) / (12 * h)
     inner = slice(2, len(times) - 2)
     scale = max(1.0, float(np.max(rhs)), float(np.max(np.abs(d_energy))))
-    slack = tol * scale
+    slack = _CHAIN_SLACK * scale
     derivative_margin = float(np.max(d_energy - rhs[inner]))
 
     # the floor constant wants exact multiplicity structure where available
     monic = pj_native * (1 / pj_native.leading)
     c_j = float(derivative_bound_constant(monic, profile, H=form).constant)
     floor_margin = float(np.max(c_j * np.abs(Pj1) ** 2 - energy))
-    floor_slack = tol * max(1.0, float(np.max(energy)))
+    floor_slack = _CHAIN_SLACK * max(1.0, float(np.max(energy)))
     passed = derivative_margin <= slack and floor_margin <= floor_slack
     return ChainBoundResult(passed, derivative_margin, floor_margin, c_j, slack)

@@ -9,8 +9,8 @@ pivot signs of the PSD certificate by symmetric fraction-free elimination;
 every division is exact over the integers.  ``adjugate`` has no float
 route: it takes float entries at their exact dyadic values.  ``_asymmetry``
 and ``_matmul`` give the symmetry defect and the product of integer
-matrices for the exact Bezout-form checks (``bezout``), and only the
-results are turned back into Fractions.
+matrices for the adjugate and the exact Bezout-form checks (``bezout``),
+and only the results are turned back into Fractions.
 """
 
 from __future__ import annotations
@@ -149,8 +149,7 @@ def _faddeev_adjugate(A: list[list[int]]) -> list[list[int]]:
     M = [[int(i == j) for j in range(n)] for i in range(n)]
     c = -sum(A[i][i] for i in range(n))
     for k in range(2, n + 1):
-        cols = list(zip(*M))
-        M = [[sum(map(operator.mul, row, col)) for col in cols] for row in A]
+        M = _matmul(A, M)
         for i in range(n):
             M[i][i] += c
         if k < n:
@@ -158,16 +157,12 @@ def _faddeev_adjugate(A: list[list[int]]) -> list[list[int]]:
     return M if n % 2 else [[-v for v in row] for row in M]
 
 
-def exact_det(M: np.ndarray) -> Fraction:
-    """Exact determinant: Bareiss on the integer matrix with denominators cleared."""
-    A, D = _integer_matrix(M)
-    return Fraction(_bareiss_det(A), D ** len(A))
-
-
 def det(M: np.ndarray):
+    """Determinant: a Fraction by Bareiss on the cleared integer matrix, else a float."""
     M = np.asarray(M)
     if M.dtype == object:
-        return exact_det(M)
+        A, D = _integer_matrix(M)
+        return Fraction(_bareiss_det(A), D ** len(A))
     return float(np.linalg.det(M))
 
 

@@ -128,7 +128,7 @@ def lagrange_weights(p: Polynomial, q: Polynomial, profile: RootProfile | None =
     b, roots = _match_backend(b, profile)
     out = []
     for k, lam in enumerate(roots):
-        ak = deleted_root_factor(roots, k, b.backend)
+        ak = deleted_root_factor(roots, k)
         out.append(b(lam) / ak(lam))
     return tuple(out)
 
@@ -151,18 +151,17 @@ class FactorizationBundle:
 
 
 def factorization_bundle(p: Polynomial, q: Polynomial,
-                         profile: RootProfile | None = None,
-                         tol: float = 1e-9) -> FactorizationBundle:
+                         profile: RootProfile | None = None) -> FactorizationBundle:
     """Build G and the weights for strictly hyperbolic p and report the
     residual against the directly constructed Bezout matrix."""
     if profile is None:
-        profile = real_roots(p, tol)
+        profile = real_roots(p)
     if not profile.is_strict:
         raise MultipleRootError("factorization_bundle requires simple roots")
     pp, roots = _match_backend(p, profile)
     qq, _ = _match_backend(q, profile)
     G = lagrange_basis_matrix(roots)
-    weights = lagrange_weights(pp, qq, profile, tol)
+    weights = lagrange_weights(pp, qq, profile)
     residual = exactla.max_abs(_weighted_gram(G, weights) - bezout_matrix(pp, qq).matrix)
     return FactorizationBundle(G, weights, residual)
 
@@ -262,7 +261,7 @@ class DerivativeBound:
 
 
 def derivative_bound_constant(p: Polynomial, profile: RootProfile | None = None,
-                              tol: float = 1e-9, H: BezoutMatrix | None = None) -> DerivativeBound:
+                              H: BezoutMatrix | None = None) -> DerivativeBound:
     """Constant c with (Bezout form of (p, p')) >= c |p'_hat(z)|^2.
 
     c = 1 / sum_k r_k**2 / w_k over distinct roots, with w the reduced
@@ -274,9 +273,9 @@ def derivative_bound_constant(p: Polynomial, profile: RootProfile | None = None,
     """
     p.require_monic("derivative bound input")
     if profile is None:
-        profile = real_roots(p, tol)
+        profile = real_roots(p)
     dp = p.derivative()
-    weights = lagrange_weights(p, dp, profile, tol)
+    weights = lagrange_weights(p, dp, profile)
     acc = None
     for w, r in zip(weights, profile.multiplicities):
         term = r * r / w
@@ -290,5 +289,5 @@ def derivative_bound_constant(p: Polynomial, profile: RootProfile | None = None,
     v = dpp.ascending(int(p.degree))
     V = np.outer(v, v)
     cc = Fraction(c) if backend == BACKEND_EXACT else float(c)
-    verdict = psd_check(H.matrix - cc * V, tol)
+    verdict = psd_check(H.matrix - cc * V)
     return DerivativeBound(c, verdict.is_psd)

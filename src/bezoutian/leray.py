@@ -48,14 +48,14 @@ class LeraySymmetrizer:
     definiteness: PsdVerdict
 
 
-def leray_symmetrizer(p: Polynomial, tol: float = 1e-9) -> LeraySymmetrizer:
+def leray_symmetrizer(p: Polynomial) -> LeraySymmetrizer:
     """Build S and B = adj(S); B A symmetric, B positive definite iff strict."""
     p = p.as_exact()
     S = power_sum_matrix(p)
     B = exactla.adjugate(S)
     A = companion_matrix(p)
     defect = symmetrization_defect(B, A)
-    verdict = exactla.psd_certificate(B, tol)
+    verdict = exactla.psd_certificate(B)
     return LeraySymmetrizer(S, B, exactla.det(S), defect, verdict)
 
 

@@ -85,11 +85,13 @@ class NuijFamilyPoint:
     q_eps: Polynomial
 
 
-def nuij_family(p: Polynomial, epsilon, tol: float = 1e-9) -> NuijFamilyPoint:
+def nuij_family(p: Polynomial, epsilon) -> NuijFamilyPoint:
     """The family point at eps, with the roots of the float p_eps.
 
-    Raises ValueError when p_eps or the residual check of its roots leaves
-    the float64 range.
+    Roots merge only within 1e-12 * max(1, |root|), so real gaps stay
+    unmerged; imaginary parts up to 1e-7 are eigensolver splitting at tight
+    clusters.  Raises ValueError when p_eps or the residual check of its
+    roots leaves the float64 range.
     """
     p.require_monic("smoothing family input")
     try:
@@ -97,7 +99,7 @@ def nuij_family(p: Polynomial, epsilon, tol: float = 1e-9) -> NuijFamilyPoint:
         floats = p_eps.as_float()
         if not all(map(math.isfinite, floats.coeffs)):
             raise OverflowError("nonfinite coefficient")
-        roots_eps = real_roots(floats, tol, imag_tol=max(tol, 1e-7))
+        roots_eps = real_roots(floats, 1e-12, imag_tol=1e-7)
     except OverflowError as exc:
         raise ValueError(f"smoothing family at eps={epsilon} leaves the float64 range") from exc
     base = p if p.backend == p_eps.backend else p.as_float()
@@ -195,13 +197,12 @@ class GapCheck:
     marginal: bool
 
 
-def verify_gaps(p: Polynomial, epsilon, tol: float | None = None,
-                family: NuijFamilyPoint | None = None) -> GapCheck:
+def verify_gaps(p: Polynomial, epsilon, family: NuijFamilyPoint | None = None) -> GapCheck:
     """Check the root gaps of the fully smoothed polynomial against c_m * eps.
 
     Failures inside the float tolerance band max(1e-12, 1e-6 * eps) count as
     marginal, not failed; c * eps can sit near double-precision noise.
-    ``family`` is ``nuij_family(p, eps, 1e-12)`` when the caller holds it.
+    ``family`` is ``nuij_family(p, eps)`` when the caller holds it.
     """
     p.require_monic("gap verification input")
     m = int(p.degree)
@@ -210,12 +211,10 @@ def verify_gaps(p: Polynomial, epsilon, tol: float | None = None,
     eps = float(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    if tol is None:
-        tol = max(1e-12, 1e-6 * eps)
+    tol = max(1e-12, 1e-6 * eps)
     floor = gap_constants(m).floor
     if family is None:
-        # tight cluster tolerance: real gaps must stay unmerged
-        family = nuij_family(p, eps, 1e-12)
+        family = nuij_family(p, eps)
     roots = family.roots_eps.flattened
     if len(roots) < m:
         # a merged cluster means a gap of numerical zero

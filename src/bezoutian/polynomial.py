@@ -8,7 +8,6 @@ power: index i always multiplies x**i.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,9 +19,7 @@ from .scalars import (
     BACKEND_FLOAT,
     check_backend,
     infer_backend,
-    is_exact_value,
     scalar_from_json,
-    scalar_to_json,
     to_scalar,
 )
 
@@ -60,17 +57,17 @@ class Polynomial:
         return cls((1,), backend)
 
     @classmethod
-    def from_roots(cls, roots, backend: str | None = None) -> "Polynomial":
+    def from_roots(cls, roots) -> "Polynomial":
         """Monic polynomial with exactly the given roots (with multiplicity).
 
         Accepts a RootProfile or any sequence of scalars.  Exact in the
-        rational backend when all roots are rational.
+        rational backend when all roots are rational, float64 otherwise
+        (``infer_backend``).
         """
         values = tuple(roots.flattened if isinstance(roots, RootProfile) else roots)
         if not values:
             raise ValueError("from_roots requires at least one root")
-        if backend is None:
-            backend = infer_backend(values)
+        backend = infer_backend(values)
         one = to_scalar(1, backend)
         coeffs = [one]
         for r in values:
@@ -225,23 +222,13 @@ class Polynomial:
             return self
         return Polynomial(tuple(Fraction(c) for c in self.coeffs), BACKEND_EXACT)
 
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps({"coeffs": [scalar_to_json(c) for c in self.coeffs]})
-
-    @classmethod
-    def from_json(cls, text: str) -> "Polynomial":
-        data = json.loads(text)
-        return cls.from_coeff_list(data["coeffs"])
+    # -- parsing -------------------------------------------------------------
 
     @classmethod
     def from_coeff_list(cls, items: Sequence) -> "Polynomial":
+        """From JSON coefficient values, leading first: exact unless one is a float."""
         values = [scalar_from_json(v) for v in items]
-        backend = BACKEND_EXACT if all(is_exact_value(v) for v in values) else BACKEND_FLOAT
-        if backend == BACKEND_FLOAT:
-            values = [float(v) for v in values]
-        return cls(tuple(values), backend)
+        return cls(tuple(values), infer_backend(values))
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -317,13 +304,7 @@ class RootProfile:
         roots = []
         mults = []
         for g in groups:
-            if len(g) == 1 or tol == 0.0:
-                rep = g[0]
-                for other in g[1:]:
-                    if other != rep:
-                        raise ValueError("tol=0 grouping saw unequal values")
-            else:
-                rep = math.fsum(float(x) for x in g) / len(g)
+            rep = g[0] if len(g) == 1 else math.fsum(float(x) for x in g) / len(g)
             roots.append(rep)
             mults.append(len(g))
         return cls(tuple(roots), tuple(mults))
@@ -362,12 +343,12 @@ def elementary_symmetric(values: Sequence) -> list:
     return out
 
 
-def deleted_root_factor(roots: Sequence, exclude: int, backend: str | None = None) -> Polynomial:
+def deleted_root_factor(roots: Sequence, exclude: int) -> Polynomial:
     """The monic factor with the root at position ``exclude`` removed."""
     rest = list(roots[:exclude]) + list(roots[exclude + 1:])
     if not rest:
-        return Polynomial.one(backend or infer_backend(roots))
-    return Polynomial.from_roots(rest, backend)
+        return Polynomial.one(infer_backend(roots))
+    return Polynomial.from_roots(rest)
 
 
 def power_sums(p: Polynomial, upto: int) -> list:

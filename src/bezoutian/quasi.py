@@ -30,6 +30,9 @@ from .polynomial import Polynomial
 from .roots import HyperbolicityVerdict, is_hyperbolic, squarefree_decomposition
 from .scalars import BACKEND_EXACT
 
+# a one-sided constant moves by less than this factor between grid points
+UNIFORMITY_FACTOR = 10.0
+
 
 def max_multiplicity(p: Polynomial, verdict: HyperbolicityVerdict) -> int:
     """The largest root multiplicity of hyperbolic p, given its verdict.
@@ -69,7 +72,7 @@ def check_conditions(p: Polynomial, epsilon_grid=None, r: float = 0.0,
                      s: float = 1.0, families=None) -> QuasiConditions:
     """The two family conditions on the grid.
 
-    ``families`` holds ``nuij_family(p, eps, 1e-12)`` for each grid eps, in
+    ``families`` holds ``nuij_family(p, eps)`` for each grid eps, in
     grid order, when the caller has built them.
     """
     p.require_monic("family condition input")
@@ -79,7 +82,7 @@ def check_conditions(p: Polynomial, epsilon_grid=None, r: float = 0.0,
     C_upper = None
     for i, eps in enumerate(grid):
         eps = float(eps)
-        fam = families[i] if families is not None else nuij_family(p, eps, 1e-12)
+        fam = families[i] if families is not None else nuij_family(p, eps)
         p_eps, q_eps, roots = fam.p_eps, fam.q_eps, fam.roots_eps.flattened
         dp = p_eps.derivative()
         lo = min(abs(dp(lam)) / _eps_power(eps, r) for lam in roots)
@@ -110,12 +113,12 @@ def commutator_decomposition(p: Polynomial, epsilon,
     coefficients of q_eps = p - p_eps; S_eps carries the root-wise ratios
     -q_eps(root_j) / d_j with d_j the signed derivative values that make
     G_eps R diagonal, R the Vandermonde matrix of the roots.  ``family`` is
-    ``nuij_family(p, eps, 1e-12)`` when the caller holds it.
+    ``nuij_family(p, eps)`` when the caller holds it.
     """
     eps = float(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    fam = family if family is not None else nuij_family(p, eps, 1e-12)
+    fam = family if family is not None else nuij_family(p, eps)
     pf, p_eps, q_eps, roots = p.as_float(), fam.p_eps, fam.q_eps, fam.roots_eps.flattened
     m = int(pf.degree)
     A = np.asarray(companion_matrix(pf).matrix, dtype=float)
@@ -142,7 +145,7 @@ class QuasiVerdict:
     from a larger eps to a smaller one, ``commutator_growth`` the largest
     factor by which the commutator constant rises.  A lower constant that
     is <= 0 or not finite gives ``lower_decay`` = inf.  ``uniform_pass``
-    holds when both stay below ``uniformity_factor``.
+    holds when both stay below ``UNIFORMITY_FACTOR``.
     """
 
     r: float
@@ -152,7 +155,6 @@ class QuasiVerdict:
     commutator_constants: tuple    # ||G^-T K G^-1||_2 / eps^s via G S - (G S)^T
     sample_max_ratios: tuple
     sampling_consistent: bool
-    uniformity_factor: float = 10.0
 
     @property
     def lower_decay(self) -> float:
@@ -166,8 +168,8 @@ class QuasiVerdict:
 
     @property
     def uniform_pass(self) -> bool:
-        return (self.lower_decay < self.uniformity_factor
-                and self.commutator_growth < self.uniformity_factor)
+        return (self.lower_decay < UNIFORMITY_FACTOR
+                and self.commutator_growth < UNIFORMITY_FACTOR)
 
 
 def _worst_factor(epsilons, values, rising: bool) -> float:
@@ -217,12 +219,12 @@ def _sample_ratios(Z: np.ndarray, W: np.ndarray, H: np.ndarray, K: np.ndarray,
 
 def verify_quasi(p: Polynomial, epsilon_grid=None, r: float | None = None,
                  s: float = 1.0, samples: int = 24, seed: int = 0,
-                 uniformity_factor: float = 10.0, families=None) -> QuasiVerdict:
+                 families=None) -> QuasiVerdict:
     """Certify the two quasi-symmetrizer bounds over an epsilon grid.
 
     Each grid point gives a lower constant and a commutator constant; the
     verdict is uniform when, ordered by eps, the lower constant never falls
-    and the commutator constant never rises by ``uniformity_factor`` or more
+    and the commutator constant never rises by ``UNIFORMITY_FACTOR`` or more
     (see ``QuasiVerdict``).  The grid may come in any order.
 
     The commutator norm is computed from K' = G S - (G S)^T, the congruence
@@ -265,4 +267,4 @@ def verify_quasi(p: Polynomial, epsilon_grid=None, r: float | None = None,
         if worst > comm_const * (1 + 1e-6) + 1e-9:
             sampling_ok = False
     return QuasiVerdict(r, s, grid, tuple(lower), tuple(comm), tuple(sample_max),
-                        sampling_ok, uniformity_factor)
+                        sampling_ok)

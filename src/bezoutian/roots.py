@@ -384,7 +384,7 @@ class HyperbolicityVerdict:
     _witness: object  # the witness, or a function computing it on first read
     method: str
     hermite_form: object = None  # BezoutMatrix of the monic p and its derivative
-    hermite: object = None       # its PsdVerdict, at the tolerance of the call
+    hermite: object = None       # its PsdVerdict, at DEFAULT_TOL
 
     def __bool__(self) -> bool:
         return self.is_hyperbolic
@@ -399,7 +399,7 @@ class HyperbolicityVerdict:
         return self._witness() if callable(self._witness) else self._witness
 
 
-def is_hyperbolic(p: Polynomial, tol: float = DEFAULT_TOL) -> HyperbolicityVerdict:
+def is_hyperbolic(p: Polynomial) -> HyperbolicityVerdict:
     """Hermite criterion cross-checked against a Sturm count (exact backend).
 
     The two certificates are independent: the Sturm count needs no matrix
@@ -418,7 +418,7 @@ def is_hyperbolic(p: Polynomial, tol: float = DEFAULT_TOL) -> HyperbolicityVerdi
         return HyperbolicityVerdict(False, False, "degree < 1", "degenerate")
     monic = p * (1 / p.leading) if not p.is_monic else p
     form = bezout_matrix(monic, monic.derivative())
-    hermite = psd_check(form, tol)
+    hermite = psd_check(form, DEFAULT_TOL)
     if p.backend == BACKEND_EXACT:
         sturm_verdict, strict = _hyperbolic_strict(monic)
         if hermite.is_psd != sturm_verdict:
@@ -426,7 +426,7 @@ def is_hyperbolic(p: Polynomial, tol: float = DEFAULT_TOL) -> HyperbolicityVerdi
         if not sturm_verdict:
             return HyperbolicityVerdict(False, False, "complex roots (Sturm count short)",
                                         "sturm", form, hermite)
-        return HyperbolicityVerdict(True, strict, functools.partial(real_roots, monic, tol),
+        return HyperbolicityVerdict(True, strict, functools.partial(real_roots, monic),
                                     "sturm", form, hermite)
     if not hermite.is_psd:
         return HyperbolicityVerdict(
@@ -434,7 +434,7 @@ def is_hyperbolic(p: Polynomial, tol: float = DEFAULT_TOL) -> HyperbolicityVerdi
             form, hermite,
         )
     try:
-        profile = real_roots(monic, tol)
+        profile = real_roots(monic)
     except NonHyperbolicError as exc:
         return HyperbolicityVerdict(False, False, str(exc), "hermite-psd", form, hermite)
     return HyperbolicityVerdict(True, profile.is_strict, profile, "hermite-psd", form, hermite)

@@ -312,7 +312,7 @@ def reference_gram(roots) -> list:
     m = len(roots)
     G = [[Fraction(0)] * m for _ in range(m)]
     for k in range(m):
-        v = deleted_root_factor(roots, k, "exact").ascending(m)
+        v = deleted_root_factor(roots, k).ascending(m)
         for i in range(m):
             for j in range(m):
                 G[i][j] += v[i] * v[j]

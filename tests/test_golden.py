@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import io
 import json
-import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -36,8 +35,7 @@ def run(argv) -> tuple[int, str]:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_report(name, monkeypatch):
-    monkeypatch.delenv("SYMM_SEED", raising=False)
+def test_golden_report(name):
     case = CASES[name]
     code, stdout = run(case["argv"])
     assert code == case["exit"]
@@ -45,7 +43,6 @@ def test_golden_report(name, monkeypatch):
 
 
 def regenerate() -> None:
-    os.environ.pop("SYMM_SEED", None)
     for name, case in CASES.items():
         code, stdout = run(case["argv"])
         case["exit"] = code

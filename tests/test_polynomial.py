@@ -167,20 +167,6 @@ def test_ascending_padding():
         X2_MINUS_1.ascending(2)
 
 
-def test_json_round_trip_exact():
-    p = Polynomial.exact([1, Fraction(-1, 2), 3])
-    text = p.to_json()
-    assert '"-1/2"' in text
-    assert Polynomial.from_json(text) == p
-
-
-def test_json_round_trip_float():
-    p = Polynomial.float64([1.0, -0.25])
-    q = Polynomial.from_json(p.to_json())
-    assert q.backend == "float64"
-    assert q.coeffs == p.coeffs
-
-
 def test_json_mixed_inputs_choose_float():
     p = Polynomial.from_coeff_list([1, 0.5])
     assert p.backend == "float64"

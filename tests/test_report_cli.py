@@ -97,13 +97,29 @@ def test_analyze_non_hyperbolic_exits_3(capsys):
     assert "hyperbolicity" in err
 
 
-def test_parse_error_exits_2(capsys):
+def test_parse_error_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "analyze", "--poly", "bad[")
     assert code == 2
     code, _, err = run_cli(capsys, "analyze", "--poly", "[]")
     assert code == 2
     code, _, err = run_cli(capsys, "leray", "--poly", "[1.0, Infinity]")
     assert code == 2 and "finite" in err
+    no_coeffs = tmp_path / "no_coeffs.json"
+    no_coeffs.write_text('{"coefs": [1, 0, -1]}')
+    for argv in (["--poly-file", str(tmp_path / "missing.json")],
+                 ["--poly-file", str(no_coeffs)],
+                 ["--poly", '["1/0", 1]'],
+                 ["--poly", "[1, 0, -1]", "--q", '["1/0", 1]']):
+        code, out, err = run_cli(capsys, "analyze", *argv)
+        assert (code, out) == (2, "") and err.startswith("input error:"), argv
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_tol_must_be_finite_and_nonnegative(capsys, tol):
+    code, out, err = run_cli(capsys, "analyze", "--poly", "[1.0,0.0,-1.0]", "--q", "[1.0,5.0]",
+                             "--tol", tol)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:") and "--tol" in err
 
 
 def test_wrong_degree_q_exits_2(capsys):
@@ -314,14 +330,6 @@ def test_seed_determinism(capsys):
     assert (code1, out1) == (code2, out2)
 
 
-def test_env_seed_override(capsys, monkeypatch):
-    monkeypatch.setenv("SYMM_SEED", "11")
-    code, out, _ = run_cli(capsys, "quasi", "--poly", "[1,0,0]",
-                           "--eps-grid", "1:1e-2:3(log)", "--seed", "5")
-    assert code == 0
-    assert json.loads(out)["seed"] == 11
-
-
 def test_poly_file_input(tmp_path, capsys):
     path = tmp_path / "poly.json"
     path.write_text('{"coeffs": ["1/1", "0/1", "-1/1"]}')
@@ -330,35 +338,36 @@ def test_poly_file_input(tmp_path, capsys):
     assert json.loads(out)["all_pass"] is True
 
 
-def fresh_env(env_seed=None) -> dict:
+def fresh_env() -> dict:
     """The environment of a fresh interpreter that imports bezoutian from src."""
-    env = {k: v for k, v in os.environ.items() if k != "SYMM_SEED"}
+    env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    if env_seed is not None:
-        env["SYMM_SEED"] = env_seed
     return env
 
 
-def fresh_cli(argv, env_seed=None) -> tuple:
+def fresh_cli(argv, **extra_env) -> tuple:
     # bytes, not text: the csv rows end in CRLF, which text mode would translate
     proc = subprocess.run([sys.executable, "-m", "bezoutian.cli", *argv],
-                          capture_output=True, env=fresh_env(env_seed))
+                          capture_output=True, env=fresh_env() | extra_env)
     return proc.returncode, proc.stdout.decode()
 
 
-def test_parser_built_once_gives_the_output_of_fresh_processes(capsys, monkeypatch):
-    first = ["quasi", "--poly", "[1,0,0]", "--eps-grid", "1:1e-2:3(log)", "--seed", "5",
+def test_parser_built_once_gives_the_output_of_fresh_processes(capsys):
+    first = ["quasi", "--poly", "[1,0,0]", "--eps-grid", "1:1e-2:3(log)", "--seed", "11",
              "--output", "both"]
     second = ["analyze", "--poly", "[1,0,-1]", "--q", "[2,0]", "--tol", "1e-6"]
-    want = [fresh_cli(first, env_seed="11"), fresh_cli(second)]
-    monkeypatch.setenv("SYMM_SEED", "11")
-    got = [run_cli(capsys, *first)[:2]]
-    monkeypatch.delenv("SYMM_SEED")
-    got.append(run_cli(capsys, *second)[:2])
+    want = [fresh_cli(first), fresh_cli(second)]
+    got = [run_cli(capsys, *first)[:2], run_cli(capsys, *second)[:2]]
     assert got == want
     assert json.loads(want[1][1])["seed"] == 0 and '"seed": 11' in want[0][1]
     assert build_parser() is build_parser()
+
+
+def test_the_seed_comes_from_the_flag_only():
+    code, out = fresh_cli(["quasi", "--poly", "[1,0,0]", "--eps-grid", "1:1e-2:3(log)",
+                           "--seed", "5"], SYMM_SEED="11")
+    assert code == 0 and json.loads(out)["seed"] == 5
 
 
 @pytest.mark.parametrize("argv", [["analyze", "--tol", "abc"], ["nosuch"], [],

@@ -357,7 +357,7 @@ float_polys = st.one_of(
     .map(lambda cs: Polynomial.float64([1.0] + cs)),
     # multiple and clustered roots, where Newton stalls on a fixed point
     st.lists(st.sampled_from([-2.0, -0.5, 0.0, 1.0, 1.0 + 2**-40, 3.0]), min_size=1, max_size=8)
-    .map(lambda rs: Polynomial.from_roots(rs, "float64")),
+    .map(Polynomial.from_roots),
 )
 
 

@@ -24,7 +24,7 @@ m = 12, 2.9 s at m = 16, 14.7 s at m = 24: at m = 12 the rounded
 coefficients have 48-bit denominators, and the power sums in S carry
 1035-bit ones, against 77 bits for the exact p).  The float rows of the
 smoothing workload run there too: ``nuij_family`` builds the float family
-point ``nuij_family(p, 1e-4, 1e-12)`` (p_eps, its roots and q_eps),
+point ``nuij_family(p, 1e-4)`` (p_eps, its roots and q_eps),
 ``real_roots_float`` finds the roots of the float64 rounding of p,
 ``invert_transform`` recovers p from that point's float p_eps, as the
 ``nuij-inversion`` check of a ``nuij`` request does per eps, and
@@ -128,9 +128,9 @@ def best_per_call(fn) -> float:
 def energy_calls(m: int) -> dict:
     """The float energy rows at degree m, keyed by layer."""
     roots = exact_input(m)
-    pf = Polynomial.from_roots(roots, "exact").as_float()
+    pf = Polynomial.from_roots(roots).as_float()
     dpf = pf.derivative()
-    double = Polynomial.from_roots(roots[:1] + roots[:-1], "exact").as_float()
+    double = Polynomial.from_roots(roots[:1] + roots[:-1]).as_float()
     A, A_double = companion_matrix(pf), companion_matrix(double)
     U0 = [1.0] * m
     traj = propagate(A, U0, ENERGY_T, ENERGY_STEPS)
@@ -146,7 +146,7 @@ def energy_calls(m: int) -> dict:
 def layer_rows(degrees) -> list:
     rows = []
     for m in degrees:
-        p = Polynomial.from_roots(exact_input(m), "exact")
+        p = Polynomial.from_roots(exact_input(m))
         dp = p.derivative()
         H = bezout_matrix(p, dp).matrix
         A = companion_matrix(p).matrix
@@ -167,7 +167,7 @@ def layer_rows(degrees) -> list:
         }
         if m <= SLOW_MAX_DEGREE:
             calls["leray_symmetrizer_float"] = lambda: leray_symmetrizer(pf)
-            calls["nuij_family"] = lambda: nuij_family(p, 1e-4, 1e-12)
+            calls["nuij_family"] = lambda: nuij_family(p, 1e-4)
             calls["real_roots_float"] = lambda: real_roots(pf)
             p_eps = nuij_transform(p, 1e-4)
             calls["invert_transform"] = lambda: invert_transform(p_eps, 1e-4)

@@ -5,17 +5,20 @@ form (p(x)q(y) - p(y)q(x)) / (x - y); entry (i, j) multiplies x**i y**j.
 For hyperbolic p and separating q it is positive semidefinite and makes
 H @ A symmetric, where A is the companion matrix of p.
 
-Exact forms are built on Python ints: with p = cp * P and q = cq * Q for
-primitive integer P, Q (``polynomial._primitive``), H(p, q) = cp * cq *
-H(P, Q), and the synthetic division, its remainder and symmetry checks run
-on the integer coefficients.  For monic p the form of (p, p') is the
-deleted-factor gram sum_k p_k(x) p_k(y), p_k = p / (x - lambda_k), so the
-separation bound H(p, q) - c * H(p, p') >= 0 needs no roots.  It and the
-exact symmetrization defect are taken on integer matrices (``exactla``),
-and only results become Fractions.  Callers that already hold a form pass
-it on (``discriminant``, ``resultant``, ``separation_lower_bound_check``),
-and a ``BezoutMatrix`` computes its determinant once, so one request
-builds each distinct form once.
+Exact forms hold an ``exactla.IntMatrix`` from the moment they are built:
+with p = cp * P and q = cq * Q for primitive integer P, Q
+(``polynomial._primitive``), H(p, q) = cp * cq * H(P, Q), so the synthetic
+division, its remainder and symmetry checks run on the integer
+coefficients and the form keeps those rows over the denominator of
+cp * cq; the companion matrix of monic p is built from its primitive P.
+For monic p the form of (p, p') is the deleted-factor gram
+sum_k p_k(x) p_k(y), p_k = p / (x - lambda_k), so the separation bound
+H(p, q) - c * H(p, p') >= 0 needs no roots.  It, the exact symmetrization
+defect and the PSD certificate take the integer rows as they are, and only
+results become Fractions.  Callers that already hold a form pass it on
+(``discriminant``, ``resultant``, ``separation_lower_bound_check``), and
+with it its PSD verdict, from which det is read with no second
+elimination; so one request builds and eliminates each distinct form once.
 """
 
 from __future__ import annotations
@@ -28,48 +31,24 @@ import numpy as np
 
 from . import exactla
 from .errors import BackendMismatchError, DegreeMismatchError, NonzeroRemainderError
-from .exactla import PsdVerdict, psd_certificate
+from .exactla import IntMatrix, MatrixForm, PsdVerdict, psd_certificate
 from .polynomial import Polynomial, RootProfile, _primitive
 from .scalars import BACKEND_EXACT
 
 
 @dataclass(frozen=True)
-class _MatrixForm:
-    """A matrix wrapper that numpy reads as its ``matrix``."""
-
-    matrix: np.ndarray
-
-    def __array__(self, dtype=None, copy=None):
-        # np.array copies (copy=True) so that writes never reach the form;
-        # np.asarray (copy=None) gets the matrix itself
-        return np.array(self.matrix, dtype=dtype, copy=copy)
-
-    @property
-    def backend(self) -> str:
-        return exactla.backend_of(self.matrix)
-
-    def to_jsonable(self) -> dict:
-        from .scalars import scalar_to_json
-
-        return {
-            "backend": self.backend,
-            "rows": [[scalar_to_json(v) for v in row] for row in self.matrix],
-        }
-
-
-@dataclass(frozen=True)
-class BezoutMatrix(_MatrixForm):
+class BezoutMatrix(MatrixForm):
     p: Polynomial
     q: Polynomial
 
     @cached_property
     def det(self):
         """det H, computed on first use and kept with the form."""
-        return exactla.det(self.matrix)
+        return exactla.det(self)
 
 
 @dataclass(frozen=True)
-class CompanionMatrix(_MatrixForm):
+class CompanionMatrix(MatrixForm):
     p: Polynomial
 
 
@@ -116,8 +95,9 @@ def bezout_matrix(p: Polynomial, q: Polynomial) -> BezoutMatrix:
         if exactla._asymmetry(rows):
             raise NonzeroRemainderError("bezout matrix came out asymmetric (arithmetic fault)")
         scale = cp * cq
-        return BezoutMatrix(exactla._fraction_matrix(rows, scale.numerator, scale.denominator),
-                            p, q)
+        num = scale.numerator
+        return BezoutMatrix(IntMatrix(tuple(tuple(v * num for v in row) for row in rows),
+                                      scale.denominator), p, q)
     pa = list(p.ascending(n + 1))
     qa = list(q.ascending(n + 1))
     rows, leftovers = _divide_form(pa, qa, n)
@@ -131,15 +111,24 @@ def bezout_matrix(p: Polynomial, q: Polynomial) -> BezoutMatrix:
 
 
 def companion_matrix(p: Polynomial) -> CompanionMatrix:
-    """Companion (Sylvester) matrix: shift rows on top, -(a_m..a_1) last row."""
+    """Companion (Sylvester) matrix: shift rows on top, -(a_m..a_1) last row.
+
+    Exact p = P / L, with P primitive and L its leading coefficient, gives
+    the integer rows of L A over L.
+    """
     p.require_monic("companion matrix input")
     m = int(p.degree)
     if m < 1:
         raise DegreeMismatchError("companion matrix needs degree >= 1")
-    A = exactla.zeros(m, m, p.backend)
-    one = p.coeffs[0]
+    if p.backend == BACKEND_EXACT:
+        P = _primitive(p.coeffs)[0]
+        L = P[0]
+        rows = [tuple(L if j == i + 1 else 0 for j in range(m)) for i in range(m - 1)]
+        rows.append(tuple(-c for c in P[:0:-1]))
+        return CompanionMatrix(IntMatrix(tuple(rows), L), p)
+    A = np.zeros((m, m))
     for i in range(m - 1):
-        A[i, i + 1] = one
+        A[i, i + 1] = 1.0
     asc = p.ascending()  # a_m is asc[0], a_1 is asc[m-1]
     for j in range(m):
         A[m - 1, j] = -asc[j]
@@ -152,11 +141,10 @@ def symmetrization_defect(H, A):
     Two exact matrices are multiplied as integer matrices, H = X / dx and
     A = Y / dy, so the defect is that of XY over dx * dy.
     """
-    Hm, Am = np.asarray(H), np.asarray(A)
-    if Hm.dtype == object and Am.dtype == object:
-        (X, dx), (Y, dy) = exactla._integer_matrix(Hm), exactla._integer_matrix(Am)
-        return Fraction(exactla._asymmetry(exactla._matmul(X, Y)), dx * dy)
-    return exactla.symmetry_defect(Hm @ Am)
+    X, Y = exactla.integer_form(H), exactla.integer_form(A)
+    if X is not None and Y is not None:
+        return Fraction(exactla._asymmetry(exactla._matmul(X.rows, Y.rows)), X.den * Y.den)
+    return exactla.symmetry_defect(np.asarray(H) @ np.asarray(A))
 
 
 def psd_check(H, tol: float = 1e-9) -> PsdVerdict:
@@ -164,13 +152,16 @@ def psd_check(H, tol: float = 1e-9) -> PsdVerdict:
     return psd_certificate(H, tol)
 
 
-def discriminant(p: Polynomial, H: BezoutMatrix | None = None):
+def discriminant(p: Polynomial, H: BezoutMatrix | None = None,
+                 hermite: PsdVerdict | None = None):
     """det of the Bezout matrix of (p, p'); the squared root difference product.
 
-    Pass ``H``, the ``BezoutMatrix`` of (p, p'), when it is already built.
+    Pass ``H``, the ``BezoutMatrix`` of (p, p'), when it is already built,
+    and ``hermite``, its PSD verdict, when it is already certified: det is
+    then read from the verdict's pivots.
     """
     p.require_monic("discriminant input")
-    return (H if H is not None else bezout_matrix(p, p.derivative())).det
+    return exactla.det(H if H is not None else bezout_matrix(p, p.derivative()), hermite)
 
 
 def resultant_sign(m: int) -> int:
@@ -193,16 +184,17 @@ class Resultant:
 
 
 def resultant(p: Polynomial, q: Polynomial, profile: RootProfile | None = None,
-              H: BezoutMatrix | None = None) -> Resultant:
+              H: BezoutMatrix | None = None, psd: PsdVerdict | None = None) -> Resultant:
     """det H next to the root product prod_j q(lambda_j) and their sign factor.
 
-    Pass ``H``, the ``BezoutMatrix`` of (p, q), when it is already built.
+    Pass ``H``, the ``BezoutMatrix`` of (p, q), when it is already built,
+    and ``psd``, its PSD verdict, when it is already certified.
     """
     p.require_monic("resultant input")
     m = int(p.degree)
     if not q.is_zero and q.degree > m - 1:
         raise DegreeMismatchError("resultant requires deg q <= deg p - 1")
-    det_h = (H if H is not None else bezout_matrix(p, q)).det
+    det_h = exactla.det(H if H is not None else bezout_matrix(p, q), psd)
     if profile is None:
         from .roots import real_roots
 
@@ -227,17 +219,19 @@ def separation_lower_bound_check(p: Polynomial, q: Polynomial, c, tol: float = 1
     Float forms take the eigenvalue test at ``tol``.
     """
     p.require_monic("separation bound input")
-    H = np.asarray(H if H is not None else bezout_matrix(p, q))
-    gram = np.asarray(hermite if hermite is not None else bezout_matrix(p, p.derivative()))
+    H = H if H is not None else bezout_matrix(p, q)
+    gram = hermite if hermite is not None else bezout_matrix(p, p.derivative())
     if H.shape != gram.shape:
         raise DegreeMismatchError(
             f"Bezout matrix of shape {H.shape} against {gram.shape} for (p, p')"
         )
-    if exactla.backend_of(H) == BACKEND_EXACT:
+    X = exactla.integer_form(H)
+    if X is not None:
+        G = IntMatrix.of(gram)
         c = Fraction(c) if isinstance(c, (int, Fraction)) else Fraction(c) * (1 - Fraction(tol))
-        (X, dx), (G, dg) = exactla._integer_matrix(H), exactla._integer_matrix(gram)
         # H - c G = (X c.den dg - G c.num dx) / (dx c.den dg)
-        a, b = c.denominator * dg, c.numerator * dx
-        diff = [[a * h - b * g for h, g in zip(hr, gr)] for hr, gr in zip(X, G)]
-        return exactla._integer_psd(diff, dx * a).is_psd
-    return psd_certificate(H.astype(float) - float(c) * gram.astype(float), tol).is_psd
+        a, b = c.denominator * G.den, c.numerator * X.den
+        diff = [[a * h - b * g for h, g in zip(hr, gr)] for hr, gr in zip(X.rows, G.rows)]
+        return exactla._integer_psd(diff, X.den * a).is_psd
+    return psd_certificate(np.asarray(H, dtype=float) - float(c) * np.asarray(gram, dtype=float),
+                           tol).is_psd

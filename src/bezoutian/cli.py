@@ -172,13 +172,13 @@ def cmd_analyze(args, report: CertifiedReport):
             report.add_bool("separation lower bound", "separation-lower-bound",
                             ok, float(cert.constant_c), tol)
             report.add_bool("bezout form semidefinite", "bezout-psd", psd.is_psd, witness, tol)
-    disc = discriminant(p, Hp)
+    disc = discriminant(p, Hp, hermite)
     delta = difference_product(profile.flattened)
     disc_err = abs(float(disc) - float(delta) ** 2)
     scale = max(1.0, abs(float(disc)))
     report.add_bool("determinant equals squared root spread", "discriminant-product",
                     disc_err <= tol * scale, float(disc), tol)
-    res = resultant(p, q, profile, H)
+    res = resultant(p, q, profile, H, psd)
     res_err = float(res.consistency_residual()) / max(1.0, abs(float(res.det_h)))
     report.add_bool("determinant against root product", "resultant-sign",
                     res_err <= tol, float(res.det_h), tol)
@@ -261,19 +261,23 @@ def cmd_quasi(args, report: CertifiedReport):
     return table
 
 
+def _exact_witness(x):
+    """float(x) for a rational x, or a short decimal string once x leaves the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        log10_abs = math.log10(abs(x.numerator)) - math.log10(x.denominator)
+        exp = math.floor(log10_abs)
+        return f"{'-' if x < 0 else ''}{10 ** (log10_abs - exp):.9f}e{exp:+d}"
+
+
 def _adjugate_determinant_law(sym, m: int) -> tuple:
     """(det B == (det S)^(m-1), det B as a witness), compared exactly.
 
-    The witness is a float, or a short string once det B leaves the float range.
+    det B is read from the LDL pivots of B's definiteness certificate.
     """
-    det_b = exactla.det(sym.adjugate)
-    try:
-        witness = float(det_b)
-    except OverflowError:
-        log10_abs = math.log10(abs(det_b.numerator)) - math.log10(det_b.denominator)
-        exp = math.floor(log10_abs)
-        witness = f"{'-' if det_b < 0 else ''}{10 ** (log10_abs - exp):.9f}e{exp:+d}"
-    return det_b == sym.det_power_sum_gram ** (m - 1), witness
+    det_b = exactla.det(sym.adjugate_ints, sym.definiteness)
+    return det_b == sym.det_power_sum_gram ** (m - 1), _exact_witness(det_b)
 
 
 def cmd_leray(args, report: CertifiedReport):
@@ -288,10 +292,10 @@ def cmd_leray(args, report: CertifiedReport):
     defect = float(sym.symmetry_defect)
     report.add_bool("power-sum symmetrizer defect", "leray-symmetry",
                     defect <= tol, defect, tol)
-    disc = discriminant(p, verdict.hermite_form)
-    err = abs(float(sym.det_power_sum_gram) - float(disc))
+    det_s = sym.det_power_sum_gram
+    disc = discriminant(p, verdict.hermite_form, verdict.hermite)
     report.add_bool("det equals discriminant", "leray-determinant",
-                    err <= tol * max(1.0, abs(float(disc))), float(sym.det_power_sum_gram), tol)
+                    det_s == disc, _exact_witness(det_s), tol)
     law_ok, det_b = _adjugate_determinant_law(sym, m)
     report.add_bool("adjugate determinant law", "leray-adjugate-determinant",
                     law_ok, det_b, tol)

@@ -1,16 +1,21 @@
 """Small dense matrix helpers over both scalar backends.
 
-Exact matrices are numpy object arrays of Fractions; float matrices are
-ordinary float64 arrays.  The exact kernels clear the denominators once,
-M = A / D with A an integer matrix and D the lcm of the entry denominators,
-and run on Python ints: det(M) = det(A) / D^m by Bareiss fraction-free
-elimination, adj(M) = adj(A) / D^(m-1) by Faddeev-LeVerrier, and the LDL
-pivot signs of the PSD certificate by symmetric fraction-free elimination;
-every division is exact over the integers.  ``adjugate`` has no float
-route: it takes float entries at their exact dyadic values.  ``_asymmetry``
-and ``_matmul`` give the symmetry defect and the product of integer
-matrices for the adjugate and the exact Bezout-form checks (``bezout``),
-and only the results are turned back into Fractions.
+An exact matrix is an ``IntMatrix``: integer rows over one positive
+denominator D, M = A / D.  The exact builders (``bezout``, ``leray``) make
+it directly, and the kernels run on its Python ints: det(M) = det(A) / D^m
+by Bareiss fraction-free elimination, adj(M) = adj(A) / D^(m-1) by
+Faddeev-LeVerrier, and the LDL pivot signs of the PSD certificate by
+symmetric fraction-free elimination; every division is exact over the
+integers.  An elimination runs once per matrix: a PSD verdict already holds
+det M as the product of its pivots, and ``det`` reads it from there.
+Float matrices are ordinary float64 arrays.  A ``MatrixForm`` wraps either
+kind, and numpy reads it as a Fraction or float64 array; the Fraction array
+of an exact matrix is built only when something reads it.  Object arrays of
+Fractions from outside are cleared to an ``IntMatrix`` once, on entry
+(``_integer_matrix``).  ``adjugate`` has no float route: it takes float
+entries at their exact dyadic values.  ``_asymmetry`` and ``_matmul`` give
+the symmetry defect and the product of integer matrices for the adjugate
+and the exact Bezout-form checks (``bezout``).
 """
 
 from __future__ import annotations
@@ -19,10 +24,11 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .scalars import BACKEND_EXACT, BACKEND_FLOAT
+from .scalars import BACKEND_EXACT, BACKEND_FLOAT, scalar_to_json
 
 
 def mat(rows, backend: str) -> np.ndarray:
@@ -50,10 +56,6 @@ def identity(n: int, backend: str) -> np.ndarray:
     return out
 
 
-def backend_of(M: np.ndarray) -> str:
-    return BACKEND_EXACT if M.dtype == object else BACKEND_FLOAT
-
-
 def max_abs(M: np.ndarray):
     """Max-norm of the entries; Fraction for exact input, float otherwise."""
     M = np.asarray(M)
@@ -70,21 +72,102 @@ def symmetry_defect(M: np.ndarray):
     return max_abs(M - M.T)
 
 
-def _integer_matrix(M: np.ndarray) -> tuple[list[list[int]], int]:
-    """(A, D) with A integer rows and D the lcm of the denominators: M = A / D."""
+@dataclass(frozen=True)
+class IntMatrix:
+    """An exact matrix as integer rows over one positive denominator: rows / den.
+
+    It is kept in lowest terms, so each matrix has one integer form and the
+    kernels run on the smallest integers that represent it.
+    """
+
+    rows: tuple  # tuple of equal-length tuples of int
+    den: int = 1
+
+    def __post_init__(self):
+        if self.den <= 0:
+            raise ValueError(f"IntMatrix needs a positive denominator, got {self.den}")
+        g = math.gcd(self.den, *(v for row in self.rows for v in row))
+        if g > 1:
+            rows = tuple(tuple(v // g for v in row) for row in self.rows)
+            object.__setattr__(self, "rows", rows)
+            object.__setattr__(self, "den", self.den // g)
+
+    @classmethod
+    def of(cls, M) -> IntMatrix:
+        """M as an IntMatrix: a form's own, or an array cleared once.
+
+        Float entries are taken at their exact dyadic values.
+        """
+        if isinstance(M, MatrixForm):
+            M = M.data
+        return M if isinstance(M, cls) else _integer_matrix(M)
+
+    @property
+    def shape(self) -> tuple:
+        return (len(self.rows), len(self.rows[0]) if self.rows else 0)
+
+    @cached_property
+    def fractions(self) -> np.ndarray:
+        """Object array of the Fractions rows[i][j] / den, built on first read."""
+        out = np.empty(self.shape, dtype=object)
+        for i, row in enumerate(self.rows):
+            for j, v in enumerate(row):
+                out[i, j] = Fraction(v, self.den)
+        return out
+
+
+def _integer_matrix(M: np.ndarray) -> IntMatrix:
+    """The IntMatrix A / D of an array from outside, D the lcm of its entries' denominators."""
     rows = [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row]
             for row in np.asarray(M, dtype=object)]
     D = math.lcm(1, *(v.denominator for row in rows for v in row))
-    return [[v.numerator * (D // v.denominator) for v in row] for row in rows], D
+    return IntMatrix(tuple(tuple(v.numerator * (D // v.denominator) for v in row)
+                           for row in rows), D)
 
 
-def _fraction_matrix(A: list[list[int]], num: int = 1, den: int = 1) -> np.ndarray:
-    """Object array of the Fractions A[i][j] * num / den."""
-    out = np.empty((len(A), len(A[0]) if A else 0), dtype=object)
-    for i, row in enumerate(A):
-        for j, v in enumerate(row):
-            out[i, j] = Fraction(v * num, den)
-    return out
+def integer_form(M) -> IntMatrix | None:
+    """The IntMatrix of an exact matrix, None for a float one.
+
+    An IntMatrix or an exact form passes as it is, with no conversion.
+    """
+    data = M.data if isinstance(M, MatrixForm) else M
+    if isinstance(data, IntMatrix):
+        return data
+    return _integer_matrix(data) if np.asarray(data).dtype == object else None
+
+
+@dataclass(frozen=True)
+class MatrixForm:
+    """A built matrix that numpy reads as its ``matrix``.
+
+    ``data`` is an IntMatrix for an exact form, whose Fraction ``matrix`` is
+    built on first read, or the float64 array of a float form.
+    """
+
+    data: object
+
+    def __array__(self, dtype=None, copy=None):
+        # np.array copies (copy=True) so that writes never reach the form;
+        # np.asarray (copy=None) gets the matrix itself
+        return np.array(self.matrix, dtype=dtype, copy=copy)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.data.fractions if isinstance(self.data, IntMatrix) else self.data
+
+    @property
+    def shape(self) -> tuple:
+        return self.data.shape
+
+    @property
+    def backend(self) -> str:
+        return BACKEND_EXACT if isinstance(self.data, IntMatrix) else BACKEND_FLOAT
+
+    def to_jsonable(self) -> dict:
+        return {
+            "backend": self.backend,
+            "rows": [[scalar_to_json(v) for v in row] for row in self.matrix],
+        }
 
 
 def _require_square(A: list[list[int]], what: str) -> int:
@@ -115,7 +198,7 @@ def _bareiss_det(A: list[list[int]]) -> int:
     After step k every trailing entry is a (k+1)x(k+1) minor, so the division
     by the previous pivot is exact.
     """
-    A = [row[:] for row in A]
+    A = [list(row) for row in A]
     n = len(A)
     if n == 0:
         return 1
@@ -147,33 +230,49 @@ def _faddeev_adjugate(A: list[list[int]]) -> list[list[int]]:
     """
     n = len(A)
     M = [[int(i == j) for j in range(n)] for i in range(n)]
-    c = -sum(A[i][i] for i in range(n))
-    for k in range(2, n + 1):
-        M = _matmul(A, M)
+    for k in range(1, n):
+        M = _matmul(A, M)  # A M_k, whose trace gives c_(n-k)
+        c = -sum(M[i][i] for i in range(n)) // k
         for i in range(n):
             M[i][i] += c
-        if k < n:
-            c = -sum(A[i][j] * M[j][i] for i in range(n) for j in range(n)) // k
     return M if n % 2 else [[-v for v in row] for row in M]
 
 
-def det(M: np.ndarray):
-    """Determinant: a Fraction by Bareiss on the cleared integer matrix, else a float."""
-    M = np.asarray(M)
-    if M.dtype == object:
-        A, D = _integer_matrix(M)
-        return Fraction(_bareiss_det(A), D ** len(A))
-    return float(np.linalg.det(M))
+def det(M, psd: PsdVerdict | None = None):
+    """Determinant: a Fraction for exact input, else a float.
+
+    Pass ``psd``, the exact PSD verdict of M, when it is at hand: its LDL
+    elimination has already run, and det M is the product of its pivots
+    (0 below full rank).  Without a completed elimination, Bareiss runs on
+    the integer form.
+    """
+    A = integer_form(M)
+    if A is None:
+        return float(np.linalg.det(np.asarray(M)))
+    if psd is not None and psd.is_psd and psd.pivots is not None:
+        return math.prod(psd.pivots, start=Fraction(1)) if psd.is_pd else Fraction(0)
+    return Fraction(_bareiss_det(A.rows), A.den ** len(A.rows))
 
 
-def adjugate(M: np.ndarray) -> np.ndarray:
+def adjugate(M):
     """Cofactor transpose, exact; total (defined for singular input as well).
 
-    Faddeev-LeVerrier on Python ints.  Float entries are taken at their
-    exact dyadic values, so the result is always a Fraction matrix.
+    Faddeev-LeVerrier on Python ints.  An IntMatrix or a form gives an
+    IntMatrix; an array gives a Fraction array, with float entries taken at
+    their exact dyadic values.
     """
-    A, D = _integer_matrix(M)
-    return _fraction_matrix(_faddeev_adjugate(A), den=D ** (len(A) - 1))
+    A = IntMatrix.of(M)
+    n = len(A.rows)
+    B = IntMatrix(tuple(map(tuple, _faddeev_adjugate(A.rows))), A.den ** max(n - 1, 0))
+    return B if isinstance(M, (IntMatrix, MatrixForm)) else B.fractions
+
+
+def adjugate_det(A: IntMatrix, B: IntMatrix) -> Fraction:
+    """det A from its adjugate B: A B = det(A) I, so det A is row 0 of A times column 0 of B."""
+    if not A.rows:
+        return Fraction(1)
+    return Fraction(sum(map(operator.mul, A.rows[0], (row[0] for row in B.rows))),
+                    A.den * B.den)
 
 
 @dataclass(frozen=True)
@@ -209,7 +308,7 @@ def _integer_psd(A: list[list[int]], D: int = 1) -> PsdVerdict:
     n = _require_square(A, "PSD certificate")
     if _asymmetry(A):
         raise ValueError("PSD certificate needs a symmetric matrix")
-    A = [row[:] for row in A]
+    A = [list(row) for row in A]
     active = list(range(n))
     pivots = []
     prev = 1
@@ -241,11 +340,12 @@ def _integer_psd(A: list[list[int]], D: int = 1) -> PsdVerdict:
     return PsdVerdict(True, rank == n, "ldl-pivot", tuple(pivots), rank)
 
 
-def psd_certificate(M: np.ndarray, tol: float = 1e-9) -> PsdVerdict:
+def psd_certificate(M, tol: float = 1e-9) -> PsdVerdict:
     """Certify M >= 0; exact pivots for rational input, eigenvalues for float."""
+    A = integer_form(M)
+    if A is not None:
+        return _integer_psd(A.rows, A.den)
     M = np.asarray(M)
-    if M.dtype == object:
-        return _integer_psd(*_integer_matrix(M))
     sym = 0.5 * (M + M.T)
     eigs = np.linalg.eigvalsh(sym)
     scale = max(1.0, float(np.max(np.abs(sym))))

@@ -10,10 +10,13 @@ matrix of (p, p') and A the companion matrix, so det(S) H = B p'(A)^2;
 Everything here is exact: float input is taken at its exact dyadic value
 (``Polynomial.as_exact``), the value the decimal denotes, so S, B and the
 relation are the same for a decimal and for that value typed as a fraction.
+S and B are held as integer matrices (``exactla.IntMatrix``), and one
+Faddeev-LeVerrier run gives B and, by one row product, det S.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,41 +25,60 @@ import numpy as np
 from . import exactla
 from .bezout import bezout_matrix, companion_matrix, symmetrization_defect
 from .errors import DegreeMismatchError
-from .exactla import PsdVerdict
+from .exactla import IntMatrix, PsdVerdict
 from .polynomial import Polynomial, _primitive, power_sums
 
 
-def power_sum_matrix(p: Polynomial) -> np.ndarray:
-    """S[i][j] = P_(i+j), power sums of the roots, from coefficients alone."""
+def _power_sum_form(p: Polynomial) -> IntMatrix:
+    """S[i][j] = P_(i+j) as integer rows over the common denominator of the power sums."""
     p = p.as_exact()
     p.require_monic("power-sum matrix input")
     m = int(p.degree)
     sums = power_sums(p, max(2 * m - 2, 0))
-    S = exactla.zeros(m, m, p.backend)
-    for i in range(m):
-        for j in range(m):
-            S[i, j] = sums[i + j]
-    return S
+    D = math.lcm(*(s.denominator for s in sums))
+    ints = [s.numerator * (D // s.denominator) for s in sums]
+    return IntMatrix(tuple(tuple(ints[i:i + m]) for i in range(m)), D)
+
+
+def power_sum_matrix(p: Polynomial) -> np.ndarray:
+    """S[i][j] = P_(i+j), power sums of the roots, from coefficients alone."""
+    return _power_sum_form(p).fractions
 
 
 @dataclass(frozen=True)
 class LeraySymmetrizer:
-    power_sum_gram: np.ndarray      # S = R R^T
-    adjugate: np.ndarray            # B, total even when S is singular
+    """S, B = adj S and the certificates of B; S and B are held as integer
+    matrices, and ``power_sum_gram`` and ``adjugate`` build their Fraction
+    arrays on first read."""
+
+    power_sum_ints: IntMatrix       # S = R R^T
+    adjugate_ints: IntMatrix        # B, total even when S is singular
     det_power_sum_gram: object      # equals the squared difference product
     symmetry_defect: object         # max-norm of B A - (B A)^T
     definiteness: PsdVerdict
 
+    @property
+    def power_sum_gram(self) -> np.ndarray:
+        return self.power_sum_ints.fractions
+
+    @property
+    def adjugate(self) -> np.ndarray:
+        return self.adjugate_ints.fractions
+
 
 def leray_symmetrizer(p: Polynomial) -> LeraySymmetrizer:
-    """Build S and B = adj(S); B A symmetric, B positive definite iff strict."""
+    """Build S and B = adj(S); B A symmetric, B positive definite iff strict.
+
+    det S comes from the adjugate, S B = det(S) I, as row 0 of S times
+    column 0 of B: no elimination of S runs.
+    """
     p = p.as_exact()
-    S = power_sum_matrix(p)
+    S = _power_sum_form(p)
     B = exactla.adjugate(S)
     A = companion_matrix(p)
     defect = symmetrization_defect(B, A)
     verdict = exactla.psd_certificate(B)
-    return LeraySymmetrizer(S, B, exactla.det(S), defect, verdict)
+    return LeraySymmetrizer(S, B, exactla.adjugate_det(S, B), defect, verdict)
 
 
 def _derivative_at_companion(p: Polynomial) -> tuple[list, object]:
@@ -93,20 +115,19 @@ def h_b_relation_check(p: Polynomial, sym: LeraySymmetrizer | None = None,
     p = p.as_exact()
     p.require_monic("relation check input")
     if sym is None:
-        S = power_sum_matrix(p)
-        B, det_s = exactla.adjugate(S), exactla.det(S)
-    else:
-        B, det_s = sym.adjugate, sym.det_power_sum_gram
-    H = np.asarray(H if H is not None else bezout_matrix(p, p.derivative()))
+        sym = leray_symmetrizer(p)
+    det_s = sym.det_power_sum_gram
+    X = IntMatrix.of(H if H is not None else bezout_matrix(p, p.derivative()))
     W, d = _derivative_at_companion(p)
-    if H.shape != (len(W), len(W)):
-        raise DegreeMismatchError(f"Bezout matrix of shape {H.shape} for degree {len(W)}")
-    (X, dx), (Y, dy) = exactla._integer_matrix(H), exactla._integer_matrix(B)
+    if X.shape != (len(W), len(W)):
+        raise DegreeMismatchError(f"Bezout matrix of shape {X.shape} for degree {len(W)}")
+    Y = sym.adjugate_ints
+    dx, dy = X.den, Y.den
     # over the common denominator den, det(S) H = a X and B p'(A)^2 = b Y W W
     den = det_s.denominator * dx * dy * d * d
     a, b = det_s.numerator * dy * d * d, det_s.denominator * dx
-    lhs = [[a * x for x in row] for row in X]
-    rhs = exactla._matmul(Y, exactla._matmul(W, W))
+    lhs = [[a * x for x in row] for row in X.rows]
+    rhs = exactla._matmul(Y.rows, exactla._matmul(W, W))
     diff = max(abs(u - b * v) for lr, rr in zip(lhs, rhs) for u, v in zip(lr, rr))
     size = max(abs(u) for row in lhs for u in row)
     return float(Fraction(diff, max(size, den)))

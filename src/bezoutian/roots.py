@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bezout import companion_matrix
-from .errors import NonHyperbolicError, NonMonicError
+from .errors import NonHyperbolicError
 from .polynomial import Polynomial, RootProfile, _primitive
 from .scalars import BACKEND_EXACT
 

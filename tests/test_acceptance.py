@@ -30,7 +30,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 import corpus
 from bezoutian import (

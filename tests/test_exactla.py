@@ -15,11 +15,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import corpus
-from bezoutian import Polynomial
+from bezoutian import Polynomial, bezout_matrix
 from bezoutian.exactla import (
+    IntMatrix,
     _asymmetry,
+    _bareiss_det,
     _matmul,
     adjugate,
+    adjugate_det,
     det,
     identity,
     mat,
@@ -262,6 +265,94 @@ def test_integer_shape_checks():
     assert _matmul([[1, 2], [3, 4]], [[5], [6]]) == [[17], [39]]
     assert symmetry_defect(mat([[1, F(1, 2)], [F(-1, 3), 0]], "exact")) == F(5, 6)
     assert symmetry_defect(np.empty((0, 0), dtype=object)) == 0
+
+
+# -- integer forms, and det from an elimination already run -------------------
+
+
+ints_st = st.integers(-9, 9)
+
+
+def bareiss(M: IntMatrix) -> Fraction:
+    return Fraction(_bareiss_det(M.rows), M.den ** len(M.rows))
+
+
+@st.composite
+def integer_gram(draw):
+    """G G^T over a denominator D > 1, G integer m x r: PSD of rank r (generically), r = 0..m."""
+    m = draw(st.integers(1, 6))
+    r = draw(st.integers(0, m))
+    G = [draw(st.lists(ints_st, min_size=r, max_size=r)) for _ in range(m)]
+    rows = tuple(tuple(sum(a * b for a, b in zip(gi, gj)) for gj in G) for gi in G)
+    return IntMatrix(rows, draw(st.integers(2, 30)))
+
+
+@st.composite
+def integer_symmetric(draw):
+    m = draw(st.integers(1, 6))
+    upper = {(i, j): draw(ints_st) for i in range(m) for j in range(i, m)}
+    rows = tuple(tuple(upper[min(i, j), max(i, j)] for j in range(m)) for i in range(m))
+    return IntMatrix(rows, draw(st.integers(1, 30)))
+
+
+@st.composite
+def integer_square(draw):
+    """L R over a denominator, L n x r and R r x n integer: singular whenever r < n."""
+    n = draw(st.integers(1, 6))
+    r = draw(st.integers(0, n))
+    L = [draw(st.lists(ints_st, min_size=r, max_size=r)) for _ in range(n)]
+    R = [draw(st.lists(ints_st, min_size=n, max_size=n)) for _ in range(r)]
+    rows = tuple(tuple(sum(L[i][k] * R[k][j] for k in range(r)) for j in range(n))
+                 for i in range(n))
+    return IntMatrix(rows, draw(st.integers(1, 30)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_gram())
+def test_det_read_from_the_ldl_pivots_equals_bareiss(M):
+    verdict = psd_certificate(M)
+    assert verdict.is_psd
+    assert det(M, verdict) == bareiss(M) == reference_det(M.fractions.tolist())
+    assert (det(M, verdict) != 0) == verdict.is_pd
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_symmetric())
+def test_det_of_an_indefinite_matrix_falls_back_to_bareiss(M):
+    verdict = psd_certificate(M)
+    assume(not verdict.is_psd)
+    assert det(M, verdict) == det(M) == bareiss(M) == reference_det(M.fractions.tolist())
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_square())
+def test_det_from_the_faddeev_adjugate_equals_bareiss(M):
+    B = adjugate(M)
+    assert isinstance(B, IntMatrix)
+    assert adjugate_det(M, B) == bareiss(M) == reference_det(M.fractions.tolist())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda k: st.lists(
+    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12), min_size=k, max_size=k),
+    min_size=1, max_size=4)), st.integers(1, 5))
+def test_integer_form_and_fraction_array_round_trip(rows, scale):
+    M = mat(rows, "exact")
+    A = IntMatrix.of(M)
+    assert A.shape == M.shape and (A.fractions == M).all()
+    assert all(type(v) is Fraction for v in A.fractions.flat)
+    assert IntMatrix.of(A) is A and IntMatrix.of(A.fractions) == A
+    # the same matrix over a larger denominator is kept in the same lowest terms
+    wide = IntMatrix(tuple(tuple(scale * v for v in row) for row in A.rows), scale * A.den)
+    assert wide == A and (wide.fractions == M).all()
+
+
+def test_exact_forms_reach_the_kernels_as_integer_rows():
+    p = Polynomial.exact([1, F(-1, 2), F(-1, 2)])  # (x - 1)(x + 1/2)
+    H = bezout_matrix(p, p.derivative())
+    assert IntMatrix.of(H) is H.data and isinstance(H.data, IntMatrix)
+    assert np.asarray(H) is H.matrix and (IntMatrix.of(H.matrix).fractions == H.matrix).all()
+    assert det(H, psd_certificate(H)) == det(H.matrix) == H.det
 
 
 # -- rational roots ----------------------------------------------------------

@@ -1,6 +1,5 @@
 """Polynomial arithmetic, symmetric functions and the two scalar backends."""
 
-import math
 from fractions import Fraction
 
 import pytest

@@ -408,6 +408,33 @@ def test_leray_strict_degree_10_does_not_overflow(capsys, exact):
                                                     "leray-bezout-relation"}
 
 
+def test_leray_on_a_discriminant_past_the_float_range(capsys):
+    # det S = disc p is about 1.6e312 for the roots 1..21; both are exact, and
+    # the witness of leray-determinant turns into a decimal string
+    p = Polynomial.from_roots(list(range(1, 22)))
+    code, out, err = run_cli(capsys, "leray", "--poly", json.dumps([int(c) for c in p.coeffs]))
+    assert (code, err) == (0, "")
+    report = CertifiedReport.from_json(out)
+    assert report.all_pass and all(c.verdict == "pass" for c in report.checks)
+    det_check = next(c for c in report.checks if c.check_id == "leray-determinant")
+    assert det_check.witness.startswith("1.62414") and det_check.witness.endswith("e+312")
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--poly", "[1,-3,0,4]"),   # (x - 2)^2 (x + 1)
+    ("leray", "--poly", "[1,-6,11,-6]"),   # (x - 1)(x - 2)(x - 3)
+])
+def test_exact_requests_eliminate_no_form_twice_and_convert_none(capsys, monkeypatch, argv):
+    # det H, det S and det B come from the LDL verdicts and the Faddeev run,
+    # and the forms are integer matrices from the start
+    bareiss = count_calls(monkeypatch, exactla._bareiss_det)
+    cleared = count_calls(monkeypatch, exactla._integer_matrix)
+    dets = count_calls(monkeypatch, exactla.det)
+    code, _, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert dets and (len(bareiss), len(cleared)) == (0, 0)
+
+
 def fraction_argv(p: Polynomial) -> str:
     return json.dumps([f"{c.numerator}/{c.denominator}" for c in p.coeffs])
 

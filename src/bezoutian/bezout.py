@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -40,11 +39,6 @@ from .scalars import BACKEND_EXACT
 class BezoutMatrix(MatrixForm):
     p: Polynomial
     q: Polynomial
-
-    @cached_property
-    def det(self):
-        """det H, computed on first use and kept with the form."""
-        return exactla.det(self)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ symmetric fraction-free elimination; every division is exact over the
 integers.  An elimination runs once per matrix: a PSD verdict already holds
 det M as the product of its pivots, and ``det`` reads it from there.
 Float matrices are ordinary float64 arrays.  A ``MatrixForm`` wraps either
-kind, and numpy reads it as a Fraction or float64 array; the Fraction array
-of an exact matrix is built only when something reads it.  Object arrays of
+kind, and numpy reads it, like an IntMatrix, as a Fraction or float64
+array; the Fraction array of an exact matrix is built only when something
+reads it.  Object arrays of
 Fractions from outside are cleared to an ``IntMatrix`` once, on entry
 (``_integer_matrix``).  ``adjugate`` has no float route: it takes float
 entries at their exact dyadic values.  ``_asymmetry`` and ``_matmul`` give
@@ -115,6 +116,10 @@ class IntMatrix:
                 out[i, j] = Fraction(v, self.den)
         return out
 
+    def __array__(self, dtype=None, copy=None):
+        # numpy reads an IntMatrix as its Fraction array, as it reads a MatrixForm
+        return np.array(self.fractions, dtype=dtype, copy=copy)
+
 
 def _integer_matrix(M: np.ndarray) -> IntMatrix:
     """The IntMatrix A / D of an array from outside, D the lcm of its entries' denominators."""
@@ -126,14 +131,10 @@ def _integer_matrix(M: np.ndarray) -> IntMatrix:
 
 
 def integer_form(M) -> IntMatrix | None:
-    """The IntMatrix of an exact matrix, None for a float one.
-
-    An IntMatrix or an exact form passes as it is, with no conversion.
-    """
+    """``IntMatrix.of(M)`` for an exact matrix, None for a float one."""
     data = M.data if isinstance(M, MatrixForm) else M
-    if isinstance(data, IntMatrix):
-        return data
-    return _integer_matrix(data) if np.asarray(data).dtype == object else None
+    exact = isinstance(data, IntMatrix) or np.asarray(data).dtype == object
+    return IntMatrix.of(data) if exact else None
 
 
 @dataclass(frozen=True)
@@ -257,14 +258,14 @@ def det(M, psd: PsdVerdict | None = None):
 def adjugate(M):
     """Cofactor transpose, exact; total (defined for singular input as well).
 
-    Faddeev-LeVerrier on Python ints.  An IntMatrix or a form gives an
-    IntMatrix; an array gives a Fraction array, with float entries taken at
-    their exact dyadic values.
+    Faddeev-LeVerrier on Python ints.  The result has the kind of its input:
+    an IntMatrix gives an IntMatrix, and an array or a form gives a Fraction
+    array, with float entries taken at their exact dyadic values.
     """
     A = IntMatrix.of(M)
     n = len(A.rows)
     B = IntMatrix(tuple(map(tuple, _faddeev_adjugate(A.rows))), A.den ** max(n - 1, 0))
-    return B if isinstance(M, (IntMatrix, MatrixForm)) else B.fractions
+    return B if isinstance(M, IntMatrix) else B.fractions
 
 
 def adjugate_det(A: IntMatrix, B: IntMatrix) -> Fraction:

@@ -130,7 +130,7 @@ def test_forms_copy_for_np_array_and_share_for_np_asarray(backend):
         assert copied is not form.matrix
         copied[0, 0] = 99.0
         assert (form.matrix == before).all()
-    assert H.det == 4
+    assert det(H) == 4
     assert np.array(H, dtype=float).tolist() == [[2.0, 0.0], [0.0, 2.0]]
 
 
@@ -381,7 +381,7 @@ def test_integer_bezout_matches_fraction_division(pair):
         got = symmetrization_defect(H, A)
         assert type(got) is Fraction
         assert got == reference_symmetry_defect(reference_product(want, A.tolist()))
-    assert H.det == det(H.matrix)
+    assert det(H) == det(H.matrix)
 
 
 square_st = st.integers(1, 5).flatmap(lambda n: st.lists(

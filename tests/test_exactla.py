@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import corpus
-from bezoutian import Polynomial, bezout_matrix
+from bezoutian import Polynomial, bezout_matrix, companion_matrix
 from bezoutian.exactla import (
     IntMatrix,
     _asymmetry,
@@ -352,7 +352,20 @@ def test_exact_forms_reach_the_kernels_as_integer_rows():
     H = bezout_matrix(p, p.derivative())
     assert IntMatrix.of(H) is H.data and isinstance(H.data, IntMatrix)
     assert np.asarray(H) is H.matrix and (IntMatrix.of(H.matrix).fractions == H.matrix).all()
-    assert det(H, psd_certificate(H)) == det(H.matrix) == H.det
+    assert det(H, psd_certificate(H)) == det(H.matrix) == det(H)
+
+
+def test_adjugate_keeps_the_kind_of_its_input():
+    p = Polynomial.exact([1, F(-1, 2), F(-1, 2), F(1, 3)])
+    A = companion_matrix(p)
+    want = reference_adjugate(A.matrix.tolist())
+    for given_as in (A, A.matrix, IntMatrix.of(A).fractions):
+        B = adjugate(given_as)
+        assert isinstance(B, np.ndarray) and B.tolist() == want
+    B = adjugate(IntMatrix.of(A))
+    assert isinstance(B, IntMatrix) and B.fractions.tolist() == want
+    # numpy reads an IntMatrix as its Fraction array
+    assert np.asarray(B).tolist() == want and (np.asarray(B) @ A.matrix)[0, 0] == det(A)
 
 
 # -- rational roots ----------------------------------------------------------

@@ -11,7 +11,8 @@ Usage, from the repository root:
 Each commit is unpacked with ``git archive`` into a temporary directory, so
 no worktree is made and nothing is written under ``.git``.  Every run is a
 fresh ``python3 bench/run.py --workload W --seed S --seconds T --trace 0``
-inside one of the two trees, one at a time.  Pair i runs the parent first
+inside one of the two trees, one at a time, where T is the ``run_seconds``
+that the change's ``BENCHMARK.json`` declares.  Pair i runs the parent first
 when i is even and the change first when it is odd.  The last stdout line
 of a run is its JSON result, and the end-to-end metrics that the change's
 ``BENCHMARK.json`` declares are read from it.  For each metric the output
@@ -117,7 +118,6 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=25)
     ap.add_argument("--out", type=Path, default=Path("BENCH_16.json"))
     args = ap.parse_args(argv)
     if args.pairs < 1:
@@ -129,8 +129,9 @@ def main(argv=None) -> int:
         for side, tree in trees.items():
             unpack(commits[side], tree)
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+        seconds = spec["run_seconds"]
         entry = {
-            **commits, "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
+            **commits, "workload": args.workload, "seed": args.seed, "seconds": seconds,
             "same_bench": tree_digest(trees["parent"] / "bench")
             == tree_digest(trees["change"] / "bench"),
             "python": platform.python_version(), "machine": platform.machine(),
@@ -139,7 +140,7 @@ def main(argv=None) -> int:
         pairs = []
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            result = {side: run_once(trees[side], args.workload, args.seed, args.seconds)
+            result = {side: run_once(trees[side], args.workload, args.seed, seconds)
                       for side in order}
             pairs.append((result["parent"], result["change"]))
             entry.update(

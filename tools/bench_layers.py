@@ -148,10 +148,8 @@ def layer_rows(degrees) -> list:
     for m in degrees:
         p = Polynomial.from_roots(exact_input(m))
         dp = p.derivative()
-        # the forms as requests pass them: on source trees that hold exact
-        # forms as integer rows, the kernels read those rows directly
-        H = bezout_matrix(p, dp)
-        A = companion_matrix(p)
+        H = bezout_matrix(p, dp).matrix
+        A = companion_matrix(p).matrix
         pf = p.as_float()
         sym = leray_symmetrizer(p)
         half = Fraction(1, 2)

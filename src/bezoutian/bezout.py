@@ -17,8 +17,8 @@ H(p, q) - c * H(p, p') >= 0 needs no roots.  It, the exact symmetrization
 defect and the PSD certificate take the integer rows as they are, and only
 results become Fractions.  Callers that already hold a form pass it on
 (``discriminant``, ``resultant``, ``separation_lower_bound_check``), and
-with it its PSD verdict, from which det is read with no second
-elimination; so one request builds and eliminates each distinct form once.
+its integer matrix keeps its LDL certificate, from which det is read; so
+one request builds and eliminates each distinct form once.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ def bezout_matrix(p: Polynomial, q: Polynomial) -> BezoutMatrix:
     pa = list(p.ascending(n + 1))
     qa = list(q.ascending(n + 1))
     rows, leftovers = _divide_form(pa, qa, n)
-    H = exactla.mat(rows, p.backend)
+    H = np.array(rows, dtype=float)
     scale = (n + 1) * max(1.0, max(abs(v) for v in pa) * max(abs(v) for v in qa))
     if max(abs(v) for v in leftovers) > 1e-10 * scale:
         raise NonzeroRemainderError("bezout division remainder above float tolerance")
@@ -120,12 +120,8 @@ def companion_matrix(p: Polynomial) -> CompanionMatrix:
         rows = [tuple(L if j == i + 1 else 0 for j in range(m)) for i in range(m - 1)]
         rows.append(tuple(-c for c in P[:0:-1]))
         return CompanionMatrix(IntMatrix(tuple(rows), L), p)
-    A = np.zeros((m, m))
-    for i in range(m - 1):
-        A[i, i + 1] = 1.0
-    asc = p.ascending()  # a_m is asc[0], a_1 is asc[m-1]
-    for j in range(m):
-        A[m - 1, j] = -asc[j]
+    A = np.eye(m, k=1)
+    A[m - 1] = [-a for a in p.ascending()[:m]]  # -a_m .. -a_1
     return CompanionMatrix(A, p)
 
 
@@ -146,16 +142,13 @@ def psd_check(H, tol: float = 1e-9) -> PsdVerdict:
     return psd_certificate(H, tol)
 
 
-def discriminant(p: Polynomial, H: BezoutMatrix | None = None,
-                 hermite: PsdVerdict | None = None):
+def discriminant(p: Polynomial, H: BezoutMatrix | None = None):
     """det of the Bezout matrix of (p, p'); the squared root difference product.
 
-    Pass ``H``, the ``BezoutMatrix`` of (p, p'), when it is already built,
-    and ``hermite``, its PSD verdict, when it is already certified: det is
-    then read from the verdict's pivots.
+    Pass ``H``, the ``BezoutMatrix`` of (p, p'), when it is already built.
     """
     p.require_monic("discriminant input")
-    return exactla.det(H if H is not None else bezout_matrix(p, p.derivative()), hermite)
+    return exactla.det(H if H is not None else bezout_matrix(p, p.derivative()))
 
 
 def resultant_sign(m: int) -> int:
@@ -178,17 +171,16 @@ class Resultant:
 
 
 def resultant(p: Polynomial, q: Polynomial, profile: RootProfile | None = None,
-              H: BezoutMatrix | None = None, psd: PsdVerdict | None = None) -> Resultant:
+              H: BezoutMatrix | None = None) -> Resultant:
     """det H next to the root product prod_j q(lambda_j) and their sign factor.
 
-    Pass ``H``, the ``BezoutMatrix`` of (p, q), when it is already built,
-    and ``psd``, its PSD verdict, when it is already certified.
+    Pass ``H``, the ``BezoutMatrix`` of (p, q), when it is already built.
     """
     p.require_monic("resultant input")
     m = int(p.degree)
     if not q.is_zero and q.degree > m - 1:
         raise DegreeMismatchError("resultant requires deg q <= deg p - 1")
-    det_h = exactla.det(H if H is not None else bezout_matrix(p, q), psd)
+    det_h = exactla.det(H if H is not None else bezout_matrix(p, q))
     if profile is None:
         from .roots import real_roots
 
@@ -201,12 +193,12 @@ def resultant(p: Polynomial, q: Polynomial, profile: RootProfile | None = None,
 
 
 def separation_lower_bound_check(p: Polynomial, q: Polynomial, c, tol: float = 1e-9,
-                                 H=None, hermite=None) -> bool:
+                                 H=None, Hp=None) -> bool:
     """Check H(p, q) - c * H(p, p') >= 0 for monic p.
 
     H(p, p') is the deleted-factor gram sum_k v_k v_k^T, v_k the ascending
     coefficients of p / (x - lambda_k), so the lower bound
-    c * sum_k |p_k_hat(z)|^2 needs no roots.  Pass ``H`` and ``hermite``, the
+    c * sum_k |p_k_hat(z)|^2 needs no roots.  Pass ``H`` and ``Hp``, the
     forms of (p, q) and (p, p'), when they are already built.  Exact forms
     are certified on integer matrices: a rational c as it is, a float c
     (from irrational roots) as the rational Fraction(c) * (1 - tol) below it.
@@ -214,7 +206,7 @@ def separation_lower_bound_check(p: Polynomial, q: Polynomial, c, tol: float = 1
     """
     p.require_monic("separation bound input")
     H = H if H is not None else bezout_matrix(p, q)
-    gram = hermite if hermite is not None else bezout_matrix(p, p.derivative())
+    gram = Hp if Hp is not None else bezout_matrix(p, p.derivative())
     if H.shape != gram.shape:
         raise DegreeMismatchError(
             f"Bezout matrix of shape {H.shape} against {gram.shape} for (p, p')"

@@ -9,6 +9,7 @@ precondition failed.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import functools
 import io
@@ -90,8 +91,9 @@ def _parse_grid(spec: str) -> tuple:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise InputError(f"bad grid spec {spec!r}") from exc
-    if count < 1 or start <= 0 or stop <= 0:
-        raise InputError("grid needs positive endpoints and count >= 1")
+    if count < 1 or not (0 < start < math.inf and 0 < stop < math.inf):
+        raise InputError("--eps-grid needs finite positive endpoints and count >= 1, "
+                         f"got {spec!r}")
     if mode not in ("log", "lin"):
         raise InputError(f"grid mode must be log or lin, got {mode!r}")
     if mode == "log":
@@ -145,9 +147,9 @@ def cmd_analyze(args, report: CertifiedReport):
 
     A = companion_matrix(p)
     # p is monic now, so is_hyperbolic's form is the Bezout matrix of (p, p');
-    # an exact PSD verdict does not depend on the tolerance
+    # an exact form returns the certificate it already holds, whatever tol
     Hp = verdict.hermite_form
-    hermite = verdict.hermite if p.backend == BACKEND_EXACT else psd_check(Hp, tol)
+    hermite = psd_check(Hp, tol)
     H = Hp if q == dp else bezout_matrix(p, q)
     report.inputs["bezout_matrix"] = H.to_jsonable()
     report.inputs["companion_matrix"] = A.to_jsonable()
@@ -164,7 +166,7 @@ def cmd_analyze(args, report: CertifiedReport):
         report.add("separation structure", "separation-interlacing",
                    "q degree differs from deg(p) - 1", MARGINAL)
     else:
-        cert = separates(p, q, tol, profile, psd, hermite)
+        cert = separates(p, q, tol, profile, H, Hp)
         report.add_bool("separation structure", "separation-interlacing",
                         cert.separates, cert.failure_reason or float(cert.constant_c))
         if cert.separates:
@@ -172,13 +174,13 @@ def cmd_analyze(args, report: CertifiedReport):
             report.add_bool("separation lower bound", "separation-lower-bound",
                             ok, float(cert.constant_c), tol)
             report.add_bool("bezout form semidefinite", "bezout-psd", psd.is_psd, witness, tol)
-    disc = discriminant(p, Hp, hermite)
+    disc = discriminant(p, Hp)
     delta = difference_product(profile.flattened)
     disc_err = abs(float(disc) - float(delta) ** 2)
     scale = max(1.0, abs(float(disc)))
     report.add_bool("determinant equals squared root spread", "discriminant-product",
                     disc_err <= tol * scale, float(disc), tol)
-    res = resultant(p, q, profile, H, psd)
+    res = resultant(p, q, profile, H)
     res_err = float(res.consistency_residual()) / max(1.0, abs(float(res.det_h)))
     report.add_bool("determinant against root product", "resultant-sign",
                     res_err <= tol, float(res.det_h), tol)
@@ -189,6 +191,8 @@ def cmd_nuij(args, report: CertifiedReport):
     p = _parse_poly(args.poly, args.poly_file)
     _require_hyperbolic(p)
     m = int(p.degree)
+    if args.eps is not None and not math.isfinite(args.eps):
+        raise InputError(f"--eps must be finite, got {args.eps}")
     grid = (args.eps,) if args.eps is not None else _parse_grid(args.eps_grid)
     report.backend = p.backend
     report.inputs = {"poly": _echo_poly(p), "grid": list(grid)}
@@ -203,8 +207,9 @@ def cmd_nuij(args, report: CertifiedReport):
         check = verify_gaps(p, eps, family=family)
         verdict = PASS if check.passed and not check.marginal else (
             MARGINAL if check.passed else FAIL)
+        # one root has no gap: the law holds vacuously, and inf is not JSON
         report.add(f"gap law at eps={eps:g}", "nuij-gap-law",
-                   float(check.min_gap_over_eps), verdict)
+                   float(check.min_gap_over_eps) if m >= 2 else "single root", verdict)
         table.append((eps, check.min_gap_over_eps * eps, check.floor_constant,
                       check.passed))
         interlaced, strict = certify_stages(p, eps)
@@ -235,6 +240,8 @@ def cmd_quasi(args, report: CertifiedReport):
         raise InputError(f"--samples must be at least 1, got {args.samples}")
     r = args.r if args.r is not None else max_multiplicity(p, verdict) - 1
     s = args.s
+    if not (math.isfinite(r) and math.isfinite(s)):
+        raise InputError(f"--r and --s must be finite, got {r} and {s}")
     report.backend = p.backend
     report.inputs = {"poly": _echo_poly(p), "r": r, "s": s, "grid": list(grid)}
     # one float family point per eps serves both the conditions and the verdict
@@ -271,15 +278,6 @@ def _exact_witness(x):
         return f"{'-' if x < 0 else ''}{10 ** (log10_abs - exp):.9f}e{exp:+d}"
 
 
-def _adjugate_determinant_law(sym, m: int) -> tuple:
-    """(det B == (det S)^(m-1), det B as a witness), compared exactly.
-
-    det B is read from the LDL pivots of B's definiteness certificate.
-    """
-    det_b = exactla.det(sym.adjugate_ints, sym.definiteness)
-    return det_b == sym.det_power_sum_gram ** (m - 1), _exact_witness(det_b)
-
-
 def cmd_leray(args, report: CertifiedReport):
     # a decimal is an exact dyadic rational: certify and echo that value
     p = _parse_poly(args.poly, args.poly_file).as_exact()
@@ -293,12 +291,13 @@ def cmd_leray(args, report: CertifiedReport):
     report.add_bool("power-sum symmetrizer defect", "leray-symmetry",
                     defect <= tol, defect, tol)
     det_s = sym.det_power_sum_gram
-    disc = discriminant(p, verdict.hermite_form, verdict.hermite)
+    disc = discriminant(p, verdict.hermite_form)
     report.add_bool("det equals discriminant", "leray-determinant",
                     det_s == disc, _exact_witness(det_s), tol)
-    law_ok, det_b = _adjugate_determinant_law(sym, m)
+    # read from the LDL pivots of B's definiteness check, and compared exactly
+    det_b = exactla.det(sym.adjugate_ints)
     report.add_bool("adjugate determinant law", "leray-adjugate-determinant",
-                    law_ok, det_b, tol)
+                    det_b == det_s ** (m - 1), _exact_witness(det_b), tol)
     report.add_bool("definiteness matches strictness", "leray-definiteness",
                     sym.definiteness.is_pd == verdict.is_strict,
                     "positive definite" if sym.definiteness.is_pd else "semidefinite")
@@ -333,6 +332,8 @@ def cmd_energy(args, report: CertifiedReport):
             U0 = [complex(part) for part in args.U0.split(",")]
         except ValueError as exc:
             raise InputError(f"cannot parse U0 {args.U0!r}") from exc
+        if not all(map(cmath.isfinite, U0)):
+            raise InputError(f"--U0 components must be finite, got {args.U0!r}")
     if len(U0) != m:
         raise InputError(f"U0 must have {m} components, got {len(U0)}")
     report.backend = p.backend

@@ -163,6 +163,8 @@ def energy_series(p: Polynomial, q: Polynomial, traj: Trajectory,
         raise ValueError("form dimension does not match the trajectory")
     U = traj.states
     vals = np.einsum("ti,ti->t", np.conj(U), U @ H.T).real
+    if not np.isfinite(vals).all():
+        raise ValueError("energy series leaves the float64 range")
     return EnergySeries(traj.times, vals, p, q)
 
 

@@ -6,8 +6,8 @@ it directly, and the kernels run on its Python ints: det(M) = det(A) / D^m
 by Bareiss fraction-free elimination, adj(M) = adj(A) / D^(m-1) by
 Faddeev-LeVerrier, and the LDL pivot signs of the PSD certificate by
 symmetric fraction-free elimination; every division is exact over the
-integers.  An elimination runs once per matrix: a PSD verdict already holds
-det M as the product of its pivots, and ``det`` reads it from there.
+integers.  Each IntMatrix eliminates itself once, for its cached LDL
+certificate ``ldl``; the det of a symmetric PSD matrix is its pivot product.
 Float matrices are ordinary float64 arrays.  A ``MatrixForm`` wraps either
 kind, and numpy reads it, like an IntMatrix, as a Fraction or float64
 array; the Fraction array of an exact matrix is built only when something
@@ -30,31 +30,6 @@ from functools import cached_property
 import numpy as np
 
 from .scalars import BACKEND_EXACT, BACKEND_FLOAT, scalar_to_json
-
-
-def mat(rows, backend: str) -> np.ndarray:
-    if backend == BACKEND_EXACT:
-        out = np.empty((len(rows), len(rows[0])), dtype=object)
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                out[i, j] = v if isinstance(v, Fraction) else Fraction(v)
-        return out
-    return np.array(rows, dtype=float)
-
-
-def zeros(n: int, m: int, backend: str) -> np.ndarray:
-    if backend == BACKEND_EXACT:
-        out = np.empty((n, m), dtype=object)
-        out[:] = Fraction(0)
-        return out
-    return np.zeros((n, m))
-
-
-def identity(n: int, backend: str) -> np.ndarray:
-    out = zeros(n, n, backend)
-    for i in range(n):
-        out[i, i] = Fraction(1) if backend == BACKEND_EXACT else 1.0
-    return out
 
 
 def max_abs(M: np.ndarray):
@@ -115,6 +90,11 @@ class IntMatrix:
             for j, v in enumerate(row):
                 out[i, j] = Fraction(v, self.den)
         return out
+
+    @cached_property
+    def ldl(self) -> PsdVerdict:
+        """The LDL pivot certificate of this symmetric matrix, eliminated on first read."""
+        return _integer_psd(self.rows, self.den)
 
     def __array__(self, dtype=None, copy=None):
         # numpy reads an IntMatrix as its Fraction array, as it reads a MatrixForm
@@ -239,20 +219,19 @@ def _faddeev_adjugate(A: list[list[int]]) -> list[list[int]]:
     return M if n % 2 else [[-v for v in row] for row in M]
 
 
-def det(M, psd: PsdVerdict | None = None):
+def det(M):
     """Determinant: a Fraction for exact input, else a float.
 
-    Pass ``psd``, the exact PSD verdict of M, when it is at hand: its LDL
-    elimination has already run, and det M is the product of its pivots
-    (0 below full rank).  Without a completed elimination, Bareiss runs on
-    the integer form.
+    A symmetric exact matrix that its LDL certificate says is PSD gets the
+    pivot product (0 below full rank); Bareiss runs on any other.
     """
     A = integer_form(M)
     if A is None:
         return float(np.linalg.det(np.asarray(M)))
-    if psd is not None and psd.is_psd and psd.pivots is not None:
-        return math.prod(psd.pivots, start=Fraction(1)) if psd.is_pd else Fraction(0)
-    return Fraction(_bareiss_det(A.rows), A.den ** len(A.rows))
+    n = _require_square(A.rows, "det")
+    if not _asymmetry(A.rows) and A.ldl.is_psd:
+        return math.prod(A.ldl.pivots, start=Fraction(1)) if A.ldl.is_pd else Fraction(0)
+    return Fraction(_bareiss_det(A.rows), A.den ** n)
 
 
 def adjugate(M):
@@ -345,7 +324,7 @@ def psd_certificate(M, tol: float = 1e-9) -> PsdVerdict:
     """Certify M >= 0; exact pivots for rational input, eigenvalues for float."""
     A = integer_form(M)
     if A is not None:
-        return _integer_psd(A.rows, A.den)
+        return A.ldl
     M = np.asarray(M)
     sym = 0.5 * (M + M.T)
     eigs = np.linalg.eigvalsh(sym)

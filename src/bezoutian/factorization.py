@@ -37,16 +37,13 @@ def lagrange_basis_matrix(roots) -> np.ndarray:
     """
     roots = list(roots)
     m = len(roots)
-    backend = infer_backend(roots)
-    vals = [Fraction(r) if backend == BACKEND_EXACT else float(r) for r in roots]
-    G = exactla.zeros(m, m, backend)
+    exact = infer_backend(roots) == BACKEND_EXACT
+    vals = [Fraction(r) if exact else float(r) for r in roots]
+    rows = []
     for i in range(m):
-        rest = vals[:i] + vals[i + 1:]
-        elem = elementary_symmetric(rest)
-        for j in range(m):
-            v = elem[m - 1 - j]
-            G[i, j] = -v if (i + j) % 2 else v
-    return G
+        elem = elementary_symmetric(vals[:i] + vals[i + 1:])
+        rows.append([-elem[m - 1 - j] if (i + j) % 2 else elem[m - 1 - j] for j in range(m)])
+    return np.array(rows, dtype=object if exact else float).reshape(m, m)
 
 
 def scaled_inverse_diagonal(roots, p_prime: Polynomial):
@@ -208,8 +205,8 @@ def _root_failure(profile: RootProfile, q: Polynomial, tol: float) -> str:
 
 
 def separates(p: Polynomial, q: Polynomial, tol: float = 1e-9,
-              profile: RootProfile | None = None, psd=None,
-              hermite=None) -> SeparationCertificate:
+              profile: RootProfile | None = None, H: BezoutMatrix | None = None,
+              Hp: BezoutMatrix | None = None) -> SeparationCertificate:
     """Decide whether q separates p and emit the certified lower-bound constant.
 
     q separates the hyperbolic p when it carries each multiple root of p
@@ -217,20 +214,21 @@ def separates(p: Polynomial, q: Polynomial, tol: float = 1e-9,
     interlace the distinct roots of p, and its leading coefficient is
     positive.  On success constant_c = min_k weight_k / multiplicity_k
     certifies H - c * sum_k v_k v_k^T >= 0.  Pass ``profile`` (the roots of
-    p) and ``psd`` and ``hermite`` (the PSD verdicts of H(p, q) and
-    H(p, p')) when they are already computed.
+    p) and ``H`` and ``Hp`` (the Bezout forms of (p, q) and (p, p')) when
+    they are already built; exact forms keep their PSD certificates.
     """
     p.require_monic("separation target")
     if q.is_zero or q.degree != p.degree - 1:
         raise DegreeMismatchError(f"separating q must have degree {p.degree - 1}")
     by_forms = p.backend == BACKEND_EXACT and q.backend == BACKEND_EXACT
     if by_forms:
-        if hermite is None:
-            hermite = psd_check(bezout_matrix(p, p.derivative()))
+        Hp = Hp if Hp is not None else bezout_matrix(p, p.derivative())
+        hermite = psd_check(Hp)
         if not hermite.is_psd:
             raise NonHyperbolicError(f"separation target is not hyperbolic: {hermite.witness}")
-        if psd is None:
-            psd = hermite if q == p.derivative() else psd_check(bezout_matrix(p, q))
+        if H is None:
+            H = Hp if q == p.derivative() else bezout_matrix(p, q)
+        psd = psd_check(H)
     elif profile is None:
         profile = real_roots(p, tol)
     lead_sign = 1 if q.leading > 0 else -1

@@ -113,8 +113,8 @@ def nuij_inverse_coeffs(m: int) -> tuple:
     which suffices because the (m+1)-th derivative of a degree-m polynomial
     vanishes.  Exact integers, returned as Fractions.
     """
-    if m < 2:
-        raise ValueError("inverse coefficients need m >= 2")
+    if m < 1:
+        raise ValueError("inverse coefficients need m >= 1")
     out = []
     for l in range(1, m + 1):
         out.append(Fraction((-1) ** l * math.comb(m - 2 + l, l)))

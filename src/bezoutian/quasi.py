@@ -53,6 +53,16 @@ def _eps_power(eps: float, k: float) -> float:
     raise ValueError(f"eps**{k:g} at eps={eps:g} leaves the float64 range")
 
 
+def _root_derivatives(fam: NuijFamilyPoint) -> list:
+    """p_eps'(lambda) at each float root; ValueError where merged roots make one 0."""
+    dp = fam.p_eps.derivative()
+    values = [dp(lam) for lam in fam.roots_eps.flattened]
+    if not all(values):
+        raise ValueError(f"smoothing family at eps={float(fam.epsilon):g} has merged roots "
+                         "in float64: p_eps' vanishes at a root")
+    return values
+
+
 @dataclass(frozen=True)
 class QuasiConditions:
     """Observed constants for the two family conditions on a grid.
@@ -83,10 +93,10 @@ def check_conditions(p: Polynomial, epsilon_grid=None, r: float = 0.0,
     for i, eps in enumerate(grid):
         eps = float(eps)
         fam = families[i] if families is not None else nuij_family(p, eps)
-        p_eps, q_eps, roots = fam.p_eps, fam.q_eps, fam.roots_eps.flattened
-        dp = p_eps.derivative()
-        lo = min(abs(dp(lam)) / _eps_power(eps, r) for lam in roots)
-        hi = max(abs(q_eps(lam)) / (_eps_power(eps, s) * abs(dp(lam))) for lam in roots)
+        q_eps, roots = fam.q_eps, fam.roots_eps.flattened
+        dps = _root_derivatives(fam)
+        lo = min(abs(d) / _eps_power(eps, r) for d in dps)
+        hi = max(abs(q_eps(lam)) / (_eps_power(eps, s) * abs(d)) for lam, d in zip(roots, dps))
         rows.append((eps, lo, hi))
         c_lower = lo if c_lower is None else min(c_lower, lo)
         C_upper = hi if C_upper is None else max(C_upper, hi)
@@ -125,6 +135,7 @@ def commutator_decomposition(p: Polynomial, epsilon,
     A_eps = np.asarray(companion_matrix(p_eps).matrix, dtype=float)
     Q = A - A_eps
     G = lagrange_basis_matrix([float(r) for r in roots])
+    _root_derivatives(fam)  # d below divides Q by these values
     d = scaled_inverse_diagonal(roots, p_eps.derivative())
     S = np.zeros((m, m))
     for j, lam in enumerate(roots):

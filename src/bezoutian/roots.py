@@ -384,7 +384,6 @@ class HyperbolicityVerdict:
     _witness: object  # the witness, or a function computing it on first read
     method: str
     hermite_form: object = None  # BezoutMatrix of the monic p and its derivative
-    hermite: object = None       # its PsdVerdict, at DEFAULT_TOL
 
     def __bool__(self) -> bool:
         return self.is_hyperbolic
@@ -409,8 +408,8 @@ def is_hyperbolic(p: Polynomial) -> HyperbolicityVerdict:
     its last member, gcd(p, p'): p is hyperbolic when the count reaches
     deg p - deg gcd(p, p'), and strict when that gcd is constant.  No root
     is computed for that; ``witness`` reads the root profile when first
-    asked.  The verdict carries the Bezout form of (p, p') for monic p and
-    its PSD verdict, so callers need not rebuild them.
+    asked.  The verdict carries the Bezout form of (p, p') for monic p, and
+    an exact form keeps its LDL certificate, so callers redo neither.
     """
     from .bezout import bezout_matrix, psd_check
 
@@ -425,16 +424,16 @@ def is_hyperbolic(p: Polynomial) -> HyperbolicityVerdict:
             raise ArithmeticError("internal fault: Sturm and Hermite certificates disagree")
         if not sturm_verdict:
             return HyperbolicityVerdict(False, False, "complex roots (Sturm count short)",
-                                        "sturm", form, hermite)
+                                        "sturm", form)
         return HyperbolicityVerdict(True, strict, functools.partial(real_roots, monic),
-                                    "sturm", form, hermite)
+                                    "sturm", form)
     if not hermite.is_psd:
         return HyperbolicityVerdict(
             False, False, f"Bezout form of (p, p') indefinite: {hermite.witness}", "hermite-psd",
-            form, hermite,
+            form,
         )
     try:
         profile = real_roots(monic)
     except NonHyperbolicError as exc:
-        return HyperbolicityVerdict(False, False, str(exc), "hermite-psd", form, hermite)
-    return HyperbolicityVerdict(True, profile.is_strict, profile, "hermite-psd", form, hermite)
+        return HyperbolicityVerdict(False, False, str(exc), "hermite-psd", form)
+    return HyperbolicityVerdict(True, profile.is_strict, profile, "hermite-psd", form)

@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
@@ -16,6 +17,12 @@ DENOMS = (1, 2, 3, 4)
 
 def rng(seed: int) -> random.Random:
     return random.Random(seed)
+
+
+def fraction_matrix(rows) -> np.ndarray:
+    """Object array of Fraction(v) for each entry of nonempty rows or an integer array."""
+    rows = np.asarray(rows, dtype=object).tolist()  # numpy ints become Python ints
+    return np.array([[Fraction(v) for v in row] for row in rows], dtype=object)
 
 
 def rational(rg, lo=-9, hi=9, denoms=DENOMS) -> Fraction:

@@ -31,7 +31,7 @@ from bezoutian import (
     separation_lower_bound_check,
     symmetrization_defect,
 )
-from bezoutian.exactla import det, identity, mat, symmetry_defect, zeros
+from bezoutian.exactla import det, symmetry_defect
 from test_exactla import reference_psd
 
 X2_MINUS_1 = Polynomial.exact([1, 0, -1])
@@ -60,7 +60,7 @@ def test_bezout_m3_equals_deleted_factor_outer_sum():
     # independent realization: H of (p, p') is sum_k v_k v_k^T
     roots = (-1, 0, 1)
     m = 3
-    total = zeros(m, m, "exact")
+    total = corpus.fraction_matrix(np.zeros((m, m), dtype=int))
     for k in range(m):
         v = deleted_root_factor(roots, k).ascending(m)
         for i in range(m):
@@ -142,9 +142,9 @@ def test_bezout_degenerate_degree():
 def faddeev_leverrier_charpoly(A) -> Polynomial:
     """Characteristic polynomial via trace recursion, exact."""
     n = A.shape[0]
-    M = zeros(n, n, "exact")
+    M = corpus.fraction_matrix(np.zeros((n, n), dtype=int))
     coeffs = [Fraction(1)]
-    I = identity(n, "exact")
+    I = corpus.fraction_matrix(np.eye(n, dtype=int))
     for k in range(1, n + 1):
         M = A @ M + coeffs[-1] * I
         AM = A @ M
@@ -176,7 +176,7 @@ def test_symmetrization_defect_examples():
     A3 = companion_matrix(X3_MINUS_X)
     assert symmetrization_defect(H3, A3) == 0
     jordan = companion_matrix(Polynomial.exact([1, 0, 0]))
-    assert symmetrization_defect(identity(2, "exact"), jordan) == 1
+    assert symmetrization_defect(corpus.fraction_matrix(np.eye(2, dtype=int)), jordan) == 1
 
 
 def test_symmetrization_defect_holds_without_hyperbolicity():
@@ -206,7 +206,7 @@ def test_psd_exact_certificates():
     rg = corpus.rng(36)
     for _ in range(40):
         n = rg.randint(1, 5)
-        M = zeros(n, n, "exact")
+        M = corpus.fraction_matrix(np.zeros((n, n), dtype=int))
         for i in range(n):
             for j in range(n):
                 M[i, j] = corpus.rational(rg, -3, 3)
@@ -214,8 +214,7 @@ def test_psd_exact_certificates():
         v = psd_check(gram)
         assert v.is_psd
         assert all(piv > 0 for piv in v.pivots)
-    indefinite = zeros(2, 2, "exact")
-    indefinite[0, 1] = indefinite[1, 0] = Fraction(1)
+    indefinite = corpus.fraction_matrix([[0, 1], [1, 0]])
     assert not psd_check(indefinite).is_psd
 
 
@@ -392,12 +391,12 @@ square_st = st.integers(1, 5).flatmap(lambda n: st.lists(
 @settings(max_examples=80, deadline=None)
 @given(square_st, st.data())
 def test_integer_defects_match_fraction_references(rows, data):
-    M = mat(rows, "exact")
+    M = corpus.fraction_matrix(rows)
     assert symmetry_defect(M) == reference_symmetry_defect(rows)
     n = len(rows)
     other = data.draw(st.lists(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=4),
                                         min_size=n, max_size=n), min_size=n, max_size=n))
-    got = symmetrization_defect(M, mat(other, "exact"))
+    got = symmetrization_defect(M, corpus.fraction_matrix(other))
     assert type(got) is Fraction
     assert got == reference_symmetry_defect(reference_product(rows, other))
 
@@ -432,7 +431,7 @@ def test_integer_separation_bound_matches_fraction_reference(roots, c, kind):
     want = reference_psd([[h - c * g for h, g in zip(hr, gr)] for hr, gr in zip(H, gram)])[0]
     assert separation_lower_bound_check(p, q, c) == want
     assert separation_lower_bound_check(p, q, c, H=bezout_matrix(p, q),
-                                        hermite=bezout_matrix(p, p.derivative())) == want
+                                        Hp=bezout_matrix(p, p.derivative())) == want
 
 
 def test_separation_bound_with_irrational_roots_certifies_just_below_c():

@@ -8,6 +8,7 @@ for the PSD pivots, and divisor-pair enumeration for the rational roots.
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import corpus
-from bezoutian import Polynomial, bezout_matrix, companion_matrix
+from bezoutian import Polynomial, bezout_matrix, companion_matrix, exactla
 from bezoutian.exactla import (
     IntMatrix,
     _asymmetry,
@@ -24,8 +25,6 @@ from bezoutian.exactla import (
     adjugate,
     adjugate_det,
     det,
-    identity,
-    mat,
     psd_certificate,
     symmetry_defect,
 )
@@ -97,30 +96,31 @@ CASES = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_adjugate_matches_cofactors(name):
     rows = CASES[name]
-    M = mat(rows, "exact")
+    M = corpus.fraction_matrix(rows)
     B = adjugate(M)
     assert B.tolist() == reference_adjugate(rows)
     assert all(type(v) is Fraction for v in B.flat)
     d = det(M)
     assert type(d) is Fraction and d == reference_det(rows)
     n = len(rows)
-    assert ((M.dot(B)) == identity(n, "exact") * d).all()
-    assert ((B.dot(M)) == identity(n, "exact") * d).all()
+    I = corpus.fraction_matrix(np.eye(n, dtype=int))
+    assert ((M.dot(B)) == I * d).all()
+    assert ((B.dot(M)) == I * d).all()
 
 
 def test_adjugate_rank_structure():
     # adj has rank 1 when rank(M) = m - 1, and vanishes when rank(M) <= m - 2
-    B = adjugate(mat(CASES["rank m-1"], "exact"))
+    B = adjugate(corpus.fraction_matrix(CASES["rank m-1"]))
     assert any(v != 0 for v in B.flat)
     assert reference_det([[B[i, j] for j in range(2)] for i in range(2)]) == 0
-    assert all(v == 0 for v in adjugate(mat(CASES["rank m-2"], "exact")).flat)
+    assert all(v == 0 for v in adjugate(corpus.fraction_matrix(CASES["rank m-2"])).flat)
 
 
 def test_det_row_swap_and_singular():
-    assert det(mat(NEEDS_SWAP, "exact")) == reference_det(NEEDS_SWAP) == 12
-    assert det(mat([[0, 1], [1, 0]], "exact")) == -1
-    assert det(mat(CASES["rank m-1"], "exact")) == 0
-    assert det(mat([[1, 2], [2, 4]], "exact")) == 0
+    assert det(corpus.fraction_matrix(NEEDS_SWAP)) == reference_det(NEEDS_SWAP) == 12
+    assert det(corpus.fraction_matrix([[0, 1], [1, 0]])) == -1
+    assert det(corpus.fraction_matrix(CASES["rank m-1"])) == 0
+    assert det(corpus.fraction_matrix([[1, 2], [2, 4]])) == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -128,7 +128,7 @@ def test_det_row_swap_and_singular():
     st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=6), min_size=n, max_size=n),
     min_size=n, max_size=n)))
 def test_det_and_adjugate_match_references(rows):
-    M = mat(rows, "exact")
+    M = corpus.fraction_matrix(rows)
     assert det(M) == reference_det(rows)
     assert adjugate(M).tolist() == reference_adjugate(rows)
 
@@ -183,7 +183,7 @@ def reference_psd(M) -> tuple:
 
 def assert_psd_matches_reference(rows):
     n = len(rows)
-    M = mat(rows, "exact") if n else np.empty((0, 0), dtype=object)
+    M = corpus.fraction_matrix(rows) if n else np.empty((0, 0), dtype=object)
     v = psd_certificate(M)
     assert (v.is_psd, v.is_pd, v.pivots, v.rank, v.witness) == reference_psd(rows)
     assert v.method == "ldl-pivot" and all(type(d) is Fraction for d in v.pivots)
@@ -250,9 +250,9 @@ def test_psd_certificate_edge_cases(rows, verdict):
 
 def test_psd_certificate_rejects_nonsymmetric_and_nonsquare_input():
     with pytest.raises(ValueError, match="symmetric"):
-        psd_certificate(mat([[1, 2], [0, 1]], "exact"))
+        psd_certificate(corpus.fraction_matrix([[1, 2], [0, 1]]))
     with pytest.raises(ValueError, match="square"):
-        psd_certificate(mat([[1, 2, 3], [2, 1, 0]], "exact"))
+        psd_certificate(corpus.fraction_matrix([[1, 2, 3], [2, 1, 0]]))
 
 
 def test_integer_shape_checks():
@@ -263,11 +263,11 @@ def test_integer_shape_checks():
     with pytest.raises(ValueError, match="cannot multiply"):
         _matmul([[1, 2], [3, 4]], [[1, 2, 3]])
     assert _matmul([[1, 2], [3, 4]], [[5], [6]]) == [[17], [39]]
-    assert symmetry_defect(mat([[1, F(1, 2)], [F(-1, 3), 0]], "exact")) == F(5, 6)
+    assert symmetry_defect(corpus.fraction_matrix([[1, F(1, 2)], [F(-1, 3), 0]])) == F(5, 6)
     assert symmetry_defect(np.empty((0, 0), dtype=object)) == 0
 
 
-# -- integer forms, and det from an elimination already run -------------------
+# -- integer forms, and det from the LDL certificate a matrix holds -----------
 
 
 ints_st = st.integers(-9, 9)
@@ -311,17 +311,43 @@ def integer_square(draw):
 @given(integer_gram())
 def test_det_read_from_the_ldl_pivots_equals_bareiss(M):
     verdict = psd_certificate(M)
-    assert verdict.is_psd
-    assert det(M, verdict) == bareiss(M) == reference_det(M.fractions.tolist())
-    assert (det(M, verdict) != 0) == verdict.is_pd
+    assert verdict.is_psd and verdict is M.ldl
+    assert det(M) == bareiss(M) == reference_det(M.fractions.tolist())
+    assert (det(M) != 0) == verdict.is_pd
 
 
 @settings(max_examples=150, deadline=None)
 @given(integer_symmetric())
 def test_det_of_an_indefinite_matrix_falls_back_to_bareiss(M):
-    verdict = psd_certificate(M)
-    assume(not verdict.is_psd)
-    assert det(M, verdict) == det(M) == bareiss(M) == reference_det(M.fractions.tolist())
+    assume(not psd_certificate(M).is_psd)
+    assert det(M) == bareiss(M) == reference_det(M.fractions.tolist())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(integer_gram(), integer_symmetric()))
+def test_det_of_a_symmetric_matrix_eliminates_it_once(M):
+    # PSD (gram), singular PSD (gram of rank < m) and indefinite cases
+    want = reference_det(M.fractions.tolist())
+    assert bareiss(M) == want
+    with mock.patch.object(exactla, "_integer_psd", wraps=exactla._integer_psd) as ldl, \
+            mock.patch.object(exactla, "_bareiss_det", wraps=exactla._bareiss_det) as bareiss_runs:
+        assert det(M) == want
+        assert ldl.call_count == 1
+        # Bareiss runs only when the certificate says M is not PSD
+        not_psd = 0 if M.ldl.is_psd else 1
+        assert bareiss_runs.call_count == not_psd
+        # a second det or certificate read makes no second LDL elimination
+        assert det(M) == want and psd_certificate(M) is M.ldl
+        assert ldl.call_count == 1 and bareiss_runs.call_count == 2 * not_psd
+
+
+def test_det_of_a_nonsymmetric_matrix_runs_bareiss_and_no_ldl():
+    M = IntMatrix(((2, 1), (0, 3)), 2)
+    with mock.patch.object(exactla, "_integer_psd", wraps=exactla._integer_psd) as ldl:
+        assert det(M) == F(3, 2)
+    assert ldl.call_count == 0
+    with pytest.raises(ValueError, match="square"):
+        det(IntMatrix(((1, 2, 3), (2, 1, 0))))
 
 
 @settings(max_examples=150, deadline=None)
@@ -337,7 +363,7 @@ def test_det_from_the_faddeev_adjugate_equals_bareiss(M):
     st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12), min_size=k, max_size=k),
     min_size=1, max_size=4)), st.integers(1, 5))
 def test_integer_form_and_fraction_array_round_trip(rows, scale):
-    M = mat(rows, "exact")
+    M = corpus.fraction_matrix(rows)
     A = IntMatrix.of(M)
     assert A.shape == M.shape and (A.fractions == M).all()
     assert all(type(v) is Fraction for v in A.fractions.flat)
@@ -352,7 +378,8 @@ def test_exact_forms_reach_the_kernels_as_integer_rows():
     H = bezout_matrix(p, p.derivative())
     assert IntMatrix.of(H) is H.data and isinstance(H.data, IntMatrix)
     assert np.asarray(H) is H.matrix and (IntMatrix.of(H.matrix).fractions == H.matrix).all()
-    assert det(H, psd_certificate(H)) == det(H.matrix) == det(H)
+    assert psd_certificate(H) is H.data.ldl
+    assert det(H) == det(H.matrix) == bareiss(H.data)
 
 
 def test_adjugate_keeps_the_kind_of_its_input():

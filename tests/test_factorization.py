@@ -20,7 +20,6 @@ from bezoutian import (
     separates,
     separation_lower_bound_check,
 )
-from bezoutian.exactla import zeros
 
 X2_MINUS_1 = Polynomial.exact([1, 0, -1])
 X3_MINUS_X = Polynomial.exact([1, 0, -1, 0])
@@ -148,7 +147,7 @@ def test_reduced_factorization_matches_bezout_with_multiplicities():
         p = Polynomial.from_roots(profile)
         q = corpus.separating_q(rg, profile)
         weights = lagrange_weights(p, q, profile)
-        total = zeros(m, m, "exact")
+        total = corpus.fraction_matrix(np.zeros((m, m), dtype=int))
         for k in range(len(profile.distinct_roots)):
             flat = []
             for j, (root, mult) in enumerate(zip(profile.distinct_roots, profile.multiplicities)):

@@ -18,7 +18,7 @@ from bezoutian import (
     power_sum_matrix,
     symmetrization_defect,
 )
-from bezoutian.exactla import adjugate, det, identity, max_abs, zeros
+from bezoutian.exactla import adjugate, det, max_abs
 
 X2_MINUS_1 = Polynomial.exact([1, 0, -1])
 X3_MINUS_X = Polynomial.exact([1, 0, -1, 0])
@@ -143,9 +143,10 @@ def vandermonde_relation_residual(p: Polynomial, roots) -> float:
 
 def horner_at_companion(f: Polynomial, A) -> np.ndarray:
     m = A.shape[0]
-    out = zeros(m, m, "exact")
+    out = corpus.fraction_matrix(np.zeros((m, m), dtype=int))
+    I = corpus.fraction_matrix(np.eye(m, dtype=int))
     for c in f.coeffs:
-        out = out @ A + c * identity(m, "exact")
+        out = out @ A + c * I
     return out
 
 

@@ -157,6 +157,7 @@ def series_inverse_oracle(m: int) -> list:
 
 
 def test_inverse_coeffs_examples():
+    assert nuij_inverse_coeffs(1) == (0,)  # (1 + eps d/dx)^0 is the identity
     assert nuij_inverse_coeffs(2) == (-1, 1)
     assert nuij_inverse_coeffs(3) == (-2, 3, -4)
 

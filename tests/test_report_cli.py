@@ -162,10 +162,26 @@ def test_complex_q_fails_separation_and_does_not_blame_p(capsys, poly, q):
 @pytest.mark.parametrize("poly", ["[1,0,-2]", "[1,0,-1,0]", '["1/1","-3/1","3/1","-1/1"]'])
 def test_exact_analyze_reads_roots_once_and_certifies_one_form(capsys, monkeypatch, poly):
     root_calls = count_calls(monkeypatch, roots.real_roots)
-    psd_calls = count_calls(monkeypatch, exactla.psd_certificate)
+    ldl_runs = count_calls(monkeypatch, exactla._integer_psd)
     code, _, _ = run_cli(capsys, "analyze", "--poly", poly)
     assert code == 0
-    assert (len(root_calls), len(psd_calls)) == (1, 1)
+    # one LDL elimination of the form of (p, p'), one of H - c H(p, p') for the bound
+    assert (len(root_calls), len(ldl_runs)) == (1, 2)
+
+
+@pytest.mark.parametrize("argv, ldl, bareiss", [
+    (("analyze", "--poly", "[1,0,-7,6]"), 2, 0),
+    (("analyze", "--poly", "[1,0,-7,6]", "--q", "[3,0,-5]"), 3, 0),
+    (("leray", "--poly", "[1,0,-7,6]"), 2, 0),
+    # q does not separate p: H(p, q) is indefinite, so its det takes Bareiss
+    (("analyze", "--poly", "[1,0,-1]", "--q", "[1,5]"), 2, 1),
+])
+def test_exact_requests_eliminate_each_matrix_once(capsys, monkeypatch, argv, ldl, bareiss):
+    ldl_runs = count_calls(monkeypatch, exactla._integer_psd)
+    bareiss_runs = count_calls(monkeypatch, exactla._bareiss_det)
+    code, _, err = run_cli(capsys, *argv)
+    assert err == "" and code in (0, 1)
+    assert (len(ldl_runs), len(bareiss_runs)) == (ldl, bareiss)
 
 
 @pytest.mark.parametrize("poly", ["[1.0,0.0,-1.25,0.0,0.25]", "[1.0,-2.0,1.0]"])
@@ -569,3 +585,61 @@ def test_scipy_loads_only_on_the_multiple_root_energy_branch(capsys):
     # (x-2)^2 (x+1), after the energy request on the double root of (x-1)^2
     assert loaded == [False, False, True]
     assert (code, out) == run_cli(capsys, "energy", "--poly", "[1.0,-2.0,1.0]")[:2]
+
+
+def strict_json(out: str):
+    """The report on stdout, refusing NaN and Infinity; None when stdout is empty."""
+    def refuse(name):
+        raise ValueError(f"non-finite number {name} in the report")
+
+    return json.loads(out, parse_constant=refuse) if out else None
+
+
+def test_quasi_on_a_family_point_with_merged_roots_exits_2(capsys):
+    # at eps = 1e-16 the float roots of x^2 + 2 eps x merge and p_eps' vanishes at them
+    code, out, err = run_cli(capsys, "quasi", "--poly", "[1,0,0]", "--eps-grid", "1:1e-16:3")
+    assert (code, strict_json(out)) == (2, None)
+    assert err.startswith("input error:") and "merged roots" in err
+
+
+@pytest.mark.parametrize("flag", ["--r", "--s"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_quasi_rejects_a_non_finite_exponent(capsys, flag, value):
+    code, out, err = run_cli(capsys, "quasi", "--poly", "[1,0,-1]", flag, value)
+    assert (code, strict_json(out)) == (2, None)
+    assert err.startswith("input error:") and flag in err
+
+
+@pytest.mark.parametrize("U0", ["nan,1", "inf,1", "1,-inf", "1+nanj,1"])
+def test_energy_rejects_a_non_finite_U0(capsys, U0):
+    code, out, err = run_cli(capsys, "energy", "--poly", "[1,0,-1]", "--U0", U0)
+    assert (code, strict_json(out)) == (2, None)
+    assert err.startswith("input error:") and "--U0" in err
+
+
+def test_energy_series_past_the_float_range_exits_2(capsys):
+    code, out, err = run_cli(capsys, "energy", "--poly", "[1,0,-1]", "--U0", "1e308,1e308")
+    assert (code, strict_json(out)) == (2, None)
+    assert err.startswith("input error:") and "energy series" in err
+
+
+@pytest.mark.parametrize("command, argv, option", [
+    ("nuij", ["--eps", "nan"], "--eps"),
+    ("nuij", ["--eps", "inf"], "--eps"),
+    ("nuij", ["--eps-grid", "nan:1e-4:3"], "--eps-grid"),
+    ("quasi", ["--eps-grid", "1:inf:3"], "--eps-grid"),
+    ("quasi", ["--eps-grid", "1:nan:2(lin)"], "--eps-grid"),
+])
+def test_a_non_finite_eps_names_its_option(capsys, command, argv, option):
+    code, out, err = run_cli(capsys, command, "--poly", "[1,0,-1]", *argv)
+    assert (code, strict_json(out)) == (2, None)
+    assert err.startswith("input error:") and option in err
+
+
+def test_nuij_accepts_degree_one(capsys):
+    code, out, err = run_cli(capsys, "nuij", "--poly", "[1,-1]")
+    assert (code, err) == (0, "")
+    report = strict_json(out)
+    assert report["all_pass"] is True
+    gaps = [c for c in report["checks"] if c["check_id"] == "nuij-gap-law"]
+    assert len(gaps) == 9 and all(c["witness"] == "single root" for c in gaps)

@@ -159,7 +159,7 @@ def layer_rows(degrees) -> list:
             "symmetrization_defect": lambda: symmetrization_defect(H, A),
             "det": lambda: det(H),
             "separation_lower_bound_check":
-                lambda: separation_lower_bound_check(p, dp, half, H=H, hermite=H),
+                lambda: separation_lower_bound_check(p, dp, half, H=H, Hp=H),
             "h_b_relation_check": lambda: h_b_relation_check(p, sym, H),
             "leray_symmetrizer": lambda: leray_symmetrizer(p),
             "is_hyperbolic": lambda: is_hyperbolic(p),

@@ -120,8 +120,12 @@ def companion_matrix(p: Polynomial) -> CompanionMatrix:
         rows = [tuple(L if j == i + 1 else 0 for j in range(m)) for i in range(m - 1)]
         rows.append(tuple(-c for c in P[:0:-1]))
         return CompanionMatrix(IntMatrix(tuple(rows), L), p)
-    A = np.eye(m, k=1)
-    A[m - 1] = [-a for a in p.ascending()[:m]]  # -a_m .. -a_1
+    A = np.zeros((m, m))
+    for i in range(m - 1):
+        A[i, i + 1] = 1.0
+    asc = p.ascending()  # a_m is asc[0], a_1 is asc[m-1]
+    for j in range(m):
+        A[m - 1, j] = -asc[j]
     return CompanionMatrix(A, p)
 
 

@@ -53,14 +53,16 @@ def _eps_power(eps: float, k: float) -> float:
     raise ValueError(f"eps**{k:g} at eps={eps:g} leaves the float64 range")
 
 
-def _root_derivatives(fam: NuijFamilyPoint) -> list:
-    """p_eps'(lambda) at each float root; ValueError where merged roots make one 0."""
-    dp = fam.p_eps.derivative()
-    values = [dp(lam) for lam in fam.roots_eps.flattened]
-    if not all(values):
+def _family_diagonal(fam: NuijFamilyPoint) -> list:
+    """d_i = +-p_eps'(root_i) of ``scaled_inverse_diagonal``, which both conditions divide by.
+
+    A zero means that float64 merged roots of p_eps, and raises ValueError.
+    """
+    d = scaled_inverse_diagonal(fam.roots_eps.flattened, fam.p_eps.derivative())
+    if not all(d):
         raise ValueError(f"smoothing family at eps={float(fam.epsilon):g} has merged roots "
                          "in float64: p_eps' vanishes at a root")
-    return values
+    return d
 
 
 @dataclass(frozen=True)
@@ -93,10 +95,9 @@ def check_conditions(p: Polynomial, epsilon_grid=None, r: float = 0.0,
     for i, eps in enumerate(grid):
         eps = float(eps)
         fam = families[i] if families is not None else nuij_family(p, eps)
-        q_eps, roots = fam.q_eps, fam.roots_eps.flattened
-        dps = _root_derivatives(fam)
-        lo = min(abs(d) / _eps_power(eps, r) for d in dps)
-        hi = max(abs(q_eps(lam)) / (_eps_power(eps, s) * abs(d)) for lam, d in zip(roots, dps))
+        q_eps, roots, d = fam.q_eps, fam.roots_eps.flattened, _family_diagonal(fam)
+        lo = min(abs(v) / _eps_power(eps, r) for v in d)
+        hi = max(abs(q_eps(lam)) / (_eps_power(eps, s) * abs(v)) for lam, v in zip(roots, d))
         rows.append((eps, lo, hi))
         c_lower = lo if c_lower is None else min(c_lower, lo)
         C_upper = hi if C_upper is None else max(C_upper, hi)
@@ -135,8 +136,7 @@ def commutator_decomposition(p: Polynomial, epsilon,
     A_eps = np.asarray(companion_matrix(p_eps).matrix, dtype=float)
     Q = A - A_eps
     G = lagrange_basis_matrix([float(r) for r in roots])
-    _root_derivatives(fam)  # d below divides Q by these values
-    d = scaled_inverse_diagonal(roots, p_eps.derivative())
+    d = _family_diagonal(fam)
     S = np.zeros((m, m))
     for j, lam in enumerate(roots):
         S[m - 1, j] = -q_eps(lam) / d[j]

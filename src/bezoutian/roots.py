@@ -428,10 +428,8 @@ def is_hyperbolic(p: Polynomial) -> HyperbolicityVerdict:
         return HyperbolicityVerdict(True, strict, functools.partial(real_roots, monic),
                                     "sturm", form)
     if not hermite.is_psd:
-        return HyperbolicityVerdict(
-            False, False, f"Bezout form of (p, p') indefinite: {hermite.witness}", "hermite-psd",
-            form,
-        )
+        reason = f"Bezout form of (p, p') indefinite: {hermite.witness}"
+        return HyperbolicityVerdict(False, False, reason, "hermite-psd", form)
     try:
         profile = real_roots(monic)
     except NonHyperbolicError as exc:

@@ -14,6 +14,7 @@ from bezoutian import (
     check_conditions,
     commutator_decomposition,
     companion_matrix,
+    nuij_family,
     nuij_transform,
     symmetrization_defect,
     verify_quasi,
@@ -253,3 +254,13 @@ def test_batched_sampling_edge_counts():
     ratios = _sample_ratios(np.array([[0, 1j], [1, 1]]), np.array([[1, 0], [1, 0]]), H, K, 1.0)
     assert np.isnan(ratios[0]) and ratios[1] == pytest.approx(1.0)
     assert verify_quasi(X_SQUARED, GRID[:2], r=1, samples=0).sample_max_ratios == (0.0, 0.0)
+
+
+def test_a_family_point_with_merged_roots_raises_value_error():
+    # at eps = 1e-16 the float roots 0 and -2e-16 of x^2 + 2 eps x merge, and
+    # p_eps' vanishes at the merged root that both conditions divide by
+    family = nuij_family(X_SQUARED, 1e-16)
+    with pytest.raises(ValueError, match="merged roots"):
+        check_conditions(X_SQUARED, (1e-16,), families=[family])
+    with pytest.raises(ValueError, match="merged roots"):
+        commutator_decomposition(X_SQUARED, 1e-16, family=family)

@@ -14,6 +14,7 @@ at a tolerance.  The roots of p enter only the lower-bound constant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -104,7 +105,10 @@ def lagrange_weights(p: Polynomial, q: Polynomial, profile: RootProfile | None =
     Simple roots: m weights q(lambda_k)/p'(lambda_k).  Multiple roots: the
     s weights b(lambda_(k)) / a_k(lambda_(k)) of the reduced factorization,
     where b is q with the forced multiple-root factors divided out and a_k
-    deletes root k from the distinct-root product.
+    deletes root k from the distinct-root product.  Exact roots give
+    a_k(lambda_(k)) as the product of the differences lambda_(k) -
+    lambda_(j), j != k, on integers over one denominator; float roots
+    evaluate the deleted-root factor.
     """
     if profile is None:
         profile = real_roots(p, tol)
@@ -123,10 +127,15 @@ def lagrange_weights(p: Polynomial, q: Polynomial, profile: RootProfile | None =
         return tuple(out)
     b = _deflate_at_multiple_roots(q, profile, tol)
     b, roots = _match_backend(b, profile)
+    if b.backend != BACKEND_EXACT:
+        return tuple(b(lam) / deleted_root_factor(roots, k)(lam) for k, lam in enumerate(roots))
+    # a_k(lambda_k) = prod_(j != k) (lambda_k - lambda_j), on the roots' numerators over D
+    D = math.lcm(*(lam.denominator for lam in roots))
+    nums = [lam.numerator * (D // lam.denominator) for lam in roots]
     out = []
-    for k, lam in enumerate(roots):
-        ak = deleted_root_factor(roots, k)
-        out.append(b(lam) / ak(lam))
+    for k, (lam, u) in enumerate(zip(roots, nums)):
+        ak = math.prod(u - v for j, v in enumerate(nums) if j != k)  # D^(s-1) a_k(lambda_k)
+        out.append(b(lam) * Fraction(D ** (len(roots) - 1), ak))
     return tuple(out)
 
 

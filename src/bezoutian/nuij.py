@@ -27,7 +27,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .polynomial import Polynomial, RootProfile, _primitive
-from .roots import _derivative, _int_sturm_chain, real_roots, sturm_real_root_count
+from .roots import (
+    _derivative,
+    _int_primitive,
+    _int_sturm_chain,
+    real_roots,
+    sturm_real_root_count,
+)
 from .scalars import BACKEND_EXACT, is_exact_value
 
 
@@ -238,7 +244,7 @@ def _int_stages(p: Polynomial, eps: Fraction) -> list[list[int]]:
         nxt = [b * v for v in stage]
         for i, v in enumerate(_derivative(stage), start=1):
             nxt[i] += a * v
-        stage = _primitive(nxt)[0]
+        stage = _int_primitive(nxt)
         stages.append(stage)
     return stages
 

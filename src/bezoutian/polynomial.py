@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import BackendMismatchError, NonMonicError
@@ -188,8 +189,28 @@ class Polynomial:
     def __mod__(self, other) -> "Polynomial":
         return divmod(self, other)[1]
 
+    @cached_property
+    def primitive(self) -> tuple[tuple, Fraction]:
+        """(ints, content) of an exact polynomial, ``_primitive`` of its
+        coefficients, computed on first read; the ints are a tuple."""
+        ints, content = _primitive(self.coeffs)
+        return tuple(ints), content
+
     def __call__(self, x):
-        """Evaluate by Horner's rule; exact in the rational backend."""
+        """Evaluate by Horner's rule; exact in the rational backend.
+
+        An exact polynomial at an int or Fraction x = n/d runs homogeneous
+        Horner on its primitive integers P (``primitive``): the sum of
+        P_i n^(k-i) d^i over d^k, times the content, is one Fraction.  Float
+        and complex x take the rule on the coefficients as they are.
+        """
+        if self.coeffs and self.backend == BACKEND_EXACT and isinstance(x, (int, Fraction)):
+            (acc, *rest), content = self.primitive
+            n, d, dk = x.numerator, x.denominator, 1
+            for c in rest:
+                dk *= d
+                acc = acc * n + c * dk
+            return Fraction(content.numerator * acc, content.denominator * dk)
         acc = None
         for c in self.coeffs:
             acc = c if acc is None else acc * x + c
@@ -355,11 +376,25 @@ def power_sums(p: Polynomial, upto: int) -> list:
     """Power sums P_0..P_upto of the roots via Newton's identities.
 
     Works from the coefficients alone; no root extraction.  P_0 = deg p.
+    Exact p runs on its primitive integers L x^m + a_1 x^(m-1) + ... + a_m,
+    where the scaled sums s_t = L^t P_t are integers:
+    s_t = -t a_t L^(t-1) - sum_(j=1..min(t-1, m)) a_j L^(j-1) s_(t-j), the
+    first term only for t <= m; each P_t is then one Fraction s_t / L^t.
     """
     p.require_monic("power-sum input")
     if upto < 0:
         raise ValueError("upto must be nonnegative")
     m = len(p.coeffs) - 1
+    if p.backend == BACKEND_EXACT:
+        (L, *a), _ = p.primitive
+        c = [v * L ** j for j, v in enumerate(a)]  # c[j - 1] = a_j L^(j-1)
+        sums = [m]
+        for t in range(1, upto + 1):
+            acc = -t * c[t - 1] if t <= m else 0
+            for j in range(1, min(t - 1, m) + 1):
+                acc -= c[j - 1] * sums[t - j]
+            sums.append(acc)
+        return [Fraction(s, L ** t) for t, s in enumerate(sums)]
     zero = to_scalar(0, p.backend)
     a = list(p.coeffs[1:])  # a_1..a_m
     out = [to_scalar(m, p.backend)]

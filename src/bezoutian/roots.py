@@ -81,6 +81,16 @@ def _prem(a: list, b: list) -> list:
     return _strip(r[steps:])
 
 
+def _int_primitive(c: list) -> list:
+    """Primitive part of an integer coefficient list: c over the gcd of its entries.
+
+    The gcd is positive, so signs are kept; an empty or primitive list comes
+    back as it is.
+    """
+    g = math.gcd(*c)
+    return [v // g for v in c] if g > 1 else c
+
+
 def _exact_quotient(a: list, b: list) -> list:
     """a / b for integer coefficient lists when the quotient is integral.
 
@@ -110,7 +120,7 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     if len(a) < len(b):
         a, b = b, a
     while b:
-        a, b = b, _primitive(_prem(a, b))[0]
+        a, b = b, _int_primitive(_prem(a, b))
     if not a:
         return Polynomial.zero()
     return Polynomial.exact([Fraction(v, a[0]) for v in a])
@@ -174,11 +184,11 @@ def _int_sturm_chain(a: list) -> tuple[int, int]:
     Each pseudo-remainder is scaled by a positive integer, which keeps the
     signs of the classical chain; the last member is gcd(a, a').
     """
-    b = _primitive(_derivative(a))[0]
+    b = _int_primitive(_derivative(a))
     ends = [(len(a), a[0] > 0)]  # (degree + 1, leading sign) of each chain member
     while b:
         ends.append((len(b), b[0] > 0))
-        a, b = b, [-v for v in _primitive(_prem(a, b))[0]]
+        a, b = b, [-v for v in _int_primitive(_prem(a, b))]
     at_pos = [s for _, s in ends]
     at_neg = [s if n % 2 else not s for n, s in ends]
     return _variations(at_neg) - _variations(at_pos), len(a) - 1

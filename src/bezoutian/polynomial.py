@@ -191,8 +191,10 @@ class Polynomial:
 
     @cached_property
     def primitive(self) -> tuple[tuple, Fraction]:
-        """(ints, content) of an exact polynomial, ``_primitive`` of its
-        coefficients, computed on first read; the ints are a tuple."""
+        """``_primitive`` of an exact polynomial's coefficients, ints as a tuple.
+
+        Computed on first read and kept, as a matrix keeps its certificate.
+        """
         ints, content = _primitive(self.coeffs)
         return tuple(ints), content
 

@@ -133,6 +133,41 @@ def test_det_and_adjugate_match_references(rows):
     assert adjugate(M).tolist() == reference_adjugate(rows)
 
 
+def gram(G) -> list:
+    """G G^T for integer rows G: symmetric PSD, of the rank of G."""
+    return [[sum(a * b for a, b in zip(gi, gj)) for gj in G] for gi in G]
+
+
+SYMMETRIC = {
+    "rank m-1": gram([[1, 2, 0], [0, 1, -1], [3, 0, 2], [1, 1, 1]]),
+    "rank m-2": gram([[1, 2, 0], [0, 1, -1], [3, 0, 2], [1, 1, 1], [2, -1, 0]]),
+    "indefinite": [[F(1, 2), 3, -1], [3, 0, F(2, 3)], [-1, F(2, 3), -4]],
+    "hilbert 6": CASES["hilbert 6"],
+    "one entry": [[F(-3, 7)]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC))
+def test_symmetric_adjugate_takes_half_products_and_equals_cofactors(name):
+    rows = SYMMETRIC[name]
+    with mock.patch.object(exactla, "_matmul", wraps=exactla._matmul) as full:
+        B = adjugate(corpus.fraction_matrix(rows))
+    assert full.call_count == 0
+    assert B.tolist() == reference_adjugate(rows)
+    n = len(rows)
+    if name == "rank m-1":
+        assert reference_det([r[:n - 1] for r in rows[:n - 1]]) != 0 and any(B.flat)
+    if name == "rank m-2":
+        assert not any(B.flat)
+
+
+def test_nonsymmetric_adjugate_keeps_the_full_product():
+    for rows in (NONSINGULAR, NEEDS_SWAP, CASES["rank m-1"]):
+        with mock.patch.object(exactla, "_symmetric_product") as half:
+            B = adjugate(corpus.fraction_matrix(rows))
+        assert half.call_count == 0 and B.tolist() == reference_adjugate(rows)
+
+
 def test_float_adjugate_matches_cofactors():
     rows = [[2.0, -1.0, 0.5], [0.0, 3.0, 1.0], [4.0, 1.0, -2.0]]
     # float entries are taken at their exact dyadic values
@@ -356,6 +391,14 @@ def test_det_from_the_faddeev_adjugate_equals_bareiss(M):
     B = adjugate(M)
     assert isinstance(B, IntMatrix)
     assert adjugate_det(M, B) == bareiss(M) == reference_det(M.fractions.tolist())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(integer_gram(), integer_symmetric()))
+def test_symmetric_integer_adjugate_equals_cofactors(M):
+    # gram matrices of every rank 0..m, so rank m - 1 and m - 2 among them
+    B = adjugate(M)
+    assert B.fractions.tolist() == reference_adjugate(M.fractions.tolist())
 
 
 @settings(max_examples=80, deadline=None)

@@ -20,6 +20,7 @@ from bezoutian import (
     separates,
     separation_lower_bound_check,
 )
+from bezoutian.polynomial import deleted_root_factor
 
 X2_MINUS_1 = Polynomial.exact([1, 0, -1])
 X3_MINUS_X = Polynomial.exact([1, 0, -1, 0])
@@ -91,6 +92,47 @@ def test_lagrange_weights_simple_path_division_guard():
     fake = RootProfile((Fraction(0),), (1,))
     with pytest.raises(ZeroDivisionError):
         lagrange_weights(Polynomial.exact([1, 0, 0]), Polynomial.exact([2, 0]), fake)
+
+
+def fraction_horner(coeffs, x) -> Fraction:
+    acc = Fraction(0)
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
+
+
+def reference_weights(q: Polynomial, profile: RootProfile) -> tuple:
+    """b(lambda_k) / a_k(lambda_k) over Fractions, a_k the deleted-root factor."""
+    roots = list(profile.distinct_roots)
+    b = q
+    for lam, r in zip(roots, profile.multiplicities):
+        for _ in range(r - 1):
+            b, rem = divmod(b, Polynomial.exact([1, -lam]))
+            assert rem.is_zero
+    return tuple(fraction_horner(b.coeffs, lam)
+                 / fraction_horner(deleted_root_factor(roots, k).coeffs, lam)
+                 for k, lam in enumerate(roots))
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_exact_lagrange_weights_equal_the_deleted_root_factor_reference(strict):
+    rg = corpus.rng(71 if strict else 72)
+    for _ in range(40):
+        m = rg.randint(1, 7)
+        profile = corpus.strict_profile(rg, m) if strict else corpus.hyperbolic_profile(rg, m)
+        p = Polynomial.from_roots(profile)
+        q = corpus.separating_q(rg, profile)
+        weights = lagrange_weights(p, q, profile)
+        assert weights == reference_weights(q, profile)
+        assert all(type(w) is Fraction for w in weights)
+
+
+def test_lagrange_weights_keep_their_errors():
+    p = Polynomial.exact([1, 0, 0])  # x^2: the root 0 twice
+    with pytest.raises(ValueError, match="does not vanish"):
+        lagrange_weights(p, Polynomial.exact([1, 1]))
+    with pytest.raises(ZeroDivisionError, match="vanished"):
+        lagrange_weights(p, Polynomial.exact([2, 0]), RootProfile((Fraction(0),), (1,)))
 
 
 def test_factorization_bundle_examples():

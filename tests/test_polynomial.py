@@ -14,6 +14,8 @@ from bezoutian import (
     RootProfile,
     power_sums,
 )
+from bezoutian.polynomial import _primitive
+from bezoutian.scalars import to_scalar
 
 X2_MINUS_1 = Polynomial.exact([1, 0, -1])
 X3_MINUS_X = Polynomial.exact([1, 0, -1, 0])
@@ -110,6 +112,65 @@ def test_power_sums_float_close_to_direct():
         for t in range(2 * m - 1):
             direct = sum(r**t for r in roots)
             assert sums[t] == pytest.approx(direct, rel=1e-12, abs=1e-9)
+
+
+def fraction_newton(p: Polynomial, upto: int) -> list:
+    """Newton's identities over Fractions on the coefficients a_1..a_m of monic p."""
+    a = [Fraction(c) for c in p.coeffs[1:]]
+    m = len(a)
+    out = [Fraction(m)]
+    for t in range(1, upto + 1):
+        acc = -t * a[t - 1] if t <= m else Fraction(0)
+        for j in range(1, min(t - 1, m) + 1):
+            acc -= a[j - 1] * out[t - j]
+        out.append(acc)
+    return out
+
+
+def coefficient_horner(coeffs, x):
+    """Horner's rule on the coefficients as they are (None for no coefficients)."""
+    acc = None
+    for c in coeffs:
+        acc = c if acc is None else acc * x + c
+    return acc
+
+
+fractions_st = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(fractions_st, max_size=10), st.integers(0, 30))
+def test_exact_power_sums_equal_the_fraction_newton_recursion(tail, upto):
+    # degrees 0..10 with non-integral coefficients; upto reaches past 2m
+    p = Polynomial.exact([1, *tail])
+    sums = power_sums(p, upto)
+    assert sums == fraction_newton(p, upto)
+    assert all(type(v) is Fraction for v in sums)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(fractions_st, max_size=8),
+       st.one_of(st.integers(-30, 30), st.fractions(min_value=-9, max_value=9,
+                                                     max_denominator=40)))
+def test_exact_evaluation_at_a_rational_equals_fraction_horner(coeffs, x):
+    p = Polynomial.exact(coeffs)
+    got = p(x)
+    assert type(got) is Fraction
+    assert got == (coefficient_horner(p.coeffs, Fraction(x)) if p.coeffs else 0)
+    assert p.primitive == (tuple(_primitive(p.coeffs)[0]), _primitive(p.coeffs)[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(fractions_st, min_size=1, max_size=8),
+       st.floats(min_value=-8, max_value=8, allow_nan=False))
+def test_float_and_complex_evaluation_keep_the_horner_bits(coeffs, x):
+    exact = Polynomial.exact(coeffs)
+    for p in (exact, exact.as_float()):
+        for arg in (x, complex(x, 0.75)):
+            want = coefficient_horner(p.coeffs, arg) if p.coeffs else (
+                0j if isinstance(arg, complex) else to_scalar(0, p.backend))
+            got = p(arg)
+            assert type(got) is type(want) and repr(got) == repr(want)
 
 
 small_coeffs = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=7)

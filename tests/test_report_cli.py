@@ -9,6 +9,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -182,6 +183,22 @@ def test_exact_requests_eliminate_each_matrix_once(capsys, monkeypatch, argv, ld
     code, _, err = run_cli(capsys, *argv)
     assert err == "" and code in (0, 1)
     assert (len(ldl_runs), len(bareiss_runs)) == (ldl, bareiss)
+
+
+def test_float_analyze_computes_the_eigenvalues_of_each_form_once(capsys, monkeypatch):
+    # is_hyperbolic and analyze judge the one float form of (p, p'), each at
+    # its own tol; the separation bound's H - c H(p, p') is the other matrix
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(M):
+        calls.append(M)
+        return eigvalsh(M)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    code, _, err = run_cli(capsys, "analyze", "--poly", "[1.0,0.0,-1.0]")
+    assert (code, err) == (0, "")
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("poly", ["[1.0,0.0,-1.25,0.0,0.25]", "[1.0,-2.0,1.0]"])

@@ -25,9 +25,11 @@ from bezoutian import (
 )
 import numpy as np
 
+from bezoutian.polynomial import _primitive
 from bezoutian.roots import (
     _float_roots,
     _hyperbolic_strict,
+    _int_primitive,
     _newton_polish,
     _sturm_chain,
     poly_gcd,
@@ -262,6 +264,13 @@ def test_poly_gcd_matches_euclid(f, g, shared):
     assert same_coeffs(poly_gcd(f, g), euclid_gcd(f, g))
     assert same_coeffs(poly_gcd(g, f), euclid_gcd(g, f))
     assert same_coeffs(poly_gcd(f, f.derivative()), euclid_gcd(f, f.derivative()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-50, 50), max_size=8), st.integers(1, 12))
+def test_int_primitive_part_equals_the_fraction_primitive_part(c, scale):
+    for ints in (c, [scale * v for v in c]):
+        assert _int_primitive(ints) == _primitive(ints)[0]
 
 
 @settings(max_examples=120, deadline=None)

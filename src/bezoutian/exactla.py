@@ -4,15 +4,17 @@ An exact matrix is an ``IntMatrix``: integer rows over one positive
 denominator D, M = A / D.  The exact builders (``bezout``, ``leray``) make
 it directly, and the kernels run on its Python ints: det(M) = det(A) / D^m
 by Bareiss fraction-free elimination, adj(M) = adj(A) / D^(m-1) by
-Faddeev-LeVerrier, and the LDL pivot signs of the PSD certificate by
-symmetric fraction-free elimination; every division is exact over the
-integers.  Each IntMatrix eliminates itself once, for its cached LDL
-certificate ``ldl``; the det of a symmetric PSD matrix is its pivot product.
-Float matrices are ordinary float64 arrays.  A ``MatrixForm`` wraps either
-kind, and numpy reads it, like an IntMatrix, as a Fraction or float64
-array; the Fraction array of an exact matrix is built only when something
-reads it.  Object arrays of
-Fractions from outside are cleared to an ``IntMatrix`` once, on entry
+Faddeev-LeVerrier (on the upper triangle of each product when A is
+symmetric), and the LDL pivot signs of the PSD certificate by symmetric
+fraction-free elimination; every division is exact over the integers.
+Each IntMatrix eliminates itself once, for its cached LDL certificate
+``ldl``; the det of a symmetric PSD matrix is its pivot product.  Float
+matrices are ordinary float64 arrays; a float form computes the smallest
+eigenvalue of its symmetric part once, as ``eigen_floor``.  A
+``MatrixForm`` wraps either kind, and numpy reads it, like an IntMatrix,
+as a Fraction or float64 array; the Fraction array of an exact matrix is
+built only when something reads it.  Object arrays of Fractions from
+outside are cleared to an ``IntMatrix`` once, on entry
 (``_integer_matrix``).  ``adjugate`` has no float route: it takes float
 entries at their exact dyadic values.  ``_asymmetry`` and ``_matmul`` give
 the symmetry defect and the product of integer matrices for the adjugate

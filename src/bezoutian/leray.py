@@ -10,8 +10,10 @@ matrix of (p, p') and A the companion matrix, so det(S) H = B p'(A)^2;
 Everything here is exact: float input is taken at its exact dyadic value
 (``Polynomial.as_exact``), the value the decimal denotes, so S, B and the
 relation are the same for a decimal and for that value typed as a fraction.
-S and B are held as integer matrices (``exactla.IntMatrix``), and one
-Faddeev-LeVerrier run gives B and, by one row product, det S.
+S and B are held as integer matrices (``exactla.IntMatrix``).  The power
+sums of S come from Newton's identities on the primitive integers of p
+(``power_sums``), and one Faddeev-LeVerrier run, which computes half of
+each product since S is symmetric, gives B and, by one row product, det S.
 """
 
 from __future__ import annotations

@@ -206,7 +206,7 @@ class Polynomial:
         P_i n^(k-i) d^i over d^k, times the content, is one Fraction.  Float
         and complex x take the rule on the coefficients as they are.
         """
-        if self.coeffs and self.backend == BACKEND_EXACT and isinstance(x, (int, Fraction)):
+        if self.backend == BACKEND_EXACT and self.coeffs and isinstance(x, (int, Fraction)):
             (acc, *rest), content = self.primitive
             n, d, dk = x.numerator, x.denominator, 1
             for c in rest:

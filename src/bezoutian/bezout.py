@@ -15,14 +15,15 @@ For monic p the form of (p, p') is the deleted-factor gram
 sum_k p_k(x) p_k(y), p_k = p / (x - lambda_k), so the separation bound
 H(p, q) - c * H(p, p') >= 0 needs no roots.  It, the exact symmetrization
 defect and the PSD certificate take the integer rows as they are, and only
-results become Fractions.  Callers that already hold a form pass it on
-(``discriminant``, ``resultant``, ``separation_lower_bound_check``), and
-its integer matrix keeps its LDL certificate, from which det is read; so
-one request builds and eliminates each distinct form once.
+results become Fractions.  p keeps each form it is divided into, keyed by
+the value of q (``Polynomial.memo``), and an integer matrix keeps its LDL
+certificate, from which det is read; so one request builds and eliminates
+each distinct form once, and every form a function reads is one of p.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,7 +32,7 @@ import numpy as np
 from . import exactla
 from .errors import BackendMismatchError, DegreeMismatchError, NonzeroRemainderError
 from .exactla import IntMatrix, MatrixForm, PsdVerdict, psd_certificate
-from .polynomial import Polynomial, RootProfile, _primitive
+from .polynomial import Polynomial, _primitive
 from .scalars import BACKEND_EXACT
 
 
@@ -72,8 +73,15 @@ def bezout_matrix(p: Polynomial, q: Polynomial) -> BezoutMatrix:
     The division is exact in algebra; a surviving remainder raises
     NonzeroRemainderError.  Exact input is divided on the primitive integer
     coefficients and scaled by the two contents.  The matrix size is
-    max(deg p, deg q); shorter arguments are zero padded.
+    max(deg p, deg q); shorter arguments are zero padded.  A float form
+    with an entry or a remainder past the float64 range raises ValueError.
+    p keeps the form, keyed by the value of q: an equal q gets the same
+    object.
     """
+    return p.derived(("bezout", q), lambda: _bezout_matrix(p, q))
+
+
+def _bezout_matrix(p: Polynomial, q: Polynomial) -> BezoutMatrix:
     if p.backend != q.backend:
         raise BackendMismatchError("bezout_matrix arguments must share a backend")
     n = max(int(p.degree) if not p.is_zero else 0, int(q.degree) if not q.is_zero else 0)
@@ -96,11 +104,15 @@ def bezout_matrix(p: Polynomial, q: Polynomial) -> BezoutMatrix:
     qa = list(q.ascending(n + 1))
     rows, leftovers = _divide_form(pa, qa, n)
     H = np.array(rows, dtype=float)
+    # inf and NaN would pass both tests below (NaN fails every comparison)
+    if not (np.isfinite(H).all() and all(map(math.isfinite, leftovers))):
+        raise ValueError("the float Bezout form of (p, q) leaves the float64 range")
     scale = (n + 1) * max(1.0, max(abs(v) for v in pa) * max(abs(v) for v in qa))
     if max(abs(v) for v in leftovers) > 1e-10 * scale:
         raise NonzeroRemainderError("bezout division remainder above float tolerance")
     if exactla.symmetry_defect(H) > 1e-12 * max(1.0, exactla.max_abs(H)):
         raise NonzeroRemainderError("bezout matrix asymmetric beyond float tolerance")
+    H.flags.writeable = False  # p keeps the form, so every caller reads this array
     return BezoutMatrix(H, p, q)
 
 
@@ -146,13 +158,10 @@ def psd_check(H, tol: float = 1e-9) -> PsdVerdict:
     return psd_certificate(H, tol)
 
 
-def discriminant(p: Polynomial, H: BezoutMatrix | None = None):
-    """det of the Bezout matrix of (p, p'); the squared root difference product.
-
-    Pass ``H``, the ``BezoutMatrix`` of (p, p'), when it is already built.
-    """
+def discriminant(p: Polynomial):
+    """det of the Bezout matrix of (p, p'); the squared root difference product."""
     p.require_monic("discriminant input")
-    return exactla.det(H if H is not None else bezout_matrix(p, p.derivative()))
+    return exactla.det(bezout_matrix(p, p.derivative()))
 
 
 def resultant_sign(m: int) -> int:
@@ -174,43 +183,35 @@ class Resultant:
         return abs(self.det_h - self.sign_factor * self.root_product)
 
 
-def resultant(p: Polynomial, q: Polynomial, profile: RootProfile | None = None,
-              H: BezoutMatrix | None = None) -> Resultant:
-    """det H next to the root product prod_j q(lambda_j) and their sign factor.
+def resultant(p: Polynomial, q: Polynomial) -> Resultant:
+    """det H(p, q) next to the root product prod_j q(lambda_j) and their sign factor."""
+    from .roots import real_roots
 
-    Pass ``H``, the ``BezoutMatrix`` of (p, q), when it is already built.
-    """
     p.require_monic("resultant input")
     m = int(p.degree)
     if not q.is_zero and q.degree > m - 1:
         raise DegreeMismatchError("resultant requires deg q <= deg p - 1")
-    det_h = exactla.det(H if H is not None else bezout_matrix(p, q))
-    if profile is None:
-        from .roots import real_roots
-
-        profile = real_roots(p)
+    det_h = exactla.det(bezout_matrix(p, q))
     product = None
-    for lam in profile.flattened:
+    for lam in real_roots(p).flattened:
         val = q(lam if q.backend == BACKEND_EXACT else float(lam))
         product = val if product is None else product * val
     return Resultant(det_h, product, resultant_sign(m))
 
 
-def separation_lower_bound_check(p: Polynomial, q: Polynomial, c, tol: float = 1e-9,
-                                 H=None, Hp=None) -> bool:
+def separation_lower_bound_check(p: Polynomial, q: Polynomial, c, tol: float = 1e-9) -> bool:
     """Check H(p, q) - c * H(p, p') >= 0 for monic p.
 
     H(p, p') is the deleted-factor gram sum_k v_k v_k^T, v_k the ascending
     coefficients of p / (x - lambda_k), so the lower bound
-    c * sum_k |p_k_hat(z)|^2 needs no roots.  Pass ``H`` and ``Hp``, the
-    forms of (p, q) and (p, p'), when they are already built.  Exact forms
-    are certified on integer matrices: a rational c as it is, a float c
-    (from irrational roots) as the rational Fraction(c) * (1 - tol) below it.
-    Float forms take the eigenvalue test at ``tol``.
+    c * sum_k |p_k_hat(z)|^2 needs no roots.  Exact forms are certified on
+    integer matrices: a rational c as it is, a float c (from irrational
+    roots) as the rational Fraction(c) * (1 - tol) below it.  Float forms
+    take the eigenvalue test at ``tol``.
     """
     p.require_monic("separation bound input")
-    H = H if H is not None else bezout_matrix(p, q)
-    gram = Hp if Hp is not None else bezout_matrix(p, p.derivative())
+    H = bezout_matrix(p, q)
+    gram = bezout_matrix(p, p.derivative())
     if H.shape != gram.shape:
         raise DegreeMismatchError(
             f"Bezout matrix of shape {H.shape} against {gram.shape} for (p, p')"

@@ -44,8 +44,8 @@ from .nuij import (
 from .polynomial import Polynomial
 from .quasi import UNIFORMITY_FACTOR, check_conditions, max_multiplicity, verify_quasi
 from .report import FAIL, MARGINAL, PASS, CertifiedReport
-from .roots import DEFAULT_TOL, is_hyperbolic, real_roots
-from .scalars import BACKEND_EXACT, scalar_to_json
+from .roots import is_hyperbolic, real_roots
+from .scalars import scalar_to_json
 
 
 class InputError(Exception):
@@ -137,26 +137,24 @@ def _check_q(p: Polynomial, q: Polynomial) -> None:
 def cmd_analyze(args, report: CertifiedReport):
     p = _parse_poly(args.poly, args.poly_file)
     tol = args.tol
-    verdict = _require_hyperbolic(p)
-    profile = verdict.witness
-    dp = p.derivative()
-    q = _parse_poly(args.q, None) if args.q else dp
+    _require_hyperbolic(p)
+    q = _parse_poly(args.q, None) if args.q else p.derivative()
     _check_q(p, q)
     report.backend = p.backend
     report.inputs = {"poly": _echo_poly(p), "q": _echo_poly(q)}
 
     A = companion_matrix(p)
-    # p is monic now, so is_hyperbolic's form is the Bezout matrix of (p, p');
+    # p is monic now, so it holds is_hyperbolic's roots and form of (p, p');
     # an exact form returns the certificate it already holds, whatever tol
-    Hp = verdict.hermite_form
-    hermite = psd_check(Hp, tol)
-    H = Hp if q == dp else bezout_matrix(p, q)
+    profile = real_roots(p)
+    hermite = psd_check(bezout_matrix(p, p.derivative()), tol)
+    H = bezout_matrix(p, q)
     report.inputs["bezout_matrix"] = H.to_jsonable()
     report.inputs["companion_matrix"] = A.to_jsonable()
     defect = float(symmetrization_defect(H, A))
     report.add_bool("companion symmetrization defect", "companion-symmetrization",
                     defect <= tol, defect, tol)
-    psd = hermite if H is Hp else psd_check(H, tol)
+    psd = psd_check(H, tol)
     witness = float(psd.min_eigenvalue) if psd.min_eigenvalue is not None else (
         float(min(psd.pivots)) if psd.pivots else 0.0)
     report.add_bool("derivative form semidefinite (hyperbolicity certificate)",
@@ -166,21 +164,21 @@ def cmd_analyze(args, report: CertifiedReport):
         report.add("separation structure", "separation-interlacing",
                    "q degree differs from deg(p) - 1", MARGINAL)
     else:
-        cert = separates(p, q, tol, profile, H, Hp)
+        cert = separates(p, q, tol)
         report.add_bool("separation structure", "separation-interlacing",
                         cert.separates, cert.failure_reason or float(cert.constant_c))
         if cert.separates:
-            ok = separation_lower_bound_check(p, q, cert.constant_c, tol, H, Hp)
+            ok = separation_lower_bound_check(p, q, cert.constant_c, tol)
             report.add_bool("separation lower bound", "separation-lower-bound",
                             ok, float(cert.constant_c), tol)
             report.add_bool("bezout form semidefinite", "bezout-psd", psd.is_psd, witness, tol)
-    disc = discriminant(p, Hp)
+    disc = discriminant(p)
     delta = difference_product(profile.flattened)
     disc_err = abs(float(disc) - float(delta) ** 2)
     scale = max(1.0, abs(float(disc)))
     report.add_bool("determinant equals squared root spread", "discriminant-product",
                     disc_err <= tol * scale, float(disc), tol)
-    res = resultant(p, q, profile, H)
+    res = resultant(p, q)
     res_err = float(res.consistency_residual()) / max(1.0, abs(float(res.det_h)))
     report.add_bool("determinant against root product", "resultant-sign",
                     res_err <= tol, float(res.det_h), tol)
@@ -201,10 +199,10 @@ def cmd_nuij(args, report: CertifiedReport):
         consts = gap_constants(m)
         report.add("gap floor constant", "nuij-gap-constants", float(consts.floor), PASS)
     for eps in grid:
-        # one float family point per eps serves the gap law and the inversion;
+        # the gap law and the inversion read p's one float family point of eps;
         # verify_gaps refuses eps <= 0 before it would build one
-        family = nuij_family(p, eps) if eps > 0 else None
-        check = verify_gaps(p, eps, family=family)
+        p_eps = nuij_family(p, eps).p_eps if eps > 0 else None
+        check = verify_gaps(p, eps)
         verdict = PASS if check.passed and not check.marginal else (
             MARGINAL if check.passed else FAIL)
         # one root has no gap: the law holds vacuously, and inf is not JSON
@@ -217,7 +215,6 @@ def cmd_nuij(args, report: CertifiedReport):
                         strict, "strict" if strict else "not strict")
         report.add_bool(f"stage interlacing at eps={eps:g}", "nuij-interlacing",
                         interlaced, "interlaced" if interlaced else "violated")
-        p_eps = family.p_eps
         recon = invert_transform(p_eps, float(eps))
         diff = max(
             abs(float(a) - float(b))
@@ -244,15 +241,13 @@ def cmd_quasi(args, report: CertifiedReport):
         raise InputError(f"--r and --s must be finite, got {r} and {s}")
     report.backend = p.backend
     report.inputs = {"poly": _echo_poly(p), "r": r, "s": s, "grid": list(grid)}
-    # one float family point per eps serves both the conditions and the verdict
-    families = [nuij_family(p, eps) for eps in grid]
-    conditions = check_conditions(p, grid, r, s, families)
+    # the conditions and the verdict read p's one float family point per eps
+    conditions = check_conditions(p, grid, r, s)
     report.add_bool("derivative floor condition", "quasi-cond-derivative-floor",
                     conditions.c_lower > 0, float(conditions.c_lower))
     report.add_bool("perturbation ratio condition", "quasi-cond-perturbation",
                     np.isfinite(conditions.C_upper), float(conditions.C_upper))
-    verdict = verify_quasi(p, grid, r=r, s=s, samples=args.samples, seed=report.seed,
-                           families=families)
+    verdict = verify_quasi(p, grid, r=r, s=s, samples=args.samples, seed=report.seed)
     factor = UNIFORMITY_FACTOR
     report.add_bool("lower bound uniformity", "quasi-lower-bound",
                     verdict.lower_decay < factor, float(verdict.lower_decay), factor)
@@ -291,7 +286,7 @@ def cmd_leray(args, report: CertifiedReport):
     report.add_bool("power-sum symmetrizer defect", "leray-symmetry",
                     defect <= tol, defect, tol)
     det_s = sym.det_power_sum_gram
-    disc = discriminant(p, verdict.hermite_form)
+    disc = discriminant(p)
     report.add_bool("det equals discriminant", "leray-determinant",
                     det_s == disc, _exact_witness(det_s), tol)
     # read from the LDL pivots of B's definiteness check, and compared exactly
@@ -302,11 +297,11 @@ def cmd_leray(args, report: CertifiedReport):
                     sym.definiteness.is_pd == verdict.is_strict,
                     "positive definite" if sym.definiteness.is_pd else "semidefinite")
     if m == 2:
-        diff = float(exactla.max_abs(sym.adjugate - verdict.hermite_form.matrix))
+        diff = float(exactla.max_abs(sym.adjugate - bezout_matrix(p, p.derivative()).matrix))
         report.add_bool("adjugate equals bezout form (m=2)", "leray-bezout-m2",
                         diff <= tol, diff, tol)
     if verdict.is_strict:
-        residual = h_b_relation_check(p, sym, verdict.hermite_form)
+        residual = h_b_relation_check(p)
         report.add_bool("bezout relation residual", "leray-bezout-relation",
                         residual <= max(tol, 1e-10), residual, max(tol, 1e-10))
     return None
@@ -320,7 +315,7 @@ def cmd_energy(args, report: CertifiedReport):
     if args.steps < 4:
         # the chain bound's 5-point stencil needs five times
         raise InputError(f"--steps must be at least 4, got {args.steps}")
-    verdict = _require_hyperbolic(p)
+    _require_hyperbolic(p)
     q = _parse_poly(args.q, None) if args.q else p.derivative()
     m = int(p.degree)
     if q.is_zero or int(q.degree) > m - 1:
@@ -339,39 +334,29 @@ def cmd_energy(args, report: CertifiedReport):
     report.backend = p.backend
     report.inputs = {"poly": _echo_poly(p), "q": _echo_poly(q),
                      "U0": [str(u) for u in U0], "T": args.T, "steps": args.steps}
-    pf, qf, dpf = p.as_float(), q.as_float(), p.derivative().as_float()
+    # the checks read the roots and Bezout forms of the float rounding pf of p,
+    # each built once and kept on pf; for float p, pf is p, whose roots and
+    # form of (p, p') is_hyperbolic found
+    pf, qf = p.as_float(), q.as_float()
     A = companion_matrix(pf)
-    # every check reads the roots and Bezout forms of the float rounding of p,
-    # each built once here: the verdict holds them for float p, while exact p
-    # gets float ones, since its exact forms would change the checks' bits
-    if p.backend == BACKEND_EXACT:
-        try:
-            profile = real_roots(pf)
-        except NonHyperbolicError:
-            profile = None  # propagate and separates look at the roots themselves
-        Hp = bezout_matrix(pf, dpf)
-    else:
-        profile, Hp = verdict.witness, verdict.hermite_form
-    H = Hp if qf == dpf else bezout_matrix(pf, qf)
-    traj = propagate(A, U0, args.T, args.steps, profile)
-    series = energy_series(p, q, traj, H)
+    traj = propagate(A, U0, args.T, args.steps)
+    series = energy_series(p, q, traj)
     spread = series.relative_spread()
     report.add_bool("energy conservation", "energy-conservation",
                     spread <= max(tol, 1e-9), spread, max(tol, 1e-9))
-    # the profile holds the roots at the default tolerance
-    if q.degree == m - 1 and separates(pf, qf, tol, profile if tol == DEFAULT_TOL else None):
+    if q.degree == m - 1 and separates(pf, qf, tol):
         nonneg = float(np.min(series.values)) >= -tol * max(1.0, float(np.max(np.abs(series.values))))
         report.add_bool("energy nonnegative", "energy-nonnegative",
                         nonneg, float(np.min(series.values)), tol)
     rng = np.random.default_rng(report.seed)
     freqs = sorted(rng.uniform(-3.0, 3.0, size=3))
     signal = ExponentialSignal.of(*[(1.0 / (k + 1), nu) for k, nu in enumerate(freqs)])
-    residual = derivative_identity_check(p, q, signal, t_max=min(args.T, 10.0), H=H)
+    residual = derivative_identity_check(p, q, signal, t_max=min(args.T, 10.0))
     report.add_bool("derivative identity", "energy-derivative-identity",
                     residual <= 1e-8, residual, 1e-8)
     if m >= 2:
         # the floor constant reads the roots of p in its own backend
-        chain = chain_bound_check(p, 0, traj, T=args.T, profile=verdict.witness, H=Hp)
+        chain = chain_bound_check(p, 0, traj, T=args.T)
         report.add_bool("chain bound along trajectory", "energy-chain-bound",
                         chain.passed, chain.derivative_margin)
     table = [("t", "value")]

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bezout import BezoutMatrix, CompanionMatrix, bezout_matrix
+from .bezout import CompanionMatrix, bezout_matrix
 from .errors import NonHyperbolicError
 from .factorization import derivative_bound_constant
-from .polynomial import Polynomial, RootProfile
+from .polynomial import Polynomial
 from .roots import real_roots
 
 _EIGEN_GAP = 1e-6
@@ -85,15 +85,15 @@ class Trajectory:
         return np.vstack(rows)
 
 
-def propagate(A: CompanionMatrix, U0, T: float, steps: int,
-              profile: RootProfile | None = None) -> Trajectory:
+def propagate(A: CompanionMatrix, U0, T: float, steps: int) -> Trajectory:
     """Solve D_t U = A U, i.e. dU/dt = i A U, on steps+1 equispaced times.
 
     Strictly hyperbolic generators propagate exactly through the eigenbasis
     U(t) = R diag(exp(i root_k t)) R^-1 U0, all times in one matrix product;
     otherwise a dense matrix exponential of the single step is applied
-    repeatedly.  Pass ``profile``, the real roots of the float generator
-    polynomial, when it is already computed.
+    repeatedly.  The roots are those of the float generator polynomial at
+    the default tolerance, which another check may have found already, or,
+    if those come out complex, at the looser imaginary tolerance 1e-7.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -103,11 +103,15 @@ def propagate(A: CompanionMatrix, U0, T: float, steps: int,
     if U0.shape != (m,):
         raise ValueError(f"U0 must have length {m}")
     times = np.linspace(0.0, float(T), steps + 1)
-    if profile is None:
+    pf = A.p.as_float()
+    try:
+        # where the default tolerance finds the roots, imag_tol=1e-7 finds the same
+        profile = real_roots(pf)
+    except NonHyperbolicError:
         try:
-            profile = real_roots(A.p.as_float(), imag_tol=1e-7)
+            profile = real_roots(pf, imag_tol=1e-7)
         except NonHyperbolicError:
-            pass
+            profile = None
     roots = [float(r) for r in profile.flattened] if profile is not None else []
     gaps = [b - a for a, b in zip(roots, roots[1:])]
     scale = max(1.0, max((abs(r) for r in roots), default=1.0))
@@ -127,13 +131,6 @@ def propagate(A: CompanionMatrix, U0, T: float, steps: int,
     return Trajectory(times, states, A)
 
 
-def _float_form(p: Polynomial, q: Polynomial, H: BezoutMatrix | None) -> np.ndarray:
-    """The float Bezout matrix of (p, q): ``H`` when passed, else built."""
-    if H is None:
-        H = bezout_matrix(p.as_float(), q.as_float())
-    return np.asarray(H.matrix, dtype=float)
-
-
 @dataclass(frozen=True)
 class EnergySeries:
     times: np.ndarray
@@ -151,14 +148,12 @@ class EnergySeries:
         return self.spread / scale
 
 
-def energy_series(p: Polynomial, q: Polynomial, traj: Trajectory,
-                  H: BezoutMatrix | None = None) -> EnergySeries:
-    """(H U(t), U(t)) along the trajectory, H the Bezout matrix of (p, q).
+def energy_series(p: Polynomial, q: Polynomial, traj: Trajectory) -> EnergySeries:
+    """(H U(t), U(t)) along the trajectory, H the float Bezout matrix of (p, q).
 
-    Every state is scored in one product.  Pass ``H``, the float Bezout
-    matrix of (p, q), when it is already built.
+    Every state is scored in one product.
     """
-    H = _float_form(p, q, H)
+    H = bezout_matrix(p.as_float(), q.as_float()).matrix
     if H.shape[0] != traj.dimension:
         raise ValueError("form dimension does not match the trajectory")
     U = traj.states
@@ -169,18 +164,16 @@ def energy_series(p: Polynomial, q: Polynomial, traj: Trajectory,
 
 
 def derivative_identity_check(p: Polynomial, q: Polynomial, signal: ExponentialSignal,
-                              t_max: float = 10.0,
-                              H: BezoutMatrix | None = None) -> float:
+                              t_max: float = 10.0) -> float:
     """Residual of d/dt (H Du, Du) = i (p(D_t)u conj(q(D_t)u) - conj(p(D_t)u) q(D_t)u).
 
     The left side expands in closed form through the matrix entries of H,
     the right side through direct application of p and q to the signal; the
     two routes share no arithmetic.  Both are sampled at 201 times on
-    [0, t_max].  Pass ``H``, the float Bezout matrix of
-    (p, q), when it is already built.
+    [0, t_max].  H is the float Bezout matrix of (p, q).
     """
     m = max(int(p.degree), int(q.degree) if not q.is_zero else 0)
-    H = _float_form(p, q, H)
+    H = bezout_matrix(p.as_float(), q.as_float()).matrix
     times = np.linspace(0.0, t_max, 201)
     coeffs = np.array([c for c, _ in signal.terms])
     freqs = np.array([nu for _, nu in signal.terms])
@@ -209,18 +202,15 @@ class ChainBoundResult:
         return self.passed
 
 
-def chain_bound_check(p: Polynomial, j: int, source, T: float = 10.0,
-                      profile: RootProfile | None = None,
-                      H: BezoutMatrix | None = None) -> ChainBoundResult:
+def chain_bound_check(p: Polynomial, j: int, source, T: float = 10.0) -> ChainBoundResult:
     """Check d/dt (H_j Du, Du) <= 2 |p^(j)(D_t)u| |p^(j+1)(D_t)u| along u.
 
     H_j is the Bezout matrix of (p^(j), p^(j+1)); a signal ``source`` is
     sampled at 2001 times on [0, T], a ``Trajectory`` at its own.  The time
     derivative uses a 5-point central difference on the uniform grid, so the
     comparison carries a slack of 1e-7 times the scale of the data.  Also
-    checks the floor c_j |p^(j+1)(D_t)u|^2 <= (H_j Du, Du) with the certified c_j.
-    Pass ``H``, the float H_j, and ``profile``, the roots of the monic
-    p^(j) in its own backend, when they are already computed.
+    checks the floor c_j |p^(j+1)(D_t)u|^2 <= (H_j Du, Du) with the certified c_j,
+    read from the roots of the monic p^(j) in its own backend.
     """
     m = int(p.degree)
     if j > m - 2:
@@ -229,8 +219,7 @@ def chain_bound_check(p: Polynomial, j: int, source, T: float = 10.0,
     pj = pj_native.as_float()
     pj1 = p.derivative(j + 1).as_float()
     n = int(pj.degree)
-    form = H if H is not None else bezout_matrix(pj, pj1)
-    H = np.asarray(form.matrix, dtype=float)
+    H = bezout_matrix(pj, pj1).matrix
 
     times = np.linspace(0.0, float(T), 2001)
     if isinstance(source, Trajectory):
@@ -256,8 +245,8 @@ def chain_bound_check(p: Polynomial, j: int, source, T: float = 10.0,
     derivative_margin = float(np.max(d_energy - rhs[inner]))
 
     # the floor constant wants exact multiplicity structure where available
-    monic = pj_native * (1 / pj_native.leading)
-    c_j = float(derivative_bound_constant(monic, profile, H=form).constant)
+    monic = pj_native if pj_native.is_monic else pj_native * (1 / pj_native.leading)
+    c_j = float(derivative_bound_constant(monic).constant)
     floor_margin = float(np.max(c_j * np.abs(Pj1) ** 2 - energy))
     floor_slack = _CHAIN_SLACK * max(1.0, float(np.max(energy)))
     passed = derivative_margin <= slack and floor_margin <= floor_slack

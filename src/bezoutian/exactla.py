@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .scalars import BACKEND_EXACT, BACKEND_FLOAT, scalar_to_json
+from .scalars import BACKEND_EXACT, BACKEND_FLOAT
 
 
 def max_abs(M: np.ndarray):
@@ -91,6 +91,7 @@ class IntMatrix:
         for i, row in enumerate(self.rows):
             for j, v in enumerate(row):
                 out[i, j] = Fraction(v, self.den)
+        out.flags.writeable = False  # kept, so every reader gets this array
         return out
 
     @cached_property
@@ -152,10 +153,18 @@ class MatrixForm:
         return BACKEND_EXACT if isinstance(self.data, IntMatrix) else BACKEND_FLOAT
 
     def to_jsonable(self) -> dict:
-        return {
-            "backend": self.backend,
-            "rows": [[scalar_to_json(v) for v in row] for row in self.matrix],
-        }
+        """The echo of the form: exact entries as reduced ``"n/d"`` strings, floats as numbers.
+
+        An exact entry v / den is printed from the integer rows, reduced by
+        gcd(v, den), with no Fraction built.
+        """
+        if isinstance(self.data, IntMatrix):
+            den = self.data.den
+            rows = [[f"{v // (g := math.gcd(v, den))}/{den // g}" for v in row]
+                    for row in self.data.rows]
+        else:
+            rows = [[float(v) for v in row] for row in self.data]
+        return {"backend": self.backend, "rows": rows}
 
 
 def _require_square(A: list[list[int]], what: str) -> int:

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exactla
-from .bezout import BezoutMatrix, bezout_matrix, psd_check
+from .bezout import bezout_matrix, psd_check
 from .errors import DegreeMismatchError, MultipleRootError, NonHyperbolicError
 from .polynomial import Polynomial, RootProfile, deleted_root_factor, elementary_symmetric
 from .roots import real_roots
@@ -98,9 +98,8 @@ def _deflate_at_multiple_roots(q: Polynomial, profile: RootProfile, tol: float):
     return b
 
 
-def lagrange_weights(p: Polynomial, q: Polynomial, profile: RootProfile | None = None,
-                     tol: float = 1e-9) -> tuple:
-    """Interpolation weights expressing q in the deleted-factor basis.
+def lagrange_weights(p: Polynomial, q: Polynomial, tol: float = 1e-9) -> tuple:
+    """Interpolation weights expressing q in the deleted-factor basis, at the roots of p at ``tol``.
 
     Simple roots: m weights q(lambda_k)/p'(lambda_k).  Multiple roots: the
     s weights b(lambda_(k)) / a_k(lambda_(k)) of the reduced factorization,
@@ -110,8 +109,7 @@ def lagrange_weights(p: Polynomial, q: Polynomial, profile: RootProfile | None =
     lambda_(j), j != k, on integers over one denominator; float roots
     evaluate the deleted-root factor.
     """
-    if profile is None:
-        profile = real_roots(p, tol)
+    profile = real_roots(p, tol)
     if profile.is_strict:
         dp = p.derivative()
         dp, roots = _match_backend(dp, profile)
@@ -120,9 +118,7 @@ def lagrange_weights(p: Polynomial, q: Polynomial, profile: RootProfile | None =
         for lam in roots:
             d = dp(lam)
             if d == 0:
-                raise ZeroDivisionError(
-                    "p'(root) vanished on the simple-root path; use a profile with multiplicities"
-                )
+                raise ZeroDivisionError("p'(root) vanished on the simple-root path")
             out.append(qq(lam) / d)
         return tuple(out)
     b = _deflate_at_multiple_roots(q, profile, tol)
@@ -156,18 +152,16 @@ class FactorizationBundle:
         return _weighted_gram(self.basis_matrix, self.weights)
 
 
-def factorization_bundle(p: Polynomial, q: Polynomial,
-                         profile: RootProfile | None = None) -> FactorizationBundle:
+def factorization_bundle(p: Polynomial, q: Polynomial) -> FactorizationBundle:
     """Build G and the weights for strictly hyperbolic p and report the
     residual against the directly constructed Bezout matrix."""
-    if profile is None:
-        profile = real_roots(p)
+    profile = real_roots(p)
     if not profile.is_strict:
         raise MultipleRootError("factorization_bundle requires simple roots")
     pp, roots = _match_backend(p, profile)
     qq, _ = _match_backend(q, profile)
     G = lagrange_basis_matrix(roots)
-    weights = lagrange_weights(pp, qq, profile)
+    weights = lagrange_weights(p, q)
     residual = exactla.max_abs(_weighted_gram(G, weights) - bezout_matrix(pp, qq).matrix)
     return FactorizationBundle(G, weights, residual)
 
@@ -213,32 +207,26 @@ def _root_failure(profile: RootProfile, q: Polynomial, tol: float) -> str:
     return ""
 
 
-def separates(p: Polynomial, q: Polynomial, tol: float = 1e-9,
-              profile: RootProfile | None = None, H: BezoutMatrix | None = None,
-              Hp: BezoutMatrix | None = None) -> SeparationCertificate:
+def separates(p: Polynomial, q: Polynomial, tol: float = 1e-9) -> SeparationCertificate:
     """Decide whether q separates p and emit the certified lower-bound constant.
 
     q separates the hyperbolic p when it carries each multiple root of p
     with multiplicity exactly one less, its remaining roots strictly
     interlace the distinct roots of p, and its leading coefficient is
     positive.  On success constant_c = min_k weight_k / multiplicity_k
-    certifies H - c * sum_k v_k v_k^T >= 0.  Pass ``profile`` (the roots of
-    p) and ``H`` and ``Hp`` (the Bezout forms of (p, q) and (p, p')) when
-    they are already built; exact forms keep their PSD certificates.
+    certifies H - c * sum_k v_k v_k^T >= 0, with the weights at the roots of
+    p found at ``tol``.
     """
     p.require_monic("separation target")
     if q.is_zero or q.degree != p.degree - 1:
         raise DegreeMismatchError(f"separating q must have degree {p.degree - 1}")
     by_forms = p.backend == BACKEND_EXACT and q.backend == BACKEND_EXACT
     if by_forms:
-        Hp = Hp if Hp is not None else bezout_matrix(p, p.derivative())
-        hermite = psd_check(Hp)
+        hermite = psd_check(bezout_matrix(p, p.derivative()))
         if not hermite.is_psd:
             raise NonHyperbolicError(f"separation target is not hyperbolic: {hermite.witness}")
-        if H is None:
-            H = Hp if q == p.derivative() else bezout_matrix(p, q)
-        psd = psd_check(H)
-    elif profile is None:
+        psd = psd_check(bezout_matrix(p, q))
+    else:
         profile = real_roots(p, tol)
     lead_sign = 1 if q.leading > 0 else -1
     if lead_sign < 0:
@@ -254,10 +242,8 @@ def separates(p: Polynomial, q: Polynomial, tol: float = 1e-9,
         reason = ""
     if reason:
         return SeparationCertificate(False, None, lead_sign, reason)
-    if profile is None:
-        profile = real_roots(p, tol)
-    weights = lagrange_weights(p, q, profile, tol)
-    c = min(w / r for w, r in zip(weights, profile.multiplicities))
+    weights = lagrange_weights(p, q, tol)
+    c = min(w / r for w, r in zip(weights, real_roots(p, tol).multiplicities))
     return SeparationCertificate(True, c, lead_sign)
 
 
@@ -267,22 +253,18 @@ class DerivativeBound:
     verified: bool
 
 
-def derivative_bound_constant(p: Polynomial, profile: RootProfile | None = None,
-                              H: BezoutMatrix | None = None) -> DerivativeBound:
+def derivative_bound_constant(p: Polynomial) -> DerivativeBound:
     """Constant c with (Bezout form of (p, p')) >= c |p'_hat(z)|^2.
 
     c = 1 / sum_k r_k**2 / w_k over distinct roots, with w the reduced
     interpolation weights of p'.  The certificate checks the matrix
     inequality H - c v v^T >= 0 directly (v = ascending coefficients of p').
     It runs exactly when p is exact with rational roots, else in floats.
-    Pass ``profile`` and ``H``, the Bezout form of (p, p'), when they are
-    already computed; a form of another backend or pair is not used.
     """
     p.require_monic("derivative bound input")
-    if profile is None:
-        profile = real_roots(p)
+    profile = real_roots(p)
     dp = p.derivative()
-    weights = lagrange_weights(p, dp, profile)
+    weights = lagrange_weights(p, dp)
     acc = None
     for w, r in zip(weights, profile.multiplicities):
         term = r * r / w
@@ -291,10 +273,8 @@ def derivative_bound_constant(p: Polynomial, profile: RootProfile | None = None,
     pp, _ = _match_backend(p, profile)
     backend = pp.backend
     dpp = pp.derivative()
-    if H is None or (H.p, H.q) != (pp, dpp):
-        H = bezout_matrix(pp, dpp)
     v = dpp.ascending(int(p.degree))
     V = np.outer(v, v)
     cc = Fraction(c) if backend == BACKEND_EXACT else float(c)
-    verdict = psd_check(H.matrix - cc * V)
+    verdict = psd_check(bezout_matrix(pp, dpp).matrix - cc * V)
     return DerivativeBound(c, verdict.is_psd)

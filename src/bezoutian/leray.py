@@ -26,7 +26,6 @@ import numpy as np
 
 from . import exactla
 from .bezout import bezout_matrix, companion_matrix, symmetrization_defect
-from .errors import DegreeMismatchError
 from .exactla import IntMatrix, PsdVerdict
 from .polynomial import Polynomial, _primitive, power_sums
 
@@ -50,18 +49,13 @@ def power_sum_matrix(p: Polynomial) -> np.ndarray:
 @dataclass(frozen=True)
 class LeraySymmetrizer:
     """S, B = adj S and the certificates of B; S and B are held as integer
-    matrices, and ``power_sum_gram`` and ``adjugate`` build their Fraction
-    arrays on first read."""
+    matrices, and ``adjugate`` builds its Fraction array on first read."""
 
     power_sum_ints: IntMatrix       # S = R R^T
     adjugate_ints: IntMatrix        # B, total even when S is singular
     det_power_sum_gram: object      # equals the squared difference product
     symmetry_defect: object         # max-norm of B A - (B A)^T
     definiteness: PsdVerdict
-
-    @property
-    def power_sum_gram(self) -> np.ndarray:
-        return self.power_sum_ints.fractions
 
     @property
     def adjugate(self) -> np.ndarray:
@@ -72,9 +66,14 @@ def leray_symmetrizer(p: Polynomial) -> LeraySymmetrizer:
     """Build S and B = adj(S); B A symmetric, B positive definite iff strict.
 
     det S comes from the adjugate, S B = det(S) I, as row 0 of S times
-    column 0 of B: no elimination of S runs.
+    column 0 of B: no elimination of S runs.  The exact p keeps the result
+    (``Polynomial.memo``).
     """
     p = p.as_exact()
+    return p.derived("leray", lambda: _leray_symmetrizer(p))
+
+
+def _leray_symmetrizer(p: Polynomial) -> LeraySymmetrizer:
     S = _power_sum_form(p)
     B = exactla.adjugate(S)
     A = companion_matrix(p)
@@ -104,25 +103,20 @@ def _derivative_at_companion(p: Polynomial) -> tuple[list, object]:
     return W, L ** m
 
 
-def h_b_relation_check(p: Polynomial, sym: LeraySymmetrizer | None = None,
-                       H=None) -> float:
+def h_b_relation_check(p: Polynomial) -> float:
     """Relative max-norm residual of det(S) H - B p'(A)^2, zero in algebra.
 
     S H = p'(A)^2 for the Bezout matrix H of (p, p') and every monic p, so
     det(S) H = B p'(A)^2 with B = adj S; no roots enter.  The check runs on
-    integer matrices of the exact p (and of the exact values of a float H),
-    over max(1, |det(S) H|), and the residual is exactly 0.  Pass ``sym``
-    and ``H`` when they are already built.
+    integer matrices of the exact p, over max(1, |det(S) H|), and the
+    residual is exactly 0.
     """
     p = p.as_exact()
     p.require_monic("relation check input")
-    if sym is None:
-        sym = leray_symmetrizer(p)
+    sym = leray_symmetrizer(p)
     det_s = sym.det_power_sum_gram
-    X = IntMatrix.of(H if H is not None else bezout_matrix(p, p.derivative()))
+    X = IntMatrix.of(bezout_matrix(p, p.derivative()))
     W, d = _derivative_at_companion(p)
-    if X.shape != (len(W), len(W)):
-        raise DegreeMismatchError(f"Bezout matrix of shape {X.shape} for degree {len(W)}")
     Y = sym.adjugate_ints
     dx, dy = X.den, Y.den
     # over the common denominator den, det(S) H = a X and B p'(A)^2 = b Y W W

@@ -97,9 +97,14 @@ def nuij_family(p: Polynomial, epsilon) -> NuijFamilyPoint:
     Roots merge only within 1e-12 * max(1, |root|), so real gaps stay
     unmerged; imaginary parts up to 1e-7 are eigensolver splitting at tight
     clusters.  Raises ValueError when p_eps or the residual check of its
-    roots leaves the float64 range.
+    roots leaves the float64 range.  p keeps the point of each eps, keyed
+    by its type and value (``Polynomial.memo``).
     """
     p.require_monic("smoothing family input")
+    return p.derived(("nuij", type(epsilon), epsilon), lambda: _nuij_family(p, epsilon))
+
+
+def _nuij_family(p: Polynomial, epsilon) -> NuijFamilyPoint:
     try:
         p_eps = nuij_transform(p, epsilon)
         floats = p_eps.as_float()
@@ -203,12 +208,12 @@ class GapCheck:
     marginal: bool
 
 
-def verify_gaps(p: Polynomial, epsilon, family: NuijFamilyPoint | None = None) -> GapCheck:
+def verify_gaps(p: Polynomial, epsilon) -> GapCheck:
     """Check the root gaps of the fully smoothed polynomial against c_m * eps.
 
+    The roots are those of the family point ``nuij_family(p, eps)``.
     Failures inside the float tolerance band max(1e-12, 1e-6 * eps) count as
     marginal, not failed; c * eps can sit near double-precision noise.
-    ``family`` is ``nuij_family(p, eps)`` when the caller holds it.
     """
     p.require_monic("gap verification input")
     m = int(p.degree)
@@ -219,9 +224,7 @@ def verify_gaps(p: Polynomial, epsilon, family: NuijFamilyPoint | None = None) -
         raise ValueError("epsilon must be positive")
     tol = max(1e-12, 1e-6 * eps)
     floor = gap_constants(m).floor
-    if family is None:
-        family = nuij_family(p, eps)
-    roots = family.roots_eps.flattened
+    roots = nuij_family(p, eps).roots_eps.flattened
     if len(roots) < m:
         # a merged cluster means a gap of numerical zero
         return GapCheck(0.0, floor, False, True)

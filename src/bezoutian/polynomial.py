@@ -25,6 +25,7 @@ from .scalars import (
 )
 
 NEG_INF = float("-inf")
+_MISSING = object()
 
 
 @dataclass(frozen=True)
@@ -189,6 +190,36 @@ class Polynomial:
     def __mod__(self, other) -> "Polynomial":
         return divmod(self, other)[1]
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass hash of the coefficients, computed once: memo keys hash it often."""
+        return hash((self.coeffs, self.backend))
+
+    @cached_property
+    def memo(self) -> dict:
+        """What the package derived from this polynomial, keyed by derivation and arguments.
+
+        The derivatives and the other backend of p (``derivative``,
+        ``as_float``, ``as_exact``), its Bezout forms (``bezout.bezout_matrix``,
+        keyed by the value of q), its roots (``roots.real_roots``), its
+        smoothing family points (``nuij.nuij_family``) and its power-sum
+        symmetrizer (``leray.leray_symmetrizer``) are built on first request
+        and kept here, as a matrix keeps its certificate, so every check of
+        one request reads the same objects and each belongs to p.
+        """
+        return {}
+
+    def derived(self, key, build):
+        """``memo[key]``, made by ``build()`` on first request; a build that raises keeps nothing."""
+        memo = self.memo
+        value = memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = memo[key] = build()
+        return value
+
     @cached_property
     def primitive(self) -> tuple[tuple, Fraction]:
         """``_primitive`` of an exact polynomial's coefficients, ints as a tuple.
@@ -221,9 +252,14 @@ class Polynomial:
         return acc
 
     def derivative(self, order: int = 1) -> "Polynomial":
-        """order-th derivative; order 0 returns the polynomial itself."""
+        """order-th derivative, built once (``memo``); order 0 returns the polynomial itself."""
         if order < 0:
             raise ValueError("derivative order must be nonnegative")
+        if order == 0:
+            return self
+        return self.derived(("derivative", order), lambda: self._derivative(order))
+
+    def _derivative(self, order: int) -> "Polynomial":
         coeffs = self.coeffs
         for _ in range(order):
             n = len(coeffs) - 1
@@ -235,15 +271,18 @@ class Polynomial:
     # -- backend conversion -------------------------------------------------
 
     def as_float(self) -> "Polynomial":
+        """The float64 rounding, built once (``memo``); a float polynomial is itself."""
         if self.backend == BACKEND_FLOAT:
             return self
-        return Polynomial(tuple(float(c) for c in self.coeffs), BACKEND_FLOAT)
+        return self.derived("float", lambda: Polynomial(tuple(float(c) for c in self.coeffs),
+                                                        BACKEND_FLOAT))
 
     def as_exact(self) -> "Polynomial":
-        """Exact view of the bit pattern; float coefficients convert exactly."""
+        """Exact view of the bit pattern, built once (``memo``); float coefficients convert exactly."""
         if self.backend == BACKEND_EXACT:
             return self
-        return Polynomial(tuple(Fraction(c) for c in self.coeffs), BACKEND_EXACT)
+        return self.derived("exact", lambda: Polynomial(tuple(Fraction(c) for c in self.coeffs),
+                                                        BACKEND_EXACT))
 
     # -- parsing -------------------------------------------------------------
 

@@ -81,20 +81,20 @@ class QuasiConditions:
 
 
 def check_conditions(p: Polynomial, epsilon_grid=None, r: float = 0.0,
-                     s: float = 1.0, families=None) -> QuasiConditions:
+                     s: float = 1.0) -> QuasiConditions:
     """The two family conditions on the grid.
 
-    ``families`` holds ``nuij_family(p, eps)`` for each grid eps, in
-    grid order, when the caller has built them.
+    The family point ``nuij_family(p, eps)`` of every grid eps, which needs
+    monic p, is built first, so a point that cannot be built stops the call
+    before any condition is read.
     """
-    p.require_monic("family condition input")
     grid = tuple(epsilon_grid) if epsilon_grid is not None else default_epsilon_grid()
+    families = [nuij_family(p, float(eps)) for eps in grid]
     rows = []
     c_lower = None
     C_upper = None
-    for i, eps in enumerate(grid):
+    for eps, fam in zip(grid, families):
         eps = float(eps)
-        fam = families[i] if families is not None else nuij_family(p, eps)
         q_eps, roots, d = fam.q_eps, fam.roots_eps.flattened, _family_diagonal(fam)
         lo = min(abs(v) / _eps_power(eps, r) for v in d)
         hi = max(abs(q_eps(lam)) / (_eps_power(eps, s) * abs(v)) for lam, v in zip(roots, d))
@@ -116,20 +116,19 @@ class CommutatorParts:
     reconstruction_residual: float
 
 
-def commutator_decomposition(p: Polynomial, epsilon,
-                             family: NuijFamilyPoint | None = None) -> CommutatorParts:
+def commutator_decomposition(p: Polynomial, epsilon) -> CommutatorParts:
     """Split the companion matrix of p against the smoothed one.
 
     Q_eps is zero except for its last row, which holds the negated
     coefficients of q_eps = p - p_eps; S_eps carries the root-wise ratios
     -q_eps(root_j) / d_j with d_j the signed derivative values that make
-    G_eps R diagonal, R the Vandermonde matrix of the roots.  ``family`` is
-    ``nuij_family(p, eps)`` when the caller holds it.
+    G_eps R diagonal, R the Vandermonde matrix of the roots, read from the
+    family point ``nuij_family(p, eps)``.
     """
     eps = float(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    fam = family if family is not None else nuij_family(p, eps)
+    fam = nuij_family(p, eps)
     pf, p_eps, q_eps, roots = p.as_float(), fam.p_eps, fam.q_eps, fam.roots_eps.flattened
     m = int(pf.degree)
     A = np.asarray(companion_matrix(pf).matrix, dtype=float)
@@ -229,8 +228,7 @@ def _sample_ratios(Z: np.ndarray, W: np.ndarray, H: np.ndarray, K: np.ndarray,
 
 
 def verify_quasi(p: Polynomial, epsilon_grid=None, r: float | None = None,
-                 s: float = 1.0, samples: int = 24, seed: int = 0,
-                 families=None) -> QuasiVerdict:
+                 s: float = 1.0, samples: int = 24, seed: int = 0) -> QuasiVerdict:
     """Certify the two quasi-symmetrizer bounds over an epsilon grid.
 
     Each grid point gives a lower constant and a commutator constant; the
@@ -244,7 +242,7 @@ def verify_quasi(p: Polynomial, epsilon_grid=None, r: float | None = None,
     Sampling of the raw form cross-checks it: per eps, ``samples`` complex
     pairs (z, w) are drawn in one block (``_sample_pairs``) and scored
     together (``_sample_ratios``); only samples with a positive denominator
-    count.  ``families`` is as in ``check_conditions``.
+    count.
     """
     if r is None:
         verdict = is_hyperbolic(p)
@@ -258,9 +256,8 @@ def verify_quasi(p: Polynomial, epsilon_grid=None, r: float | None = None,
     comm = []
     sample_max = []
     sampling_ok = True
-    for i, eps in enumerate(grid):
-        family = families[i] if families is not None else None
-        parts = commutator_decomposition(p, eps, family)
+    for eps in grid:
+        parts = commutator_decomposition(p, eps)
         A, G, S = parts.A, parts.G_eps, parts.S_eps
         svals = np.linalg.svd(G, compute_uv=False)
         eps_s = _eps_power(eps, s)

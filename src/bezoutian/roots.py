@@ -360,12 +360,17 @@ def real_roots(p: Polynomial, tol: float = DEFAULT_TOL,
     clusters closer than tol*max(1,|root|).  ``imag_tol`` loosens only the
     complex-root rejection threshold; callers that already know the input
     is real rooted (smoothing families) use it to tolerate the conjugate
-    splitting the eigensolver produces at tight root clusters.
+    splitting the eigensolver produces at tight root clusters.  p keeps the
+    profile of each (tol, imag_tol) pair (``Polynomial.memo``).
     """
     p.require_monic("real_roots input")
     if p.degree < 1:
         raise ValueError("real_roots requires degree >= 1")
     itol = tol if imag_tol is None else imag_tol
+    return p.derived(("roots", tol, itol), lambda: _real_roots(p, tol, itol))
+
+
+def _real_roots(p: Polynomial, tol: float, itol: float) -> RootProfile:
     if p.backend == BACKEND_EXACT:
         pairs: list[tuple[object, int]] = []
         all_rational = True
@@ -393,7 +398,6 @@ class HyperbolicityVerdict:
     is_strict: bool
     _witness: object  # the witness, or a function computing it on first read
     method: str
-    hermite_form: object = None  # BezoutMatrix of the monic p and its derivative
 
     def __bool__(self) -> bool:
         return self.is_hyperbolic
@@ -418,30 +422,29 @@ def is_hyperbolic(p: Polynomial) -> HyperbolicityVerdict:
     its last member, gcd(p, p'): p is hyperbolic when the count reaches
     deg p - deg gcd(p, p'), and strict when that gcd is constant.  No root
     is computed for that; ``witness`` reads the root profile when first
-    asked.  The verdict carries the Bezout form of (p, p') for monic p, and
-    an exact form keeps its LDL certificate, so callers redo neither.
+    asked.  The monic p keeps the Bezout form of (p, p') and its roots
+    (``Polynomial.memo``), and an exact form keeps its LDL certificate, so
+    callers redo neither.
     """
     from .bezout import bezout_matrix, psd_check
 
     if p.is_zero or p.degree < 1:
         return HyperbolicityVerdict(False, False, "degree < 1", "degenerate")
     monic = p * (1 / p.leading) if not p.is_monic else p
-    form = bezout_matrix(monic, monic.derivative())
-    hermite = psd_check(form, DEFAULT_TOL)
+    hermite = psd_check(bezout_matrix(monic, monic.derivative()), DEFAULT_TOL)
     if p.backend == BACKEND_EXACT:
         sturm_verdict, strict = _hyperbolic_strict(monic)
         if hermite.is_psd != sturm_verdict:
             raise ArithmeticError("internal fault: Sturm and Hermite certificates disagree")
         if not sturm_verdict:
             return HyperbolicityVerdict(False, False, "complex roots (Sturm count short)",
-                                        "sturm", form)
-        return HyperbolicityVerdict(True, strict, functools.partial(real_roots, monic),
-                                    "sturm", form)
+                                        "sturm")
+        return HyperbolicityVerdict(True, strict, functools.partial(real_roots, monic), "sturm")
     if not hermite.is_psd:
         reason = f"Bezout form of (p, p') indefinite: {hermite.witness}"
-        return HyperbolicityVerdict(False, False, reason, "hermite-psd", form)
+        return HyperbolicityVerdict(False, False, reason, "hermite-psd")
     try:
         profile = real_roots(monic)
     except NonHyperbolicError as exc:
-        return HyperbolicityVerdict(False, False, str(exc), "hermite-psd", form)
-    return HyperbolicityVerdict(True, profile.is_strict, profile, "hermite-psd", form)
+        return HyperbolicityVerdict(False, False, str(exc), "hermite-psd")
+    return HyperbolicityVerdict(True, profile.is_strict, profile, "hermite-psd")

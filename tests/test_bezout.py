@@ -23,8 +23,12 @@ from bezoutian import (
     bezout_matrix,
     companion_matrix,
     deleted_root_factor,
+    difference_product,
     discriminant,
+    leray_symmetrizer,
+    nuij_family,
     psd_check,
+    real_roots,
     resultant,
     resultant_sign,
     separates,
@@ -32,6 +36,7 @@ from bezoutian import (
     symmetrization_defect,
 )
 from bezoutian.exactla import det, symmetry_defect
+from bezoutian.roots import DEFAULT_TOL
 from test_exactla import reference_psd
 
 X2_MINUS_1 = Polynomial.exact([1, 0, -1])
@@ -119,6 +124,14 @@ def test_bezout_symmetry_and_float_path():
     assert H == pytest.approx(np.array([[2.0, 0.0], [0.0, 2.0]]))
 
 
+def test_float_form_past_the_float_range_raises_value_error():
+    # the entry 1e200 * 1e200 is inf; NaN would pass the remainder and symmetry tests
+    pf = Polynomial.float64([1, 1e200, -1])
+    with pytest.raises(ValueError, match="float64 range"):
+        bezout_matrix(pf, pf.derivative())
+    assert bezout_matrix(Polynomial.exact([1, 10**200, -1]), Polynomial.exact([2, 10**200]))
+
+
 @pytest.mark.parametrize("backend", ["exact", "float64"])
 def test_forms_copy_for_np_array_and_share_for_np_asarray(backend):
     p = Polynomial((1, 0, -1), backend)
@@ -130,6 +143,9 @@ def test_forms_copy_for_np_array_and_share_for_np_asarray(backend):
         assert copied is not form.matrix
         copied[0, 0] = 99.0
         assert (form.matrix == before).all()
+    # p keeps H, so a write through np.asarray would reach every later caller
+    with pytest.raises(ValueError, match="read-only"):
+        np.asarray(bezout_matrix(p, p.derivative()))[0, 0] = 99.0
     assert det(H) == 4
     assert np.array(H, dtype=float).tolist() == [[2.0, 0.0], [0.0, 2.0]]
 
@@ -430,8 +446,6 @@ def test_integer_separation_bound_matches_fraction_reference(roots, c, kind):
     gram = reference_gram(sorted(roots))
     want = reference_psd([[h - c * g for h, g in zip(hr, gr)] for hr, gr in zip(H, gram)])[0]
     assert separation_lower_bound_check(p, q, c) == want
-    assert separation_lower_bound_check(p, q, c, H=bezout_matrix(p, q),
-                                        Hp=bezout_matrix(p, p.derivative())) == want
 
 
 def test_separation_bound_with_irrational_roots_certifies_just_below_c():
@@ -446,14 +460,33 @@ def test_separation_bound_with_irrational_roots_certifies_just_below_c():
 
 
 def test_separation_bound_rejects_mismatched_form():
-    H = bezout_matrix(X3_MINUS_X, X3_MINUS_X.derivative())
+    # a q above the degree of p makes H(p, q) larger than H(p, p')
     with pytest.raises(DegreeMismatchError, match="shape"):
-        separation_lower_bound_check(X2_MINUS_1, Polynomial.exact([2, 0]), 1, H=H)
+        separation_lower_bound_check(X2_MINUS_1, X3_MINUS_X, 1)
 
 
-def test_prebuilt_forms_give_the_same_determinants():
+def test_memoized_derivations_are_shared_and_belong_to_p():
     p = Polynomial.from_roots([Fraction(-3, 2), 0, 1, Fraction(5, 2)])
     q = Polynomial.exact([Fraction(7, 3), 0, -1, Fraction(1, 4)])
-    Hp, H = bezout_matrix(p, p.derivative()), bezout_matrix(p, q)
-    assert discriminant(p, Hp) == discriminant(p) == det(Hp.matrix)
-    assert resultant(p, q, H=H) == resultant(p, q)
+    # a form of (p, q) built first is not read as the form of (p, p')
+    H = bezout_matrix(p, q)
+    fresh = Polynomial.from_roots([Fraction(-3, 2), 0, 1, Fraction(5, 2)])
+    assert discriminant(p) == det(bezout_matrix(fresh, fresh.derivative()).matrix)
+    assert discriminant(p) == difference_product(real_roots(p).flattened) ** 2
+    assert resultant(p, q) == resultant(fresh, q)
+    # equal arguments get the same object, distinct ones their own
+    assert bezout_matrix(p, Polynomial.exact(q.coeffs)) is H
+    assert bezout_matrix(p, p.derivative()) is bezout_matrix(p, p.derivative())
+    assert bezout_matrix(p, p.derivative()) is not H
+    assert real_roots(p) is real_roots(p, DEFAULT_TOL, DEFAULT_TOL)
+    assert real_roots(p, 1e-6) is not real_roots(p)
+    assert nuij_family(p, 0.5) is nuij_family(p, 0.5)
+    assert nuij_family(p, Fraction(1, 2)) is not nuij_family(p, 0.5)
+    assert leray_symmetrizer(p) is leray_symmetrizer(p)
+    # a derivation on p, its float rounding or its exact value stays on that polynomial
+    pf = p.as_float()
+    assert pf is p.as_float() and pf.as_exact() is pf.as_exact() and p.derivative(0) is p
+    assert bezout_matrix(pf, pf.derivative()) is not bezout_matrix(p, p.derivative())
+    assert leray_symmetrizer(pf) is leray_symmetrizer(pf.as_exact())
+    # an equal polynomial built apart has its own memo, with equal contents
+    assert bezout_matrix(fresh, q) is not H and (bezout_matrix(fresh, q).matrix == H.matrix).all()

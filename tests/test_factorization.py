@@ -88,12 +88,6 @@ def test_lagrange_weights_examples():
     assert weights == (2,)
 
 
-def test_lagrange_weights_simple_path_division_guard():
-    fake = RootProfile((Fraction(0),), (1,))
-    with pytest.raises(ZeroDivisionError):
-        lagrange_weights(Polynomial.exact([1, 0, 0]), Polynomial.exact([2, 0]), fake)
-
-
 def fraction_horner(coeffs, x) -> Fraction:
     acc = Fraction(0)
     for c in coeffs:
@@ -122,7 +116,7 @@ def test_exact_lagrange_weights_equal_the_deleted_root_factor_reference(strict):
         profile = corpus.strict_profile(rg, m) if strict else corpus.hyperbolic_profile(rg, m)
         p = Polynomial.from_roots(profile)
         q = corpus.separating_q(rg, profile)
-        weights = lagrange_weights(p, q, profile)
+        weights = lagrange_weights(p, q)
         assert weights == reference_weights(q, profile)
         assert all(type(w) is Fraction for w in weights)
 
@@ -131,8 +125,6 @@ def test_lagrange_weights_keep_their_errors():
     p = Polynomial.exact([1, 0, 0])  # x^2: the root 0 twice
     with pytest.raises(ValueError, match="does not vanish"):
         lagrange_weights(p, Polynomial.exact([1, 1]))
-    with pytest.raises(ZeroDivisionError, match="vanished"):
-        lagrange_weights(p, Polynomial.exact([2, 0]), RootProfile((Fraction(0),), (1,)))
 
 
 def test_factorization_bundle_examples():
@@ -153,7 +145,7 @@ def test_factorization_bundle_random_exact():
         profile = corpus.strict_profile(rg, m)
         p = Polynomial.from_roots(profile)
         q = corpus.nonzero_poly(rg, m - 1)
-        b = factorization_bundle(p, q, profile)
+        b = factorization_bundle(p, q)
         assert b.residual == 0
 
 
@@ -188,7 +180,7 @@ def test_reduced_factorization_matches_bezout_with_multiplicities():
         profile = corpus.hyperbolic_profile(rg, m, max_mult=3)
         p = Polynomial.from_roots(profile)
         q = corpus.separating_q(rg, profile)
-        weights = lagrange_weights(p, q, profile)
+        weights = lagrange_weights(p, q)
         total = corpus.fraction_matrix(np.zeros((m, m), dtype=int))
         for k in range(len(profile.distinct_roots)):
             flat = []
@@ -318,7 +310,7 @@ def test_derivative_bound_random():
         m = rg.randint(2, 6)
         profile = corpus.hyperbolic_profile(rg, m, max_mult=3)
         p = Polynomial.from_roots(profile)
-        b = derivative_bound_constant(p, profile)
+        b = derivative_bound_constant(p)
         assert b.constant > 0
         assert b.verified
 

@@ -14,7 +14,6 @@ from bezoutian import (
     check_conditions,
     commutator_decomposition,
     companion_matrix,
-    nuij_family,
     nuij_transform,
     symmetrization_defect,
     verify_quasi,
@@ -259,8 +258,7 @@ def test_batched_sampling_edge_counts():
 def test_a_family_point_with_merged_roots_raises_value_error():
     # at eps = 1e-16 the float roots 0 and -2e-16 of x^2 + 2 eps x merge, and
     # p_eps' vanishes at the merged root that both conditions divide by
-    family = nuij_family(X_SQUARED, 1e-16)
     with pytest.raises(ValueError, match="merged roots"):
-        check_conditions(X_SQUARED, (1e-16,), families=[family])
+        check_conditions(X_SQUARED, (1e-16,))
     with pytest.raises(ValueError, match="merged roots"):
-        commutator_decomposition(X_SQUARED, 1e-16, family=family)
+        commutator_decomposition(X_SQUARED, 1e-16)

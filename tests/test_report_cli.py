@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -162,7 +163,8 @@ def test_complex_q_fails_separation_and_does_not_blame_p(capsys, poly, q):
 
 @pytest.mark.parametrize("poly", ["[1,0,-2]", "[1,0,-1,0]", '["1/1","-3/1","3/1","-1/1"]'])
 def test_exact_analyze_reads_roots_once_and_certifies_one_form(capsys, monkeypatch, poly):
-    root_calls = count_calls(monkeypatch, roots.real_roots)
+    # p has one square-free factor, so finding its roots once searches it once
+    root_calls = count_calls(monkeypatch, roots._rational_roots)
     ldl_runs = count_calls(monkeypatch, exactla._integer_psd)
     code, _, _ = run_cli(capsys, "analyze", "--poly", poly)
     assert code == 0
@@ -201,16 +203,27 @@ def test_float_analyze_computes_the_eigenvalues_of_each_form_once(capsys, monkey
     assert len(calls) == 2
 
 
+def test_float_separation_reads_the_roots_of_p_and_q_at_one_tol(capsys):
+    # p has the roots 1 and 1 + 1e-7, which merge at tol 1e-6 as the root of
+    # q = p' between them does; read at 1e-9 beside q's at 1e-6, they failed
+    code, out, err = run_cli(capsys, "analyze", "--poly", "[1.0,-2.0000001,1.0000001]",
+                             "--tol", "1e-6")
+    assert (code, err) == (0, "")
+    ids = {c["check_id"]: c["verdict"] for c in json.loads(out)["checks"]}
+    assert ids["separation-interlacing"] == ids["separation-lower-bound"] == "pass"
+
+
 @pytest.mark.parametrize("poly", ["[1.0,0.0,-1.25,0.0,0.25]", "[1.0,-2.0,1.0]"])
 def test_float_energy_reads_each_root_profile_and_form_once(capsys, monkeypatch, poly):
     # the roots and the Bezout form of (p, p') that the hyperbolicity verdict
-    # holds serve propagate, separates, energy_series and the chain bound
-    root_calls = count_calls(monkeypatch, roots.real_roots)
-    form_calls = count_calls(monkeypatch, bezout.bezout_matrix, arity=2)
+    # found serve propagate, separates, energy_series and the chain bound
+    root_calls = count_calls(monkeypatch, roots._float_roots)
+    form_calls = count_calls(monkeypatch, bezout._divide_form, arity=2)
     code, _, err = run_cli(capsys, "energy", "--poly", poly)
     assert (code, err) == (0, "")
     assert root_calls and len(root_calls) == len(set(root_calls))
-    assert form_calls and len(form_calls) == len(set(form_calls))
+    forms = [tuple(map(tuple, call)) for call in form_calls]
+    assert forms and len(forms) == len(set(forms))
 
 
 def test_energy_rejects_a_nan_T(capsys):
@@ -491,7 +504,7 @@ def test_decimal_leray_reports_equal_those_of_their_exact_values(root_values):
 
 
 def test_leray_reads_no_root(capsys, monkeypatch):
-    calls = count_calls(monkeypatch, roots.real_roots)
+    calls = count_calls(monkeypatch, roots._rational_roots)
     for poly in ("[1,0,-1]", "[1,0,-2]", "[1,-3,3,-1]", "[1.0,-4.0,6.0,-4.0,1.0]"):
         code, _, _ = run_cli(capsys, "leray", "--poly", poly)
         assert code == 0
@@ -547,8 +560,8 @@ def test_root_free_and_rescaled_checks_pass_where_they_failed(capsys, name, chec
 def test_quasi_builds_one_family_point_per_eps(capsys, monkeypatch):
     # check_conditions and verify_quasi share the points, and the default r
     # of exact p comes from its Yun decomposition, not from its roots
-    root_calls = count_calls(monkeypatch, roots.real_roots)
-    family_calls = count_calls(monkeypatch, nuij.nuij_family)
+    root_calls = count_calls(monkeypatch, roots._float_roots)
+    family_calls = count_calls(monkeypatch, nuij.nuij_transform)
     code, _, _ = run_cli(capsys, "quasi", "--poly", "[1,0,0]")
     assert code == 0
     assert (len(root_calls), len(family_calls)) == (9, 9)
@@ -632,6 +645,20 @@ def test_energy_rejects_a_non_finite_U0(capsys, U0):
     code, out, err = run_cli(capsys, "energy", "--poly", "[1,0,-1]", "--U0", U0)
     assert (code, strict_json(out)) == (2, None)
     assert err.startswith("input error:") and "--U0" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--poly", "[1,1e300,-1]"],  # hyperbolic: roots about -1e300 and 1e-300
+    ["energy", "--poly", "[1,1e200,-1]"],
+    ["nuij", "--poly", "[1,1e200,-1]"],
+])
+def test_a_float_form_past_the_float_range_exits_2_without_a_warning(capsys, argv):
+    # the form of (p, p') has inf and NaN entries, which used to reach numpy
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the request
+        code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "input error: the float Bezout form of (p, q) leaves the float64 range\n"
 
 
 def test_energy_series_past_the_float_range_exits_2(capsys):

@@ -5,9 +5,12 @@ Times ``bezout_matrix``, ``psd_certificate``, ``symmetrization_defect``,
 ``leray_symmetrizer``, ``is_hyperbolic``, ``separates`` and
 ``certify_stages`` on exact inputs: at each degree m, the monic p with m
 distinct rational roots drawn from a fixed seed, its Bezout form H of
-(p, p') and its companion matrix A.  The two checks get their forms
-prebuilt, as requests pass them: the separation bound H - H / 2 >= 0 takes
-H twice, and the H-B relation takes H and the power-sum symmetrizer of p.
+(p, p') and its companion matrix A.  A polynomial keeps what is derived
+from it (its forms, roots, family points and power-sum symmetrizer), so
+every row that builds one of these times a call on a fresh polynomial
+equal to p (``fresh``), which builds it again.  The two checks read the
+forms p already holds, as requests do: the separation bound H - H / 2 >= 0
+reads H twice, and the H-B relation H and the power-sum symmetrizer of p.
 ``separates(p, p')`` gets nothing prebuilt, so every source tree runs the
 same call and builds what it needs (the forms, or the roots of p and p').
 Thirteen rows run at m <= ``SLOW_MAX_DEGREE`` only, three of them because
@@ -42,9 +45,9 @@ doubled, ``energy_series`` scores the strict trajectory with the form of
 (pf, pf'), ``derivative_identity_check`` checks the identity on a
 three-term exponential signal, and ``chain_bound_check`` the chain bound
 of stage 0 along the strict trajectory.  These rows get nothing prebuilt,
-so every source tree runs the same calls.  ``factorization_bundle``
-factors the form of (p, p') as G^T diag(w) G on the exact roots of p and
-takes its residual against the directly built form.
+so every source tree runs the same calls.  ``factorization_bundle`` finds
+the exact roots of p, factors the form of (p, p') as G^T diag(w) G on
+them and takes its residual against the directly built form.
 Each run also records ``import``: the best of five fresh interpreters
 importing ``bezoutian.cli`` from the timed source, in wall and CPU
 seconds, and whether that import loaded ``scipy.linalg``.
@@ -73,8 +76,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import bezoutian
-from bezoutian import ExponentialSignal, Polynomial, bezout_matrix, chain_bound_check
-from bezoutian import companion_matrix, derivative_identity_check, energy_series
+from bezoutian import CompanionMatrix, ExponentialSignal, Polynomial, bezout_matrix
+from bezoutian import chain_bound_check, companion_matrix, derivative_identity_check, energy_series
 from bezoutian import factorization_bundle
 from bezoutian import h_b_relation_check, invert_transform, is_hyperbolic, leray_symmetrizer
 from bezoutian import nuij_family, nuij_transform, propagate, real_roots, separates
@@ -107,6 +110,11 @@ def exact_input(m: int) -> list:
     return sorted(rng.sample(alphabet, m))
 
 
+def fresh(p: Polynomial) -> Polynomial:
+    """A polynomial equal to p that holds nothing derived yet, so a call on it builds."""
+    return Polynomial(p.coeffs, p.backend)
+
+
 def best_per_call(fn) -> float:
     number = 1
     while True:
@@ -134,12 +142,16 @@ def energy_calls(m: int) -> dict:
     A, A_double = companion_matrix(pf), companion_matrix(double)
     U0 = [1.0] * m
     traj = propagate(A, U0, ENERGY_T, ENERGY_STEPS)
+
+    def propagated(form):  # the generator over a fresh polynomial, whose roots propagate finds
+        return propagate(CompanionMatrix(form.data, fresh(form.p)), U0, ENERGY_T, ENERGY_STEPS)
+
     return {
-        "propagate_strict": lambda: propagate(A, U0, ENERGY_T, ENERGY_STEPS),
-        "propagate_multiple": lambda: propagate(A_double, U0, ENERGY_T, ENERGY_STEPS),
-        "energy_series": lambda: energy_series(pf, dpf, traj),
-        "derivative_identity_check": lambda: derivative_identity_check(pf, dpf, SIGNAL),
-        "chain_bound_check": lambda: chain_bound_check(pf, 0, traj, T=ENERGY_T),
+        "propagate_strict": lambda: propagated(A),
+        "propagate_multiple": lambda: propagated(A_double),
+        "energy_series": lambda: energy_series(fresh(pf), dpf, traj),
+        "derivative_identity_check": lambda: derivative_identity_check(fresh(pf), dpf, SIGNAL),
+        "chain_bound_check": lambda: chain_bound_check(fresh(pf), 0, traj, T=ENERGY_T),
     }
 
 
@@ -151,29 +163,27 @@ def layer_rows(degrees) -> list:
         H = bezout_matrix(p, dp).matrix
         A = companion_matrix(p).matrix
         pf = p.as_float()
-        sym = leray_symmetrizer(p)
+        leray_symmetrizer(p)  # held by p, as H is, for the H-B relation
         half = Fraction(1, 2)
         calls = {
-            "bezout_matrix": lambda: bezout_matrix(p, dp),
+            "bezout_matrix": lambda: bezout_matrix(fresh(p), dp),
             "psd_certificate": lambda: psd_certificate(H),
             "symmetrization_defect": lambda: symmetrization_defect(H, A),
             "det": lambda: det(H),
-            "separation_lower_bound_check":
-                lambda: separation_lower_bound_check(p, dp, half, H=H, Hp=H),
-            "h_b_relation_check": lambda: h_b_relation_check(p, sym, H),
-            "leray_symmetrizer": lambda: leray_symmetrizer(p),
-            "is_hyperbolic": lambda: is_hyperbolic(p),
-            "separates": lambda: separates(p, dp),
+            "separation_lower_bound_check": lambda: separation_lower_bound_check(p, dp, half),
+            "h_b_relation_check": lambda: h_b_relation_check(p),
+            "leray_symmetrizer": lambda: leray_symmetrizer(fresh(p)),
+            "is_hyperbolic": lambda: is_hyperbolic(fresh(p)),
+            "separates": lambda: separates(fresh(p), dp),
         }
         if m <= SLOW_MAX_DEGREE:
-            calls["leray_symmetrizer_float"] = lambda: leray_symmetrizer(pf)
-            calls["nuij_family"] = lambda: nuij_family(p, 1e-4)
-            calls["real_roots_float"] = lambda: real_roots(pf)
+            calls["leray_symmetrizer_float"] = lambda: leray_symmetrizer(fresh(pf))
+            calls["nuij_family"] = lambda: nuij_family(fresh(p), 1e-4)
+            calls["real_roots_float"] = lambda: real_roots(fresh(pf))
             p_eps = nuij_transform(p, 1e-4)
             calls["invert_transform"] = lambda: invert_transform(p_eps, 1e-4)
-            calls["verify_quasi_point"] = lambda: verify_quasi(p, (1e-4,), r=0)
-            profile = real_roots(p)
-            calls["factorization_bundle"] = lambda: factorization_bundle(p, dp, profile)
+            calls["verify_quasi_point"] = lambda: verify_quasi(fresh(p), (1e-4,), r=0)
+            calls["factorization_bundle"] = lambda: factorization_bundle(fresh(p), dp)
             if certify_stages is not None:
                 calls["certify_stages"] = lambda: certify_stages(p, 1e-4)
                 calls["certify_stages_grid_point"] = lambda: certify_stages(p, GRID_POINT)

@@ -38,8 +38,8 @@ from .scalars import BACKEND_EXACT
 
 @dataclass(frozen=True)
 class BezoutMatrix(MatrixForm):
-    p: Polynomial
-    q: Polynomial
+    """The Bezout form of (p, q), kept by p (``Polynomial.memo``); it refers to
+    neither polynomial, so p and its forms make no reference cycle."""
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def _bezout_matrix(p: Polynomial, q: Polynomial) -> BezoutMatrix:
         scale = cp * cq
         num = scale.numerator
         return BezoutMatrix(IntMatrix(tuple(tuple(v * num for v in row) for row in rows),
-                                      scale.denominator), p, q)
+                                      scale.denominator))
     pa = list(p.ascending(n + 1))
     qa = list(q.ascending(n + 1))
     rows, leftovers = _divide_form(pa, qa, n)
@@ -113,7 +113,7 @@ def _bezout_matrix(p: Polynomial, q: Polynomial) -> BezoutMatrix:
     if exactla.symmetry_defect(H) > 1e-12 * max(1.0, exactla.max_abs(H)):
         raise NonzeroRemainderError("bezout matrix asymmetric beyond float tolerance")
     H.flags.writeable = False  # p keeps the form, so every caller reads this array
-    return BezoutMatrix(H, p, q)
+    return BezoutMatrix(H)
 
 
 def companion_matrix(p: Polynomial) -> CompanionMatrix:

@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import exactla
 from .errors import BackendMismatchError, DegreeMismatchError, NonzeroRemainderError
 from .exactla import IntMatrix, MatrixForm, PsdVerdict, psd_certificate
@@ -100,6 +98,8 @@ def _bezout_matrix(p: Polynomial, q: Polynomial) -> BezoutMatrix:
         num = scale.numerator
         return BezoutMatrix(IntMatrix(tuple(tuple(v * num for v in row) for row in rows),
                                       scale.denominator))
+    import numpy as np
+
     pa = list(p.ascending(n + 1))
     qa = list(q.ascending(n + 1))
     rows, leftovers = _divide_form(pa, qa, n)
@@ -132,6 +132,8 @@ def companion_matrix(p: Polynomial) -> CompanionMatrix:
         rows = [tuple(L if j == i + 1 else 0 for j in range(m)) for i in range(m - 1)]
         rows.append(tuple(-c for c in P[:0:-1]))
         return CompanionMatrix(IntMatrix(tuple(rows), L), p)
+    import numpy as np
+
     A = np.zeros((m, m))
     for i in range(m - 1):
         A[i, i + 1] = 1.0
@@ -150,6 +152,8 @@ def symmetrization_defect(H, A):
     X, Y = exactla.integer_form(H), exactla.integer_form(A)
     if X is not None and Y is not None:
         return Fraction(exactla._asymmetry(exactla._matmul(X.rows, Y.rows)), X.den * Y.den)
+    import numpy as np
+
     return exactla.symmetry_defect(np.asarray(H) @ np.asarray(A))
 
 
@@ -224,5 +228,7 @@ def separation_lower_bound_check(p: Polynomial, q: Polynomial, c, tol: float = 1
         a, b = c.denominator * G.den, c.numerator * X.den
         diff = [[a * h - b * g for h, g in zip(hr, gr)] for hr, gr in zip(X.rows, G.rows)]
         return exactla._integer_psd(diff, X.den * a).is_psd
+    import numpy as np
+
     return psd_certificate(np.asarray(H, dtype=float) - float(c) * np.asarray(gram, dtype=float),
                            tol).is_psd

@@ -17,8 +17,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import __version__, exactla
 from .bezout import (
     bezout_matrix,
@@ -246,7 +244,7 @@ def cmd_quasi(args, report: CertifiedReport):
     report.add_bool("derivative floor condition", "quasi-cond-derivative-floor",
                     conditions.c_lower > 0, float(conditions.c_lower))
     report.add_bool("perturbation ratio condition", "quasi-cond-perturbation",
-                    np.isfinite(conditions.C_upper), float(conditions.C_upper))
+                    math.isfinite(conditions.C_upper), float(conditions.C_upper))
     verdict = verify_quasi(p, grid, r=r, s=s, samples=args.samples, seed=report.seed)
     factor = UNIFORMITY_FACTOR
     report.add_bool("lower bound uniformity", "quasi-lower-bound",
@@ -297,7 +295,8 @@ def cmd_leray(args, report: CertifiedReport):
                     sym.definiteness.is_pd == verdict.is_strict,
                     "positive definite" if sym.definiteness.is_pd else "semidefinite")
     if m == 2:
-        diff = float(exactla.max_abs(sym.adjugate - bezout_matrix(p, p.derivative()).matrix))
+        H = exactla.IntMatrix.of(bezout_matrix(p, p.derivative()))
+        diff = float(exactla.max_abs_difference(sym.adjugate_ints, H))
         report.add_bool("adjugate equals bezout form (m=2)", "leray-bezout-m2",
                         diff <= tol, diff, tol)
     if verdict.is_strict:
@@ -308,6 +307,8 @@ def cmd_leray(args, report: CertifiedReport):
 
 
 def cmd_energy(args, report: CertifiedReport):
+    import numpy as np
+
     p = _parse_poly(args.poly, args.poly_file)
     tol = args.tol
     if not math.isfinite(args.T) or args.T == 0:

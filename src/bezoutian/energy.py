@@ -11,14 +11,16 @@ form; no numerical differentiation of u itself ever happens.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .bezout import CompanionMatrix, bezout_matrix
 from .errors import NonHyperbolicError
 from .factorization import derivative_bound_constant
 from .polynomial import Polynomial
 from .roots import real_roots
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _EIGEN_GAP = 1e-6
 # relative slack of chain_bound_check's finite-difference comparisons
@@ -40,6 +42,8 @@ class ExponentialSignal:
         return cls(tuple((complex(c), float(nu)) for c, nu in terms))
 
     def dt_values(self, order: int, times: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         t = np.asarray(times, dtype=float)
         out = np.zeros(t.shape, dtype=complex)
         for c, nu in self.terms:
@@ -48,6 +52,8 @@ class ExponentialSignal:
 
     def operator_values(self, p: Polynomial, times: np.ndarray) -> np.ndarray:
         """p(D_t) u sampled on the grid."""
+        import numpy as np
+
         t = np.asarray(times, dtype=float)
         out = np.zeros(t.shape, dtype=complex)
         for c, nu in self.terms:
@@ -56,6 +62,8 @@ class ExponentialSignal:
 
     def derivative_stack(self, depth: int, times: np.ndarray) -> np.ndarray:
         """Rows D_t^i u for i = 0..depth-1, shape (depth, len(times))."""
+        import numpy as np
+
         return np.vstack([self.dt_values(i, times) for i in range(depth)])
 
 
@@ -75,6 +83,8 @@ class Trajectory:
         Components of the state give orders < m; order m comes from the
         last row of A @ U since D_t U = A U along the trajectory.
         """
+        import numpy as np
+
         m = self.dimension
         if depth > m + 1:
             raise ValueError("trajectories expose derivatives up to order m")
@@ -95,6 +105,8 @@ def propagate(A: CompanionMatrix, U0, T: float, steps: int) -> Trajectory:
     the default tolerance, which another check may have found already, or,
     if those come out complex, at the looser imaginary tolerance 1e-7.
     """
+    import numpy as np
+
     if steps < 1:
         raise ValueError("steps must be >= 1")
     Am = np.asarray(A.matrix, dtype=float)
@@ -141,6 +153,8 @@ class EnergySeries:
     @property
     def spread(self) -> float:
         """Max absolute deviation from the initial value."""
+        import numpy as np
+
         return float(np.max(np.abs(self.values - self.values[0])))
 
     def relative_spread(self) -> float:
@@ -153,6 +167,8 @@ def energy_series(p: Polynomial, q: Polynomial, traj: Trajectory) -> EnergySerie
 
     Every state is scored in one product.
     """
+    import numpy as np
+
     H = bezout_matrix(p.as_float(), q.as_float()).matrix
     if H.shape[0] != traj.dimension:
         raise ValueError("form dimension does not match the trajectory")
@@ -172,6 +188,8 @@ def derivative_identity_check(p: Polynomial, q: Polynomial, signal: ExponentialS
     two routes share no arithmetic.  Both are sampled at 201 times on
     [0, t_max].  H is the float Bezout matrix of (p, q).
     """
+    import numpy as np
+
     m = max(int(p.degree), int(q.degree) if not q.is_zero else 0)
     H = bezout_matrix(p.as_float(), q.as_float()).matrix
     times = np.linspace(0.0, t_max, 201)
@@ -212,6 +230,8 @@ def chain_bound_check(p: Polynomial, j: int, source, T: float = 10.0) -> ChainBo
     checks the floor c_j |p^(j+1)(D_t)u|^2 <= (H_j Du, Du) with the certified c_j,
     read from the roots of the monic p^(j) in its own backend.
     """
+    import numpy as np
+
     m = int(p.degree)
     if j > m - 2:
         raise ValueError("chain stage j must leave degree >= 2")

@@ -18,7 +18,9 @@ outside are cleared to an ``IntMatrix`` once, on entry
 (``_integer_matrix``).  ``adjugate`` has no float route: it takes float
 entries at their exact dyadic values.  ``_asymmetry`` and ``_matmul`` give
 the symmetry defect and the product of integer matrices for the adjugate
-and the exact Bezout-form checks (``bezout``).
+and the exact Bezout-form checks (``bezout``).  numpy is imported by the
+functions that read or build an array, so the exact kernels run without
+loading it.
 """
 
 from __future__ import annotations
@@ -28,14 +30,18 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .scalars import BACKEND_EXACT, BACKEND_FLOAT
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def max_abs(M: np.ndarray):
     """Max-norm of the entries; Fraction for exact input, float otherwise."""
+    import numpy as np
+
     M = np.asarray(M)
     if M.size == 0:
         return Fraction(0) if M.dtype == object else 0.0
@@ -46,6 +52,8 @@ def max_abs(M: np.ndarray):
 
 def symmetry_defect(M: np.ndarray):
     """Max-norm of M - M^T; a Fraction for exact input, a float otherwise."""
+    import numpy as np
+
     M = np.asarray(M)
     return max_abs(M - M.T)
 
@@ -87,6 +95,8 @@ class IntMatrix:
     @cached_property
     def fractions(self) -> np.ndarray:
         """Object array of the Fractions rows[i][j] / den, built on first read."""
+        import numpy as np
+
         out = np.empty(self.shape, dtype=object)
         for i, row in enumerate(self.rows):
             for j, v in enumerate(row):
@@ -101,11 +111,15 @@ class IntMatrix:
 
     def __array__(self, dtype=None, copy=None):
         # numpy reads an IntMatrix as its Fraction array, as it reads a MatrixForm
+        import numpy as np
+
         return np.array(self.fractions, dtype=dtype, copy=copy)
 
 
 def _integer_matrix(M: np.ndarray) -> IntMatrix:
     """The IntMatrix A / D of an array from outside, D the lcm of its entries' denominators."""
+    import numpy as np
+
     rows = [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row]
             for row in np.asarray(M, dtype=object)]
     D = math.lcm(1, *(v.denominator for row in rows for v in row))
@@ -116,8 +130,11 @@ def _integer_matrix(M: np.ndarray) -> IntMatrix:
 def integer_form(M) -> IntMatrix | None:
     """``IntMatrix.of(M)`` for an exact matrix, None for a float one."""
     data = M.data if isinstance(M, MatrixForm) else M
-    exact = isinstance(data, IntMatrix) or np.asarray(data).dtype == object
-    return IntMatrix.of(data) if exact else None
+    if isinstance(data, IntMatrix):
+        return data
+    import numpy as np
+
+    return _integer_matrix(data) if np.asarray(data).dtype == object else None
 
 
 @dataclass(frozen=True)
@@ -133,6 +150,8 @@ class MatrixForm:
     def __array__(self, dtype=None, copy=None):
         # np.array copies (copy=True) so that writes never reach the form;
         # np.asarray (copy=None) gets the matrix itself
+        import numpy as np
+
         return np.array(self.matrix, dtype=dtype, copy=copy)
 
     @property
@@ -187,6 +206,18 @@ def _matmul(X: list[list[int]], Y: list[list[int]]) -> list[list[int]]:
         raise ValueError(f"cannot multiply: {len(X[0])} columns against {inner} rows")
     cols = list(zip(*Y))
     return [[sum(map(operator.mul, row, col)) for col in cols] for row in X]
+
+
+def max_abs_difference(X: IntMatrix, Y: IntMatrix) -> Fraction:
+    """Max-norm of X - Y for two integer matrices of one shape, read from their rows.
+
+    X - Y = (X.rows * Y.den - Y.rows * X.den) / (X.den * Y.den).
+    """
+    if X.shape != Y.shape:
+        raise ValueError(f"cannot subtract: shape {X.shape} against {Y.shape}")
+    diff = max((abs(x * Y.den - y * X.den) for rx, ry in zip(X.rows, Y.rows)
+                for x, y in zip(rx, ry)), default=0)
+    return Fraction(diff, X.den * Y.den)
 
 
 def _bareiss_det(A: list[list[int]]) -> int:
@@ -260,6 +291,8 @@ def det(M):
     """
     A = integer_form(M)
     if A is None:
+        import numpy as np
+
         return float(np.linalg.det(np.asarray(M)))
     n = _require_square(A.rows, "det")
     if not _asymmetry(A.rows) and A.ldl.is_psd:
@@ -355,6 +388,8 @@ def _integer_psd(A: list[list[int]], D: int = 1) -> PsdVerdict:
 
 def _eigen_floor(M: np.ndarray) -> tuple[float, float]:
     """(smallest eigenvalue, max(1, max-norm)) of the symmetric part of a float matrix."""
+    import numpy as np
+
     M = np.asarray(M)
     sym = 0.5 * (M + M.T)
     eigs = np.linalg.eigvalsh(sym)

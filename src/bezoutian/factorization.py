@@ -17,8 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import exactla
 from .bezout import bezout_matrix, psd_check
@@ -26,6 +25,9 @@ from .errors import DegreeMismatchError, MultipleRootError, NonHyperbolicError
 from .polynomial import Polynomial, RootProfile, deleted_root_factor, elementary_symmetric
 from .roots import real_roots
 from .scalars import BACKEND_EXACT, infer_backend
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def lagrange_basis_matrix(roots) -> np.ndarray:
@@ -36,6 +38,8 @@ def lagrange_basis_matrix(roots) -> np.ndarray:
     ascending coefficient vector of the deleted-root factor p_i, so
     G.T @ G realizes the quadratic form sum_k |p_k_hat(z)|^2.
     """
+    import numpy as np
+
     roots = list(roots)
     m = len(roots)
     exact = infer_backend(roots) == BACKEND_EXACT
@@ -137,6 +141,8 @@ def lagrange_weights(p: Polynomial, q: Polynomial, tol: float = 1e-9) -> tuple:
 
 def _weighted_gram(G: np.ndarray, weights) -> np.ndarray:
     """G^T diag(w) G, with diag(w) G taken as G's rows scaled by the weights."""
+    import numpy as np
+
     return G.T @ (np.array(weights, dtype=G.dtype)[:, None] * G)
 
 
@@ -261,6 +267,8 @@ def derivative_bound_constant(p: Polynomial) -> DerivativeBound:
     inequality H - c v v^T >= 0 directly (v = ascending coefficients of p').
     It runs exactly when p is exact with rational roots, else in floats.
     """
+    import numpy as np
+
     p.require_monic("derivative bound input")
     profile = real_roots(p)
     dp = p.derivative()

@@ -21,13 +21,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import exactla
 from .bezout import bezout_matrix, companion_matrix, symmetrization_defect
 from .exactla import IntMatrix, PsdVerdict
 from .polynomial import Polynomial, _primitive, power_sums
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _power_sum_form(p: Polynomial) -> IntMatrix:

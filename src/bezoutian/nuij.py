@@ -29,6 +29,7 @@ from fractions import Fraction
 from .polynomial import Polynomial, RootProfile, _primitive
 from .roots import (
     _derivative,
+    _hyperbolic_strict,
     _int_primitive,
     _int_sturm_chain,
     real_roots,
@@ -284,11 +285,12 @@ def certify_stages(p: Polynomial, epsilon) -> tuple[bool, bool]:
 
     Interlaced: p_0 .. p_(m-2) are hyperbolic.  Strict: p_(m-1) has m distinct
     real roots.  Decided on the exact p and eps, from one integer Sturm chain
-    per stage.  An int or Fraction eps is used as it is; a positive finite
-    float eps is certified at the simplest rational that rounds to it (least
-    denominator; 1/10000 for 1e-4), whose float is the echoed eps.  For
-    hyperbolic p every eps > 0 gives (True, True), so the choice of rational
-    moves no verdict there, only the size of the integers.
+    per stage; stage 0 is p at every eps, and its verdict is the one p keeps
+    (``roots._hyperbolic_strict``).  An int or Fraction eps is used as it is;
+    a positive finite float eps is certified at the simplest rational that
+    rounds to it (least denominator; 1/10000 for 1e-4), whose float is the
+    echoed eps.  For hyperbolic p every eps > 0 gives (True, True), so the
+    choice of rational moves no verdict there, only the size of the integers.
     """
     if isinstance(epsilon, float) and math.isfinite(epsilon) and epsilon > 0:
         eps = _simplest_rational(epsilon)
@@ -298,7 +300,8 @@ def certify_stages(p: Polynomial, epsilon) -> tuple[bool, bool]:
         raise ValueError("epsilon must be positive")
     stages = _int_stages(p, eps)
     # hyperbolic iff the distinct real roots and deg gcd(P, P') add up to deg P
-    interlaced = all(sum(_int_sturm_chain(stage)) == len(stage) - 1 for stage in stages[:-1])
+    interlaced = (len(stages) < 2 or _hyperbolic_strict(p.as_exact())[0]) and all(
+        sum(_int_sturm_chain(stage)) == len(stage) - 1 for stage in stages[1:-1])
     return interlaced, sturm_real_root_count(Polynomial.exact(stages[-1])) == len(stages)
 
 

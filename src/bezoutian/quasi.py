@@ -19,8 +19,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .bezout import companion_matrix
 from .errors import NonHyperbolicError
@@ -29,6 +28,9 @@ from .nuij import NuijFamilyPoint, default_epsilon_grid, nuij_family
 from .polynomial import Polynomial
 from .roots import HyperbolicityVerdict, is_hyperbolic, squarefree_decomposition
 from .scalars import BACKEND_EXACT
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # a one-sided constant moves by less than this factor between grid points
 UNIFORMITY_FACTOR = 10.0
@@ -128,6 +130,8 @@ def commutator_decomposition(p: Polynomial, epsilon) -> CommutatorParts:
     eps = float(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
+    import numpy as np
+
     fam = nuij_family(p, eps)
     pf, p_eps, q_eps, roots = p.as_float(), fam.p_eps, fam.q_eps, fam.roots_eps.flattened
     m = int(pf.degree)
@@ -206,6 +210,8 @@ def _sample_pairs(rng: np.random.Generator, samples: int, n: int) -> tuple:
     so the stream is that of drawing them one sample at a time.  A count
     below 1 draws nothing.
     """
+    import numpy as np
+
     draws = rng.standard_normal((max(samples, 0), 4, n))
     return draws[:, 0] + 1j * draws[:, 1], draws[:, 2] + 1j * draws[:, 3]
 
@@ -217,6 +223,8 @@ def _sample_ratios(Z: np.ndarray, W: np.ndarray, H: np.ndarray, K: np.ndarray,
     One matrix product each for K z, H z and H w.  A pair whose denominator
     is not positive does not count and gives NaN.
     """
+    import numpy as np
+
     num = np.abs(np.einsum("ij,ij->i", W.conj(), Z @ K.T))
     zhz = np.einsum("ij,ij->i", Z.conj(), Z @ H.T).real
     whw = np.einsum("ij,ij->i", W.conj(), W @ H.T).real
@@ -244,6 +252,8 @@ def verify_quasi(p: Polynomial, epsilon_grid=None, r: float | None = None,
     together (``_sample_ratios``); only samples with a positive denominator
     count.
     """
+    import numpy as np
+
     if r is None:
         verdict = is_hyperbolic(p)
         if not verdict.is_hyperbolic:

@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .bezout import companion_matrix
 from .errors import NonHyperbolicError
 from .polynomial import Polynomial, RootProfile, _primitive
@@ -212,10 +210,17 @@ def sturm_real_root_count(p: Polynomial) -> int:
 
 
 def _hyperbolic_strict(p: Polynomial) -> tuple[bool, bool]:
-    """(hyperbolic, strict) of exact p of degree >= 1: Sturm count == deg p - deg gcd(p, p')."""
-    count, gcd_degree = _sturm_chain(p)
-    hyperbolic = count == p.degree - gcd_degree
-    return hyperbolic, hyperbolic and gcd_degree == 0
+    """(hyperbolic, strict) of exact p of degree >= 1: Sturm count == deg p - deg gcd(p, p').
+
+    p keeps the verdict (``Polynomial.memo``), which ``is_hyperbolic`` and
+    stage 0 of ``nuij.certify_stages`` both read.
+    """
+    def verdict() -> tuple[bool, bool]:
+        count, gcd_degree = _sturm_chain(p)
+        hyperbolic = count == p.degree - gcd_degree
+        return hyperbolic, hyperbolic and gcd_degree == 0
+
+    return p.derived("sturm", verdict)
 
 
 def _divisors(n: int) -> list[int]:
@@ -324,6 +329,8 @@ def _newton_polish(pf: Polynomial, dp: Polynomial, z: complex, steps: int = 12) 
 
 def _float_roots(p: Polynomial) -> list[complex]:
     """Polished eigenvalues of the companion matrix (any multiplicity pattern)."""
+    import numpy as np
+
     pf = p.as_float()
     dp = pf.derivative()
     lc = pf.coeffs[0]

@@ -36,8 +36,9 @@ def test_bench_layers_writes_rows_for_every_layer_and_degree(tmp_path, monkeypat
     assert "commit" in run
     imported = run["import"]
     assert 0 < imported["best_cpu_s"] and 0 < imported["best_wall_s"]
-    # the fresh interpreters import the source under test, which leaves scipy
-    # to the multiple-root energy branch
+    # the fresh interpreters import the source under test, which leaves numpy
+    # to the float routes and scipy to the multiple-root energy branch
+    assert imported["numpy_loaded"] is False
     assert imported["scipy_linalg_loaded"] is False
     rows = run["rows"]
     assert {(r["layer"], r["m"]) for r in rows} == {(k, m) for k in LAYERS for m in (2, 3)}

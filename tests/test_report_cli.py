@@ -577,6 +577,17 @@ def test_nuij_transforms_p_once_per_eps(capsys, monkeypatch):
     assert calls == [p] * len(json.loads(out)["inputs"]["grid"])
 
 
+@pytest.mark.parametrize("ints", [[1, -3, 3, -1], [1.0, -6.0, 11.0, -6.0]])
+def test_nuij_runs_the_sturm_chain_of_p_once(capsys, monkeypatch, ints):
+    # stage 0 is p at every eps, and p keeps its verdict; the other m - 1
+    # stages run one chain each per eps
+    chains = count_calls(monkeypatch, roots._int_sturm_chain)
+    code, out, _ = run_cli(capsys, "nuij", "--poly", json.dumps(ints))
+    assert code == 0
+    assert len(chains) == 1 + 2 * len(json.loads(out)["inputs"]["grid"])
+    assert chains.count(ints) == 1
+
+
 def test_quasi_default_r_reads_no_root_of_exact_p(capsys):
     # roots 1 +- 1e-20 meet in float64; the Yun decomposition still says r = 0
     p = Polynomial.exact([1, -2, 1 - Fraction(1, 10**40)])
@@ -591,29 +602,40 @@ def test_quasi_default_r_reads_no_root_of_exact_p(capsys):
 SCIPY_PROBE = """
 import contextlib, io, json, sys
 from bezoutian.cli import main
-loaded = ["scipy.linalg" in sys.modules]
-for command in ("analyze", "leray", "nuij", "quasi"):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main([command, "--poly", "[1,-3,0,4]"]) == 0
-loaded.append("scipy.linalg" in sys.modules)
+
+def loaded():
+    return ["numpy" in sys.modules, "scipy.linalg" in sys.modules]
+
+def run(*argvs):
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+    return loaded()
+
+states = [loaded()]
+states.append(run(["analyze", "--poly", "[1,-3,0,4]"], ["leray", "--poly", "[1,-3,0,4]"],
+                  ["leray", "--poly", "[1,-2,1]"]))
+states.append(run(["nuij", "--poly", "[1,-3,0,4]"], ["quasi", "--poly", "[1,-3,0,4]"]))
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = main(["energy", "--poly", "[1.0,-2.0,1.0]"])
-loaded.append("scipy.linalg" in sys.modules)
-print(json.dumps([loaded, code, out.getvalue()]))
+states.append(loaded())
+print(json.dumps([states, code, out.getvalue()]))
 """
 
 
 def test_scipy_loads_only_on_the_multiple_root_energy_branch(capsys):
-    # this process has imported scipy already, so only a fresh interpreter
-    # shows what importing the CLI and running its subcommands loads
+    # this process has imported numpy and scipy already, so only a fresh
+    # interpreter shows what importing the CLI and running its subcommands loads
     proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE], capture_output=True,
                           text=True, env=fresh_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
-    loaded, code, out = json.loads(proc.stdout)
-    # after the import, after the exact analyze/leray/nuij/quasi requests on
-    # (x-2)^2 (x+1), after the energy request on the double root of (x-1)^2
-    assert loaded == [False, False, True]
+    states, code, out = json.loads(proc.stdout)
+    # ["numpy" loaded, "scipy.linalg" loaded]: after the import; after the exact
+    # analyze and leray requests on (x-2)^2 (x+1) and leray on (x-1)^2 (m = 2);
+    # after nuij and quasi on (x-2)^2 (x+1); after the energy request on the
+    # double root of (x-1)^2
+    assert states == [[False, False], [False, False], [True, False], [True, True]]
     assert (code, out) == run_cli(capsys, "energy", "--poly", "[1.0,-2.0,1.0]")[:2]
 
 

@@ -50,7 +50,7 @@ the exact roots of p, factors the form of (p, p') as G^T diag(w) G on
 them and takes its residual against the directly built form.
 Each run also records ``import``: the best of five fresh interpreters
 importing ``bezoutian.cli`` from the timed source, in wall and CPU
-seconds, and whether that import loaded ``scipy.linalg``.
+seconds, and whether that import loaded ``numpy`` and ``scipy.linalg``.
 Each layer is timed as the best of five batches (stdlib
 ``time.perf_counter``); a batch repeats the call until it lasts
 ``MIN_TIME`` seconds, and the per-call time is reported.  The rows go into
@@ -100,7 +100,7 @@ SIGNAL = ExponentialSignal.of((1.0, -2.1), (0.5, 0.4), (1 / 3, 2.7))
 IMPORT_PROBE = ("import sys, time; t = time.perf_counter(); c = time.process_time(); "
                 "import bezoutian.cli; "
                 "print(time.perf_counter() - t, time.process_time() - c, "
-                "'scipy.linalg' in sys.modules)")
+                "'numpy' in sys.modules, 'scipy.linalg' in sys.modules)")
 
 
 def exact_input(m: int) -> list:
@@ -200,10 +200,11 @@ def import_row() -> dict:
     for _ in range(REPEATS):
         done = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True,
                               text=True, timeout=120, check=True)
-        wall, cpu, scipy_linalg = done.stdout.split()
-        runs.append((float(wall), float(cpu), scipy_linalg == "True"))
+        wall, cpu, numpy, scipy_linalg = done.stdout.split()
+        runs.append((float(wall), float(cpu), numpy == "True", scipy_linalg == "True"))
     return {"best_wall_s": min(r[0] for r in runs), "best_cpu_s": min(r[1] for r in runs),
-            "scipy_linalg_loaded": any(r[2] for r in runs)}
+            "numpy_loaded": any(r[2] for r in runs),
+            "scipy_linalg_loaded": any(r[3] for r in runs)}
 
 
 def source_commit() -> str | None:

@@ -127,11 +127,11 @@ def commutator_decomposition(p: Polynomial, epsilon) -> CommutatorParts:
     G_eps R diagonal, R the Vandermonde matrix of the roots, read from the
     family point ``nuij_family(p, eps)``.
     """
+    import numpy as np
+
     eps = float(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    import numpy as np
-
     fam = nuij_family(p, eps)
     pf, p_eps, q_eps, roots = p.as_float(), fam.p_eps, fam.q_eps, fam.roots_eps.flattened
     m = int(pf.degree)

@@ -25,6 +25,8 @@ from bezoutian.exactla import (
     adjugate,
     adjugate_det,
     det,
+    max_abs,
+    max_abs_difference,
     psd_certificate,
     symmetry_defect,
 )
@@ -298,6 +300,8 @@ def test_integer_shape_checks():
     with pytest.raises(ValueError, match="cannot multiply"):
         _matmul([[1, 2], [3, 4]], [[1, 2, 3]])
     assert _matmul([[1, 2], [3, 4]], [[5], [6]]) == [[17], [39]]
+    with pytest.raises(ValueError, match="cannot subtract"):
+        max_abs_difference(IntMatrix(((1, 2),)), IntMatrix(((1,), (2,))))
     assert symmetry_defect(corpus.fraction_matrix([[1, F(1, 2)], [F(-1, 3), 0]])) == F(5, 6)
     assert symmetry_defect(np.empty((0, 0), dtype=object)) == 0
 
@@ -414,6 +418,18 @@ def test_integer_form_and_fraction_array_round_trip(rows, scale):
     # the same matrix over a larger denominator is kept in the same lowest terms
     wide = IntMatrix(tuple(tuple(scale * v for v in row) for row in A.rows), scale * A.den)
     assert wide == A and (wide.fractions == M).all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda k: st.lists(
+    st.tuples(*[st.fractions(min_value=-9, max_value=9, max_denominator=12)] * (2 * k)),
+    min_size=1, max_size=4)))
+def test_max_abs_difference_equals_the_fraction_array_norm(rows):
+    k = len(rows[0]) // 2
+    X, Y = (corpus.fraction_matrix([row[half * k:(half + 1) * k] for row in rows])
+            for half in (0, 1))
+    got = max_abs_difference(IntMatrix.of(X), IntMatrix.of(Y))
+    assert type(got) is Fraction and got == max_abs(X - Y)
 
 
 def test_exact_forms_reach_the_kernels_as_integer_rows():

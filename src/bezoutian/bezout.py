@@ -143,18 +143,15 @@ def companion_matrix(p: Polynomial) -> CompanionMatrix:
     return CompanionMatrix(A, p)
 
 
-def symmetrization_defect(H, A):
-    """Max-norm of HA - (HA)^T; zero iff H symmetrizes A.
+def symmetrization_defect(H, A) -> Fraction:
+    """Max-norm of HA - (HA)^T, exact; zero iff H symmetrizes A.
 
-    Two exact matrices are multiplied as integer matrices, H = X / dx and
-    A = Y / dy, so the defect is that of XY over dx * dy.
+    The matrices are multiplied as integer matrices, H = X / dx and
+    A = Y / dy, so the defect is that of XY over dx * dy; float entries are
+    taken at their exact dyadic values.
     """
-    X, Y = exactla.integer_form(H), exactla.integer_form(A)
-    if X is not None and Y is not None:
-        return Fraction(exactla._asymmetry(exactla._matmul(X.rows, Y.rows)), X.den * Y.den)
-    import numpy as np
-
-    return exactla.symmetry_defect(np.asarray(H) @ np.asarray(A))
+    X, Y = IntMatrix.of(H), IntMatrix.of(A)
+    return Fraction(exactla._asymmetry(exactla._matmul(X.rows, Y.rows)), X.den * Y.den)
 
 
 def psd_check(H, tol: float = 1e-9) -> PsdVerdict:
@@ -188,7 +185,11 @@ class Resultant:
 
 
 def resultant(p: Polynomial, q: Polynomial) -> Resultant:
-    """det H(p, q) next to the root product prod_j q(lambda_j) and their sign factor."""
+    """det H(p, q) next to the root product prod_j q(lambda_j) and their sign factor.
+
+    A float root (an irrational one) enters at its exact dyadic value, so the
+    product of exact q never leaves the float range.
+    """
     from .roots import real_roots
 
     p.require_monic("resultant input")
@@ -198,7 +199,7 @@ def resultant(p: Polynomial, q: Polynomial) -> Resultant:
     det_h = exactla.det(bezout_matrix(p, q))
     product = None
     for lam in real_roots(p).flattened:
-        val = q(lam if q.backend == BACKEND_EXACT else float(lam))
+        val = q(Fraction(lam))
         product = val if product is None else product * val
     return Resultant(det_h, product, resultant_sign(m))
 
@@ -208,10 +209,10 @@ def separation_lower_bound_check(p: Polynomial, q: Polynomial, c, tol: float = 1
 
     H(p, p') is the deleted-factor gram sum_k v_k v_k^T, v_k the ascending
     coefficients of p / (x - lambda_k), so the lower bound
-    c * sum_k |p_k_hat(z)|^2 needs no roots.  Exact forms are certified on
-    integer matrices: a rational c as it is, a float c (from irrational
-    roots) as the rational Fraction(c) * (1 - tol) below it.  Float forms
-    take the eigenvalue test at ``tol``.
+    c * sum_k |p_k_hat(z)|^2 needs no roots.  The forms are certified on
+    integer matrices (float entries at their exact dyadic values): a
+    rational c as it is, a float c (from irrational roots) as the rational
+    Fraction(c) * (1 - tol) below it.
     """
     p.require_monic("separation bound input")
     H = bezout_matrix(p, q)
@@ -220,15 +221,9 @@ def separation_lower_bound_check(p: Polynomial, q: Polynomial, c, tol: float = 1
         raise DegreeMismatchError(
             f"Bezout matrix of shape {H.shape} against {gram.shape} for (p, p')"
         )
-    X = exactla.integer_form(H)
-    if X is not None:
-        G = IntMatrix.of(gram)
-        c = Fraction(c) if isinstance(c, (int, Fraction)) else Fraction(c) * (1 - Fraction(tol))
-        # H - c G = (X c.den dg - G c.num dx) / (dx c.den dg)
-        a, b = c.denominator * G.den, c.numerator * X.den
-        diff = [[a * h - b * g for h, g in zip(hr, gr)] for hr, gr in zip(X.rows, G.rows)]
-        return exactla._integer_psd(diff, X.den * a).is_psd
-    import numpy as np
-
-    return psd_certificate(np.asarray(H, dtype=float) - float(c) * np.asarray(gram, dtype=float),
-                           tol).is_psd
+    X, G = IntMatrix.of(H), IntMatrix.of(gram)
+    c = Fraction(c) if isinstance(c, (int, Fraction)) else Fraction(c) * (1 - Fraction(tol))
+    # H - c G = (X c.den dg - G c.num dx) / (dx c.den dg)
+    a, b = c.denominator * G.den, c.numerator * X.den
+    diff = [[a * h - b * g for h, g in zip(hr, gr)] for hr, gr in zip(X.rows, G.rows)]
+    return exactla._integer_psd(diff, X.den * a).is_psd

@@ -16,6 +16,7 @@ import io
 import json
 import math
 import sys
+from fractions import Fraction
 
 from . import __version__, exactla
 from .bezout import (
@@ -132,29 +133,47 @@ def _check_q(p: Polynomial, q: Polynomial) -> None:
         raise DegreeMismatchError(f"deg q = {q.degree} is not below deg p = {p.degree}")
 
 
+def _exact_witness(x):
+    """float(x) for a rational x, or a short decimal string once x leaves the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        log10_abs = math.log10(abs(x.numerator)) - math.log10(x.denominator)
+        exp = math.floor(log10_abs)
+        return f"{'-' if x < 0 else ''}{10 ** (log10_abs - exp):.9f}e{exp:+d}"
+
+
+def _agrees(exact, value, slack) -> bool:
+    """|exact - value| <= slack * max(1, |exact|), in exact arithmetic."""
+    return abs(exact - value) <= Fraction(slack) * max(1, abs(exact))
+
+
 def cmd_analyze(args, report: CertifiedReport):
-    p = _parse_poly(args.poly, args.poly_file)
+    """Certify p and q at their exact values, echoing them as typed.
+
+    A decimal is an exact dyadic rational, so a decimal request is certified
+    as its value typed as fractions would be (backend ``exact``), as in ``leray``.
+    """
+    typed = _parse_poly(args.poly, args.poly_file)
+    p = typed.as_exact()
     tol = args.tol
     _require_hyperbolic(p)
-    q = _parse_poly(args.q, None) if args.q else p.derivative()
-    _check_q(p, q)
+    typed_q = _parse_poly(args.q, None) if args.q else typed.derivative()
+    _check_q(typed, typed_q)
+    q = typed_q.as_exact()
     report.backend = p.backend
-    report.inputs = {"poly": _echo_poly(p), "q": _echo_poly(q)}
+    report.inputs = {"poly": _echo_poly(typed), "q": _echo_poly(typed_q)}
 
     A = companion_matrix(p)
-    # p is monic now, so it holds is_hyperbolic's roots and form of (p, p');
-    # an exact form returns the certificate it already holds, whatever tol
+    # p is monic now, so it holds is_hyperbolic's form of (p, p') and its LDL
     profile = real_roots(p)
-    hermite = psd_check(bezout_matrix(p, p.derivative()), tol)
+    hermite = psd_check(bezout_matrix(p, p.derivative()))
     H = bezout_matrix(p, q)
     report.inputs["bezout_matrix"] = H.to_jsonable()
     report.inputs["companion_matrix"] = A.to_jsonable()
-    defect = float(symmetrization_defect(H, A))
+    defect = symmetrization_defect(H, A)
     report.add_bool("companion symmetrization defect", "companion-symmetrization",
-                    defect <= tol, defect, tol)
-    psd = psd_check(H, tol)
-    witness = float(psd.min_eigenvalue) if psd.min_eigenvalue is not None else (
-        float(min(psd.pivots)) if psd.pivots else 0.0)
+                    defect <= tol, _exact_witness(defect), tol)
     report.add_bool("derivative form semidefinite (hyperbolicity certificate)",
                     "hermite-criterion", hermite.is_psd,
                     "psd" if hermite.is_psd else hermite.witness)
@@ -164,22 +183,25 @@ def cmd_analyze(args, report: CertifiedReport):
     else:
         cert = separates(p, q, tol)
         report.add_bool("separation structure", "separation-interlacing",
-                        cert.separates, cert.failure_reason or float(cert.constant_c))
+                        cert.separates, cert.failure_reason or _exact_witness(cert.constant_c))
         if cert.separates:
             ok = separation_lower_bound_check(p, q, cert.constant_c, tol)
             report.add_bool("separation lower bound", "separation-lower-bound",
-                            ok, float(cert.constant_c), tol)
-            report.add_bool("bezout form semidefinite", "bezout-psd", psd.is_psd, witness, tol)
+                            ok, _exact_witness(cert.constant_c), tol)
+            psd = psd_check(H)
+            report.add_bool("bezout form semidefinite", "bezout-psd", psd.is_psd,
+                            _exact_witness(min(psd.pivots, default=0)), tol)
+    # rational roots give exact products, which must equal the determinants;
+    # irrational roots are floats, taken at their dyadic values and held to tol
+    slack = 0 if all(isinstance(r, Fraction) for r in profile.distinct_roots) else tol
     disc = discriminant(p)
-    delta = difference_product(profile.flattened)
-    disc_err = abs(float(disc) - float(delta) ** 2)
-    scale = max(1.0, abs(float(disc)))
+    delta = difference_product(map(Fraction, profile.flattened))
     report.add_bool("determinant equals squared root spread", "discriminant-product",
-                    disc_err <= tol * scale, float(disc), tol)
+                    _agrees(disc, delta ** 2, slack), _exact_witness(disc), tol)
     res = resultant(p, q)
-    res_err = float(res.consistency_residual()) / max(1.0, abs(float(res.det_h)))
     report.add_bool("determinant against root product", "resultant-sign",
-                    res_err <= tol, float(res.det_h), tol)
+                    _agrees(res.det_h, res.sign_factor * res.root_product, slack),
+                    _exact_witness(res.det_h), tol)
     return None
 
 
@@ -259,16 +281,6 @@ def cmd_quasi(args, report: CertifiedReport):
                                      verdict.commutator_constants):
         table.append((eps, lb, cc, lo, hi))
     return table
-
-
-def _exact_witness(x):
-    """float(x) for a rational x, or a short decimal string once x leaves the float range."""
-    try:
-        return float(x)
-    except OverflowError:
-        log10_abs = math.log10(abs(x.numerator)) - math.log10(x.denominator)
-        exp = math.floor(log10_abs)
-        return f"{'-' if x < 0 else ''}{10 ** (log10_abs - exp):.9f}e{exp:+d}"
 
 
 def cmd_leray(args, report: CertifiedReport):

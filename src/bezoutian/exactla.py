@@ -9,14 +9,14 @@ symmetric), and the LDL pivot signs of the PSD certificate by symmetric
 fraction-free elimination; every division is exact over the integers.
 Each IntMatrix eliminates itself once, for its cached LDL certificate
 ``ldl``; the det of a symmetric PSD matrix is its pivot product.  Float
-matrices are ordinary float64 arrays; a float form computes the smallest
-eigenvalue of its symmetric part once, as ``eigen_floor``.  A
-``MatrixForm`` wraps either kind, and numpy reads it, like an IntMatrix,
-as a Fraction or float64 array; the Fraction array of an exact matrix is
-built only when something reads it.  Object arrays of Fractions from
-outside are cleared to an ``IntMatrix`` once, on entry
-(``_integer_matrix``).  ``adjugate`` has no float route: it takes float
-entries at their exact dyadic values.  ``_asymmetry`` and ``_matmul`` give
+matrices are ordinary float64 arrays.  A ``MatrixForm`` wraps either kind,
+and numpy reads it, like an IntMatrix, as a Fraction or float64 array; the
+Fraction array of an exact matrix is built only when something reads it.
+Object arrays of Fractions from outside are cleared to an ``IntMatrix``
+once, on entry (``_integer_matrix``).  ``det`` and ``adjugate`` have no
+float route: they take float entries at their exact dyadic values.  Only
+``psd_certificate`` judges a float matrix, by the smallest eigenvalue of
+its symmetric part against a tolerance.  ``_asymmetry`` and ``_matmul`` give
 the symmetry defect and the product of integer matrices for the adjugate
 and the exact Bezout-form checks (``bezout``).  numpy is imported by the
 functions that read or build an array, so the exact kernels run without
@@ -127,16 +127,6 @@ def _integer_matrix(M: np.ndarray) -> IntMatrix:
                            for row in rows), D)
 
 
-def integer_form(M) -> IntMatrix | None:
-    """``IntMatrix.of(M)`` for an exact matrix, None for a float one."""
-    data = M.data if isinstance(M, MatrixForm) else M
-    if isinstance(data, IntMatrix):
-        return data
-    import numpy as np
-
-    return _integer_matrix(data) if np.asarray(data).dtype == object else None
-
-
 @dataclass(frozen=True)
 class MatrixForm:
     """A built matrix that numpy reads as its ``matrix``.
@@ -157,11 +147,6 @@ class MatrixForm:
     @property
     def matrix(self) -> np.ndarray:
         return self.data.fractions if isinstance(self.data, IntMatrix) else self.data
-
-    @cached_property
-    def eigen_floor(self) -> tuple[float, float]:
-        """(smallest eigenvalue, scale) of a float form's symmetric part, computed on first read."""
-        return _eigen_floor(self.data)
 
     @property
     def shape(self) -> tuple:
@@ -284,16 +269,12 @@ def _faddeev_adjugate(A: list[list[int]]) -> list[list[int]]:
 
 
 def det(M):
-    """Determinant: a Fraction for exact input, else a float.
+    """Determinant, exact: a Fraction, with float entries taken at their exact dyadic values.
 
-    A symmetric exact matrix that its LDL certificate says is PSD gets the
+    A symmetric matrix that its LDL certificate says is PSD gets the
     pivot product (0 below full rank); Bareiss runs on any other.
     """
-    A = integer_form(M)
-    if A is None:
-        import numpy as np
-
-        return float(np.linalg.det(np.asarray(M)))
+    A = IntMatrix.of(M)
     n = _require_square(A.rows, "det")
     if not _asymmetry(A.rows) and A.ldl.is_psd:
         return math.prod(A.ldl.pivots, start=Fraction(1)) if A.ldl.is_pd else Fraction(0)
@@ -386,26 +367,24 @@ def _integer_psd(A: list[list[int]], D: int = 1) -> PsdVerdict:
     return PsdVerdict(True, rank == n, "ldl-pivot", tuple(pivots), rank)
 
 
-def _eigen_floor(M: np.ndarray) -> tuple[float, float]:
-    """(smallest eigenvalue, max(1, max-norm)) of the symmetric part of a float matrix."""
-    import numpy as np
-
-    M = np.asarray(M)
-    sym = 0.5 * (M + M.T)
-    eigs = np.linalg.eigvalsh(sym)
-    return float(eigs[0]), max(1.0, float(np.max(np.abs(sym))))
-
-
 def psd_certificate(M, tol: float = 1e-9) -> PsdVerdict:
     """Certify M >= 0; exact pivots for rational input, eigenvalues for float.
 
-    A form reads its cached certificate: an exact form's ``ldl``, or a float
-    form's ``eigen_floor``, which each ``tol`` is judged against.
+    An exact matrix reads its cached ``ldl`` certificate; an object array
+    is cleared to an IntMatrix first.  A float matrix has the smallest
+    eigenvalue of its symmetric part judged against ``tol`` times
+    max(1, max-norm).
     """
-    A = integer_form(M)
-    if A is not None:
-        return A.ldl
-    lo, scale = M.eigen_floor if isinstance(M, MatrixForm) else _eigen_floor(M)
+    data = M.data if isinstance(M, MatrixForm) else M
+    if isinstance(data, IntMatrix):
+        return data.ldl
+    import numpy as np
+
+    data = np.asarray(data)
+    if data.dtype == object:
+        return _integer_matrix(data).ldl
+    sym = 0.5 * (data + data.T)
+    lo, scale = float(np.linalg.eigvalsh(sym)[0]), max(1.0, float(np.max(np.abs(sym))))
     is_psd = lo >= -tol * scale
     is_pd = lo > tol * scale
     witness = "" if is_psd else f"negative eigenvalue {lo:.3e}"

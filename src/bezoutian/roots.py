@@ -348,12 +348,17 @@ def _require_real(values, tol: float) -> list[float]:
 
 
 def _residual_check(p: Polynomial, roots, tol: float):
+    """Refuse a float root whose residual exceeds its bound; ValueError if the bound overflows."""
     pf = p.as_float()
     norm = max(abs(float(c)) for c in pf.coeffs)
     m = max(1, len(pf.coeffs) - 1)
     for lam in roots:
-        bound = tol * norm * max(1.0, abs(float(lam))) ** m
-        if abs(pf(float(lam))) > bound:
+        try:
+            bound = tol * norm * max(1.0, abs(lam)) ** m
+        except OverflowError:
+            raise ValueError(f"the residual bound at root {lam:.6g} leaves the float64 range") \
+                from None
+        if abs(pf(lam)) > bound:
             raise ArithmeticError(f"root {lam} failed the residual check")
 
 
@@ -388,10 +393,11 @@ def _real_roots(p: Polynomial, tol: float, itol: float) -> RootProfile:
                 all_rational = False
                 vals = _require_real(_float_roots(rest), itol)
                 pairs.extend((v, mult) for v in vals)
-        if not all_rational:
-            pairs = [(float(r), m) for r, m in pairs]
         pairs.sort(key=lambda rm: rm[0])
-        profile = RootProfile(tuple(r for r, _ in pairs), tuple(m for _, m in pairs))
+        profile = RootProfile(tuple(r if all_rational else float(r) for r, _ in pairs),
+                              tuple(m for _, m in pairs))
+        if all_rational:
+            return profile  # each root passed an exact evaluation
     else:
         vals = _require_real(_float_roots(p), itol)
         profile = RootProfile.from_flat(vals, tol=tol)

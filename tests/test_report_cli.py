@@ -187,9 +187,9 @@ def test_exact_requests_eliminate_each_matrix_once(capsys, monkeypatch, argv, ld
     assert (len(ldl_runs), len(bareiss_runs)) == (ldl, bareiss)
 
 
-def test_float_analyze_computes_the_eigenvalues_of_each_form_once(capsys, monkeypatch):
-    # is_hyperbolic and analyze judge the one float form of (p, p'), each at
-    # its own tol; the separation bound's H - c H(p, p') is the other matrix
+def test_decimal_analyze_computes_no_eigenvalues(capsys, monkeypatch):
+    # a decimal p is certified at its exact dyadic value, so every PSD verdict
+    # is an LDL certificate
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -200,7 +200,7 @@ def test_float_analyze_computes_the_eigenvalues_of_each_form_once(capsys, monkey
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     code, _, err = run_cli(capsys, "analyze", "--poly", "[1.0,0.0,-1.0]")
     assert (code, err) == (0, "")
-    assert len(calls) == 2
+    assert calls == []
 
 
 def test_float_separation_reads_the_roots_of_p_and_q_at_one_tol(capsys):
@@ -503,6 +503,57 @@ def test_decimal_leray_reports_equal_those_of_their_exact_values(root_values):
     assert runs[0][0] == 0 and json.loads(runs[0][1])["backend"] == "exact"
 
 
+def analyze_report(poly: str) -> tuple[int, dict]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["analyze", "--poly", poly])
+    return code, json.loads(out.getvalue())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.builds(Fraction, st.integers(-16, 16), st.sampled_from([1, 2, 4, 8])),
+                min_size=1, max_size=6))
+def test_decimal_analyze_reports_equal_those_of_their_exact_values(root_values):
+    # analyze certifies a decimal p at its exact dyadic value; only the echo
+    # of p and of its derivative q keeps the decimals as typed
+    p = Polynomial.from_roots(root_values)
+    decimal = json.dumps([float(c) for c in p.coeffs])
+    (code, report), (exact_code, exact_report) = map(analyze_report, (decimal, fraction_argv(p)))
+    assert code == exact_code == 0
+    assert report["inputs"].pop("poly") == json.loads(decimal)
+    assert report["inputs"].pop("q") == [float(c) for c in p.derivative().coeffs]
+    exact_report["inputs"].pop("poly")
+    exact_report["inputs"].pop("q")
+    assert report == exact_report and report["backend"] == "exact"
+
+
+@pytest.mark.parametrize("root_values", [
+    [1, 1, 1, 1],     # (x - 1)^4: the float route exited 3 on a split root cluster
+    [1, 1, 1, 2, 2],  # (x - 1)^3 (x - 2)^2: exited 3 the same way
+    [2, 2, 3],        # (x - 2)^2 (x - 3): exited 1, failing separation-interlacing
+])
+def test_decimal_analyze_certifies_multiple_roots(capsys, root_values):
+    decimal = json.dumps([float(c) for c in Polynomial.from_roots(root_values).coeffs])
+    code, out, err = run_cli(capsys, "analyze", "--poly", decimal)
+    assert (code, err) == (0, "")
+    report = strict_json(out)
+    assert report["all_pass"] and report["backend"] == "exact"
+    assert report["inputs"]["poly"] == json.loads(decimal)
+
+
+def test_analyze_reports_determinants_past_the_float_range(capsys):
+    # 24 distinct rationals 13k/6: disc p is about 8.1e623, and float(disc)
+    # raised OverflowError out of main; the leading and constant coefficients
+    # pass 10^12, so the roots are polished floats, held to tol
+    p = Polynomial.from_roots([Fraction(13 * k, 6) for k in range(-12, 12)])
+    code, out, err = run_cli(capsys, "analyze", "--poly", fraction_argv(p))
+    assert (code, err) == (0, "")
+    checks = {c["check_id"]: c for c in strict_json(out)["checks"]}
+    for check_id in ("discriminant-product", "resultant-sign"):
+        assert checks[check_id]["verdict"] == "pass"
+        assert checks[check_id]["witness"] == "8.148459218e+623"
+
+
 def test_leray_reads_no_root(capsys, monkeypatch):
     calls = count_calls(monkeypatch, roots._rational_roots)
     for poly in ("[1,0,-1]", "[1,0,-2]", "[1,-3,3,-1]", "[1.0,-4.0,6.0,-4.0,1.0]"):
@@ -614,7 +665,7 @@ def run(*argvs):
 
 states = [loaded()]
 states.append(run(["analyze", "--poly", "[1,-3,0,4]"], ["leray", "--poly", "[1,-3,0,4]"],
-                  ["leray", "--poly", "[1,-2,1]"]))
+                  ["leray", "--poly", "[1,-2,1]"], ["analyze", "--poly", "[1.0,-3.0,0.0,4.0]"]))
 states.append(run(["nuij", "--poly", "[1,-3,0,4]"], ["quasi", "--poly", "[1,-3,0,4]"]))
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
@@ -632,7 +683,8 @@ def test_scipy_loads_only_on_the_multiple_root_energy_branch(capsys):
     assert proc.returncode == 0, proc.stderr
     states, code, out = json.loads(proc.stdout)
     # ["numpy" loaded, "scipy.linalg" loaded]: after the import; after the exact
-    # analyze and leray requests on (x-2)^2 (x+1) and leray on (x-1)^2 (m = 2);
+    # analyze and leray requests on (x-2)^2 (x+1), leray on (x-1)^2 (m = 2) and
+    # the decimal analyze request on (x-2)^2 (x+1), certified at its exact value;
     # after nuij and quasi on (x-2)^2 (x+1); after the energy request on the
     # double root of (x-1)^2
     assert states == [[False, False], [False, False], [True, False], [True, True]]
@@ -675,12 +727,16 @@ def test_energy_rejects_a_non_finite_U0(capsys, U0):
     ["nuij", "--poly", "[1,1e200,-1]"],
 ])
 def test_a_float_form_past_the_float_range_exits_2_without_a_warning(capsys, argv):
-    # the form of (p, p') has inf and NaN entries, which used to reach numpy
+    # the float form of (p, p') has inf and NaN entries, which used to reach
+    # numpy; analyze certifies the exact p, whose float root -1e300 has a
+    # residual bound past the float range
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning fails the request
         code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == "input error: the float Bezout form of (p, q) leaves the float64 range\n"
+    what = ("the residual bound at root -1e+300" if argv[0] == "analyze"
+            else "the float Bezout form of (p, q)")
+    assert err == f"input error: {what} leaves the float64 range\n"
 
 
 def test_energy_series_past_the_float_range_exits_2(capsys):

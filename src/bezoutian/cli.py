@@ -151,8 +151,8 @@ def _agrees(exact, value, slack) -> bool:
 def cmd_analyze(args, report: CertifiedReport):
     """Certify p and q at their exact values, echoing them as typed.
 
-    A decimal is an exact dyadic rational, so a decimal request is certified
-    as its value typed as fractions would be (backend ``exact``), as in ``leray``.
+    A decimal is an exact dyadic rational, so a decimal request gets the
+    checks of that value typed as fractions, backend ``exact``, as in ``leray``.
     """
     typed = _parse_poly(args.poly, args.poly_file)
     p = typed.as_exact()

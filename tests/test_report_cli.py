@@ -554,6 +554,15 @@ def test_analyze_reports_determinants_past_the_float_range(capsys):
         assert checks[check_id]["witness"] == "8.148459218e+623"
 
 
+def test_exact_rational_roots_skip_the_float_residual_check(capsys):
+    # (x - 10^11)(x - 1)^28: the float residual bound (10^11)^29 raised
+    # OverflowError out of main, although both roots are found exactly
+    p = Polynomial.from_roots([10**11] + [1] * 28)
+    code, out, err = run_cli(capsys, "analyze", "--poly", fraction_argv(p))
+    assert (code, err) == (0, "")
+    assert strict_json(out)["all_pass"]
+
+
 def test_leray_reads_no_root(capsys, monkeypatch):
     calls = count_calls(monkeypatch, roots._rational_roots)
     for poly in ("[1,0,-1]", "[1,0,-2]", "[1,-3,3,-1]", "[1.0,-4.0,6.0,-4.0,1.0]"):

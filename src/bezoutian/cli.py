@@ -143,9 +143,9 @@ def _exact_witness(x):
         return f"{'-' if x < 0 else ''}{10 ** (log10_abs - exp):.9f}e{exp:+d}"
 
 
-def _agrees(exact, value, slack) -> bool:
-    """|exact - value| <= slack * max(1, |exact|), in exact arithmetic."""
-    return abs(exact - value) <= Fraction(slack) * max(1, abs(exact))
+def _agrees(residual, exact, slack) -> bool:
+    """residual <= slack * max(1, |exact|), in exact arithmetic."""
+    return residual <= Fraction(slack) * max(1, abs(exact))
 
 
 def cmd_analyze(args, report: CertifiedReport):
@@ -153,6 +153,7 @@ def cmd_analyze(args, report: CertifiedReport):
 
     A decimal is an exact dyadic rational, so a decimal request gets the
     checks of that value typed as fractions, backend ``exact``, as in ``leray``.
+    The default q is p' of that value; the echo shows the float p' as typed.
     """
     typed = _parse_poly(args.poly, args.poly_file)
     p = typed.as_exact()
@@ -160,7 +161,8 @@ def cmd_analyze(args, report: CertifiedReport):
     _require_hyperbolic(p)
     typed_q = _parse_poly(args.q, None) if args.q else typed.derivative()
     _check_q(typed, typed_q)
-    q = typed_q.as_exact()
+    # the float derivative rounds k * c, so it is echoed but not certified
+    q = typed_q.as_exact() if args.q else p.derivative()
     report.backend = p.backend
     report.inputs = {"poly": _echo_poly(typed), "q": _echo_poly(typed_q)}
 
@@ -197,10 +199,10 @@ def cmd_analyze(args, report: CertifiedReport):
     disc = discriminant(p)
     delta = difference_product(map(Fraction, profile.flattened))
     report.add_bool("determinant equals squared root spread", "discriminant-product",
-                    _agrees(disc, delta ** 2, slack), _exact_witness(disc), tol)
+                    _agrees(abs(disc - delta ** 2), disc, slack), _exact_witness(disc), tol)
     res = resultant(p, q)
     report.add_bool("determinant against root product", "resultant-sign",
-                    _agrees(res.det_h, res.sign_factor * res.root_product, slack),
+                    _agrees(res.consistency_residual(), res.det_h, slack),
                     _exact_witness(res.det_h), tol)
     return None
 

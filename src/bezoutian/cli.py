@@ -455,7 +455,8 @@ def main(argv=None) -> int:
     except NonHyperbolicError as exc:
         print(f"hyperbolicity required: {exc}", file=sys.stderr)
         return 3
-    except (DegreeMismatchError, ValueError) as exc:
+    except (DegreeMismatchError, ValueError, OverflowError) as exc:
+        # OverflowError: an exact input whose float64 rounding some check needs
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     _emit(report, table, args.output)

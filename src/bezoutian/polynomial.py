@@ -271,11 +271,19 @@ class Polynomial:
     # -- backend conversion -------------------------------------------------
 
     def as_float(self) -> "Polynomial":
-        """The float64 rounding, built once (``memo``); a float polynomial is itself."""
+        """The float64 rounding, built once (``memo``); a float polynomial is itself.
+
+        Raises OverflowError, naming the float64 range, when a coefficient lies past it.
+        """
         if self.backend == BACKEND_FLOAT:
             return self
-        return self.derived("float", lambda: Polynomial(tuple(float(c) for c in self.coeffs),
-                                                        BACKEND_FLOAT))
+        return self.derived("float", self._float64_rounding)
+
+    def _float64_rounding(self) -> "Polynomial":
+        try:
+            return Polynomial(tuple(float(c) for c in self.coeffs), BACKEND_FLOAT)
+        except OverflowError:
+            raise OverflowError("a coefficient leaves the float64 range") from None
 
     def as_exact(self) -> "Polynomial":
         """Exact view of the bit pattern, built once (``memo``); float coefficients convert exactly."""

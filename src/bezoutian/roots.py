@@ -307,19 +307,22 @@ def _rational_roots(f: Polynomial) -> tuple[list[Fraction], Polynomial]:
 def _newton_polish(pf: Polynomial, dp: Polynomial, z: complex, steps: int = 12) -> complex:
     """The iterate of least |pf| among z and up to ``steps`` Newton steps from it.
 
-    Each step reuses pf at the current iterate, and a step that leaves z
-    unchanged ends the loop: every later step would repeat it.
+    Each step reuses pf at the current iterate, and a step that returns to
+    an earlier iterate (a fixed point or a cycle) ends the loop: the Newton
+    map depends on z alone, so every later iterate would repeat one already
+    scored, and none can beat the strict ``v < best_val``.
     """
     fz = pf(z)
     best, best_val = z, abs(fz)
+    seen = {z}
     for _ in range(steps):
         d = dp(z)
         if d == 0:
             break
-        step = z - fz / d
-        if step == z:
+        z = z - fz / d
+        if z in seen:
             break
-        z = step
+        seen.add(z)
         fz = pf(z)
         v = abs(fz)
         if v < best_val:

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 import corpus
 from bezoutian import (
@@ -17,6 +16,7 @@ from bezoutian import (
     propagate,
     real_roots,
 )
+from bezoutian.energy import _balance, _expm
 
 X2_MINUS_1 = Polynomial.exact([1, 0, -1])
 X3_MINUS_X = Polynomial.exact([1, 0, -1, 0])
@@ -162,6 +162,7 @@ def propagate_by_steps(A, U0, T, steps):
         y = np.linalg.solve(R, U0)
         lam = np.array(roots)
         return np.array([R @ (np.exp(1j * lam * t) * y) for t in times])
+    expm = pytest.importorskip("scipy.linalg").expm
     step = expm(1j * Am * (times[1] - times[0]))
     states = np.empty((len(times), m), dtype=complex)
     states[0] = U0
@@ -194,3 +195,56 @@ def test_vectorised_propagation_and_energy_match_the_step_loops(roots):
     assert relative_gap(traj.states, reference) <= 1e-12
     series = energy_series(p, q, traj)
     assert relative_gap(series.values, energy_by_rows(p, q, traj.states)) <= 1e-12
+
+
+# float_forms-like multiple-root inputs: halves up to +-6 with double or
+# triple roots; their step matrices 1j h A at the CLI's default h = 10/400
+# have 1-norms 0.06, 0.16, 10.5, 134, 1736 and 6616
+EXPM_ROOTS = [
+    [0.5, 0.5, -1.0, 1.5, 0.0],
+    [-0.5, -0.5, -0.5, 0.0, 0.5, 1.0, 1.0, 1.5, 2.0],
+    [-2.0, -2.0, -1.0, 0.5, 1.5, 2.5, 2.5, 2.5, 3.0],
+    [-3.5, -3.5, -2.0, -0.5, 1.0, 2.5, 4.0, 4.0, 4.5],
+    [-5.5, -4.0, -4.0, -4.0, 0.5, 2.0, 3.5, 5.0, 5.0],
+    [-6.0, -6.0, -6.0, -4.5, -3.0, 1.0, 3.0, 5.5, 5.5],
+]
+
+
+def step_matrix(roots) -> np.ndarray:
+    A = companion_matrix(Polynomial.from_roots(roots).as_float())
+    return 1j * np.asarray(A.matrix, dtype=float) * (10.0 / 400)
+
+
+def relative_error(got, want) -> float:
+    return float(np.linalg.norm(got - want, 1) / np.linalg.norm(want, 1))
+
+
+@pytest.mark.parametrize("roots", EXPM_ROOTS)
+def test_expm_matches_a_60_digit_reference(roots):
+    mpmath = pytest.importorskip("mpmath")
+    M = step_matrix(roots)
+    with mpmath.workdps(60):
+        want = np.array(mpmath.expm(mpmath.matrix(M.tolist())).tolist(), dtype=complex)
+    assert relative_error(_expm(M), want) <= 1e-15
+
+
+@pytest.mark.parametrize("roots", EXPM_ROOTS)
+def test_expm_agrees_with_scipy(roots):
+    expm = pytest.importorskip("scipy.linalg").expm
+    M = step_matrix(roots)
+    assert relative_error(_expm(M), expm(M)) <= 2e-15
+
+
+@pytest.mark.parametrize("roots", EXPM_ROOTS)
+def test_balancing_is_an_exact_power_of_two_similarity(roots):
+    M = step_matrix(roots)
+    B, d = _balance(M)
+    assert np.all(np.frexp(d)[0] == 0.5)  # every factor is a power of two
+    assert np.array_equal(B, M / d[:, None] * d[None, :])
+
+
+def test_expm_edge_cases():
+    # the Pade solve may divide by b_0 through its reciprocal: within one ulp of 1
+    assert np.allclose(_expm(np.zeros((3, 3), dtype=complex)), np.eye(3), rtol=0, atol=2**-52)
+    with pytest.raises(ValueError, match="float64 range"):
+        _expm(np.array([[0, 1], [np.inf, 0]], dtype=complex))

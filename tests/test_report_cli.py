@@ -613,6 +613,21 @@ def test_smoothing_family_past_the_float_range_is_an_input_error(capsys, argv):
     assert err.startswith("input error:") and "float64 range" in err
 
 
+@pytest.mark.parametrize("command, message", [
+    ("analyze", "a coefficient leaves the float64 range"),
+    ("energy", "a coefficient leaves the float64 range"),
+    ("nuij", "smoothing family at eps=1.0 leaves the float64 range"),
+    ("quasi", "smoothing family at eps=1.0 leaves the float64 range"),
+])
+def test_an_exact_root_past_the_float_range_is_an_input_error(capsys, command, message):
+    # x - 10^400: the constant term is past roots._FACTOR_BOUND, so analyze and
+    # energy seek the root among float eigenvalues, and Polynomial.as_float
+    # raised OverflowError out of main
+    code, out, err = run_cli(capsys, command, "--poly", json.dumps([1, str(-10**400)]))
+    assert (code, out) == (2, "")
+    assert err == f"input error: {message}\n"
+
+
 GOLDEN_CASES = json.loads((Path(__file__).parent / "golden" / "cases.json").read_text())
 
 
@@ -673,12 +688,12 @@ def test_quasi_default_r_reads_no_root_of_exact_p(capsys):
     assert failing == {"quasi-lower-bound"}
 
 
-SCIPY_PROBE = """
+MODULE_PROBE = """
 import contextlib, io, json, sys
 from bezoutian.cli import main
 
 def loaded():
-    return ["numpy" in sys.modules, "scipy.linalg" in sys.modules]
+    return ["numpy" in sys.modules, "scipy" in sys.modules]
 
 def run(*argvs):
     for argv in argvs:
@@ -698,19 +713,19 @@ print(json.dumps([states, code, out.getvalue()]))
 """
 
 
-def test_scipy_loads_only_on_the_multiple_root_energy_branch(capsys):
+def test_no_subcommand_loads_scipy(capsys):
     # this process has imported numpy and scipy already, so only a fresh
     # interpreter shows what importing the CLI and running its subcommands loads
-    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", MODULE_PROBE], capture_output=True,
                           text=True, env=fresh_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
     states, code, out = json.loads(proc.stdout)
-    # ["numpy" loaded, "scipy.linalg" loaded]: after the import; after the exact
+    # ["numpy" loaded, "scipy" loaded]: after the import; after the exact
     # analyze and leray requests on (x-2)^2 (x+1), leray on (x-1)^2 (m = 2) and
     # the decimal analyze request on (x-2)^2 (x+1), certified at its exact value;
     # after nuij and quasi on (x-2)^2 (x+1); after the energy request on the
-    # double root of (x-1)^2
-    assert states == [[False, False], [False, False], [True, False], [True, True]]
+    # double root of (x-1)^2, whose step matrix goes through energy._expm
+    assert states == [[False, False], [False, False], [True, False], [True, False]]
     assert (code, out) == run_cli(capsys, "energy", "--poly", "[1.0,-2.0,1.0]")[:2]
 
 

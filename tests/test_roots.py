@@ -378,6 +378,23 @@ def test_newton_polish_matches_the_reference_bit_for_bit(pf, z, steps):
     assert complex_bits(got) == complex_bits(newton_polish_reference(pf, z, steps))
 
 
+def test_newton_polish_stops_when_an_iterate_repeats():
+    # from z the iterates alternate between two neighbouring floats, a 2-cycle
+    # that a fixed-point test never ends; a float_forms input at seed 21
+    pf = Polynomial.float64([1.0, -3.65625, 1.4765625, 2.57763671875])
+    dp = pf.derivative()
+    z = -0.6225603766352348 + 0j
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return dp(w)
+
+    got = _newton_polish(pf, counted, z, 12)
+    assert len(calls) == 3  # the third step returns to the first iterate
+    assert complex_bits(got) == complex_bits(newton_polish_reference(pf, z, 12))
+
+
 @settings(max_examples=150, deadline=None)
 @given(float_polys)
 def test_float_roots_match_polished_eigenvalues_bit_for_bit(pf):

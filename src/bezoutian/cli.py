@@ -456,7 +456,7 @@ def main(argv=None) -> int:
         print(f"hyperbolicity required: {exc}", file=sys.stderr)
         return 3
     except (DegreeMismatchError, ValueError, OverflowError) as exc:
-        # OverflowError: an exact input whose float64 rounding some check needs
+        # OverflowError: a float check needs the float64 rounding of an exact value past it
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     _emit(report, table, args.output)

@@ -171,9 +171,9 @@ def propagate(A: CompanionMatrix, U0, T: float, steps: int) -> Trajectory:
     U(t) = R diag(exp(i root_k t)) R^-1 U0, all times in one matrix product;
     otherwise the exponential of the single step (``_expm``: balanced,
     scaled and squared [13/13] Pade) is applied repeatedly.  The roots are
-    those of the float generator polynomial at
-    the default tolerance, which another check may have found already, or,
-    if those come out complex, at the looser imaginary tolerance 1e-7.
+    those of the float generator polynomial at the default tolerance, which
+    another check may have found already, or, if those come out complex, at
+    the looser imaginary tolerance 1e-7.
     """
     import numpy as np
 

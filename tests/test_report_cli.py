@@ -714,7 +714,7 @@ print(json.dumps([states, code, out.getvalue()]))
 
 
 def test_no_subcommand_loads_scipy(capsys):
-    # this process has imported numpy and scipy already, so only a fresh
+    # this process may have imported numpy and scipy already, so only a fresh
     # interpreter shows what importing the CLI and running its subcommands loads
     proc = subprocess.run([sys.executable, "-c", MODULE_PROBE], capture_output=True,
                           text=True, env=fresh_env(), timeout=300)

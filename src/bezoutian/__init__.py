@@ -59,6 +59,7 @@ from .nuij import (
     GapCheck,
     GapConstantTable,
     NuijFamilyPoint,
+    build_family,
     certify_stages,
     default_epsilon_grid,
     gap_constants,

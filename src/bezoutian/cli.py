@@ -33,6 +33,7 @@ from .errors import DegreeMismatchError, NonHyperbolicError
 from .factorization import difference_product, separates
 from .leray import h_b_relation_check, leray_symmetrizer
 from .nuij import (
+    build_family,
     certify_stages,
     default_epsilon_grid,
     gap_constants,
@@ -220,9 +221,11 @@ def cmd_nuij(args, report: CertifiedReport):
     if m >= 2:
         consts = gap_constants(m)
         report.add("gap floor constant", "nuij-gap-constants", float(consts.floor), PASS)
+    build_family(p, grid)
     for eps in grid:
-        # the gap law and the inversion read p's one float family point of eps;
-        # verify_gaps refuses eps <= 0 before it would build one
+        # the gap law and the inversion read p's one float family point of eps,
+        # which build_family built; verify_gaps refuses eps <= 0 before it would
+        # build one
         p_eps = nuij_family(p, eps).p_eps if eps > 0 else None
         check = verify_gaps(p, eps)
         verdict = PASS if check.passed and not check.marginal else (

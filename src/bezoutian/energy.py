@@ -202,7 +202,11 @@ def propagate(A: CompanionMatrix, U0, T: float, steps: int) -> Trajectory:
         y = np.linalg.solve(R, U0)
         states = (np.exp(1j * np.outer(times, roots)) * y) @ R.T
     else:
-        step = _expm(1j * Am * (times[1] - times[0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            generator = 1j * Am * (times[1] - times[0])
+        if not np.isfinite(generator).all():
+            raise ValueError("the step matrix leaves the float64 range")
+        step = _expm(generator)
         states = np.empty((len(times), m), dtype=complex)
         states[0] = U0
         for k in range(1, len(times)):

@@ -22,6 +22,7 @@ whose denominator would add about 65 bits per stage.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +33,7 @@ from .roots import (
     _hyperbolic_strict,
     _int_primitive,
     _int_sturm_chain,
+    _keep_eigenvalues,
     real_roots,
     sturm_real_root_count,
 )
@@ -92,6 +94,10 @@ class NuijFamilyPoint:
     q_eps: Polynomial
 
 
+def _family_key(epsilon) -> tuple:
+    return ("nuij", type(epsilon), epsilon)
+
+
 def nuij_family(p: Polynomial, epsilon) -> NuijFamilyPoint:
     """The family point at eps, with the roots of the float p_eps.
 
@@ -99,23 +105,81 @@ def nuij_family(p: Polynomial, epsilon) -> NuijFamilyPoint:
     unmerged; imaginary parts up to 1e-7 are eigensolver splitting at tight
     clusters.  Raises ValueError when p_eps or the residual check of its
     roots leaves the float64 range.  p keeps the point of each eps, keyed
-    by its type and value (``Polynomial.memo``).
+    by its type and value (``Polynomial.memo``); a point not kept yet is
+    built by the one-eps case of the grid kernel ``build_family``.
     """
     p.require_monic("smoothing family input")
-    return p.derived(("nuij", type(epsilon), epsilon), lambda: _nuij_family(p, epsilon))
+    key = _family_key(epsilon)
+    if key not in p.memo:
+        _build_points(p, (epsilon,))
+    return p.memo[key]
 
 
-def _nuij_family(p: Polynomial, epsilon) -> NuijFamilyPoint:
-    try:
-        p_eps = nuij_transform(p, epsilon)
-        floats = p_eps.as_float()
-        if not all(map(math.isfinite, floats.coeffs)):
-            raise OverflowError("nonfinite coefficient")
-        roots_eps = real_roots(floats, 1e-12, imag_tol=1e-7)
-    except OverflowError as exc:
-        raise ValueError(f"smoothing family at eps={epsilon} leaves the float64 range") from exc
-    base = p if p.backend == p_eps.backend else p.as_float()
-    return NuijFamilyPoint(epsilon, p_eps, roots_eps, base - p_eps)
+def build_family(p: Polynomial, grid) -> None:
+    """Build the family points of a request's grid in one pass; p keeps them.
+
+    Covers the grid's eps up to its first eps that is not positive, skipping
+    points p already keeps, and stops at the first point that fails: the
+    per-eps ``nuij_family`` call of that eps builds it again and raises its
+    error at its own turn, so a caller that calls this before its per-eps
+    loop raises what the loop alone would.  Does nothing for p that is not
+    monic, which the per-eps calls refuse.
+    """
+    if not p.is_monic:
+        return
+    todo = {}
+    for eps in grid:
+        if not eps > 0:
+            break
+        if (key := _family_key(eps)) not in p.memo:
+            todo.setdefault(key, eps)
+    # the errors a family point raises; the failing eps's own nuij_family call
+    # raises it again
+    with contextlib.suppress(ValueError, ArithmeticError):
+        _build_points(p, tuple(todo.values()))
+
+
+def _build_points(p: Polynomial, grid) -> None:
+    """Keep the family point of each eps of grid on p, or raise the first failure.
+
+    One pass: p_eps and its float rounding for every eps, then one stacked
+    eigensolver call for all their companion matrices
+    (``roots._keep_eigenvalues``), then each point's roots, polished and
+    checked by ``real_roots``, and q_eps on the coefficient lists.  A
+    stacked call gives every matrix the bits of a call on it alone, so each
+    point is the one the eps alone builds.  The points before the first
+    failing eps are kept before its error is raised.
+    """
+    staged = []
+    overflow = None
+    for eps in grid:
+        try:
+            p_eps = nuij_transform(p, eps)
+            floats = p_eps.as_float()
+            if not all(map(math.isfinite, floats.coeffs)):
+                raise OverflowError("nonfinite coefficient")
+        except OverflowError as exc:
+            overflow = eps, exc
+            break
+        staged.append((eps, p_eps, floats))
+    _keep_eigenvalues([floats for _, _, floats in staged])
+    for eps, p_eps, floats in staged:
+        try:
+            roots_eps = real_roots(floats, 1e-12, imag_tol=1e-7)
+        except OverflowError as exc:
+            raise ValueError(_range_message(eps)) from exc
+        # q_eps = p - p_eps: p_eps has p's degree and leading coefficient, and
+        # x - y is the x + (-y) of Polynomial.__sub__, in IEEE as in rational arithmetic
+        base = p if p.backend == p_eps.backend else p.as_float()
+        q_eps = Polynomial(tuple(x - y for x, y in zip(base.coeffs, p_eps.coeffs)), p_eps.backend)
+        p.memo[_family_key(eps)] = NuijFamilyPoint(eps, p_eps, roots_eps, q_eps)
+    if overflow is not None:
+        eps, exc = overflow
+        raise ValueError(_range_message(eps)) from exc
+
+
+def _range_message(epsilon) -> str:
+    return f"smoothing family at eps={epsilon} leaves the float64 range"
 
 
 def nuij_inverse_coeffs(m: int) -> tuple:

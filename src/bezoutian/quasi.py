@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 from .bezout import companion_matrix
 from .errors import NonHyperbolicError
 from .factorization import lagrange_basis_matrix, scaled_inverse_diagonal
-from .nuij import NuijFamilyPoint, default_epsilon_grid, nuij_family
+from .nuij import NuijFamilyPoint, build_family, default_epsilon_grid, nuij_family
 from .polynomial import Polynomial
 from .roots import HyperbolicityVerdict, is_hyperbolic, squarefree_decomposition
 from .scalars import BACKEND_EXACT
@@ -87,10 +87,11 @@ def check_conditions(p: Polynomial, epsilon_grid=None, r: float = 0.0,
     """The two family conditions on the grid.
 
     The family point ``nuij_family(p, eps)`` of every grid eps, which needs
-    monic p, is built first, so a point that cannot be built stops the call
-    before any condition is read.
+    monic p, is built first, all in one pass (``build_family``), so a point
+    that cannot be built stops the call before any condition is read.
     """
     grid = tuple(epsilon_grid) if epsilon_grid is not None else default_epsilon_grid()
+    build_family(p, [float(eps) for eps in grid])
     families = [nuij_family(p, float(eps)) for eps in grid]
     rows = []
     c_lower = None
@@ -235,6 +236,13 @@ def _sample_ratios(Z: np.ndarray, W: np.ndarray, H: np.ndarray, K: np.ndarray,
     return ratios
 
 
+def _singular_values(mats: list) -> list:
+    """The singular values of each matrix, descending, from one stacked ``svd`` call."""
+    import numpy as np
+
+    return list(np.linalg.svd(np.array(mats), compute_uv=False)) if mats else []
+
+
 def verify_quasi(p: Polynomial, epsilon_grid=None, r: float | None = None,
                  s: float = 1.0, samples: int = 24, seed: int = 0) -> QuasiVerdict:
     """Certify the two quasi-symmetrizer bounds over an epsilon grid.
@@ -261,19 +269,25 @@ def verify_quasi(p: Polynomial, epsilon_grid=None, r: float | None = None,
         r = max_multiplicity(p, verdict) - 1
     grid = tuple(float(e) for e in (epsilon_grid if epsilon_grid is not None
                                     else default_epsilon_grid()))
+    build_family(p, grid)
+    points = []
+    for eps in grid:
+        parts = commutator_decomposition(p, eps)
+        G, S = parts.G_eps, parts.S_eps
+        points.append((parts, _eps_power(eps, s), _eps_power(eps, 2 * r), G @ S - (G @ S).T))
+    # sigma_min(G_eps), and ||K_c||_2 as the largest singular value, of every
+    # eps from one stacked call each; a stack gives each matrix its own bits
+    sv_G = _singular_values([parts.G_eps for parts, *_ in points])
+    sv_K = _singular_values([K_c for *_, K_c in points])
     rng = np.random.default_rng(seed)
     lower = []
     comm = []
     sample_max = []
     sampling_ok = True
-    for eps in grid:
-        parts = commutator_decomposition(p, eps)
-        A, G, S = parts.A, parts.G_eps, parts.S_eps
-        svals = np.linalg.svd(G, compute_uv=False)
-        eps_s = _eps_power(eps, s)
-        lower.append(float(svals[-1]) ** 2 / _eps_power(eps, 2 * r))
-        K_c = G @ S - (G @ S).T
-        comm_const = float(np.linalg.norm(K_c, 2)) / eps_s
+    for (parts, eps_s, eps_2r, _), svals, k_svals in zip(points, sv_G, sv_K):
+        A, G = parts.A, parts.G_eps
+        lower.append(float(svals[-1]) ** 2 / eps_2r)
+        comm_const = float(np.amax(k_svals)) / eps_s
         comm.append(comm_const)
         H = G.T @ G
         K = H @ A - A.T @ H

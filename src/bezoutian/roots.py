@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bezout import companion_matrix
 from .errors import NonHyperbolicError
 from .polynomial import Polynomial, RootProfile, _primitive
 from .scalars import BACKEND_EXACT
@@ -330,16 +329,77 @@ def _newton_polish(pf: Polynomial, dp: Polynomial, z: complex, steps: int = 12) 
     return best
 
 
-def _float_roots(p: Polynomial) -> list[complex]:
-    """Polished eigenvalues of the companion matrix (any multiplicity pattern)."""
+def _polish_roots(pf: Polynomial, zs, steps: int = 12) -> list[complex]:
+    """``_newton_polish`` of each z in zs on pf and its derivative, inline.
+
+    pf and pf' are evaluated by Horner's rule on their coefficient tuples,
+    with the operations of ``Polynomial.__call__`` in its order, so every
+    root has the bits of the per-root ``_newton_polish(pf, pf.derivative(),
+    z, steps)`` at no Python call per evaluation.
+    """
+    f0, *fs = pf.coeffs
+    d0, *ds = pf.derivative().coeffs
+    out = []
+    for z in zs:
+        z = complex(z)
+        fz = f0
+        for c in fs:
+            fz = fz * z + c
+        best, best_val = z, abs(fz)
+        seen = {z}
+        for _ in range(steps):
+            d = d0
+            for c in ds:
+                d = d * z + c
+            if d == 0:
+                break
+            z = z - fz / d
+            if z in seen:
+                break
+            seen.add(z)
+            fz = f0
+            for c in fs:
+                fz = fz * z + c
+            v = abs(fz)
+            if v < best_val:
+                best, best_val = z, v
+        out.append(best)
+    return out
+
+
+def _keep_eigenvalues(pfs) -> None:
+    """Each float polynomial of pfs, all of one degree, keeps its companion eigenvalues.
+
+    The companion matrices of p / lc(p) of those that keep none yet
+    (``Polynomial.memo``) go to one stacked ``np.linalg.eigvals`` call.
+    LAPACK runs on each matrix of a stack as on that matrix alone, so each
+    polynomial gets the bits a call on it alone gives.  ``_float_roots``
+    polishes what a polynomial keeps.
+    """
+    todo = [pf for pf in pfs if "eigenvalues" not in pf.memo]
+    if not todo or todo[0].degree < 1:
+        return
     import numpy as np
 
+    c = np.array([pf.coeffs for pf in todo], dtype=float)
+    m = c.shape[1] - 1
+    A = np.zeros((len(todo), m, m))
+    A[:, range(m - 1), range(1, m)] = 1.0
+    # the last row of ``bezout.companion_matrix`` of p / lc(p)
+    A[:, -1, :] = -(c[:, 1:] / c[:, :1])[:, ::-1]
+    for pf, eigs in zip(todo, np.linalg.eigvals(A)):
+        pf.memo["eigenvalues"] = eigs
+
+
+def _float_roots(p: Polynomial) -> list[complex]:
+    """Polished eigenvalues of the companion matrix (any multiplicity pattern).
+
+    The float rounding of p keeps its eigenvalues (``_keep_eigenvalues``),
+    which a batch of polynomials may have found in one call already.
+    """
     pf = p.as_float()
-    dp = pf.derivative()
-    lc = pf.coeffs[0]
-    A = companion_matrix(Polynomial.float64([c / lc for c in pf.coeffs]))
-    eigs = np.linalg.eigvals(A.matrix)
-    return [_newton_polish(pf, dp, complex(z)) for z in eigs]
+    _keep_eigenvalues([pf])
+    return _polish_roots(pf, pf.memo["eigenvalues"])
 
 
 def _require_real(values, tol: float) -> list[float]:
@@ -394,7 +454,9 @@ def _real_roots(p: Polynomial, tol: float, itol: float) -> RootProfile:
             pairs.extend((r, mult) for r in rational)
             if rest.degree >= 1:
                 all_rational = False
-                vals = _require_real(_float_roots(rest), itol)
+                # p keeps the float roots of each cofactor, which every tol reads
+                floats = p.derived(("float roots", rest), functools.partial(_float_roots, rest))
+                vals = _require_real(floats, itol)
                 pairs.extend((v, mult) for v in vals)
         pairs.sort(key=lambda rm: rm[0])
         profile = RootProfile(tuple(r if all_rational else float(r) for r, _ in pairs),

@@ -2,15 +2,18 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import corpus
 from bezoutian import (
     Polynomial,
     bezout_matrix,
+    build_family,
     certify_stages,
     default_epsilon_grid,
     gap_constants,
@@ -23,8 +26,9 @@ from bezoutian import (
     real_roots,
     verify_gaps,
 )
+from bezoutian import roots
 from bezoutian.nuij import _int_stages, _simplest_rational
-from bezoutian.roots import _hyperbolic_strict
+from bezoutian.roots import _hyperbolic_strict, _newton_polish
 
 EPS = Fraction(1, 10)
 
@@ -228,6 +232,101 @@ def test_family_strictifies_multiplicities():
         for eps in (1.0, 1e-1, 1e-2, 1e-3):
             v = is_hyperbolic(nuij_transform(p.as_float(), eps))
             assert v.is_hyperbolic and v.is_strict
+
+
+# -- the grid kernel against the family point of each eps alone ------------------
+
+
+def float_roots_reference(p: Polynomial) -> list:
+    """The float roots of p from an eigvals call on its companion matrix alone, polished one by one."""
+    pf = p.as_float()
+    c = np.array(pf.coeffs, dtype=float)
+    A = np.eye(len(c) - 1, k=1)
+    A[-1, :] = -(c[1:] / c[0])[::-1]
+    return [_newton_polish(pf, pf.derivative(), complex(z)) for z in np.linalg.eigvals(A)]
+
+
+def family_point_reference(p: Polynomial, eps) -> tuple:
+    """(p_eps, roots, q_eps) of eps alone: its own eigensolver call and a Polynomial subtraction."""
+    try:
+        p_eps = nuij_transform(p, eps)
+        floats = p_eps.as_float()
+        if not all(map(math.isfinite, floats.coeffs)):
+            raise OverflowError("nonfinite coefficient")
+        with mock.patch.object(roots, "_float_roots", float_roots_reference):
+            roots_eps = real_roots(floats, 1e-12, imag_tol=1e-7)
+    except OverflowError as exc:
+        raise ValueError(f"smoothing family at eps={eps} leaves the float64 range") from exc
+    base = p if p.backend == p_eps.backend else p.as_float()
+    return p_eps, roots_eps, base - p_eps
+
+
+def point_bits(p_eps, roots_eps, q_eps) -> tuple:
+    def bits(values):
+        return tuple(v.hex() if isinstance(v, float) else v for v in values)
+
+    return (p_eps.backend, bits(p_eps.coeffs), bits(roots_eps.distinct_roots),
+            roots_eps.multiplicities, q_eps.backend, bits(q_eps.coeffs))
+
+
+def grid_outcomes(grid, point_of) -> list:
+    """(eps, bits) per eps in grid order, up to the first error's (eps, type, message)."""
+    out = []
+    for eps in grid:
+        try:
+            out.append((eps, point_bits(*point_of(eps))))
+        except Exception as exc:  # every failure must match the reference's
+            out.append((eps, type(exc), str(exc)))
+            break
+    return out
+
+
+# (x + 228)^3 and (x + 233/6)^3 fail at eps near 1e-4: the float roots of p_eps
+# come out complex beyond the 1e-7 tolerance
+ROOT_ALPHABET = sorted({Fraction(n, d) for n in range(-6, 7) for d in (1, 2, 3)}
+                       | {Fraction(-228), Fraction(-233, 6)})
+GRID_EPS = st.one_of(st.sampled_from(default_epsilon_grid()
+                                     + (0.0, -0.5, 1e300, 1e-300, 1e-12, Fraction(1, 3))),
+                     st.floats(1e-6, 10))
+
+
+@st.composite
+def multiple_root_polys(draw):
+    """Exact monic p of degree 2..10 with a root of multiplicity 2 or 3."""
+    values = draw(st.lists(st.sampled_from(ROOT_ALPHABET), min_size=1, max_size=5, unique=True))
+    mults = [draw(st.integers(2, 3))] + [draw(st.integers(1, 3)) for _ in values[1:]]
+    assume(sum(mults) <= 10)
+    return Polynomial.from_roots([v for v, k in zip(values, mults) for _ in range(k)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(multiple_root_polys(), st.lists(GRID_EPS, min_size=1, max_size=9))
+@example(Polynomial.from_roots([-228] * 3), list(default_epsilon_grid()))
+@example(Polynomial.from_roots([Fraction(-233, 6)] * 3), [1.0, 1e-300, 1e300, 0.5])
+@example(Polynomial.from_roots([1, 1, 2]), [0.5, 1e300, 0.25, -0.5])
+@example(Polynomial.from_roots([1, 1, 2]), [0.5, -0.5, 0.25, Fraction(1, 3)])
+def test_grid_kernel_builds_each_point_bit_for_bit_as_eps_alone(p, grid):
+    # the per-eps calls after build_family raise at the first failing eps, with
+    # the error that eps alone raises, and every point before it has the bits
+    # of its own eigensolver call and per-root polish
+    def kept_point(eps):
+        point = nuij_family(p, eps)
+        return point.p_eps, point.roots_eps, point.q_eps
+
+    alone = Polynomial(p.coeffs, p.backend)
+    want = grid_outcomes(grid, lambda eps: family_point_reference(alone, eps))
+    build_family(p, grid)
+    assert grid_outcomes(grid, kept_point) == want
+
+
+def test_grid_kernel_keeps_the_points_before_a_failure():
+    p = Polynomial.from_roots([-228] * 3)
+    grid = default_epsilon_grid()
+    build_family(p, grid)
+    kept = [key[2] for key in p.memo if key[0] == "nuij"]
+    assert kept == list(grid[:-1])  # the last eps fails and keeps nothing
+    with pytest.raises(ValueError, match="complex roots"):
+        nuij_family(p, grid[-1])
 
 
 def test_stagewise_gap_law():

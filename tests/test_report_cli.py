@@ -232,6 +232,16 @@ def test_energy_rejects_a_nan_T(capsys):
     assert err.startswith("input error:") and "--T" in err
 
 
+def test_energy_past_the_float_range_prints_only_the_input_error():
+    # the step T / steps times the generator overflows: a fresh interpreter,
+    # whose warnings nothing captures, prints the one input error line
+    proc = subprocess.run([sys.executable, "-m", "bezoutian.cli", "energy", "--poly",
+                           "[1.0,-200.0,10000.0]", "--T", "1e308"],
+                          capture_output=True, text=True, env=fresh_env(), timeout=300)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "input error: the step matrix leaves the float64 range\n"
+
+
 def test_energy_rejects_a_zero_T(capsys):
     code, out, err = run_cli(capsys, "energy", "--poly", "[1,0,-1]", "--T", "0")
     assert (code, out) == (2, "")
@@ -654,6 +664,32 @@ def test_quasi_builds_one_family_point_per_eps(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "quasi", "--poly", "[1,0,0]")
     assert code == 0
     assert (len(root_calls), len(family_calls)) == (9, 9)
+
+
+def test_nuij_finds_every_family_root_in_one_eigensolver_call(capsys, monkeypatch):
+    # the nine companion matrices of the default grid's p_eps go to LAPACK as
+    # one stack, not one call each
+    shapes = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        shapes.append(np.shape(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    code, _, err = run_cli(capsys, "nuij", "--poly", "[1,0,0,0]")
+    assert (code, err) == (0, "")
+    assert shapes == [(9, 3, 3)]
+
+
+@pytest.mark.parametrize("tol", [[], ["--tol", "1e-6"]])
+def test_analyze_finds_the_float_roots_of_p_once_at_any_tol(capsys, monkeypatch, tol):
+    # the irrational roots of x^2 - 2 serve every tol: p keeps the float roots
+    # of its square-free factor, and only the thresholds that read them change
+    calls = count_calls(monkeypatch, roots._float_roots)
+    code, _, err = run_cli(capsys, "analyze", "--poly", "[1,0,-2]", *tol)
+    assert (code, err) == (0, "")
+    assert len(calls) == 1
 
 
 def test_nuij_transforms_p_once_per_eps(capsys, monkeypatch):

@@ -27,7 +27,9 @@ m = 12, 2.9 s at m = 16, 14.7 s at m = 24: at m = 12 the rounded
 coefficients have 48-bit denominators, and the power sums in S carry
 1035-bit ones, against 77 bits for the exact p).  The float rows of the
 smoothing workload run there too: ``nuij_family`` builds the float family
-point ``nuij_family(p, 1e-4)`` (p_eps, its roots and q_eps),
+point ``nuij_family(p, 1e-4)`` (p_eps, its roots and q_eps), ``nuij_grid``
+builds the points of all nine default-grid eps as a ``nuij`` request does
+(through ``build_family`` first, on a source tree that has it),
 ``real_roots_float`` finds the roots of the float64 rounding of p,
 ``invert_transform`` recovers p from that point's float p_eps, as the
 ``nuij-inversion`` check of a ``nuij`` request does per eps, and
@@ -54,9 +56,9 @@ seconds, and whether that import loaded ``numpy`` and ``scipy.linalg``.
 Each layer is timed as the best of five batches (stdlib
 ``time.perf_counter``); a batch repeats the call until it lasts
 ``MIN_TIME`` seconds, and the per-call time is reported.  The rows go into
-``BENCH_14.json`` in the working directory under ``--label``, next to the
-rows other labels left there, with the Python version and the commit of
-the timed source.
+``--out`` (default ``BENCH_14.json``) in the working directory under
+``--label``, next to the rows other labels left there, with the Python
+version and the commit of the timed source.
 
     PYTHONPATH=src python tools/bench_layers.py --label change
     PYTHONPATH=<other checkout>/src python tools/bench_layers.py --label parent
@@ -79,7 +81,8 @@ import bezoutian
 from bezoutian import CompanionMatrix, ExponentialSignal, Polynomial, bezout_matrix
 from bezoutian import chain_bound_check, companion_matrix, derivative_identity_check, energy_series
 from bezoutian import factorization_bundle
-from bezoutian import h_b_relation_check, invert_transform, is_hyperbolic, leray_symmetrizer
+from bezoutian import default_epsilon_grid, h_b_relation_check, invert_transform, is_hyperbolic
+from bezoutian import leray_symmetrizer
 from bezoutian import nuij_family, nuij_transform, propagate, real_roots, separates
 from bezoutian import separation_lower_bound_check, symmetrization_defect, verify_quasi
 from bezoutian.exactla import det, psd_certificate
@@ -88,12 +91,15 @@ try:
     from bezoutian import certify_stages
 except ImportError:  # a source tree from before the exact stage certificate
     certify_stages = None
+try:
+    from bezoutian import build_family
+except ImportError:  # a source tree from before the grid kernel
+    build_family = None
 
 DEGREES = (4, 8, 12, 16, 24)
 SLOW_MAX_DEGREE = 12
 REPEATS = 5
 MIN_TIME = 0.02  # seconds one timed batch lasts at least
-OUT = Path("BENCH_14.json")
 GRID_POINT = 0.00010000000000000002  # the default grid's last eps
 ENERGY_T, ENERGY_STEPS = 10.0, 400
 SIGNAL = ExponentialSignal.of((1.0, -2.1), (0.5, 0.4), (1 / 3, 2.7))
@@ -131,6 +137,14 @@ def best_per_call(fn) -> float:
             fn()
         best = min(best, (time.perf_counter() - start) / number)
     return best
+
+
+def family_grid(p: Polynomial) -> list:
+    """The family points of every default-grid eps, built as a ``nuij`` request builds them."""
+    grid = default_epsilon_grid()
+    if build_family is not None:
+        build_family(p, grid)
+    return [nuij_family(p, eps) for eps in grid]
 
 
 def energy_calls(m: int) -> dict:
@@ -179,6 +193,7 @@ def layer_rows(degrees) -> list:
         if m <= SLOW_MAX_DEGREE:
             calls["leray_symmetrizer_float"] = lambda: leray_symmetrizer(fresh(pf))
             calls["nuij_family"] = lambda: nuij_family(fresh(p), 1e-4)
+            calls["nuij_grid"] = lambda: family_grid(fresh(p))
             calls["real_roots_float"] = lambda: real_roots(fresh(pf))
             p_eps = nuij_transform(p, 1e-4)
             calls["invert_transform"] = lambda: invert_transform(p_eps, 1e-4)
@@ -225,9 +240,12 @@ def main(argv=None) -> int:
     ap.add_argument("--label", required=True, help="key of this run in the output file")
     ap.add_argument("--degrees", default=",".join(map(str, DEGREES)),
                     help="comma-separated degrees (default %(default)s)")
+    ap.add_argument("--out", type=Path, default=Path("BENCH_14.json"),
+                    help="JSON file the rows go into (default %(default)s)")
     args = ap.parse_args(argv)
     degrees = [int(d) for d in args.degrees.split(",")]
-    doc = json.loads(OUT.read_text(encoding="utf-8")) if OUT.exists() else {}
+    out = args.out
+    doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
     doc.setdefault("description", __doc__.splitlines()[0])
     doc.setdefault("runs", {})[args.label] = {
         "commit": source_commit(),
@@ -238,7 +256,7 @@ def main(argv=None) -> int:
         "import": import_row(),
         "rows": layer_rows(degrees),
     }
-    OUT.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 
 

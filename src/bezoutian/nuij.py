@@ -18,6 +18,11 @@ p_(l+1), and each stage's Sturm count and gcd degree come from the integer
 Sturm kernel of ``roots``.  A float eps is certified at the simplest
 rational that rounds to it (1/10000 for 1e-4), not at its dyadic value,
 whose denominator would add about 65 bits per stage.
+
+The float family points of a request's grid are built in one pass
+(``build_family``): every p_eps, one stacked eigensolver call for all
+their companion matrices, then the polished roots and q_eps of each, with
+the bits of each eps built alone; ``nuij_family`` is its one-eps case.
 """
 
 from __future__ import annotations

@@ -11,7 +11,9 @@ constant may grow and the commutator constant may shrink as eps -> 0.
 Both are evaluated through the congruence by G_eps (H_eps = G^T G when
 q = p'), which turns them into singular-value statements that stay accurate
 when the smallest eigenvalue of H_eps sits below float noise.  Randomized
-sampling of the raw bilinear form cross-checks the congruence route.
+sampling of the raw bilinear form cross-checks the congruence route.  The
+family points of the grid are built in one pass (``nuij.build_family``),
+and the singular values of every grid point come from one stacked call.
 """
 
 from __future__ import annotations

@@ -7,7 +7,10 @@ chain, so rational inputs get exact multiplicity profiles and exact verdicts.
 profile only when a caller asks for its witness.  Root values that are
 irrational are polished eigenvalues of the companion matrix of a
 square-free factor, where they are simple and well conditioned; the Newton
-polish stops at a fixed point.
+polish stops at a fixed point.  A float polynomial keeps its companion
+eigenvalues, which a batch of polynomials of one degree gets from one
+stacked LAPACK call, and the polish evaluates by Horner's rule inline,
+with the bits of ``Polynomial.__call__``.
 
 The exact kernels clear a polynomial's denominators once and run on its
 primitive integer coefficients (Python ints, leading first): the gcd is a
@@ -309,7 +312,8 @@ def _newton_polish(pf: Polynomial, dp: Polynomial, z: complex, steps: int = 12) 
     Each step reuses pf at the current iterate, and a step that returns to
     an earlier iterate (a fixed point or a cycle) ends the loop: the Newton
     map depends on z alone, so every later iterate would repeat one already
-    scored, and none can beat the strict ``v < best_val``.
+    scored, and none can beat the strict ``v < best_val``.  pf and dp are
+    called; ``_polish_roots`` runs this loop inline on coefficient tuples.
     """
     fz = pf(z)
     best, best_val = z, abs(fz)
@@ -381,12 +385,12 @@ def _keep_eigenvalues(pfs) -> None:
         return
     import numpy as np
 
-    c = np.array([pf.coeffs for pf in todo], dtype=float)
-    m = c.shape[1] - 1
-    A = np.zeros((len(todo), m, m))
-    A[:, range(m - 1), range(1, m)] = 1.0
+    c = np.array([pf.coeffs for pf in todo])
+    n, m = c.shape[0], c.shape[1] - 1
+    A = np.zeros((n, m, m))
+    A.reshape(n, m * m)[:, 1:m * (m - 1):m + 1] = 1.0  # the superdiagonal
     # the last row of ``bezout.companion_matrix`` of p / lc(p)
-    A[:, -1, :] = -(c[:, 1:] / c[:, :1])[:, ::-1]
+    A[:, -1] = -(c[:, :0:-1] / c[:, :1])
     for pf, eigs in zip(todo, np.linalg.eigvals(A)):
         pf.memo["eigenvalues"] = eigs
 

@@ -333,13 +333,13 @@ def _newton_polish(pf: Polynomial, dp: Polynomial, z: complex, steps: int = 12) 
     return best
 
 
-def _polish_roots(pf: Polynomial, zs, steps: int = 12) -> list[complex]:
+def _polish_roots(pf: Polynomial, zs) -> list[complex]:
     """``_newton_polish`` of each z in zs on pf and its derivative, inline.
 
     pf and pf' are evaluated by Horner's rule on their coefficient tuples,
     with the operations of ``Polynomial.__call__`` in its order, so every
     root has the bits of the per-root ``_newton_polish(pf, pf.derivative(),
-    z, steps)`` at no Python call per evaluation.
+    z)`` at no Python call per evaluation.
     """
     f0, *fs = pf.coeffs
     d0, *ds = pf.derivative().coeffs
@@ -351,7 +351,7 @@ def _polish_roots(pf: Polynomial, zs, steps: int = 12) -> list[complex]:
             fz = fz * z + c
         best, best_val = z, abs(fz)
         seen = {z}
-        for _ in range(steps):
+        for _ in range(12):
             d = d0
             for c in ds:
                 d = d * z + c

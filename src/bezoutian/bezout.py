@@ -7,10 +7,13 @@ H @ A symmetric, where A is the companion matrix of p.
 
 Exact forms hold an ``exactla.IntMatrix`` from the moment they are built:
 with p = cp * P and q = cq * Q for primitive integer P, Q
-(``polynomial._primitive``), H(p, q) = cp * cq * H(P, Q), so the synthetic
+(``Polynomial.primitive``), H(p, q) = cp * cq * H(P, Q), so the synthetic
 division, its remainder and symmetry checks run on the integer
 coefficients and the form keeps those rows over the denominator of
 cp * cq; the companion matrix of monic p is built from its primitive P.
+The float companion matrices have one builder, ``_companion_stack``, which
+stacks those of several polynomials of one degree for one eigensolver call
+(``roots._keep_eigenvalues``) and gives ``companion_matrix`` its one matrix.
 For monic p the form of (p, p') is the deleted-factor gram
 sum_k p_k(x) p_k(y), p_k = p / (x - lambda_k), so the separation bound
 H(p, q) - c * H(p, p') >= 0 needs no roots.  It, the exact symmetrization
@@ -26,12 +29,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import exactla
 from .errors import BackendMismatchError, DegreeMismatchError, NonzeroRemainderError
 from .exactla import IntMatrix, MatrixForm, PsdVerdict, psd_certificate
-from .polynomial import Polynomial, _primitive
+from .polynomial import Polynomial
 from .scalars import BACKEND_EXACT
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -86,9 +93,9 @@ def _bezout_matrix(p: Polynomial, q: Polynomial) -> BezoutMatrix:
     if n < 1:
         raise DegreeMismatchError("bezout_matrix needs at least one argument of degree >= 1")
     if p.backend == BACKEND_EXACT:
-        (P, cp), (Q, cq) = _primitive(p.coeffs), _primitive(q.coeffs)
-        pa = P[::-1] + [0] * (n + 1 - len(P))
-        qa = Q[::-1] + [0] * (n + 1 - len(Q))
+        (P, cp), (Q, cq) = p.primitive, q.primitive
+        pa = P[::-1] + (0,) * (n + 1 - len(P))
+        qa = Q[::-1] + (0,) * (n + 1 - len(Q))
         rows, leftovers = _divide_form(pa, qa, n)
         if any(leftovers):
             raise NonzeroRemainderError("bezout division left a remainder (arithmetic fault)")
@@ -120,27 +127,38 @@ def companion_matrix(p: Polynomial) -> CompanionMatrix:
     """Companion (Sylvester) matrix: shift rows on top, -(a_m..a_1) last row.
 
     Exact p = P / L, with P primitive and L its leading coefficient, gives
-    the integer rows of L A over L.
+    the integer rows of L A over L; float p gives the one matrix of
+    ``_companion_stack``.
     """
     p.require_monic("companion matrix input")
     m = int(p.degree)
     if m < 1:
         raise DegreeMismatchError("companion matrix needs degree >= 1")
     if p.backend == BACKEND_EXACT:
-        P = _primitive(p.coeffs)[0]
+        P = p.primitive[0]
         L = P[0]
         rows = [tuple(L if j == i + 1 else 0 for j in range(m)) for i in range(m - 1)]
         rows.append(tuple(-c for c in P[:0:-1]))
         return CompanionMatrix(IntMatrix(tuple(rows), L), p)
+    return CompanionMatrix(_companion_stack([p.coeffs])[0], p)
+
+
+def _companion_stack(coeff_rows) -> np.ndarray:
+    """The float companion matrices of p / lc(p) for polynomials p of one degree m >= 1.
+
+    ``coeff_rows`` holds the coefficients of each p, leading first; the
+    result stacks the m x m matrices in one (n, m, m) array: ones on the
+    superdiagonal and -(a_m .. a_1) / lc(p) as the last row.  For monic p
+    the division by 1.0 changes no bit.
+    """
     import numpy as np
 
-    A = np.zeros((m, m))
-    for i in range(m - 1):
-        A[i, i + 1] = 1.0
-    asc = p.ascending()  # a_m is asc[0], a_1 is asc[m-1]
-    for j in range(m):
-        A[m - 1, j] = -asc[j]
-    return CompanionMatrix(A, p)
+    c = np.array(coeff_rows, dtype=float)
+    n, m = c.shape[0], c.shape[1] - 1
+    A = np.zeros((n, m, m))
+    A.reshape(n, m * m)[:, 1:m * (m - 1):m + 1] = 1.0  # the superdiagonal
+    A[:, -1] = -(c[:, :0:-1] / c[:, :1])
+    return A
 
 
 def symmetrization_defect(H, A) -> Fraction:

@@ -209,14 +209,20 @@ def cmd_analyze(args, report: CertifiedReport):
 
 
 def cmd_nuij(args, report: CertifiedReport):
-    p = _parse_poly(args.poly, args.poly_file)
+    """Certify p at its exact value, echoing it as typed, as ``analyze`` does.
+
+    The float family points are those of the float64 p either way:
+    ``nuij_transform`` rounds an exact p before it applies a float eps.
+    """
+    typed = _parse_poly(args.poly, args.poly_file)
+    p = typed.as_exact()
     _require_hyperbolic(p)
     m = int(p.degree)
     if args.eps is not None and not math.isfinite(args.eps):
         raise InputError(f"--eps must be finite, got {args.eps}")
     grid = (args.eps,) if args.eps is not None else _parse_grid(args.eps_grid)
     report.backend = p.backend
-    report.inputs = {"poly": _echo_poly(p), "grid": list(grid)}
+    report.inputs = {"poly": _echo_poly(typed), "grid": list(grid)}
     table = [("epsilon", "min_gap", "gap_floor_constant", "pass")]
     if m >= 2:
         consts = gap_constants(m)
@@ -255,17 +261,19 @@ def cmd_nuij(args, report: CertifiedReport):
 
 
 def cmd_quasi(args, report: CertifiedReport):
-    p = _parse_poly(args.poly, args.poly_file)
-    verdict = _require_hyperbolic(p)
+    """Certify p at its exact value, echoing it as typed, as ``cmd_nuij`` does."""
+    typed = _parse_poly(args.poly, args.poly_file)
+    p = typed.as_exact()
+    _require_hyperbolic(p)
     grid = _parse_grid(args.eps_grid)
     if args.samples < 1:
         raise InputError(f"--samples must be at least 1, got {args.samples}")
-    r = args.r if args.r is not None else max_multiplicity(p, verdict) - 1
+    r = args.r if args.r is not None else max_multiplicity(p) - 1
     s = args.s
     if not (math.isfinite(r) and math.isfinite(s)):
         raise InputError(f"--r and --s must be finite, got {r} and {s}")
     report.backend = p.backend
-    report.inputs = {"poly": _echo_poly(p), "r": r, "s": s, "grid": list(grid)}
+    report.inputs = {"poly": _echo_poly(typed), "r": r, "s": s, "grid": list(grid)}
     # the conditions and the verdict read p's one float family point per eps
     conditions = check_conditions(p, grid, r, s)
     report.add_bool("derivative floor condition", "quasi-cond-derivative-floor",

@@ -6,16 +6,18 @@ are separated by at least a degree-dependent constant times eps.  The
 operator family is exactly invertible on degree-m polynomials, which is
 what makes the perturbation p - p_eps small of order eps.
 
-On exact p and eps the transform is a sum of scaled derivatives of p's
-primitive integer coefficients, on Python ints, divided once at the end; it
-equals the Fraction derivative sum coefficient for coefficient.
+On exact p and eps the transform and the stage certificate share one
+integer kernel, the stage chain ``_int_stages`` on p's primitive integer
+coefficients: with eps = a/b, P_(l+1) is the primitive part of
+b P_l + a P_l', a positive multiple of the stage p_(l+1) = p_l + eps p_l'.
+The exact transform is the last of its stages scaled to the leading
+coefficient of p, which every stage keeps; it equals the Fraction
+derivative sum coefficient for coefficient.
 
 A stage p_l + eps p_l' interlaces p_l iff p_l is hyperbolic, as their Bezout
-form is eps H(p_l, p_l'); ``certify_stages`` decides that by one Sturm chain.
-It runs the stage chain on one primitive integer list: with eps = a/b,
-P_(l+1) is the primitive part of b P_l + a P_l', a positive multiple of
-p_(l+1), and each stage's Sturm count and gcd degree come from the integer
-Sturm kernel of ``roots``.  A float eps is certified at the simplest
+form is eps H(p_l, p_l'); ``certify_stages`` decides that by one Sturm chain
+per stage, whose count and gcd degree come from the integer Sturm kernel of
+``roots``.  A float eps is certified at the simplest
 rational that rounds to it (1/10000 for 1e-4), not at its dyadic value,
 whose denominator would add about 65 bits per stage.
 
@@ -23,20 +25,18 @@ The float family points of a request's grid are built in one pass
 (``build_family``): every p_eps, one stacked eigensolver call for all
 their companion matrices, then the polished roots and q_eps of each, with
 the bits of each eps built alone; ``nuij_family`` is its one-eps case.
+A point that fails raises its error in that pass, and is built once.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polynomial import Polynomial, RootProfile, _primitive
+from .polynomial import Polynomial, RootProfile, _derivative, _int_primitive
 from .roots import (
-    _derivative,
     _hyperbolic_strict,
-    _int_primitive,
     _int_sturm_chain,
     _keep_eigenvalues,
     real_roots,
@@ -48,10 +48,10 @@ from .scalars import BACKEND_EXACT, is_exact_value
 def nuij_transform(p: Polynomial, epsilon, applications: int | None = None) -> Polynomial:
     """(1 + eps d/dx)**applications applied to p; default is deg(p) - 1 times.
 
-    Computed as the finite sum of scaled derivatives, so the result is exact
-    whenever p and eps are exact.  With p = content * P for an integer P and
-    eps = a/b, that is sum_k C(n,k) a^k b^(n-k) P^(k) on Python ints, with
-    one division by b^n per coefficient at the end.
+    Exact whenever p and eps are exact: the last of ``applications`` integer
+    stages (``_int_stages``), a positive multiple of the result, scaled to
+    the leading coefficient of p.  A float eps rounds an exact p to float64
+    first; float p is the finite sum of C(n,k) eps^k p^(k).
     """
     if applications is None:
         applications = max(int(p.degree) - 1, 0) if not p.is_zero else 0
@@ -60,18 +60,11 @@ def nuij_transform(p: Polynomial, epsilon, applications: int | None = None) -> P
     if p.backend == BACKEND_EXACT and not is_exact_value(epsilon):
         p = p.as_float()
     if p.backend == BACKEND_EXACT:
-        eps = Fraction(epsilon)
-        a, b = eps.numerator, eps.denominator
-        dk, content = _primitive(p.coeffs)
-        acc = [0] * len(dk)
-        for k in range(min(applications, len(dk) - 1) + 1):
-            w = math.comb(applications, k) * a**k * b ** (applications - k)
-            shift = len(acc) - len(dk)
-            for i, v in enumerate(dk):
-                acc[shift + i] += w * v
-            dk = _derivative(dk)
-        den = content.denominator * b**applications
-        return Polynomial.exact([Fraction(content.numerator * v, den) for v in acc])
+        if p.is_zero:
+            return p
+        last = _int_stages(p, Fraction(epsilon), applications)[-1]
+        scale = p.leading / last[0]
+        return Polynomial.exact([scale * v for v in last])
     # floats: the same products and sums, in the same order, as the Polynomial
     # sum of C(n,k) eps^k p^(k), on plain lists
     eps = float(epsilon)
@@ -124,11 +117,10 @@ def build_family(p: Polynomial, grid) -> None:
     """Build the family points of a request's grid in one pass; p keeps them.
 
     Covers the grid's eps up to its first eps that is not positive, skipping
-    points p already keeps, and stops at the first point that fails: the
-    per-eps ``nuij_family`` call of that eps builds it again and raises its
-    error at its own turn, so a caller that calls this before its per-eps
-    loop raises what the loop alone would.  Does nothing for p that is not
-    monic, which the per-eps calls refuse.
+    points p already keeps.  The first point that fails raises its error
+    here, after the points before it are kept, so a caller that calls this
+    before its per-eps loop stops there, before the loop reads any point.
+    Does nothing for p that is not monic, which the per-eps calls refuse.
     """
     if not p.is_monic:
         return
@@ -138,10 +130,7 @@ def build_family(p: Polynomial, grid) -> None:
             break
         if (key := _family_key(eps)) not in p.memo:
             todo.setdefault(key, eps)
-    # the errors a family point raises; the failing eps's own nuij_family call
-    # raises it again
-    with contextlib.suppress(ValueError, ArithmeticError):
-        _build_points(p, tuple(todo.values()))
+    _build_points(p, tuple(todo.values()))
 
 
 def _build_points(p: Polynomial, grid) -> None:
@@ -305,15 +294,16 @@ def verify_gaps(p: Polynomial, epsilon) -> GapCheck:
     return GapCheck(min_gap / eps, floor, passed, marginal)
 
 
-def _int_stages(p: Polynomial, eps: Fraction) -> list[list[int]]:
-    """Primitive integer multiples of the stages p_0 = p, p_(l+1) = p_l + eps p_l'.
+def _int_stages(p: Polynomial, eps: Fraction, count: int) -> list:
+    """Primitive integer multiples of the stages p_0 = p, p_(l+1) = p_l + eps p_l' up to p_count.
 
-    With eps = a/b, P_(l+1) is the primitive part of b P_l + a P_l'.
+    With eps = a/b, P_(l+1) is the primitive part of b P_l + a P_l'; P_0 is
+    ``primitive`` of the exact p.
     """
     a, b = eps.numerator, eps.denominator
-    stage = _primitive(p.as_exact().coeffs)[0]
+    stage = p.as_exact().primitive[0]
     stages = [stage]
-    for _ in range(int(p.degree) - 1):
+    for _ in range(count):
         nxt = [b * v for v in stage]
         for i, v in enumerate(_derivative(stage), start=1):
             nxt[i] += a * v
@@ -367,7 +357,7 @@ def certify_stages(p: Polynomial, epsilon) -> tuple[bool, bool]:
         eps = Fraction(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    stages = _int_stages(p, eps)
+    stages = _int_stages(p, eps, int(p.degree) - 1)
     # hyperbolic iff the distinct real roots and deg gcd(P, P') add up to deg P
     interlaced = (len(stages) < 2 or _hyperbolic_strict(p.as_exact())[0]) and all(
         sum(_int_sturm_chain(stage)) == len(stage) - 1 for stage in stages[1:-1])

@@ -227,7 +227,8 @@ class Polynomial:
     def primitive(self) -> tuple[tuple, Fraction]:
         """``_primitive`` of an exact polynomial's coefficients, ints as a tuple.
 
-        Computed on first read and kept, as a matrix keeps its certificate.
+        Computed on first read and kept, as a matrix keeps its certificate;
+        every exact kernel that runs on integer coefficients reads it here.
         """
         ints, content = _primitive(self.coeffs)
         return tuple(ints), content
@@ -236,16 +237,14 @@ class Polynomial:
         """Evaluate by Horner's rule; exact in the rational backend.
 
         An exact polynomial at an int or Fraction x = n/d runs homogeneous
-        Horner on its primitive integers P (``primitive``): the sum of
-        P_i n^(k-i) d^i over d^k, times the content, is one Fraction.  Float
-        and complex x take the rule on the coefficients as they are.
+        Horner (``_int_horner``) on its primitive integers P (``primitive``):
+        the sum of P_i n^(k-i) d^i over d^k, times the content, is one
+        Fraction.  Float and complex x take the rule on the coefficients as
+        they are.
         """
         if self.backend == BACKEND_EXACT and self.coeffs and isinstance(x, (int, Fraction)):
-            (acc, *rest), content = self.primitive
-            n, d, dk = x.numerator, x.denominator, 1
-            for c in rest:
-                dk *= d
-                acc = acc * n + c * dk
+            ints, content = self.primitive
+            acc, dk = _int_horner(ints, x.numerator, x.denominator)
             return Fraction(content.numerator * acc, content.denominator * dk)
         acc = None
         for c in self.coeffs:
@@ -260,16 +259,13 @@ class Polynomial:
             raise ValueError("derivative order must be nonnegative")
         if order == 0:
             return self
-        return self.derived(("derivative", order), lambda: self._derivative(order))
+        return self.derived(("derivative", order), lambda: self._nth_derivative(order))
 
-    def _derivative(self, order: int) -> "Polynomial":
+    def _nth_derivative(self, order: int) -> "Polynomial":
         coeffs = self.coeffs
         for _ in range(order):
-            n = len(coeffs) - 1
-            if n <= 0:
-                return Polynomial.zero(self.backend)
-            coeffs = tuple(c * (n - i) for i, c in enumerate(coeffs[:-1]))
-        return Polynomial(coeffs, self.backend)
+            coeffs = _derivative(coeffs)
+        return Polynomial(tuple(coeffs), self.backend)
 
     # -- backend conversion -------------------------------------------------
 
@@ -334,10 +330,39 @@ def _primitive(coeffs: Sequence) -> tuple[list, Fraction]:
     """
     den = math.lcm(*(c.denominator for c in coeffs))
     ints = [c.numerator * (den // c.denominator) for c in coeffs]
-    g = math.gcd(*ints)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints, Fraction(g, den)
+    prim = _int_primitive(ints)
+    # the gcd that _int_primitive divided out, read off a nonzero entry
+    g = next((v // w for v, w in zip(ints, prim) if w), 0)
+    return prim, Fraction(g, den)
+
+
+def _int_primitive(c: list) -> list:
+    """Primitive part of an integer coefficient list: c over the gcd of its entries.
+
+    The gcd is positive, so signs are kept; an empty or primitive list comes
+    back as it is.
+    """
+    g = math.gcd(*c)
+    return [v // g for v in c] if g > 1 else c
+
+
+def _derivative(c: Sequence) -> list:
+    """Derivative of a coefficient list or tuple, leading first, as a list."""
+    n = len(c) - 1
+    return [v * (n - i) for i, v in enumerate(c[:-1])]
+
+
+def _int_horner(c: Sequence, n: int, d: int) -> tuple[int, int]:
+    """(d^k c(n/d), d^k) for integers c_0..c_k, leading first, by homogeneous Horner.
+
+    The first entry is the sum of c_i n^(k-i) d^i, an integer, which is 0
+    exactly when n/d is a root of c.
+    """
+    acc, dk = c[0], 1
+    for v in c[1:]:
+        dk *= d
+        acc = acc * n + v * dk
+    return acc, dk
 
 
 @dataclass(frozen=True)
@@ -401,9 +426,6 @@ class RootProfile:
     def is_strict(self) -> bool:
         return all(m == 1 for m in self.multiplicities)
 
-    def as_float(self) -> "RootProfile":
-        return RootProfile(tuple(float(r) for r in self.distinct_roots), self.multiplicities)
-
 
 def elementary_symmetric(values: Sequence) -> list:
     """All elementary symmetric functions e_0..e_n of the values."""
@@ -425,11 +447,12 @@ def deleted_root_factor(roots: Sequence, exclude: int) -> Polynomial:
 
 
 def power_sums(p: Polynomial, upto: int) -> list:
-    """Power sums P_0..P_upto of the roots via Newton's identities.
+    """Power sums P_0..P_upto of the roots via Newton's identities, as Fractions.
 
     Works from the coefficients alone; no root extraction.  P_0 = deg p.
-    Exact p runs on its primitive integers L x^m + a_1 x^(m-1) + ... + a_m,
-    where the scaled sums s_t = L^t P_t are integers:
+    Float p is taken at its exact dyadic value (``as_exact``).  The
+    recurrence runs on the primitive integers L x^m + a_1 x^(m-1) + ... + a_m
+    of p, where the scaled sums s_t = L^t P_t are integers:
     s_t = -t a_t L^(t-1) - sum_(j=1..min(t-1, m)) a_j L^(j-1) s_(t-j), the
     first term only for t <= m; each P_t is then one Fraction s_t / L^t.
     """
@@ -437,27 +460,12 @@ def power_sums(p: Polynomial, upto: int) -> list:
     if upto < 0:
         raise ValueError("upto must be nonnegative")
     m = len(p.coeffs) - 1
-    if p.backend == BACKEND_EXACT:
-        (L, *a), _ = p.primitive
-        c = [v * L ** j for j, v in enumerate(a)]  # c[j - 1] = a_j L^(j-1)
-        sums = [m]
-        for t in range(1, upto + 1):
-            acc = -t * c[t - 1] if t <= m else 0
-            for j in range(1, min(t - 1, m) + 1):
-                acc -= c[j - 1] * sums[t - j]
-            sums.append(acc)
-        return [Fraction(s, L ** t) for t, s in enumerate(sums)]
-    zero = to_scalar(0, p.backend)
-    a = list(p.coeffs[1:])  # a_1..a_m
-    out = [to_scalar(m, p.backend)]
+    (L, *a), _ = p.as_exact().primitive
+    c = [v * L ** j for j, v in enumerate(a)]  # c[j - 1] = a_j L^(j-1)
+    sums = [m]
     for t in range(1, upto + 1):
-        if t <= m:
-            acc = -t * a[t - 1]
-            for j in range(1, t):
-                acc -= a[j - 1] * out[t - j]
-        else:
-            acc = zero
-            for j in range(1, m + 1):
-                acc -= a[j - 1] * out[t - j]
-        out.append(acc)
-    return out
+        acc = -t * c[t - 1] if t <= m else 0
+        for j in range(1, min(t - 1, m) + 1):
+            acc -= c[j - 1] * sums[t - j]
+        sums.append(acc)
+    return [Fraction(s, L ** t) for t, s in enumerate(sums)]

@@ -14,6 +14,10 @@ when the smallest eigenvalue of H_eps sits below float noise.  Randomized
 sampling of the raw bilinear form cross-checks the congruence route.  The
 family points of the grid are built in one pass (``nuij.build_family``),
 and the singular values of every grid point come from one stacked call.
+The default lower exponent r is the largest root multiplicity minus one,
+read from the Yun decomposition of the exact p (``max_multiplicity``): the
+CLI certifies a decimal p at its exact dyadic value, as ``verify_quasi``
+decides hyperbolicity there.
 """
 
 from __future__ import annotations
@@ -28,8 +32,7 @@ from .errors import NonHyperbolicError
 from .factorization import lagrange_basis_matrix, scaled_inverse_diagonal
 from .nuij import NuijFamilyPoint, build_family, default_epsilon_grid, nuij_family
 from .polynomial import Polynomial
-from .roots import HyperbolicityVerdict, is_hyperbolic, squarefree_decomposition
-from .scalars import BACKEND_EXACT
+from .roots import is_hyperbolic, squarefree_decomposition
 
 if TYPE_CHECKING:
     import numpy as np
@@ -38,15 +41,9 @@ if TYPE_CHECKING:
 UNIFORMITY_FACTOR = 10.0
 
 
-def max_multiplicity(p: Polynomial, verdict: HyperbolicityVerdict) -> int:
-    """The largest root multiplicity of hyperbolic p, given its verdict.
-
-    Exact p: from the Yun decomposition, with no root.  Float p: from the
-    root profile the verdict holds.
-    """
-    if p.backend == BACKEND_EXACT:
-        return max(mult for _, mult in squarefree_decomposition(p))
-    return verdict.witness.max_multiplicity
+def max_multiplicity(p: Polynomial) -> int:
+    """Largest root multiplicity of exact p of degree >= 1, from the Yun decomposition."""
+    return max(mult for _, mult in squarefree_decomposition(p))
 
 
 def _eps_power(eps: float, k: float) -> float:
@@ -249,6 +246,8 @@ def verify_quasi(p: Polynomial, epsilon_grid=None, r: float | None = None,
                  s: float = 1.0, samples: int = 24, seed: int = 0) -> QuasiVerdict:
     """Certify the two quasi-symmetrizer bounds over an epsilon grid.
 
+    Without r, p must be hyperbolic at its exact value, and r is its
+    largest root multiplicity minus one (``max_multiplicity``).
     Each grid point gives a lower constant and a commutator constant; the
     verdict is uniform when, ordered by eps, the lower constant never falls
     and the commutator constant never rises by ``UNIFORMITY_FACTOR`` or more
@@ -265,10 +264,12 @@ def verify_quasi(p: Polynomial, epsilon_grid=None, r: float | None = None,
     import numpy as np
 
     if r is None:
-        verdict = is_hyperbolic(p)
+        # decided at the exact value of p, as the CLI certifies a decimal
+        exact = p.as_exact()
+        verdict = is_hyperbolic(exact)
         if not verdict.is_hyperbolic:
             raise NonHyperbolicError(f"not hyperbolic: {verdict.witness}")
-        r = max_multiplicity(p, verdict) - 1
+        r = max_multiplicity(exact) - 1
     grid = tuple(float(e) for e in (epsilon_grid if epsilon_grid is not None
                                     else default_epsilon_grid()))
     build_family(p, grid)

@@ -7,13 +7,16 @@ chain, so rational inputs get exact multiplicity profiles and exact verdicts.
 profile only when a caller asks for its witness.  Root values that are
 irrational are polished eigenvalues of the companion matrix of a
 square-free factor, where they are simple and well conditioned; the Newton
-polish stops at a fixed point.  A float polynomial keeps its companion
-eigenvalues, which a batch of polynomials of one degree gets from one
-stacked LAPACK call, and the polish evaluates by Horner's rule inline,
-with the bits of ``Polynomial.__call__``.
+polish (``_polish_roots``) stops at a fixed point or a cycle.  A float
+polynomial keeps its companion eigenvalues, which a batch of polynomials
+of one degree gets from one stacked LAPACK call on the matrices of
+``bezout._companion_stack``, and the polish evaluates by Horner's rule
+inline, with the bits of ``Polynomial.__call__``.
 
-The exact kernels clear a polynomial's denominators once and run on its
-primitive integer coefficients (Python ints, leading first): the gcd is a
+The exact kernels run on a polynomial's primitive integer coefficients
+(``Polynomial.primitive``, Python ints, leading first, computed once per
+polynomial; the list kernels ``_derivative``, ``_int_primitive`` and the
+homogeneous Horner ``_int_horner`` live in ``polynomial``): the gcd is a
 primitive remainder sequence of pseudo-remainders, Yun's quotients are exact
 integer divisions, the Sturm chain of pseudo-remainders gives the real-root
 count from its degrees and leading signs and ends at gcd(p, p'), and the
@@ -31,19 +34,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonHyperbolicError
-from .polynomial import Polynomial, RootProfile, _primitive
+from .bezout import _companion_stack
+from .polynomial import Polynomial, RootProfile, _derivative, _int_horner, _int_primitive
 from .scalars import BACKEND_EXACT
 
 DEFAULT_TOL = 1e-9
 
 # beyond this, rational-root candidate enumeration is not worth it
 _FACTOR_BOUND = 10**12
-
-
-def _derivative(c: list) -> list:
-    """Derivative of an integer coefficient list, leading first."""
-    n = len(c) - 1
-    return [v * (n - i) for i, v in enumerate(c[:-1])]
 
 
 def _strip(c: list) -> list:
@@ -81,16 +79,6 @@ def _prem(a: list, b: list) -> list:
     return _strip(r[steps:])
 
 
-def _int_primitive(c: list) -> list:
-    """Primitive part of an integer coefficient list: c over the gcd of its entries.
-
-    The gcd is positive, so signs are kept; an empty or primitive list comes
-    back as it is.
-    """
-    g = math.gcd(*c)
-    return [v // g for v in c] if g > 1 else c
-
-
 def _exact_quotient(a: list, b: list) -> list:
     """a / b for integer coefficient lists when the quotient is integral.
 
@@ -116,7 +104,7 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """
     if f.backend != BACKEND_EXACT or g.backend != BACKEND_EXACT:
         raise ValueError("poly_gcd requires the exact backend")
-    a, b = _primitive(f.coeffs)[0], _primitive(g.coeffs)[0]
+    a, b = f.primitive[0], g.primitive[0]
     if len(a) < len(b):
         a, b = b, a
     while b:
@@ -126,10 +114,10 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial.exact([Fraction(v, a[0]) for v in a])
 
 
-def _int_gcd(a: list, b: list) -> tuple[Polynomial, list]:
+def _int_gcd(a: list, b: list) -> tuple[Polynomial, tuple]:
     """poly_gcd of integer polynomials: the monic gcd and its primitive ints."""
     g = poly_gcd(Polynomial.exact(a), Polynomial.exact(b))
-    return g, _primitive(g.coeffs)[0]
+    return g, g.primitive[0]
 
 
 def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
@@ -143,7 +131,7 @@ def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
         raise ValueError("square-free decomposition requires the exact backend")
     if p.degree < 1:
         return []
-    f = _primitive(p.coeffs)[0]
+    f = p.primitive[0]
     df = _derivative(f)
     g = _int_gcd(f, df)[1]
     if len(g) == 1:
@@ -175,7 +163,7 @@ def radical(p: Polynomial) -> Polynomial:
 
 def _sturm_chain(p: Polynomial) -> tuple[int, int]:
     """(distinct real roots, deg gcd(p, p')) of exact p from one Sturm chain."""
-    return _int_sturm_chain(_primitive(p.coeffs)[0])
+    return _int_sturm_chain(p.primitive[0])
 
 
 def _int_sturm_chain(a: list) -> tuple[int, int]:
@@ -243,15 +231,6 @@ def _divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-def _vanishes_at(c: list[int], r: int, q: int) -> bool:
-    """Whether c (integers, leading first) vanishes at r/q: sum c_i r^(n-i) q^i == 0."""
-    acc, qpow = 0, 1
-    for ci in c:
-        acc = acc * r + ci * qpow
-        qpow *= q
-    return acc == 0
-
-
 def _deflate(c: list[int], r: int, q: int) -> list[int]:
     """The integer quotient of c by q x - r, which must divide it."""
     out = [c[0] // q]
@@ -276,9 +255,10 @@ def _rational_roots(f: Polynomial) -> tuple[list[Fraction], Polynomial]:
     polynomial c has q | lc and r | c_0 (rational root theorem), lies within
     the Cauchy bound, and q x - r divides c, so q - r divides c(1) and q + r
     divides c(-1); each candidate passing these tests is checked by
-    homogeneous integer Horner and deflated exactly.
+    homogeneous integer Horner (``polynomial._int_horner``) and deflated
+    exactly.
     """
-    ints = _primitive(f.coeffs)[0]
+    ints = list(f.primitive[0])
     found: list[Fraction] = []
     while len(ints) > 1 and ints[-1] == 0:
         found.append(Fraction(0))
@@ -296,7 +276,7 @@ def _rational_roots(f: Polynomial) -> tuple[list[Fraction], Polynomial]:
                 for num in (r, -r):
                     if ((q == num or at_one % (q - num) == 0)
                             and (q == -num or at_minus_one % (q + num) == 0)
-                            and _vanishes_at(ints, num, q)):
+                            and _int_horner(ints, num, q)[0] == 0):
                         found.append(Fraction(num, q))
                         ints = _deflate(ints, num, q)
                         scale *= q
@@ -306,40 +286,16 @@ def _rational_roots(f: Polynomial) -> tuple[list[Fraction], Polynomial]:
     return sorted(found), Polynomial.exact([scale * v for v in ints])
 
 
-def _newton_polish(pf: Polynomial, dp: Polynomial, z: complex, steps: int = 12) -> complex:
-    """The iterate of least |pf| among z and up to ``steps`` Newton steps from it.
+def _polish_roots(pf: Polynomial, zs) -> list[complex]:
+    """Each z in zs polished by up to 12 Newton steps on pf: the iterate of least |pf|.
 
     Each step reuses pf at the current iterate, and a step that returns to
     an earlier iterate (a fixed point or a cycle) ends the loop: the Newton
     map depends on z alone, so every later iterate would repeat one already
-    scored, and none can beat the strict ``v < best_val``.  pf and dp are
-    called; ``_polish_roots`` runs this loop inline on coefficient tuples.
-    """
-    fz = pf(z)
-    best, best_val = z, abs(fz)
-    seen = {z}
-    for _ in range(steps):
-        d = dp(z)
-        if d == 0:
-            break
-        z = z - fz / d
-        if z in seen:
-            break
-        seen.add(z)
-        fz = pf(z)
-        v = abs(fz)
-        if v < best_val:
-            best, best_val = z, v
-    return best
-
-
-def _polish_roots(pf: Polynomial, zs) -> list[complex]:
-    """``_newton_polish`` of each z in zs on pf and its derivative, inline.
-
-    pf and pf' are evaluated by Horner's rule on their coefficient tuples,
-    with the operations of ``Polynomial.__call__`` in its order, so every
-    root has the bits of the per-root ``_newton_polish(pf, pf.derivative(),
-    z)`` at no Python call per evaluation.
+    scored, and none can beat the strict ``v < best_val``.  pf and pf' are
+    evaluated by Horner's rule inline on their coefficient tuples, with the
+    operations of ``Polynomial.__call__`` in its order, so each value has
+    the bits of calling pf or pf' at no Python call per evaluation.
     """
     f0, *fs = pf.coeffs
     d0, *ds = pf.derivative().coeffs
@@ -375,23 +331,17 @@ def _keep_eigenvalues(pfs) -> None:
     """Each float polynomial of pfs, all of one degree, keeps its companion eigenvalues.
 
     The companion matrices of p / lc(p) of those that keep none yet
-    (``Polynomial.memo``) go to one stacked ``np.linalg.eigvals`` call.
-    LAPACK runs on each matrix of a stack as on that matrix alone, so each
-    polynomial gets the bits a call on it alone gives.  ``_float_roots``
-    polishes what a polynomial keeps.
+    (``Polynomial.memo``), built by ``bezout._companion_stack``, go to one
+    stacked ``np.linalg.eigvals`` call.  LAPACK runs on each matrix of a
+    stack as on that matrix alone, so each polynomial gets the bits a call
+    on it alone gives.  ``_float_roots`` polishes what a polynomial keeps.
     """
     todo = [pf for pf in pfs if "eigenvalues" not in pf.memo]
     if not todo or todo[0].degree < 1:
         return
     import numpy as np
 
-    c = np.array([pf.coeffs for pf in todo])
-    n, m = c.shape[0], c.shape[1] - 1
-    A = np.zeros((n, m, m))
-    A.reshape(n, m * m)[:, 1:m * (m - 1):m + 1] = 1.0  # the superdiagonal
-    # the last row of ``bezout.companion_matrix`` of p / lc(p)
-    A[:, -1] = -(c[:, :0:-1] / c[:, :1])
-    for pf, eigs in zip(todo, np.linalg.eigvals(A)):
+    for pf, eigs in zip(todo, np.linalg.eigvals(_companion_stack([pf.coeffs for pf in todo]))):
         pf.memo["eigenvalues"] = eigs
 
 

@@ -1,4 +1,4 @@
-"""Deterministic random corpora shared across the test modules."""
+"""Deterministic random corpora and plain references shared across the test modules."""
 
 from __future__ import annotations
 
@@ -217,3 +217,18 @@ def factor_product(content, roots, quadratics) -> Polynomial:
 def factored_poly(draw, max_linear=4, max_mult=3):
     """A ``factored_parts`` product: content * x^z * prod (x - r)^k * prod quadratic^j."""
     return factor_product(*draw(factored_parts(max_linear, max_mult)))
+
+
+def newton_polish_reference(pf: Polynomial, z: complex, steps: int = 12) -> complex:
+    """Newton on pf from z, keeping the iterate of least |pf|; evaluates pf twice a step."""
+    dp = pf.derivative()
+    best, best_val = z, abs(pf(complex(z)))
+    for _ in range(steps):
+        d = dp(complex(z))
+        if d == 0:
+            break
+        z = z - pf(complex(z)) / d
+        v = abs(pf(complex(z)))
+        if v < best_val:
+            best, best_val = z, v
+    return best

@@ -60,3 +60,11 @@ def test_summarize_counts_wins_in_each_metric_direction():
     assert got["peak_rss_mb"]["change_wins"] == got["peak_rss_mb"]["parent_wins"] == 0
     one = ab.summarize(pairs[:1], SPEC)["certs_per_s"]["parent"]
     assert one["q1"] == one["median"] == one["q3"] == 480.0
+
+
+def test_out_is_required(capsys):
+    # a default file would be some earlier change's committed record
+    with pytest.raises(SystemExit):
+        load_tool().main(["--parent", "HEAD", "--change", "HEAD", "--workload", "exact_certify",
+                          "--seed", "21"])
+    assert "--out" in capsys.readouterr().err

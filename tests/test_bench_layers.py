@@ -5,6 +5,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 LAYERS = {"bezout_matrix", "psd_certificate", "symmetrization_defect", "det",
           "separation_lower_bound_check", "h_b_relation_check", "leray_symmetrizer",
@@ -26,9 +28,9 @@ def test_bench_layers_writes_rows_for_every_layer_and_degree(tmp_path, monkeypat
     tool = load_tool()
     monkeypatch.setattr(tool, "MIN_TIME", 0.0005)
     monkeypatch.chdir(tmp_path)
-    out = tmp_path / "BENCH_14.json"
+    out = tmp_path / "layers.json"
     out.write_text(json.dumps({"runs": {"earlier": {"rows": []}}}))
-    assert tool.main(["--label", "smoke", "--degrees", "2,3"]) == 0
+    assert tool.main(["--label", "smoke", "--degrees", "2,3", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert set(doc["runs"]) == {"earlier", "smoke"}
     run = doc["runs"]["smoke"]
@@ -43,3 +45,10 @@ def test_bench_layers_writes_rows_for_every_layer_and_degree(tmp_path, monkeypat
     rows = run["rows"]
     assert {(r["layer"], r["m"]) for r in rows} == {(k, m) for k in LAYERS for m in (2, 3)}
     assert all(r["best_s"] > 0 for r in rows)
+
+
+def test_bench_layers_requires_out(capsys):
+    # a default file would be some earlier change's committed record
+    with pytest.raises(SystemExit):
+        load_tool().main(["--label", "smoke"])
+    assert "--out" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Smoothing operator: transform, inversion, gap floors and interlacing."""
 
+import itertools
 import math
 from fractions import Fraction
 from unittest import mock
@@ -26,9 +27,10 @@ from bezoutian import (
     real_roots,
     verify_gaps,
 )
-from bezoutian import roots
+from bezoutian import nuij, roots
+from bezoutian.cli import main
 from bezoutian.nuij import _int_stages, _simplest_rational
-from bezoutian.roots import _hyperbolic_strict, _newton_polish
+from bezoutian.roots import _hyperbolic_strict
 
 EPS = Fraction(1, 10)
 
@@ -243,7 +245,7 @@ def float_roots_reference(p: Polynomial) -> list:
     c = np.array(pf.coeffs, dtype=float)
     A = np.eye(len(c) - 1, k=1)
     A[-1, :] = -(c[1:] / c[0])[::-1]
-    return [_newton_polish(pf, pf.derivative(), complex(z)) for z in np.linalg.eigvals(A)]
+    return [corpus.newton_polish_reference(pf, complex(z)) for z in np.linalg.eigvals(A)]
 
 
 def family_point_reference(p: Polynomial, eps) -> tuple:
@@ -306,27 +308,51 @@ def multiple_root_polys(draw):
 @example(Polynomial.from_roots([1, 1, 2]), [0.5, 1e300, 0.25, -0.5])
 @example(Polynomial.from_roots([1, 1, 2]), [0.5, -0.5, 0.25, Fraction(1, 3)])
 def test_grid_kernel_builds_each_point_bit_for_bit_as_eps_alone(p, grid):
-    # the per-eps calls after build_family raise at the first failing eps, with
-    # the error that eps alone raises, and every point before it has the bits
-    # of its own eigensolver call and per-root polish
+    # build_family raises the error that the first failing eps before the
+    # first eps <= 0 raises alone; the per-eps calls after it raise at the
+    # first failing eps, with the error that eps alone raises, and every point
+    # before it has the bits of its own eigensolver call and per-root polish
     def kept_point(eps):
         point = nuij_family(p, eps)
         return point.p_eps, point.roots_eps, point.q_eps
 
     alone = Polynomial(p.coeffs, p.backend)
     want = grid_outcomes(grid, lambda eps: family_point_reference(alone, eps))
-    build_family(p, grid)
+    positive = list(itertools.takewhile(lambda eps: eps > 0, grid))
+    failure = want[-1][1:] if len(want[-1]) == 3 and len(want) <= len(positive) else None
+    try:
+        build_family(p, grid)
+        raised = None
+    except Exception as exc:  # the grid kernel must raise what the eps alone raises
+        raised = (type(exc), str(exc))
+    assert raised == failure
     assert grid_outcomes(grid, kept_point) == want
 
 
 def test_grid_kernel_keeps_the_points_before_a_failure():
     p = Polynomial.from_roots([-228] * 3)
     grid = default_epsilon_grid()
-    build_family(p, grid)
+    with pytest.raises(ValueError, match="complex roots"):
+        build_family(p, grid)
     kept = [key[2] for key in p.memo if key[0] == "nuij"]
     assert kept == list(grid[:-1])  # the last eps fails and keeps nothing
     with pytest.raises(ValueError, match="complex roots"):
         nuij_family(p, grid[-1])
+
+
+def test_a_failing_family_point_is_built_once(capsys):
+    # (x + 228)^3 fails at the last eps of the default grid; build_family
+    # raises there, so the per-eps loop of cmd_nuij never builds it again
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return nuij_transform(*args)
+
+    with mock.patch.object(nuij, "nuij_transform", counted):
+        assert main(["nuij", "--poly", "[1,684,155952,11852352]"]) == 3
+    assert calls == list(default_epsilon_grid())
+    assert "complex roots" in capsys.readouterr().err
 
 
 def test_stagewise_gap_law():
@@ -393,8 +419,8 @@ def test_integer_stages_are_positive_multiples_of_the_fraction_chain(p, eps):
     assume(p.degree <= 9)
     chain = [p]
     for _ in range(int(p.degree) - 1):
-        chain.append(nuij_transform(chain[-1], eps, 1))
-    stages = _int_stages(p, eps)
+        chain.append(derivative_sum_reference(chain[-1], eps, 1))
+    stages = _int_stages(p, eps, int(p.degree) - 1)
     assert len(stages) == len(chain)
     for ints, stage in zip(stages, chain):
         scale = ints[0] / stage.leading

@@ -565,6 +565,28 @@ def test_decimal_analyze_certifies_multiple_roots(capsys, root_values):
     assert report["inputs"]["poly"] == json.loads(decimal)
 
 
+@pytest.mark.parametrize("command", ["nuij", "quasi"])
+@pytest.mark.parametrize("root_values", [
+    [1, 1, 1],                # (x - 1)^3: both exited 3 on a split root cluster
+    [1, 1, -2],               # (x - 1)^2 (x + 2): quasi exited 1
+    [Fraction(1, 2), 3],
+    [0, 0, Fraction(-3, 4), 2, 2],
+])
+def test_decimal_nuij_and_quasi_reports_equal_those_of_their_exact_values(
+        capsys, command, root_values):
+    # nuij and quasi certify a decimal p at its exact dyadic value and echo it as typed
+    p = Polynomial.from_roots(root_values)
+    floats = [float(c) for c in p.coeffs]
+    runs = [run_cli(capsys, command, "--poly", poly)
+            for poly in (json.dumps(floats), fraction_argv(p))]
+    (code, out, err), (exact_code, exact_out, exact_err) = runs
+    assert (code, err) == (exact_code, exact_err) == (0, "")
+    report, exact_report = json.loads(out), json.loads(exact_out)
+    assert report["inputs"].pop("poly") == floats
+    exact_report["inputs"].pop("poly")
+    assert report == exact_report and report["backend"] == "exact"
+
+
 def test_analyze_reports_determinants_past_the_float_range(capsys):
     # 24 distinct rationals 13k/6: disc p is about 8.1e623, and float(disc)
     # raised OverflowError out of main; the leading and constant coefficients
@@ -710,7 +732,7 @@ def test_nuij_runs_the_sturm_chain_of_p_once(capsys, monkeypatch, ints):
     code, out, _ = run_cli(capsys, "nuij", "--poly", json.dumps(ints))
     assert code == 0
     assert len(chains) == 1 + 2 * len(json.loads(out)["inputs"]["grid"])
-    assert chains.count(ints) == 1
+    assert [list(chain) for chain in chains].count(ints) == 1
 
 
 def test_quasi_default_r_reads_no_root_of_exact_p(capsys):
@@ -802,14 +824,16 @@ def test_energy_rejects_a_non_finite_U0(capsys, U0):
 ])
 def test_a_float_form_past_the_float_range_exits_2_without_a_warning(capsys, argv):
     # the float form of (p, p') has inf and NaN entries, which used to reach
-    # numpy; analyze certifies the exact p, whose float root -1e300 has a
-    # residual bound past the float range
+    # numpy; analyze and nuij certify the exact p, and the float root -1e300
+    # of p, or -1e200 of the family point at eps = 1, has a residual bound
+    # past the float range
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning fails the request
         code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    what = ("the residual bound at root -1e+300" if argv[0] == "analyze"
-            else "the float Bezout form of (p, q)")
+    what = {"analyze": "the residual bound at root -1e+300",
+            "nuij": "the residual bound at root -1e+200",
+            "energy": "the float Bezout form of (p, q)"}[argv[0]]
     assert err == f"input error: {what} leaves the float64 range\n"
 
 

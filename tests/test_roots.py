@@ -5,6 +5,7 @@ references kept here: Euclid's algorithm with monic normalization, Yun's
 algorithm over Fraction polynomials and the Sturm chain of the radical.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -25,12 +26,11 @@ from bezoutian import (
 )
 import numpy as np
 
-from bezoutian.polynomial import _primitive
+from bezoutian.polynomial import _int_primitive, _primitive
 from bezoutian.roots import (
     _float_roots,
     _hyperbolic_strict,
-    _int_primitive,
-    _newton_polish,
+    _polish_roots,
     _sturm_chain,
     poly_gcd,
     radical,
@@ -270,7 +270,11 @@ def test_poly_gcd_matches_euclid(f, g, shared):
 @given(st.lists(st.integers(-50, 50), max_size=8), st.integers(1, 12))
 def test_int_primitive_part_equals_the_fraction_primitive_part(c, scale):
     for ints in (c, [scale * v for v in c]):
-        assert _int_primitive(ints) == _primitive(ints)[0]
+        prim, content = _primitive(ints)
+        assert _int_primitive(ints) == prim
+        # against Fractions: ints = content * prim, with coprime prim and content >= 0
+        assert [Fraction(v) for v in ints] == [content * v for v in prim]
+        assert math.gcd(*prim) == (1 if any(ints) else 0) and content >= 0
 
 
 @settings(max_examples=120, deadline=None)
@@ -334,21 +338,6 @@ def test_squarefree_and_sturm_edge_cases():
 # -- root polish against the plain Newton loop -----------------------------------
 
 
-def newton_polish_reference(pf: Polynomial, z: complex, steps: int = 12) -> complex:
-    """Newton on pf from z, keeping the iterate of least |pf|; evaluates pf twice a step."""
-    dp = pf.derivative()
-    best, best_val = z, abs(pf(complex(z)))
-    for _ in range(steps):
-        d = dp(complex(z))
-        if d == 0:
-            break
-        z = z - pf(complex(z)) / d
-        v = abs(pf(complex(z)))
-        if v < best_val:
-            best, best_val = z, v
-    return best
-
-
 def companion_reference(pf: Polynomial) -> np.ndarray:
     """Companion matrix of pf divided by its leading coefficient, from numpy alone."""
     c = np.array(pf.coeffs, dtype=float)
@@ -371,33 +360,34 @@ float_polys = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(float_polys, st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
-       st.integers(0, 30))
-def test_newton_polish_matches_the_reference_bit_for_bit(pf, z, steps):
-    got = _newton_polish(pf, pf.derivative(), z, steps)
-    assert complex_bits(got) == complex_bits(newton_polish_reference(pf, z, steps))
+@given(float_polys, st.lists(st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                                allow_infinity=False), max_size=4))
+def test_newton_polish_matches_the_reference_bit_for_bit(pf, zs):
+    # the inline polish, which ends early at a repeated iterate, against the
+    # plain 12-step loop that evaluates through Polynomial.__call__
+    got = _polish_roots(pf, zs)
+    assert [complex_bits(z) for z in got] == [complex_bits(corpus.newton_polish_reference(pf, z))
+                                              for z in zs]
 
 
-def test_newton_polish_stops_when_an_iterate_repeats():
+def test_newton_polish_matches_the_reference_on_a_two_cycle():
     # from z the iterates alternate between two neighbouring floats, a 2-cycle
-    # that a fixed-point test never ends; a float_forms input at seed 21
+    # that a fixed-point test never ends; a float_forms input at seed 21.  The
+    # polish ends at the third step, which returns to the first iterate, and
+    # keeps the bits of the reference's 12 steps
     pf = Polynomial.float64([1.0, -3.65625, 1.4765625, 2.57763671875])
-    dp = pf.derivative()
     z = -0.6225603766352348 + 0j
-    calls = []
-
-    def counted(w):
-        calls.append(w)
-        return dp(w)
-
-    got = _newton_polish(pf, counted, z, 12)
-    assert len(calls) == 3  # the third step returns to the first iterate
-    assert complex_bits(got) == complex_bits(newton_polish_reference(pf, z, 12))
+    dp = pf.derivative()
+    w1 = z - pf(z) / dp(z)
+    w2 = w1 - pf(w1) / dp(w1)
+    assert w1 != z and w2 - pf(w2) / dp(w2) == w1  # the cycle the polish stops on
+    assert [complex_bits(w) for w in _polish_roots(pf, [z])] == [
+        complex_bits(corpus.newton_polish_reference(pf, z))]
 
 
 @settings(max_examples=150, deadline=None)
 @given(float_polys)
 def test_float_roots_match_polished_eigenvalues_bit_for_bit(pf):
     eigs = np.linalg.eigvals(companion_reference(pf))
-    want = [newton_polish_reference(pf, complex(z)) for z in eigs]
+    want = [corpus.newton_polish_reference(pf, complex(z)) for z in eigs]
     assert [complex_bits(z) for z in _float_roots(pf)] == [complex_bits(z) for z in want]

@@ -6,7 +6,7 @@ metric.
 Usage, from the repository root:
 
     python3 tools/ab.py --parent e1d423f --change HEAD --workload exact_certify \\
-        --seed 21 --pairs 10
+        --seed 21 --pairs 10 --out BENCH_N.json
 
 Each commit is unpacked with ``git archive`` into a temporary directory, so
 no worktree is made and nothing is written under ``.git``.  Every run is a
@@ -20,9 +20,9 @@ holds every run, each side's median and quartiles, and the number of pairs
 the change won: better in the metric's declared direction, ties counting
 for neither side.  The runs' failure counts are kept beside them, and
 ``same_bench`` says whether the two trees' ``bench/`` files are identical.
-The entry ``<workload>-seed<seed>`` of ``--out`` (default
-``BENCH_16.json``) is rewritten after every pair, next to the entries
-other workloads and seeds left there.
+The entry ``<workload>-seed<seed>`` of ``--out`` (required, so that no
+run rewrites an earlier record by default) is rewritten after every pair,
+next to the entries other workloads and seeds left there.
 """
 
 from __future__ import annotations
@@ -118,7 +118,8 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--out", type=Path, default=Path("BENCH_16.json"))
+    ap.add_argument("--out", type=Path, required=True,
+                    help="JSON file the entry goes into, next to the entries already there")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")

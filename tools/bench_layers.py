@@ -56,12 +56,12 @@ seconds, and whether that import loaded ``numpy`` and ``scipy.linalg``.
 Each layer is timed as the best of five batches (stdlib
 ``time.perf_counter``); a batch repeats the call until it lasts
 ``MIN_TIME`` seconds, and the per-call time is reported.  The rows go into
-``--out`` (default ``BENCH_14.json``) in the working directory under
-``--label``, next to the rows other labels left there, with the Python
-version and the commit of the timed source.
+``--out`` (required, so that no run rewrites an earlier record by default)
+under ``--label``, next to the rows other labels left there, with the
+Python version and the commit of the timed source.
 
-    PYTHONPATH=src python tools/bench_layers.py --label change
-    PYTHONPATH=<other checkout>/src python tools/bench_layers.py --label parent
+    PYTHONPATH=src python tools/bench_layers.py --label change --out BENCH_N.json
+    PYTHONPATH=<other checkout>/src python tools/bench_layers.py --label parent --out BENCH_N.json
 """
 
 from __future__ import annotations
@@ -240,8 +240,8 @@ def main(argv=None) -> int:
     ap.add_argument("--label", required=True, help="key of this run in the output file")
     ap.add_argument("--degrees", default=",".join(map(str, DEGREES)),
                     help="comma-separated degrees (default %(default)s)")
-    ap.add_argument("--out", type=Path, default=Path("BENCH_14.json"),
-                    help="JSON file the rows go into (default %(default)s)")
+    ap.add_argument("--out", type=Path, required=True,
+                    help="JSON file the rows go into, next to the runs already there")
     args = ap.parse_args(argv)
     degrees = [int(d) for d in args.degrees.split(",")]
     out = args.out

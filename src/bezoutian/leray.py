@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 from . import exactla
 from .bezout import bezout_matrix, companion_matrix, symmetrization_defect
 from .exactla import IntMatrix, PsdVerdict
-from .polynomial import Polynomial, _primitive, power_sums
+from .polynomial import Polynomial, power_sums
 
 if TYPE_CHECKING:
     import numpy as np
@@ -94,7 +94,7 @@ def _derivative_at_companion(p: Polynomial) -> tuple[list, object]:
     each reduction an exact division.
     """
     m = int(p.degree)
-    P = _primitive(p.coeffs)[0][::-1]
+    P = p.primitive[0][::-1]
     L = P[-1]
     row = [(j + 1) * P[j + 1] * L ** (m - 1) for j in range(m)]
     W = [row]

@@ -16,8 +16,11 @@ derivative sum coefficient for coefficient.
 
 A stage p_l + eps p_l' interlaces p_l iff p_l is hyperbolic, as their Bezout
 form is eps H(p_l, p_l'); ``certify_stages`` decides that by one Sturm chain
-per stage, whose count and gcd degree come from the integer Sturm kernel of
-``roots``.  A float eps is certified at the simplest
+per two stages.  The integer Sturm kernel of ``roots`` gives the degree and
+leading sign of each chain member; from them come the count and gcd degree
+of the even stage p_l, which certify p_l, and the Cauchy index of p_l
+against p_(l+1), which certifies p_(l+1) when p_l is hyperbolic
+(``_next_stage``).  A float eps is certified at the simplest
 rational that rounds to it (1/10000 for 1e-4), not at its dyadic value,
 whose denominator would add about 65 bits per stage.
 
@@ -36,9 +39,11 @@ from fractions import Fraction
 
 from .polynomial import Polynomial, RootProfile, _derivative, _int_primitive
 from .roots import (
-    _hyperbolic_strict,
+    _chain_verdict,
     _int_sturm_chain,
     _keep_eigenvalues,
+    _sturm_ends,
+    _variation_drop,
     real_roots,
     sturm_real_root_count,
 )
@@ -343,13 +348,21 @@ def certify_stages(p: Polynomial, epsilon) -> tuple[bool, bool]:
     """(interlaced, strict) of the stages p_0 = p, p_(l+1) = p_l + eps p_l'.
 
     Interlaced: p_0 .. p_(m-2) are hyperbolic.  Strict: p_(m-1) has m distinct
-    real roots.  Decided on the exact p and eps, from one integer Sturm chain
-    per stage; stage 0 is p at every eps, and its verdict is the one p keeps
-    (``roots._hyperbolic_strict``).  An int or Fraction eps is used as it is;
-    a positive finite float eps is certified at the simplest rational that
-    rounds to it (least denominator; 1/10000 for 1e-4), whose float is the
-    echoed eps.  For hyperbolic p every eps > 0 gives (True, True), so the
-    choice of rational moves no verdict there, only the size of the integers.
+    real roots.  Decided on the exact p and eps from the integer Sturm chains
+    of the even stages p_0, p_2, ...: each certifies its own stage by its
+    count and the stage after it by its Cauchy index (``_next_stage``).
+    Stage 0 is p at every eps, and its chain is the one p keeps
+    (``roots._sturm_ends``).  A stage the index does not decide runs its own
+    chain: an odd stage after one that is not hyperbolic, or the last stage
+    when the one before it has a repeated root; an even last stage keeps its
+    own count (``sturm_real_root_count``).  So a hyperbolic p with no root of
+    multiplicity m makes floor((m - 1) / 2) chains per eps.
+
+    An int or Fraction eps is used as it is; a positive finite float eps is
+    certified at the simplest rational that rounds to it (least denominator;
+    1/10000 for 1e-4), whose float is the echoed eps.  For hyperbolic p every
+    eps > 0 gives (True, True), so the choice of rational moves no verdict
+    there, only the size of the integers.
     """
     if isinstance(epsilon, float) and math.isfinite(epsilon) and epsilon > 0:
         eps = _simplest_rational(epsilon)
@@ -358,10 +371,47 @@ def certify_stages(p: Polynomial, epsilon) -> tuple[bool, bool]:
     if eps <= 0:
         raise ValueError("epsilon must be positive")
     stages = _int_stages(p, eps, int(p.degree) - 1)
-    # hyperbolic iff the distinct real roots and deg gcd(P, P') add up to deg P
-    interlaced = (len(stages) < 2 or _hyperbolic_strict(p.as_exact())[0]) and all(
-        sum(_int_sturm_chain(stage)) == len(stage) - 1 for stage in stages[1:-1])
+    proved = None  # what the index of the stage before proves of this one
+    for l, stage in enumerate(stages[:-1]):
+        if proved and proved[0]:
+            proved = None
+            continue
+        ends = _sturm_ends(p.as_exact()) if l == 0 else _int_sturm_chain(stage)
+        if not _chain_verdict(ends)[0]:
+            interlaced, proved = False, None
+            break
+        proved = _next_stage(ends)
+    else:
+        interlaced = True
+    if proved and proved[1]:
+        return interlaced, True
     return interlaced, sturm_real_root_count(Polynomial.exact(stages[-1])) == len(stages)
+
+
+def _next_stage(ends: list) -> tuple[bool, bool]:
+    """(hyperbolic, strict) of P_(l+1) as the Sturm chain of P_l proves it.
+
+    ``ends`` are the chain ends of P_l (``roots._int_sturm_chain``).  With
+    eps = a/b > 0, P_(l+1) is a positive multiple of b P_l + a P_l', whose
+    remainder on division by P_l is a positive multiple of P_l'.  So the
+    signed remainder sequence of (P_(l+1), P_l) is P_(l+1) followed by the
+    chain of P_l with its signs alternating from P_l' on: +P_l, -P_l', +S_2,
+    -S_3, ...  Its sign variations at -inf minus +inf are the Cauchy index
+    Ind(P_l / P_(l+1)) (Basu, Pollack and Roy, Algorithms in Real Algebraic
+    Geometry, Thm 2.58).  With g = gcd(P_l, P_l') = gcd(P_(l+1), P_l),
+    |Ind| counts at most the distinct real simple roots of P_(l+1) / g, of
+    degree m - deg g, so |Ind| = m - deg g makes them all real and simple.
+    g divides P_l, so when P_l is hyperbolic P_(l+1) is too, and strict when
+    deg g = 0.  Each False means the index decides nothing: P_l is not
+    hyperbolic, or, for strict, deg g > 0.
+    """
+    if not _chain_verdict(ends)[0]:
+        return False, False
+    m, lead = ends[0][0] - 1, ends[0][1]  # every stage keeps the leading sign of p
+    signed = [(n, s if i % 2 == 0 else not s) for i, (n, s) in enumerate(ends)]
+    gcd_degree = ends[-1][0] - 1
+    hyperbolic = abs(_variation_drop([(m + 1, lead)] + signed)) == m - gcd_degree
+    return hyperbolic, hyperbolic and gcd_degree == 0
 
 
 def default_epsilon_grid(start: float = 1.0, stop: float = 1e-4, count: int = 9) -> tuple:

@@ -206,8 +206,8 @@ class Polynomial:
         ``as_float``, ``as_exact``), its Bezout forms (``bezout.bezout_matrix``,
         keyed by the value of q), its roots (``roots.real_roots``), its
         companion eigenvalues and the float roots of its exact square-free
-        cofactors (``roots._float_roots``), its Sturm verdict
-        (``roots._hyperbolic_strict``), its smoothing family points
+        cofactors (``roots._float_roots``), the ends of its Sturm chain
+        (``roots._sturm_ends``), its smoothing family points
         (``nuij.nuij_family``) and its power-sum symmetrizer
         (``leray.leray_symmetrizer``) are built on first request
         and kept here, as a matrix keeps its certificate, so every check of

@@ -18,12 +18,14 @@ The exact kernels run on a polynomial's primitive integer coefficients
 polynomial; the list kernels ``_derivative``, ``_int_primitive`` and the
 homogeneous Horner ``_int_horner`` live in ``polynomial``): the gcd is a
 primitive remainder sequence of pseudo-remainders, Yun's quotients are exact
-integer divisions, the Sturm chain of pseudo-remainders gives the real-root
-count from its degrees and leading signs and ends at gcd(p, p'), and the
-rational-root search tests integer candidates.  The monic factors, counts
-and roots they return equal those of Fraction arithmetic.  The Sturm kernel
-takes an integer list directly, so a caller holding one (the Nuij stage
-chain of ``nuij.certify_stages``) builds no Polynomial for it.
+integer divisions, the Sturm chain of pseudo-remainders ends at gcd(p, p')
+and returns the degree and leading sign of each member, which give the
+real-root count, and the rational-root search tests integer candidates.
+The monic factors, counts and roots they return equal those of Fraction
+arithmetic.  The Sturm kernel takes an integer list directly, so a caller
+holding one (the Nuij stage chain of ``nuij.certify_stages``, which also
+reads the Cauchy index of the next stage from those ends) builds no
+Polynomial for it.
 """
 
 from __future__ import annotations
@@ -163,23 +165,37 @@ def radical(p: Polynomial) -> Polynomial:
 
 def _sturm_chain(p: Polynomial) -> tuple[int, int]:
     """(distinct real roots, deg gcd(p, p')) of exact p from one Sturm chain."""
-    return _int_sturm_chain(p.primitive[0])
+    return _chain_count(_int_sturm_chain(p.primitive[0]))
 
 
-def _int_sturm_chain(a: list) -> tuple[int, int]:
-    """``_sturm_chain`` of the integer polynomial a (leading first, degree >= 1).
+def _int_sturm_chain(a: list) -> list:
+    """(degree + 1, leading sign) of each member of the Sturm chain of the
+    integer polynomial a (leading first, degree >= 1), a first.
 
     Each pseudo-remainder is scaled by a positive integer, which keeps the
-    signs of the classical chain; the last member is gcd(a, a').
+    signs of the classical chain; the last member is gcd(a, a').  These ends
+    are all that Sturm's theorem (``_chain_count``) and the Cauchy index of
+    a Nuij stage (``nuij._next_stage``) read of the chain.
     """
     b = _int_primitive(_derivative(a))
-    ends = [(len(a), a[0] > 0)]  # (degree + 1, leading sign) of each chain member
+    ends = [(len(a), a[0] > 0)]
     while b:
         ends.append((len(b), b[0] > 0))
         a, b = b, [-v for v in _int_primitive(_prem(a, b))]
+    return ends
+
+
+def _variation_drop(ends: list) -> int:
+    """Sign variations at -inf minus those at +inf of a polynomial sequence,
+    given as the (degree + 1, leading sign) of each member."""
     at_pos = [s for _, s in ends]
     at_neg = [s if n % 2 else not s for n, s in ends]
-    return _variations(at_neg) - _variations(at_pos), len(a) - 1
+    return _variations(at_neg) - _variations(at_pos)
+
+
+def _chain_count(ends: list) -> tuple[int, int]:
+    """(distinct real roots, deg gcd(a, a')) of a from the ends of its Sturm chain."""
+    return _variation_drop(ends), ends[-1][0] - 1
 
 
 def _variations(signs: list) -> int:
@@ -199,18 +215,29 @@ def sturm_real_root_count(p: Polynomial) -> int:
     return _sturm_chain(p)[0]
 
 
+def _sturm_ends(p: Polynomial) -> list:
+    """The ends of the Sturm chain of exact p of degree >= 1 (``_int_sturm_chain``).
+
+    p keeps them (``Polynomial.memo``): ``is_hyperbolic`` reads its verdict
+    from them, and ``nuij.certify_stages`` reads stage 0 and the Cauchy index
+    of stage 1 at every eps.
+    """
+    return p.derived("sturm", lambda: _int_sturm_chain(p.primitive[0]))
+
+
 def _hyperbolic_strict(p: Polynomial) -> tuple[bool, bool]:
     """(hyperbolic, strict) of exact p of degree >= 1: Sturm count == deg p - deg gcd(p, p').
 
-    p keeps the verdict (``Polynomial.memo``), which ``is_hyperbolic`` and
-    stage 0 of ``nuij.certify_stages`` both read.
+    Read from the chain ends p keeps (``_sturm_ends``).
     """
-    def verdict() -> tuple[bool, bool]:
-        count, gcd_degree = _sturm_chain(p)
-        hyperbolic = count == p.degree - gcd_degree
-        return hyperbolic, hyperbolic and gcd_degree == 0
+    return _chain_verdict(_sturm_ends(p))
 
-    return p.derived("sturm", verdict)
+
+def _chain_verdict(ends: list) -> tuple[bool, bool]:
+    """(hyperbolic, strict) of a from the ends of its Sturm chain."""
+    count, gcd_degree = _chain_count(ends)
+    hyperbolic = count == ends[0][0] - 1 - gcd_degree
+    return hyperbolic, hyperbolic and gcd_degree == 0
 
 
 def _divisors(n: int) -> list[int]:

@@ -30,7 +30,7 @@ from bezoutian import (
 from bezoutian import nuij, roots
 from bezoutian.cli import main
 from bezoutian.nuij import _int_stages, _simplest_rational
-from bezoutian.roots import _hyperbolic_strict
+from bezoutian.roots import _hyperbolic_strict, sturm_real_root_count
 
 EPS = Fraction(1, 10)
 
@@ -468,6 +468,58 @@ def test_certify_stages_float_eps_agrees_with_its_dyadic_value(p, x):
     # for hyperbolic p every eps > 0 gives (True, True), so the rational
     # certified for a float eps moves no verdict
     assert certify_stages(p, x) == certify_stages(p, Fraction(x)) == (True, True)
+
+
+def stage_reference(p: Polynomial, eps) -> tuple[bool, bool]:
+    """certify_stages from the verdict of every stage, each built as a Polynomial."""
+    exact_eps = _simplest_rational(eps) if isinstance(eps, float) else Fraction(eps)
+    stages = [p.as_exact()]
+    for _ in range(int(p.degree) - 1):
+        stages.append(nuij_transform(stages[-1], exact_eps, 1))
+    interlaced = all(_hyperbolic_strict(stage)[0] for stage in stages[:-1])
+    return interlaced, sturm_real_root_count(stages[-1]) == p.degree
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpus.factored_poly().filter(lambda p: 1 <= p.degree <= 9),
+       st.sampled_from(default_epsilon_grid() + (Fraction(1, 10), Fraction(7, 3), 1)))
+def test_certify_stages_equals_the_verdicts_of_its_stages(p, eps):
+    # the Cauchy index of stage l against stage l + 1 stands in for the chain
+    # of every odd stage; non-hyperbolic p are drawn too
+    assert certify_stages(p, eps) == stage_reference(p, eps)
+
+
+def chain_of(coeffs) -> list:
+    return roots._int_sturm_chain(list(Polynomial.exact(coeffs).primitive[0]))
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (1, 10000), (7, 3), (3, 7)])
+def test_the_index_of_x_proves_its_stage_strict(a, b):
+    # x against b x + a: the sequence b x + a, x, -1 drops one variation
+    x = Polynomial.exact([1, 0])
+    assert _int_stages(x, Fraction(a, b), 1)[1] == [b, a]
+    assert nuij._next_stage(chain_of(x.coeffs)) == (True, True)
+    assert _hyperbolic_strict(Polynomial.exact([b, a])) == (True, True)
+
+
+@pytest.mark.parametrize("power", [2, 4])
+@pytest.mark.parametrize("r", [0, Fraction(-5, 2), 3])
+def test_the_index_leaves_strictness_to_the_stage_after_a_repeated_root(power, r):
+    # (x - r)^k proves p_1 hyperbolic but keeps a gcd of degree k - 1, so the
+    # last stage of m = k - 1 even runs its own count
+    p = Polynomial.from_roots([r] * power)
+    ends = chain_of(p.coeffs)
+    assert nuij._next_stage(ends) == (True, False)
+    stage = nuij_transform(p, EPS, 1)
+    assert _hyperbolic_strict(stage) == (True, power == 2)
+    assert certify_stages(p, EPS) == (True, True)
+
+
+def test_the_index_of_a_stage_that_is_not_hyperbolic_decides_nothing():
+    # control: (x^2 + 1)(x - 1) has a complex pair, so the index proves nothing
+    p = Polynomial.exact([1, 0, 1]) * Polynomial.exact([1, -1])
+    assert nuij._next_stage(chain_of(p.coeffs)) == (False, False)
+    assert certify_stages(p, Fraction(1, 10)) == stage_reference(p, Fraction(1, 10))
 
 
 def test_certify_stages_controls():

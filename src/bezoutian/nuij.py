@@ -376,11 +376,10 @@ def certify_stages(p: Polynomial, epsilon) -> tuple[bool, bool]:
         if proved and proved[0]:
             proved = None
             continue
-        ends = _sturm_ends(p.as_exact()) if l == 0 else _int_sturm_chain(stage)
-        if not _chain_verdict(ends)[0]:
-            interlaced, proved = False, None
+        proved = _next_stage(_sturm_ends(p.as_exact()) if l == 0 else _int_sturm_chain(stage))
+        if proved is None:
+            interlaced = False
             break
-        proved = _next_stage(ends)
     else:
         interlaced = True
     if proved and proved[1]:
@@ -388,8 +387,9 @@ def certify_stages(p: Polynomial, epsilon) -> tuple[bool, bool]:
     return interlaced, sturm_real_root_count(Polynomial.exact(stages[-1])) == len(stages)
 
 
-def _next_stage(ends: list) -> tuple[bool, bool]:
-    """(hyperbolic, strict) of P_(l+1) as the Sturm chain of P_l proves it.
+def _next_stage(ends: list) -> tuple[bool, bool] | None:
+    """(hyperbolic, strict) of P_(l+1) as the Sturm chain of P_l proves it,
+    or None when P_l is not hyperbolic.
 
     ``ends`` are the chain ends of P_l (``roots._int_sturm_chain``).  With
     eps = a/b > 0, P_(l+1) is a positive multiple of b P_l + a P_l', whose
@@ -398,19 +398,19 @@ def _next_stage(ends: list) -> tuple[bool, bool]:
     chain of P_l with its signs alternating from P_l' on: +P_l, -P_l', +S_2,
     -S_3, ...  Its sign variations at -inf minus +inf are the Cauchy index
     Ind(P_l / P_(l+1)) (Basu, Pollack and Roy, Algorithms in Real Algebraic
-    Geometry, Thm 2.58).  With g = gcd(P_l, P_l') = gcd(P_(l+1), P_l),
-    |Ind| counts at most the distinct real simple roots of P_(l+1) / g, of
-    degree m - deg g, so |Ind| = m - deg g makes them all real and simple.
-    g divides P_l, so when P_l is hyperbolic P_(l+1) is too, and strict when
-    deg g = 0.  Each False means the index decides nothing: P_l is not
-    hyperbolic, or, for strict, deg g > 0.
+    Geometry, Thm 2.58); P_(l+1) has the degree and leading sign of P_l,
+    so it adds no variation at either end.  With g = gcd(P_l, P_l') =
+    gcd(P_(l+1), P_l), |Ind| is at most the number of distinct real roots
+    of odd multiplicity of P_(l+1) / g, whose degree is m - deg g, so
+    |Ind| = m - deg g makes all its roots real and simple.  g divides P_l,
+    so when P_l is hyperbolic P_(l+1) is too, and strict when deg g = 0.
+    A False means the index decides nothing: for strict, when deg g > 0.
     """
     if not _chain_verdict(ends)[0]:
-        return False, False
-    m, lead = ends[0][0] - 1, ends[0][1]  # every stage keeps the leading sign of p
+        return None
     signed = [(n, s if i % 2 == 0 else not s) for i, (n, s) in enumerate(ends)]
-    gcd_degree = ends[-1][0] - 1
-    hyperbolic = abs(_variation_drop([(m + 1, lead)] + signed)) == m - gcd_degree
+    m, gcd_degree = ends[0][0] - 1, ends[-1][0] - 1
+    hyperbolic = abs(_variation_drop(signed)) == m - gcd_degree
     return hyperbolic, hyperbolic and gcd_degree == 0
 
 

@@ -187,19 +187,24 @@ def _int_sturm_chain(a: list) -> list:
 
 def _variation_drop(ends: list) -> int:
     """Sign variations at -inf minus those at +inf of a polynomial sequence,
-    given as the (degree + 1, leading sign) of each member."""
-    at_pos = [s for _, s in ends]
-    at_neg = [s if n % 2 else not s for n, s in ends]
-    return _variations(at_neg) - _variations(at_pos)
+    given as the (degree + 1, leading sign) of each member.
+
+    A member's sign at +inf is its leading sign, and at -inf that sign
+    flipped at odd degree; so two neighbours vary at -inf exactly when they
+    vary at +inf or their degrees differ in parity, not both.
+    """
+    drop = 0
+    n0, s0 = ends[0]
+    for n, s in ends[1:]:
+        change = s != s0
+        drop += (change != ((n - n0) % 2 == 1)) - change
+        n0, s0 = n, s
+    return drop
 
 
 def _chain_count(ends: list) -> tuple[int, int]:
     """(distinct real roots, deg gcd(a, a')) of a from the ends of its Sturm chain."""
     return _variation_drop(ends), ends[-1][0] - 1
-
-
-def _variations(signs: list) -> int:
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def sturm_real_root_count(p: Polynomial) -> int:

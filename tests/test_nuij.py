@@ -518,7 +518,7 @@ def test_the_index_leaves_strictness_to_the_stage_after_a_repeated_root(power, r
 def test_the_index_of_a_stage_that_is_not_hyperbolic_decides_nothing():
     # control: (x^2 + 1)(x - 1) has a complex pair, so the index proves nothing
     p = Polynomial.exact([1, 0, 1]) * Polynomial.exact([1, -1])
-    assert nuij._next_stage(chain_of(p.coeffs)) == (False, False)
+    assert nuij._next_stage(chain_of(p.coeffs)) is None
     assert certify_stages(p, Fraction(1, 10)) == stage_reference(p, Fraction(1, 10))
 
 

@@ -170,7 +170,7 @@ def _sturm_chain(p: Polynomial) -> tuple[int, int]:
 
 def _int_sturm_chain(a: list) -> list:
     """(degree + 1, leading sign) of each member of the Sturm chain of the
-    integer polynomial a (leading first, degree >= 1), a first.
+    integer polynomial a (leading first, degree >= 1), in chain order.
 
     Each pseudo-remainder is scaled by a positive integer, which keeps the
     signs of the classical chain; the last member is gcd(a, a').  These ends

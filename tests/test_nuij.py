@@ -505,8 +505,9 @@ def test_the_index_of_x_proves_its_stage_strict(a, b):
 @pytest.mark.parametrize("power", [2, 4])
 @pytest.mark.parametrize("r", [0, Fraction(-5, 2), 3])
 def test_the_index_leaves_strictness_to_the_stage_after_a_repeated_root(power, r):
-    # (x - r)^k proves p_1 hyperbolic but keeps a gcd of degree k - 1, so the
-    # last stage of m = k - 1 even runs its own count
+    # the chain of (x - r)^k proves p_1 hyperbolic but ends at a gcd of degree
+    # k - 1, so it cannot prove p_1 strict; the last stage, which follows a
+    # stage with a repeated root at k = 2 and 4, runs its own count
     p = Polynomial.from_roots([r] * power)
     ends = chain_of(p.coeffs)
     assert nuij._next_stage(ends) == (True, False)

@@ -724,19 +724,20 @@ def test_nuij_transforms_p_once_per_eps(capsys, monkeypatch):
     assert calls == [p] * len(json.loads(out)["inputs"]["grid"])
 
 
-@pytest.mark.parametrize("ints, per_eps", [
-    ([1, -3, 3, -1], 1),
-    ([1.0, -6.0, 11.0, -6.0], 1),
-    ([1, 4, 1, -10, -4, 8, 0, 0, 0], 3),  # x^3 (x - 1)^2 (x + 2)^3
+@pytest.mark.parametrize("ints", [
+    [1, -3, 3, -1],
+    [1.0, -6.0, 11.0, -6.0],
+    [1, 4, 1, -10, -4, 8, 0, 0, 0],  # x^3 (x - 1)^2 (x + 2)^3
 ])
-def test_nuij_runs_the_sturm_chain_of_p_once(capsys, monkeypatch, ints, per_eps):
+def test_nuij_runs_the_sturm_chain_of_p_once(capsys, monkeypatch, ints):
     # stage 0 is p at every eps, and p keeps its chain; the chains of the even
     # stages p_2, p_4, ... certify their own stage and, by the Cauchy index,
-    # the next one: floor((m - 1) / 2) chains per eps
+    # the next one: floor((m - 1) / 2) chains per eps, 1 at m = 3 and 3 at m = 8
+    m = len(ints) - 1
     chains = count_calls(monkeypatch, roots._int_sturm_chain)
     code, out, _ = run_cli(capsys, "nuij", "--poly", json.dumps(ints))
     assert code == 0
-    assert len(chains) == 1 + per_eps * len(json.loads(out)["inputs"]["grid"])
+    assert len(chains) == 1 + (m - 1) // 2 * len(json.loads(out)["inputs"]["grid"])
     assert [list(chain) for chain in chains].count(ints) == 1
 
 

@@ -312,8 +312,8 @@ def cmd_leray(args, report: CertifiedReport):
     disc = discriminant(p)
     report.add_bool("det equals discriminant", "leray-determinant",
                     det_s == disc, _exact_witness(det_s), tol)
-    # read from the LDL pivots of B's definiteness check, and compared exactly
-    det_b = exactla.det(sym.adjugate_ints)
+    # det(S)^(m-1) where S B = det(S) I was checked in full, else B's own, compared exactly
+    det_b = sym.det_adjugate
     report.add_bool("adjugate determinant law", "leray-adjugate-determinant",
                     det_b == det_s ** (m - 1), _exact_witness(det_b), tol)
     report.add_bool("definiteness matches strictness", "leray-definiteness",

@@ -302,6 +302,20 @@ def adjugate_det(A: IntMatrix, B: IntMatrix) -> Fraction:
                     A.den * B.den)
 
 
+def is_adjugate_product(A: IntMatrix, B: IntMatrix, det_a: Fraction) -> bool:
+    """Whether A B = det_a I, exactly, by the full product of the integer rows.
+
+    For det_a != 0 it certifies B = det_a A^-1 (Horn-Johnson, 0.8.2), so
+    det B = det_a^(n-1), and for symmetric A the matrix B is symmetric with
+    the inertia of det_a A.  Every entry is computed: ``_symmetric_product``
+    would assume the symmetry that this verifies.
+    """
+    c = det_a * (A.den * B.den)  # the diagonal of A.rows B.rows
+    return c.denominator == 1 and all(
+        v == (c.numerator if i == j else 0)
+        for i, row in enumerate(_matmul(A.rows, B.rows)) for j, v in enumerate(row))
+
+
 @dataclass(frozen=True)
 class PsdVerdict:
     """Outcome of a positive semidefiniteness check.

@@ -12,8 +12,22 @@ Everything here is exact: float input is taken at its exact dyadic value
 relation are the same for a decimal and for that value typed as a fraction.
 S and B are held as integer matrices (``exactla.IntMatrix``).  The power
 sums of S come from Newton's identities on the primitive integers of p
-(``power_sums``), and one Faddeev-LeVerrier run, which computes half of
-each product since S is symmetric, gives B and, by one row product, det S.
+(``power_sums``).  B and its certificates come from S, by its rank
+(Horn-Johnson, Matrix Analysis, 0.8.2):
+
+- rank S = m - deg gcd(p, p') (Hermite: S = sum_k mult_k v_k v_k^T over the
+  distinct complex roots), and the gcd is the last member of the Sturm chain
+  that p keeps (``roots._sturm_ends``).  At rank <= m - 2 every (m-1)-minor
+  of S vanishes, so B = 0, with det 0, semidefinite and not definite: no
+  adjugate is computed.
+- Otherwise one Faddeev-LeVerrier run, which computes half of each product
+  since S is symmetric, gives B and, by one row product, det S.  For det S
+  != 0 the full product S B = det(S) I (``exactla.is_adjugate_product``)
+  certifies B = det(S) S^-1, so det B = det(S)^(m-1), and B > 0 exactly
+  when S > 0 (B has the inertia of det(S) S, and s_0 = m > 0), read from the
+  LDL certificate of S: B is never eliminated.
+- At rank m - 1, B has rank one, and its own LDL certificate (one pivot)
+  gives its definiteness and determinant.
 """
 
 from __future__ import annotations
@@ -27,6 +41,7 @@ from . import exactla
 from .bezout import bezout_matrix, companion_matrix, symmetrization_defect
 from .exactla import IntMatrix, PsdVerdict
 from .polynomial import Polynomial, power_sums
+from .roots import _sturm_ends
 
 if TYPE_CHECKING:
     import numpy as np
@@ -56,8 +71,9 @@ class LeraySymmetrizer:
     power_sum_ints: IntMatrix       # S = R R^T
     adjugate_ints: IntMatrix        # B, total even when S is singular
     det_power_sum_gram: object      # equals the squared difference product
+    det_adjugate: object            # det B, det(S)^(m-1) once S B = det(S) I is checked
     symmetry_defect: object         # max-norm of B A - (B A)^T
-    definiteness: PsdVerdict
+    definiteness: PsdVerdict        # of B, read from S where S is nonsingular
 
     @property
     def adjugate(self) -> np.ndarray:
@@ -67,8 +83,11 @@ class LeraySymmetrizer:
 def leray_symmetrizer(p: Polynomial) -> LeraySymmetrizer:
     """Build S and B = adj(S); B A symmetric, B positive definite iff strict.
 
-    det S comes from the adjugate, S B = det(S) I, as row 0 of S times
-    column 0 of B: no elimination of S runs.  The exact p keeps the result
+    B = 0 when deg gcd(p, p') >= 2, read from the Sturm chain p keeps.
+    Otherwise det S comes from the adjugate, S B = det(S) I, as row 0 of S
+    times column 0 of B, and for det S != 0 that product, checked in full,
+    gives det B and the definiteness of B from the LDL certificate of S;
+    only a B of rank one is eliminated.  The exact p keeps the result
     (``Polynomial.memo``).
     """
     p = p.as_exact()
@@ -77,11 +96,21 @@ def leray_symmetrizer(p: Polynomial) -> LeraySymmetrizer:
 
 def _leray_symmetrizer(p: Polynomial) -> LeraySymmetrizer:
     S = _power_sum_form(p)
+    m = len(S.rows)
+    if m > 2 and _sturm_ends(p)[-1][0] > 2:
+        # deg gcd(p, p') >= 2: rank S <= m - 2, so every (m-1)-minor of S vanishes
+        B = IntMatrix(((0,) * m,) * m)
+        return LeraySymmetrizer(S, B, Fraction(0), Fraction(0), Fraction(0), B.ldl)
     B = exactla.adjugate(S)
-    A = companion_matrix(p)
-    defect = symmetrization_defect(B, A)
-    verdict = exactla.psd_certificate(B)
-    return LeraySymmetrizer(S, B, exactla.adjugate_det(S, B), defect, verdict)
+    det_s = exactla.adjugate_det(S, B)
+    defect = symmetrization_defect(B, companion_matrix(p))
+    if det_s and exactla.is_adjugate_product(S, B, det_s):
+        # B = det(S) S^-1 is nonsingular, and definite exactly when S is
+        pd = S.ldl.is_pd
+        verdict = PsdVerdict(pd, pd, "adjugate-identity", rank=m,
+                             witness="" if pd else f"S indefinite: {S.ldl.witness}")
+        return LeraySymmetrizer(S, B, det_s, det_s ** (m - 1), defect, verdict)
+    return LeraySymmetrizer(S, B, det_s, exactla.det(B), defect, B.ldl)
 
 
 def _derivative_at_companion(p: Polynomial) -> tuple[list, object]:
@@ -106,26 +135,26 @@ def _derivative_at_companion(p: Polynomial) -> tuple[list, object]:
 
 
 def h_b_relation_check(p: Polynomial) -> float:
-    """Relative max-norm residual of det(S) H - B p'(A)^2, zero in algebra.
+    """Relative max-norm residual of S H - p'(A)^2, zero in algebra.
 
-    S H = p'(A)^2 for the Bezout matrix H of (p, p') and every monic p, so
-    det(S) H = B p'(A)^2 with B = adj S; no roots enter.  The check runs on
-    integer matrices of the exact p, over max(1, |det(S) H|), and the
-    residual is exactly 0.
+    S H = p'(A)^2 for the Bezout matrix H of (p, p') and every monic p; no
+    roots enter.  Multiplied on the left by B = adj S, for which
+    B S = det(S) I, it gives det(S) H = B p'(A)^2, the relation of H to
+    Leray's B, and for nonsingular S, where ``leray_symmetrizer`` checked
+    S B = det(S) I, the two are equivalent.  So the check multiplies S, whose
+    entries are smaller than the (m-1)-minors in B.  It runs on integer
+    matrices of the exact p, over max(1, |S H|), and the residual is
+    exactly 0.
     """
     p = p.as_exact()
     p.require_monic("relation check input")
-    sym = leray_symmetrizer(p)
-    det_s = sym.det_power_sum_gram
+    S = leray_symmetrizer(p).power_sum_ints
     X = IntMatrix.of(bezout_matrix(p, p.derivative()))
     W, d = _derivative_at_companion(p)
-    Y = sym.adjugate_ints
-    dx, dy = X.den, Y.den
-    # over the common denominator den, det(S) H = a X and B p'(A)^2 = b Y W W
-    den = det_s.denominator * dx * dy * d * d
-    a, b = det_s.numerator * dy * d * d, det_s.denominator * dx
-    lhs = [[a * x for x in row] for row in X.rows]
-    rhs = exactla._matmul(Y.rows, exactla._matmul(W, W))
+    # over the common denominator den, S H = lhs and p'(A)^2 = b W W
+    den = S.den * X.den * d * d
+    lhs = [[d * d * v for v in row] for row in exactla._matmul(S.rows, X.rows)]
+    rhs, b = exactla._matmul(W, W), S.den * X.den
     diff = max(abs(u - b * v) for lr, rr in zip(lhs, rhs) for u, v in zip(lr, rr))
     size = max(abs(u) for row in lhs for u in row)
     return float(Fraction(diff, max(size, den)))

@@ -102,7 +102,8 @@ class Polynomial:
 
     def require_monic(self, what: str = "polynomial") -> "Polynomial":
         if not self.is_monic:
-            raise NonMonicError(f"{what} must be monic, got leading {self.coeffs[:1]}")
+            got = f"leading coefficient {self.coeffs[0]}" if self.coeffs else "the zero polynomial"
+            raise NonMonicError(f"{what} must be monic, got {got}")
         return self
 
     def ascending(self, length: int | None = None) -> tuple:

@@ -3,7 +3,9 @@
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import corpus
 from bezoutian import (
@@ -16,7 +18,9 @@ from bezoutian import (
     power_sum_matrix,
     symmetrization_defect,
 )
-from bezoutian.exactla import adjugate, det, max_abs
+from bezoutian import exactla
+from bezoutian.exactla import IntMatrix, adjugate, det, is_adjugate_product, max_abs
+from test_exactla import reference_adjugate
 
 X2_MINUS_1 = Polynomial.exact([1, 0, -1])
 X3_MINUS_X = Polynomial.exact([1, 0, -1, 0])
@@ -80,6 +84,81 @@ def test_positive_definite_iff_strict():
         profile = corpus.hyperbolic_profile(rg, m, max_mult=3)
         p = Polynomial.from_roots(profile)
         assert leray_symmetrizer(p).definiteness.is_pd == profile.is_strict
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 2**32 - 1))
+@example(3, 1)  # roots of multiplicities (1, 1, 1): rank S = m
+@example(3, 0)  # (1, 2): rank S = m - 1
+@example(6, 0)  # (2, 4): rank S = m - 2
+@example(10, 0)  # (4, 1, 4, 1): rank S = m - 6
+def test_b_from_s_is_the_adjugate_with_its_own_certificates(m, seed):
+    profile = corpus.hyperbolic_profile(corpus.rng(seed), m, max_mult=4)
+    sym = leray_symmetrizer(Polynomial.from_roots(profile))
+    B = sym.adjugate_ints
+    assert sym.adjugate.tolist() == reference_adjugate(sym.power_sum_ints.fractions.tolist())
+    ldl = exactla._integer_psd(B.rows, B.den)
+    assert (sym.definiteness.is_psd, sym.definiteness.is_pd) == (ldl.is_psd, ldl.is_pd)
+    assert sym.det_adjugate == det(sym.adjugate) == sym.det_power_sum_gram ** (m - 1)
+
+
+def spy(monkeypatch, name) -> list:
+    """Log the first argument of every call of ``exactla.<name>``."""
+    calls, original = [], getattr(exactla, name)
+
+    def logged(*args):
+        calls.append(tuple(map(tuple, args[0])))
+        return original(*args)
+
+    monkeypatch.setattr(exactla, name, logged)
+    return calls
+
+
+@pytest.mark.parametrize("p", [
+    Polynomial.from_roots([1, 1, 1]),
+    Polynomial.from_roots([Fraction(1, 2)] * 2 + [-3] * 2 + [5]),
+    Polynomial.from_roots([Fraction(-7, 3)] * 4 + [2] * 4 + [0, 6]),
+    Polynomial.exact([1, -1, 2, -2, 1, -1]),  # (x^2 + 1)^2 (x - 1): complex roots
+])
+def test_no_adjugate_is_computed_when_gcd_of_p_and_its_derivative_has_degree_2(monkeypatch, p):
+    runs = spy(monkeypatch, "_faddeev_adjugate")
+    sym = leray_symmetrizer(p)
+    assert runs == []
+    assert sym.adjugate.tolist() == reference_adjugate(sym.power_sum_ints.fractions.tolist())
+    assert (sym.det_power_sum_gram, sym.det_adjugate, sym.definiteness.is_pd) == (0, 0, False)
+
+
+@pytest.mark.parametrize("p, pd", [
+    (Polynomial.from_roots([-2, 1, 3, Fraction(7, 2)]), True),
+    (Polynomial.from_roots([Fraction(k, 3) for k in range(-5, 6)]), True),
+    (Polynomial.exact([1, -2, 1, -2]), False),  # (x^2 + 1)(x - 2): S indefinite
+    (Polynomial.exact([1, 0, 0, -2]), False),  # x^3 - 2
+])
+def test_nonsingular_s_certifies_b_without_eliminating_it(monkeypatch, p, pd):
+    runs = spy(monkeypatch, "_integer_psd")
+    sym = leray_symmetrizer(p)
+    B = sym.adjugate_ints
+    assert runs == [sym.power_sum_ints.rows] and sym.definiteness.is_pd == pd
+    assert exactla._integer_psd(B.rows, B.den).is_pd == pd
+
+
+def test_the_product_check_rejects_an_adjugate_off_by_one():
+    sym = leray_symmetrizer(Polynomial.from_roots([-2, 1, 3, Fraction(7, 2)]))
+    S, B, det_s = sym.power_sum_ints, sym.adjugate_ints, sym.det_power_sum_gram
+    assert is_adjugate_product(S, B, det_s)
+    assert not is_adjugate_product(S, B, det_s + 1)
+    for i, j in [(0, 0), (1, 2), (3, 0)]:
+        rows = [list(row) for row in B.rows]
+        rows[i][j] += 1
+        assert not is_adjugate_product(S, IntMatrix(tuple(map(tuple, rows)), B.den), det_s)
+
+
+def test_a_b_the_product_check_rejects_is_eliminated(monkeypatch):
+    monkeypatch.setattr(exactla, "is_adjugate_product", lambda *args: False)
+    runs = spy(monkeypatch, "_integer_psd")
+    sym = leray_symmetrizer(Polynomial.from_roots([-2, 1, 3]))
+    assert runs == [sym.adjugate_ints.rows] and sym.definiteness.method == "ldl-pivot"
+    assert sym.det_adjugate == det(sym.adjugate) == sym.det_power_sum_gram ** 2
 
 
 def test_adjugate_equals_bezout_for_quadratics():

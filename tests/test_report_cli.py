@@ -116,6 +116,18 @@ def test_parse_error_exits_2(capsys, tmp_path):
         assert (code, out) == (2, "") and err.startswith("input error:"), argv
 
 
+@pytest.mark.parametrize("command, poly, err", [
+    ("analyze", "[2,0,-2]", "companion matrix input must be monic, got leading coefficient 2"),
+    ("nuij", "[2,0,-2]", "smoothing family input must be monic, got leading coefficient 2"),
+    ("quasi", '["3/2",0,-2]',
+     "smoothing family input must be monic, got leading coefficient 3/2"),
+    ("leray", "[1.5,0,-2]", "power-sum matrix input must be monic, got leading coefficient 3/2"),
+    ("energy", "[2.0,0,-2]", "companion matrix input must be monic, got leading coefficient 2.0"),
+])
+def test_non_monic_input_names_its_leading_coefficient(capsys, command, poly, err):
+    assert run_cli(capsys, command, "--poly", poly) == (2, "", f"input error: {err}\n")
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 def test_tol_must_be_finite_and_nonnegative(capsys, tol):
     code, out, err = run_cli(capsys, "analyze", "--poly", "[1.0,0.0,-1.0]", "--q", "[1.0,5.0]",

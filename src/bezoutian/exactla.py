@@ -8,10 +8,14 @@ Faddeev-LeVerrier (on the upper triangle of each product when A is
 symmetric), and the LDL pivot signs of the PSD certificate by symmetric
 fraction-free elimination; every division is exact over the integers.
 Each IntMatrix eliminates itself once, for its cached LDL certificate
-``ldl``; the det of a symmetric PSD matrix is its pivot product.  Float
-matrices are ordinary float64 arrays.  A ``MatrixForm`` wraps either kind,
-and numpy reads it, like an IntMatrix, as a Fraction or float64 array; the
-Fraction array of an exact matrix is built only when something reads it.
+``ldl``; the det of a symmetric PSD matrix is its pivot product.
+``is_adjugate_product`` checks A B = det(A) I by the full product, which
+for nonsingular A certifies B = det(A) A^-1: ``leray`` reads the
+determinant and definiteness of B = adj S from S that way, with no
+elimination of B.  Float matrices are ordinary float64 arrays.  A
+``MatrixForm`` wraps either kind, and numpy reads it, like an IntMatrix, as
+a Fraction or float64 array; the Fraction array of an exact matrix is built
+only when something reads it.
 Object arrays of Fractions from outside are cleared to an ``IntMatrix``
 once, on entry (``_integer_matrix``).  ``det`` and ``adjugate`` have no
 float route: they take float entries at their exact dyadic values.  Only

@@ -5,7 +5,7 @@ equal to R R^T for the Vandermonde R of the roots.  Its adjugate B also
 symmetrizes the companion matrix and is positive definite exactly when p is
 strictly hyperbolic.  For every monic p, S H = p'(A)^2 with H the Bezout
 matrix of (p, p') and A the companion matrix, so det(S) H = B p'(A)^2;
-``h_b_relation_check`` tests that from the coefficients alone.
+``h_b_relation_check`` tests S H = p'(A)^2 from the coefficients alone.
 
 Everything here is exact: float input is taken at its exact dyadic value
 (``Polynomial.as_exact``), the value the decimal denotes, so S, B and the
@@ -25,9 +25,10 @@ sums of S come from Newton's identities on the primitive integers of p
   != 0 the full product S B = det(S) I (``exactla.is_adjugate_product``)
   certifies B = det(S) S^-1, so det B = det(S)^(m-1), and B > 0 exactly
   when S > 0 (B has the inertia of det(S) S, and s_0 = m > 0), read from the
-  LDL certificate of S: B is never eliminated.
+  LDL certificate of S: B is not eliminated.
 - At rank m - 1, B has rank one, and its own LDL certificate (one pivot)
-  gives its definiteness and determinant.
+  gives its definiteness and determinant, as it does for a B that the
+  product check rejects.
 """
 
 from __future__ import annotations

@@ -228,6 +228,7 @@ def cmd_nuij(args, report: CertifiedReport):
         consts = gap_constants(m)
         report.add("gap floor constant", "nuij-gap-constants", float(consts.floor), PASS)
     build_family(p, grid)
+    p_scale = None  # the eps-independent half of the inversion check, read once
     for eps in grid:
         # the gap law and the inversion read p's one float family point of eps,
         # which build_family built; verify_gaps refuses eps <= 0 before it would
@@ -247,13 +248,13 @@ def cmd_nuij(args, report: CertifiedReport):
         report.add_bool(f"stage interlacing at eps={eps:g}", "nuij-interlacing",
                         interlaced, "interlaced" if interlaced else "violated")
         recon = invert_transform(p_eps, float(eps))
-        diff = max(
-            abs(float(a) - float(b))
-            for a, b in zip(recon.ascending(m + 1), p.as_float().ascending(m + 1))
-        )
+        if p_scale is None:  # here p has a float family point, so its float rounding exists
+            p_ascending = p.as_float().ascending(m + 1)
+            p_scale = [abs(float(c)) for c in p.coeffs]
+        diff = max(abs(float(a) - float(b)) for a, b in zip(recon.ascending(m + 1), p_ascending))
         # rounding in the inverse scales with the p_eps it inverts, which can
         # dwarf the coefficients of p
-        coeff_scale = max(1.0, *(abs(float(c)) for c in p.coeffs + p_eps.coeffs)) \
+        coeff_scale = max(1.0, *p_scale, *(abs(float(c)) for c in p_eps.coeffs)) \
             * max(1.0, eps) ** m
         report.add_bool(f"inversion at eps={eps:g}", "nuij-inversion",
                         diff <= 1e-8 * coeff_scale, diff, 1e-8)

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 from . import exactla
 from .bezout import bezout_matrix, psd_check
 from .errors import DegreeMismatchError, MultipleRootError, NonHyperbolicError
-from .polynomial import Polynomial, RootProfile, deleted_root_factor, elementary_symmetric
+from .polynomial import Polynomial, RootProfile, _horner_rows, deleted_root_factor
 from .roots import real_roots
 from .scalars import BACKEND_EXACT, infer_backend
 
@@ -37,33 +37,49 @@ def lagrange_basis_matrix(roots) -> np.ndarray:
     with position i removed.  Row i is, up to the sign (-1)**(i+m+1), the
     ascending coefficient vector of the deleted-root factor p_i, so
     G.T @ G realizes the quadratic form sum_k |p_k_hat(z)|^2.
+
+    Float roots of shape (..., m) give a float G of shape (..., m, m), one
+    matrix per row of roots; exact roots (ints, Fractions or 'n/d' strings)
+    come as one list and give an m x m object array of Fractions.  Every
+    deleted-root row runs the recurrence of ``elementary_symmetric`` at
+    once, so each entry keeps the bits of that function on its m - 1 roots.
     """
     import numpy as np
 
-    roots = list(roots)
-    m = len(roots)
-    exact = infer_backend(roots) == BACKEND_EXACT
-    vals = [Fraction(r) if exact else float(r) for r in roots]
-    rows = []
-    for i in range(m):
-        elem = elementary_symmetric(vals[:i] + vals[i + 1:])
-        rows.append([-elem[m - 1 - j] if (i + j) % 2 else elem[m - 1 - j] for j in range(m)])
-    return np.array(rows, dtype=object if exact else float).reshape(m, m)
+    if isinstance(roots, np.ndarray) or infer_backend(roots := list(roots)) != BACKEND_EXACT:
+        vals, zero, one = np.array(roots, dtype=float), 0.0, 1.0
+    else:
+        vals = np.array([Fraction(r) for r in roots], dtype=object)
+        zero, one = Fraction(0), Fraction(1)
+    m = vals.shape[-1]
+    # row i of ``deleted`` holds the roots without position i
+    col = np.arange(max(m - 1, 0))
+    deleted = vals[..., col + (col >= np.arange(m)[:, None])]
+    elem = np.full(deleted.shape[:-1] + (m,), zero, dtype=vals.dtype)
+    elem[..., :1] = one
+    for k in range(m - 1):
+        elem[..., 1:] = elem[..., 1:] + deleted[..., k:k + 1] * elem[..., :-1]
+    G = elem[..., ::-1].copy()
+    odd = np.add.outer(np.arange(m), np.arange(m)) % 2 == 1
+    G[..., odd] = -G[..., odd]
+    return G
 
 
-def scaled_inverse_diagonal(roots, p_prime: Polynomial):
+def scaled_inverse_diagonal(roots, p_prime) -> np.ndarray:
     """Diagonal d with G @ R = diag(d); d_i = (-1)**(i+m+1) p'(root_i).
 
     R[i][j] = root_j**i is the Vandermonde matrix np.vander(roots, increasing=True).T.
+    ``roots`` is a float array (..., m) and ``p_prime`` the coefficients of
+    p', leading first, one row (..., m) per row of roots; d has the shape
+    of roots, each value with the bits of ``Polynomial.__call__``
+    (``polynomial._horner_rows``).
 
     For ascending simple roots every d_i equals |p'(root_i)| > 0.
     """
-    m = len(roots)
-    out = []
-    for i, r in enumerate(roots):
-        v = p_prime(r)
-        out.append(-v if (i + m + 1) % 2 else v)
-    return out
+    m = roots.shape[-1]
+    d = _horner_rows(p_prime, roots)
+    d[..., m % 2::2] = -d[..., m % 2::2]  # (-1)**(i+m+1) = -1 where i and m share parity
+    return d
 
 
 def difference_product(roots):

@@ -33,6 +33,7 @@ A point that fails raises its error in that pass, and is built once.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -249,8 +250,12 @@ class GapConstantTable:
         return self.constants[-1]
 
 
+@functools.cache
 def gap_constants(m: int) -> GapConstantTable:
-    """Gap-floor recursion c_2 = 1, c_{l+1} = min over k of the quadratic root."""
+    """Gap-floor recursion c_2 = 1, c_{l+1} = min over k of the quadratic root.
+
+    The table is frozen and depends on m alone, so each m is built once.
+    """
     if m < 2:
         raise ValueError("gap constants need m >= 2")
     consts = [1.0]
@@ -317,12 +322,15 @@ def _int_stages(p: Polynomial, eps: Fraction, count: int) -> list:
     return stages
 
 
+@functools.lru_cache(maxsize=128)
 def _simplest_rational(x: float) -> Fraction:
     """The rational of least denominator that rounds to the positive finite x.
 
     Searched in the open interval between the midpoints of x and its float
     neighbours by the continued-fraction (Stern-Brocot) recursion on ints.
     Falls back to the dyadic value of x if the result does not round to x.
+    A request certifies the same few eps at every stage, so the last 128
+    are kept.
     """
     n, d = x.as_integer_ratio()
     ln, ld = math.nextafter(x, 0.0).as_integer_ratio()

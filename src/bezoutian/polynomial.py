@@ -366,6 +366,23 @@ def _int_horner(c: Sequence, n: int, d: int) -> tuple[int, int]:
     return acc, dk
 
 
+def _horner_rows(rows, x):
+    """Each coefficient row, leading first, at the points beside it, by Horner's rule.
+
+    ``rows`` (..., n) with n >= 1 and ``x`` (..., k) are float arrays; the
+    result has the shape of x, and each value the bits of the float
+    ``Polynomial.__call__`` of its row at its point (the same products and
+    sums, no fused multiply-add).  A row may carry leading zeros, which
+    change no bit at a finite point.
+    """
+    import numpy as np
+
+    acc = np.repeat(rows[..., :1], x.shape[-1], axis=-1)
+    for k in range(1, rows.shape[-1]):
+        acc = acc * x + rows[..., k:k + 1]
+    return acc
+
+
 @dataclass(frozen=True)
 class RootProfile:
     """Sorted distinct real roots with multiplicities."""

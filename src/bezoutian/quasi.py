@@ -13,7 +13,17 @@ q = p'), which turns them into singular-value statements that stay accurate
 when the smallest eigenvalue of H_eps sits below float noise.  Randomized
 sampling of the raw bilinear form cross-checks the congruence route.  The
 family points of the grid are built in one pass (``nuij.build_family``),
-and the singular values of every grid point come from one stacked call.
+and every reader of them reads the grid in one array pass too, E grid
+points by m roots: p keeps the (E, m) arrays of the roots, of d =
+``scaled_inverse_diagonal`` and of q_eps at the roots (``_family_stack``),
+which ``check_conditions`` and ``verify_quasi`` share.  The kernels take
+the grid as a leading axis: ``lagrange_basis_matrix`` maps float roots
+(..., m) to G (..., m, m), and ``commutator_decomposition`` maps one eps
+to m x m matrices and a grid of E eps to (E, m, m) stacks with one
+residual per eps.  A stacked product, ``einsum`` or ``svd`` gives every
+grid point the bits of a call on its matrices alone, so each constant is
+the one its eps alone gives, and a failing eps raises the error it raises
+alone, the first in grid order.
 The default lower exponent r is the largest root multiplicity minus one,
 read from the Yun decomposition of the exact p (``max_multiplicity``): the
 CLI certifies a decimal p at its exact dyadic value, as ``verify_quasi``
@@ -27,11 +37,11 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .bezout import companion_matrix
+from .bezout import _companion_stack
 from .errors import NonHyperbolicError
 from .factorization import lagrange_basis_matrix, scaled_inverse_diagonal
-from .nuij import NuijFamilyPoint, build_family, default_epsilon_grid, nuij_family
-from .polynomial import Polynomial
+from .nuij import build_family, default_epsilon_grid, nuij_family
+from .polynomial import Polynomial, _horner_rows
 from .roots import is_hyperbolic, squarefree_decomposition
 
 if TYPE_CHECKING:
@@ -54,16 +64,53 @@ def _eps_power(eps: float, k: float) -> float:
     raise ValueError(f"eps**{k:g} at eps={eps:g} leaves the float64 range")
 
 
-def _family_diagonal(fam: NuijFamilyPoint) -> list:
-    """d_i = +-p_eps'(root_i) of ``scaled_inverse_diagonal``, which both conditions divide by.
+def _merged_roots(eps: float) -> ValueError:
+    return ValueError(f"smoothing family at eps={eps:g} has merged roots "
+                      "in float64: p_eps' vanishes at a root")
 
-    A zero means that float64 merged roots of p_eps, and raises ValueError.
+
+@dataclass(frozen=True)
+class _FamilyStack:
+    """The family points of a grid as arrays, one row per eps.
+
+    ``p_eps`` holds the coefficients of each p_eps (E, m + 1), leading
+    first; ``roots`` its flattened roots, ``d`` the scaled derivative values
+    of ``scaled_inverse_diagonal`` and ``q_at_roots`` the values of q_eps at
+    the roots, each (E, m).  A zero in a row of d means that float64 merged
+    roots of that p_eps: both conditions divide by d.
     """
-    d = scaled_inverse_diagonal(fam.roots_eps.flattened, fam.p_eps.derivative())
-    if not all(d):
-        raise ValueError(f"smoothing family at eps={float(fam.epsilon):g} has merged roots "
-                         "in float64: p_eps' vanishes at a root")
-    return d
+
+    p_eps: np.ndarray
+    roots: np.ndarray
+    d: np.ndarray
+    q_at_roots: np.ndarray
+
+
+def _family_stack(p: Polynomial, grid: tuple) -> _FamilyStack:
+    """The family points ``nuij_family(p, eps)`` of the float grid, read in one array pass.
+
+    The points are fetched in grid order, so the first that cannot be built
+    raises.  Horner's rule runs on the coefficient rows (q_eps padded with
+    leading zeros to m), with the bits of ``Polynomial.__call__`` at each
+    root.  p keeps the stack (``Polynomial.memo``), keyed by the grid.
+    """
+    import numpy as np
+
+    def build() -> _FamilyStack:
+        points = [nuij_family(p, eps) for eps in grid]
+        n, m = len(points), int(p.degree)
+        p_eps = np.array([fam.p_eps.coeffs for fam in points], dtype=float).reshape(n, m + 1)
+        roots = np.array([fam.roots_eps.flattened for fam in points], dtype=float).reshape(n, m)
+        q_eps = np.zeros((n, m))
+        for row, fam in zip(q_eps, points):
+            row[m - len(fam.q_eps.coeffs):] = fam.q_eps.coeffs
+        # overflow gives inf, as the Python float rule does, with no warning
+        with np.errstate(all="ignore"):
+            d = scaled_inverse_diagonal(roots, p_eps[:, :-1] * np.arange(m, 0, -1))
+            q_at_roots = _horner_rows(q_eps, roots)
+        return _FamilyStack(p_eps, roots, d, q_at_roots)
+
+    return p.derived(("quasi", grid), build)
 
 
 @dataclass(frozen=True)
@@ -89,17 +136,22 @@ def check_conditions(p: Polynomial, epsilon_grid=None, r: float = 0.0,
     monic p, is built first, all in one pass (``build_family``), so a point
     that cannot be built stops the call before any condition is read.
     """
-    grid = tuple(epsilon_grid) if epsilon_grid is not None else default_epsilon_grid()
-    build_family(p, [float(eps) for eps in grid])
-    families = [nuij_family(p, float(eps)) for eps in grid]
+    grid = tuple(float(eps) for eps in (epsilon_grid if epsilon_grid is not None
+                                        else default_epsilon_grid()))
+    build_family(p, grid)
+    stack = _family_stack(p, grid)
     rows = []
     c_lower = None
     C_upper = None
-    for eps, fam in zip(grid, families):
-        eps = float(eps)
-        q_eps, roots, d = fam.q_eps, fam.roots_eps.flattened, _family_diagonal(fam)
-        lo = min(abs(v) / _eps_power(eps, r) for v in d)
-        hi = max(abs(q_eps(lam)) / (_eps_power(eps, s) * abs(v)) for lam, v in zip(roots, d))
+    # per eps in grid order: merged roots, then eps**r, then eps**s; Python's
+    # min, max and float division keep their NaN and zero semantics
+    for eps, d, q_at in zip(grid, stack.d.tolist(), stack.q_at_roots.tolist()):
+        if not all(d):
+            raise _merged_roots(eps)
+        eps_r = _eps_power(eps, r)
+        lo = min(abs(v) / eps_r for v in d)
+        eps_s = _eps_power(eps, s)
+        hi = max(abs(q) / (eps_s * abs(v)) for q, v in zip(q_at, d))
         rows.append((eps, lo, hi))
         c_lower = lo if c_lower is None else min(c_lower, lo)
         C_upper = hi if C_upper is None else max(C_upper, hi)
@@ -108,42 +160,67 @@ def check_conditions(p: Polynomial, epsilon_grid=None, r: float = 0.0,
 
 @dataclass(frozen=True)
 class CommutatorParts:
-    """A = A_eps + Q_eps with Q_eps = S_eps G_eps factored through the roots."""
+    """A = A_eps + Q_eps with Q_eps = S_eps G_eps factored through the roots.
+
+    m x m matrices and one residual for one eps; for a grid of E eps, each
+    matrix gains a leading grid axis (E, m, m), A repeated, and the
+    residual is an array of E values.
+    """
 
     A: np.ndarray
     A_eps: np.ndarray
     Q_eps: np.ndarray
     S_eps: np.ndarray
     G_eps: np.ndarray
-    reconstruction_residual: float
+    reconstruction_residual: float | np.ndarray
 
 
 def commutator_decomposition(p: Polynomial, epsilon) -> CommutatorParts:
-    """Split the companion matrix of p against the smoothed one.
+    """Split the companion matrix of p against the smoothed one, at one eps or on a grid.
 
     Q_eps is zero except for its last row, which holds the negated
     coefficients of q_eps = p - p_eps; S_eps carries the root-wise ratios
     -q_eps(root_j) / d_j with d_j the signed derivative values that make
     G_eps R diagonal, R the Vandermonde matrix of the roots, read from the
     family point ``nuij_family(p, eps)``.
+
+    ``epsilon`` is one eps, giving m x m matrices, or a sequence of E eps,
+    giving (E, m, m) stacks, one ``lagrange_basis_matrix`` call and one
+    residual per eps (see ``CommutatorParts``).  The eps are checked in grid
+    order: eps <= 0 raises ValueError, then a family point that cannot be
+    built raises, then one with merged roots; the first failing eps raises.
     """
     import numpy as np
 
-    eps = float(epsilon)
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
-    fam = nuij_family(p, eps)
-    pf, p_eps, q_eps, roots = p.as_float(), fam.p_eps, fam.q_eps, fam.roots_eps.flattened
-    m = int(pf.degree)
-    A = np.asarray(companion_matrix(pf).matrix, dtype=float)
-    A_eps = np.asarray(companion_matrix(p_eps).matrix, dtype=float)
+    one = np.ndim(epsilon) == 0
+    grid = tuple(float(eps) for eps in ((epsilon,) if one else epsilon))
+    fetched = 0
+    try:
+        for eps in grid:
+            if eps <= 0:
+                raise ValueError("epsilon must be positive")
+            nuij_family(p, eps)
+            fetched += 1
+    finally:
+        # whatever stops the walk, an eps before it with merged roots fails first
+        stack = _family_stack(p, grid[:fetched])
+        for eps, d in zip(grid, stack.d):
+            if not d.all():
+                raise _merged_roots(eps)
+    n, m = stack.roots.shape
+    if n:
+        A = np.repeat(_companion_stack([p.as_float().coeffs]), n, axis=0)
+        A_eps = _companion_stack(stack.p_eps)
+    else:  # an empty grid, where p may have degree 0 and no companion matrix
+        A = A_eps = np.zeros((0, m, m))
     Q = A - A_eps
-    G = lagrange_basis_matrix([float(r) for r in roots])
-    d = _family_diagonal(fam)
-    S = np.zeros((m, m))
-    for j, lam in enumerate(roots):
-        S[m - 1, j] = -q_eps(lam) / d[j]
-    residual = float(np.max(np.abs(S @ G - Q))) if m else 0.0
+    G = lagrange_basis_matrix(stack.roots)
+    S = np.zeros((n, m, m))
+    with np.errstate(all="ignore"):  # as the Python float rule: inf, with no warning
+        S[:, m - 1:] = (-stack.q_at_roots / stack.d)[:, None]
+    residual = np.max(np.abs(S @ G - Q), axis=(-2, -1)) if m else np.zeros(n)
+    if one:
+        return CommutatorParts(A[0], A_eps[0], Q[0], S[0], G[0], float(residual[0]))
     return CommutatorParts(A, A_eps, Q, S, G, residual)
 
 
@@ -203,43 +280,39 @@ def _worst_factor(epsilons, values, rising: bool) -> float:
     return worst
 
 
-def _sample_pairs(rng: np.random.Generator, samples: int, n: int) -> tuple:
-    """``samples`` random complex pairs (z, w) of length n, as the rows of Z and W.
+def _sample_pairs(rng: np.random.Generator, points: int, samples: int, n: int) -> tuple:
+    """``samples`` random complex pairs (z, w) of length n per grid point, as Z and W (points, samples, n).
 
     The draws of each sample are z_re, z_im, w_re, w_im, rows of one block,
-    so the stream is that of drawing them one sample at a time.  A count
+    and the blocks of the grid points follow each other, so the stream is
+    that of drawing them one sample at a time, point after point.  A count
     below 1 draws nothing.
     """
     import numpy as np
 
-    draws = rng.standard_normal((max(samples, 0), 4, n))
-    return draws[:, 0] + 1j * draws[:, 1], draws[:, 2] + 1j * draws[:, 3]
+    draws = rng.standard_normal((points, max(samples, 0), 4, n))
+    return draws[..., 0, :] + 1j * draws[..., 1, :], draws[..., 2, :] + 1j * draws[..., 3, :]
 
 
 def _sample_ratios(Z: np.ndarray, W: np.ndarray, H: np.ndarray, K: np.ndarray,
-                   eps_s: float) -> np.ndarray:
+                   eps_s) -> np.ndarray:
     """|(K z, w)| / (eps_s (H z, z)^(1/2) (H w, w)^(1/2)) for each row pair (z, w).
 
-    One matrix product each for K z, H z and H w.  A pair whose denominator
-    is not positive does not count and gives NaN.
+    Z and W (..., samples, n) are scored against H and K (..., n, n) and
+    eps_s (...) with the same leading axes, one matrix product each for
+    K z, H z and H w.  A pair whose denominator is not positive does not
+    count and gives NaN.
     """
     import numpy as np
 
-    num = np.abs(np.einsum("ij,ij->i", W.conj(), Z @ K.T))
-    zhz = np.einsum("ij,ij->i", Z.conj(), Z @ H.T).real
-    whw = np.einsum("ij,ij->i", W.conj(), W @ H.T).real
-    den = eps_s * np.sqrt(zhz * whw)
-    ratios = np.full(len(den), np.nan)
+    num = np.abs(np.einsum("...ij,...ij->...i", W.conj(), Z @ np.swapaxes(K, -1, -2)))
+    zhz = np.einsum("...ij,...ij->...i", Z.conj(), Z @ np.swapaxes(H, -1, -2)).real
+    whw = np.einsum("...ij,...ij->...i", W.conj(), W @ np.swapaxes(H, -1, -2)).real
+    den = np.asarray(eps_s)[..., None] * np.sqrt(zhz * whw)
+    ratios = np.full(den.shape, np.nan)
     counted = den > 0
     ratios[counted] = num[counted] / den[counted]
     return ratios
-
-
-def _singular_values(mats: list) -> list:
-    """The singular values of each matrix, descending, from one stacked ``svd`` call."""
-    import numpy as np
-
-    return list(np.linalg.svd(np.array(mats), compute_uv=False)) if mats else []
 
 
 def verify_quasi(p: Polynomial, epsilon_grid=None, r: float | None = None,
@@ -257,9 +330,15 @@ def verify_quasi(p: Polynomial, epsilon_grid=None, r: float | None = None,
     of H A - A^T H by G^-1; this avoids forming H-products whose rounding
     noise would swamp eps-scaled quantities at the small end of the grid.
     Sampling of the raw form cross-checks it: per eps, ``samples`` complex
-    pairs (z, w) are drawn in one block (``_sample_pairs``) and scored
-    together (``_sample_ratios``); only samples with a positive denominator
-    count.
+    pairs (z, w) are drawn (``_sample_pairs``) and scored (``_sample_ratios``);
+    only samples with a positive denominator count.
+
+    The whole grid goes through each step at once: one
+    ``commutator_decomposition(p, grid)``, one stacked product per matrix,
+    one ``svd`` call each for G and K', one draw of every sample.  An eps
+    fails as it does alone, the first in grid order: eps <= 0, merged
+    roots (``commutator_decomposition``), then eps**s or eps**(2r) out of
+    the float64 range.
     """
     import numpy as np
 
@@ -273,33 +352,38 @@ def verify_quasi(p: Polynomial, epsilon_grid=None, r: float | None = None,
     grid = tuple(float(e) for e in (epsilon_grid if epsilon_grid is not None
                                     else default_epsilon_grid()))
     build_family(p, grid)
-    points = []
+    powers = []
     for eps in grid:
-        parts = commutator_decomposition(p, eps)
-        G, S = parts.G_eps, parts.S_eps
-        points.append((parts, _eps_power(eps, s), _eps_power(eps, 2 * r), G @ S - (G @ S).T))
+        try:
+            powers.append((_eps_power(eps, s), _eps_power(eps, 2 * r)))
+        except (ArithmeticError, ValueError):
+            # a failure of the decomposition at this eps or before it comes first
+            commutator_decomposition(p, grid[:len(powers) + 1])
+            raise
+    parts = commutator_decomposition(p, grid)
+    G, S, A = parts.G_eps, parts.S_eps, parts.A
+    GS = G @ S
     # sigma_min(G_eps), and ||K_c||_2 as the largest singular value, of every
     # eps from one stacked call each; a stack gives each matrix its own bits
-    sv_G = _singular_values([parts.G_eps for parts, *_ in points])
-    sv_K = _singular_values([K_c for *_, K_c in points])
-    rng = np.random.default_rng(seed)
+    sv_G = np.linalg.svd(G, compute_uv=False)
+    k_norms = np.amax(np.linalg.svd(GS - np.swapaxes(GS, -1, -2), compute_uv=False), axis=-1,
+                      initial=-np.inf)  # -inf: an empty grid for p of degree 0 has no value
+    H = np.swapaxes(G, -1, -2) @ G
+    K = H @ A - np.swapaxes(A, -1, -2) @ H
+    Z, W = _sample_pairs(np.random.default_rng(seed), len(grid), samples, G.shape[-1])
+    ratios = _sample_ratios(Z, W, H, K, np.array([eps_s for eps_s, _ in powers]))
+    # fmax skips NaN: a sample that does not count, or a NaN ratio, which
+    # the running max over samples skipped too
+    worst = np.fmax.reduce(ratios, axis=-1, initial=0.0)
     lower = []
     comm = []
-    sample_max = []
     sampling_ok = True
-    for (parts, eps_s, eps_2r, _), svals, k_svals in zip(points, sv_G, sv_K):
-        A, G = parts.A, parts.G_eps
+    for (eps_s, eps_2r), svals, k_norm, sampled in zip(powers, sv_G, k_norms.tolist(),
+                                                      worst.tolist()):
         lower.append(float(svals[-1]) ** 2 / eps_2r)
-        comm_const = float(np.amax(k_svals)) / eps_s
+        comm_const = k_norm / eps_s
         comm.append(comm_const)
-        H = G.T @ G
-        K = H @ A - A.T @ H
-        Z, W = _sample_pairs(rng, samples, len(G))
-        # fmax skips NaN: a sample that does not count, or a NaN ratio, which
-        # the running max over samples skipped too
-        worst = float(np.fmax.reduce(_sample_ratios(Z, W, H, K, eps_s), initial=0.0))
-        sample_max.append(worst)
-        if worst > comm_const * (1 + 1e-6) + 1e-9:
+        if sampled > comm_const * (1 + 1e-6) + 1e-9:
             sampling_ok = False
-    return QuasiVerdict(r, s, grid, tuple(lower), tuple(comm), tuple(sample_max),
+    return QuasiVerdict(r, s, grid, tuple(lower), tuple(comm), tuple(worst.tolist()),
                         sampling_ok)

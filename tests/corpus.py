@@ -10,7 +10,18 @@ import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from bezoutian import Polynomial, RootProfile
+from bezoutian import (
+    Polynomial,
+    RootProfile,
+    build_family,
+    companion_matrix,
+    default_epsilon_grid,
+    elementary_symmetric,
+    is_hyperbolic,
+    nuij_family,
+)
+from bezoutian.errors import NonHyperbolicError
+from bezoutian.quasi import _eps_power, max_multiplicity
 
 DENOMS = (1, 2, 3, 4)
 
@@ -213,6 +224,21 @@ def factor_product(content, roots, quadratics) -> Polynomial:
     return p
 
 
+# (x + 228)^3 and (x + 233/6)^3 fail at eps near 1e-4: the float roots of p_eps
+# come out complex beyond the 1e-7 tolerance
+ROOT_ALPHABET = sorted({Fraction(n, d) for n in range(-6, 7) for d in (1, 2, 3)}
+                       | {Fraction(-228), Fraction(-233, 6)})
+
+
+@st.composite
+def multiple_root_polys(draw):
+    """Exact monic p of degree 2..10 with a root of multiplicity 2 or 3."""
+    values = draw(st.lists(st.sampled_from(ROOT_ALPHABET), min_size=1, max_size=5, unique=True))
+    mults = [draw(st.integers(2, 3))] + [draw(st.integers(1, 3)) for _ in values[1:]]
+    assume(sum(mults) <= 10)
+    return Polynomial.from_roots([v for v, k in zip(values, mults) for _ in range(k)])
+
+
 @st.composite
 def factored_poly(draw, max_linear=4, max_mult=3):
     """A ``factored_parts`` product: content * x^z * prod (x - r)^k * prod quadratic^j."""
@@ -232,3 +258,107 @@ def newton_polish_reference(pf: Polynomial, z: complex, steps: int = 12) -> comp
         if v < best_val:
             best, best_val = z, v
     return best
+
+
+# -- the quasi-symmetrizer checks one eps at a time ------------------------------
+# The scalar rules the grid kernels of ``bezoutian.quasi`` reproduce bit for
+# bit: Polynomial calls at each root, G row by row from ``elementary_symmetric``,
+# and one 2-D product, ``svd`` and sample block per eps.
+
+
+def quasi_diagonal_reference(point) -> list:
+    """d_i = (-1)**(i+m+1) p_eps'(root_i) of a family point; ValueError if one is 0."""
+    roots = point.roots_eps.flattened
+    dp = point.p_eps.derivative()
+    m = len(roots)
+    d = [-dp(lam) if (i + m + 1) % 2 else dp(lam) for i, lam in enumerate(roots)]
+    if not all(d):
+        raise ValueError(f"smoothing family at eps={float(point.epsilon):g} has merged roots "
+                         "in float64: p_eps' vanishes at a root")
+    return d
+
+
+def basis_matrix_reference(roots) -> np.ndarray:
+    """G[i][j] = (-1)**(i+j) e_(m-1-j) of the float roots without position i, row by row."""
+    vals = [float(r) for r in roots]
+    m = len(vals)
+    rows = []
+    for i in range(m):
+        elem = elementary_symmetric(vals[:i] + vals[i + 1:])
+        rows.append([-elem[m - 1 - j] if (i + j) % 2 else elem[m - 1 - j] for j in range(m)])
+    return np.array(rows, dtype=float).reshape(m, m)
+
+
+def decomposition_reference(p: Polynomial, eps) -> tuple:
+    """(A, A_eps, Q_eps, S_eps, G_eps, residual) of one eps, by the scalar rules."""
+    eps = float(eps)
+    if eps <= 0:
+        raise ValueError("epsilon must be positive")
+    point = nuij_family(p, eps)
+    roots = point.roots_eps.flattened
+    m = int(p.degree)
+    A = np.asarray(companion_matrix(p.as_float()).matrix, dtype=float)
+    A_eps = np.asarray(companion_matrix(point.p_eps).matrix, dtype=float)
+    Q = A - A_eps
+    G = basis_matrix_reference(roots)
+    d = quasi_diagonal_reference(point)
+    S = np.zeros((m, m))
+    for j, lam in enumerate(roots):
+        S[m - 1, j] = -point.q_eps(lam) / d[j]
+    residual = float(np.max(np.abs(S @ G - Q))) if m else 0.0
+    return A, A_eps, Q, S, G, residual
+
+
+def conditions_reference(p: Polynomial, grid, r, s) -> tuple:
+    """(r, s, c_lower, C_upper, rows) of ``check_conditions``, one eps at a time."""
+    grid = tuple(grid)
+    build_family(p, [float(eps) for eps in grid])
+    points = [nuij_family(p, float(eps)) for eps in grid]
+    rows = []
+    c_lower = C_upper = None
+    for eps, point in zip(grid, points):
+        eps = float(eps)
+        d = quasi_diagonal_reference(point)
+        lo = min(abs(v) / _eps_power(eps, r) for v in d)
+        hi = max(abs(point.q_eps(lam)) / (_eps_power(eps, s) * abs(v))
+                 for lam, v in zip(point.roots_eps.flattened, d))
+        rows.append((eps, lo, hi))
+        c_lower = lo if c_lower is None else min(c_lower, lo)
+        C_upper = hi if C_upper is None else max(C_upper, hi)
+    return r, s, c_lower, C_upper, tuple(rows)
+
+
+def verify_quasi_reference(p: Polynomial, grid, r, s, samples, seed) -> tuple:
+    """The fields of ``verify_quasi``'s verdict, one eps at a time."""
+    if r is None:
+        verdict = is_hyperbolic(p.as_exact())
+        if not verdict.is_hyperbolic:
+            raise NonHyperbolicError(f"not hyperbolic: {verdict.witness}")
+        r = max_multiplicity(p.as_exact()) - 1
+    grid = tuple(float(e) for e in (grid if grid is not None else default_epsilon_grid()))
+    build_family(p, grid)
+    points = []
+    for eps in grid:
+        parts = decomposition_reference(p, eps)
+        points.append((parts, _eps_power(eps, s), _eps_power(eps, 2 * r)))
+    rng = np.random.default_rng(seed)
+    lower, comm, sample_max = [], [], []
+    consistent = True
+    for (A, _, _, S, G, _), eps_s, eps_2r in points:
+        lower.append(float(np.linalg.svd(G, compute_uv=False)[-1]) ** 2 / eps_2r)
+        comm.append(float(np.amax(np.linalg.svd(G @ S - (G @ S).T, compute_uv=False))) / eps_s)
+        H = G.T @ G
+        K = H @ A - A.T @ H
+        draws = rng.standard_normal((max(samples, 0), 4, len(G)))
+        Z, W = draws[:, 0] + 1j * draws[:, 1], draws[:, 2] + 1j * draws[:, 3]
+        num = np.abs(np.einsum("ij,ij->i", W.conj(), Z @ K.T))
+        zhz = np.einsum("ij,ij->i", Z.conj(), Z @ H.T).real
+        whw = np.einsum("ij,ij->i", W.conj(), W @ H.T).real
+        worst = 0.0
+        for n, den in zip(num, eps_s * np.sqrt(zhz * whw)):
+            if den > 0:
+                worst = float(np.fmax(worst, n / den))
+        sample_max.append(worst)
+        if worst > comm[-1] * (1 + 1e-6) + 1e-9:
+            consistent = False
+    return r, s, grid, tuple(lower), tuple(comm), tuple(sample_max), consistent

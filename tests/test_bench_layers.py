@@ -12,7 +12,8 @@ LAYERS = {"bezout_matrix", "psd_certificate", "symmetrization_defect", "det",
           "separation_lower_bound_check", "h_b_relation_check", "leray_symmetrizer",
           "leray_symmetrizer_float", "is_hyperbolic", "separates",
           "certify_stages", "nuij_family", "nuij_grid", "real_roots_float", "invert_transform",
-          "verify_quasi_point", "certify_stages_grid_point", "propagate_strict",
+          "verify_quasi_point", "verify_quasi_grid", "certify_stages_grid_point",
+          "propagate_strict",
           "propagate_multiple", "energy_series", "derivative_identity_check",
           "chain_bound_check", "factorization_bundle"}
 

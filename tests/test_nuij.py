@@ -283,26 +283,13 @@ def grid_outcomes(grid, point_of) -> list:
     return out
 
 
-# (x + 228)^3 and (x + 233/6)^3 fail at eps near 1e-4: the float roots of p_eps
-# come out complex beyond the 1e-7 tolerance
-ROOT_ALPHABET = sorted({Fraction(n, d) for n in range(-6, 7) for d in (1, 2, 3)}
-                       | {Fraction(-228), Fraction(-233, 6)})
 GRID_EPS = st.one_of(st.sampled_from(default_epsilon_grid()
                                      + (0.0, -0.5, 1e300, 1e-300, 1e-12, Fraction(1, 3))),
                      st.floats(1e-6, 10))
 
 
-@st.composite
-def multiple_root_polys(draw):
-    """Exact monic p of degree 2..10 with a root of multiplicity 2 or 3."""
-    values = draw(st.lists(st.sampled_from(ROOT_ALPHABET), min_size=1, max_size=5, unique=True))
-    mults = [draw(st.integers(2, 3))] + [draw(st.integers(1, 3)) for _ in values[1:]]
-    assume(sum(mults) <= 10)
-    return Polynomial.from_roots([v for v, k in zip(values, mults) for _ in range(k)])
-
-
 @settings(max_examples=80, deadline=None)
-@given(multiple_root_polys(), st.lists(GRID_EPS, min_size=1, max_size=9))
+@given(corpus.multiple_root_polys(), st.lists(GRID_EPS, min_size=1, max_size=9))
 @example(Polynomial.from_roots([-228] * 3), list(default_epsilon_grid()))
 @example(Polynomial.from_roots([Fraction(-233, 6)] * 3), [1.0, 1e-300, 1e300, 0.5])
 @example(Polynomial.from_roots([1, 1, 2]), [0.5, 1e300, 0.25, -0.5])

@@ -1,10 +1,14 @@
 """Uniform-in-eps bounds for the smoothed Bezout symmetrizer family."""
 
+import collections
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import corpus
 from bezoutian import (
@@ -14,10 +18,13 @@ from bezoutian import (
     check_conditions,
     commutator_decomposition,
     companion_matrix,
+    default_epsilon_grid,
     nuij_transform,
+    quasi,
     symmetrization_defect,
     verify_quasi,
 )
+from bezoutian.cli import main
 from bezoutian.quasi import _sample_pairs, _sample_ratios
 
 X_SQUARED = Polynomial.exact([1, 0, 0])
@@ -214,26 +221,29 @@ def sampling_cases():
 
 
 def test_batched_sampling_draws_and_scores_as_the_sample_loop():
+    # one draw for the whole grid follows the per-sample stream, point after point
     for p, grid, r, s, samples, seed in sampling_cases():
         verdict = verify_quasi(p, grid, r=r, s=s, samples=samples, seed=seed)
         loop_rng, batch_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        parts = commutator_decomposition(p, verdict.epsilons)
+        H = np.swapaxes(parts.G_eps, -1, -2) @ parts.G_eps
+        K = H @ parts.A - np.swapaxes(parts.A, -1, -2) @ H
+        eps_s = np.array([eps**s for eps in verdict.epsilons])
+        m = H.shape[-1]
+        Z, W = _sample_pairs(batch_rng, len(grid), samples, m)
+        assert Z.shape == W.shape == (len(grid), samples, m)
+        ratios = _sample_ratios(Z, W, H, K, eps_s)
         consistent = True
-        for eps, comm_const in zip(verdict.epsilons, verdict.commutator_constants):
-            parts = commutator_decomposition(p, eps)
-            H = parts.G_eps.T @ parts.G_eps
-            K = H @ parts.A - parts.A.T @ H
-            loop = loop_sampling(loop_rng, samples, H, K, eps**s)
-            Z, W = _sample_pairs(batch_rng, samples, len(H))
-            ratios = _sample_ratios(Z, W, H, K, eps**s)
-            assert Z.shape == W.shape == (samples, len(H))
+        for e, comm_const in enumerate(verdict.commutator_constants):
+            loop = loop_sampling(loop_rng, samples, H[e], K[e], eps_s[e])
             worst = 0.0
             for k, (z, w, ratio) in enumerate(loop):
-                assert (Z[k].tobytes(), W[k].tobytes()) == (z.tobytes(), w.tobytes())
+                assert (Z[e, k].tobytes(), W[e, k].tobytes()) == (z.tobytes(), w.tobytes())
                 if ratio is None:
-                    assert np.isnan(ratios[k])
+                    assert np.isnan(ratios[e, k])
                     continue
                 # the products sum in another order: a few ulps apart
-                assert ratios[k] == pytest.approx(ratio, rel=1e-12, abs=0)
+                assert ratios[e, k] == pytest.approx(ratio, rel=1e-12, abs=0)
                 worst = max(worst, ratio)
             if worst > comm_const * (1 + 1e-6) + 1e-9:
                 consistent = False
@@ -243,8 +253,8 @@ def test_batched_sampling_draws_and_scores_as_the_sample_loop():
 def test_batched_sampling_edge_counts():
     rng = np.random.default_rng(0)
     for samples in (0, -3):
-        Z, W = _sample_pairs(rng, samples, 3)
-        assert Z.shape == W.shape == (0, 3)
+        Z, W = _sample_pairs(rng, 2, samples, 3)
+        assert Z.shape == W.shape == (2, 0, 3)
     # the stream goes on where the empty block left it
     assert rng.standard_normal() == np.random.default_rng(0).standard_normal()
     # a pair with a zero quadratic form does not count
@@ -262,3 +272,88 @@ def test_a_family_point_with_merged_roots_raises_value_error():
         check_conditions(X_SQUARED, (1e-16,))
     with pytest.raises(ValueError, match="merged roots"):
         commutator_decomposition(X_SQUARED, 1e-16)
+
+
+def bits(value):
+    """A value with every float and array as its bytes, for equality bit for bit."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return tuple(bits(v) for v in value)
+    return value
+
+
+def outcome(call):
+    """The bits of call(), or the type and message of what it raises."""
+    try:
+        return "returned", bits(call())
+    except Exception as exc:  # every failure must match the reference's
+        return type(exc), str(exc)
+
+
+def grid_slices(parts) -> list:
+    """The (A, A_eps, Q_eps, S_eps, G_eps, residual) of each eps of a grid decomposition."""
+    return [(parts.A[i], parts.A_eps[i], parts.Q_eps[i], parts.S_eps[i], parts.G_eps[i],
+             float(parts.reconstruction_residual[i])) for i in range(len(parts.A))]
+
+
+def one_eps_outcomes(p, grid, decompose) -> list:
+    """decompose(p, eps) per eps in grid order, up to the first error."""
+    out = []
+    for eps in grid:
+        out.append(outcome(lambda: decompose(p, eps)))
+        if out[-1][0] != "returned":
+            break
+    return out
+
+
+QUASI_EPS = st.one_of(st.sampled_from(default_epsilon_grid()
+                                      + (0.0, -0.5, 1e300, 1e-16, 1e-300, Fraction(1, 3))),
+                      st.floats(1e-6, 10))
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpus.multiple_root_polys(), st.lists(QUASI_EPS, max_size=6),
+       st.sampled_from([0, 1, 2, 0.5, 40, None]), st.sampled_from([1, 2, 0.5, 200]))
+@example(X_SQUARED, [1.0, 1e-16, 0.1], 1, 1)          # merged roots at 1e-16
+@example(X_SQUARED, [0.1, 1e-16, 1e300], 1, 1)        # merged before a point past the range
+@example(X_SQUARED, [1e-3, 1e-16], 200, 1)            # eps**400 underflows before the merge
+@example(Polynomial.from_roots([1, 1, 2]), [0.5, -0.5, 1e-16], 40, 1)
+@example(Polynomial.from_roots([1, 1, 2]), list(default_epsilon_grid())[::-1], None, 1)
+def test_grid_kernels_equal_the_per_eps_reference(p, grid, r, s):
+    # every value bit for bit, and the first failing eps raises what it raises alone
+    def fresh():
+        return Polynomial(p.coeffs, p.backend)
+
+    r_conditions = 0 if r is None else r
+    assert outcome(lambda: dataclasses.astuple(check_conditions(fresh(), grid, r_conditions, s))) \
+        == outcome(lambda: corpus.conditions_reference(fresh(), grid, r_conditions, s))
+    assert outcome(lambda: dataclasses.astuple(verify_quasi(fresh(), grid, r=r, s=s, samples=8,
+                                                            seed=3))) \
+        == outcome(lambda: corpus.verify_quasi_reference(fresh(), grid, r, s, 8, 3))
+    want = one_eps_outcomes(fresh(), grid, corpus.decomposition_reference)
+    assert one_eps_outcomes(fresh(), grid, lambda q, eps: dataclasses.astuple(
+        commutator_decomposition(q, eps))) == want
+    whole = outcome(lambda: grid_slices(commutator_decomposition(fresh(), grid)))
+    if want and want[-1][0] != "returned":
+        assert whole == want[-1]
+    else:
+        assert whole == ("returned", tuple(v for _, v in want))
+
+
+def test_a_cli_quasi_request_builds_g_and_the_decomposition_once(monkeypatch, capsys):
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("lagrange_basis_matrix", "commutator_decomposition"):
+        monkeypatch.setattr(quasi, name, counted(name, getattr(quasi, name)))
+    assert main(["quasi", "--poly", "[1,0,-3,0,3,0,-1]"]) == 0
+    capsys.readouterr()
+    assert calls == {"lagrange_basis_matrix": 1, "commutator_decomposition": 1}

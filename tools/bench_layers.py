@@ -8,7 +8,10 @@ distinct rational roots drawn from a fixed seed, its Bezout form H of
 (p, p') and its companion matrix A.  A polynomial keeps what is derived
 from it (its forms, roots, family points and power-sum symmetrizer), so
 every row that builds one of these times a call on a fresh polynomial
-equal to p (``fresh``), which builds it again.  The two checks read the
+equal to p (``fresh``), which builds it again.  ``leray_symmetrizer``
+reads deg gcd(p, p') from the Sturm chain that a ``leray`` request has
+built in its hyperbolicity gate, so its fresh p holds p's chain
+(``with_chain``).  The two checks read the
 forms p already holds, as requests do: the separation bound H - H / 2 >= 0
 reads H twice, and the H-B relation H and the power-sum symmetrizer of p.
 ``separates(p, p')`` gets nothing prebuilt, so every source tree runs the
@@ -34,7 +37,8 @@ builds the points of all nine default-grid eps as a ``nuij`` request does
 ``invert_transform`` recovers p from that point's float p_eps, as the
 ``nuij-inversion`` check of a ``nuij`` request does per eps, and
 ``verify_quasi_point`` certifies the quasi-symmetrizer constants of p at the
-one grid point eps = 1e-4 with r = 0, as a ``quasi`` request does per eps.
+one grid point eps = 1e-4 with r = 0, and ``verify_quasi_grid`` on the
+nine eps of the default grid with r = 0, as a ``quasi`` request does.
 ``certify_stages_grid_point`` certifies the stages at 0.00010000000000000002,
 the last point of the default grid, which lands off the decimal: its
 simplest rational has a 52-bit denominator, where 1e-4 has 1/10000.  The
@@ -86,6 +90,7 @@ from bezoutian import leray_symmetrizer
 from bezoutian import nuij_family, nuij_transform, propagate, real_roots, separates
 from bezoutian import separation_lower_bound_check, symmetrization_defect, verify_quasi
 from bezoutian.exactla import det, psd_certificate
+from bezoutian.roots import _sturm_ends
 
 try:
     from bezoutian import certify_stages
@@ -119,6 +124,13 @@ def exact_input(m: int) -> list:
 def fresh(p: Polynomial) -> Polynomial:
     """A polynomial equal to p that holds nothing derived yet, so a call on it builds."""
     return Polynomial(p.coeffs, p.backend)
+
+
+def with_chain(p: Polynomial) -> Polynomial:
+    """``fresh(p)`` holding the Sturm chain of p, as p holds it after a request's gate."""
+    q = fresh(p)
+    q.memo["sturm"] = _sturm_ends(p)
+    return q
 
 
 def best_per_call(fn) -> float:
@@ -186,7 +198,7 @@ def layer_rows(degrees) -> list:
             "det": lambda: det(H),
             "separation_lower_bound_check": lambda: separation_lower_bound_check(p, dp, half),
             "h_b_relation_check": lambda: h_b_relation_check(p),
-            "leray_symmetrizer": lambda: leray_symmetrizer(fresh(p)),
+            "leray_symmetrizer": lambda: leray_symmetrizer(with_chain(p)),
             "is_hyperbolic": lambda: is_hyperbolic(fresh(p)),
             "separates": lambda: separates(fresh(p), dp),
         }
@@ -198,6 +210,7 @@ def layer_rows(degrees) -> list:
             p_eps = nuij_transform(p, 1e-4)
             calls["invert_transform"] = lambda: invert_transform(p_eps, 1e-4)
             calls["verify_quasi_point"] = lambda: verify_quasi(fresh(p), (1e-4,), r=0)
+            calls["verify_quasi_grid"] = lambda: verify_quasi(fresh(p), default_epsilon_grid(), r=0)
             calls["factorization_bundle"] = lambda: factorization_bundle(fresh(p), dp)
             if certify_stages is not None:
                 calls["certify_stages"] = lambda: certify_stages(p, 1e-4)

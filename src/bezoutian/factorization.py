@@ -46,11 +46,11 @@ def lagrange_basis_matrix(roots) -> np.ndarray:
     """
     import numpy as np
 
-    if isinstance(roots, np.ndarray) or infer_backend(roots := list(roots)) != BACKEND_EXACT:
-        vals, zero, one = np.array(roots, dtype=float), 0.0, 1.0
-    else:
+    if not isinstance(roots, np.ndarray) and infer_backend(roots := list(roots)) == BACKEND_EXACT:
         vals = np.array([Fraction(r) for r in roots], dtype=object)
         zero, one = Fraction(0), Fraction(1)
+    else:
+        vals, zero, one = np.array(roots, dtype=float), 0.0, 1.0
     m = vals.shape[-1]
     # row i of ``deleted`` holds the roots without position i
     col = np.arange(max(m - 1, 0))

@@ -13,17 +13,11 @@ q = p'), which turns them into singular-value statements that stay accurate
 when the smallest eigenvalue of H_eps sits below float noise.  Randomized
 sampling of the raw bilinear form cross-checks the congruence route.  The
 family points of the grid are built in one pass (``nuij.build_family``),
-and every reader of them reads the grid in one array pass too, E grid
-points by m roots: p keeps the (E, m) arrays of the roots, of d =
-``scaled_inverse_diagonal`` and of q_eps at the roots (``_family_stack``),
-which ``check_conditions`` and ``verify_quasi`` share.  The kernels take
-the grid as a leading axis: ``lagrange_basis_matrix`` maps float roots
-(..., m) to G (..., m, m), and ``commutator_decomposition`` maps one eps
-to m x m matrices and a grid of E eps to (E, m, m) stacks with one
-residual per eps.  A stacked product, ``einsum`` or ``svd`` gives every
-grid point the bits of a call on its matrices alone, so each constant is
-the one its eps alone gives, and a failing eps raises the error it raises
-alone, the first in grid order.
+and read in one array pass, the grid of E eps as a leading axis: p keeps
+the (E, m) arrays of the roots, d and q_eps(root) (``_family_stack``);
+``lagrange_basis_matrix`` maps float roots (..., m) to G (..., m, m), and
+``commutator_decomposition`` maps one eps to m x m matrices and a grid to
+(E, m, m) stacks.  Each eps keeps the bits and the error it has alone.
 The default lower exponent r is the largest root multiplicity minus one,
 read from the Yun decomposition of the exact p (``max_multiplicity``): the
 CLI certifies a decimal p at its exact dyadic value, as ``verify_quasi``
@@ -69,34 +63,20 @@ def _merged_roots(eps: float) -> ValueError:
                       "in float64: p_eps' vanishes at a root")
 
 
-@dataclass(frozen=True)
-class _FamilyStack:
-    """The family points of a grid as arrays, one row per eps.
+def _family_stack(p: Polynomial, grid: tuple) -> tuple:
+    """(p_eps, roots, d, q_at_roots) of the float grid's family points, read in one array pass.
 
-    ``p_eps`` holds the coefficients of each p_eps (E, m + 1), leading
-    first; ``roots`` its flattened roots, ``d`` the scaled derivative values
-    of ``scaled_inverse_diagonal`` and ``q_at_roots`` the values of q_eps at
-    the roots, each (E, m).  A zero in a row of d means that float64 merged
-    roots of that p_eps: both conditions divide by d.
-    """
-
-    p_eps: np.ndarray
-    roots: np.ndarray
-    d: np.ndarray
-    q_at_roots: np.ndarray
-
-
-def _family_stack(p: Polynomial, grid: tuple) -> _FamilyStack:
-    """The family points ``nuij_family(p, eps)`` of the float grid, read in one array pass.
-
-    The points are fetched in grid order, so the first that cannot be built
-    raises.  Horner's rule runs on the coefficient rows (q_eps padded with
-    leading zeros to m), with the bits of ``Polynomial.__call__`` at each
-    root.  p keeps the stack (``Polynomial.memo``), keyed by the grid.
+    One row per eps: the coefficients of p_eps (E, m + 1), leading first;
+    its flattened roots, d = ``scaled_inverse_diagonal`` and q_eps at the
+    roots (E, m), by Horner's rule on the coefficient rows (q_eps padded
+    with leading zeros), with the bits of ``Polynomial.__call__``.  A zero
+    in a row of d means that float64 merged roots of that p_eps.  The
+    points are fetched in grid order, so the first that cannot be built
+    raises.  p keeps the arrays (``Polynomial.memo``), keyed by the grid.
     """
     import numpy as np
 
-    def build() -> _FamilyStack:
+    def build() -> tuple:
         points = [nuij_family(p, eps) for eps in grid]
         n, m = len(points), int(p.degree)
         p_eps = np.array([fam.p_eps.coeffs for fam in points], dtype=float).reshape(n, m + 1)
@@ -107,8 +87,7 @@ def _family_stack(p: Polynomial, grid: tuple) -> _FamilyStack:
         # overflow gives inf, as the Python float rule does, with no warning
         with np.errstate(all="ignore"):
             d = scaled_inverse_diagonal(roots, p_eps[:, :-1] * np.arange(m, 0, -1))
-            q_at_roots = _horner_rows(q_eps, roots)
-        return _FamilyStack(p_eps, roots, d, q_at_roots)
+            return p_eps, roots, d, _horner_rows(q_eps, roots)
 
     return p.derived(("quasi", grid), build)
 
@@ -139,13 +118,13 @@ def check_conditions(p: Polynomial, epsilon_grid=None, r: float = 0.0,
     grid = tuple(float(eps) for eps in (epsilon_grid if epsilon_grid is not None
                                         else default_epsilon_grid()))
     build_family(p, grid)
-    stack = _family_stack(p, grid)
+    _, _, d_rows, q_rows = _family_stack(p, grid)
     rows = []
     c_lower = None
     C_upper = None
     # per eps in grid order: merged roots, then eps**r, then eps**s; Python's
     # min, max and float division keep their NaN and zero semantics
-    for eps, d, q_at in zip(grid, stack.d.tolist(), stack.q_at_roots.tolist()):
+    for eps, d, q_at in zip(grid, d_rows.tolist(), q_rows.tolist()):
         if not all(d):
             raise _merged_roots(eps)
         eps_r = _eps_power(eps, r)
@@ -185,7 +164,7 @@ def commutator_decomposition(p: Polynomial, epsilon) -> CommutatorParts:
     family point ``nuij_family(p, eps)``.
 
     ``epsilon`` is one eps, giving m x m matrices, or a sequence of E eps,
-    giving (E, m, m) stacks, one ``lagrange_basis_matrix`` call and one
+    giving (E, m, m) stacks from one ``lagrange_basis_matrix`` call and one
     residual per eps (see ``CommutatorParts``).  The eps are checked in grid
     order: eps <= 0 raises ValueError, then a family point that cannot be
     built raises, then one with merged roots; the first failing eps raises.
@@ -203,21 +182,21 @@ def commutator_decomposition(p: Polynomial, epsilon) -> CommutatorParts:
             fetched += 1
     finally:
         # whatever stops the walk, an eps before it with merged roots fails first
-        stack = _family_stack(p, grid[:fetched])
-        for eps, d in zip(grid, stack.d):
-            if not d.all():
+        p_eps, roots, d, q_at_roots = _family_stack(p, grid[:fetched])
+        for eps, d_row in zip(grid, d):
+            if not d_row.all():
                 raise _merged_roots(eps)
-    n, m = stack.roots.shape
+    n, m = roots.shape
     if n:
         A = np.repeat(_companion_stack([p.as_float().coeffs]), n, axis=0)
-        A_eps = _companion_stack(stack.p_eps)
+        A_eps = _companion_stack(p_eps)
     else:  # an empty grid, where p may have degree 0 and no companion matrix
         A = A_eps = np.zeros((0, m, m))
     Q = A - A_eps
-    G = lagrange_basis_matrix(stack.roots)
+    G = lagrange_basis_matrix(roots)
     S = np.zeros((n, m, m))
     with np.errstate(all="ignore"):  # as the Python float rule: inf, with no warning
-        S[:, m - 1:] = (-stack.q_at_roots / stack.d)[:, None]
+        S[:, m - 1:] = (-q_at_roots / d)[:, None]
     residual = np.max(np.abs(S @ G - Q), axis=(-2, -1)) if m else np.zeros(n)
     if one:
         return CommutatorParts(A[0], A_eps[0], Q[0], S[0], G[0], float(residual[0]))
@@ -333,12 +312,9 @@ def verify_quasi(p: Polynomial, epsilon_grid=None, r: float | None = None,
     pairs (z, w) are drawn (``_sample_pairs``) and scored (``_sample_ratios``);
     only samples with a positive denominator count.
 
-    The whole grid goes through each step at once: one
-    ``commutator_decomposition(p, grid)``, one stacked product per matrix,
-    one ``svd`` call each for G and K', one draw of every sample.  An eps
-    fails as it does alone, the first in grid order: eps <= 0, merged
-    roots (``commutator_decomposition``), then eps**s or eps**(2r) out of
-    the float64 range.
+    The grid goes through each step at once (one decomposition, product,
+    ``svd`` and draw), and the first failing eps raises what it raises
+    alone: eps <= 0, merged roots, then eps**s or eps**(2r) out of range.
     """
     import numpy as np
 
@@ -356,7 +332,7 @@ def verify_quasi(p: Polynomial, epsilon_grid=None, r: float | None = None,
     for eps in grid:
         try:
             powers.append((_eps_power(eps, s), _eps_power(eps, 2 * r)))
-        except (ArithmeticError, ValueError):
+        except (ValueError, ZeroDivisionError):
             # a failure of the decomposition at this eps or before it comes first
             commutator_decomposition(p, grid[:len(powers) + 1])
             raise

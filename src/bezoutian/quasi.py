@@ -260,12 +260,12 @@ def _worst_factor(epsilons, values, rising: bool) -> float:
 
 
 def _sample_pairs(rng: np.random.Generator, points: int, samples: int, n: int) -> tuple:
-    """``samples`` random complex pairs (z, w) of length n per grid point, as Z and W (points, samples, n).
+    """``samples`` random complex pairs (z, w) of length n per grid point, as Z and W.
 
-    The draws of each sample are z_re, z_im, w_re, w_im, rows of one block,
-    and the blocks of the grid points follow each other, so the stream is
-    that of drawing them one sample at a time, point after point.  A count
-    below 1 draws nothing.
+    Z and W have the shape (points, samples, n).  The draws of each sample
+    are z_re, z_im, w_re, w_im, rows of one block, and the blocks of the
+    grid points follow each other, so the stream is that of drawing them one
+    sample at a time, point after point.  A count below 1 draws nothing.
     """
     import numpy as np
 

@@ -210,7 +210,8 @@ def layer_rows(degrees) -> list:
             p_eps = nuij_transform(p, 1e-4)
             calls["invert_transform"] = lambda: invert_transform(p_eps, 1e-4)
             calls["verify_quasi_point"] = lambda: verify_quasi(fresh(p), (1e-4,), r=0)
-            calls["verify_quasi_grid"] = lambda: verify_quasi(fresh(p), default_epsilon_grid(), r=0)
+            grid = default_epsilon_grid()
+            calls["verify_quasi_grid"] = lambda: verify_quasi(fresh(p), grid, r=0)
             calls["factorization_bundle"] = lambda: factorization_bundle(fresh(p), dp)
             if certify_stages is not None:
                 calls["certify_stages"] = lambda: certify_stages(p, 1e-4)

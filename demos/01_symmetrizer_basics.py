@@ -25,12 +25,12 @@ print("q = p' =", q)
 H = bezout_matrix(p, q)
 A = companion_matrix(p)
 print("\nBezout matrix H:")
-print(H.matrix)
+print(H.fractions)
 print("\nCompanion matrix A:")
-print(A.matrix)
+print(A.fractions)
 
 print("\nH A =")
-print(H.matrix @ A.matrix)
+print(H.fractions @ A.fractions)
 print("symmetrization defect (max |HA - (HA)^T|):", symmetrization_defect(H, A))
 
 verdict = psd_check(H)

@@ -38,7 +38,7 @@ print("G =")
 print(bundle.basis_matrix)
 print("G^T diag(w) G reproduces H exactly; residual:", bundle.residual)
 print("H =")
-print(bezout_matrix(p, q).matrix)
+print(bezout_matrix(p, q).fractions)
 
 # multiple roots go through the reduced weights over distinct roots
 p = Polynomial.from_roots([0, 0, 2])

@@ -38,7 +38,7 @@ print("\nH-B relation residual (exact):", h_b_relation_check(p))
 # for m = 2 the adjugate IS the Bezout matrix of (p, p')
 q2 = Polynomial.exact([1, 0, -4])
 B = leray_symmetrizer(q2).adjugate
-H = bezout_matrix(q2, q2.derivative()).matrix
+H = bezout_matrix(q2, q2.derivative()).fractions
 print("\nm = 2:", "B == H exactly" if (B == H).all() else "mismatch")
 
 # the singular case stays total: adjugate of a rank-deficient S
@@ -46,4 +46,4 @@ double = Polynomial.exact([1, 0, 0])
 print("\nx^2: S =", power_sum_matrix(double).tolist(),
       " B =", leray_symmetrizer(double).adjugate.tolist())
 print("B A defect:", symmetrization_defect(leray_symmetrizer(double).adjugate,
-                                           companion_matrix(double).matrix))
+                                           companion_matrix(double)))

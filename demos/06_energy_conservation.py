@@ -13,7 +13,6 @@ from bezoutian import (
     ExponentialSignal,
     Polynomial,
     chain_bound_check,
-    companion_matrix,
     derivative_identity_check,
     energy_series,
     propagate,
@@ -26,9 +25,8 @@ print("p =", p)
 print("q = p' =", q)
 print("q separates p:", separates(p, q).separates)
 
-A = companion_matrix(p.as_float())
 U0 = [1.0, 0.5, -0.25, 0.125]
-traj = propagate(A, U0, T=10.0, steps=400)
+traj = propagate(p, U0, T=10.0, steps=400)
 series = energy_series(p, q, traj)
 print(f"\nenergy at t=0: {series.values[0]:.6f}")
 print(f"relative spread over [0, 10]: {series.relative_spread():.2e}")

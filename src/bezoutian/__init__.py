@@ -12,8 +12,6 @@ associated energy forms along companion trajectories.
 __version__ = "0.1.0"
 
 from .bezout import (
-    BezoutMatrix,
-    CompanionMatrix,
     Resultant,
     bezout_matrix,
     companion_matrix,
@@ -42,7 +40,7 @@ from .errors import (
     NonMonicError,
     NonzeroRemainderError,
 )
-from .exactla import PsdVerdict
+from .exactla import IntMatrix, PsdVerdict
 from .factorization import (
     DerivativeBound,
     FactorizationBundle,

@@ -5,12 +5,14 @@ form (p(x)q(y) - p(y)q(x)) / (x - y); entry (i, j) multiplies x**i y**j.
 For hyperbolic p and separating q it is positive semidefinite and makes
 H @ A symmetric, where A is the companion matrix of p.
 
-Exact forms hold an ``exactla.IntMatrix`` from the moment they are built:
-with p = cp * P and q = cq * Q for primitive integer P, Q
-(``Polynomial.primitive``), H(p, q) = cp * cq * H(P, Q), so the synthetic
-division, its remainder and symmetry checks run on the integer
-coefficients and the form keeps those rows over the denominator of
-cp * cq; the companion matrix of monic p is built from its primitive P.
+An exact form is an ``exactla.IntMatrix``, integer rows over one
+denominator, and a float form is a read-only float64 array; the builders
+return exactly that, with no wrapper.  With p = cp * P and q = cq * Q for
+primitive integer P, Q (``Polynomial.primitive``), H(p, q) = cp * cq *
+H(P, Q), so the synthetic division, its remainder and symmetry checks run
+on the integer coefficients and the form keeps those rows over the
+denominator of cp * cq; the companion matrix of monic p is built from its
+primitive P.
 The float companion matrices have one builder, ``_companion_stack``, which
 stacks those of several polynomials of one degree for one eigensolver call
 (``roots._keep_eigenvalues``) and gives ``companion_matrix`` its one matrix.
@@ -33,23 +35,12 @@ from typing import TYPE_CHECKING
 
 from . import exactla
 from .errors import BackendMismatchError, DegreeMismatchError, NonzeroRemainderError
-from .exactla import IntMatrix, MatrixForm, PsdVerdict, psd_certificate
+from .exactla import IntMatrix, PsdVerdict, psd_certificate
 from .polynomial import Polynomial
 from .scalars import BACKEND_EXACT
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-@dataclass(frozen=True)
-class BezoutMatrix(MatrixForm):
-    """The Bezout form of (p, q), kept by p (``Polynomial.memo``); it refers to
-    neither polynomial, so p and its forms make no reference cycle."""
-
-
-@dataclass(frozen=True)
-class CompanionMatrix(MatrixForm):
-    p: Polynomial
 
 
 def _divide_form(pa: list, qa: list, n: int) -> tuple[list, list]:
@@ -72,21 +63,23 @@ def _divide_form(pa: list, qa: list, n: int) -> tuple[list, list]:
     return [row[:n] for row in quo], remainder + [row[n] for row in quo]
 
 
-def bezout_matrix(p: Polynomial, q: Polynomial) -> BezoutMatrix:
+def bezout_matrix(p: Polynomial, q: Polynomial) -> IntMatrix | np.ndarray:
     """Bezout matrix by two-variable synthetic division of the defining form.
 
     The division is exact in algebra; a surviving remainder raises
     NonzeroRemainderError.  Exact input is divided on the primitive integer
-    coefficients and scaled by the two contents.  The matrix size is
+    coefficients and scaled by the two contents, giving an IntMatrix; float
+    input gives a read-only float64 array.  The matrix size is
     max(deg p, deg q); shorter arguments are zero padded.  A float form
     with an entry or a remainder past the float64 range raises ValueError.
     p keeps the form, keyed by the value of q: an equal q gets the same
-    object.
+    object.  The form refers to neither polynomial, so p and its forms make
+    no reference cycle.
     """
     return p.derived(("bezout", q), lambda: _bezout_matrix(p, q))
 
 
-def _bezout_matrix(p: Polynomial, q: Polynomial) -> BezoutMatrix:
+def _bezout_matrix(p: Polynomial, q: Polynomial) -> IntMatrix | np.ndarray:
     if p.backend != q.backend:
         raise BackendMismatchError("bezout_matrix arguments must share a backend")
     n = max(int(p.degree) if not p.is_zero else 0, int(q.degree) if not q.is_zero else 0)
@@ -103,8 +96,7 @@ def _bezout_matrix(p: Polynomial, q: Polynomial) -> BezoutMatrix:
             raise NonzeroRemainderError("bezout matrix came out asymmetric (arithmetic fault)")
         scale = cp * cq
         num = scale.numerator
-        return BezoutMatrix(IntMatrix(tuple(tuple(v * num for v in row) for row in rows),
-                                      scale.denominator))
+        return IntMatrix(tuple(tuple(v * num for v in row) for row in rows), scale.denominator)
     import numpy as np
 
     pa = list(p.ascending(n + 1))
@@ -120,15 +112,15 @@ def _bezout_matrix(p: Polynomial, q: Polynomial) -> BezoutMatrix:
     if exactla.symmetry_defect(H) > 1e-12 * max(1.0, exactla.max_abs(H)):
         raise NonzeroRemainderError("bezout matrix asymmetric beyond float tolerance")
     H.flags.writeable = False  # p keeps the form, so every caller reads this array
-    return BezoutMatrix(H)
+    return H
 
 
-def companion_matrix(p: Polynomial) -> CompanionMatrix:
+def companion_matrix(p: Polynomial) -> IntMatrix | np.ndarray:
     """Companion (Sylvester) matrix: shift rows on top, -(a_m..a_1) last row.
 
     Exact p = P / L, with P primitive and L its leading coefficient, gives
-    the integer rows of L A over L; float p gives the one matrix of
-    ``_companion_stack``.
+    the IntMatrix of the integer rows of L A over L; float p gives the one
+    matrix of ``_companion_stack``, read-only.
     """
     p.require_monic("companion matrix input")
     m = int(p.degree)
@@ -139,8 +131,10 @@ def companion_matrix(p: Polynomial) -> CompanionMatrix:
         L = P[0]
         rows = [tuple(L if j == i + 1 else 0 for j in range(m)) for i in range(m - 1)]
         rows.append(tuple(-c for c in P[:0:-1]))
-        return CompanionMatrix(IntMatrix(tuple(rows), L), p)
-    return CompanionMatrix(_companion_stack([p.coeffs])[0], p)
+        return IntMatrix(tuple(rows), L)
+    A = _companion_stack([p.coeffs])[0]
+    A.flags.writeable = False
+    return A
 
 
 def _companion_stack(coeff_rows) -> np.ndarray:

@@ -45,7 +45,7 @@ from .polynomial import Polynomial
 from .quasi import UNIFORMITY_FACTOR, check_conditions, max_multiplicity, verify_quasi
 from .report import FAIL, MARGINAL, PASS, CertifiedReport
 from .roots import is_hyperbolic, real_roots
-from .scalars import scalar_to_json
+from .scalars import BACKEND_EXACT, scalar_to_json
 
 
 class InputError(Exception):
@@ -106,6 +106,17 @@ def _parse_grid(spec: str) -> tuple:
 
 def _echo_poly(p: Polynomial) -> list:
     return [scalar_to_json(c) for c in p.coeffs]
+
+
+def _echo_matrix(M: exactla.IntMatrix) -> dict:
+    """An exact matrix as reduced ``"n/d"`` strings, printed from its integer rows.
+
+    Entry v / den is reduced by gcd(v, den), with no Fraction built.
+    """
+    den = M.den
+    return {"backend": BACKEND_EXACT,
+            "rows": [[f"{v // (g := math.gcd(v, den))}/{den // g}" for v in row]
+                     for row in M.rows]}
 
 
 def _emit(report: CertifiedReport, table, output: str) -> None:
@@ -172,8 +183,8 @@ def cmd_analyze(args, report: CertifiedReport):
     profile = real_roots(p)
     hermite = psd_check(bezout_matrix(p, p.derivative()))
     H = bezout_matrix(p, q)
-    report.inputs["bezout_matrix"] = H.to_jsonable()
-    report.inputs["companion_matrix"] = A.to_jsonable()
+    report.inputs["bezout_matrix"] = _echo_matrix(H)
+    report.inputs["companion_matrix"] = _echo_matrix(A)
     defect = symmetrization_defect(H, A)
     report.add_bool("companion symmetrization defect", "companion-symmetrization",
                     defect <= tol, _exact_witness(defect), tol)
@@ -321,7 +332,7 @@ def cmd_leray(args, report: CertifiedReport):
                     sym.definiteness.is_pd == verdict.is_strict,
                     "positive definite" if sym.definiteness.is_pd else "semidefinite")
     if m == 2:
-        H = exactla.IntMatrix.of(bezout_matrix(p, p.derivative()))
+        H = bezout_matrix(p, p.derivative())
         diff = float(exactla.max_abs_difference(sym.adjugate_ints, H))
         report.add_bool("adjugate equals bezout form (m=2)", "leray-bezout-m2",
                         diff <= tol, diff, tol)
@@ -365,8 +376,7 @@ def cmd_energy(args, report: CertifiedReport):
     # each built once and kept on pf; for float p, pf is p, whose roots and
     # form of (p, p') is_hyperbolic found
     pf, qf = p.as_float(), q.as_float()
-    A = companion_matrix(pf)
-    traj = propagate(A, U0, args.T, args.steps)
+    traj = propagate(pf, U0, args.T, args.steps)
     series = energy_series(p, q, traj)
     spread = series.relative_spread()
     report.add_bool("energy conservation", "energy-conservation",

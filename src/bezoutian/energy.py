@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .bezout import CompanionMatrix, bezout_matrix
+from .bezout import bezout_matrix, companion_matrix
 from .errors import NonHyperbolicError
 from .factorization import derivative_bound_constant
 from .polynomial import Polynomial
@@ -72,7 +72,7 @@ class ExponentialSignal:
 class Trajectory:
     times: np.ndarray
     states: np.ndarray  # shape (len(times), m), state row per time
-    generator: CompanionMatrix
+    generator: np.ndarray  # the float companion matrix A of D_t U = A U
 
     @property
     def dimension(self) -> int:
@@ -91,8 +91,7 @@ class Trajectory:
             raise ValueError("trajectories expose derivatives up to order m")
         rows = [self.states[:, i] for i in range(min(depth, m))]
         if depth == m + 1:
-            A = np.asarray(self.generator.matrix, dtype=float)
-            rows.append((self.states @ A.T)[:, m - 1])
+            rows.append((self.states @ self.generator.T)[:, m - 1])
         return np.vstack(rows)
 
 
@@ -164,8 +163,11 @@ def _expm(M: np.ndarray) -> np.ndarray:
     return E * d[:, None] / d[None, :]
 
 
-def propagate(A: CompanionMatrix, U0, T: float, steps: int) -> Trajectory:
+def propagate(p: Polynomial, U0, T: float, steps: int) -> Trajectory:
     """Solve D_t U = A U, i.e. dU/dt = i A U, on steps+1 equispaced times.
+
+    A is the float companion matrix of monic p (``companion_matrix`` of its
+    float rounding), which the trajectory keeps as its generator.
 
     Strictly hyperbolic generators propagate exactly through the eigenbasis
     U(t) = R diag(exp(i root_k t)) R^-1 U0, all times in one matrix product;
@@ -179,13 +181,13 @@ def propagate(A: CompanionMatrix, U0, T: float, steps: int) -> Trajectory:
 
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    Am = np.asarray(A.matrix, dtype=float)
-    m = Am.shape[0]
+    pf = p.as_float()
+    A = companion_matrix(pf)
+    m = A.shape[0]
     U0 = np.asarray(U0, dtype=complex)
     if U0.shape != (m,):
         raise ValueError(f"U0 must have length {m}")
     times = np.linspace(0.0, float(T), steps + 1)
-    pf = A.p.as_float()
     try:
         # where the default tolerance finds the roots, imag_tol=1e-7 finds the same
         profile = real_roots(pf)
@@ -203,7 +205,7 @@ def propagate(A: CompanionMatrix, U0, T: float, steps: int) -> Trajectory:
         states = (np.exp(1j * np.outer(times, roots)) * y) @ R.T
     else:
         with np.errstate(over="ignore", invalid="ignore"):
-            generator = 1j * Am * (times[1] - times[0])
+            generator = 1j * A * (times[1] - times[0])
         if not np.isfinite(generator).all():
             raise ValueError("the step matrix leaves the float64 range")
         step = _expm(generator)
@@ -240,7 +242,7 @@ def energy_series(p: Polynomial, q: Polynomial, traj: Trajectory) -> EnergySerie
     """
     import numpy as np
 
-    H = bezout_matrix(p.as_float(), q.as_float()).matrix
+    H = bezout_matrix(p.as_float(), q.as_float())
     if H.shape[0] != traj.dimension:
         raise ValueError("form dimension does not match the trajectory")
     U = traj.states
@@ -262,7 +264,7 @@ def derivative_identity_check(p: Polynomial, q: Polynomial, signal: ExponentialS
     import numpy as np
 
     m = max(int(p.degree), int(q.degree) if not q.is_zero else 0)
-    H = bezout_matrix(p.as_float(), q.as_float()).matrix
+    H = bezout_matrix(p.as_float(), q.as_float())
     times = np.linspace(0.0, t_max, 201)
     coeffs = np.array([c for c, _ in signal.terms])
     freqs = np.array([nu for _, nu in signal.terms])
@@ -310,7 +312,7 @@ def chain_bound_check(p: Polynomial, j: int, source, T: float = 10.0) -> ChainBo
     pj = pj_native.as_float()
     pj1 = p.derivative(j + 1).as_float()
     n = int(pj.degree)
-    H = bezout_matrix(pj, pj1).matrix
+    H = bezout_matrix(pj, pj1)
 
     times = np.linspace(0.0, float(T), 2001)
     if isinstance(source, Trajectory):

@@ -12,10 +12,10 @@ Each IntMatrix eliminates itself once, for its cached LDL certificate
 ``is_adjugate_product`` checks A B = det(A) I by the full product, which
 for nonsingular A certifies B = det(A) A^-1: ``leray`` reads the
 determinant and definiteness of B = adj S from S that way, with no
-elimination of B.  Float matrices are ordinary float64 arrays.  A
-``MatrixForm`` wraps either kind, and numpy reads it, like an IntMatrix, as
-a Fraction or float64 array; the Fraction array of an exact matrix is built
-only when something reads it.
+elimination of B.  Float matrices are ordinary float64 arrays, and each
+builder returns one kind or the other: an IntMatrix for exact input, a
+read-only float64 array for float input.  numpy reads an IntMatrix as its
+Fraction array (``fractions``), which is built only when something reads it.
 Object arrays of Fractions from outside are cleared to an ``IntMatrix``
 once, on entry (``_integer_matrix``).  ``det`` and ``adjugate`` have no
 float route: they take float entries at their exact dyadic values.  Only
@@ -35,8 +35,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING
-
-from .scalars import BACKEND_EXACT, BACKEND_FLOAT
 
 if TYPE_CHECKING:
     import numpy as np
@@ -84,12 +82,10 @@ class IntMatrix:
 
     @classmethod
     def of(cls, M) -> IntMatrix:
-        """M as an IntMatrix: a form's own, or an array cleared once.
+        """M as an IntMatrix: M itself, or an array cleared once.
 
         Float entries are taken at their exact dyadic values.
         """
-        if isinstance(M, MatrixForm):
-            M = M.data
         return M if isinstance(M, cls) else _integer_matrix(M)
 
     @property
@@ -114,7 +110,8 @@ class IntMatrix:
         return _integer_psd(self.rows, self.den)
 
     def __array__(self, dtype=None, copy=None):
-        # numpy reads an IntMatrix as its Fraction array, as it reads a MatrixForm
+        # np.array copies (copy=True), so writes never reach the kept array;
+        # np.asarray (copy=None) gets the array itself
         import numpy as np
 
         return np.array(self.fractions, dtype=dtype, copy=copy)
@@ -129,50 +126,6 @@ def _integer_matrix(M: np.ndarray) -> IntMatrix:
     D = math.lcm(1, *(v.denominator for row in rows for v in row))
     return IntMatrix(tuple(tuple(v.numerator * (D // v.denominator) for v in row)
                            for row in rows), D)
-
-
-@dataclass(frozen=True)
-class MatrixForm:
-    """A built matrix that numpy reads as its ``matrix``.
-
-    ``data`` is an IntMatrix for an exact form, whose Fraction ``matrix`` is
-    built on first read, or the float64 array of a float form.
-    """
-
-    data: object
-
-    def __array__(self, dtype=None, copy=None):
-        # np.array copies (copy=True) so that writes never reach the form;
-        # np.asarray (copy=None) gets the matrix itself
-        import numpy as np
-
-        return np.array(self.matrix, dtype=dtype, copy=copy)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.data.fractions if isinstance(self.data, IntMatrix) else self.data
-
-    @property
-    def shape(self) -> tuple:
-        return self.data.shape
-
-    @property
-    def backend(self) -> str:
-        return BACKEND_EXACT if isinstance(self.data, IntMatrix) else BACKEND_FLOAT
-
-    def to_jsonable(self) -> dict:
-        """The echo of the form: exact entries as reduced ``"n/d"`` strings, floats as numbers.
-
-        An exact entry v / den is printed from the integer rows, reduced by
-        gcd(v, den), with no Fraction built.
-        """
-        if isinstance(self.data, IntMatrix):
-            den = self.data.den
-            rows = [[f"{v // (g := math.gcd(v, den))}/{den // g}" for v in row]
-                    for row in self.data.rows]
-        else:
-            rows = [[float(v) for v in row] for row in self.data]
-        return {"backend": self.backend, "rows": rows}
 
 
 def _require_square(A: list[list[int]], what: str) -> int:
@@ -289,8 +242,8 @@ def adjugate(M):
     """Cofactor transpose, exact; total (defined for singular input as well).
 
     Faddeev-LeVerrier on Python ints.  The result has the kind of its input:
-    an IntMatrix gives an IntMatrix, and an array or a form gives a Fraction
-    array, with float entries taken at their exact dyadic values.
+    an IntMatrix gives an IntMatrix, and an array gives a Fraction array,
+    with float entries taken at their exact dyadic values.
     """
     A = IntMatrix.of(M)
     n = len(A.rows)
@@ -393,12 +346,11 @@ def psd_certificate(M, tol: float = 1e-9) -> PsdVerdict:
     eigenvalue of its symmetric part judged against ``tol`` times
     max(1, max-norm).
     """
-    data = M.data if isinstance(M, MatrixForm) else M
-    if isinstance(data, IntMatrix):
-        return data.ldl
+    if isinstance(M, IntMatrix):
+        return M.ldl
     import numpy as np
 
-    data = np.asarray(data)
+    data = np.asarray(M)
     if data.dtype == object:
         return _integer_matrix(data).ldl
     sym = 0.5 * (data + data.T)

@@ -177,6 +177,8 @@ class FactorizationBundle:
 def factorization_bundle(p: Polynomial, q: Polynomial) -> FactorizationBundle:
     """Build G and the weights for strictly hyperbolic p and report the
     residual against the directly constructed Bezout matrix."""
+    import numpy as np
+
     profile = real_roots(p)
     if not profile.is_strict:
         raise MultipleRootError("factorization_bundle requires simple roots")
@@ -184,7 +186,7 @@ def factorization_bundle(p: Polynomial, q: Polynomial) -> FactorizationBundle:
     qq, _ = _match_backend(q, profile)
     G = lagrange_basis_matrix(roots)
     weights = lagrange_weights(p, q)
-    residual = exactla.max_abs(_weighted_gram(G, weights) - bezout_matrix(pp, qq).matrix)
+    residual = exactla.max_abs(_weighted_gram(G, weights) - np.asarray(bezout_matrix(pp, qq)))
     return FactorizationBundle(G, weights, residual)
 
 
@@ -281,10 +283,9 @@ def derivative_bound_constant(p: Polynomial) -> DerivativeBound:
     c = 1 / sum_k r_k**2 / w_k over distinct roots, with w the reduced
     interpolation weights of p'.  The certificate checks the matrix
     inequality H - c v v^T >= 0 directly (v = ascending coefficients of p').
-    It runs exactly when p is exact with rational roots, else in floats.
+    It runs exactly, on the integer rows of H and of p', when p is exact
+    with rational roots, else in floats.
     """
-    import numpy as np
-
     p.require_monic("derivative bound input")
     profile = real_roots(p)
     dp = p.derivative()
@@ -295,10 +296,19 @@ def derivative_bound_constant(p: Polynomial) -> DerivativeBound:
         acc = term if acc is None else acc + term
     c = 1 / acc
     pp, _ = _match_backend(p, profile)
-    backend = pp.backend
     dpp = pp.derivative()
+    H = bezout_matrix(pp, dpp)
+    if isinstance(H, exactla.IntMatrix):
+        # v = k P with P the primitive ints of p', so with c k^2 = cn / cd,
+        # H - c v v^T = (cd X - cn dx P P^T) / (dx cd) for H = X / dx
+        P, k = dpp.primitive
+        P = P[::-1]
+        ck2 = Fraction(c) * k * k
+        a, b = ck2.denominator, ck2.numerator * H.den
+        diff = [[a * h - b * u * w for h, w in zip(row, P)] for row, u in zip(H.rows, P)]
+        return DerivativeBound(c, exactla._integer_psd(diff, H.den * a).is_psd)
+    import numpy as np
+
     v = dpp.ascending(int(p.degree))
-    V = np.outer(v, v)
-    cc = Fraction(c) if backend == BACKEND_EXACT else float(c)
-    verdict = psd_check(bezout_matrix(pp, dpp).matrix - cc * V)
+    verdict = psd_check(H - float(c) * np.outer(v, v))
     return DerivativeBound(c, verdict.is_psd)

@@ -150,7 +150,7 @@ def h_b_relation_check(p: Polynomial) -> float:
     p = p.as_exact()
     p.require_monic("relation check input")
     S = leray_symmetrizer(p).power_sum_ints
-    X = IntMatrix.of(bezout_matrix(p, p.derivative()))
+    X = bezout_matrix(p, p.derivative())
     W, d = _derivative_at_companion(p)
     # over the common denominator den, S H = lhs and p'(A)^2 = b W W
     den = S.den * X.den * d * d

@@ -384,7 +384,7 @@ def certify_stages(p: Polynomial, epsilon) -> tuple[bool, bool]:
         if proved and proved[0]:
             proved = None
             continue
-        proved = _next_stage(_sturm_ends(p.as_exact()) if l == 0 else _int_sturm_chain(stage))
+        proved = _next_stage(_sturm_ends(p.as_exact()) if l == 0 else _int_sturm_chain(stage)[0])
         if proved is None:
             interlaced = False
             break

@@ -113,12 +113,15 @@ def check_conditions(p: Polynomial, epsilon_grid=None, r: float = 0.0,
 
     The family point ``nuij_family(p, eps)`` of every grid eps, which needs
     monic p, is built first, all in one pass (``build_family``), so a point
-    that cannot be built stops the call before any condition is read.
+    that cannot be built stops the call before any condition is read.  An
+    eps <= 0 raises ValueError where it comes up in grid order, and no
+    point is built at or after it.
     """
     grid = tuple(float(eps) for eps in (epsilon_grid if epsilon_grid is not None
                                         else default_epsilon_grid()))
-    build_family(p, grid)
-    _, _, d_rows, q_rows = _family_stack(p, grid)
+    positive = next((i for i, eps in enumerate(grid) if eps <= 0), len(grid))
+    build_family(p, grid[:positive])
+    _, _, d_rows, q_rows = _family_stack(p, grid[:positive])
     rows = []
     c_lower = None
     C_upper = None
@@ -134,6 +137,8 @@ def check_conditions(p: Polynomial, epsilon_grid=None, r: float = 0.0,
         rows.append((eps, lo, hi))
         c_lower = lo if c_lower is None else min(c_lower, lo)
         C_upper = hi if C_upper is None else max(C_upper, hi)
+    if positive < len(grid):
+        raise ValueError("epsilon must be positive")
     return QuasiConditions(r, s, c_lower, C_upper, tuple(rows))
 
 

@@ -127,7 +127,9 @@ def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
 
     Runs on the primitive integer multiple of p.  Every divisor is a
     primitive gcd, so every quotient is an exact integer division (Gauss's
-    lemma).
+    lemma).  The first, gcd(p, p'), is the last member of the Sturm chain
+    that p keeps (``_sturm_gcd``), so p's hyperbolicity gate and its
+    decomposition divide the pair once.
     """
     if p.backend != BACKEND_EXACT:
         raise ValueError("square-free decomposition requires the exact backend")
@@ -135,7 +137,7 @@ def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
         return []
     f = p.primitive[0]
     df = _derivative(f)
-    g = _int_gcd(f, df)[1]
+    g = _sturm_gcd(p)
     if len(g) == 1:
         return [(Polynomial.exact([Fraction(v, f[0]) for v in f]), 1)]
     c = _exact_quotient(f, g)
@@ -165,24 +167,27 @@ def radical(p: Polynomial) -> Polynomial:
 
 def _sturm_chain(p: Polynomial) -> tuple[int, int]:
     """(distinct real roots, deg gcd(p, p')) of exact p from one Sturm chain."""
-    return _chain_count(_int_sturm_chain(p.primitive[0]))
+    return _chain_count(_int_sturm_chain(p.primitive[0])[0])
 
 
-def _int_sturm_chain(a: list) -> list:
-    """(degree + 1, leading sign) of each member of the Sturm chain of the
-    integer polynomial a (leading first, degree >= 1), in chain order.
+def _int_sturm_chain(a: list) -> tuple[list, list]:
+    """(ends, gcd) of the Sturm chain of the integer polynomial a (leading
+    first, degree >= 1).
 
-    Each pseudo-remainder is scaled by a positive integer, which keeps the
-    signs of the classical chain; the last member is gcd(a, a').  These ends
-    are all that Sturm's theorem (``_chain_count``) and the Cauchy index of
-    a Nuij stage (``nuij._next_stage``) read of the chain.
+    ``ends`` holds the (degree + 1, leading sign) of each member, in chain
+    order.  Each pseudo-remainder is primitive and scaled by a positive
+    integer, which keeps the signs of the classical chain; the last member
+    is gcd(a, a'), and ``gcd`` is that member with a positive leading
+    coefficient, the primitive gcd that ``poly_gcd`` gives.  The ends are
+    all that Sturm's theorem (``_chain_count``) and the Cauchy index of a
+    Nuij stage (``nuij._next_stage``) read of the chain.
     """
     b = _int_primitive(_derivative(a))
     ends = [(len(a), a[0] > 0)]
     while b:
         ends.append((len(b), b[0] > 0))
         a, b = b, [-v for v in _int_primitive(_prem(a, b))]
-    return ends
+    return ends, tuple(a if a[0] > 0 else [-v for v in a])
 
 
 def _variation_drop(ends: list) -> int:
@@ -223,11 +228,17 @@ def sturm_real_root_count(p: Polynomial) -> int:
 def _sturm_ends(p: Polynomial) -> list:
     """The ends of the Sturm chain of exact p of degree >= 1 (``_int_sturm_chain``).
 
-    p keeps them (``Polynomial.memo``): ``is_hyperbolic`` reads its verdict
-    from them, and ``nuij.certify_stages`` reads stage 0 and the Cauchy index
-    of stage 1 at every eps.
+    p keeps the chain's ends and gcd (``Polynomial.memo``): ``is_hyperbolic``
+    reads its verdict from the ends, and ``nuij.certify_stages`` reads stage
+    0 and the Cauchy index of stage 1 at every eps.
     """
-    return p.derived("sturm", lambda: _int_sturm_chain(p.primitive[0]))
+    return p.derived("sturm", lambda: _int_sturm_chain(p.primitive[0]))[0]
+
+
+def _sturm_gcd(p: Polynomial) -> tuple:
+    """gcd(p, p') of exact p of degree >= 1 as primitive ints, positive leading
+    first: the last member of the Sturm chain p keeps (``_sturm_ends``)."""
+    return p.derived("sturm", lambda: _int_sturm_chain(p.primitive[0]))[1]
 
 
 def _hyperbolic_strict(p: Polynomial) -> tuple[bool, bool]:

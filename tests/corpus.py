@@ -297,8 +297,8 @@ def decomposition_reference(p: Polynomial, eps) -> tuple:
     point = nuij_family(p, eps)
     roots = point.roots_eps.flattened
     m = int(p.degree)
-    A = np.asarray(companion_matrix(p.as_float()).matrix, dtype=float)
-    A_eps = np.asarray(companion_matrix(point.p_eps).matrix, dtype=float)
+    A = np.asarray(companion_matrix(p.as_float()), dtype=float)
+    A_eps = np.asarray(companion_matrix(point.p_eps), dtype=float)
     Q = A - A_eps
     G = basis_matrix_reference(roots)
     d = quasi_diagonal_reference(point)
@@ -310,14 +310,18 @@ def decomposition_reference(p: Polynomial, eps) -> tuple:
 
 
 def conditions_reference(p: Polynomial, grid, r, s) -> tuple:
-    """(r, s, c_lower, C_upper, rows) of ``check_conditions``, one eps at a time."""
-    grid = tuple(grid)
-    build_family(p, [float(eps) for eps in grid])
-    points = [nuij_family(p, float(eps)) for eps in grid]
+    """(r, s, c_lower, C_upper, rows) of ``check_conditions``, one eps at a time.
+
+    The points are built up to the first eps <= 0, which raises after the
+    eps before it are read.
+    """
+    grid = [float(eps) for eps in grid]
+    positive = grid[:next((i for i, eps in enumerate(grid) if eps <= 0), len(grid))]
+    build_family(p, positive)
+    points = [nuij_family(p, eps) for eps in positive]
     rows = []
     c_lower = C_upper = None
-    for eps, point in zip(grid, points):
-        eps = float(eps)
+    for eps, point in zip(positive, points):
         d = quasi_diagonal_reference(point)
         lo = min(abs(v) / _eps_power(eps, r) for v in d)
         hi = max(abs(point.q_eps(lam)) / (_eps_power(eps, s) * abs(v))
@@ -325,6 +329,8 @@ def conditions_reference(p: Polynomial, grid, r, s) -> tuple:
         rows.append((eps, lo, hi))
         c_lower = lo if c_lower is None else min(c_lower, lo)
         C_upper = hi if C_upper is None else max(C_upper, hi)
+    if len(positive) < len(grid):
+        raise ValueError("epsilon must be positive")
     return r, s, c_lower, C_upper, tuple(rows)
 
 

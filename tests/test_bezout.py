@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import corpus
 from bezoutian import (
     DegreeMismatchError,
+    IntMatrix,
     Polynomial,
     bezout_matrix,
     companion_matrix,
@@ -53,11 +54,11 @@ def eval_bivariate(H, x, y):
 
 
 def test_bezout_worked_examples():
-    H = bezout_matrix(X2_MINUS_1, Polynomial.exact([2, 0])).matrix
+    H = bezout_matrix(X2_MINUS_1, Polynomial.exact([2, 0])).fractions
     assert H.tolist() == [[2, 0], [0, 2]]
-    H = bezout_matrix(X2_MINUS_1, Polynomial.exact([1, 0])).matrix
+    H = bezout_matrix(X2_MINUS_1, Polynomial.exact([1, 0])).fractions
     assert H.tolist() == [[1, 0], [0, 1]]
-    H = bezout_matrix(X3_MINUS_X, Polynomial.exact([3, 0, -1])).matrix
+    H = bezout_matrix(X3_MINUS_X, Polynomial.exact([3, 0, -1])).fractions
     assert H.tolist() == [[1, 0, -1], [0, 2, 0], [-1, 0, 3]]
 
 
@@ -71,7 +72,7 @@ def test_bezout_m3_equals_deleted_factor_outer_sum():
         for i in range(m):
             for j in range(m):
                 total[i, j] += v[i] * v[j]
-    H = bezout_matrix(X3_MINUS_X, X3_MINUS_X.derivative()).matrix
+    H = bezout_matrix(X3_MINUS_X, X3_MINUS_X.derivative()).fractions
     assert (H == total).all()
 
 
@@ -83,7 +84,7 @@ def test_bezout_defining_identity_random():
         q = corpus.nonzero_poly(rg, m - 1) if m > 1 else Polynomial.exact([corpus.rational(rg) or 1])
         if q.is_zero:
             continue
-        H = bezout_matrix(p, q).matrix
+        H = bezout_matrix(p, q).fractions
         for _ in range(4):
             x = corpus.rational(rg, -5, 5)
             y = corpus.rational(rg, -5, 5)
@@ -99,7 +100,7 @@ def test_bezout_diagonal_identity_random():
         m = rg.randint(1, 6)
         p = corpus.monic_poly(rg, m)
         q = corpus.nonzero_poly(rg, m - 1) if m > 1 else corpus.nonzero_poly(rg, 0)
-        H = bezout_matrix(p, q).matrix
+        H = bezout_matrix(p, q).fractions
         for _ in range(10):
             x = corpus.rational(rg, -4, 4)
             lhs = eval_bivariate(H, x, x)
@@ -113,14 +114,14 @@ def test_bezout_antisymmetry_in_arguments():
         m = rg.randint(2, 6)
         p = corpus.monic_poly(rg, m)
         q = corpus.nonzero_poly(rg, m - 1)
-        forward = bezout_matrix(p, q).matrix
-        backward = bezout_matrix(q, p).matrix
+        forward = bezout_matrix(p, q).fractions
+        backward = bezout_matrix(q, p).fractions
         assert (forward == -backward).all()
 
 
 def test_bezout_symmetry_and_float_path():
     pf = Polynomial.float64([1, 0, -1])
-    H = bezout_matrix(pf, pf.derivative()).matrix
+    H = bezout_matrix(pf, pf.derivative())
     assert H == pytest.approx(np.array([[2.0, 0.0], [0.0, 2.0]]))
 
 
@@ -132,17 +133,33 @@ def test_float_form_past_the_float_range_raises_value_error():
     assert bezout_matrix(Polynomial.exact([1, 10**200, -1]), Polynomial.exact([2, 10**200]))
 
 
+@pytest.mark.parametrize("coeffs", [(1, 0, -1), (1, Fraction(-1, 2), Fraction(-1, 2)),
+                                    (1.0, 0.0, -1.0), (1.0, -0.5, -0.25, 0.125)])
+def test_builders_return_an_int_matrix_or_a_read_only_float_array(coeffs):
+    # one matrix type per backend, with no wrapper around it
+    p = Polynomial.exact(coeffs) if isinstance(coeffs[0], int) else Polynomial.float64(coeffs)
+    for M in (bezout_matrix(p, p.derivative()), companion_matrix(p)):
+        if p.backend == "exact":
+            assert type(M) is IntMatrix
+        else:
+            assert type(M) is np.ndarray and M.dtype == np.float64
+            assert not M.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                M[0, 0] = 99.0
+
+
 @pytest.mark.parametrize("backend", ["exact", "float64"])
 def test_forms_copy_for_np_array_and_share_for_np_asarray(backend):
     p = Polynomial((1, 0, -1), backend)
     H, A = bezout_matrix(p, p.derivative()), companion_matrix(p)
     for form in (H, A):
-        assert np.asarray(form) is form.matrix
-        before = form.matrix.copy()
+        array = form.fractions if backend == "exact" else form
+        assert np.asarray(form) is array
+        before = array.copy()
         copied = np.array(form)
-        assert copied is not form.matrix
+        assert copied is not array
         copied[0, 0] = 99.0
-        assert (form.matrix == before).all()
+        assert (array == before).all()
     # p keeps H, so a write through np.asarray would reach every later caller
     with pytest.raises(ValueError, match="read-only"):
         np.asarray(bezout_matrix(p, p.derivative()))[0, 0] = 99.0
@@ -170,9 +187,9 @@ def faddeev_leverrier_charpoly(A) -> Polynomial:
 
 
 def test_companion_worked_examples():
-    assert companion_matrix(X2_MINUS_1).matrix.tolist() == [[0, 1], [1, 0]]
-    assert companion_matrix(X3_MINUS_X).matrix.tolist() == [[0, 1, 0], [0, 0, 1], [0, 1, 0]]
-    assert companion_matrix(Polynomial.exact([1, 0, 0])).matrix.tolist() == [[0, 1], [0, 0]]
+    assert companion_matrix(X2_MINUS_1).fractions.tolist() == [[0, 1], [1, 0]]
+    assert companion_matrix(X3_MINUS_X).fractions.tolist() == [[0, 1, 0], [0, 0, 1], [0, 1, 0]]
+    assert companion_matrix(Polynomial.exact([1, 0, 0])).fractions.tolist() == [[0, 1], [0, 0]]
 
 
 def test_companion_characteristic_polynomial():
@@ -180,7 +197,7 @@ def test_companion_characteristic_polynomial():
     for _ in range(25):
         m = rg.randint(1, 6)
         p = corpus.monic_poly(rg, m)
-        A = companion_matrix(p).matrix
+        A = companion_matrix(p).fractions
         assert faddeev_leverrier_charpoly(A) == p
 
 
@@ -210,7 +227,7 @@ def test_symmetrization_defect_holds_without_hyperbolicity():
 def test_psd_check_examples():
     v = psd_check(np.array([[2.0, 0.0], [0.0, 2.0]]))
     assert v.is_psd and v.is_pd and v.min_eigenvalue == pytest.approx(2.0)
-    singular = bezout_matrix(Polynomial.exact([1, 0, 0]), Polynomial.exact([2, 0])).matrix
+    singular = bezout_matrix(Polynomial.exact([1, 0, 0]), Polynomial.exact([2, 0])).fractions
     assert singular.tolist() == [[0, 0], [0, 2]]
     v = psd_check(singular)
     assert v.is_psd and not v.is_pd and v.rank == 1
@@ -387,16 +404,16 @@ def test_integer_bezout_matches_fraction_division(pair):
     p, q = pair
     H = bezout_matrix(p, q)
     want = reference_bezout(p, q)
-    assert H.matrix.tolist() == want
-    assert all(type(v) is Fraction for v in H.matrix.flat)
-    assert symmetry_defect(H.matrix) == reference_symmetry_defect(want) == 0
-    if H.matrix.shape[0] == p.degree:
+    assert H.fractions.tolist() == want
+    assert all(type(v) is Fraction for v in H.fractions.flat)
+    assert symmetry_defect(H.fractions) == reference_symmetry_defect(want) == 0
+    if H.shape[0] == p.degree:
         monic = p * (1 / p.leading)
-        A = companion_matrix(monic).matrix
+        A = companion_matrix(monic).fractions
         got = symmetrization_defect(H, A)
         assert type(got) is Fraction
         assert got == reference_symmetry_defect(reference_product(want, A.tolist()))
-    assert det(H) == det(H.matrix)
+    assert det(H) == det(H.fractions)
 
 
 square_st = st.integers(1, 5).flatmap(lambda n: st.lists(
@@ -428,7 +445,7 @@ def test_integer_gram_matches_fraction_reference(parts):
     content, roots, quadratics = parts
     p = corpus.factor_product(content, roots, quadratics)
     want = reference_factor_gram(roots, quadratics)
-    assert bezout_matrix(p, p.derivative()).matrix.tolist() == [
+    assert bezout_matrix(p, p.derivative()).fractions.tolist() == [
         [p.leading ** 2 * v for v in row] for row in want]
     if not quadratics:
         assert want == reference_gram(roots)
@@ -471,7 +488,7 @@ def test_memoized_derivations_are_shared_and_belong_to_p():
     # a form of (p, q) built first is not read as the form of (p, p')
     H = bezout_matrix(p, q)
     fresh = Polynomial.from_roots([Fraction(-3, 2), 0, 1, Fraction(5, 2)])
-    assert discriminant(p) == det(bezout_matrix(fresh, fresh.derivative()).matrix)
+    assert discriminant(p) == det(bezout_matrix(fresh, fresh.derivative()).fractions)
     assert discriminant(p) == difference_product(real_roots(p).flattened) ** 2
     assert resultant(p, q) == resultant(fresh, q)
     # equal arguments get the same object, distinct ones their own
@@ -489,4 +506,4 @@ def test_memoized_derivations_are_shared_and_belong_to_p():
     assert bezout_matrix(pf, pf.derivative()) is not bezout_matrix(p, p.derivative())
     assert leray_symmetrizer(pf) is leray_symmetrizer(pf.as_exact())
     # an equal polynomial built apart has its own memo, with equal contents
-    assert bezout_matrix(fresh, q) is not H and (bezout_matrix(fresh, q).matrix == H.matrix).all()
+    assert bezout_matrix(fresh, q) is not H and bezout_matrix(fresh, q) == H

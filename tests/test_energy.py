@@ -23,19 +23,17 @@ X3_MINUS_X = Polynomial.exact([1, 0, -1, 0])
 
 
 def test_propagate_eigenvector_modes():
-    A = companion_matrix(X2_MINUS_1.as_float())
-    traj = propagate(A, [1, 1], 10.0, 100)
+    traj = propagate(X2_MINUS_1, [1, 1], 10.0, 100)
     # (1, 1) is the eigenvector with root +1: U(t) = e^{it} (1, 1)
     expect = np.exp(1j * traj.times)[:, None] * np.array([1.0, 1.0])
     assert np.max(np.abs(traj.states - expect)) < 1e-12
-    traj = propagate(A, [1, -1], 10.0, 100)
+    traj = propagate(X2_MINUS_1, [1, -1], 10.0, 100)
     expect = np.exp(-1j * traj.times)[:, None] * np.array([1.0, -1.0])
     assert np.max(np.abs(traj.states - expect)) < 1e-12
 
 
 def test_propagate_jordan_block():
-    A = companion_matrix(Polynomial.float64([1, 0, 0]))
-    traj = propagate(A, [0, 1], 2.0, 40)
+    traj = propagate(Polynomial.float64([1, 0, 0]), [0, 1], 2.0, 40)
     expect = np.stack([1j * traj.times, np.ones_like(traj.times)], axis=1)
     assert np.max(np.abs(traj.states - expect)) < 1e-12
 
@@ -43,25 +41,23 @@ def test_propagate_jordan_block():
 def test_trajectory_solves_the_system():
     # five-point finite differences of the states reproduce dU/dt = iAU
     p = Polynomial.from_roots([-2, -1, 1, 2]).as_float()
-    A = companion_matrix(p)
-    traj = propagate(A, [1, 0.5, -0.25, 0.125], 5.0, 4000)
+    traj = propagate(p, [1, 0.5, -0.25, 0.125], 5.0, 4000)
     h = traj.times[1] - traj.times[0]
     U = traj.states
     dU = (U[:-4] - 8 * U[1:-3] + 8 * U[3:-1] - U[4:]) / (12 * h)
-    rhs = U[2:-2] @ (1j * np.asarray(A.matrix, float)).T
+    rhs = U[2:-2] @ (1j * companion_matrix(p)).T
     assert np.max(np.abs(dU - rhs)) < 1e-8
 
 
 def test_energy_series_examples():
-    A = companion_matrix(X2_MINUS_1.as_float())
-    traj = propagate(A, [1, 1], 10.0, 200)
+    traj = propagate(X2_MINUS_1, [1, 1], 10.0, 200)
     series = energy_series(X2_MINUS_1, Polynomial.exact([2, 0]), traj)
     assert series.values[0] == pytest.approx(4.0)
     assert series.spread < 1e-12
     series = energy_series(X2_MINUS_1, Polynomial.exact([1, 0]), traj)
     assert series.values[0] == pytest.approx(2.0)
     assert series.spread < 1e-12
-    jordan = propagate(companion_matrix(Polynomial.float64([1, 0, 0])), [0, 1], 10.0, 200)
+    jordan = propagate(Polynomial.float64([1, 0, 0]), [0, 1], 10.0, 200)
     series = energy_series(Polynomial.exact([1, 0, 0]), Polynomial.exact([2, 0]), jordan)
     assert series.values[0] == pytest.approx(2.0)
     assert series.spread < 1e-12
@@ -74,9 +70,8 @@ def test_conservation_random_separating_pairs():
         profile = corpus.strict_profile(rg, m)
         p = Polynomial.from_roots(profile)
         q = corpus.separating_q(rg, profile)
-        A = companion_matrix(p.as_float())
         U0 = [complex(rg.uniform(-1, 1), rg.uniform(-1, 1)) for _ in range(m)]
-        traj = propagate(A, U0, 10.0, 150)
+        traj = propagate(p, U0, 10.0, 150)
         series = energy_series(p, q, traj)
         assert series.relative_spread() <= 1e-12
         assert float(np.min(series.values)) >= -1e-9 * max(1.0, float(np.max(series.values)))
@@ -117,8 +112,7 @@ def test_chain_bound_closed_form_signal():
 
 
 def test_chain_bound_kernel_trajectory():
-    A = companion_matrix(X2_MINUS_1.as_float())
-    traj = propagate(A, [1, 1], 10.0, 2000)
+    traj = propagate(X2_MINUS_1, [1, 1], 10.0, 2000)
     result = chain_bound_check(X2_MINUS_1, 0, traj)
     assert result.passed
     # p(D_t)u = 0 along the trajectory, so the derivative side is flat zero
@@ -144,14 +138,14 @@ def test_chain_bound_stage_guard():
         chain_bound_check(X2_MINUS_1, 1, ExponentialSignal.of((1.0, 1.0)))
 
 
-def propagate_by_steps(A, U0, T, steps):
+def propagate_by_steps(p, U0, T, steps):
     """The per-time-step propagation that ``propagate`` does in one product."""
-    Am = np.asarray(A.matrix, dtype=float)
+    Am = companion_matrix(p.as_float())
     m = Am.shape[0]
     U0 = np.asarray(U0, dtype=complex)
     times = np.linspace(0.0, float(T), steps + 1)
     try:
-        profile = real_roots(A.p.as_float(), imag_tol=1e-7)
+        profile = real_roots(p.as_float(), imag_tol=1e-7)
     except NonHyperbolicError:
         profile = None
     roots = [float(r) for r in profile.flattened] if profile is not None else []
@@ -173,7 +167,7 @@ def propagate_by_steps(A, U0, T, steps):
 
 def energy_by_rows(p, q, states):
     """The per-state energy that ``energy_series`` scores in one product."""
-    H = np.asarray(bezout_matrix(p.as_float(), q.as_float()).matrix, dtype=float)
+    H = np.asarray(bezout_matrix(p.as_float(), q.as_float()), dtype=float)
     return np.array([np.vdot(U, H @ U).real for U in states])
 
 
@@ -187,11 +181,10 @@ def relative_gap(new, old) -> float:
 def test_vectorised_propagation_and_energy_match_the_step_loops(roots):
     p = Polynomial.from_roots(roots).as_float()
     q = p.derivative()
-    A = companion_matrix(p)
     rg = np.random.default_rng(len(roots))
     U0 = rg.uniform(-1, 1, len(roots)) + 1j * rg.uniform(-1, 1, len(roots))
-    traj = propagate(A, U0, 10.0, 400)
-    reference = propagate_by_steps(A, U0, 10.0, 400)
+    traj = propagate(p, U0, 10.0, 400)
+    reference = propagate_by_steps(p, U0, 10.0, 400)
     assert relative_gap(traj.states, reference) <= 1e-12
     series = energy_series(p, q, traj)
     assert relative_gap(series.values, energy_by_rows(p, q, traj.states)) <= 1e-12
@@ -211,8 +204,7 @@ EXPM_ROOTS = [
 
 
 def step_matrix(roots) -> np.ndarray:
-    A = companion_matrix(Polynomial.from_roots(roots).as_float())
-    return 1j * np.asarray(A.matrix, dtype=float) * (10.0 / 400)
+    return 1j * companion_matrix(Polynomial.from_roots(roots).as_float()) * (10.0 / 400)
 
 
 def relative_error(got, want) -> float:

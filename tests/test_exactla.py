@@ -435,23 +435,23 @@ def test_max_abs_difference_equals_the_fraction_array_norm(rows):
 def test_exact_forms_reach_the_kernels_as_integer_rows():
     p = Polynomial.exact([1, F(-1, 2), F(-1, 2)])  # (x - 1)(x + 1/2)
     H = bezout_matrix(p, p.derivative())
-    assert IntMatrix.of(H) is H.data and isinstance(H.data, IntMatrix)
-    assert np.asarray(H) is H.matrix and (IntMatrix.of(H.matrix).fractions == H.matrix).all()
-    assert psd_certificate(H) is H.data.ldl
-    assert det(H) == det(H.matrix) == bareiss(H.data)
+    assert isinstance(H, IntMatrix) and IntMatrix.of(H) is H
+    assert np.asarray(H) is H.fractions and IntMatrix.of(H.fractions) == H
+    assert psd_certificate(H) is H.ldl
+    assert det(H) == det(H.fractions) == bareiss(H)
 
 
 def test_adjugate_keeps_the_kind_of_its_input():
     p = Polynomial.exact([1, F(-1, 2), F(-1, 2), F(1, 3)])
     A = companion_matrix(p)
-    want = reference_adjugate(A.matrix.tolist())
-    for given_as in (A, A.matrix, IntMatrix.of(A).fractions):
+    want = reference_adjugate(A.fractions.tolist())
+    for given_as in (A.fractions, np.array(A)):
         B = adjugate(given_as)
         assert isinstance(B, np.ndarray) and B.tolist() == want
-    B = adjugate(IntMatrix.of(A))
+    B = adjugate(A)
     assert isinstance(B, IntMatrix) and B.fractions.tolist() == want
     # numpy reads an IntMatrix as its Fraction array
-    assert np.asarray(B).tolist() == want and (np.asarray(B) @ A.matrix)[0, 0] == det(A)
+    assert np.asarray(B).tolist() == want and (np.asarray(B) @ A.fractions)[0, 0] == det(A)
 
 
 # -- rational roots ----------------------------------------------------------

@@ -20,7 +20,9 @@ from bezoutian import (
     separates,
     separation_lower_bound_check,
 )
+from bezoutian import factorization
 from bezoutian.polynomial import deleted_root_factor
+from test_exactla import reference_psd
 
 X2_MINUS_1 = Polynomial.exact([1, 0, -1])
 X3_MINUS_X = Polynomial.exact([1, 0, -1, 0])
@@ -51,7 +53,7 @@ def test_companion_times_vandermonde_is_diagonal_scaling():
         profile = corpus.strict_profile(rg, m)
         roots = profile.flattened
         p = Polynomial.from_roots(profile)
-        A = companion_matrix(p).matrix
+        A = companion_matrix(p).fractions
         R = vandermonde(roots)
         AR = A @ R
         for j, lam in enumerate(roots):
@@ -191,7 +193,7 @@ def test_reduced_factorization_matches_bezout_with_multiplicities():
             for i in range(m):
                 for jj in range(m):
                     total[i, jj] += weights[k] * v[i] * v[jj]
-        H = bezout_matrix(p, q).matrix
+        H = bezout_matrix(p, q).fractions
         assert (total == H).all()
 
 
@@ -304,6 +306,28 @@ def test_derivative_bound_examples():
     assert b.constant == Fraction(1, 3) and b.verified
 
 
+@pytest.mark.parametrize("scale", [Fraction(1), Fraction(1, 2), 1 + Fraction(1, 10**9), 2])
+def test_derivative_bound_certificate_on_integer_rows_matches_the_fraction_array(monkeypatch,
+                                                                                 scale):
+    # H - c v v^T >= 0 is decided on the integer rows of H and p' as on the
+    # Fraction array, for the constant the weights give and for c scaled
+    weights = factorization.lagrange_weights
+    monkeypatch.setattr(factorization, "lagrange_weights",
+                        lambda p, q: tuple(w * scale for w in weights(p, q)))
+    rg = corpus.rng(50)
+    verdicts = set()
+    for _ in range(25):
+        m = rg.randint(2, 6)
+        p = Polynomial.from_roots(corpus.hyperbolic_profile(rg, m, max_mult=3))
+        b = derivative_bound_constant(p)
+        v = p.derivative().ascending(m)
+        want = reference_psd(bezout_matrix(p, p.derivative()).fractions
+                             - b.constant * np.outer(v, v))[0]
+        assert b.verified == want
+        verdicts.add(want)
+    assert verdicts == {scale <= 1}
+
+
 def test_derivative_bound_random():
     rg = corpus.rng(48)
     for _ in range(25):
@@ -325,6 +349,6 @@ def test_deleted_factor_gram_matches_basis_product():
         G = lagrange_basis_matrix(roots)
         assert all(type(v) is Fraction for v in G.flat)
         p = Polynomial.from_roots(roots)
-        assert ((G.T @ G) == bezout_matrix(p, p.derivative()).matrix).all()
+        assert ((G.T @ G) == bezout_matrix(p, p.derivative()).fractions).all()
     G = lagrange_basis_matrix([0.5])
     assert G.dtype == float and G.tolist() == [[1.0]]

@@ -64,7 +64,7 @@ def test_symmetrizes_companion_for_any_monic_input():
         p = corpus.monic_poly(rg, m)  # hyperbolicity not needed for the algebra
         sym = leray_symmetrizer(p)
         assert sym.symmetry_defect == 0
-        assert symmetrization_defect(sym.adjugate, companion_matrix(p).matrix) == 0
+        assert symmetrization_defect(sym.adjugate, companion_matrix(p).fractions) == 0
 
 
 def test_adjugate_determinant_law():
@@ -167,7 +167,7 @@ def test_adjugate_equals_bezout_for_quadratics():
         roots = [corpus.rational(rg, -6, 6) for _ in range(2)]
         p = Polynomial.from_roots(roots)
         B = leray_symmetrizer(p).adjugate
-        H = bezout_matrix(p, p.derivative()).matrix
+        H = bezout_matrix(p, p.derivative()).fractions
         assert (B == H).all()
 
 
@@ -177,7 +177,7 @@ def test_h_b_relation_examples():
     p = Polynomial.exact([1, 0, -4])
     assert h_b_relation_check(p) <= 1e-12
     B = leray_symmetrizer(p).adjugate
-    H = bezout_matrix(p, p.derivative()).matrix
+    H = bezout_matrix(p, p.derivative()).fractions
     assert (B == H).all()
 
 
@@ -197,7 +197,7 @@ def vandermonde_relation_residual(p: Polynomial, roots) -> float:
     pf = p.as_float()
     roots = [float(r) for r in roots]
     m = len(roots)
-    H = np.asarray(bezout_matrix(pf, pf.derivative()).matrix, dtype=float)
+    H = np.asarray(bezout_matrix(pf, pf.derivative()), dtype=float)
     R = np.vander(roots, m, increasing=True).T
     dp = pf.derivative()
     D = np.diag([1.0 / dp(lam) ** 2 for lam in roots])
@@ -224,8 +224,8 @@ def horner_at_companion(f: Polynomial, A) -> np.ndarray:
 def test_leray_identities_hold_on_corpus_products(parts):
     p = corpus.factor_product(*parts)
     p = p * (1 / p.leading)
-    S, H = power_sum_matrix(p), bezout_matrix(p, p.derivative()).matrix
-    M = horner_at_companion(p.derivative(), companion_matrix(p).matrix)
+    S, H = power_sum_matrix(p), bezout_matrix(p, p.derivative()).fractions
+    M = horner_at_companion(p.derivative(), companion_matrix(p).fractions)
     assert (S @ H == M @ M).all()
     assert (det(S) * H == adjugate(S) @ M @ M).all()
     assert h_b_relation_check(p) == 0.0

@@ -55,6 +55,18 @@ def test_conditions_fail_for_understated_exponent():
     assert cond.c_lower <= 2e-4 * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("grid, r, s", [((-0.5,), 0.5, 1.0), ((0.0,), 0.0, -1),
+                                        ((0.5, 0.0, 1e-16), 1, 1)])
+def test_conditions_refuse_an_eps_that_is_not_positive(grid, r, s):
+    # eps**r was complex at -0.5 (TypeError in min) and 0**s divided by zero;
+    # no family point is built at or after the first eps <= 0
+    p = Polynomial.exact([1, 0, -1])
+    with pytest.raises(ValueError, match="^epsilon must be positive$"):
+        check_conditions(p, grid, r=r, s=s)
+    built = [key[2] for key in p.memo if isinstance(key, tuple) and key[0] == "nuij"]
+    assert built == [0.5] * (len(grid) > 1)
+
+
 def test_commutator_decomposition_closed_form():
     eps = 0.1
     parts = commutator_decomposition(X_SQUARED, eps)
@@ -95,9 +107,9 @@ def test_decomposition_residual_across_grid():
 def test_closed_forms_for_double_root_family():
     for eps in (1.0, 0.1, 0.01):
         p_eps = nuij_transform(X_SQUARED.as_float(), eps)
-        H = np.asarray(bezout_matrix(p_eps, p_eps.derivative()).matrix, float)
+        H = np.asarray(bezout_matrix(p_eps, p_eps.derivative()), float)
         assert np.max(np.abs(H - closed_form_H(eps))) <= 1e-12
-        A = np.asarray(companion_matrix(X_SQUARED.as_float()).matrix, float)
+        A = np.asarray(companion_matrix(X_SQUARED.as_float()), float)
         K = H @ A - A.T @ H
         expected_K = np.array([[0.0, 4 * eps**2], [-(4 * eps**2), 0.0]])
         assert np.max(np.abs(K - expected_K)) <= 1e-12
@@ -322,6 +334,8 @@ QUASI_EPS = st.one_of(st.sampled_from(default_epsilon_grid()
 @example(X_SQUARED, [1e-3, 1e-16], 200, 1)            # eps**400 underflows before the merge
 @example(Polynomial.from_roots([1, 1, 2]), [0.5, -0.5, 1e-16], 40, 1)
 @example(Polynomial.from_roots([1, 1, 2]), list(default_epsilon_grid())[::-1], None, 1)
+@example(Polynomial.exact([1, 0, -1]), [-0.5], 0.5, 1)  # eps**r complex: was TypeError
+@example(Polynomial.exact([1, 0, -1]), [0.0], 0, -1)    # 0**s: was ZeroDivisionError
 def test_grid_kernels_equal_the_per_eps_reference(p, grid, r, s):
     # every value bit for bit, and the first failing eps raises what it raises alone
     def fresh():

@@ -881,3 +881,43 @@ def test_nuij_accepts_degree_one(capsys):
     assert report["all_pass"] is True
     gaps = [c for c in report["checks"] if c["check_id"] == "nuij-gap-law"]
     assert len(gaps) == 9 and all(c["witness"] == "single root" for c in gaps)
+
+
+def bench_layers_input(m: int) -> Polynomial:
+    """The monic p with the m rational roots of ``tools/bench_layers.exact_input``."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parent.parent / "tools" / "bench_layers.py"
+    spec = importlib.util.spec_from_file_location("bench_layers", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return Polynomial.from_roots(tool.exact_input(m))
+
+
+WILKINSON_15 = Polynomial.from_roots(range(1, 16))
+WILKINSON_24 = Polynomial.from_roots(range(1, 25))
+
+
+def standing(reason: str):
+    """A defect on hyperbolic input: the request should exit 0 and does not yet."""
+    return pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)
+
+
+@pytest.mark.parametrize("command, poly", [
+    pytest.param("nuij", "bench_layers_16", id="nuij-bench-layers-16", marks=standing(
+        "exit 1: nuij-inversion at eps = 1 inverts the float p_eps (witness 1.58e8); "
+        "ROADMAP item 7, exact nuij-inversion")),
+    pytest.param("analyze", WILKINSON_15, id="analyze-wilkinson-15", marks=standing(
+        "exit 1: discriminant-product and resultant-sign read float roots, 15! being past "
+        "roots._FACTOR_BOUND; ROADMAP item 2, certified root brackets")),
+    pytest.param("analyze", WILKINSON_24, id="analyze-wilkinson-24", marks=standing(
+        "exit 3: the float companion eigenvalues of a root cluster come out complex; "
+        "ROADMAP items 1 and 2")),
+    pytest.param("nuij", WILKINSON_24, id="nuij-wilkinson-24", marks=standing(
+        "exit 3: the float family point has complex roots; ROADMAP items 1 and 2")),
+])
+def test_standing_defects_exit_zero(capsys, command, poly):
+    p = bench_layers_input(16) if poly == "bench_layers_16" else poly
+    code, out, err = run_cli(capsys, command, "--poly", fraction_argv(p))
+    assert (code, err) == (0, ""), (code, err)
+    assert strict_json(out)["all_pass"] is True

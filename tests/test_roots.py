@@ -26,12 +26,15 @@ from bezoutian import (
 )
 import numpy as np
 
+from bezoutian import roots
 from bezoutian.polynomial import _int_primitive, _primitive
+from bezoutian.quasi import max_multiplicity
 from bezoutian.roots import (
     _float_roots,
     _hyperbolic_strict,
     _polish_roots,
     _sturm_chain,
+    _sturm_gcd,
     poly_gcd,
     radical,
 )
@@ -301,9 +304,30 @@ def test_sturm_chain_ends_at_the_gcd_with_the_derivative(p):
     # one chain gives both the count and deg gcd(p, p'), so the hyperbolicity
     # decision needs no separate poly_gcd
     assert _sturm_chain(p) == (sturm_reference(p), poly_gcd(p, p.derivative()).degree)
+    # its last member is the primitive gcd, leading coefficient positive
+    assert _sturm_gcd(p) == poly_gcd(p, p.derivative()).primitive[0]
     distinct = radical(p).degree
     hyperbolic = sturm_reference(p) == distinct
     assert _hyperbolic_strict(p) == (hyperbolic, hyperbolic and distinct == p.degree)
+
+
+def test_the_decomposition_after_the_hyperbolicity_gate_divides_p_by_p_prime_once(monkeypatch):
+    # is_hyperbolic runs the Sturm chain of p, which ends at gcd(p, p'); Yun's
+    # decomposition starts from that member, so only its own steps call _int_gcd
+    p = Polynomial.from_roots([1, 1, 1, -2, -2, 3])
+    assert is_hyperbolic(p).is_hyperbolic
+    calls = []
+    original = roots._int_gcd
+
+    def counted(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(roots, "_int_gcd", counted)
+    assert max_multiplicity(p) == 3
+    assert len(calls) == 3  # one per Yun step i = 1, 2, 3; was 4 with gcd(p, p') first
+    assert all(list(a) != list(p.primitive[0]) for a, _ in calls)
+    assert [k for _, k in squarefree_decomposition(p)] == [1, 2, 3]
 
 
 def test_poly_gcd_edge_cases():

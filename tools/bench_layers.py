@@ -71,6 +71,7 @@ Python version and the commit of the timed source.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import platform
@@ -81,8 +82,10 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 import bezoutian
-from bezoutian import CompanionMatrix, ExponentialSignal, Polynomial, bezout_matrix
+from bezoutian import ExponentialSignal, Polynomial, bezout_matrix
 from bezoutian import chain_bound_check, companion_matrix, derivative_identity_check, energy_series
 from bezoutian import factorization_bundle
 from bezoutian import default_epsilon_grid, h_b_relation_check, invert_transform, is_hyperbolic
@@ -100,6 +103,8 @@ try:
     from bezoutian import build_family
 except ImportError:  # a source tree from before the grid kernel
     build_family = None
+# propagate takes the polynomial; a source tree from before that takes its companion matrix
+PROPAGATE_TAKES_POLY = next(iter(inspect.signature(propagate).parameters)) == "p"
 
 DEGREES = (4, 8, 12, 16, 24)
 SLOW_MAX_DEGREE = 12
@@ -129,7 +134,8 @@ def fresh(p: Polynomial) -> Polynomial:
 def with_chain(p: Polynomial) -> Polynomial:
     """``fresh(p)`` holding the Sturm chain of p, as p holds it after a request's gate."""
     q = fresh(p)
-    q.memo["sturm"] = _sturm_ends(p)
+    _sturm_ends(p)
+    q.memo["sturm"] = p.memo["sturm"]
     return q
 
 
@@ -165,16 +171,16 @@ def energy_calls(m: int) -> dict:
     pf = Polynomial.from_roots(roots).as_float()
     dpf = pf.derivative()
     double = Polynomial.from_roots(roots[:1] + roots[:-1]).as_float()
-    A, A_double = companion_matrix(pf), companion_matrix(double)
     U0 = [1.0] * m
-    traj = propagate(A, U0, ENERGY_T, ENERGY_STEPS)
 
-    def propagated(form):  # the generator over a fresh polynomial, whose roots propagate finds
-        return propagate(CompanionMatrix(form.data, fresh(form.p)), U0, ENERGY_T, ENERGY_STEPS)
+    def propagated(poly):  # a fresh polynomial, whose companion matrix and roots propagate builds
+        generator = fresh(poly) if PROPAGATE_TAKES_POLY else companion_matrix(fresh(poly))
+        return propagate(generator, U0, ENERGY_T, ENERGY_STEPS)
 
+    traj = propagated(pf)
     return {
-        "propagate_strict": lambda: propagated(A),
-        "propagate_multiple": lambda: propagated(A_double),
+        "propagate_strict": lambda: propagated(pf),
+        "propagate_multiple": lambda: propagated(double),
         "energy_series": lambda: energy_series(fresh(pf), dpf, traj),
         "derivative_identity_check": lambda: derivative_identity_check(fresh(pf), dpf, SIGNAL),
         "chain_bound_check": lambda: chain_bound_check(fresh(pf), 0, traj, T=ENERGY_T),
@@ -186,8 +192,10 @@ def layer_rows(degrees) -> list:
     for m in degrees:
         p = Polynomial.from_roots(exact_input(m))
         dp = p.derivative()
-        H = bezout_matrix(p, dp).matrix
-        A = companion_matrix(p).matrix
+        # the Fraction arrays of the form and the companion matrix, which the
+        # array routes clear to integer rows on every call
+        H = np.asarray(bezout_matrix(p, dp))
+        A = np.asarray(companion_matrix(p))
         pf = p.as_float()
         leray_symmetrizer(p)  # held by p, as H is, for the H-B relation
         half = Fraction(1, 2)

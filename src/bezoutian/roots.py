@@ -170,7 +170,7 @@ def _sturm_chain(p: Polynomial) -> tuple[int, int]:
     return _chain_count(_int_sturm_chain(p.primitive[0])[0])
 
 
-def _int_sturm_chain(a: list) -> tuple[list, list]:
+def _int_sturm_chain(a: list) -> tuple[list, tuple]:
     """(ends, gcd) of the Sturm chain of the integer polynomial a (leading
     first, degree >= 1).
 

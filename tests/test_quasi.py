@@ -58,8 +58,8 @@ def test_conditions_fail_for_understated_exponent():
 @pytest.mark.parametrize("grid, r, s", [((-0.5,), 0.5, 1.0), ((0.0,), 0.0, -1),
                                         ((0.5, 0.0, 1e-16), 1, 1)])
 def test_conditions_refuse_an_eps_that_is_not_positive(grid, r, s):
-    # eps**r was complex at -0.5 (TypeError in min) and 0**s divided by zero;
-    # no family point is built at or after the first eps <= 0
+    # the check comes before eps**r, complex at -0.5, and 0**s, which divides
+    # by zero; no family point is built at or after the first eps <= 0
     p = Polynomial.exact([1, 0, -1])
     with pytest.raises(ValueError, match="^epsilon must be positive$"):
         check_conditions(p, grid, r=r, s=s)
@@ -334,8 +334,8 @@ QUASI_EPS = st.one_of(st.sampled_from(default_epsilon_grid()
 @example(X_SQUARED, [1e-3, 1e-16], 200, 1)            # eps**400 underflows before the merge
 @example(Polynomial.from_roots([1, 1, 2]), [0.5, -0.5, 1e-16], 40, 1)
 @example(Polynomial.from_roots([1, 1, 2]), list(default_epsilon_grid())[::-1], None, 1)
-@example(Polynomial.exact([1, 0, -1]), [-0.5], 0.5, 1)  # eps**r complex: was TypeError
-@example(Polynomial.exact([1, 0, -1]), [0.0], 0, -1)    # 0**s: was ZeroDivisionError
+@example(Polynomial.exact([1, 0, -1]), [-0.5], 0.5, 1)  # eps**r would be complex
+@example(Polynomial.exact([1, 0, -1]), [0.0], 0, -1)    # 0**s would divide by zero
 def test_grid_kernels_equal_the_per_eps_reference(p, grid, r, s):
     # every value bit for bit, and the first failing eps raises what it raises alone
     def fresh():

@@ -885,13 +885,9 @@ def test_nuij_accepts_degree_one(capsys):
 
 def bench_layers_input(m: int) -> Polynomial:
     """The monic p with the m rational roots of ``tools/bench_layers.exact_input``."""
-    import importlib.util
+    from test_bench_layers import load_tool
 
-    path = Path(__file__).resolve().parent.parent / "tools" / "bench_layers.py"
-    spec = importlib.util.spec_from_file_location("bench_layers", path)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    return Polynomial.from_roots(tool.exact_input(m))
+    return Polynomial.from_roots(load_tool().exact_input(m))
 
 
 WILKINSON_15 = Polynomial.from_roots(range(1, 16))

@@ -325,7 +325,7 @@ def test_the_decomposition_after_the_hyperbolicity_gate_divides_p_by_p_prime_onc
 
     monkeypatch.setattr(roots, "_int_gcd", counted)
     assert max_multiplicity(p) == 3
-    assert len(calls) == 3  # one per Yun step i = 1, 2, 3; was 4 with gcd(p, p') first
+    assert len(calls) == 3  # one per Yun step i = 1, 2, 3
     assert all(list(a) != list(p.primitive[0]) for a, _ in calls)
     assert [k for _, k in squarefree_decomposition(p)] == [1, 2, 3]
 

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 from . import exactla
 from .errors import BackendMismatchError, DegreeMismatchError, NonzeroRemainderError
 from .exactla import IntMatrix, PsdVerdict, psd_certificate
-from .polynomial import Polynomial
+from .polynomial import Polynomial, _int_horner
 from .scalars import BACKEND_EXACT
 
 if TYPE_CHECKING:
@@ -166,6 +166,28 @@ def symmetrization_defect(H, A) -> Fraction:
     return Fraction(exactla._asymmetry(exactla._matmul(X.rows, Y.rows)), X.den * Y.den)
 
 
+def companion_defect(H, p: Polynomial) -> Fraction:
+    """``symmetrization_defect(H, companion_matrix(p))``, in m^2 products, not m^3.
+
+    The integer rows of L A (``companion_matrix``) are L on the
+    superdiagonal and -(a_m .. a_1) L last, so for H = X / dx, column j of
+    X (L A) is L times column j - 1 of X plus column m - 1 of X times the
+    last row's entry j.  Float p is taken at its exact value, as the float
+    companion matrix of monic p holds its coefficients as they are.
+    """
+    p.require_monic("companion matrix input")
+    X = IntMatrix.of(H)
+    P = p.as_exact().primitive[0]
+    m = len(P) - 1
+    if X.shape != (m, m):
+        raise DegreeMismatchError(f"matrix of shape {X.shape} against a companion matrix of "
+                                  f"degree {m}")
+    L, last = P[0], [-c for c in P[:0:-1]]
+    product = [[row[-1] * last[0]] + [L * row[j - 1] + row[-1] * last[j] for j in range(1, m)]
+               for row in X.rows]
+    return Fraction(exactla._asymmetry(product), X.den * L)
+
+
 def psd_check(H, tol: float = 1e-9) -> PsdVerdict:
     """Positive semidefiniteness certificate for a symmetric matrix."""
     return psd_certificate(H, tol)
@@ -200,7 +222,10 @@ def resultant(p: Polynomial, q: Polynomial) -> Resultant:
     """det H(p, q) next to the root product prod_j q(lambda_j) and their sign factor.
 
     A float root (an irrational one) enters at its exact dyadic value, so the
-    product of exact q never leaves the float range.
+    product of exact q never leaves the float range.  With q = cq * Q for
+    primitive integer Q, each q(n/d) is cq * Q(n/d) and Q(n/d) d^k an integer
+    (``polynomial._int_horner``), so the product is one Fraction of two
+    integer products.
     """
     from .roots import real_roots
 
@@ -209,11 +234,14 @@ def resultant(p: Polynomial, q: Polynomial) -> Resultant:
     if not q.is_zero and q.degree > m - 1:
         raise DegreeMismatchError("resultant requires deg q <= deg p - 1")
     det_h = exactla.det(bezout_matrix(p, q))
-    product = None
+    if q.is_zero:
+        return Resultant(det_h, Fraction(0), resultant_sign(m))
+    Q, cq = q.primitive
+    num, den = cq.numerator ** m, cq.denominator ** m
     for lam in real_roots(p).flattened:
-        val = q(Fraction(lam))
-        product = val if product is None else product * val
-    return Resultant(det_h, product, resultant_sign(m))
+        acc, dk = _int_horner(Q, *lam.as_integer_ratio())
+        num, den = num * acc, den * dk
+    return Resultant(det_h, Fraction(num, den), resultant_sign(m))
 
 
 def separation_lower_bound_check(p: Polynomial, q: Polynomial, c, tol: float = 1e-9) -> bool:

@@ -21,12 +21,12 @@ from fractions import Fraction
 from . import __version__, exactla
 from .bezout import (
     bezout_matrix,
+    companion_defect,
     companion_matrix,
     discriminant,
     psd_check,
     resultant,
     separation_lower_bound_check,
-    symmetrization_defect,
 )
 from .energy import ExponentialSignal, chain_bound_check, derivative_identity_check, energy_series, propagate
 from .errors import DegreeMismatchError, NonHyperbolicError
@@ -185,7 +185,7 @@ def cmd_analyze(args, report: CertifiedReport):
     H = bezout_matrix(p, q)
     report.inputs["bezout_matrix"] = _echo_matrix(H)
     report.inputs["companion_matrix"] = _echo_matrix(A)
-    defect = symmetrization_defect(H, A)
+    defect = companion_defect(H, p)
     report.add_bool("companion symmetrization defect", "companion-symmetrization",
                     defect <= tol, _exact_witness(defect), tol)
     report.add_bool("derivative form semidefinite (hyperbolicity certificate)",
@@ -209,7 +209,7 @@ def cmd_analyze(args, report: CertifiedReport):
     # irrational roots are floats, taken at their dyadic values and held to tol
     slack = 0 if all(isinstance(r, Fraction) for r in profile.distinct_roots) else tol
     disc = discriminant(p)
-    delta = difference_product(map(Fraction, profile.flattened))
+    delta = difference_product(profile.flattened)
     report.add_bool("determinant equals squared root spread", "discriminant-product",
                     _agrees(abs(disc - delta ** 2), disc, slack), _exact_witness(disc), tol)
     res = resultant(p, q)

@@ -82,16 +82,17 @@ def scaled_inverse_diagonal(roots, p_prime) -> np.ndarray:
     return d
 
 
-def difference_product(roots):
-    vals = list(roots)
-    out = None
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            term = vals[j] - vals[i]
-            out = term if out is None else out * term
-    if out is None:
-        return 1
-    return out
+def difference_product(roots) -> Fraction:
+    """prod_(i < j) (root_j - root_i), exact; floats enter at their dyadic values.
+
+    The differences run on the roots' numerators over their common
+    denominator D, and the product becomes one Fraction over D^(m(m-1)/2).
+    """
+    vals = [Fraction(r) for r in roots]
+    D = math.lcm(*(v.denominator for v in vals))
+    nums = [v.numerator * (D // v.denominator) for v in vals]
+    out = math.prod(b - a for i, a in enumerate(nums) for b in nums[i + 1:])
+    return Fraction(out, D ** (len(nums) * (len(nums) - 1) // 2))
 
 
 def _match_backend(poly: Polynomial, profile: RootProfile) -> tuple[Polynomial, list]:

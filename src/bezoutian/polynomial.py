@@ -165,13 +165,24 @@ class Polynomial:
         return self.__mul__(other)
 
     def __divmod__(self, other) -> tuple:
+        """(quotient, remainder) of long division; exact polynomials divide on integers.
+
+        With self = cs * S and other = co * O for primitive integer S and O
+        (``primitive``) and L the leading coefficient of O, the k steps of
+        pseudo-division give L^k S = Q O + R on integers, where step i finds
+        the quotient coefficient f_i L^(i+1), so the quotient has
+        coefficients (cs / co) f_i / L^(i+1) and the remainder cs R / L^k,
+        each one Fraction.
+        """
         other = self._coerced(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
+        if len(self.coeffs) < len(other.coeffs):
+            return Polynomial.zero(self.backend), self
+        if self.backend == BACKEND_EXACT:
+            return self._int_divmod(other)
         rem = list(self.coeffs)
         div = other.coeffs
-        if len(rem) < len(div):
-            return Polynomial.zero(self.backend), self
         lead = div[0]
         q = []
         for i in range(len(rem) - len(div) + 1):
@@ -184,6 +195,27 @@ class Polynomial:
             Polynomial(tuple(q), self.backend),
             Polynomial(tuple(rem[len(q):]), self.backend),
         )
+
+    def _int_divmod(self, other: "Polynomial") -> tuple:
+        (S, cs), (O, co) = self.primitive, other.primitive
+        lead = O[0]
+        rem = list(S)
+        steps = len(S) - len(O) + 1
+        scale = cs / co
+        quo = []
+        power = 1  # L^(i+1) at step i
+        for i in range(steps):
+            f = rem[i]
+            power *= lead
+            quo.append(Fraction(scale.numerator * f, scale.denominator * power))
+            for j in range(i + 1, len(rem)):
+                rem[j] *= lead
+            if f:
+                for j in range(1, len(O)):
+                    rem[i + j] -= f * O[j]
+        return (Polynomial(tuple(quo), BACKEND_EXACT),
+                Polynomial(tuple(Fraction(cs.numerator * v, cs.denominator * power)
+                                 for v in rem[steps:]), BACKEND_EXACT))
 
     def __floordiv__(self, other) -> "Polynomial":
         return divmod(self, other)[0]
@@ -206,8 +238,9 @@ class Polynomial:
         The derivatives and the other backend of p (``derivative``,
         ``as_float``, ``as_exact``), its Bezout forms (``bezout.bezout_matrix``,
         keyed by the value of q), its roots (``roots.real_roots``), its
-        companion eigenvalues and the float roots of its exact square-free
-        cofactors (``roots._float_roots``), the ends of its Sturm chain
+        companion eigenvalues (``roots._float_roots``) and the rounded roots
+        of its exact square-free cofactors (``roots._bracketed_roots``), the
+        ends of its Sturm chain
         (``roots._sturm_ends``), its smoothing family points
         (``nuij.nuij_family``) and its power-sum symmetrizer
         (``leray.leray_symmetrizer``) are built on first request

@@ -4,14 +4,20 @@ The exact backend never trusts a float where it matters: multiplicities come
 from gcd structure (Yun decomposition) and hyperbolicity from one Sturm
 chain, so rational inputs get exact multiplicity profiles and exact verdicts.
 ``is_hyperbolic`` decides exact input without a root and reads the root
-profile only when a caller asks for its witness.  Root values that are
-irrational are polished eigenvalues of the companion matrix of a
-square-free factor, where they are simple and well conditioned; the Newton
-polish (``_polish_roots``) stops at a fixed point or a cycle.  A float
-polynomial keeps its companion eigenvalues, which a batch of polynomials
-of one degree gets from one stacked LAPACK call on the matrices of
-``bezout._companion_stack``, and the polish evaluates by Horner's rule
-inline, with the bits of ``Polynomial.__call__``.
+profile only when a caller asks for its witness.  On exact input the
+rational-root search leaves a square-free integer cofactor, and its roots
+come from certified brackets (``_bracketed_roots``), with no float
+polynomial and no eigensolver: Sturm's theorem on the cofactor's own chain
+isolates each root in a dyadic bracket (``_isolate``), and each bracket is
+refined to the float nearest its root by exact signs at dyadic points
+(``_nearest_float``; Newton steps with exact residuals seed it, and
+bisection decides where the seed's two half-ulp neighbours show no sign
+change).  A Sturm count short of the degree raises NonHyperbolicError.
+A float polynomial keeps its companion eigenvalues, which a batch of
+polynomials of one degree gets from one stacked LAPACK call on the
+matrices of ``bezout._companion_stack``; the Newton polish
+(``_polish_roots``) stops at a fixed point or a cycle and evaluates by
+Horner's rule inline, with the bits of ``Polynomial.__call__``.
 
 The exact kernels run on a polynomial's primitive integer coefficients
 (``Polynomial.primitive``, Python ints, leading first, computed once per
@@ -174,20 +180,31 @@ def _int_sturm_chain(a: list) -> tuple[list, tuple]:
     """(ends, gcd) of the Sturm chain of the integer polynomial a (leading
     first, degree >= 1).
 
-    ``ends`` holds the (degree + 1, leading sign) of each member, in chain
-    order.  Each pseudo-remainder is primitive and scaled by a positive
-    integer, which keeps the signs of the classical chain; the last member
-    is gcd(a, a'), and ``gcd`` is that member with a positive leading
-    coefficient, the primitive gcd that ``poly_gcd`` gives.  The ends are
-    all that Sturm's theorem (``_chain_count``) and the Cauchy index of a
-    Nuij stage (``nuij._next_stage``) read of the chain.
+    ``ends`` holds the (degree + 1, leading sign) of each member of
+    ``_sturm_sequence(a)``, in chain order; the last member is gcd(a, a'),
+    and ``gcd`` is that member with a positive leading coefficient, the
+    primitive gcd that ``poly_gcd`` gives.  The ends are all that Sturm's
+    theorem (``_chain_count``) and the Cauchy index of a Nuij stage
+    (``nuij._next_stage``) read of the chain.
     """
+    chain = _sturm_sequence(a)
+    g = chain[-1]
+    return [(len(f), f[0] > 0) for f in chain], tuple(g if g[0] > 0 else [-v for v in g])
+
+
+def _sturm_sequence(a: list) -> list[list]:
+    """The Sturm chain of the integer polynomial a (leading first, degree >= 1).
+
+    a, its primitive derivative, then each negated pseudo-remainder made
+    primitive.  Each is a positive integer multiple of the member of the
+    classical chain, so every member has the classical signs at every point.
+    """
+    chain = [a]
     b = _int_primitive(_derivative(a))
-    ends = [(len(a), a[0] > 0)]
     while b:
-        ends.append((len(b), b[0] > 0))
+        chain.append(b)
         a, b = b, [-v for v in _int_primitive(_prem(a, b))]
-    return ends, tuple(a if a[0] > 0 else [-v for v in a])
+    return chain
 
 
 def _variation_drop(ends: list) -> int:
@@ -329,6 +346,159 @@ def _rational_roots(f: Polynomial) -> tuple[list[Fraction], Polynomial]:
     return sorted(found), Polynomial.exact([scale * v for v in ints])
 
 
+def _sign_at(c, n: int, d: int) -> int:
+    """The sign of the integer polynomial c at n/d, d > 0, exactly (``_int_horner``)."""
+    v = _int_horner(c, n, d)[0]
+    return (v > 0) - (v < 0)
+
+
+def _variations(chain: list, n: int, d: int) -> int:
+    """Sign variations of the Sturm chain at n/d, zeros dropped."""
+    signs = [s for s in (_sign_at(f, n, d) for f in chain) if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _root_bound(c) -> int:
+    """The exponent of a power of two B with every complex root of c inside |z| < B.
+
+    Fujiwara's bound 2 max_i |c_i / c_0|^(1/i), with each ratio below
+    2^(bits c_i - bits c_0 + 1); leading coefficient first.
+    """
+    n0 = c[0].bit_length()
+    return 1 + max((-((n0 - v.bit_length() - 1) // i) for i, v in enumerate(c) if i and v),
+                   default=0)
+
+
+def _isolate(chain: list) -> list[tuple[int, int, int]]:
+    """Ascending brackets (lo/d, hi/d], each holding exactly one real root of chain[0].
+
+    Each bracket (lo, hi, d) halves (-B, B] (``_root_bound``) some number of
+    times, d a power of two.  Sturm's theorem counts the distinct real roots
+    in (lo/d, hi/d] as the variations at lo/d minus those at hi/d; brackets
+    holding more are halved.  Raises NonHyperbolicError when the count over
+    (-B, B] falls short of the degree of the square-free chain[0].
+    """
+    n = len(chain[0]) - 1
+    e = _root_bound(chain[0])
+    b, d = (1 << e, 1) if e >= 0 else (1, 1 << -e)
+    v_lo, v_hi = _variations(chain, -b, d), _variations(chain, b, d)
+    if v_lo - v_hi < n:
+        raise NonHyperbolicError(f"complex roots detected: {n - (v_lo - v_hi)} of the {n} "
+                                 "roots of a square-free factor are not real")
+    out = []
+    todo = [(-b, b, d, v_lo, v_hi)]
+    while todo:
+        lo, hi, d, v_lo, v_hi = todo.pop()
+        if v_lo - v_hi == 1:
+            out.append((lo, hi, d))
+        elif v_lo - v_hi > 1:
+            lo, hi, d = 2 * lo, 2 * hi, 2 * d
+            mid = (lo + hi) // 2
+            v_mid = _variations(chain, mid, d)
+            todo += [(mid, hi, d, v_mid, v_hi), (lo, mid, d, v_lo, v_mid)]
+    return out
+
+
+def _to_float(n: int, d: int) -> float:
+    """n/d rounded to the nearest float (ties to even), infinite past the float64 range."""
+    try:
+        return n / d
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
+
+
+def _newton_seed(c, dc, x: float, lo: float, hi: float) -> float | None:
+    """Newton's iterate from x on c, with c(x) / c'(x) evaluated exactly at each float.
+
+    Ends at a fixed point or a cycle, after 40 steps, or with None when an
+    iterate leaves [lo, hi] or a step is not finite.
+    """
+    seen = set()
+    for _ in range(40):
+        a, b = x.as_integer_ratio()
+        num = _int_horner(c, a, b)[0]
+        if not num:
+            return x
+        try:
+            nxt = x - num / (_int_horner(dc, a, b)[0] * b)
+        except (ZeroDivisionError, OverflowError):
+            return None
+        if not lo <= nxt <= hi:
+            return None
+        if nxt == x or nxt in seen:
+            return nxt
+        seen.add(x)
+        x = nxt
+    return x
+
+
+def _midpoint(f: float, g: float) -> tuple[int, int]:
+    """(f + g) / 2 as (n, d), d > 0, for finite floats f and g."""
+    a, b = f.as_integer_ratio()
+    u, v = g.as_integer_ratio()
+    return a * v + u * b, 2 * b * v
+
+
+def _nearest_float(c, dc, lo: int, hi: int, d: int) -> float:
+    """The float nearest the one root r of the square-free integer c in (lo/d, hi/d].
+
+    The root is hi/d if c(hi/d) = 0; otherwise c has the sign s of c(hi/d)
+    on (r, hi/d] and -s on (lo/d, r).  A Newton seed f (``_newton_seed``) is
+    the answer when c changes sign between the midpoints of f and its two
+    float neighbours, inside (lo/d, hi/d]; otherwise halving the bracket
+    shrinks it until both ends round to one float, which rounding's
+    monotonicity makes r's.  Every sign is exact, so the result is r
+    correctly rounded, ties to even, infinite past the float64 range.
+    """
+    s = _sign_at(c, hi, d)
+    if not s:
+        return _to_float(hi, d)
+    x = _to_float(lo + hi, 2 * d)
+    f = _newton_seed(c, dc, x, _to_float(lo, d), _to_float(hi, d)) if math.isfinite(x) else None
+    if f is not None and math.isfinite(f):
+        below = _midpoint(f, math.nextafter(f, -math.inf))
+        above = _midpoint(f, math.nextafter(f, math.inf))
+        if lo * below[1] < below[0] * d and above[0] * d <= hi * above[1]:
+            s_below, s_above = _sign_at(c, *below), _sign_at(c, *above)
+            if not s_below:
+                return _to_float(*below)
+            if not s_above:
+                return _to_float(*above)
+            if s_below != s and s_above == s:
+                return f
+    # halving keeps (lo/d, hi/d] on the dyadic grid of _isolate, so a dyadic
+    # root is met exactly: a tie between two floats cannot stall the loop
+    while _to_float(lo, d) != _to_float(hi, d):
+        lo, hi, d = 2 * lo, 2 * hi, 2 * d
+        mid = (lo + hi) // 2
+        s_mid = _sign_at(c, mid, d)
+        if not s_mid:
+            return _to_float(mid, d)
+        if s_mid == s:
+            hi = mid
+        else:
+            lo = mid
+    return _to_float(hi, d)
+
+
+def _bracketed_roots(f: Polynomial) -> list[float]:
+    """The real roots of the square-free exact f, ascending, each the float nearest it.
+
+    Sturm brackets (``_isolate``) on f's primitive integers, each refined
+    to its correctly rounded float (``_nearest_float``); no float
+    polynomial and no eigensolver.  Raises NonHyperbolicError when f has a
+    complex root, and OverflowError when a root lies past the float64 range,
+    where by Cauchy's bound |r| < 1 + max |c_i / c_0| a coefficient of f and
+    of every monic multiple of f lies too.
+    """
+    c = list(f.primitive[0])
+    dc = _derivative(c)
+    out = [_nearest_float(c, dc, *bracket) for bracket in _isolate(_sturm_sequence(c))]
+    if not all(map(math.isfinite, out)):
+        raise OverflowError("a coefficient leaves the float64 range")
+    return out
+
+
 def _polish_roots(pf: Polynomial, zs) -> list[complex]:
     """Each z in zs polished by up to 12 Newton steps on pf: the iterate of least |pf|.
 
@@ -427,7 +597,8 @@ def real_roots(p: Polynomial, tol: float = DEFAULT_TOL,
     """Sorted real roots with multiplicities.
 
     Exact backend: multiplicities from the Yun decomposition (exact), root
-    values exact when rational, else polished floats on square-free factors.
+    values exact when rational, else the correctly rounded floats of the
+    roots of square-free factors (``_bracketed_roots``).
     Float backend: companion eigenvalues, Newton polishing, and merging of
     clusters closer than tol*max(1,|root|).  ``imag_tol`` loosens only the
     complex-root rejection threshold; callers that already know the input
@@ -451,9 +622,9 @@ def _real_roots(p: Polynomial, tol: float, itol: float) -> RootProfile:
             pairs.extend((r, mult) for r in rational)
             if rest.degree >= 1:
                 all_rational = False
-                # p keeps the float roots of each cofactor, which every tol reads
-                floats = p.derived(("float roots", rest), functools.partial(_float_roots, rest))
-                vals = _require_real(floats, itol)
+                # p keeps the rounded roots of each cofactor, which every tol reads
+                vals = p.derived(("bracketed roots", rest),
+                                 functools.partial(_bracketed_roots, rest))
                 pairs.extend((v, mult) for v in vals)
         pairs.sort(key=lambda rm: rm[0])
         profile = RootProfile(tuple(r if all_rational else float(r) for r, _ in pairs),

@@ -718,12 +718,13 @@ def test_nuij_finds_every_family_root_in_one_eigensolver_call(capsys, monkeypatc
 
 @pytest.mark.parametrize("tol", [[], ["--tol", "1e-6"]])
 def test_analyze_finds_the_float_roots_of_p_once_at_any_tol(capsys, monkeypatch, tol):
-    # the irrational roots of x^2 - 2 serve every tol: p keeps the float roots
-    # of its square-free factor, and only the thresholds that read them change
-    calls = count_calls(monkeypatch, roots._float_roots)
-    code, _, err = run_cli(capsys, "analyze", "--poly", "[1,0,-2]", *tol)
+    # the irrational roots of (x^2 - 2)^2 (x^2 - 3) serve every tol: p keeps the
+    # rounded roots of each square-free cofactor, and only the thresholds that
+    # read them change
+    calls = count_calls(monkeypatch, roots._bracketed_roots)
+    code, _, err = run_cli(capsys, "analyze", "--poly", "[1,0,-7,0,16,0,-12]", *tol)
     assert (code, err) == (0, "")
-    assert len(calls) == 1
+    assert sorted(f.coeffs for f in calls) == [(1, 0, -3), (1, 0, -2)]
 
 
 def test_nuij_transforms_p_once_per_eps(capsys, monkeypatch):
@@ -779,7 +780,9 @@ def run(*argvs):
 
 states = [loaded()]
 states.append(run(["analyze", "--poly", "[1,-3,0,4]"], ["leray", "--poly", "[1,-3,0,4]"],
-                  ["leray", "--poly", "[1,-2,1]"], ["analyze", "--poly", "[1.0,-3.0,0.0,4.0]"]))
+                  ["leray", "--poly", "[1,-2,1]"], ["analyze", "--poly", "[1.0,-3.0,0.0,4.0]"],
+                  ["analyze", "--poly", "[1,-1,-2,2]"],
+                  ["analyze", "--poly", "[1.0,-1.0,-2.0,2.0]"]))
 states.append(run(["nuij", "--poly", "[1,-3,0,4]"], ["quasi", "--poly", "[1,-3,0,4]"]))
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
@@ -797,8 +800,10 @@ def test_no_subcommand_loads_scipy(capsys):
     assert proc.returncode == 0, proc.stderr
     states, code, out = json.loads(proc.stdout)
     # ["numpy" loaded, "scipy" loaded]: after the import; after the exact
-    # analyze and leray requests on (x-2)^2 (x+1), leray on (x-1)^2 (m = 2) and
-    # the decimal analyze request on (x-2)^2 (x+1), certified at its exact value;
+    # analyze and leray requests on (x-2)^2 (x+1), leray on (x-1)^2 (m = 2),
+    # the decimal analyze request on (x-2)^2 (x+1), certified at its exact value,
+    # and exact and decimal analyze on (x^2-2)(x-1), whose irrational roots
+    # come from Sturm brackets;
     # after nuij and quasi on (x-2)^2 (x+1); after the energy request on the
     # double root of (x-1)^2, whose step matrix goes through energy._expm
     assert states == [[False, False], [False, False], [True, False], [True, False]]
@@ -903,14 +908,12 @@ def standing(reason: str):
     pytest.param("nuij", "bench_layers_16", id="nuij-bench-layers-16", marks=standing(
         "exit 1: nuij-inversion at eps = 1 inverts the float p_eps (witness 1.58e8); "
         "ROADMAP item 7, exact nuij-inversion")),
-    pytest.param("analyze", WILKINSON_15, id="analyze-wilkinson-15", marks=standing(
-        "exit 1: discriminant-product and resultant-sign read float roots, 15! being past "
-        "roots._FACTOR_BOUND; ROADMAP item 2, certified root brackets")),
-    pytest.param("analyze", WILKINSON_24, id="analyze-wilkinson-24", marks=standing(
-        "exit 3: the float companion eigenvalues of a root cluster come out complex; "
-        "ROADMAP items 1 and 2")),
+    # 15! and 24! are past roots._FACTOR_BOUND: the roots come from Sturm brackets
+    pytest.param("analyze", WILKINSON_15, id="analyze-wilkinson-15"),
+    pytest.param("analyze", WILKINSON_24, id="analyze-wilkinson-24"),
     pytest.param("nuij", WILKINSON_24, id="nuij-wilkinson-24", marks=standing(
-        "exit 3: the float family point has complex roots; ROADMAP items 1 and 2")),
+        "exit 3: the float family point has complex roots; ROADMAP item 3, family points "
+        "from the exact p_eps")),
 ])
 def test_standing_defects_exit_zero(capsys, command, poly):
     p = bench_layers_input(16) if poly == "bench_layers_16" else poly

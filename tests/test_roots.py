@@ -82,15 +82,80 @@ def test_profile_recovery_exact_multiplicities():
 
 
 def test_profile_recovery_irrational_multiple_roots():
-    # (x^2 - 2)^2 (x - 1): gcd structure supplies the multiplicities,
-    # polished eigenvalues of the square-free part supply the values
+    # (x^2 - 2)^2 (x - 1): gcd structure supplies the multiplicities, the
+    # rational search the root 1, and Sturm brackets of the cofactor x^2 - 2
+    # the correctly rounded floats of +-sqrt(2)
     base = Polynomial.exact([1, 0, -2])
     p = base * base * Polynomial.exact([1, -1])
     prof = real_roots(p)
     assert prof.multiplicities == (2, 1, 2)
-    expected = (-(2**0.5), 1.0, 2**0.5)
-    for a, b in zip(prof.distinct_roots, expected):
-        assert abs(float(a) - b) < 1e-9
+    assert prof.distinct_roots == (-math.sqrt(2), 1, math.sqrt(2))
+
+
+def test_exact_roots_past_the_factor_bound_are_exact_floats():
+    # 24! is past roots._FACTOR_BOUND, so the whole factor goes to the brackets,
+    # and each integer root is the float it rounds to; the float companion
+    # eigenvalues of this cluster came out complex
+    prof = real_roots(Polynomial.from_roots(range(1, 25)))
+    assert prof.distinct_roots == tuple(float(k) for k in range(1, 25))
+    assert all(type(r) is float for r in prof.distinct_roots)
+
+
+def nearest_float_brackets(f: float) -> tuple[Fraction, Fraction]:
+    """The midpoints between f and its two float neighbours: the reals that round to f."""
+    return ((Fraction(f) + Fraction(math.nextafter(f, -math.inf))) / 2,
+            (Fraction(f) + Fraction(math.nextafter(f, math.inf))) / 2)
+
+
+NON_SQUARES = [k for k in range(2, 51) if math.isqrt(k) ** 2 != k]
+
+
+@st.composite
+def rational_and_quadratic_products(draw):
+    """Square-free monic products of x^2 - k (k not a square, k <= 50) and x - r, degree <= 12."""
+    ks = draw(st.lists(st.sampled_from(NON_SQUARES), max_size=4, unique=True))
+    rs = draw(st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=9),
+                       max_size=12 - 2 * len(ks), unique=True))
+    p = Polynomial.from_roots(rs) if rs else Polynomial.exact([1])
+    for k in ks:
+        p = p * Polynomial.exact([1, 0, -k])
+    if p.degree < 1:
+        p = Polynomial.exact([1, 0, -ks[0] if ks else -2])
+    return p
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_and_quadratic_products())
+def test_exact_irrational_roots_are_correctly_rounded(p):
+    # p changes sign between the two midpoints around each float root: the
+    # true root rounds to it.  A rational root comes back exactly
+    prof = real_roots(p)
+    assert prof.degree == p.degree
+    for r in prof.distinct_roots:
+        if isinstance(r, Fraction):
+            assert p(r) == 0
+        else:
+            below, above = nearest_float_brackets(r)
+            assert p(below) * p(above) < 0
+
+
+@pytest.mark.parametrize("ks, rs", [
+    ((2,), ()),
+    ((3, 5), (Fraction(1, 3),)),
+    ((7, 11, 13), (Fraction(-5, 2), 4)),
+    ((2, 3, 5, 6, 7, 10), ()),  # degree 12, past roots._FACTOR_BOUND
+])
+def test_exact_irrational_roots_match_mpmath(ks, rs):
+    import mpmath
+
+    p = Polynomial.from_roots(rs) if rs else Polynomial.exact([1])
+    for k in ks:
+        p = p * Polynomial.exact([1, 0, -k])
+    with mpmath.workdps(50):
+        coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in p.coeffs]
+        want = sorted(float(z.real) for z in mpmath.polyroots(coeffs, maxsteps=200, extraprec=200))
+    got = [float(r) for r in real_roots(p).flattened]
+    assert got == want
 
 
 def test_profile_recovery_float_simple_roots():

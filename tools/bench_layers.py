@@ -16,6 +16,13 @@ forms p already holds, as requests do: the separation bound H - H / 2 >= 0
 reads H twice, and the H-B relation H and the power-sum symmetrizer of p.
 ``separates(p, p')`` gets nothing prebuilt, so every source tree runs the
 same call and builds what it needs (the forms, or the roots of p and p').
+``real_roots_exact`` finds the roots of a fresh exact p of degree m with
+the irrational pair +-sqrt(2): x^2 - 2 times the m - 2 rational roots of
+degree m - 2, so the rational-root search leaves the cofactor x^2 - 2 while
+the end coefficients stay within ``roots._FACTOR_BOUND`` (through m = 16
+here), and the whole factor past it (m = 24).  ``companion_defect`` is the
+defect of ``symmetrization_defect(H, A)`` from the structure of A, on a
+source tree that has it.
 Thirteen rows run at m <= ``SLOW_MAX_DEGREE`` only, three of them because
 one call of each takes seconds beyond it on some source trees (2-core x86_64
 machine):
@@ -100,6 +107,10 @@ try:
 except ImportError:  # a source tree from before the exact stage certificate
     certify_stages = None
 try:
+    from bezoutian.bezout import companion_defect
+except ImportError:  # a source tree from before the structured companion product
+    companion_defect = None
+try:
     from bezoutian import build_family
 except ImportError:  # a source tree from before the grid kernel
     build_family = None
@@ -124,6 +135,12 @@ def exact_input(m: int) -> list:
     rng = random.Random(f"bench_layers:{m}")
     alphabet = sorted({Fraction(n, d) for n in range(-12, 13) for d in (1, 2, 3, 4, 6)})
     return sorted(rng.sample(alphabet, m))
+
+
+def quadratic_input(m: int) -> Polynomial:
+    """The monic p of degree m >= 2: x^2 - 2 times the m - 2 roots of ``exact_input``."""
+    rational = Polynomial.from_roots(exact_input(m - 2)) if m > 2 else Polynomial.exact([1])
+    return rational * Polynomial.exact([1, 0, -2])
 
 
 def fresh(p: Polynomial) -> Polynomial:
@@ -197,6 +214,7 @@ def layer_rows(degrees) -> list:
         H = np.asarray(bezout_matrix(p, dp))
         A = np.asarray(companion_matrix(p))
         pf = p.as_float()
+        quadratic = quadratic_input(m)
         leray_symmetrizer(p)  # held by p, as H is, for the H-B relation
         half = Fraction(1, 2)
         calls = {
@@ -209,7 +227,10 @@ def layer_rows(degrees) -> list:
             "leray_symmetrizer": lambda: leray_symmetrizer(with_chain(p)),
             "is_hyperbolic": lambda: is_hyperbolic(fresh(p)),
             "separates": lambda: separates(fresh(p), dp),
+            "real_roots_exact": lambda: real_roots(fresh(quadratic)),
         }
+        if companion_defect is not None:
+            calls["companion_defect"] = lambda: companion_defect(H, p)
         if m <= SLOW_MAX_DEGREE:
             calls["leray_symmetrizer_float"] = lambda: leray_symmetrizer(fresh(pf))
             calls["nuij_family"] = lambda: nuij_family(fresh(p), 1e-4)

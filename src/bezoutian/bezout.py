@@ -169,10 +169,11 @@ def symmetrization_defect(H, A) -> Fraction:
 def companion_defect(H, p: Polynomial) -> Fraction:
     """``symmetrization_defect(H, companion_matrix(p))``, in m^2 products, not m^3.
 
-    The integer rows of L A (``companion_matrix``) are L on the
-    superdiagonal and -(a_m .. a_1) L last, so for H = X / dx, column j of
-    X (L A) is L times column j - 1 of X plus column m - 1 of X times the
-    last row's entry j.  Float p is taken at its exact value, as the float
+    With P = (L, P_1, .., P_m) the primitive integers of p, the integer
+    rows of L A (``companion_matrix``) hold L on the superdiagonal and
+    -(P_m, .., P_1) as the last row.  So for H = X / dx, column j of X (L A)
+    is L times column j - 1 of X plus column m - 1 of X times entry j of
+    that last row.  Float p is taken at its exact value, as the float
     companion matrix of monic p holds its coefficients as they are.
     """
     p.require_monic("companion matrix input")

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -411,7 +412,7 @@ def _newton_seed(c, dc, x: float, lo: float, hi: float) -> float | None:
     """Newton's iterate from x on c, with c(x) / c'(x) evaluated exactly at each float.
 
     Ends at a fixed point or a cycle, after 40 steps, or with None when an
-    iterate leaves [lo, hi] or a step is not finite.
+    iterate leaves [lo, hi] or is not finite.
     """
     seen = set()
     for _ in range(40):
@@ -423,7 +424,7 @@ def _newton_seed(c, dc, x: float, lo: float, hi: float) -> float | None:
             nxt = x - num / (_int_horner(dc, a, b)[0] * b)
         except (ZeroDivisionError, OverflowError):
             return None
-        if not lo <= nxt <= hi:
+        if not lo <= nxt <= hi or math.isinf(nxt):
             return None
         if nxt == x or nxt in seen:
             return nxt
@@ -455,7 +456,7 @@ def _nearest_float(c, dc, lo: int, hi: int, d: int) -> float:
         return _to_float(hi, d)
     x = _to_float(lo + hi, 2 * d)
     f = _newton_seed(c, dc, x, _to_float(lo, d), _to_float(hi, d)) if math.isfinite(x) else None
-    if f is not None and math.isfinite(f):
+    if f is not None and abs(f) < sys.float_info.max:  # both neighbours are finite
         below = _midpoint(f, math.nextafter(f, -math.inf))
         above = _midpoint(f, math.nextafter(f, math.inf))
         if lo * below[1] < below[0] * d and above[0] * d <= hi * above[1]:

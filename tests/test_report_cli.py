@@ -602,7 +602,7 @@ def test_decimal_nuij_and_quasi_reports_equal_those_of_their_exact_values(
 def test_analyze_reports_determinants_past_the_float_range(capsys):
     # 24 distinct rationals 13k/6: disc p is about 8.1e623, and float(disc)
     # raised OverflowError out of main; the leading and constant coefficients
-    # pass 10^12, so the roots are polished floats, held to tol
+    # pass 10^12, so the roots are the rounded floats of Sturm brackets, held to tol
     p = Polynomial.from_roots([Fraction(13 * k, 6) for k in range(-12, 12)])
     code, out, err = run_cli(capsys, "analyze", "--poly", fraction_argv(p))
     assert (code, err) == (0, "")
@@ -664,9 +664,9 @@ def test_smoothing_family_past_the_float_range_is_an_input_error(capsys, argv):
     ("quasi", "smoothing family at eps=1.0 leaves the float64 range"),
 ])
 def test_an_exact_root_past_the_float_range_is_an_input_error(capsys, command, message):
-    # x - 10^400: the constant term is past roots._FACTOR_BOUND, so analyze and
-    # energy seek the root among float eigenvalues, and Polynomial.as_float
-    # raised OverflowError out of main
+    # x - 10^400: the constant term is past roots._FACTOR_BOUND, so analyze
+    # brackets the root, which no float holds, and energy reads the float
+    # rounding of p; both raised OverflowError out of main
     code, out, err = run_cli(capsys, command, "--poly", json.dumps([1, str(-10**400)]))
     assert (code, out) == (2, "")
     assert err == f"input error: {message}\n"

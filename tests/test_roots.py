@@ -119,9 +119,7 @@ def rational_and_quadratic_products(draw):
     p = Polynomial.from_roots(rs) if rs else Polynomial.exact([1])
     for k in ks:
         p = p * Polynomial.exact([1, 0, -k])
-    if p.degree < 1:
-        p = Polynomial.exact([1, 0, -ks[0] if ks else -2])
-    return p
+    return p if p.degree >= 1 else Polynomial.exact([1, 0, -2])
 
 
 @settings(max_examples=200, deadline=None)

@@ -223,8 +223,9 @@ def resultant(p: Polynomial, q: Polynomial) -> Resultant:
     """det H(p, q) next to the root product prod_j q(lambda_j) and their sign factor.
 
     A float root (an irrational one) enters at its exact dyadic value, so the
-    product of exact q never leaves the float range.  With q = cq * Q for
-    primitive integer Q, each q(n/d) is cq * Q(n/d) and Q(n/d) d^k an integer
+    product of exact q never leaves the float range; float q does the same
+    with its coefficients (``as_exact``).  With q = cq * Q for primitive
+    integer Q, each q(n/d) is cq * Q(n/d) and Q(n/d) d^k an integer
     (``polynomial._int_horner``), so the product is one Fraction of two
     integer products.
     """
@@ -237,7 +238,7 @@ def resultant(p: Polynomial, q: Polynomial) -> Resultant:
     det_h = exactla.det(bezout_matrix(p, q))
     if q.is_zero:
         return Resultant(det_h, Fraction(0), resultant_sign(m))
-    Q, cq = q.primitive
+    Q, cq = q.as_exact().primitive
     num, den = cq.numerator ** m, cq.denominator ** m
     for lam in real_roots(p).flattened:
         acc, dk = _int_horner(Q, *lam.as_integer_ratio())

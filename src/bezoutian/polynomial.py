@@ -165,26 +165,13 @@ class Polynomial:
         return self.__mul__(other)
 
     def __divmod__(self, other) -> tuple:
-        """(quotient, remainder) of long division; exact polynomials divide on integers.
-
-        With self = cs * S and other = co * O for primitive integer S and O
-        (``primitive``) and L the leading coefficient of O, the quotient of
-        S by O has k coefficients t_i, each L^(i+1) t_i an integer u_i, and
-        L^k times the remainder is integral too.  Those integers come from
-        the recurrence of long division in deg O products per coefficient,
-        and each coefficient of the result is then one Fraction:
-        (cs / co) u_i / L^(i+1) for the quotient and cs R_t / L^k for the
-        remainder.
-        """
         other = self._coerced(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        if len(self.coeffs) < len(other.coeffs):
-            return Polynomial.zero(self.backend), self
-        if self.backend == BACKEND_EXACT:
-            return self._int_divmod(other)
         rem = list(self.coeffs)
         div = other.coeffs
+        if len(rem) < len(div):
+            return Polynomial.zero(self.backend), self
         lead = div[0]
         q = []
         for i in range(len(rem) - len(div) + 1):
@@ -197,28 +184,6 @@ class Polynomial:
             Polynomial(tuple(q), self.backend),
             Polynomial(tuple(rem[len(q):]), self.backend),
         )
-
-    def _int_divmod(self, other: "Polynomial") -> tuple:
-        (S, cs), (O, co) = self.primitive, other.primitive
-        steps, n = len(S) - len(O) + 1, len(O) - 1
-        power = [1]  # power[e] = L^e
-        for _ in range(steps):
-            power.append(power[-1] * O[0])
-        # u_i = L^(i+1) t_i, where t_i = (S_i - sum_j O_j t_(i-j)) / L
-        u = []
-        for i in range(steps):
-            u.append(S[i] * power[i]
-                     - sum(O[j] * u[i - j] * power[j - 1] for j in range(1, min(i, n) + 1)))
-        # L^k times each remainder coefficient S_t - sum_j O_j t_(t-j), t >= k
-        rem = [S[t] * power[steps]
-               - sum(O[j] * u[t - j] * power[steps - t + j - 1]
-                     for j in range(t - steps + 1, min(n, t) + 1))
-               for t in range(steps, len(S))]
-        scale = cs / co
-        return (Polynomial(tuple(Fraction(scale.numerator * v, scale.denominator * power[i + 1])
-                                 for i, v in enumerate(u)), BACKEND_EXACT),
-                Polynomial(tuple(Fraction(cs.numerator * v, cs.denominator * power[steps])
-                                 for v in rem), BACKEND_EXACT))
 
     def __floordiv__(self, other) -> "Polynomial":
         return divmod(self, other)[0]

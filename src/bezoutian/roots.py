@@ -9,10 +9,8 @@ rational-root search leaves a square-free integer cofactor, and its roots
 come from certified brackets (``_bracketed_roots``), with no float
 polynomial and no eigensolver: Sturm's theorem on the cofactor's own chain
 isolates each root in a dyadic bracket (``_isolate``), and each bracket is
-refined to the float nearest its root by exact signs at dyadic points
-(``_nearest_float``; Newton steps with exact residuals seed it, and
-bisection decides where the seed's two half-ulp neighbours show no sign
-change).  A Sturm count short of the degree raises NonHyperbolicError.
+halved to the float nearest its root by exact signs at dyadic points
+(``_nearest_float``).  A Sturm count short of the degree raises NonHyperbolicError.
 A float polynomial keeps its companion eigenvalues, which a batch of
 polynomials of one degree gets from one stacked LAPACK call on the
 matrices of ``bezout._companion_stack``; the Newton polish
@@ -38,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -408,65 +405,18 @@ def _to_float(n: int, d: int) -> float:
         return math.inf if n > 0 else -math.inf
 
 
-def _newton_seed(c, dc, x: float, lo: float, hi: float) -> float | None:
-    """Newton's iterate from x on c, with c(x) / c'(x) evaluated exactly at each float.
-
-    Ends at a fixed point or a cycle, after 40 steps, or with None when an
-    iterate leaves [lo, hi] or is not finite.
-    """
-    seen = set()
-    for _ in range(40):
-        a, b = x.as_integer_ratio()
-        num = _int_horner(c, a, b)[0]
-        if not num:
-            return x
-        try:
-            nxt = x - num / (_int_horner(dc, a, b)[0] * b)
-        except (ZeroDivisionError, OverflowError):
-            return None
-        if not lo <= nxt <= hi or math.isinf(nxt):
-            return None
-        if nxt == x or nxt in seen:
-            return nxt
-        seen.add(x)
-        x = nxt
-    return x
-
-
-def _midpoint(f: float, g: float) -> tuple[int, int]:
-    """(f + g) / 2 as (n, d), d > 0, for finite floats f and g."""
-    a, b = f.as_integer_ratio()
-    u, v = g.as_integer_ratio()
-    return a * v + u * b, 2 * b * v
-
-
-def _nearest_float(c, dc, lo: int, hi: int, d: int) -> float:
+def _nearest_float(c, lo: int, hi: int, d: int) -> float:
     """The float nearest the one root r of the square-free integer c in (lo/d, hi/d].
 
     The root is hi/d if c(hi/d) = 0; otherwise c has the sign s of c(hi/d)
-    on (r, hi/d] and -s on (lo/d, r).  A Newton seed f (``_newton_seed``) is
-    the answer when c changes sign between the midpoints of f and its two
-    float neighbours, inside (lo/d, hi/d]; otherwise halving the bracket
-    shrinks it until both ends round to one float, which rounding's
-    monotonicity makes r's.  Every sign is exact, so the result is r
-    correctly rounded, ties to even, infinite past the float64 range.
+    on (r, hi/d] and -s on (lo/d, r).  Halving the bracket shrinks it until
+    both ends round to one float, which rounding's monotonicity makes r's.
+    Every sign is exact, so the result is r correctly rounded, ties to even,
+    infinite past the float64 range.
     """
     s = _sign_at(c, hi, d)
     if not s:
         return _to_float(hi, d)
-    x = _to_float(lo + hi, 2 * d)
-    f = _newton_seed(c, dc, x, _to_float(lo, d), _to_float(hi, d)) if math.isfinite(x) else None
-    if f is not None and abs(f) < sys.float_info.max:  # both neighbours are finite
-        below = _midpoint(f, math.nextafter(f, -math.inf))
-        above = _midpoint(f, math.nextafter(f, math.inf))
-        if lo * below[1] < below[0] * d and above[0] * d <= hi * above[1]:
-            s_below, s_above = _sign_at(c, *below), _sign_at(c, *above)
-            if not s_below:
-                return _to_float(*below)
-            if not s_above:
-                return _to_float(*above)
-            if s_below != s and s_above == s:
-                return f
     # halving keeps (lo/d, hi/d] on the dyadic grid of _isolate, so a dyadic
     # root is met exactly: a tie between two floats cannot stall the loop
     while _to_float(lo, d) != _to_float(hi, d):
@@ -493,8 +443,7 @@ def _bracketed_roots(f: Polynomial) -> list[float]:
     of every monic multiple of f lies too.
     """
     c = list(f.primitive[0])
-    dc = _derivative(c)
-    out = [_nearest_float(c, dc, *bracket) for bracket in _isolate(_sturm_sequence(c))]
+    out = [_nearest_float(c, *bracket) for bracket in _isolate(_sturm_sequence(c))]
     if not all(map(math.isfinite, out)):
         raise OverflowError("a coefficient leaves the float64 range")
     return out

@@ -296,6 +296,16 @@ def test_resultant_examples():
     assert res.det_h == 1 and res.root_product == -1
 
 
+def test_resultant_takes_float_input_at_its_exact_value():
+    res = resultant(Polynomial.float64([1.0, 0.0, -1.0]), Polynomial.float64([2.0, 0.0]))
+    assert res.det_h == 4 and res.root_product == -4 and res.consistency_residual() == 0
+    p = Polynomial.float64([1.0, 0.0, -2.0])
+    res = resultant(p, p.derivative())
+    a, b = real_roots(p).flattened
+    assert res.root_product == Fraction(2 * a) * Fraction(2 * b)
+    assert res.consistency_residual() == pytest.approx(0, abs=1e-12)
+
+
 def test_resultant_degree_guard():
     with pytest.raises(DegreeMismatchError):
         resultant(X2_MINUS_1, Polynomial.exact([1, 0, 0]))

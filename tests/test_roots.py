@@ -137,23 +137,6 @@ def test_exact_irrational_roots_are_correctly_rounded(p):
             assert p(below) * p(above) < 0
 
 
-@pytest.mark.parametrize("seed", [
-    lambda f: None,                                      # no seed: bisection alone
-    lambda f: f and math.nextafter(f, math.inf),         # one float above the root's
-    lambda f: f and math.nextafter(f, -math.inf) * 2,    # far off: outside the bracket
-])
-def test_exact_roots_do_not_trust_the_newton_seed(monkeypatch, seed):
-    # the seed only saves bisection steps: a missing or wrong one gives the
-    # same correctly rounded roots, decided by the signs around them
-    polys = [Polynomial.exact([1, 0, -2]),
-             Polynomial.from_roots([Fraction(1, 3)]) * Polynomial.exact([1, 0, -8, 0, 15]),
-             Polynomial.from_roots(range(1, 25))]
-    want = [real_roots(p).distinct_roots for p in polys]
-    newton_seed = roots._newton_seed
-    monkeypatch.setattr(roots, "_newton_seed", lambda *args: seed(newton_seed(*args)))
-    assert [real_roots(Polynomial(p.coeffs)).distinct_roots for p in polys] == want
-
-
 @pytest.mark.parametrize("ks, rs", [
     ((2,), ()),
     ((3, 5), (Fraction(1, 3),)),

@@ -166,29 +166,6 @@ def symmetrization_defect(H, A) -> Fraction:
     return Fraction(exactla._asymmetry(exactla._matmul(X.rows, Y.rows)), X.den * Y.den)
 
 
-def companion_defect(H, p: Polynomial) -> Fraction:
-    """``symmetrization_defect(H, companion_matrix(p))``, in m^2 products, not m^3.
-
-    With P = (L, P_1, .., P_m) the primitive integers of p, the integer
-    rows of L A (``companion_matrix``) hold L on the superdiagonal and
-    -(P_m, .., P_1) as the last row.  So for H = X / dx, column j of X (L A)
-    is L times column j - 1 of X plus column m - 1 of X times entry j of
-    that last row.  Float p is taken at its exact value, as the float
-    companion matrix of monic p holds its coefficients as they are.
-    """
-    p.require_monic("companion matrix input")
-    X = IntMatrix.of(H)
-    P = p.as_exact().primitive[0]
-    m = len(P) - 1
-    if X.shape != (m, m):
-        raise DegreeMismatchError(f"matrix of shape {X.shape} against a companion matrix of "
-                                  f"degree {m}")
-    L, last = P[0], [-c for c in P[:0:-1]]
-    product = [[row[-1] * last[0]] + [L * row[j - 1] + row[-1] * last[j] for j in range(1, m)]
-               for row in X.rows]
-    return Fraction(exactla._asymmetry(product), X.den * L)
-
-
 def psd_check(H, tol: float = 1e-9) -> PsdVerdict:
     """Positive semidefiniteness certificate for a symmetric matrix."""
     return psd_certificate(H, tol)

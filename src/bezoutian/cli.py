@@ -21,12 +21,12 @@ from fractions import Fraction
 from . import __version__, exactla
 from .bezout import (
     bezout_matrix,
-    companion_defect,
     companion_matrix,
     discriminant,
     psd_check,
     resultant,
     separation_lower_bound_check,
+    symmetrization_defect,
 )
 from .energy import ExponentialSignal, chain_bound_check, derivative_identity_check, energy_series, propagate
 from .errors import DegreeMismatchError, NonHyperbolicError
@@ -185,7 +185,7 @@ def cmd_analyze(args, report: CertifiedReport):
     H = bezout_matrix(p, q)
     report.inputs["bezout_matrix"] = _echo_matrix(H)
     report.inputs["companion_matrix"] = _echo_matrix(A)
-    defect = companion_defect(H, p)
+    defect = symmetrization_defect(H, A)
     report.add_bool("companion symmetrization defect", "companion-symmetrization",
                     defect <= tol, _exact_witness(defect), tol)
     report.add_bool("derivative form semidefinite (hyperbolicity certificate)",

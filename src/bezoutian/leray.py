@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import exactla
-from .bezout import bezout_matrix, companion_defect
+from .bezout import bezout_matrix, companion_matrix, symmetrization_defect
 from .exactla import IntMatrix, PsdVerdict
 from .polynomial import Polynomial, power_sums
 from .roots import _sturm_ends
@@ -104,7 +104,7 @@ def _leray_symmetrizer(p: Polynomial) -> LeraySymmetrizer:
         return LeraySymmetrizer(S, B, Fraction(0), Fraction(0), Fraction(0), B.ldl)
     B = exactla.adjugate(S)
     det_s = exactla.adjugate_det(S, B)
-    defect = companion_defect(B, p)
+    defect = symmetrization_defect(B, companion_matrix(p))
     if det_s and exactla.is_adjugate_product(S, B, det_s):
         # B = det(S) S^-1 is nonsingular, and definite exactly when S is
         pd = S.ldl.is_pd

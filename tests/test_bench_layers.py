@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-LAYERS = {"bezout_matrix", "psd_certificate", "symmetrization_defect", "companion_defect", "det",
+LAYERS = {"bezout_matrix", "psd_certificate", "symmetrization_defect", "det",
           "separation_lower_bound_check", "h_b_relation_check", "leray_symmetrizer",
           "leray_symmetrizer_float", "is_hyperbolic", "separates", "real_roots_exact",
           "certify_stages", "nuij_family", "nuij_grid", "real_roots_float", "invert_transform",

@@ -36,7 +36,6 @@ from bezoutian import (
     separation_lower_bound_check,
     symmetrization_defect,
 )
-from bezoutian.bezout import companion_defect
 from bezoutian.exactla import det, symmetry_defect
 from bezoutian.roots import DEFAULT_TOL
 from test_exactla import reference_psd
@@ -425,30 +424,6 @@ def test_integer_bezout_matches_fraction_division(pair):
         assert type(got) is Fraction
         assert got == reference_symmetry_defect(reference_product(want, A.tolist()))
     assert det(H) == det(H.fractions)
-
-
-@pytest.mark.parametrize("m", range(1, 13))
-def test_companion_defect_matches_the_matrix_product(m):
-    # the structured product H (L A) against the m^3 product of the two
-    # matrices: on random integer H over a denominator, and on a decimal p,
-    # whose float companion matrix holds its coefficients as they are
-    rg = corpus.rng(300 + m)
-    for _ in range(4):
-        p = corpus.monic_poly(rg, m)
-        H = IntMatrix(tuple(tuple(rg.randint(-50, 50) for _ in range(m)) for _ in range(m)),
-                      rg.choice((1, 2, 6, 35)))
-        got = companion_defect(H, p)
-        assert type(got) is Fraction
-        assert got == symmetrization_defect(H, companion_matrix(p))
-        pf = p.as_float()
-        assert companion_defect(H, pf) == symmetrization_defect(H, companion_matrix(pf))
-    H = bezout_matrix(p, p.derivative())
-    assert companion_defect(H, p) == 0
-
-
-def test_companion_defect_refuses_a_mismatched_shape():
-    with pytest.raises(DegreeMismatchError):
-        companion_defect(IntMatrix(((1, 0), (0, 1))), X3_MINUS_X)
 
 
 square_st = st.integers(1, 5).flatmap(lambda n: st.lists(

@@ -20,9 +20,7 @@ same call and builds what it needs (the forms, or the roots of p and p').
 the irrational pair +-sqrt(2): x^2 - 2 times the m - 2 rational roots of
 degree m - 2, so the rational-root search leaves the cofactor x^2 - 2 while
 the end coefficients stay within ``roots._FACTOR_BOUND`` (through m = 16
-here), and the whole factor past it (m = 24).  ``companion_defect`` is the
-defect of ``symmetrization_defect(H, A)`` from the structure of A, on a
-source tree that has it.
+here), and the whole factor past it (m = 24).
 Thirteen rows run at m <= ``SLOW_MAX_DEGREE`` only, three of them because
 one call of each takes seconds beyond it on some source trees (2-core x86_64
 machine):
@@ -106,10 +104,6 @@ try:
     from bezoutian import certify_stages
 except ImportError:  # a source tree from before the exact stage certificate
     certify_stages = None
-try:
-    from bezoutian.bezout import companion_defect
-except ImportError:  # a source tree from before the structured companion product
-    companion_defect = None
 try:
     from bezoutian import build_family
 except ImportError:  # a source tree from before the grid kernel
@@ -229,8 +223,6 @@ def layer_rows(degrees) -> list:
             "separates": lambda: separates(fresh(p), dp),
             "real_roots_exact": lambda: real_roots(fresh(quadratic)),
         }
-        if companion_defect is not None:
-            calls["companion_defect"] = lambda: companion_defect(H, p)
         if m <= SLOW_MAX_DEGREE:
             calls["leray_symmetrizer_float"] = lambda: leray_symmetrizer(fresh(pf))
             calls["nuij_family"] = lambda: nuij_family(fresh(p), 1e-4)

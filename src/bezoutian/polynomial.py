@@ -206,10 +206,10 @@ class Polynomial:
         The derivatives and the other backend of p (``derivative``,
         ``as_float``, ``as_exact``), its Bezout forms (``bezout.bezout_matrix``,
         keyed by the value of q), its roots (``roots.real_roots``), its
-        companion eigenvalues (``roots._float_roots``) and the rounded roots
-        of its exact square-free cofactors (``roots._bracketed_roots``), the
-        ends of its Sturm chain
-        (``roots._sturm_ends``), its smoothing family points
+        companion eigenvalues (``roots._float_roots``), its exact roots,
+        which every tolerance reads (``roots._exact_roots``), its
+        Sturm chain with the chain's ends and gcd (``roots._sturm``), its
+        smoothing family points
         (``nuij.nuij_family``) and its power-sum symmetrizer
         (``leray.leray_symmetrizer``) are built on first request
         and kept here, as a matrix keeps its certificate, so every check of

@@ -4,13 +4,16 @@ The exact backend never trusts a float where it matters: multiplicities come
 from gcd structure (Yun decomposition) and hyperbolicity from one Sturm
 chain, so rational inputs get exact multiplicity profiles and exact verdicts.
 ``is_hyperbolic`` decides exact input without a root and reads the root
-profile only when a caller asks for its witness.  On exact input the
-rational-root search leaves a square-free integer cofactor, and its roots
-come from certified brackets (``_bracketed_roots``), with no float
-polynomial and no eigensolver: Sturm's theorem on the cofactor's own chain
-isolates each root in a dyadic bracket (``_isolate``), and each bracket is
-halved to the float nearest its root by exact signs at dyadic points
-(``_nearest_float``).  A Sturm count short of the degree raises NonHyperbolicError.
+profile only when a caller asks for its witness.  On exact input every root
+of a square-free Yun factor comes from one kernel (``_factor_roots``), with
+no float polynomial and no eigensolver: Sturm's theorem on the factor's own
+chain isolates each root in a dyadic bracket (``_isolate``), and one
+refinement loop settles each bracket by exact signs at dyadic points
+(``_settle``).  A rational root of the primitive integer factor c is k/|lc c|
+(rational root theorem), so a bracket narrower than 1/|lc c| holds one
+candidate, tested exactly; a root that fails it is irrational and is halved
+to the float nearest it.  A Sturm count short of the degree raises
+NonHyperbolicError.
 A float polynomial keeps its companion eigenvalues, which a batch of
 polynomials of one degree gets from one stacked LAPACK call on the
 matrices of ``bezout._companion_stack``; the Newton polish
@@ -22,14 +25,13 @@ The exact kernels run on a polynomial's primitive integer coefficients
 polynomial; the list kernels ``_derivative``, ``_int_primitive`` and the
 homogeneous Horner ``_int_horner`` live in ``polynomial``): the gcd is a
 primitive remainder sequence of pseudo-remainders, Yun's quotients are exact
-integer divisions, the Sturm chain of pseudo-remainders ends at gcd(p, p')
-and returns the degree and leading sign of each member, which give the
-real-root count, and the rational-root search tests integer candidates.
-The monic factors, counts and roots they return equal those of Fraction
-arithmetic.  The Sturm kernel takes an integer list directly, so a caller
-holding one (the Nuij stage chain of ``nuij.certify_stages``, which also
-reads the Cauchy index of the next stage from those ends) builds no
-Polynomial for it.
+integer divisions, and the Sturm chain of pseudo-remainders ends at
+gcd(p, p') and returns the degree and leading sign of each member, which
+give the real-root count.  The monic factors, counts and roots they return
+equal those of Fraction arithmetic.  The Sturm kernel takes an integer list
+directly, so a caller holding one (the Nuij stage chain of
+``nuij.certify_stages``, which also reads the Cauchy index of the next stage
+from those ends) builds no Polynomial for it.
 """
 
 from __future__ import annotations
@@ -45,10 +47,6 @@ from .polynomial import Polynomial, RootProfile, _derivative, _int_horner, _int_
 from .scalars import BACKEND_EXACT
 
 DEFAULT_TOL = 1e-9
-
-# beyond this, rational-root candidate enumeration is not worth it
-_FACTOR_BOUND = 10**12
-
 
 def _strip(c: list) -> list:
     i = 0
@@ -133,7 +131,8 @@ def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
     primitive gcd, so every quotient is an exact integer division (Gauss's
     lemma).  The first, gcd(p, p'), is the last member of the Sturm chain
     that p keeps (``_sturm_gcd``), so p's hyperbolicity gate and its
-    decomposition divide the pair once.
+    decomposition divide the pair once.  A square-free monic p is its own
+    factor, so its roots read that chain too (``_factor_roots``).
     """
     if p.backend != BACKEND_EXACT:
         raise ValueError("square-free decomposition requires the exact backend")
@@ -143,7 +142,7 @@ def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
     df = _derivative(f)
     g = _sturm_gcd(p)
     if len(g) == 1:
-        return [(Polynomial.exact([Fraction(v, f[0]) for v in f]), 1)]
+        return [(p if p.is_monic else Polynomial.exact([Fraction(v, f[0]) for v in f]), 1)]
     c = _exact_quotient(f, g)
     d = _sub(_exact_quotient(df, g), _derivative(c))
     out = []
@@ -160,34 +159,21 @@ def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
     return out
 
 
-def radical(p: Polynomial) -> Polynomial:
-    """Product of the distinct irreducible factors (square-free part)."""
-    parts = squarefree_decomposition(p)
-    out = Polynomial.one()
-    for f, _ in parts:
-        out = out * f
-    return out
+def _int_sturm_chain(a: list) -> tuple[list, tuple, list]:
+    """(ends, gcd, chain) of the Sturm chain of the integer polynomial a
+    (leading first, degree >= 1).
 
-
-def _sturm_chain(p: Polynomial) -> tuple[int, int]:
-    """(distinct real roots, deg gcd(p, p')) of exact p from one Sturm chain."""
-    return _chain_count(_int_sturm_chain(p.primitive[0])[0])
-
-
-def _int_sturm_chain(a: list) -> tuple[list, tuple]:
-    """(ends, gcd) of the Sturm chain of the integer polynomial a (leading
-    first, degree >= 1).
-
-    ``ends`` holds the (degree + 1, leading sign) of each member of
-    ``_sturm_sequence(a)``, in chain order; the last member is gcd(a, a'),
-    and ``gcd`` is that member with a positive leading coefficient, the
-    primitive gcd that ``poly_gcd`` gives.  The ends are all that Sturm's
-    theorem (``_chain_count``) and the Cauchy index of a Nuij stage
-    (``nuij._next_stage``) read of the chain.
+    ``chain`` is ``_sturm_sequence(a)``, and ``ends`` holds the (degree + 1,
+    leading sign) of each member, in chain order; the last member is
+    gcd(a, a'), and ``gcd`` is that member with a positive leading
+    coefficient, the primitive gcd that ``poly_gcd`` gives.  The ends are
+    all that Sturm's theorem (``_chain_count``) and the Cauchy index of a
+    Nuij stage (``nuij._next_stage``) read of the chain; root isolation
+    (``_isolate``) reads the members.
     """
     chain = _sturm_sequence(a)
     g = chain[-1]
-    return [(len(f), f[0] > 0) for f in chain], tuple(g if g[0] > 0 else [-v for v in g])
+    return [(len(f), f[0] > 0) for f in chain], tuple(g if g[0] > 0 else [-v for v in g]), chain
 
 
 def _sturm_sequence(a: list) -> list[list]:
@@ -237,23 +223,29 @@ def sturm_real_root_count(p: Polynomial) -> int:
         raise ValueError("Sturm counting requires the exact backend")
     if p.degree < 1:
         return 0
-    return _sturm_chain(p)[0]
+    return _chain_count(_int_sturm_chain(p.primitive[0])[0])[0]
+
+
+def _sturm(p: Polynomial) -> tuple[list, tuple, list]:
+    """``_int_sturm_chain`` of exact p of degree >= 1, which p keeps (``Polynomial.memo``).
+
+    ``is_hyperbolic`` reads its verdict from the ends, Yun's decomposition
+    starts from the gcd, ``nuij.certify_stages`` reads stage 0 and the
+    Cauchy index of stage 1 at every eps, and the roots of a square-free p
+    are isolated on the chain itself.
+    """
+    return p.derived("sturm", lambda: _int_sturm_chain(p.primitive[0]))
 
 
 def _sturm_ends(p: Polynomial) -> list:
-    """The ends of the Sturm chain of exact p of degree >= 1 (``_int_sturm_chain``).
-
-    p keeps the chain's ends and gcd (``Polynomial.memo``): ``is_hyperbolic``
-    reads its verdict from the ends, and ``nuij.certify_stages`` reads stage
-    0 and the Cauchy index of stage 1 at every eps.
-    """
-    return p.derived("sturm", lambda: _int_sturm_chain(p.primitive[0]))[0]
+    """The ends of the Sturm chain of exact p of degree >= 1 (``_sturm``)."""
+    return _sturm(p)[0]
 
 
 def _sturm_gcd(p: Polynomial) -> tuple:
     """gcd(p, p') of exact p of degree >= 1 as primitive ints, positive leading
-    first: the last member of the Sturm chain p keeps (``_sturm_ends``)."""
-    return p.derived("sturm", lambda: _int_sturm_chain(p.primitive[0]))[1]
+    first: the last member of the Sturm chain p keeps (``_sturm``)."""
+    return _sturm(p)[1]
 
 
 def _hyperbolic_strict(p: Polynomial) -> tuple[bool, bool]:
@@ -269,79 +261,6 @@ def _chain_verdict(ends: list) -> tuple[bool, bool]:
     count, gcd_degree = _chain_count(ends)
     hyperbolic = count == ends[0][0] - 1 - gcd_degree
     return hyperbolic, hyperbolic and gcd_degree == 0
-
-
-def _divisors(n: int) -> list[int]:
-    """Positive divisors of n != 0, ascending, from its factorization by trial division."""
-    n = abs(n)
-    divs = [1]
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            divs = [x * d**k for x in divs for k in range(e + 1)]
-        d += 1 if d == 2 else 2
-    if n > 1:
-        divs += [x * n for x in divs]
-    return sorted(divs)
-
-
-def _deflate(c: list[int], r: int, q: int) -> list[int]:
-    """The integer quotient of c by q x - r, which must divide it."""
-    out = [c[0] // q]
-    for ci in c[1:-1]:
-        out.append((ci + r * out[-1]) // q)
-    return out
-
-
-def _search_state(c: list[int]) -> tuple[int, int, int, int, int]:
-    """|lc|, c_0, B, c(1), c(-1); every root has |x| <= B / |lc| (Cauchy's bound)."""
-    lc = abs(c[0])
-    bound = lc + max(abs(v) for v in c[1:])
-    rev = c[::-1]
-    return lc, c[-1], bound, sum(c), sum(rev[0::2]) - sum(rev[1::2])
-
-
-def _rational_roots(f: Polynomial) -> tuple[list[Fraction], Polynomial]:
-    """All rational roots of a square-free exact polynomial, plus the cofactor.
-
-    The cofactor is f's primitive integer multiple divided by x - root for
-    every root found.  A root r/q in lowest terms of the current integer
-    polynomial c has q | lc and r | c_0 (rational root theorem), lies within
-    the Cauchy bound, and q x - r divides c, so q - r divides c(1) and q + r
-    divides c(-1); each candidate passing these tests is checked by
-    homogeneous integer Horner (``polynomial._int_horner``) and deflated
-    exactly.
-    """
-    ints = list(f.primitive[0])
-    found: list[Fraction] = []
-    while len(ints) > 1 and ints[-1] == 0:
-        found.append(Fraction(0))
-        ints.pop()
-    scale = 1  # product of the found denominators: the cofactor is over x - r/q, not q x - r
-    if len(ints) > 1 and abs(ints[-1]) <= _FACTOR_BOUND and abs(ints[0]) <= _FACTOR_BOUND:
-        numerators = _divisors(ints[-1])
-        lc, c0, cauchy, at_one, at_minus_one = _search_state(ints)
-        for q in _divisors(ints[0]):
-            for r in numerators:
-                if len(ints) < 2 or lc % q or r * lc > cauchy * q:
-                    break
-                if c0 % r or math.gcd(r, q) != 1:
-                    continue
-                for num in (r, -r):
-                    if ((q == num or at_one % (q - num) == 0)
-                            and (q == -num or at_minus_one % (q + num) == 0)
-                            and _int_horner(ints, num, q)[0] == 0):
-                        found.append(Fraction(num, q))
-                        ints = _deflate(ints, num, q)
-                        scale *= q
-                        if len(ints) < 2:
-                            break
-                        lc, c0, cauchy, at_one, at_minus_one = _search_state(ints)
-    return sorted(found), Polynomial.exact([scale * v for v in ints])
 
 
 def _sign_at(c, n: int, d: int) -> int:
@@ -405,48 +324,57 @@ def _to_float(n: int, d: int) -> float:
         return math.inf if n > 0 else -math.inf
 
 
-def _nearest_float(c, lo: int, hi: int, d: int) -> float:
-    """The float nearest the one root r of the square-free integer c in (lo/d, hi/d].
+def _settle(c, lo: int, hi: int, d: int):
+    """The one root r of the square-free integer c in (lo/d, hi/d]: a Fraction
+    when r is rational, else the float nearest r.
 
-    The root is hi/d if c(hi/d) = 0; otherwise c has the sign s of c(hi/d)
-    on (r, hi/d] and -s on (lo/d, r).  Halving the bracket shrinks it until
-    both ends round to one float, which rounding's monotonicity makes r's.
-    Every sign is exact, so the result is r correctly rounded, ties to even,
-    infinite past the float64 range.
+    c has the sign s of c(hi/d) on (r, hi/d] and -s on (lo/d, r), so halving
+    the bracket by the sign at its midpoint keeps r inside, on the dyadic
+    grid of ``_isolate``; an end or midpoint at r returns it exactly.  A
+    rational root of c is k/|lc| for an integer k (rational root theorem),
+    so once the bracket is narrower than 1/|lc| it holds one candidate, and
+    ``_int_horner`` tests it exactly.  Past that test r is irrational, and
+    halving goes on until both ends round to one float, which rounding's
+    monotonicity makes r's: every sign is exact, so the result is r
+    correctly rounded, ties to even, infinite past the float64 range.
     """
     s = _sign_at(c, hi, d)
     if not s:
-        return _to_float(hi, d)
-    # halving keeps (lo/d, hi/d] on the dyadic grid of _isolate, so a dyadic
-    # root is met exactly: a tie between two floats cannot stall the loop
-    while _to_float(lo, d) != _to_float(hi, d):
+        return Fraction(hi, d)
+    lc = abs(c[0])
+    untested = True
+    while True:
+        if untested and (hi - lo) * lc < d:
+            untested = False
+            k = hi * lc // d  # the largest k/lc <= hi/d
+            if k * d > lo * lc and not _int_horner(c, k, lc)[0]:
+                return Fraction(k, lc)
+        if not untested and _to_float(lo, d) == _to_float(hi, d):
+            return _to_float(hi, d)
         lo, hi, d = 2 * lo, 2 * hi, 2 * d
         mid = (lo + hi) // 2
         s_mid = _sign_at(c, mid, d)
         if not s_mid:
-            return _to_float(mid, d)
+            return Fraction(mid, d)
         if s_mid == s:
             hi = mid
         else:
             lo = mid
-    return _to_float(hi, d)
 
 
-def _bracketed_roots(f: Polynomial) -> list[float]:
-    """The real roots of the square-free exact f, ascending, each the float nearest it.
+def _factor_roots(f: Polynomial) -> list:
+    """The real roots of the square-free exact f, ascending: each a Fraction
+    when rational, else the float nearest it.
 
-    Sturm brackets (``_isolate``) on f's primitive integers, each refined
-    to its correctly rounded float (``_nearest_float``); no float
-    polynomial and no eigensolver.  Raises NonHyperbolicError when f has a
-    complex root, and OverflowError when a root lies past the float64 range,
-    where by Cauchy's bound |r| < 1 + max |c_i / c_0| a coefficient of f and
-    of every monic multiple of f lies too.
+    A degree-1 f gives its root directly.  Otherwise each Sturm bracket on
+    the chain f keeps (``_sturm``, ``_isolate``) is settled by ``_settle``
+    on f's primitive integers.  Raises NonHyperbolicError when f has a
+    complex root.
     """
-    c = list(f.primitive[0])
-    out = [_nearest_float(c, *bracket) for bracket in _isolate(_sturm_sequence(c))]
-    if not all(map(math.isfinite, out)):
-        raise OverflowError("a coefficient leaves the float64 range")
-    return out
+    c = f.primitive[0]
+    if len(c) == 2:
+        return [Fraction(-c[1], c[0])]
+    return [_settle(c, *bracket) for bracket in _isolate(_sturm(f)[2])]
 
 
 def _polish_roots(pf: Polynomial, zs) -> list[complex]:
@@ -547,8 +475,8 @@ def real_roots(p: Polynomial, tol: float = DEFAULT_TOL,
     """Sorted real roots with multiplicities.
 
     Exact backend: multiplicities from the Yun decomposition (exact), root
-    values exact when rational, else the correctly rounded floats of the
-    roots of square-free factors (``_bracketed_roots``).
+    values exact when all are rational, else the correctly rounded floats of
+    the roots of the square-free factors (``_factor_roots``).
     Float backend: companion eigenvalues, Newton polishing, and merging of
     clusters closer than tol*max(1,|root|).  ``imag_tol`` loosens only the
     complex-root rejection threshold; callers that already know the input
@@ -565,27 +493,35 @@ def real_roots(p: Polynomial, tol: float = DEFAULT_TOL,
 
 def _real_roots(p: Polynomial, tol: float, itol: float) -> RootProfile:
     if p.backend == BACKEND_EXACT:
-        pairs: list[tuple[object, int]] = []
-        all_rational = True
-        for factor, mult in squarefree_decomposition(p):
-            rational, rest = _rational_roots(factor)
-            pairs.extend((r, mult) for r in rational)
-            if rest.degree >= 1:
-                all_rational = False
-                # p keeps the rounded roots of each cofactor, which every tol reads
-                vals = p.derived(("bracketed roots", rest),
-                                 functools.partial(_bracketed_roots, rest))
-                pairs.extend((v, mult) for v in vals)
-        pairs.sort(key=lambda rm: rm[0])
-        profile = RootProfile(tuple(r if all_rational else float(r) for r, _ in pairs),
-                              tuple(m for _, m in pairs))
-        if all_rational:
+        # p keeps its exact roots, which every tol reads
+        profile = RootProfile(*p.derived("exact roots", functools.partial(_exact_roots, p)))
+        if all(type(r) is Fraction for r in profile.distinct_roots):
             return profile  # each root passed an exact evaluation
     else:
         vals = _require_real(_float_roots(p), itol)
         profile = RootProfile.from_flat(vals, tol=tol)
     _residual_check(p, profile.distinct_roots, max(tol, 1e-12))
     return profile
+
+
+def _exact_roots(p: Polynomial) -> tuple[tuple, tuple]:
+    """(roots, multiplicities) of exact p, ascending: the roots ``_factor_roots``
+    settles on each Yun factor, Fractions when all are rational, else each
+    the float nearest it.
+
+    Raises OverflowError when a root lies past the float64 range beside an
+    irrational one, where by Cauchy's bound |r| < 1 + max |c_i / c_0| a
+    coefficient of p lies too.
+    """
+    pairs = sorted((r, mult) for factor, mult in squarefree_decomposition(p)
+                   for r in _factor_roots(factor))
+    roots = tuple(r for r, _ in pairs)
+    if not all(type(r) is Fraction for r in roots):
+        roots = tuple(r if type(r) is float else _to_float(r.numerator, r.denominator)
+                      for r in roots)
+        if not all(map(math.isfinite, roots)):
+            raise OverflowError("a coefficient leaves the float64 range")
+    return roots, tuple(m for _, m in pairs)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 LAYERS = {"bezout_matrix", "psd_certificate", "symmetrization_defect", "det",
           "separation_lower_bound_check", "h_b_relation_check", "leray_symmetrizer",
           "leray_symmetrizer_float", "is_hyperbolic", "separates", "real_roots_exact",
+          "real_roots_exact_rational",
           "certify_stages", "nuij_family", "nuij_grid", "real_roots_float", "invert_transform",
           "verify_quasi_point", "verify_quasi_grid", "certify_stages_grid_point",
           "propagate_strict",

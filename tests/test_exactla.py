@@ -1,9 +1,10 @@
 """Integer exact kernels: Bareiss det, Faddeev-LeVerrier adjugate, LDL pivot
-signs, rational-root search.
+signs, rational roots.
 
 Each kernel is compared with a plain Fraction reference kept here: cofactor
 expansion for the adjugate, Gaussian elimination for the determinant and
-for the PSD pivots, and divisor-pair enumeration for the rational roots.
+for the PSD pivots, and divisor-pair enumeration for the rational roots
+that the root kernel settles from its Sturm brackets.
 """
 
 import math
@@ -16,7 +17,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import corpus
-from bezoutian import Polynomial, bezout_matrix, companion_matrix, exactla
+from bezoutian import (
+    NonHyperbolicError,
+    Polynomial,
+    bezout_matrix,
+    companion_matrix,
+    exactla,
+    real_roots,
+    squarefree_decomposition,
+)
 from bezoutian.exactla import (
     IntMatrix,
     _asymmetry,
@@ -30,7 +39,7 @@ from bezoutian.exactla import (
     psd_certificate,
     symmetry_defect,
 )
-from bezoutian.roots import _divisors, _rational_roots
+from bezoutian.roots import _factor_roots
 
 F = Fraction
 
@@ -483,11 +492,6 @@ def enumeration_rational_roots(f: Polynomial):
     return sorted(found), work
 
 
-def test_divisors():
-    for n in (1, 2, 12, -36, 97, 360, 2**5 * 3**3 * 7, 1001 * 13):
-        assert _divisors(n) == enumeration_divisors(n)
-
-
 roots_st = st.lists(st.fractions(min_value=-8, max_value=8, max_denominator=6), max_size=5,
                     unique=True)
 
@@ -505,11 +509,21 @@ def test_rational_roots_match_enumeration(roots, quadratics, content, zero_root)
     for q in quadratics:
         p = p * Polynomial.exact(q)
     assume(p.degree >= 1)
-    found, cofactor = _rational_roots(p)
-    want, want_cofactor = enumeration_rational_roots(p)
-    assert found == want == sorted(roots)
-    assert cofactor.coeffs == want_cofactor.coeffs
-    assert all(type(c) is Fraction for c in cofactor.coeffs)
+    want, _ = enumeration_rational_roots(p)
+    assert want == sorted(roots)
+    monic = p * (1 / p.leading)
+    if any(b * b < 4 * a * c for a, b, c in quadratics):
+        with pytest.raises(NonHyperbolicError):
+            real_roots(monic)
+        return
+    # the roots that the kernel of real_roots settles on each Yun factor: the
+    # rational ones are Fractions, and every other one is a float
+    found = [r for f, _ in squarefree_decomposition(monic) for r in _factor_roots(f)]
+    assert sorted(r for r in found if type(r) is Fraction) == want
+    assert sum(type(r) is float for r in found) == 2 * len({(F(b, a), F(c, a))
+                                                            for a, b, c in quadratics})
+    if not quadratics:
+        assert real_roots(monic).distinct_roots == tuple(want)
 
 
 def test_rational_roots_content_and_sign():
@@ -517,6 +531,9 @@ def test_rational_roots_content_and_sign():
     # cleared integer coefficients have content 2
     p = Polynomial.exact([-12]) * Polynomial.exact([1, F(-1, 2)]) * Polynomial.exact(
         [1, F(2, 3)]) * Polynomial.exact([1, 0]) * Polynomial.exact([1, 0, -2])
-    found, cofactor = _rational_roots(p)
-    assert found == [F(-2, 3), 0, F(1, 2)]
-    assert cofactor.coeffs == enumeration_rational_roots(p)[1].coeffs == (-6, 0, 12)
+    found = _factor_roots(p)
+    want, cofactor = enumeration_rational_roots(p)
+    assert [r for r in found if type(r) is Fraction] == want == [F(-2, 3), 0, F(1, 2)]
+    # the irrational roots are those of the enumeration's cofactor -6 x^2 + 12
+    assert cofactor.coeffs == (-6, 0, 12)
+    assert found == [-math.sqrt(2), F(-2, 3), 0, F(1, 2), math.sqrt(2)]

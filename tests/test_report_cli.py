@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -175,13 +176,16 @@ def test_complex_q_fails_separation_and_does_not_blame_p(capsys, poly, q):
 
 @pytest.mark.parametrize("poly", ["[1,0,-2]", "[1,0,-1,0]", '["1/1","-3/1","3/1","-1/1"]'])
 def test_exact_analyze_reads_roots_once_and_certifies_one_form(capsys, monkeypatch, poly):
-    # p has one square-free factor, so finding its roots once searches it once
-    root_calls = count_calls(monkeypatch, roots._rational_roots)
+    # p has one square-free factor, so finding its roots once settles it once;
+    # a square-free p is its own factor, and the Sturm chain of its gate
+    # isolates its roots, so every request builds one chain
+    root_calls = count_calls(monkeypatch, roots._factor_roots)
+    chains = count_calls(monkeypatch, roots._int_sturm_chain)
     ldl_runs = count_calls(monkeypatch, exactla._integer_psd)
     code, _, _ = run_cli(capsys, "analyze", "--poly", poly)
     assert code == 0
     # one LDL elimination of the form of (p, p'), one of H - c H(p, p') for the bound
-    assert (len(root_calls), len(ldl_runs)) == (1, 2)
+    assert (len(root_calls), len(chains), len(ldl_runs)) == (1, 1, 2)
 
 
 @pytest.mark.parametrize("argv, ldl, bareiss", [
@@ -601,8 +605,8 @@ def test_decimal_nuij_and_quasi_reports_equal_those_of_their_exact_values(
 
 def test_analyze_reports_determinants_past_the_float_range(capsys):
     # 24 distinct rationals 13k/6: disc p is about 8.1e623, and float(disc)
-    # raised OverflowError out of main; the leading and constant coefficients
-    # pass 10^12, so the roots are the rounded floats of Sturm brackets, held to tol
+    # raised OverflowError out of main; the roots come back exact from their
+    # Sturm brackets
     p = Polynomial.from_roots([Fraction(13 * k, 6) for k in range(-12, 12)])
     code, out, err = run_cli(capsys, "analyze", "--poly", fraction_argv(p))
     assert (code, err) == (0, "")
@@ -622,7 +626,7 @@ def test_exact_rational_roots_skip_the_float_residual_check(capsys):
 
 
 def test_leray_reads_no_root(capsys, monkeypatch):
-    calls = count_calls(monkeypatch, roots._rational_roots)
+    calls = count_calls(monkeypatch, roots._factor_roots)
     for poly in ("[1,0,-1]", "[1,0,-2]", "[1,-3,3,-1]", "[1.0,-4.0,6.0,-4.0,1.0]"):
         code, _, _ = run_cli(capsys, "leray", "--poly", poly)
         assert code == 0
@@ -664,12 +668,63 @@ def test_smoothing_family_past_the_float_range_is_an_input_error(capsys, argv):
     ("quasi", "smoothing family at eps=1.0 leaves the float64 range"),
 ])
 def test_an_exact_root_past_the_float_range_is_an_input_error(capsys, command, message):
-    # x - 10^400: the constant term is past roots._FACTOR_BOUND, so analyze
-    # brackets the root, which no float holds, and energy reads the float
-    # rounding of p; both raised OverflowError out of main
-    code, out, err = run_cli(capsys, command, "--poly", json.dumps([1, str(-10**400)]))
+    # energy reads the float rounding of x - 10^400, and both raised
+    # OverflowError out of main.  analyze holds that rational root exactly
+    # (test_analyze_certifies_a_rational_root_past_the_float_range), so its
+    # row takes x^2 - 2 10^800, whose irrational roots no float holds
+    poly = [1, 0, str(-2 * 10**800)] if command == "analyze" else [1, str(-10**400)]
+    code, out, err = run_cli(capsys, command, "--poly", json.dumps(poly))
     assert (code, out) == (2, "")
     assert err == f"input error: {message}\n"
+
+
+def test_analyze_certifies_a_rational_root_past_the_float_range(capsys):
+    # x - 10^400: a degree-1 factor gives its root as a Fraction, which no
+    # check rounds to a float
+    code, out, err = run_cli(capsys, "analyze", "--poly", json.dumps([1, str(-10**400)]))
+    assert (code, err) == (0, "")
+    assert strict_json(out)["all_pass"]
+
+
+def test_irrational_roots_at_the_top_of_the_float_range_keep_the_residual_check(capsys):
+    # +-sqrt(3) 10^308 are floats, but the coefficient 3 10^616 is not: the
+    # residual check's float rounding of p names the float64 range, where
+    # reading its roots without it failed on a NaN
+    code, out, err = run_cli(capsys, "analyze", "--poly", json.dumps([1, 0, str(-3 * 10**616)]))
+    assert (code, out) == (2, "")
+    assert err == "input error: a coefficient leaves the float64 range\n"
+
+
+def test_analyze_on_a_highly_composite_quadratic_takes_bounded_time(capsys):
+    # x^2 + x/963761198400 - 1: 6720 divisors at both cleared ends, every
+    # divisor pair of which the rational-root search tried (6 s of CPU)
+    start = time.process_time()
+    code, out, err = run_cli(capsys, "analyze", "--poly", '["1/1","1/963761198400","-1/1"]')
+    assert (code, err) == (0, "")
+    assert strict_json(out)["all_pass"]
+    assert time.process_time() - start < 2.0
+
+
+def test_analyze_certifies_roots_one_ulp_apart(capsys):
+    # 1 +- 10^-20 round to one float, which made the root profile an input
+    # error (exit 2); as Fractions the roots stay distinct
+    p = Polynomial.exact([1, -2, 1 - Fraction(1, 10**40)])
+    code, out, err = run_cli(capsys, "analyze", "--poly", fraction_argv(p))
+    assert (code, err) == (0, "")
+    assert strict_json(out)["all_pass"]
+    assert roots.real_roots(p).distinct_roots == (1 - Fraction(1, 10**20),
+                                                  1 + Fraction(1, 10**20))
+    assert all(type(r) is Fraction for r in roots.real_roots(p).distinct_roots)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "exit 2: the irrational pair 1 +- sqrt(2) 10^-20 rounds to one float, and a RootProfile "
+    "holds floats; ROADMAP item 2, floats in RootProfile"))
+def test_analyze_certifies_irrational_roots_one_ulp_apart(capsys):
+    p = Polynomial.exact([1, -2, 1 - Fraction(2, 10**40)])
+    code, out, err = run_cli(capsys, "analyze", "--poly", fraction_argv(p))
+    assert (code, err) == (0, ""), (code, err)
+    assert strict_json(out)["all_pass"]
 
 
 GOLDEN_CASES = json.loads((Path(__file__).parent / "golden" / "cases.json").read_text())
@@ -718,10 +773,10 @@ def test_nuij_finds_every_family_root_in_one_eigensolver_call(capsys, monkeypatc
 
 @pytest.mark.parametrize("tol", [[], ["--tol", "1e-6"]])
 def test_analyze_finds_the_float_roots_of_p_once_at_any_tol(capsys, monkeypatch, tol):
-    # the irrational roots of (x^2 - 2)^2 (x^2 - 3) serve every tol: p keeps the
-    # rounded roots of each square-free cofactor, and only the thresholds that
-    # read them change
-    calls = count_calls(monkeypatch, roots._bracketed_roots)
+    # the irrational roots of (x^2 - 2)^2 (x^2 - 3) serve every tol: p keeps
+    # its exact root profile, so each square-free factor is settled once, and
+    # only the thresholds that read the roots change
+    calls = count_calls(monkeypatch, roots._factor_roots)
     code, _, err = run_cli(capsys, "analyze", "--poly", "[1,0,-7,0,16,0,-12]", *tol)
     assert (code, err) == (0, "")
     assert sorted(f.coeffs for f in calls) == [(1, 0, -3), (1, 0, -2)]
@@ -908,7 +963,8 @@ def standing(reason: str):
     pytest.param("nuij", "bench_layers_16", id="nuij-bench-layers-16", marks=standing(
         "exit 1: nuij-inversion at eps = 1 inverts the float p_eps (witness 1.58e8); "
         "ROADMAP item 7, exact nuij-inversion")),
-    # 15! and 24! are past roots._FACTOR_BOUND: the roots come from Sturm brackets
+    # 15! and 24! have too many divisors for a divisor-pair search: the roots
+    # come from Sturm brackets
     pytest.param("analyze", WILKINSON_15, id="analyze-wilkinson-15"),
     pytest.param("analyze", WILKINSON_24, id="analyze-wilkinson-24"),
     pytest.param("nuij", WILKINSON_24, id="nuij-wilkinson-24", marks=standing(

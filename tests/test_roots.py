@@ -2,14 +2,14 @@
 
 The integer gcd, Yun and Sturm kernels are compared with plain Fraction
 references kept here: Euclid's algorithm with monic normalization, Yun's
-algorithm over Fraction polynomials and the Sturm chain of the radical.
+algorithm over Fraction polynomials and the Sturm chain of the square-free part.
 """
 
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import corpus
@@ -27,17 +27,22 @@ from bezoutian import (
 import numpy as np
 
 from bezoutian import roots
-from bezoutian.polynomial import _int_primitive, _primitive
+from bezoutian.polynomial import RootProfile, _int_primitive, _primitive
 from bezoutian.quasi import max_multiplicity
 from bezoutian.roots import (
+    _chain_count,
     _float_roots,
     _hyperbolic_strict,
+    _int_sturm_chain,
     _polish_roots,
-    _sturm_chain,
     _sturm_gcd,
     poly_gcd,
-    radical,
 )
+
+
+def squarefree_degree(p: Polynomial) -> int:
+    """The degree of the square-free part of p, from its Yun decomposition."""
+    return sum(f.degree for f, _ in squarefree_decomposition(p))
 
 
 def test_real_roots_examples():
@@ -82,9 +87,9 @@ def test_profile_recovery_exact_multiplicities():
 
 
 def test_profile_recovery_irrational_multiple_roots():
-    # (x^2 - 2)^2 (x - 1): gcd structure supplies the multiplicities, the
-    # rational search the root 1, and Sturm brackets of the cofactor x^2 - 2
-    # the correctly rounded floats of +-sqrt(2)
+    # (x^2 - 2)^2 (x - 1): gcd structure supplies the multiplicities, and the
+    # Sturm brackets of the factor x^2 - 2 the correctly rounded floats of
+    # +-sqrt(2); beside them the root 1 is a float too
     base = Polynomial.exact([1, 0, -2])
     p = base * base * Polynomial.exact([1, -1])
     prof = real_roots(p)
@@ -92,13 +97,29 @@ def test_profile_recovery_irrational_multiple_roots():
     assert prof.distinct_roots == (-math.sqrt(2), 1, math.sqrt(2))
 
 
-def test_exact_roots_past_the_factor_bound_are_exact_floats():
-    # 24! is past roots._FACTOR_BOUND, so the whole factor goes to the brackets,
-    # and each integer root is the float it rounds to; the float companion
-    # eigenvalues of this cluster came out complex
+def test_wilkinson_24_roots_are_exact_integers():
+    # 24! has too many divisors for a search over divisor pairs; each Sturm
+    # bracket narrower than 1 holds one integer candidate, which is the root.
+    # The float companion eigenvalues of this cluster came out complex
     prof = real_roots(Polynomial.from_roots(range(1, 25)))
-    assert prof.distinct_roots == tuple(float(k) for k in range(1, 25))
-    assert all(type(r) is float for r in prof.distinct_roots)
+    assert prof.distinct_roots == tuple(range(1, 25))
+    assert all(type(r) is Fraction for r in prof.distinct_roots)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(4, 12), st.integers(1, 3),
+       st.fractions(min_value=10**4, max_value=10**6, max_denominator=99))
+def test_rational_roots_past_the_old_search_bound_are_exact(seed, m, max_mult, scale):
+    # the divisor-pair search skipped a square-free factor whose end
+    # coefficients passed 10^12, and its rational roots came back as floats
+    drawn = corpus.hyperbolic_profile(corpus.rng(seed), m, max_mult=max_mult)
+    profile = RootProfile(tuple(scale * r for r in drawn.distinct_roots), drawn.multiplicities)
+    p = Polynomial.from_roots(profile)
+    ends = [[v for v in f.primitive[0] if v] for f, _ in squarefree_decomposition(p)]
+    assume(any(max(abs(c[0]), abs(c[-1])) > 10**12 for c in ends))
+    prof = real_roots(p)
+    assert prof == profile
+    assert all(type(r) is Fraction for r in prof.distinct_roots)
 
 
 def nearest_float_brackets(f: float) -> tuple[Fraction, Fraction]:
@@ -141,7 +162,7 @@ def test_exact_irrational_roots_are_correctly_rounded(p):
     ((2,), ()),
     ((3, 5), (Fraction(1, 3),)),
     ((7, 11, 13), (Fraction(-5, 2), 4)),
-    ((2, 3, 5, 6, 7, 10), ()),  # degree 12, past roots._FACTOR_BOUND
+    ((2, 3, 5, 6, 7, 10), ()),  # degree 12
 ])
 def test_exact_irrational_roots_match_mpmath(ks, rs):
     import mpmath
@@ -194,7 +215,7 @@ def test_sturm_counts():
     assert sturm_real_root_count(Polynomial.exact([1, 0, 1])) == 0
     square = Polynomial.exact([1, 0, -1]) * Polynomial.exact([1, 0, -1])
     assert sturm_real_root_count(square) == 2
-    assert radical(square).degree == 2
+    assert squarefree_degree(square) == 2
 
 
 def test_is_hyperbolic_examples():
@@ -253,7 +274,7 @@ def test_hermite_matches_sturm_on_mixed_corpus():
             p = corpus.int_poly(rg, m)
         else:
             p = Polynomial.from_roots(corpus.hyperbolic_profile(rg, m))
-        sturm_v = sturm_real_root_count(p) == radical(p).degree
+        sturm_v = sturm_real_root_count(p) == squarefree_degree(p)
         hermite_v = psd_check(bezout_matrix(p, p.derivative())).is_psd
         assert sturm_v == hermite_v
 
@@ -357,8 +378,11 @@ def test_squarefree_decomposition_matches_yun_reference(p):
 def test_sturm_count_matches_radical_chain(p):
     # the integer chain runs on p itself, repeated factors included
     want = sturm_reference(p)
-    assert sturm_real_root_count(p) == want == sturm_real_root_count(radical(p))
-    assert p.degree - poly_gcd(p, p.derivative()).degree == radical(p).degree
+    radical = Polynomial.one()
+    for f, _ in squarefree_decomposition(p):
+        radical = radical * f
+    assert sturm_real_root_count(p) == want == sturm_real_root_count(radical)
+    assert p.degree - poly_gcd(p, p.derivative()).degree == radical.degree
 
 
 @settings(max_examples=120, deadline=None)
@@ -366,10 +390,11 @@ def test_sturm_count_matches_radical_chain(p):
 def test_sturm_chain_ends_at_the_gcd_with_the_derivative(p):
     # one chain gives both the count and deg gcd(p, p'), so the hyperbolicity
     # decision needs no separate poly_gcd
-    assert _sturm_chain(p) == (sturm_reference(p), poly_gcd(p, p.derivative()).degree)
+    ends = _int_sturm_chain(p.primitive[0])[0]
+    assert _chain_count(ends) == (sturm_reference(p), poly_gcd(p, p.derivative()).degree)
     # its last member is the primitive gcd, leading coefficient positive
     assert _sturm_gcd(p) == poly_gcd(p, p.derivative()).primitive[0]
-    distinct = radical(p).degree
+    distinct = squarefree_degree(p)
     hyperbolic = sturm_reference(p) == distinct
     assert _hyperbolic_strict(p) == (hyperbolic, hyperbolic and distinct == p.degree)
 

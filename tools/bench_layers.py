@@ -18,9 +18,9 @@ reads H twice, and the H-B relation H and the power-sum symmetrizer of p.
 same call and builds what it needs (the forms, or the roots of p and p').
 ``real_roots_exact`` finds the roots of a fresh exact p of degree m with
 the irrational pair +-sqrt(2): x^2 - 2 times the m - 2 rational roots of
-degree m - 2, so the rational-root search leaves the cofactor x^2 - 2 while
-the end coefficients stay within ``roots._FACTOR_BOUND`` (through m = 16
-here), and the whole factor past it (m = 24).
+degree m - 2, so the rational roots and the irrational pair come from one
+square-free factor.  ``real_roots_exact_rational`` finds the m distinct
+rational roots of a fresh p, the shape of most exact_certify requests.
 Thirteen rows run at m <= ``SLOW_MAX_DEGREE`` only, three of them because
 one call of each takes seconds beyond it on some source trees (2-core x86_64
 machine):
@@ -222,6 +222,7 @@ def layer_rows(degrees) -> list:
             "is_hyperbolic": lambda: is_hyperbolic(fresh(p)),
             "separates": lambda: separates(fresh(p), dp),
             "real_roots_exact": lambda: real_roots(fresh(quadratic)),
+            "real_roots_exact_rational": lambda: real_roots(fresh(p)),
         }
         if m <= SLOW_MAX_DEGREE:
             calls["leray_symmetrizer_float"] = lambda: leray_symmetrizer(fresh(pf))

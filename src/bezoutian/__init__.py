@@ -70,7 +70,6 @@ from .nuij import (
 from .polynomial import (
     Polynomial,
     RootProfile,
-    deleted_root_factor,
     elementary_symmetric,
     power_sums,
 )

@@ -240,9 +240,5 @@ def separation_lower_bound_check(p: Polynomial, q: Polynomial, c, tol: float = 1
         raise DegreeMismatchError(
             f"Bezout matrix of shape {H.shape} against {gram.shape} for (p, p')"
         )
-    X, G = IntMatrix.of(H), IntMatrix.of(gram)
     c = Fraction(c) if isinstance(c, (int, Fraction)) else Fraction(c) * (1 - Fraction(tol))
-    # H - c G = (X c.den dg - G c.num dx) / (dx c.den dg)
-    a, b = c.denominator * G.den, c.numerator * X.den
-    diff = [[a * h - b * g for h, g in zip(hr, gr)] for hr, gr in zip(X.rows, G.rows)]
-    return exactla._integer_psd(diff, X.den * a).is_psd
+    return exactla.psd_difference(IntMatrix.of(H), IntMatrix.of(gram), c).is_psd

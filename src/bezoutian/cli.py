@@ -372,16 +372,15 @@ def cmd_energy(args, report: CertifiedReport):
     report.backend = p.backend
     report.inputs = {"poly": _echo_poly(p), "q": _echo_poly(q),
                      "U0": [str(u) for u in U0], "T": args.T, "steps": args.steps}
-    # the checks read the roots and Bezout forms of the float rounding pf of p,
-    # each built once and kept on pf; for float p, pf is p, whose roots and
-    # form of (p, p') is_hyperbolic found
-    pf, qf = p.as_float(), q.as_float()
-    traj = propagate(pf, U0, args.T, args.steps)
+    # the trajectory reads the roots of the float rounding pf of p, built once
+    # and kept on pf; for float p, pf is p, whose roots is_hyperbolic found.
+    # separates decides exact p and q by their Bezout forms
+    traj = propagate(p.as_float(), U0, args.T, args.steps)
     series = energy_series(p, q, traj)
     spread = series.relative_spread()
     report.add_bool("energy conservation", "energy-conservation",
                     spread <= max(tol, 1e-9), spread, max(tol, 1e-9))
-    if q.degree == m - 1 and separates(pf, qf, tol):
+    if q.degree == m - 1 and separates(p, q, tol):
         nonneg = float(np.min(series.values)) >= -tol * max(1.0, float(np.max(np.abs(series.values))))
         report.add_bool("energy nonnegative", "energy-nonnegative",
                         nonneg, float(np.min(series.values)), tol)
@@ -392,7 +391,7 @@ def cmd_energy(args, report: CertifiedReport):
     report.add_bool("derivative identity", "energy-derivative-identity",
                     residual <= 1e-8, residual, 1e-8)
     if m >= 2:
-        # the floor constant reads the roots of p in its own backend
+        # the floor constant is 1/m, certified on the Bezout form of (p, p')
         chain = chain_bound_check(p, 0, traj, T=args.T)
         report.add_bool("chain bound along trajectory", "energy-chain-bound",
                         chain.passed, chain.derivative_margin)

@@ -300,8 +300,9 @@ def chain_bound_check(p: Polynomial, j: int, source, T: float = 10.0) -> ChainBo
     sampled at 2001 times on [0, T], a ``Trajectory`` at its own.  The time
     derivative uses a 5-point central difference on the uniform grid, so the
     comparison carries a slack of 1e-7 times the scale of the data.  Also
-    checks the floor c_j |p^(j+1)(D_t)u|^2 <= (H_j Du, Du) with the certified c_j,
-    read from the roots of the monic p^(j) in its own backend.
+    checks the floor c_j |p^(j+1)(D_t)u|^2 <= (H_j Du, Du) with the certified
+    c_j = 1 / deg p^(j) of the monic p^(j) (``derivative_bound_constant``),
+    which reads no root.
     """
     import numpy as np
 
@@ -337,7 +338,7 @@ def chain_bound_check(p: Polynomial, j: int, source, T: float = 10.0) -> ChainBo
     slack = _CHAIN_SLACK * scale
     derivative_margin = float(np.max(d_energy - rhs[inner]))
 
-    # the floor constant wants exact multiplicity structure where available
+    # the floor constant is 1 / deg p^(j), certified on the form of the monic p^(j)
     monic = pj_native if pj_native.is_monic else pj_native * (1 / pj_native.leading)
     c_j = float(derivative_bound_constant(monic).constant)
     floor_margin = float(np.max(c_j * np.abs(Pj1) ** 2 - energy))

@@ -22,7 +22,9 @@ float route: they take float entries at their exact dyadic values.  Only
 ``psd_certificate`` judges a float matrix, by the smallest eigenvalue of
 its symmetric part against a tolerance.  ``_asymmetry`` and ``_matmul`` give
 the symmetry defect and the product of integer matrices for the adjugate
-and the exact Bezout-form checks (``bezout``).  numpy is imported by the
+and the exact Bezout-form checks (``bezout``), and ``psd_difference``
+certifies X - c Y >= 0 on the integer rows, for the separation and
+derivative bounds.  numpy is imported by the
 functions that read or build an array, so the exact kernels run without
 loading it.
 """
@@ -336,6 +338,19 @@ def _integer_psd(A: list[list[int]], D: int = 1) -> PsdVerdict:
         prev = d
     rank = len(pivots)
     return PsdVerdict(True, rank == n, "ldl-pivot", tuple(pivots), rank)
+
+
+def psd_difference(X: IntMatrix, Y: IntMatrix, c: Fraction) -> PsdVerdict:
+    """The LDL certificate of X - c Y for symmetric X and Y of one shape and rational c.
+
+    With X = A / dx, Y = B / dy and c = cn / cd, X - c Y is the integer
+    matrix cd dy A - cn dx B over dx cd dy, eliminated as it is.
+    """
+    if X.shape != Y.shape:
+        raise ValueError(f"cannot subtract: shape {X.shape} against {Y.shape}")
+    a, b = c.denominator * Y.den, c.numerator * X.den
+    diff = [[a * x - b * y for x, y in zip(rx, ry)] for rx, ry in zip(X.rows, Y.rows)]
+    return _integer_psd(diff, X.den * a)
 
 
 def psd_certificate(M, tol: float = 1e-9) -> PsdVerdict:

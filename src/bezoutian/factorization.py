@@ -4,12 +4,17 @@ For strictly hyperbolic p with roots lambda_1 < ... < lambda_m the Bezout
 matrix of (p, q) factors as G^T diag(alpha) G where row k of G is a signed
 coefficient vector of the deleted-root factor prod_{j!=k}(x - lambda_j) and
 alpha_k = q(lambda_k) / p'(lambda_k).  Multiple roots go through the reduced
-factorization over distinct roots instead.
+factorization over distinct roots: with g = gcd(p, p'), the radical
+r = p / g and b = q / g, one weight b(lambda_k) / r'(lambda_k) per distinct
+root (``lagrange_weights``), which is the formula above when g = 1.
 
 ``separates`` decides exact p and q from the Bezout forms, with no root of
 q: q separates the hyperbolic p iff H(p, q) >= 0 and rank H(p, q) =
 rank H(p, p') (Hermite; Krein-Naimark 1936).  Float input compares roots
-at a tolerance.  The roots of p enter only the lower-bound constant.
+at a tolerance.  The roots of p enter only the lower-bound constant.  At
+q = p' every weight is its root's multiplicity, so the derivative bound
+H(p, p') >= c p' p'^T has the closed form c = 1/deg p
+(``derivative_bound_constant``), certified with no root.
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ from typing import TYPE_CHECKING
 from . import exactla
 from .bezout import bezout_matrix, psd_check
 from .errors import DegreeMismatchError, MultipleRootError, NonHyperbolicError
-from .polynomial import Polynomial, RootProfile, _horner_rows, deleted_root_factor
-from .roots import real_roots
+from .polynomial import Polynomial, RootProfile, _horner_rows
+from .roots import _exact_quotient, _sturm_gcd, real_roots
 from .scalars import BACKEND_EXACT, infer_backend
 
 if TYPE_CHECKING:
@@ -102,58 +107,44 @@ def _match_backend(poly: Polynomial, profile: RootProfile) -> tuple[Polynomial, 
     return poly.as_float(), [float(r) for r in roots]
 
 
-def _deflate_at_multiple_roots(q: Polynomial, profile: RootProfile, tol: float):
-    """Divide q by prod (x - lambda_(j))**(r_j - 1); remainder must vanish."""
-    b, roots = _match_backend(q, profile)
-    for lam, r in zip(roots, profile.multiplicities):
-        for _ in range(r - 1):
-            lin = Polynomial((1, -lam), b.backend)
-            b, rem = divmod(b, lin)
-            if b.backend == BACKEND_EXACT:
-                if not rem.is_zero:
-                    raise ValueError("q does not vanish to the required order at a multiple root")
-            else:
-                scale = max(1.0, max(abs(float(c)) for c in q.coeffs))
-                if not rem.is_zero and abs(float(rem.coeffs[0])) > tol * scale * 10:
-                    raise ValueError("q does not vanish to the required order at a multiple root")
-    return b
-
-
 def lagrange_weights(p: Polynomial, q: Polynomial, tol: float = 1e-9) -> tuple:
     """Interpolation weights expressing q in the deleted-factor basis, at the roots of p at ``tol``.
 
-    Simple roots: m weights q(lambda_k)/p'(lambda_k).  Multiple roots: the
-    s weights b(lambda_(k)) / a_k(lambda_(k)) of the reduced factorization,
-    where b is q with the forced multiple-root factors divided out and a_k
-    deletes root k from the distinct-root product.  Exact roots give
-    a_k(lambda_(k)) as the product of the differences lambda_(k) -
-    lambda_(j), j != k, on integers over one denominator; float roots
-    evaluate the deleted-root factor.
+    One weight per distinct root lambda_k of multiplicity r_k: with
+    g = gcd(p, p') = prod (x - lambda_k)^(r_k - 1), b = q / g and the
+    radical r = p / g, w_k = b(lambda_k) / r'(lambda_k), where r' at
+    lambda_k is the product of the differences lambda_k - lambda_j, j != k.
+    For simple roots g = 1, so w_k = q(lambda_k) / p'(lambda_k).  Exact p
+    and q read g from the Sturm chain p keeps (``roots._sturm_gcd``), divide
+    q once and take r on the primitive integers; each rational root gives
+    an exact weight, and each irrational root, a float, a float weight.
+    Otherwise g and r are built from the float roots, and q may leave a
+    remainder of 10 tol times its largest coefficient.  A larger remainder
+    raises ValueError: q does not vanish to the order r_k - 1 at lambda_k.
     """
     profile = real_roots(p, tol)
+    exact = p.backend == BACKEND_EXACT and q.backend == BACKEND_EXACT
+    roots = profile.distinct_roots if exact else [float(x) for x in profile.distinct_roots]
     if profile.is_strict:
-        dp = p.derivative()
-        dp, roots = _match_backend(dp, profile)
-        qq, _ = _match_backend(q, profile)
-        out = []
-        for lam in roots:
-            d = dp(lam)
-            if d == 0:
-                raise ZeroDivisionError("p'(root) vanished on the simple-root path")
-            out.append(qq(lam) / d)
-        return tuple(out)
-    b = _deflate_at_multiple_roots(q, profile, tol)
-    b, roots = _match_backend(b, profile)
-    if b.backend != BACKEND_EXACT:
-        return tuple(b(lam) / deleted_root_factor(roots, k)(lam) for k, lam in enumerate(roots))
-    # a_k(lambda_k) = prod_(j != k) (lambda_k - lambda_j), on the roots' numerators over D
-    D = math.lcm(*(lam.denominator for lam in roots))
-    nums = [lam.numerator * (D // lam.denominator) for lam in roots]
-    out = []
-    for k, (lam, u) in enumerate(zip(roots, nums)):
-        ak = math.prod(u - v for j, v in enumerate(nums) if j != k)  # D^(s-1) a_k(lambda_k)
-        out.append(b(lam) * Fraction(D ** (len(roots) - 1), ak))
-    return tuple(out)
+        b, dr = q, p.derivative()
+    else:
+        if exact:
+            g = _sturm_gcd(p)
+            b, rem = divmod(q, Polynomial.exact(g))
+            vanishes = rem.is_zero
+            P = p.primitive[0]
+            r = Polynomial.exact([Fraction(v, P[0]) for v in _exact_quotient(P, g)])
+        else:
+            g = Polynomial.from_roots([lam for lam, k in zip(roots, profile.multiplicities)
+                                       for _ in range(k - 1)])
+            r = Polynomial.from_roots(roots)
+            b, rem = divmod(q.as_float(), g)
+            scale = max(1.0, max(abs(float(c)) for c in q.coeffs))
+            vanishes = all(abs(c) <= tol * scale * 10 for c in rem.coeffs)
+        if not vanishes:
+            raise ValueError("q does not vanish to the required order at a multiple root")
+        dr = r.derivative()
+    return tuple(b(lam) / dr(lam) for lam in roots)
 
 
 def _weighted_gram(G: np.ndarray, weights) -> np.ndarray:
@@ -240,7 +231,9 @@ def separates(p: Polynomial, q: Polynomial, tol: float = 1e-9) -> SeparationCert
     interlace the distinct roots of p, and its leading coefficient is
     positive.  On success constant_c = min_k weight_k / multiplicity_k
     certifies H - c * sum_k v_k v_k^T >= 0, with the weights at the roots of
-    p found at ``tol``.
+    p found at ``tol`` (``lagrange_weights``): exact where every root of
+    exact p is rational, a float where the least ratio falls at an
+    irrational root.
     """
     p.require_monic("separation target")
     if q.is_zero or q.degree != p.degree - 1:
@@ -279,37 +272,31 @@ class DerivativeBound:
 
 
 def derivative_bound_constant(p: Polynomial) -> DerivativeBound:
-    """Constant c with (Bezout form of (p, p')) >= c |p'_hat(z)|^2.
+    """Constant c with (Bezout form of (p, p')) >= c |p'_hat(z)|^2: c = 1/m, m = deg p.
 
-    c = 1 / sum_k r_k**2 / w_k over distinct roots, with w the reduced
-    interpolation weights of p'.  The certificate checks the matrix
-    inequality H - c v v^T >= 0 directly (v = ascending coefficients of p').
-    It runs exactly, on the integer rows of H and of p', when p is exact
-    with rational roots, else in floats.
+    For hyperbolic p with distinct roots lambda_k of multiplicities r_k, let
+    e_k be the ascending coefficients of p / (x - lambda_k).  Then
+    H(p, p') = sum_k r_k e_k e_k^T and p' = sum_k r_k e_k (every weight of
+    ``lagrange_weights`` at q = p' is r_k), so Cauchy-Schwarz with the
+    weights r_k gives (v . z)^2 <= (sum_k r_k) z^T H z for v the
+    coefficients of p': H - v v^T / m >= 0.  The e_k are independent, so
+    some z makes every e_k . z equal, and no larger c holds.  The
+    certificate checks H - c v v^T >= 0 directly, reading no root and no
+    weight: exactly on the integer rows of H and of p' for exact p
+    (``exactla.psd_difference``), by eigenvalues for float p.  A verified
+    certificate implies H >= 0, so it also certifies that p is hyperbolic;
+    for p with complex roots it comes out unverified.
     """
     p.require_monic("derivative bound input")
-    profile = real_roots(p)
     dp = p.derivative()
-    weights = lagrange_weights(p, dp)
-    acc = None
-    for w, r in zip(weights, profile.multiplicities):
-        term = r * r / w
-        acc = term if acc is None else acc + term
-    c = 1 / acc
-    pp, _ = _match_backend(p, profile)
-    dpp = pp.derivative()
-    H = bezout_matrix(pp, dpp)
+    H = bezout_matrix(p, dp)
+    c = Fraction(1, int(p.degree))
     if isinstance(H, exactla.IntMatrix):
-        # v = k P with P the primitive ints of p', so with c k^2 = cn / cd,
-        # H - c v v^T = (cd X - cn dx P P^T) / (dx cd) for H = X / dx
-        P, k = dpp.primitive
-        P = P[::-1]
-        ck2 = Fraction(c) * k * k
-        a, b = ck2.denominator, ck2.numerator * H.den
-        diff = [[a * h - b * u * w for h, w in zip(row, P)] for row, u in zip(H.rows, P)]
-        return DerivativeBound(c, exactla._integer_psd(diff, H.den * a).is_psd)
+        # v = k P with P the primitive ints of p', so c v v^T = (c k^2) P P^T
+        P, k = dp.primitive
+        V = exactla.IntMatrix(tuple(tuple(u * w for w in P[::-1]) for u in P[::-1]))
+        return DerivativeBound(c, exactla.psd_difference(H, V, c * k * k).is_psd)
     import numpy as np
 
-    v = dpp.ascending(int(p.degree))
-    verdict = psd_check(H - float(c) * np.outer(v, v))
-    return DerivativeBound(c, verdict.is_psd)
+    v = dp.ascending(int(p.degree))
+    return DerivativeBound(c, psd_check(H - float(c) * np.outer(v, v)).is_psd)

@@ -457,14 +457,6 @@ def elementary_symmetric(values: Sequence) -> list:
     return out
 
 
-def deleted_root_factor(roots: Sequence, exclude: int) -> Polynomial:
-    """The monic factor with the root at position ``exclude`` removed."""
-    rest = list(roots[:exclude]) + list(roots[exclude + 1:])
-    if not rest:
-        return Polynomial.one(infer_backend(roots))
-    return Polynomial.from_roots(rest)
-
-
 def power_sums(p: Polynomial, upto: int) -> list:
     """Power sums P_0..P_upto of the roots via Newton's identities, as Fractions.
 

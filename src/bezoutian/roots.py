@@ -474,9 +474,9 @@ def real_roots(p: Polynomial, tol: float = DEFAULT_TOL,
                imag_tol: float | None = None) -> RootProfile:
     """Sorted real roots with multiplicities.
 
-    Exact backend: multiplicities from the Yun decomposition (exact), root
-    values exact when all are rational, else the correctly rounded floats of
-    the roots of the square-free factors (``_factor_roots``).
+    Exact backend: multiplicities from the Yun decomposition (exact), each
+    rational root an exact Fraction and each irrational one its correctly
+    rounded float (``_factor_roots``); the float roots pass the residual check.
     Float backend: companion eigenvalues, Newton polishing, and merging of
     clusters closer than tol*max(1,|root|).  ``imag_tol`` loosens only the
     complex-root rejection threshold; callers that already know the input
@@ -495,33 +495,32 @@ def _real_roots(p: Polynomial, tol: float, itol: float) -> RootProfile:
     if p.backend == BACKEND_EXACT:
         # p keeps its exact roots, which every tol reads
         profile = RootProfile(*p.derived("exact roots", functools.partial(_exact_roots, p)))
-        if all(type(r) is Fraction for r in profile.distinct_roots):
-            return profile  # each root passed an exact evaluation
+        # each rational root passed an exact evaluation
+        floats = [r for r in profile.distinct_roots if type(r) is float]
+        if not floats:
+            return profile
     else:
         vals = _require_real(_float_roots(p), itol)
         profile = RootProfile.from_flat(vals, tol=tol)
-    _residual_check(p, profile.distinct_roots, max(tol, 1e-12))
+        floats = profile.distinct_roots
+    _residual_check(p, floats, max(tol, 1e-12))
     return profile
 
 
 def _exact_roots(p: Polynomial) -> tuple[tuple, tuple]:
     """(roots, multiplicities) of exact p, ascending: the roots ``_factor_roots``
-    settles on each Yun factor, Fractions when all are rational, else each
-    the float nearest it.
+    settles on each Yun factor, each rational one a Fraction and each
+    irrational one the float nearest it.
 
-    Raises OverflowError when a root lies past the float64 range beside an
-    irrational one, where by Cauchy's bound |r| < 1 + max |c_i / c_0| a
-    coefficient of p lies too.
+    Raises OverflowError when an irrational root lies past the float64
+    range, where by Cauchy's bound |r| < 1 + max |c_i / c_0| a coefficient
+    of p lies too.
     """
     pairs = sorted((r, mult) for factor, mult in squarefree_decomposition(p)
                    for r in _factor_roots(factor))
-    roots = tuple(r for r, _ in pairs)
-    if not all(type(r) is Fraction for r in roots):
-        roots = tuple(r if type(r) is float else _to_float(r.numerator, r.denominator)
-                      for r in roots)
-        if not all(map(math.isfinite, roots)):
-            raise OverflowError("a coefficient leaves the float64 range")
-    return roots, tuple(m for _, m in pairs)
+    if any(r in (math.inf, -math.inf) for r, _ in pairs):
+        raise OverflowError("a coefficient leaves the float64 range")
+    return tuple(r for r, _ in pairs), tuple(m for _, m in pairs)
 
 
 @dataclass(frozen=True)

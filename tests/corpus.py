@@ -77,6 +77,12 @@ def multiplicity_split(rg, m, max_mult=3) -> list:
     return mults
 
 
+def deleted_root_factor(roots, exclude: int) -> Polynomial:
+    """The monic prod_(j != exclude) (x - roots[j]), a plain reference; 1 when no root is left."""
+    rest = list(roots[:exclude]) + list(roots[exclude + 1:])
+    return Polynomial.from_roots(rest) if rest else Polynomial.exact([1])
+
+
 def hyperbolic_profile(rg, m, max_mult=3, min_gap=Fraction(1, 2)) -> RootProfile:
     mults = multiplicity_split(rg, m, max_mult)
     roots = distinct_rationals(rg, len(mults), min_gap)

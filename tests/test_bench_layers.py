@@ -16,7 +16,7 @@ LAYERS = {"bezout_matrix", "psd_certificate", "symmetrization_defect", "det",
           "verify_quasi_point", "verify_quasi_grid", "certify_stages_grid_point",
           "propagate_strict",
           "propagate_multiple", "energy_series", "derivative_identity_check",
-          "chain_bound_check", "factorization_bundle"}
+          "chain_bound_check", "factorization_bundle", "separates_multiple_quadratic"}
 
 
 def load_tool():

@@ -23,7 +23,6 @@ from bezoutian import (
     Polynomial,
     bezout_matrix,
     companion_matrix,
-    deleted_root_factor,
     difference_product,
     discriminant,
     leray_symmetrizer,
@@ -68,7 +67,7 @@ def test_bezout_m3_equals_deleted_factor_outer_sum():
     m = 3
     total = corpus.fraction_matrix(np.zeros((m, m), dtype=int))
     for k in range(m):
-        v = deleted_root_factor(roots, k).ascending(m)
+        v = corpus.deleted_root_factor(roots, k).ascending(m)
         for i in range(m):
             for j in range(m):
                 total[i, j] += v[i] * v[j]
@@ -354,7 +353,7 @@ def reference_gram(roots) -> list:
     m = len(roots)
     G = [[Fraction(0)] * m for _ in range(m)]
     for k in range(m):
-        v = deleted_root_factor(roots, k).ascending(m)
+        v = corpus.deleted_root_factor(roots, k).ascending(m)
         for i in range(m):
             for j in range(m):
                 G[i][j] += v[i] * v[j]
@@ -476,14 +475,19 @@ def test_integer_separation_bound_matches_fraction_reference(roots, c, kind):
 
 
 def test_separation_bound_with_irrational_roots_certifies_just_below_c():
-    # p = (x^2 - 2)(x - 1): separates gives the float c = min weight, which
-    # lies on the boundary; the check certifies Fraction(c) (1 - tol) instead
+    # p = (x^2 - 2)(x - 1): separates gives the float c = min weight, here the
+    # weight at sqrt(2), which lies on the boundary; the check certifies
+    # Fraction(c) (1 - tol) instead
     p = Polynomial.exact([1, -1, -2, 2])
-    q = Polynomial.from_roots([Fraction(-1, 2), Fraction(6, 5)])
+    q = Polynomial.from_roots([Fraction(-1, 2), Fraction(13, 10)])
     c = separates(p, q).constant_c
     assert isinstance(c, float)
     assert separation_lower_bound_check(p, q, c)
     assert not separation_lower_bound_check(p, q, c * (1 + 1e-6))
+    # where the min weight is at the rational root 1, it is exact, and so is c
+    q = Polynomial.from_roots([Fraction(-1, 2), Fraction(6, 5)])
+    assert separates(p, q).constant_c == Fraction(3, 10)
+    assert separation_lower_bound_check(p, q, Fraction(3, 10))
 
 
 def test_separation_bound_rejects_mismatched_form():

@@ -17,11 +17,11 @@ from bezoutian import (
     factorization_bundle,
     lagrange_basis_matrix,
     lagrange_weights,
+    real_roots,
     separates,
     separation_lower_bound_check,
 )
-from bezoutian import factorization
-from bezoutian.polynomial import deleted_root_factor
+from bezoutian import exactla
 from test_exactla import reference_psd
 
 X2_MINUS_1 = Polynomial.exact([1, 0, -1])
@@ -106,7 +106,7 @@ def reference_weights(q: Polynomial, profile: RootProfile) -> tuple:
             b, rem = divmod(b, Polynomial.exact([1, -lam]))
             assert rem.is_zero
     return tuple(fraction_horner(b.coeffs, lam)
-                 / fraction_horner(deleted_root_factor(roots, k).coeffs, lam)
+                 / fraction_horner(corpus.deleted_root_factor(roots, k).coeffs, lam)
                  for k, lam in enumerate(roots))
 
 
@@ -306,26 +306,49 @@ def test_derivative_bound_examples():
     assert b.constant == Fraction(1, 3) and b.verified
 
 
-@pytest.mark.parametrize("scale", [Fraction(1), Fraction(1, 2), 1 + Fraction(1, 10**9), 2])
-def test_derivative_bound_certificate_on_integer_rows_matches_the_fraction_array(monkeypatch,
-                                                                                 scale):
-    # H - c v v^T >= 0 is decided on the integer rows of H and p' as on the
-    # Fraction array, for the constant the weights give and for c scaled
-    weights = factorization.lagrange_weights
-    monkeypatch.setattr(factorization, "lagrange_weights",
-                        lambda p, q: tuple(w * scale for w in weights(p, q)))
+@pytest.mark.parametrize("above", [False, True])
+@pytest.mark.parametrize("irrational", [False, True])
+def test_derivative_bound_certificate_on_integer_rows_matches_the_fraction_array(irrational,
+                                                                                 above):
+    # H - c v v^T >= 0 is decided on the integer rows of H and of v v^T as on
+    # the Fraction array: it holds at c = 1/m and fails at c = 1/m + 1/m^2,
+    # also beside the irrational pair of x^2 - k, which no root enters
     rg = corpus.rng(50)
-    verdicts = set()
     for _ in range(25):
-        m = rg.randint(2, 6)
-        p = Polynomial.from_roots(corpus.hyperbolic_profile(rg, m, max_mult=3))
+        p = Polynomial.from_roots(corpus.hyperbolic_profile(rg, rg.randint(2, 6), max_mult=3))
+        if irrational:
+            p = p * Polynomial.exact([1, 0, -rg.choice([2, 3, 5, 7])])
+        m = int(p.degree)
+        c = Fraction(1, m) + (Fraction(1, m * m) if above else 0)
+        H = bezout_matrix(p, p.derivative())
+        vv = np.outer(p.derivative().ascending(m), p.derivative().ascending(m))
+        want = reference_psd(H.fractions - c * vv)[0]
+        assert want == (not above)
+        assert exactla.psd_difference(H, exactla.IntMatrix.of(vv), c).is_psd == want
         b = derivative_bound_constant(p)
-        v = p.derivative().ascending(m)
-        want = reference_psd(bezout_matrix(p, p.derivative()).fractions
-                             - b.constant * np.outer(v, v))[0]
-        assert b.verified == want
-        verdicts.add(want)
-    assert verdicts == {scale <= 1}
+        assert (b.constant, b.verified) == (Fraction(1, m), True)
+
+
+def test_derivative_bound_on_complex_roots_is_unverified():
+    # H(p, p') is indefinite for x^2 + 1, so no c certifies the bound
+    b = derivative_bound_constant(Polynomial.exact([1, 0, 1]))
+    assert (b.constant, b.verified) == (Fraction(1, 2), False)
+
+
+def test_lagrange_weights_of_the_derivative_are_the_multiplicities():
+    # p' = g sum_k r_k a_k, so w_k = r_k: exactly at a rational root, and to
+    # float accuracy at a root of x^2 - 2
+    rg = corpus.rng(51)
+    for _ in range(20):
+        profile = corpus.hyperbolic_profile(rg, rg.randint(2, 6), max_mult=3)
+        p = Polynomial.from_roots(profile) * Polynomial.exact([1, 0, -2])
+        found = real_roots(p)
+        weights = lagrange_weights(p, p.derivative())
+        for lam, r, w in zip(found.distinct_roots, found.multiplicities, weights):
+            if type(lam) is Fraction:
+                assert w == r and type(w) is Fraction
+            else:
+                assert abs(w - r) <= 1e-12 * r
 
 
 def test_derivative_bound_random():

@@ -274,6 +274,19 @@ def test_energy_rejects_fewer_than_four_steps(capsys, steps):
     assert code == 0
 
 
+@pytest.mark.parametrize("poly", ["[1,-1,-1,1]", "[1,-3,0,4]", "[1,-5,8,-4]", "[1,-6,12,-8]",
+                                  "[1,0,-2,0,1]"])
+def test_exact_energy_with_a_multiple_root_passes_every_check(capsys, poly):
+    # energy-nonnegative was gated on separation by the float roots of p's
+    # rounding, which split the multiple root into a complex pair (exit 3);
+    # exact p and q are decided by their Bezout forms
+    code, out, err = run_cli(capsys, "energy", "--poly", poly)
+    assert (code, err) == (0, "")
+    report = strict_json(out)
+    assert report["all_pass"]
+    assert "energy-nonnegative" in {c["check_id"] for c in report["checks"]}
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_quasi_rejects_samples_below_one(capsys, samples):
     code, out, err = run_cli(capsys, "quasi", "--poly", "[1,0,0]", "--samples", samples)

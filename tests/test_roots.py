@@ -89,12 +89,13 @@ def test_profile_recovery_exact_multiplicities():
 def test_profile_recovery_irrational_multiple_roots():
     # (x^2 - 2)^2 (x - 1): gcd structure supplies the multiplicities, and the
     # Sturm brackets of the factor x^2 - 2 the correctly rounded floats of
-    # +-sqrt(2); beside them the root 1 is a float too
+    # +-sqrt(2); beside them the root 1 stays a Fraction
     base = Polynomial.exact([1, 0, -2])
     p = base * base * Polynomial.exact([1, -1])
     prof = real_roots(p)
     assert prof.multiplicities == (2, 1, 2)
     assert prof.distinct_roots == (-math.sqrt(2), 1, math.sqrt(2))
+    assert [type(r) for r in prof.distinct_roots] == [float, Fraction, float]
 
 
 def test_wilkinson_24_roots_are_exact_integers():

@@ -21,6 +21,11 @@ the irrational pair +-sqrt(2): x^2 - 2 times the m - 2 rational roots of
 degree m - 2, so the rational roots and the irrational pair come from one
 square-free factor.  ``real_roots_exact_rational`` finds the m distinct
 rational roots of a fresh p, the shape of most exact_certify requests.
+``separates_multiple_quadratic`` runs ``separates(p, p')`` on a fresh p
+with multiple roots beside the irrational pair: x^2 - 2 times rational
+roots of multiplicities 2, 3, 1, 2, ... (``multiple_quadratic_input``), at
+m <= ``QUADRATIC_MAX_DEGREE`` only, since at m = 24 source trees that
+deflate q at float roots raise ValueError.
 Thirteen rows run at m <= ``SLOW_MAX_DEGREE`` only, three of them because
 one call of each takes seconds beyond it on some source trees (2-core x86_64
 machine):
@@ -77,6 +82,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import itertools
 import json
 import os
 import platform
@@ -113,6 +119,7 @@ PROPAGATE_TAKES_POLY = next(iter(inspect.signature(propagate).parameters)) == "p
 
 DEGREES = (4, 8, 12, 16, 24)
 SLOW_MAX_DEGREE = 12
+QUADRATIC_MAX_DEGREE = 16
 REPEATS = 5
 MIN_TIME = 0.02  # seconds one timed batch lasts at least
 GRID_POINT = 0.00010000000000000002  # the default grid's last eps
@@ -135,6 +142,19 @@ def quadratic_input(m: int) -> Polynomial:
     """The monic p of degree m >= 2: x^2 - 2 times the m - 2 roots of ``exact_input``."""
     rational = Polynomial.from_roots(exact_input(m - 2)) if m > 2 else Polynomial.exact([1])
     return rational * Polynomial.exact([1, 0, -2])
+
+
+def multiple_quadratic_input(m: int) -> Polynomial:
+    """The monic p of degree m >= 2: x^2 - 2 times roots of ``exact_input`` with
+    multiplicities 2, 3, 1, 2, 3, 1, ..., the last cut to make the degree m."""
+    p, left = Polynomial.exact([1, 0, -2]), m - 2
+    for root, mult in zip(exact_input(m), itertools.cycle((2, 3, 1))):
+        if left == 0:
+            break
+        mult = min(mult, left)
+        p = p * Polynomial.from_roots([root] * mult)
+        left -= mult
+    return p
 
 
 def fresh(p: Polynomial) -> Polynomial:
@@ -224,6 +244,10 @@ def layer_rows(degrees) -> list:
             "real_roots_exact": lambda: real_roots(fresh(quadratic)),
             "real_roots_exact_rational": lambda: real_roots(fresh(p)),
         }
+        if m <= QUADRATIC_MAX_DEGREE:
+            multiple = multiple_quadratic_input(m)
+            calls["separates_multiple_quadratic"] = \
+                lambda: separates(fresh(multiple), multiple.derivative())
         if m <= SLOW_MAX_DEGREE:
             calls["leray_symmetrizer_float"] = lambda: leray_symmetrizer(fresh(pf))
             calls["nuij_family"] = lambda: nuij_family(fresh(p), 1e-4)

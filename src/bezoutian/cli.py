@@ -28,7 +28,14 @@ from .bezout import (
     separation_lower_bound_check,
     symmetrization_defect,
 )
-from .energy import ExponentialSignal, chain_bound_check, derivative_identity_check, energy_series, propagate
+from .energy import (
+    ExponentialSignal,
+    _uniform_draws,
+    chain_bound_check,
+    derivative_identity_check,
+    energy_series,
+    propagate,
+)
 from .errors import DegreeMismatchError, NonHyperbolicError
 from .factorization import difference_product, separates
 from .leray import h_b_relation_check, leray_symmetrizer
@@ -384,8 +391,7 @@ def cmd_energy(args, report: CertifiedReport):
         nonneg = float(np.min(series.values)) >= -tol * max(1.0, float(np.max(np.abs(series.values))))
         report.add_bool("energy nonnegative", "energy-nonnegative",
                         nonneg, float(np.min(series.values)), tol)
-    rng = np.random.default_rng(report.seed)
-    freqs = sorted(rng.uniform(-3.0, 3.0, size=3))
+    freqs = sorted(_uniform_draws(report.seed, 3, -3.0, 3.0))
     signal = ExponentialSignal.of(*[(1.0 / (k + 1), nu) for k, nu in enumerate(freqs)])
     residual = derivative_identity_check(p, q, signal, t_max=min(args.T, 10.0))
     report.add_bool("derivative identity", "energy-derivative-identity",

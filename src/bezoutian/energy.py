@@ -252,6 +252,70 @@ def energy_series(p: Polynomial, q: Polynomial, traj: Trajectory) -> EnergySerie
     return EnergySeries(traj.times, vals, p, q)
 
 
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uniform_draws(seed: int, n: int, low: float, high: float) -> list[float]:
+    """numpy's ``default_rng(seed).uniform(low, high, n)`` bit for bit, without numpy.random.
+
+    ``default_rng`` seeds PCG64 through a SeedSequence, whose two streams
+    numpy's RNG policy (NEP 19) keeps stable: the seed's little-endian
+    32-bit words are hashed into a pool of four words and mixed, the pool
+    gives four 64-bit words w0..w3 (``generate_state(4, uint64)``), and
+    PCG64 starts from state w0·2^64 + w1 on the stream w2·2^64 + w3.  Each
+    draw takes one 128-bit LCG step and the XSL-RR output x, and returns
+    low + (high − low)·((x >> 11)·2^−53) as numpy's ``random_uniform``
+    does.  A negative seed raises numpy's ValueError.
+    """
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = 0xCA01F9DD * x - 0x4973F715 * y & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const, state32 = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        value = value * hash_const & _MASK32
+        state32.append(value ^ value >> 16)
+    w0, w1, w2, w3 = (state32[i] | state32[i + 1] << 32 for i in range(0, 8, 2))
+    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+    # from state 0: one step, add the initial state, one more step
+    state = (inc + (w0 << 64 | w1)) * _PCG64_MULT + inc & _MASK128
+    draws = []
+    for _ in range(n):
+        state = state * _PCG64_MULT + inc & _MASK128
+        x, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+        x = (x >> rot | x << (64 - rot)) & _MASK64
+        draws.append(low + (high - low) * ((x >> 11) * 2.0**-53))
+    return draws
+
+
 def derivative_identity_check(p: Polynomial, q: Polynomial, signal: ExponentialSignal,
                               t_max: float = 10.0) -> float:
     """Residual of d/dt (H Du, Du) = i (p(D_t)u conj(q(D_t)u) - conj(p(D_t)u) q(D_t)u).

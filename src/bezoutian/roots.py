@@ -17,8 +17,9 @@ NonHyperbolicError.
 A float polynomial keeps its companion eigenvalues, which a batch of
 polynomials of one degree gets from one stacked LAPACK call on the
 matrices of ``bezout._companion_stack``; the Newton polish
-(``_polish_roots``) stops at a fixed point or a cycle and evaluates by
-Horner's rule inline, with the bits of ``Polynomial.__call__``.
+(``_polish_roots``) stops at a fixed point or a cycle, evaluates by
+Horner's rule inline, with the bits of ``Polynomial.__call__``, and runs a
+real eigenvalue as a float.
 
 The exact kernels run on a polynomial's primitive integer coefficients
 (``Polynomial.primitive``, Python ints, leading first, computed once per
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -386,13 +388,19 @@ def _polish_roots(pf: Polynomial, zs) -> list[complex]:
     scored, and none can beat the strict ``v < best_val``.  pf and pf' are
     evaluated by Horner's rule inline on their coefficient tuples, with the
     operations of ``Polynomial.__call__`` in its order, so each value has
-    the bits of calling pf or pf' at no Python call per evaluation.
+    the bits of calling pf or pf' at no Python call per evaluation.  A z
+    with imaginary part +0.0 runs the loop as a float: on the real
+    coefficients every complex iterate keeps that +0.0 and its real part
+    the float bits, so ``complex(best)`` is the complex loop's result.  A
+    -0.0 imaginary part can turn to +0.0 in a step, so it stays complex.
     """
     f0, *fs = pf.coeffs
     d0, *ds = pf.derivative().coeffs
     out = []
     for z in zs:
         z = complex(z)
+        if z.imag == 0 and math.copysign(1.0, z.imag) > 0:
+            z = z.real
         fz = f0
         for c in fs:
             fz = fz * z + c
@@ -414,7 +422,7 @@ def _polish_roots(pf: Polynomial, zs) -> list[complex]:
             v = abs(fz)
             if v < best_val:
                 best, best_val = z, v
-        out.append(best)
+        out.append(complex(best))
     return out
 
 
@@ -476,12 +484,13 @@ def real_roots(p: Polynomial, tol: float = DEFAULT_TOL,
 
     Exact backend: multiplicities from the Yun decomposition (exact), each
     rational root an exact Fraction and each irrational one its correctly
-    rounded float (``_factor_roots``); the float roots pass the residual check.
-    Float backend: companion eigenvalues, Newton polishing, and merging of
-    clusters closer than tol*max(1,|root|).  ``imag_tol`` loosens only the
-    complex-root rejection threshold; callers that already know the input
-    is real rooted (smoothing families) use it to tolerate the conjugate
-    splitting the eigensolver produces at tight root clusters.  p keeps the
+    rounded float (``_factor_roots``), certified by exact signs.  Float
+    backend: companion eigenvalues, Newton polishing, and merging of
+    clusters closer than tol*max(1,|root|), each root passing the residual
+    check.  ``imag_tol`` loosens only the complex-root rejection threshold;
+    callers that already know the input is real rooted (smoothing
+    families) use it to tolerate the conjugate splitting the eigensolver
+    produces at tight root clusters.  p keeps the
     profile of each (tol, imag_tol) pair (``Polynomial.memo``).
     """
     p.require_monic("real_roots input")
@@ -494,16 +503,9 @@ def real_roots(p: Polynomial, tol: float = DEFAULT_TOL,
 def _real_roots(p: Polynomial, tol: float, itol: float) -> RootProfile:
     if p.backend == BACKEND_EXACT:
         # p keeps its exact roots, which every tol reads
-        profile = RootProfile(*p.derived("exact roots", functools.partial(_exact_roots, p)))
-        # each rational root passed an exact evaluation
-        floats = [r for r in profile.distinct_roots if type(r) is float]
-        if not floats:
-            return profile
-    else:
-        vals = _require_real(_float_roots(p), itol)
-        profile = RootProfile.from_flat(vals, tol=tol)
-        floats = profile.distinct_roots
-    _residual_check(p, floats, max(tol, 1e-12))
+        return RootProfile(*p.derived("exact roots", functools.partial(_exact_roots, p)))
+    profile = RootProfile.from_flat(_require_real(_float_roots(p), itol), tol=tol)
+    _residual_check(p, profile.distinct_roots, max(tol, 1e-12))
     return profile
 
 
@@ -512,13 +514,16 @@ def _exact_roots(p: Polynomial) -> tuple[tuple, tuple]:
     settles on each Yun factor, each rational one a Fraction and each
     irrational one the float nearest it.
 
-    Raises OverflowError when an irrational root lies past the float64
-    range, where by Cauchy's bound |r| < 1 + max |c_i / c_0| a coefficient
-    of p lies too.
+    Every root is certified by exact signs, so no residual is checked.
+    The readers of a float root round p to floats, so OverflowError is
+    raised when p has an irrational root and a coefficient past the
+    float64 range.  That covers an irrational root past the range (an
+    infinite float): by Cauchy's bound |r| < 1 + max |c_i| for monic p.
     """
     pairs = sorted((r, mult) for factor, mult in squarefree_decomposition(p)
                    for r in _factor_roots(factor))
-    if any(r in (math.inf, -math.inf) for r, _ in pairs):
+    if any(type(r) is float for r, _ in pairs) and \
+            any(abs(c) > sys.float_info.max for c in p.coeffs):
         raise OverflowError("a coefficient leaves the float64 range")
     return tuple(r for r, _ in pairs), tuple(m for _, m in pairs)
 

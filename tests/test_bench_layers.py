@@ -16,7 +16,8 @@ LAYERS = {"bezout_matrix", "psd_certificate", "symmetrization_defect", "det",
           "verify_quasi_point", "verify_quasi_grid", "certify_stages_grid_point",
           "propagate_strict",
           "propagate_multiple", "energy_series", "derivative_identity_check",
-          "chain_bound_check", "factorization_bundle", "separates_multiple_quadratic"}
+          "chain_bound_check", "factorization_bundle", "separates_multiple_quadratic",
+          "float_roots"}
 
 
 def load_tool():
@@ -45,8 +46,10 @@ def test_bench_layers_writes_rows_for_every_layer_and_degree(tmp_path, monkeypat
     assert imported["numpy_loaded"] is False
     assert imported["scipy_linalg_loaded"] is False
     rows = run["rows"]
-    assert {(r["layer"], r["m"]) for r in rows} == {(k, m) for k in LAYERS for m in (2, 3)}
+    assert {(r["layer"], r["m"]) for r in rows} == \
+        {(k, m) for k in LAYERS for m in (2, 3)} | {("energy_draw", None)}
     assert all(r["best_s"] > 0 for r in rows)
+    assert rows[-1]["numpy_best_s"] > 0
 
 
 def test_bench_layers_requires_out(capsys):

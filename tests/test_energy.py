@@ -16,7 +16,7 @@ from bezoutian import (
     propagate,
     real_roots,
 )
-from bezoutian.energy import _balance, _expm
+from bezoutian.energy import _balance, _expm, _uniform_draws
 
 X2_MINUS_1 = Polynomial.exact([1, 0, -1])
 X3_MINUS_X = Polynomial.exact([1, 0, -1, 0])
@@ -240,3 +240,27 @@ def test_expm_edge_cases():
     assert np.allclose(_expm(np.zeros((3, 3), dtype=complex)), np.eye(3), rtol=0, atol=2**-52)
     with pytest.raises(ValueError, match="float64 range"):
         _expm(np.array([[0, 1], [np.inf, 0]], dtype=complex))
+
+
+# seeds of 2-5 little-endian 32-bit words: past four, the pool mixes each further word in
+MULTI_WORD_SEEDS = (2**32, 2**32 + 1, 2**64 - 1, 2**64, 2**96 + 7, 2**128 + 5, 2**130 + 12345,
+                    2**160 - 1)
+
+
+@pytest.mark.parametrize("seeds, n, low, high", [
+    (range(2000), 3, -3.0, 3.0),  # as energy draws its test frequencies
+    (MULTI_WORD_SEEDS, 3, -3.0, 3.0),
+    (MULTI_WORD_SEEDS, 9, 0.0, 1.0),
+])
+def test_uniform_draws_match_numpy_bit_for_bit(seeds, n, low, high):
+    for seed in seeds:
+        want = np.random.default_rng(seed).uniform(low, high, n).tolist()
+        assert [x.hex() for x in _uniform_draws(seed, n, low, high)] == [x.hex() for x in want]
+
+
+def test_uniform_draws_refuse_a_negative_seed_with_numpys_message():
+    with pytest.raises(ValueError) as numpys:
+        np.random.default_rng(-1)
+    with pytest.raises(ValueError) as ours:
+        _uniform_draws(-1, 3, -3.0, 3.0)
+    assert str(ours.value) == str(numpys.value) == "expected non-negative integer"

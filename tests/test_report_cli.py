@@ -415,6 +415,13 @@ def test_seed_determinism(capsys):
     assert (code1, out1) == (code2, out2)
 
 
+def test_energy_refuses_a_negative_seed_as_numpy_did(capsys):
+    # the test frequencies are numpy's default_rng(seed).uniform(-3, 3, 3),
+    # drawn without numpy.random, and a negative seed keeps numpy's message
+    code, out, err = run_cli(capsys, "energy", "--poly", "[1,0,-1]", "--seed", "-1")
+    assert (code, out, err) == (2, "", "input error: expected non-negative integer\n")
+
+
 def test_poly_file_input(tmp_path, capsys):
     path = tmp_path / "poly.json"
     path.write_text('{"coeffs": ["1/1", "0/1", "-1/1"]}')
@@ -708,6 +715,20 @@ def test_irrational_roots_at_the_top_of_the_float_range_keep_the_residual_check(
     assert err == "input error: a coefficient leaves the float64 range\n"
 
 
+@pytest.mark.parametrize("poly", [
+    json.dumps([1, str(-2**1023), -1]),  # roots next to 2^1023 and -2^-1023
+    "[1,1e300,-1]",  # roots about -1e300 and 1e-300, certified at the exact dyadic p
+], ids=["exact", "decimal"])
+def test_analyze_certifies_irrational_roots_at_the_top_of_the_float_range(capsys, poly):
+    # the Sturm brackets certify both roots, where the float residual bound
+    # overflowed (exit 2); no inf or NaN reaches numpy either
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the request
+        code, out, err = run_cli(capsys, "analyze", "--poly", poly)
+    assert (code, err) == (0, "")
+    assert strict_json(out)["all_pass"]
+
+
 def test_analyze_on_a_highly_composite_quadratic_takes_bounded_time(capsys):
     # x^2 + x/963761198400 - 1: 6720 divisors at both cleared ends, every
     # divisor pair of which the rational-root search tried (6 s of CPU)
@@ -838,7 +859,7 @@ import contextlib, io, json, sys
 from bezoutian.cli import main
 
 def loaded():
-    return ["numpy" in sys.modules, "scipy" in sys.modules]
+    return ["numpy" in sys.modules, "numpy.random" in sys.modules, "scipy" in sys.modules]
 
 def run(*argvs):
     for argv in argvs:
@@ -851,11 +872,12 @@ states.append(run(["analyze", "--poly", "[1,-3,0,4]"], ["leray", "--poly", "[1,-
                   ["leray", "--poly", "[1,-2,1]"], ["analyze", "--poly", "[1.0,-3.0,0.0,4.0]"],
                   ["analyze", "--poly", "[1,-1,-2,2]"],
                   ["analyze", "--poly", "[1.0,-1.0,-2.0,2.0]"]))
-states.append(run(["nuij", "--poly", "[1,-3,0,4]"], ["quasi", "--poly", "[1,-3,0,4]"]))
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = main(["energy", "--poly", "[1.0,-2.0,1.0]"])
 states.append(loaded())
+states.append(run(["nuij", "--poly", "[1,-3,0,4]"]))
+states.append(run(["quasi", "--poly", "[1,-3,0,4]"]))
 print(json.dumps([states, code, out.getvalue()]))
 """
 
@@ -867,14 +889,17 @@ def test_no_subcommand_loads_scipy(capsys):
                           text=True, env=fresh_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
     states, code, out = json.loads(proc.stdout)
-    # ["numpy" loaded, "scipy" loaded]: after the import; after the exact
-    # analyze and leray requests on (x-2)^2 (x+1), leray on (x-1)^2 (m = 2),
-    # the decimal analyze request on (x-2)^2 (x+1), certified at its exact value,
-    # and exact and decimal analyze on (x^2-2)(x-1), whose irrational roots
-    # come from Sturm brackets;
-    # after nuij and quasi on (x-2)^2 (x+1); after the energy request on the
-    # double root of (x-1)^2, whose step matrix goes through energy._expm
-    assert states == [[False, False], [False, False], [True, False], [True, False]]
+    # ["numpy", "numpy.random", "scipy" loaded]: after the import; after the
+    # exact analyze and leray requests on (x-2)^2 (x+1), leray on (x-1)^2
+    # (m = 2), the decimal analyze request on (x-2)^2 (x+1), certified at its
+    # exact value, and exact and decimal analyze on (x^2-2)(x-1), whose
+    # irrational roots come from Sturm brackets; after the energy request on
+    # the double root of (x-1)^2, whose step matrix goes through
+    # energy._expm and whose test frequencies come from energy._uniform_draws;
+    # after nuij, and after quasi, which samples through numpy.random, on
+    # (x-2)^2 (x+1)
+    assert states == [[False, False, False], [False, False, False], [True, False, False],
+                      [True, False, False], [True, True, False]]
     assert (code, out) == run_cli(capsys, "energy", "--poly", "[1.0,-2.0,1.0]")[:2]
 
 
@@ -909,21 +934,18 @@ def test_energy_rejects_a_non_finite_U0(capsys, U0):
 
 
 @pytest.mark.parametrize("argv", [
-    ["analyze", "--poly", "[1,1e300,-1]"],  # hyperbolic: roots about -1e300 and 1e-300
     ["energy", "--poly", "[1,1e200,-1]"],
     ["nuij", "--poly", "[1,1e200,-1]"],
 ])
 def test_a_float_form_past_the_float_range_exits_2_without_a_warning(capsys, argv):
     # the float form of (p, p') has inf and NaN entries, which used to reach
-    # numpy; analyze and nuij certify the exact p, and the float root -1e300
-    # of p, or -1e200 of the family point at eps = 1, has a residual bound
-    # past the float range
+    # numpy; nuij certifies the exact p, and the float root -1e200 of the
+    # family point at eps = 1 has a residual bound past the float range
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning fails the request
         code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    what = {"analyze": "the residual bound at root -1e+300",
-            "nuij": "the residual bound at root -1e+200",
+    what = {"nuij": "the residual bound at root -1e+200",
             "energy": "the float Bezout form of (p, q)"}[argv[0]]
     assert err == f"input error: {what} leaves the float64 range\n"
 

@@ -178,6 +178,18 @@ def test_exact_irrational_roots_match_mpmath(ks, rs):
     assert got == want
 
 
+def test_exact_irrational_roots_near_the_top_of_the_float_range():
+    # x^2 - 2^1000 x - 1: the roots round to 2^1000 and -2^-1000, where the
+    # float residual bound 1e-9 2^1000 (2^1000)^2 overflowed; the brackets
+    # certify them, and every coefficient is a float
+    p = Polynomial.exact([1, -2**1000, -1])
+    prof = real_roots(p)
+    assert prof.distinct_roots == (-2.0**-1000, 2.0**1000)
+    for r in prof.distinct_roots:
+        below, above = nearest_float_brackets(r)
+        assert p(below) * p(above) < 0
+
+
 def test_profile_recovery_float_simple_roots():
     # float-coefficient construction already perturbs the true roots by
     # conditioning; keep the corpus separation mild so 1e-9 is meaningful

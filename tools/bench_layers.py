@@ -44,6 +44,7 @@ point ``nuij_family(p, 1e-4)`` (p_eps, its roots and q_eps), ``nuij_grid``
 builds the points of all nine default-grid eps as a ``nuij`` request does
 (through ``build_family`` first, on a source tree that has it),
 ``real_roots_float`` finds the roots of the float64 rounding of p,
+``float_roots`` its polished companion eigenvalues alone (all real),
 ``invert_transform`` recovers p from that point's float p_eps, as the
 ``nuij-inversion`` check of a ``nuij`` request does per eps, and
 ``verify_quasi_point`` certifies the quasi-symmetrizer constants of p at the
@@ -64,6 +65,11 @@ of stage 0 along the strict trajectory.  These rows get nothing prebuilt,
 so every source tree runs the same calls.  ``factorization_bundle`` finds
 the exact roots of p, factors the form of (p, p') as G^T diag(w) G on
 them and takes its residual against the directly built form.
+One row at no degree, ``energy_draw``, times the three test frequencies
+an ``energy`` request draws (``energy._uniform_draws`` at seed 0; ``best_s``
+is null on a source tree without it) and numpy's
+``default_rng(0).uniform(-3, 3, 3)``, which they equal, as
+``numpy_best_s``.
 Each run also records ``import``: the best of five fresh interpreters
 importing ``bezoutian.cli`` from the timed source, in wall and CPU
 seconds, and whether that import loaded ``numpy`` and ``scipy.linalg``.
@@ -104,7 +110,7 @@ from bezoutian import leray_symmetrizer
 from bezoutian import nuij_family, nuij_transform, propagate, real_roots, separates
 from bezoutian import separation_lower_bound_check, symmetrization_defect, verify_quasi
 from bezoutian.exactla import det, psd_certificate
-from bezoutian.roots import _sturm_ends
+from bezoutian.roots import _float_roots, _sturm_ends
 
 try:
     from bezoutian import certify_stages
@@ -114,6 +120,10 @@ try:
     from bezoutian import build_family
 except ImportError:  # a source tree from before the grid kernel
     build_family = None
+try:
+    from bezoutian.energy import _uniform_draws
+except ImportError:  # a source tree whose energy draws through numpy.random
+    _uniform_draws = None
 # propagate takes the polynomial; a source tree from before that takes its companion matrix
 PROPAGATE_TAKES_POLY = next(iter(inspect.signature(propagate).parameters)) == "p"
 
@@ -253,6 +263,7 @@ def layer_rows(degrees) -> list:
             calls["nuij_family"] = lambda: nuij_family(fresh(p), 1e-4)
             calls["nuij_grid"] = lambda: family_grid(fresh(p))
             calls["real_roots_float"] = lambda: real_roots(fresh(pf))
+            calls["float_roots"] = lambda: _float_roots(fresh(pf))
             p_eps = nuij_transform(p, 1e-4)
             calls["invert_transform"] = lambda: invert_transform(p_eps, 1e-4)
             calls["verify_quasi_point"] = lambda: verify_quasi(fresh(p), (1e-4,), r=0)
@@ -266,6 +277,16 @@ def layer_rows(degrees) -> list:
         for layer, fn in calls.items():
             rows.append({"layer": layer, "m": m, "best_s": best_per_call(fn)})
     return rows
+
+
+def draw_row() -> dict:
+    """The ``energy_draw`` row: energy's three test frequencies at seed 0, and
+    numpy's ``default_rng(0).uniform(-3, 3, 3)`` beside them (numpy.random
+    already imported)."""
+    return {"layer": "energy_draw", "m": None,
+            "best_s": (best_per_call(lambda: _uniform_draws(0, 3, -3.0, 3.0))
+                       if _uniform_draws is not None else None),
+            "numpy_best_s": best_per_call(lambda: np.random.default_rng(0).uniform(-3.0, 3.0, 3))}
 
 
 def import_row() -> dict:
@@ -314,7 +335,7 @@ def main(argv=None) -> int:
         "nproc": os.cpu_count(),
         "repeats": REPEATS,
         "import": import_row(),
-        "rows": layer_rows(degrees),
+        "rows": layer_rows(degrees) + [draw_row()],
     }
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0

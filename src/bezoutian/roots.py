@@ -463,10 +463,9 @@ def _require_real(values, tol: float) -> list[float]:
     return sorted(z.real for z in values)
 
 
-def _residual_check(p: Polynomial, roots, tol: float):
-    """Refuse a float root whose residual exceeds its bound; ValueError if the bound overflows."""
-    pf = p.as_float()
-    norm = max(abs(float(c)) for c in pf.coeffs)
+def _residual_check(pf: Polynomial, roots, tol: float):
+    """Refuse a root of the float pf whose residual exceeds its bound; ValueError if the bound overflows."""
+    norm = max(abs(c) for c in pf.coeffs)
     m = max(1, len(pf.coeffs) - 1)
     for lam in roots:
         try:

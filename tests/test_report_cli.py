@@ -708,8 +708,9 @@ def test_analyze_certifies_a_rational_root_past_the_float_range(capsys):
 
 def test_irrational_roots_at_the_top_of_the_float_range_keep_the_residual_check(capsys):
     # +-sqrt(3) 10^308 are floats, but the coefficient 3 10^616 is not: the
-    # residual check's float rounding of p names the float64 range, where
-    # reading its roots without it failed on a NaN
+    # exact range test on the coefficients, which replaced the residual
+    # check on exact input, names the float64 range, where reading the
+    # roots with neither failed on a NaN
     code, out, err = run_cli(capsys, "analyze", "--poly", json.dumps([1, 0, str(-3 * 10**616)]))
     assert (code, out) == (2, "")
     assert err == "input error: a coefficient leaves the float64 range\n"

@@ -186,7 +186,7 @@ def cmd_analyze(args, report: CertifiedReport):
     report.inputs = {"poly": _echo_poly(typed), "q": _echo_poly(typed_q)}
 
     A = companion_matrix(p)
-    # p is monic now, so it holds is_hyperbolic's form of (p, p') and its LDL
+    # H(p, p') and its LDL serve hermite-criterion, the separation bound and discriminant
     profile = real_roots(p)
     hermite = psd_check(bezout_matrix(p, p.derivative()))
     H = bezout_matrix(p, q)

@@ -8,10 +8,11 @@ factorization over distinct roots: with g = gcd(p, p'), the radical
 r = p / g and b = q / g, one weight b(lambda_k) / r'(lambda_k) per distinct
 root (``lagrange_weights``), which is the formula above when g = 1.
 
-``separates`` decides exact p and q from the Bezout forms, with no root of
+``separates`` decides exact p and q from the form H(p, q), with no root of
 q: q separates the hyperbolic p iff H(p, q) >= 0 and rank H(p, q) =
-rank H(p, p') (Hermite; Krein-Naimark 1936).  Float input compares roots
-at a tolerance.  The roots of p enter only the lower-bound constant.  At
+rank H(p, p') = deg p - deg gcd(p, p') (Hermite; Krein-Naimark 1936), read
+with p's hyperbolicity from the Sturm chain p keeps.  Float input compares
+roots at a tolerance.  The roots of p enter only the lower-bound constant.  At
 q = p' every weight is its root's multiplicity, so the derivative bound
 H(p, p') >= c p' p'^T has the closed form c = 1/deg p
 (``derivative_bound_constant``), certified with no root.
@@ -28,7 +29,7 @@ from . import exactla
 from .bezout import bezout_matrix, psd_check
 from .errors import DegreeMismatchError, MultipleRootError, NonHyperbolicError
 from .polynomial import Polynomial, RootProfile, _horner_rows
-from .roots import _exact_quotient, _sturm_gcd, real_roots
+from .roots import _exact_quotient, _hyperbolic_strict, _sturm_gcd, real_roots
 from .scalars import BACKEND_EXACT, infer_backend
 
 if TYPE_CHECKING:
@@ -233,16 +234,16 @@ def separates(p: Polynomial, q: Polynomial, tol: float = 1e-9) -> SeparationCert
     certifies H - c * sum_k v_k v_k^T >= 0, with the weights at the roots of
     p found at ``tol`` (``lagrange_weights``): exact where every root of
     exact p is rational, a float where the least ratio falls at an
-    irrational root.
+    irrational root.  Exact p and q eliminate H(p, q) alone.
     """
     p.require_monic("separation target")
     if q.is_zero or q.degree != p.degree - 1:
         raise DegreeMismatchError(f"separating q must have degree {p.degree - 1}")
     by_forms = p.backend == BACKEND_EXACT and q.backend == BACKEND_EXACT
     if by_forms:
-        hermite = psd_check(bezout_matrix(p, p.derivative()))
-        if not hermite.is_psd:
-            raise NonHyperbolicError(f"separation target is not hyperbolic: {hermite.witness}")
+        if not _hyperbolic_strict(p)[0]:
+            raise NonHyperbolicError("separation target is not hyperbolic: "
+                                     "complex roots (Sturm count short)")
         psd = psd_check(bezout_matrix(p, q))
     else:
         profile = real_roots(p, tol)
@@ -253,9 +254,8 @@ def separates(p: Polynomial, q: Polynomial, tol: float = 1e-9) -> SeparationCert
         reason = _root_failure(profile, q, tol)
     elif not psd.is_psd:
         reason = f"interlacing fails: Bezout form of (p, q) is not PSD ({psd.witness})"
-    elif psd.rank != hermite.rank:
-        reason = (f"multiplicities differ: rank H(p, q) = {psd.rank}, "
-                  f"rank H(p, p') = {hermite.rank}")
+    elif psd.rank != (rank := p.degree + 1 - len(_sturm_gcd(p))):
+        reason = f"multiplicities differ: rank H(p, q) = {psd.rank}, rank H(p, p') = {rank}"
     else:
         reason = ""
     if reason:

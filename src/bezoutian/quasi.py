@@ -125,7 +125,7 @@ def check_conditions(p: Polynomial, epsilon_grid=None, r: float = 0.0,
     rows = []
     c_lower = None
     C_upper = None
-    # per eps in grid order: merged roots, then eps**r, then eps**s; Python's
+    # per eps in grid order: merged roots, eps**r, then eps**s |p_eps'|; Python's
     # min, max and float division keep their NaN and zero semantics
     for eps, d, q_at in zip(grid, d_rows.tolist(), q_rows.tolist()):
         if not all(d):
@@ -133,6 +133,8 @@ def check_conditions(p: Polynomial, epsilon_grid=None, r: float = 0.0,
         eps_r = _eps_power(eps, r)
         lo = min(abs(v) / eps_r for v in d)
         eps_s = _eps_power(eps, s)
+        if not all(eps_s * abs(v) for v in d):  # both factors are nonzero: an underflow
+            raise ValueError(f"eps**{s:g} |p_eps'| at eps={eps:g} leaves the float64 range")
         hi = max(abs(q) / (eps_s * abs(v)) for q, v in zip(q_at, d))
         rows.append((eps, lo, hi))
         c_lower = lo if c_lower is None else min(c_lower, lo)

@@ -10,6 +10,7 @@ round-trips byte for byte.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 PASS = "pass"
@@ -23,7 +24,7 @@ REPORT_VERSION = 1
 class CheckRecord:
     name: str
     check_id: str
-    witness: object  # float or short string
+    witness: object  # finite float or short string: JSON has no inf, so "inf", "nan"
     verdict: str
     tolerance: float | None = None
 
@@ -56,7 +57,7 @@ class CertifiedReport:
     def add(self, name: str, check_id: str, witness, verdict: str,
             tolerance: float | None = None) -> CheckRecord:
         if isinstance(witness, float):
-            witness = float(witness)
+            witness = float(witness) if math.isfinite(witness) else str(float(witness))
         rec = CheckRecord(name, check_id, witness, verdict, tolerance)
         self.checks.append(rec)
         return rec

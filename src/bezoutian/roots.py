@@ -3,17 +3,17 @@
 The exact backend never trusts a float where it matters: multiplicities come
 from gcd structure (Yun decomposition) and hyperbolicity from one Sturm
 chain, so rational inputs get exact multiplicity profiles and exact verdicts.
-``is_hyperbolic`` decides exact input without a root and reads the root
-profile only when a caller asks for its witness.  On exact input every root
-of a square-free Yun factor comes from one kernel (``_factor_roots``), with
-no float polynomial and no eigensolver: Sturm's theorem on the factor's own
-chain isolates each root in a dyadic bracket (``_isolate``), and one
-refinement loop settles each bracket by exact signs at dyadic points
-(``_settle``).  A rational root of the primitive integer factor c is k/|lc c|
-(rational root theorem), so a bracket narrower than 1/|lc c| holds one
-candidate, tested exactly; a root that fails it is irrational and is halved
-to the float nearest it.  A Sturm count short of the degree raises
-NonHyperbolicError.
+``is_hyperbolic`` decides exact input from that chain alone, with no matrix
+and no root, and reads the root profile only when asked.  On exact input
+every root of a square-free Yun factor comes from one kernel
+(``_factor_roots``), with no float polynomial and no eigensolver: Sturm's
+theorem on the factor's own chain isolates each root in a dyadic bracket
+(``_isolate``), and one refinement loop settles each bracket by exact signs
+at dyadic points (``_settle``).  A rational root of the primitive integer
+factor c is k/|lc c| (rational root theorem), so a bracket narrower than
+1/|lc c| holds one candidate, tested exactly; a root that fails it is
+irrational and is halved to the float nearest it.  A Sturm count short of
+the degree raises NonHyperbolicError.
 A float polynomial keeps its companion eigenvalues, which a batch of
 polynomials of one degree gets from one stacked LAPACK call on the
 matrices of ``bezout._companion_stack``; the Newton polish
@@ -218,23 +218,24 @@ def _chain_count(ends: list) -> tuple[int, int]:
 def sturm_real_root_count(p: Polynomial) -> int:
     """Number of distinct real roots, exact (Sturm's theorem on integer polynomials).
 
-    The chain's common factor gcd(p, p') changes no sign variation, so p need
-    not be square-free.
+    Read from the chain p keeps (``_sturm_ends``).  The chain's common factor
+    gcd(p, p') changes no sign variation, so p need not be square-free.
     """
     if p.backend != BACKEND_EXACT:
         raise ValueError("Sturm counting requires the exact backend")
     if p.degree < 1:
         return 0
-    return _chain_count(_int_sturm_chain(p.primitive[0])[0])[0]
+    return _chain_count(_sturm_ends(p))[0]
 
 
 def _sturm(p: Polynomial) -> tuple[list, tuple, list]:
     """``_int_sturm_chain`` of exact p of degree >= 1, which p keeps (``Polynomial.memo``).
 
-    ``is_hyperbolic`` reads its verdict from the ends, Yun's decomposition
-    starts from the gcd, ``nuij.certify_stages`` reads stage 0 and the
-    Cauchy index of stage 1 at every eps, and the roots of a square-free p
-    are isolated on the chain itself.
+    ``is_hyperbolic``, ``sturm_real_root_count`` and ``factorization.separates``
+    read their verdicts from the ends, Yun's decomposition starts from the
+    gcd, ``nuij.certify_stages`` reads stage 0 and the Cauchy index of stage
+    1 at every eps, and the roots of a square-free p are isolated on the
+    chain itself.
     """
     return p.derived("sturm", lambda: _int_sturm_chain(p.primitive[0]))
 
@@ -251,10 +252,7 @@ def _sturm_gcd(p: Polynomial) -> tuple:
 
 
 def _hyperbolic_strict(p: Polynomial) -> tuple[bool, bool]:
-    """(hyperbolic, strict) of exact p of degree >= 1: Sturm count == deg p - deg gcd(p, p').
-
-    Read from the chain ends p keeps (``_sturm_ends``).
-    """
+    """(hyperbolic, strict) of exact p of degree >= 1, from the chain ends p keeps."""
     return _chain_verdict(_sturm_ends(p))
 
 
@@ -529,6 +527,9 @@ def _exact_roots(p: Polynomial) -> tuple[tuple, tuple]:
 
 @dataclass(frozen=True)
 class HyperbolicityVerdict:
+    """The verdict on p and its ``method``: "sturm" on exact input, "hermite-psd"
+    on float input, "degenerate" below degree 1."""
+
     is_hyperbolic: bool
     is_strict: bool
     _witness: object  # the witness, or a function computing it on first read
@@ -548,33 +549,28 @@ class HyperbolicityVerdict:
 
 
 def is_hyperbolic(p: Polynomial) -> HyperbolicityVerdict:
-    """Hermite criterion cross-checked against a Sturm count (exact backend).
+    """Whether p is hyperbolic, and strictly: Sturm on exact input, Hermite on float.
 
-    The two certificates are independent: the Sturm count needs no matrix
-    work, the Hermite route checks positive semidefiniteness of the Bezout
-    matrix of (p, p').  They must agree on exact input.  On the exact
-    backend one Sturm chain gives the count of distinct real roots and, as
-    its last member, gcd(p, p'): p is hyperbolic when the count reaches
-    deg p - deg gcd(p, p'), and strict when that gcd is constant.  No root
-    is computed for that; ``witness`` reads the root profile when first
-    asked.  The monic p keeps the Bezout form of (p, p') and its roots
-    (``Polynomial.memo``), and an exact form keeps its LDL certificate, so
-    callers redo neither.
+    Exact p: the Sturm chain p keeps (``_sturm``) counts the distinct real
+    roots and ends at gcd(p, p'); p is hyperbolic when the count reaches
+    deg p - deg gcd(p, p'), strict when that gcd is constant, with no matrix
+    and no root (``witness`` reads the roots on first access).  Float p: the
+    Bezout form of (p, p') passes the eigenvalue test (Hermite's criterion)
+    and the float roots are real.  The monic p keeps what it derives
+    (``Polynomial.memo``), so callers redo none of it.
     """
-    from .bezout import bezout_matrix, psd_check
-
     if p.is_zero or p.degree < 1:
         return HyperbolicityVerdict(False, False, "degree < 1", "degenerate")
     monic = p * (1 / p.leading) if not p.is_monic else p
-    hermite = psd_check(bezout_matrix(monic, monic.derivative()), DEFAULT_TOL)
     if p.backend == BACKEND_EXACT:
-        sturm_verdict, strict = _hyperbolic_strict(monic)
-        if hermite.is_psd != sturm_verdict:
-            raise ArithmeticError("internal fault: Sturm and Hermite certificates disagree")
-        if not sturm_verdict:
+        hyperbolic, strict = _hyperbolic_strict(monic)
+        if not hyperbolic:
             return HyperbolicityVerdict(False, False, "complex roots (Sturm count short)",
                                         "sturm")
         return HyperbolicityVerdict(True, strict, functools.partial(real_roots, monic), "sturm")
+    from .bezout import bezout_matrix, psd_check
+
+    hermite = psd_check(bezout_matrix(monic, monic.derivative()), DEFAULT_TOL)
     if not hermite.is_psd:
         reason = f"Bezout form of (p, p') indefinite: {hermite.witness}"
         return HyperbolicityVerdict(False, False, reason, "hermite-psd")

@@ -44,6 +44,7 @@ from bezoutian import (
     gap_constants,
     h_b_relation_check,
     invert_transform,
+    is_hyperbolic,
     leray_symmetrizer,
     nuij_transform,
     propagate,
@@ -58,7 +59,7 @@ from bezoutian import (
 )
 from bezoutian.exactla import det
 from bezoutian.nuij import default_epsilon_grid
-from bezoutian.roots import squarefree_decomposition, sturm_real_root_count
+from bezoutian.roots import poly_gcd, squarefree_decomposition, sturm_real_root_count
 from test_leray import vandermonde_relation_residual
 
 
@@ -85,6 +86,9 @@ def test_criterion_01_symmetrization_identity():
 
 
 def test_criterion_02_hermite_criterion():
+    # the LDL of H(p, p') is the reference for is_hyperbolic, which reads the
+    # Sturm chain alone: H(p, p') >= 0 iff p is hyperbolic, rank H(p, p') =
+    # m - deg gcd(p, p') (Krein-Naimark), so p is strict iff that rank is m
     rg = corpus.rng(102)
     disagreements = 0
     for _ in range(1000):
@@ -95,8 +99,15 @@ def test_criterion_02_hermite_criterion():
             p = Polynomial.from_roots(corpus.hyperbolic_profile(rg, m, max_mult=3))
         distinct = sum(f.degree for f, _ in squarefree_decomposition(p))
         sturm_says = sturm_real_root_count(p) == distinct
-        hermite_says = psd_check(bezout_matrix(p, p.derivative())).is_psd
-        if sturm_says != hermite_says:
+        v = is_hyperbolic(p)
+        hermite = psd_check(bezout_matrix(p, p.derivative()))
+        agree = sturm_says == hermite.is_psd == v.is_hyperbolic
+        if hermite.is_psd:
+            agree = agree and hermite.rank == m - poly_gcd(p, p.derivative()).degree \
+                and v.is_strict == (hermite.rank == m)
+        else:
+            agree = agree and not v.is_strict
+        if not agree:
             disagreements += 1
     verdict(2, "Hermite criterion vs Sturm", disagreements == 0,
             f"{disagreements} disagreements in 1000")

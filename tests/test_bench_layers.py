@@ -45,6 +45,9 @@ def test_bench_layers_writes_rows_for_every_layer_and_degree(tmp_path, monkeypat
     # to the float routes and scipy to the multiple-root energy branch
     assert imported["numpy_loaded"] is False
     assert imported["scipy_linalg_loaded"] is False
+    # timed from a private bytecode cache that an untimed import filled, so a
+    # stale __pycache__ in the tree or a compile is never timed
+    assert imported["bytecode_cache"] == "private, warmed"
     rows = run["rows"]
     assert {(r["layer"], r["m"]) for r in rows} == \
         {(k, m) for k in LAYERS for m in (2, 3)} | {("energy_draw", None)}

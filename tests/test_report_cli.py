@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -94,10 +95,11 @@ def test_analyze_with_separating_q(capsys):
     assert sep["witness"] == pytest.approx(0.5)
 
 
-def test_analyze_non_hyperbolic_exits_3(capsys):
-    code, out, err = run_cli(capsys, "analyze", "--poly", "[1,0,1]")
-    assert code == 3
-    assert "hyperbolicity" in err
+@pytest.mark.parametrize("command", ["analyze", "nuij", "quasi", "leray", "energy"])
+def test_analyze_non_hyperbolic_exits_3(capsys, command):
+    # every command gates on the Sturm chain of exact p
+    assert run_cli(capsys, command, "--poly", "[1,0,1]") == \
+        (3, "", "hyperbolicity required: complex roots (Sturm count short)\n")
 
 
 def test_parse_error_exits_2(capsys, tmp_path):
@@ -194,13 +196,19 @@ def test_exact_analyze_reads_roots_once_and_certifies_one_form(capsys, monkeypat
     (("leray", "--poly", "[1,0,-7,6]"), 2, 0),
     # q does not separate p: H(p, q) is indefinite, so its det takes Bareiss
     (("analyze", "--poly", "[1,0,-1]", "--q", "[1,5]"), 2, 1),
+    # the hyperbolicity gate reads the Sturm chain of p and eliminates nothing
+    (("nuij", "--poly", "[1,0,-7,6]"), 0, 0),
+    (("quasi", "--poly", "[1,0,-7,6]"), 0, 0),
 ])
 def test_exact_requests_eliminate_each_matrix_once(capsys, monkeypatch, argv, ldl, bareiss):
     ldl_runs = count_calls(monkeypatch, exactla._integer_psd)
     bareiss_runs = count_calls(monkeypatch, exactla._bareiss_det)
+    forms = count_calls(monkeypatch, bezout._bezout_matrix, arity=2)
     code, _, err = run_cli(capsys, *argv)
     assert err == "" and code in (0, 1)
     assert (len(ldl_runs), len(bareiss_runs)) == (ldl, bareiss)
+    # analyze builds H(p, p') and H(p, q) for a --q, leray H(p, p') for det S
+    assert len(forms) == {"analyze": 1 + ("--q" in argv), "leray": 1}.get(argv[0], 0)
 
 
 def test_decimal_analyze_computes_no_eigenvalues(capsys, monkeypatch):
@@ -917,6 +925,32 @@ def test_quasi_on_a_family_point_with_merged_roots_exits_2(capsys):
     code, out, err = run_cli(capsys, "quasi", "--poly", "[1,0,0]", "--eps-grid", "1:1e-16:3")
     assert (code, strict_json(out)) == (2, None)
     assert err.startswith("input error:") and "merged roots" in err
+
+
+def test_quasi_where_eps_s_times_the_derivative_underflows_exits_2(capsys):
+    # at eps = 1e-125, eps * |p_eps'(root)| of x^3 underflows to 0.0 though
+    # neither factor is 0, and the perturbation ratio divided by it
+    code, out, err = run_cli(capsys, "quasi", "--poly", "[1,0,0,0]", "--eps-grid",
+                             "1e-100:1e-150:3")
+    assert (code, strict_json(out)) == (2, None)
+    assert err.startswith("input error:") and "float64 range" in err and err.count("\n") == 1
+
+
+def test_quasi_writes_an_infinite_constant_as_a_string(capsys):
+    # a lower constant of 0 makes lower_decay infinite, which JSON cannot hold
+    code, out, err = run_cli(capsys, "quasi", "--poly", "[1,0,0,0]", "--eps-grid",
+                             "1e-60:1e-80:3")
+    assert (code, err) == (1, "")
+    checks = {c["check_id"]: c for c in strict_json(out)["checks"]}
+    assert checks["quasi-lower-bound"]["witness"] == "inf"
+
+
+def test_report_writes_a_non_finite_witness_as_a_string():
+    rep = CertifiedReport(command="x")
+    for value in (math.inf, -math.inf, math.nan, np.float64(math.inf)):
+        rep.add("a", "id-a", value, "fail")
+    assert [c["witness"] for c in strict_json(rep.to_json())["checks"]] == \
+        ["inf", "-inf", "nan", "inf"]
 
 
 @pytest.mark.parametrize("flag", ["--r", "--s"])

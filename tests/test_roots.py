@@ -257,13 +257,13 @@ def test_is_hyperbolic_reads_exact_roots_on_demand(monkeypatch):
     assert len(calls) == 1
 
 
-def test_is_hyperbolic_raises_when_sturm_and_hermite_disagree(monkeypatch):
-    from bezoutian import bezout
-    from bezoutian.exactla import PsdVerdict
-
-    monkeypatch.setattr(bezout, "psd_check", lambda H, tol=1e-9: PsdVerdict(False, False, "stub"))
-    with pytest.raises(ArithmeticError, match="disagree"):
-        is_hyperbolic(Polynomial.exact([1, 0, -1]))
+@pytest.mark.parametrize("coeffs", [[1, 0, -1], [1, 0, 1], [1, -2, 1, 0], [1, 0, 0, 0, 1]])
+def test_exact_is_hyperbolic_builds_no_bezout_form(coeffs):
+    # the verdict comes from the Sturm chain p keeps; Hermite's form of (p, p')
+    # is the tests' reference (test_criterion_02_hermite_criterion)
+    p = Polynomial.exact(coeffs)
+    assert is_hyperbolic(p).method == "sturm" and "sturm" in p.memo
+    assert not [k for k in p.memo if isinstance(k, tuple) and k[0] == "bezout"]
 
 
 def test_is_hyperbolic_float_backend():

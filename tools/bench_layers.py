@@ -73,6 +73,11 @@ is null on a source tree without it) and numpy's
 Each run also records ``import``: the best of five fresh interpreters
 importing ``bezoutian.cli`` from the timed source, in wall and CPU
 seconds, and whether that import loaded ``numpy`` and ``scipy.linalg``.
+The interpreters keep their bytecode under a private ``PYTHONPYCACHEPREFIX``
+in a fresh temporary directory, warmed by one untimed import of the same
+source, so no tree is timed against a stale ``__pycache__`` or a compile;
+``bytecode_cache`` reads ``"private, warmed"`` when every timed interpreter
+ran so.
 Each layer is timed as the best of five batches (stdlib
 ``time.perf_counter``); a batch repeats the call until it lasts
 ``MIN_TIME`` seconds, and the per-call time is reported.  The rows go into
@@ -95,6 +100,7 @@ import platform
 import random
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -138,7 +144,8 @@ SIGNAL = ExponentialSignal.of((1.0, -2.1), (0.5, 0.4), (1 / 3, 2.7))
 IMPORT_PROBE = ("import sys, time; t = time.perf_counter(); c = time.process_time(); "
                 "import bezoutian.cli; "
                 "print(time.perf_counter() - t, time.process_time() - c, "
-                "'numpy' in sys.modules, 'scipy.linalg' in sys.modules)")
+                "'numpy' in sys.modules, 'scipy.linalg' in sys.modules, "
+                "sys.dont_write_bytecode, sys.pycache_prefix)")
 
 
 def exact_input(m: int) -> list:
@@ -290,17 +297,28 @@ def draw_row() -> dict:
 
 
 def import_row() -> dict:
-    """Best of REPEATS fresh interpreters importing bezoutian.cli from the timed source."""
-    env = dict(os.environ, PYTHONPATH=str(Path(bezoutian.__file__).resolve().parent.parent))
-    runs = []
-    for _ in range(REPEATS):
-        done = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True,
-                              text=True, timeout=120, check=True)
-        wall, cpu, numpy, scipy_linalg = done.stdout.split()
-        runs.append((float(wall), float(cpu), numpy == "True", scipy_linalg == "True"))
+    """Best of REPEATS fresh interpreters importing bezoutian.cli from the timed source.
+
+    They share a bytecode cache of their own, a fresh temporary directory as
+    PYTHONPYCACHEPREFIX, which one untimed import fills first.
+    """
+    with tempfile.TemporaryDirectory() as cache:
+        env = dict(os.environ, PYTHONPYCACHEPREFIX=cache,
+                   PYTHONPATH=str(Path(bezoutian.__file__).resolve().parent.parent))
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        runs = []
+        for _ in range(REPEATS + 1):
+            done = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                                  capture_output=True, text=True, timeout=120, check=True)
+            wall, cpu, numpy, scipy_linalg, no_write, prefix = \
+                done.stdout.rstrip("\n").split(" ", 5)
+            runs.append((float(wall), float(cpu), numpy == "True", scipy_linalg == "True",
+                         no_write == "False" and prefix == cache))
+    runs = runs[1:]  # the first import compiled the cache
     return {"best_wall_s": min(r[0] for r in runs), "best_cpu_s": min(r[1] for r in runs),
             "numpy_loaded": any(r[2] for r in runs),
-            "scipy_linalg_loaded": any(r[3] for r in runs)}
+            "scipy_linalg_loaded": any(r[3] for r in runs),
+            "bytecode_cache": "private, warmed" if all(r[4] for r in runs) else "other"}
 
 
 def source_commit() -> str | None:

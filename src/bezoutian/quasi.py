@@ -126,7 +126,7 @@ def check_conditions(p: Polynomial, epsilon_grid=None, r: float = 0.0,
     c_lower = None
     C_upper = None
     # per eps in grid order: merged roots, eps**r, then eps**s |p_eps'|; Python's
-    # min, max and float division keep their NaN and zero semantics
+    # min, max and float division keep their NaN semantics
     for eps, d, q_at in zip(grid, d_rows.tolist(), q_rows.tolist()):
         if not all(d):
             raise _merged_roots(eps)

@@ -24,7 +24,7 @@ REPORT_VERSION = 1
 class CheckRecord:
     name: str
     check_id: str
-    witness: object  # finite float or short string: JSON has no inf, so "inf", "nan"
+    witness: object  # finite float or short string ("inf", "-inf", "nan": not JSON numbers)
     verdict: str
     tolerance: float | None = None
 

@@ -166,9 +166,9 @@ def symmetrization_defect(H, A) -> Fraction:
     return Fraction(exactla._asymmetry(exactla._matmul(X.rows, Y.rows)), X.den * Y.den)
 
 
-def psd_check(H, tol: float = 1e-9) -> PsdVerdict:
-    """Positive semidefiniteness certificate for a symmetric matrix."""
-    return psd_certificate(H, tol)
+def psd_check(H) -> PsdVerdict:
+    """Positive semidefiniteness certificate for a symmetric matrix, exact (``psd_certificate``)."""
+    return psd_certificate(H)
 
 
 def discriminant(p: Polynomial):

@@ -55,6 +55,11 @@ from .roots import is_hyperbolic, real_roots
 from .scalars import BACKEND_EXACT, scalar_to_json
 
 
+# sample pairs (z, w) a quasi request may draw over its grid: 32 n bytes of
+# normal draws each, about 100 MB at degree n = 32
+MAX_SAMPLE_PAIRS = 10 ** 5
+
+
 class InputError(Exception):
     pass
 
@@ -144,14 +149,6 @@ def _require_hyperbolic(p: Polynomial):
     return verdict
 
 
-def _check_q(p: Polynomial, q: Polynomial) -> None:
-    """Reject a --q that cannot pair with p, before any form of the pair is built."""
-    if q.backend != p.backend:
-        raise InputError(f"--q is {q.backend} but --poly is {p.backend}; use one backend for both")
-    if not q.is_zero and q.degree >= p.degree:
-        raise DegreeMismatchError(f"deg q = {q.degree} is not below deg p = {p.degree}")
-
-
 def _exact_witness(x):
     """float(x) for a rational x, or a short decimal string once x leaves the float range."""
     try:
@@ -171,15 +168,18 @@ def cmd_analyze(args, report: CertifiedReport):
     """Certify p and q at their exact values, echoing them as typed.
 
     A decimal is an exact dyadic rational, so a decimal request gets the
-    checks of that value typed as fractions, backend ``exact``, as in ``leray``.
-    The default q is p' of that value; the echo shows the float p' as typed.
+    checks of that value typed as fractions, backend ``exact``, as in ``leray``;
+    p and q may be typed in either backend.  The default q is p' of that
+    value; the echo shows the float p' as typed.
     """
     typed = _parse_poly(args.poly, args.poly_file)
     p = typed.as_exact()
     tol = args.tol
     _require_hyperbolic(p)
     typed_q = _parse_poly(args.q, None) if args.q else typed.derivative()
-    _check_q(typed, typed_q)
+    if not typed_q.is_zero and typed_q.degree >= p.degree:
+        # refused before any form of the pair is built
+        raise DegreeMismatchError(f"deg q = {typed_q.degree} is not below deg p = {p.degree}")
     # the float derivative rounds k * c, so it is echoed but not certified
     q = typed_q.as_exact() if args.q else p.derivative()
     report.backend = p.backend
@@ -287,6 +287,9 @@ def cmd_quasi(args, report: CertifiedReport):
     grid = _parse_grid(args.eps_grid)
     if args.samples < 1:
         raise InputError(f"--samples must be at least 1, got {args.samples}")
+    if len(grid) * args.samples > MAX_SAMPLE_PAIRS:
+        raise InputError(f"--samples {args.samples} over {len(grid)} grid points draws more "
+                         f"than {MAX_SAMPLE_PAIRS} sample pairs")
     r = args.r if args.r is not None else max_multiplicity(p) - 1
     s = args.s
     if not (math.isfinite(r) and math.isfinite(s)):
@@ -397,7 +400,7 @@ def cmd_energy(args, report: CertifiedReport):
     report.add_bool("derivative identity", "energy-derivative-identity",
                     residual <= 1e-8, residual, 1e-8)
     if m >= 2:
-        # the floor constant is 1/m, certified on the Bezout form of (p, p')
+        # the floor constant is 1/m, certified by the Sturm chain of p's exact value
         chain = chain_bound_check(p, 0, traj, T=args.T)
         report.add_bool("chain bound along trajectory", "energy-chain-bound",
                         chain.passed, chain.derivative_margin)

@@ -402,7 +402,7 @@ def chain_bound_check(p: Polynomial, j: int, source, T: float = 10.0) -> ChainBo
     slack = _CHAIN_SLACK * scale
     derivative_margin = float(np.max(d_energy - rhs[inner]))
 
-    # the floor constant is 1 / deg p^(j), certified on the form of the monic p^(j)
+    # the floor constant is 1 / deg p^(j), certified by the Sturm chain of the monic p^(j)
     monic = pj_native if pj_native.is_monic else pj_native * (1 / pj_native.leading)
     c_j = float(derivative_bound_constant(monic).constant)
     floor_margin = float(np.max(c_j * np.abs(Pj1) ** 2 - energy))

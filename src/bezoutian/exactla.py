@@ -17,10 +17,10 @@ builder returns one kind or the other: an IntMatrix for exact input, a
 read-only float64 array for float input.  numpy reads an IntMatrix as its
 Fraction array (``fractions``), which is built only when something reads it.
 Object arrays of Fractions from outside are cleared to an ``IntMatrix``
-once, on entry (``_integer_matrix``).  ``det`` and ``adjugate`` have no
-float route: they take float entries at their exact dyadic values.  Only
-``psd_certificate`` judges a float matrix, by the smallest eigenvalue of
-its symmetric part against a tolerance.  ``_asymmetry`` and ``_matmul`` give
+once, on entry (``_integer_matrix``).  ``det``, ``adjugate`` and
+``psd_certificate`` have no float route: they take float entries at their
+exact dyadic values, so no verdict rests on an eigenvalue or a tolerance.
+``_asymmetry`` and ``_matmul`` give
 the symmetry defect and the product of integer matrices for the adjugate
 and the exact Bezout-form checks (``bezout``), and ``psd_difference``
 certifies X - c Y >= 0 on the integer rows, for the separation and
@@ -277,18 +277,16 @@ def is_adjugate_product(A: IntMatrix, B: IntMatrix, det_a: Fraction) -> bool:
 
 @dataclass(frozen=True)
 class PsdVerdict:
-    """Outcome of a positive semidefiniteness check.
-
-    Exact inputs get an LDL pivot-sign certificate (pivots, rank); float
-    inputs get the smallest eigenvalue against a tolerance.
+    """Outcome of a positive semidefiniteness check on an exact matrix: its
+    rank, the pivots of its LDL certificate (None where another identity
+    decides, as ``leray`` does for B), and a witness when it fails.
     """
 
     is_psd: bool
     is_pd: bool
     method: str
-    pivots: tuple | None = None
-    rank: int | None = None
-    min_eigenvalue: float | None = None
+    pivots: tuple | None
+    rank: int
     witness: str = ""
 
 
@@ -353,24 +351,11 @@ def psd_difference(X: IntMatrix, Y: IntMatrix, c: Fraction) -> PsdVerdict:
     return _integer_psd(diff, X.den * a)
 
 
-def psd_certificate(M, tol: float = 1e-9) -> PsdVerdict:
-    """Certify M >= 0; exact pivots for rational input, eigenvalues for float.
+def psd_certificate(M) -> PsdVerdict:
+    """Certify M >= 0 by the LDL pivots of its exact value.
 
-    An exact matrix reads its cached ``ldl`` certificate; an object array
-    is cleared to an IntMatrix first.  A float matrix has the smallest
-    eigenvalue of its symmetric part judged against ``tol`` times
-    max(1, max-norm).
+    An IntMatrix reads its cached ``ldl`` certificate; an array is cleared
+    to an IntMatrix first (``IntMatrix.of``), float entries at their exact
+    dyadic values, as ``det`` and ``adjugate`` take them.
     """
-    if isinstance(M, IntMatrix):
-        return M.ldl
-    import numpy as np
-
-    data = np.asarray(M)
-    if data.dtype == object:
-        return _integer_matrix(data).ldl
-    sym = 0.5 * (data + data.T)
-    lo, scale = float(np.linalg.eigvalsh(sym)[0]), max(1.0, float(np.max(np.abs(sym))))
-    is_psd = lo >= -tol * scale
-    is_pd = lo > tol * scale
-    witness = "" if is_psd else f"negative eigenvalue {lo:.3e}"
-    return PsdVerdict(is_psd, is_pd, "eigenvalue", None, None, lo, witness)
+    return IntMatrix.of(M).ldl

@@ -15,7 +15,8 @@ with p's hyperbolicity from the Sturm chain p keeps.  Float input compares
 roots at a tolerance.  The roots of p enter only the lower-bound constant.  At
 q = p' every weight is its root's multiplicity, so the derivative bound
 H(p, p') >= c p' p'^T has the closed form c = 1/deg p
-(``derivative_bound_constant``), certified with no root.
+(``derivative_bound_constant``), which holds exactly when p is hyperbolic,
+so it is certified by the Sturm chain of p alone.
 """
 
 from __future__ import annotations
@@ -122,6 +123,9 @@ def lagrange_weights(p: Polynomial, q: Polynomial, tol: float = 1e-9) -> tuple:
     Otherwise g and r are built from the float roots, and q may leave a
     remainder of 10 tol times its largest coefficient.  A larger remainder
     raises ValueError: q does not vanish to the order r_k - 1 at lambda_k.
+    A float weight that overflows (b and r' past the float64 range at a
+    root near its limit) is the ratio at the root's exact dyadic value,
+    rounded; one that is past the range itself raises ValueError naming it.
     """
     profile = real_roots(p, tol)
     exact = p.backend == BACKEND_EXACT and q.backend == BACKEND_EXACT
@@ -145,7 +149,20 @@ def lagrange_weights(p: Polynomial, q: Polynomial, tol: float = 1e-9) -> tuple:
         if not vanishes:
             raise ValueError("q does not vanish to the required order at a multiple root")
         dr = r.derivative()
-    return tuple(b(lam) / dr(lam) for lam in roots)
+    weights = []
+    for lam in roots:
+        w = b(lam) / dr(lam)
+        if isinstance(w, float) and not math.isfinite(w):
+            # b and r' overflow at a float root near the float64 limit (inf / inf):
+            # the ratio at the root's exact dyadic value
+            x = Fraction(lam)
+            try:
+                w = float(b.as_exact()(x) / dr.as_exact()(x))
+            except OverflowError:
+                raise ValueError(f"the Lagrange weight at root {lam:.6g} leaves the float64 "
+                                 "range") from None
+        weights.append(w)
+    return tuple(weights)
 
 
 def _weighted_gram(G: np.ndarray, weights) -> np.ndarray:
@@ -280,23 +297,14 @@ def derivative_bound_constant(p: Polynomial) -> DerivativeBound:
     ``lagrange_weights`` at q = p' is r_k), so Cauchy-Schwarz with the
     weights r_k gives (v . z)^2 <= (sum_k r_k) z^T H z for v the
     coefficients of p': H - v v^T / m >= 0.  The e_k are independent, so
-    some z makes every e_k . z equal, and no larger c holds.  The
-    certificate checks H - c v v^T >= 0 directly, reading no root and no
-    weight: exactly on the integer rows of H and of p' for exact p
-    (``exactla.psd_difference``), by eigenvalues for float p.  A verified
-    certificate implies H >= 0, so it also certifies that p is hyperbolic;
-    for p with complex roots it comes out unverified.
+    some z makes every e_k . z equal, and no larger c holds.  Conversely
+    H - v v^T / m >= 0 implies H >= 0, so p is hyperbolic (Hermite).  The
+    bound therefore holds exactly when p is hyperbolic, and ``verified``
+    is read from the Sturm chain of p's exact value (``roots._sturm``):
+    no form, no root and no weight.  A float p is decided at its exact
+    dyadic value.
     """
     p.require_monic("derivative bound input")
-    dp = p.derivative()
-    H = bezout_matrix(p, dp)
-    c = Fraction(1, int(p.degree))
-    if isinstance(H, exactla.IntMatrix):
-        # v = k P with P the primitive ints of p', so c v v^T = (c k^2) P P^T
-        P, k = dp.primitive
-        V = exactla.IntMatrix(tuple(tuple(u * w for w in P[::-1]) for u in P[::-1]))
-        return DerivativeBound(c, exactla.psd_difference(H, V, c * k * k).is_psd)
-    import numpy as np
-
-    v = dp.ascending(int(p.degree))
-    return DerivativeBound(c, psd_check(H - float(c) * np.outer(v, v)).is_psd)
+    if p.degree < 1:
+        raise DegreeMismatchError("the derivative bound needs degree >= 1")
+    return DerivativeBound(Fraction(1, int(p.degree)), _hyperbolic_strict(p.as_exact())[0])

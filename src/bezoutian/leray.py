@@ -108,7 +108,7 @@ def _leray_symmetrizer(p: Polynomial) -> LeraySymmetrizer:
     if det_s and exactla.is_adjugate_product(S, B, det_s):
         # B = det(S) S^-1 is nonsingular, and definite exactly when S is
         pd = S.ldl.is_pd
-        verdict = PsdVerdict(pd, pd, "adjugate-identity", rank=m,
+        verdict = PsdVerdict(pd, pd, "adjugate-identity", None, m,
                              witness="" if pd else f"S indefinite: {S.ldl.witness}")
         return LeraySymmetrizer(S, B, det_s, det_s ** (m - 1), defect, verdict)
     return LeraySymmetrizer(S, B, det_s, exactla.det(B), defect, B.ldl)

@@ -3,8 +3,10 @@
 The exact backend never trusts a float where it matters: multiplicities come
 from gcd structure (Yun decomposition) and hyperbolicity from one Sturm
 chain, so rational inputs get exact multiplicity profiles and exact verdicts.
-``is_hyperbolic`` decides exact input from that chain alone, with no matrix
-and no root, and reads the root profile only when asked.  On exact input
+``is_hyperbolic`` decides every input from the chain of its exact value
+alone, with no matrix and no root (a decimal is an exact dyadic rational);
+it reads the root profile of exact input only when asked, and the float
+roots of float input after the verdict.  On exact input
 every root of a square-free Yun factor comes from one kernel
 (``_factor_roots``), with no float polynomial and no eigensolver: Sturm's
 theorem on the factor's own chain isolates each root in a dyadic bracket
@@ -231,11 +233,12 @@ def sturm_real_root_count(p: Polynomial) -> int:
 def _sturm(p: Polynomial) -> tuple[list, tuple, list]:
     """``_int_sturm_chain`` of exact p of degree >= 1, which p keeps (``Polynomial.memo``).
 
-    ``is_hyperbolic``, ``sturm_real_root_count`` and ``factorization.separates``
-    read their verdicts from the ends, Yun's decomposition starts from the
-    gcd, ``nuij.certify_stages`` reads stage 0 and the Cauchy index of stage
-    1 at every eps, and the roots of a square-free p are isolated on the
-    chain itself.
+    ``is_hyperbolic``, ``sturm_real_root_count``, ``factorization.separates``
+    and ``factorization.derivative_bound_constant`` read their verdicts from
+    the ends, Yun's decomposition starts from the gcd,
+    ``nuij.certify_stages`` reads stage 0 and the Cauchy index of stage 1 at
+    every eps, and the roots of a square-free p are isolated on the chain
+    itself.
     """
     return p.derived("sturm", lambda: _int_sturm_chain(p.primitive[0]))
 
@@ -527,8 +530,12 @@ def _exact_roots(p: Polynomial) -> tuple[tuple, tuple]:
 
 @dataclass(frozen=True)
 class HyperbolicityVerdict:
-    """The verdict on p and its ``method``: "sturm" on exact input, "hermite-psd"
-    on float input, "degenerate" below degree 1."""
+    """The verdict on p and its ``method``: "sturm" when the Sturm chain of p's
+    exact value decides it, "float-roots" when that chain says hyperbolic and
+    the float roots of float p still leave the real line, "degenerate" below
+    degree 1.  ``is_strict`` is that of p's exact value on either backend, so
+    on float p exactly distinct roots that merge at tol give a strict
+    verdict whose witness is not strict."""
 
     is_hyperbolic: bool
     is_strict: bool
@@ -549,33 +556,27 @@ class HyperbolicityVerdict:
 
 
 def is_hyperbolic(p: Polynomial) -> HyperbolicityVerdict:
-    """Whether p is hyperbolic, and strictly: Sturm on exact input, Hermite on float.
+    """Whether p is hyperbolic, and strictly, from the Sturm chain of its exact value.
 
-    Exact p: the Sturm chain p keeps (``_sturm``) counts the distinct real
-    roots and ends at gcd(p, p'); p is hyperbolic when the count reaches
-    deg p - deg gcd(p, p'), strict when that gcd is constant, with no matrix
-    and no root (``witness`` reads the roots on first access).  Float p: the
-    Bezout form of (p, p') passes the eigenvalue test (Hermite's criterion)
-    and the float roots are real.  The monic p keeps what it derives
-    (``Polynomial.memo``), so callers redo none of it.
+    The chain that ``p.as_exact()`` keeps (``_sturm``) counts the distinct
+    real roots and ends at gcd(p, p'); p is hyperbolic when the count
+    reaches deg p - deg gcd(p, p'), strict when that gcd is constant, with
+    no matrix and no root.  A decimal is an exact dyadic rational, so float
+    input is decided at that value too.  Exact p reads its roots only when
+    ``witness`` is first read; float p then reads the float roots of its
+    monic form, which must be real too, and keeps them (``Polynomial.memo``)
+    for its callers.
     """
     if p.is_zero or p.degree < 1:
         return HyperbolicityVerdict(False, False, "degree < 1", "degenerate")
+    hyperbolic, strict = _hyperbolic_strict(p.as_exact())
+    if not hyperbolic:
+        return HyperbolicityVerdict(False, False, "complex roots (Sturm count short)", "sturm")
     monic = p * (1 / p.leading) if not p.is_monic else p
     if p.backend == BACKEND_EXACT:
-        hyperbolic, strict = _hyperbolic_strict(monic)
-        if not hyperbolic:
-            return HyperbolicityVerdict(False, False, "complex roots (Sturm count short)",
-                                        "sturm")
         return HyperbolicityVerdict(True, strict, functools.partial(real_roots, monic), "sturm")
-    from .bezout import bezout_matrix, psd_check
-
-    hermite = psd_check(bezout_matrix(monic, monic.derivative()), DEFAULT_TOL)
-    if not hermite.is_psd:
-        reason = f"Bezout form of (p, p') indefinite: {hermite.witness}"
-        return HyperbolicityVerdict(False, False, reason, "hermite-psd")
     try:
         profile = real_roots(monic)
     except NonHyperbolicError as exc:
-        return HyperbolicityVerdict(False, False, str(exc), "hermite-psd")
-    return HyperbolicityVerdict(True, profile.is_strict, profile, "hermite-psd")
+        return HyperbolicityVerdict(False, False, str(exc), "float-roots")
+    return HyperbolicityVerdict(True, strict, profile, "sturm")

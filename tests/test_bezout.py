@@ -223,15 +223,29 @@ def test_symmetrization_defect_holds_without_hyperbolicity():
         assert symmetrization_defect(H, A) == 0
 
 
+@pytest.mark.parametrize("rows", [
+    [[2.0, 0.0], [0.0, 2.0]],
+    [[1.0, 2.0], [2.0, 1.0]],
+    [[0.5, 0.25], [0.25, 0.125]],
+    # singular in decimals, not at the dyadic values; an eigenvalue test
+    # judged it within a tolerance
+    [[0.1, 0.3], [0.3, 0.9]],
+    [[1e-300, 0.0], [0.0, -1e-300]],
+])
+def test_psd_check_of_a_float_array_is_that_of_its_fraction_array(rows):
+    # a float matrix is certified at its exact dyadic value
+    assert psd_check(np.array(rows)) == psd_check(corpus.fraction_matrix(rows))
+
+
 def test_psd_check_examples():
     v = psd_check(np.array([[2.0, 0.0], [0.0, 2.0]]))
-    assert v.is_psd and v.is_pd and v.min_eigenvalue == pytest.approx(2.0)
+    assert v.is_psd and v.is_pd and v.pivots == (2, 2)
     singular = bezout_matrix(Polynomial.exact([1, 0, 0]), Polynomial.exact([2, 0])).fractions
     assert singular.tolist() == [[0, 0], [0, 2]]
     v = psd_check(singular)
     assert v.is_psd and not v.is_pd and v.rank == 1
     v = psd_check(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    assert not v.is_psd and v.min_eigenvalue == pytest.approx(-1.0)
+    assert not v.is_psd and v.witness
 
 
 def test_psd_exact_certificates():

@@ -7,6 +7,11 @@ coefficient is a float exactly, as decimals.  ``analyze`` certifies the
 exact value, so every check must pass; ``energy`` on fractions may fail a
 float tolerance (exit 1) but must not report complex roots (exit 3).  Every
 request writes strict JSON and no traceback, within a time budget.
+
+Times x^2 + 10^-j and sent as decimals, the same inputs have a pair of
+complex roots near 0 that rounding to floats keeps off the real line, and
+``analyze`` and ``energy`` must refuse them alike (exit 3), by the Sturm
+chain of the decimals' exact value.
 """
 
 from __future__ import annotations
@@ -58,14 +63,14 @@ def product(roots, k) -> Polynomial:
     return p * Polynomial.exact([1, 0, -k]) if k else p
 
 
-def run(*argv) -> tuple[int, dict | None]:
+def run(*argv) -> tuple[int, dict | None, str]:
     out, err = io.StringIO(), io.StringIO()
     start = time.process_time()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     assert time.process_time() - start < BUDGET_S, argv
     assert "Traceback" not in err.getvalue(), err.getvalue()
-    return code, strict_json(out.getvalue()) if code in (0, 1) else None
+    return code, strict_json(out.getvalue()) if code in (0, 1) else None, err.getvalue()
 
 
 @settings(max_examples=60, deadline=None)
@@ -86,9 +91,22 @@ def test_analyze_certifies_and_energy_finds_real_roots(drawn):
         poly = json.dumps([float(c) for c in p.coeffs])
     else:
         poly = json.dumps([f"{c.numerator}/{c.denominator}" for c in p.coeffs])
-    code, report = run("analyze", "--poly", poly)
+    code, report, _ = run("analyze", "--poly", poly)
     assert code == 0, code
     assert report["all_pass"], [c for c in report["checks"] if c["verdict"] != "pass"]
     if encoding == "fraction":
-        code, report = run("energy", "--poly", poly)
+        code, report, _ = run("energy", "--poly", poly)
         assert code in (0, 1), code
+
+
+@settings(max_examples=40, deadline=None)
+@given(hyperbolic_inputs(), st.integers(1, 20))
+@example(((), None, "decimal"), 20)  # x^2 + 1e-20, which energy's eigenvalue gate passed
+def test_analyze_and_energy_refuse_a_complex_pair_near_zero_alike(drawn, j):
+    # the pair +-10^(-j/2) i moves by a relative 1e-11 at most when the
+    # coefficients round to floats, so the decimals' exact value has it too
+    roots, k, _ = drawn
+    p = product(roots, k) * Polynomial.exact([1, 0, Fraction(1, 10 ** j)])
+    poly = json.dumps([float(c) for c in p.coeffs])
+    refused = (3, None, "hyperbolicity required: complex roots (Sturm count short)\n")
+    assert run("analyze", "--poly", poly) == run("energy", "--poly", poly) == refused

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpus
 from bezoutian import (
@@ -127,6 +129,26 @@ def test_lagrange_weights_keep_their_errors():
     p = Polynomial.exact([1, 0, 0])  # x^2: the root 0 twice
     with pytest.raises(ValueError, match="does not vanish"):
         lagrange_weights(p, Polynomial.exact([1, 1]))
+
+
+@pytest.mark.parametrize("p", [
+    Polynomial.exact([1, Fraction(1e308), Fraction(1e308)]),  # a root near -1e308
+    Polynomial.exact([1, -2 ** 1023, -1]),  # a root next to 2^1023
+])
+def test_lagrange_weights_where_p_prime_overflows_at_a_float_root(p):
+    # p' is infinite at the big float root in float arithmetic, and inf / inf
+    # gave a NaN weight; the ratio at the root's exact dyadic value is 1
+    assert lagrange_weights(p, p.derivative()) == (1.0, 1.0)
+
+
+def test_a_lagrange_weight_past_the_float_range_raises_value_error():
+    # q = 10^300 x is infinite in float arithmetic at the roots a +- sqrt(2)
+    # of p = (x - a)^2 - 2, and the weights 10^300 (a +- sqrt(2)) / (+-2 sqrt(2))
+    # at their exact dyadic values lie past the float64 range
+    a = 10 ** 10
+    p = Polynomial.exact([1, -2 * a, a * a - 2])
+    with pytest.raises(ValueError, match="the Lagrange weight at root .* leaves the float64 range"):
+        lagrange_weights(p, Polynomial.exact([Fraction(1e300), 0]))
 
 
 def test_factorization_bundle_examples():
@@ -333,6 +355,35 @@ def test_derivative_bound_on_complex_roots_is_unverified():
     # H(p, p') is indefinite for x^2 + 1, so no c certifies the bound
     b = derivative_bound_constant(Polynomial.exact([1, 0, 1]))
     assert (b.constant, b.verified) == (Fraction(1, 2), False)
+
+
+def derivative_bound_by_ldl(p: Polynomial) -> bool:
+    """H(p, p') - p' p'^T / m >= 0 at the exact value of monic p, on the integer rows.
+
+    The LDL elimination that ``derivative_bound_constant`` ran before the
+    Sturm chain of p decided the bound: with P the primitive ints of
+    p' = k P, the bound is H - (k^2 / m) P P^T >= 0.
+    """
+    exact = p.as_exact()
+    dp = exact.derivative()
+    P, k = dp.primitive
+    V = exactla.IntMatrix(tuple(tuple(u * w for w in P[::-1]) for u in P[::-1]))
+    c = Fraction(1, int(exact.degree)) * k * k
+    return exactla.psd_difference(bezout_matrix(exact, dp), V, c).is_psd
+
+
+@settings(max_examples=80, deadline=None)
+@given(corpus.factored_poly(max_linear=3), st.booleans())
+def test_derivative_bound_is_verified_exactly_where_its_ldl_certificate_holds(p, decimal):
+    # the quadratics of factored_poly give complex roots; a decimal p is
+    # decided at the exact value of its float rounding, where a multiple root
+    # may split off the real line
+    p = p * (1 / p.leading)
+    if decimal:
+        p = Polynomial.float64([float(c) for c in p.coeffs])
+    b = derivative_bound_constant(p)
+    assert b.constant == Fraction(1, int(p.degree))
+    assert b.verified == derivative_bound_by_ldl(p)
 
 
 def test_lagrange_weights_of_the_derivative_are_the_multiplicities():

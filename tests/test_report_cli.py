@@ -102,6 +102,17 @@ def test_analyze_non_hyperbolic_exits_3(capsys, command):
         (3, "", "hyperbolicity required: complex roots (Sturm count short)\n")
 
 
+@pytest.mark.parametrize("command", ["analyze", "nuij", "quasi", "leray", "energy"])
+@pytest.mark.parametrize("poly", ["[1.0,0.0,1e-20]", "[1.0,-0.6,0.09]"])
+def test_a_decimal_with_complex_roots_exits_3_from_its_exact_value(capsys, command, poly):
+    # x^2 + 10^-20 has the roots +-10^-10 i; energy's eigenvalue test of the
+    # float H(p, p') at 1e-9 passed it, and energy exited 0.  The decimals of
+    # (x - 0.3)^2 round down, 0.6 by 2.2e-17 and 0.09 by 3.3e-18, so the
+    # discriminant of their exact value is negative; energy exited 0 on it too
+    assert run_cli(capsys, command, "--poly", poly) == \
+        (3, "", "hyperbolicity required: complex roots (Sturm count short)\n")
+
+
 def test_parse_error_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "analyze", "--poly", "bad[")
     assert code == 2
@@ -144,11 +155,27 @@ def test_wrong_degree_q_exits_2(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("poly, q", [("[1,0,-1]", "[1.0,0.5]"), ("[1.0,0.0,-1.0]", "[1,0]")])
-def test_analyze_q_of_the_other_backend_exits_2(capsys, poly, q):
+@pytest.mark.parametrize("poly, q, poly_fractions, q_fractions, q_echo", [
+    pytest.param("[1,0,-1]", "[1.0,0.5]", "[1,0,-1]", '["1/1","1/2"]', [1.0, 0.5],
+                 id="[1,0,-1]-[1.0,0.5]"),
+    pytest.param("[1.0,0.0,-1.0]", "[1,0]", '["1/1","0/1","-1/1"]', "[1,0]", ["1/1", "0/1"],
+                 id="[1.0,0.0,-1.0]-[1,0]"),
+    pytest.param("[1,0,-2,0]", "[3.0,0.0,-0.5]", "[1,0,-2,0]", '["3/1","0/1","-1/2"]',
+                 [3.0, 0.0, -0.5], id="[1,0,-2,0]-[3.0,0.0,-0.5]"),
+])
+def test_analyze_takes_p_and_q_of_either_backend(capsys, poly, q, poly_fractions, q_fractions,
+                                                 q_echo):
+    # both are certified at their exact values, so a mixed pair gets the
+    # checks of the pair typed as fractions, and q is echoed as typed
     code, out, err = run_cli(capsys, "analyze", "--poly", poly, "--q", q)
-    assert (code, out) == (2, "")
-    assert err.startswith("input error:") and "backend" in err
+    assert (code, err) == (0, "")
+    mixed = strict_json(out)
+    code, out, err = run_cli(capsys, "analyze", "--poly", poly_fractions, "--q", q_fractions)
+    assert (code, err) == (0, "")
+    typed = strict_json(out)
+    assert mixed["checks"] == typed["checks"] and mixed["backend"] == typed["backend"] == "exact"
+    assert mixed["inputs"]["q"] == q_echo
+    assert mixed["inputs"]["bezout_matrix"] == typed["inputs"]["bezout_matrix"]
 
 
 def test_analyze_q_above_the_degree_of_p_exits_2(capsys):
@@ -239,8 +266,8 @@ def test_float_separation_reads_the_roots_of_p_and_q_at_one_tol(capsys):
 
 @pytest.mark.parametrize("poly", ["[1.0,0.0,-1.25,0.0,0.25]", "[1.0,-2.0,1.0]"])
 def test_float_energy_reads_each_root_profile_and_form_once(capsys, monkeypatch, poly):
-    # the roots and the Bezout form of (p, p') that the hyperbolicity verdict
-    # found serve propagate, separates, energy_series and the chain bound
+    # the roots that the hyperbolicity verdict read, and each Bezout form built
+    # once, serve propagate, separates, energy_series and the chain bound
     root_calls = count_calls(monkeypatch, roots._float_roots)
     form_calls = count_calls(monkeypatch, bezout._divide_form, arity=2)
     code, _, err = run_cli(capsys, "energy", "--poly", poly)
@@ -300,6 +327,20 @@ def test_quasi_rejects_samples_below_one(capsys, samples):
     code, out, err = run_cli(capsys, "quasi", "--poly", "[1,0,0]", "--samples", samples)
     assert (code, out) == (2, "")
     assert err.startswith("input error:") and "--samples" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--samples", "1000000000"],  # 536 GiB of draws, a MemoryError traceback before
+    ["--samples", "11112"],  # 100008 pairs over the 9 points of the default grid
+    ["--samples", "50001", "--eps-grid", "1:1e-4:2"],
+    ["--samples", "2", "--eps-grid", "1:1e-4:50001"],
+])
+def test_quasi_refuses_more_sample_pairs_than_its_bound(capsys, argv):
+    # refused before any sample is drawn; none of these requests allocates
+    code, out, err = run_cli(capsys, "quasi", "--poly", "[1,0,0]", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: --samples") and "100000 sample pairs" in err
+    assert err.count("\n") == 1
 
 
 def test_nuij_single_eps_csv(capsys):
@@ -974,15 +1015,14 @@ def test_energy_rejects_a_non_finite_U0(capsys, U0):
 ])
 def test_a_float_form_past_the_float_range_exits_2_without_a_warning(capsys, argv):
     # the float form of (p, p') has inf and NaN entries, which used to reach
-    # numpy; nuij certifies the exact p, and the float root -1e200 of the
-    # family point at eps = 1 has a residual bound past the float range
+    # numpy; both commands decide the exact p by its Sturm chain, and then the
+    # float root -1e200 (energy's of p, nuij's of the family point at eps = 1)
+    # has a residual bound past the float range
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning fails the request
         code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    what = {"nuij": "the residual bound at root -1e+200",
-            "energy": "the float Bezout form of (p, q)"}[argv[0]]
-    assert err == f"input error: {what} leaves the float64 range\n"
+    assert err == "input error: the residual bound at root -1e+200 leaves the float64 range\n"
 
 
 def test_energy_series_past_the_float_range_exits_2(capsys):
@@ -1040,9 +1080,13 @@ def standing(reason: str):
     pytest.param("nuij", WILKINSON_24, id="nuij-wilkinson-24", marks=standing(
         "exit 3: the float family point has complex roots; ROADMAP item 3, family points "
         "from the exact p_eps")),
+    # x^2 + 10^308 x + 10^308: p and p' overflow at the root near -10^308, and
+    # its Lagrange weight was inf / inf = NaN (exit 2)
+    pytest.param("analyze", "[1,1e308,1e308]", id="analyze-weight-past-the-float-range"),
 ])
 def test_standing_defects_exit_zero(capsys, command, poly):
     p = bench_layers_input(16) if poly == "bench_layers_16" else poly
-    code, out, err = run_cli(capsys, command, "--poly", fraction_argv(p))
+    argv = p if isinstance(p, str) else fraction_argv(p)
+    code, out, err = run_cli(capsys, command, "--poly", argv)
     assert (code, err) == (0, ""), (code, err)
     assert strict_json(out)["all_pass"] is True

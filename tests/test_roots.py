@@ -267,10 +267,37 @@ def test_exact_is_hyperbolic_builds_no_bezout_form(coeffs):
 
 
 def test_is_hyperbolic_float_backend():
+    # float input is decided by the Sturm chain of its exact dyadic value
     v = is_hyperbolic(Polynomial.float64([1, 0, -1]))
-    assert v.is_hyperbolic and v.method == "hermite-psd"
+    assert v.is_hyperbolic and v.is_strict and v.method == "sturm"
+    assert v.witness.distinct_roots == (-1.0, 1.0)
     v = is_hyperbolic(Polynomial.float64([1, 0, 1]))
-    assert not v.is_hyperbolic
+    assert not v.is_hyperbolic and v.method == "sturm"
+    # the roots +-10^-10 i, which an eigenvalue test of H(p, p') at 1e-9 passed
+    v = is_hyperbolic(Polynomial.float64([1.0, 0.0, 1e-20]))
+    assert (v.is_hyperbolic, v.witness) == (False, "complex roots (Sturm count short)")
+
+
+@pytest.mark.parametrize("coeffs", [[1.0, 0.0, -1.0], [1.0, 0.0, 1e-20], [1.0, -2.0, 1.0],
+                                    [1.0, 0.5, -3.25, 0.75], [1.0, 0.0, 0.0, 0.0, 1.0]])
+def test_float_verdicts_build_no_form_and_run_no_psd_check(monkeypatch, coeffs):
+    # float is_hyperbolic and derivative_bound_constant read the Sturm chain
+    # of the exact value p keeps; the Hermite form is the tests' reference
+    from bezoutian import bezout, exactla
+    from bezoutian.factorization import derivative_bound_constant
+    from test_report_cli import count_calls
+
+    forms = count_calls(monkeypatch, bezout.bezout_matrix)
+    checks = count_calls(monkeypatch, bezout.psd_check)
+    eliminations = count_calls(monkeypatch, exactla._integer_psd)
+    p = Polynomial.float64(coeffs)
+    v = is_hyperbolic(p)
+    bound = derivative_bound_constant(p)
+    assert (forms, checks, eliminations) == ([], [], [])
+    exact = p.as_exact()
+    hermite = psd_check(bezout_matrix(exact, exact.derivative()))
+    assert bound.verified == hermite.is_psd
+    assert v.is_hyperbolic == hermite.is_psd and v.is_strict == hermite.is_pd
 
 
 def test_is_hyperbolic_degenerate():

@@ -41,7 +41,7 @@ from .factorization import difference_product, separates
 from .leray import h_b_relation_check, leray_symmetrizer
 from .nuij import (
     build_family,
-    certify_stages,
+    certify_grid,
     default_epsilon_grid,
     gap_constants,
     invert_transform,
@@ -58,6 +58,11 @@ from .scalars import BACKEND_EXACT, scalar_to_json
 # sample pairs (z, w) a quasi request may draw over its grid: 32 n bytes of
 # normal draws each, about 100 MB at degree n = 32
 MAX_SAMPLE_PAIRS = 10 ** 5
+# the same budget in bytes, for the (steps + 1) m complex states of an energy trajectory
+MAX_STATE_BYTES = 10 ** 8
+# eps per --eps-grid: nuij stacks the float forms of about m / 2 Nuij stages
+# per eps for one eigensolver call, about 120 MB at degree 32
+MAX_GRID_POINTS = 1000
 
 
 class InputError(Exception):
@@ -106,6 +111,8 @@ def _parse_grid(spec: str) -> tuple:
     if count < 1 or not (0 < start < math.inf and 0 < stop < math.inf):
         raise InputError("--eps-grid needs finite positive endpoints and count >= 1, "
                          f"got {spec!r}")
+    if count > MAX_GRID_POINTS:
+        raise InputError(f"--eps-grid count must be at most {MAX_GRID_POINTS}, got {count}")
     if mode not in ("log", "lin"):
         raise InputError(f"grid mode must be log or lin, got {mode!r}")
     if mode == "log":
@@ -246,12 +253,14 @@ def cmd_nuij(args, report: CertifiedReport):
         consts = gap_constants(m)
         report.add("gap floor constant", "nuij-gap-constants", float(consts.floor), PASS)
     build_family(p, grid)
+    # the last Nuij stage reads the roots of the family points; an eps <= 0
+    # raises here, with the message verify_gaps would give
+    stage_verdicts = certify_grid(p, grid)
     p_scale = None  # the eps-independent half of the inversion check, read once
-    for eps in grid:
+    for eps, (interlaced, strict) in zip(grid, stage_verdicts):
         # the gap law and the inversion read p's one float family point of eps,
-        # which build_family built; verify_gaps refuses eps <= 0 before it would
-        # build one
-        p_eps = nuij_family(p, eps).p_eps if eps > 0 else None
+        # which build_family built
+        p_eps = nuij_family(p, eps).p_eps
         check = verify_gaps(p, eps)
         verdict = PASS if check.passed and not check.marginal else (
             MARGINAL if check.passed else FAIL)
@@ -260,7 +269,6 @@ def cmd_nuij(args, report: CertifiedReport):
                    float(check.min_gap_over_eps) if m >= 2 else "single root", verdict)
         table.append((eps, check.min_gap_over_eps * eps, check.floor_constant,
                       check.passed))
-        interlaced, strict = certify_stages(p, eps)
         report.add_bool(f"strictification at eps={eps:g}", "nuij-strictification",
                         strict, "strict" if strict else "not strict")
         report.add_bool(f"stage interlacing at eps={eps:g}", "nuij-interlacing",
@@ -363,6 +371,9 @@ def cmd_energy(args, report: CertifiedReport):
     if args.steps < 4:
         # the chain bound's 5-point stencil needs five times
         raise InputError(f"--steps must be at least 4, got {args.steps}")
+    if (args.steps + 1) * p.degree * 16 > MAX_STATE_BYTES:
+        raise InputError(f"--steps {args.steps} at degree {p.degree} needs more than "
+                         f"{MAX_STATE_BYTES} bytes of complex states")
     _require_hyperbolic(p)
     q = _parse_poly(args.q, None) if args.q else p.derivative()
     m = int(p.degree)

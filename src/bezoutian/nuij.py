@@ -15,14 +15,19 @@ coefficient of p, which every stage keeps; it equals the Fraction
 derivative sum coefficient for coefficient.
 
 A stage p_l + eps p_l' interlaces p_l iff p_l is hyperbolic, as their Bezout
-form is eps H(p_l, p_l'); ``certify_stages`` decides that by one Sturm chain
-per two stages.  The integer Sturm kernel of ``roots`` gives the degree and
-leading sign of each chain member; from them come the count and gcd degree
-of the even stage p_l, which certify p_l, and the Cauchy index of p_l
-against p_(l+1), which certifies p_(l+1) when p_l is hyperbolic
-(``_next_stage``).  A float eps is certified at the simplest
-rational that rounds to it (1/10000 for 1e-4), not at its dyadic value,
-whose denominator would add about 65 bits per stage.
+form is eps H(p_l, p_l'); ``certify_stages`` decides that exactly, at the
+simplest rational that rounds to a float eps (1/10000 for 1e-4), not at
+its dyadic value, whose denominator would add about 65 bits per stage.
+Stage 0 is p, whose Sturm chain certifies it and, by the Cauchy index of
+p against p_1 (``_next_stage``), stage 1.  Every later stage of m
+distinct roots is certified by m sign changes of its exact values along
+-inf, x_1 < ... < x_k, +inf (intermediate value theorem), at points read
+from float roots: the midpoints of an even stage's own roots, which one
+stacked eigensolver call gives for every even stage of a grid
+(``certify_grid``); the roots of the even stage before an odd one, where
+the odd stage has the sign of that stage's derivative; and the midpoints
+of the family point's roots for the last stage.  A stage whose points
+fall short, as one with a repeated root must, runs its own Sturm chain.
 
 The float family points of a request's grid are built in one pass
 (``build_family``): every p_eps, one stacked eigensolver call for all
@@ -38,15 +43,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polynomial import Polynomial, RootProfile, _derivative, _int_primitive
+from .bezout import _companion_stack
+from .polynomial import Polynomial, RootProfile, _derivative, _int_horner, _int_primitive
 from .roots import (
+    _chain_count,
     _chain_verdict,
     _int_sturm_chain,
     _keep_eigenvalues,
     _sturm_ends,
     _variation_drop,
     real_roots,
-    sturm_real_root_count,
 )
 from .scalars import BACKEND_EXACT, is_exact_value
 
@@ -356,33 +362,111 @@ def certify_stages(p: Polynomial, epsilon) -> tuple[bool, bool]:
     """(interlaced, strict) of the stages p_0 = p, p_(l+1) = p_l + eps p_l'.
 
     Interlaced: p_0 .. p_(m-2) are hyperbolic.  Strict: p_(m-1) has m distinct
-    real roots.  Decided on the exact p and eps from the integer Sturm chains
-    of the even stages p_0, p_2, ...: each certifies its own stage by its
-    count and the stage after it by its Cauchy index (``_next_stage``).
-    Stage 0 is p at every eps, and its chain is the one p keeps
-    (``roots._sturm_ends``).  A stage the index does not decide runs its own
-    chain: an odd stage after one that is not hyperbolic, or the last stage
-    when the one before it has a repeated root; an even last stage keeps its
-    own count (``sturm_real_root_count``).  So a hyperbolic p with no root of
-    multiplicity m makes floor((m - 1) / 2) chains per eps.
+    real roots.  Decided on the exact p and eps, on the primitive integer
+    stages P_l of ``_int_stages``.  Stage 0 is p at every eps: the Sturm
+    chain p keeps (``roots._sturm_ends``) certifies it, and its Cauchy index
+    stage 1 (``_next_stage``).  Every later stage is certified strictly
+    hyperbolic by m nonzero exact values that change sign m times
+    (``_changes_sign``) at points read from float roots:
+
+    - an even stage at the midpoints of its own roots, the companion
+      eigenvalues of its float form (``_stage_roots``);
+    - an odd stage at the roots of the even stage before it, where P_l has
+      the sign of P_(l-1)', which alternates along the simple roots of
+      P_(l-1) (the interlacing that ``nuij-interlacing`` names);
+    - the last stage at the midpoints of the polished roots of the family
+      point that p keeps for this eps (``build_family``).
+
+    A stage whose points fall short (a repeated root, complex or misplaced
+    float roots, no family point kept) runs its own Sturm chain, which
+    certifies it by its count and the stage after it by its Cauchy index;
+    a last stage left undecided runs its own count.  Both routes are exact,
+    so the verdict does not depend on the float roots, only its cost does.
 
     An int or Fraction eps is used as it is; a positive finite float eps is
     certified at the simplest rational that rounds to it (least denominator;
     1/10000 for 1e-4), whose float is the echoed eps.  For hyperbolic p every
     eps > 0 gives (True, True), so the choice of rational moves no verdict
-    there, only the size of the integers.
+    there, only the size of the integers.  The one-eps case of
+    ``certify_grid``.
     """
+    return certify_grid(p, (epsilon,))[0]
+
+
+def certify_grid(p: Polynomial, grid) -> list[tuple[bool, bool]]:
+    """``certify_stages`` at each eps of grid, the float roots of every even
+    stage of every eps from one stacked eigensolver call.
+
+    Raises ValueError at the first eps that is not positive, before any stage
+    is built.
+    """
+    rationals = [_stage_eps(eps) for eps in grid]
+    count = int(p.degree) - 1
+    stages = [_int_stages(p, eps, count) for eps in rationals]
+    even = range(2, count, 2)
+    roots = iter(_stage_roots([ints[l] for ints in stages for l in even]))
+    out = []
+    for eps, ints in zip(grid, stages):
+        seeds = {l: next(roots) for l in even}
+        point = p.memo.get(_family_key(eps))
+        last = point.roots_eps.flattened if point is not None else ()
+        out.append(_certify(p, ints, seeds, last))
+    return out
+
+
+def _stage_eps(epsilon) -> Fraction:
+    """The exact eps a stage is certified at: the simplest rational of a
+    positive finite float (``_simplest_rational``), else eps itself."""
     if isinstance(epsilon, float) and math.isfinite(epsilon) and epsilon > 0:
-        eps = _simplest_rational(epsilon)
-    else:
-        eps = Fraction(epsilon)
+        return _simplest_rational(epsilon)
+    eps = Fraction(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    stages = _int_stages(p, eps, int(p.degree) - 1)
-    proved = None  # what the index of the stage before proves of this one
+    return eps
+
+
+def _stage_roots(stages) -> list:
+    """The real parts of the companion eigenvalues of each integer stage, ascending.
+
+    One stacked ``np.linalg.eigvals`` call on the companion matrices of
+    the stages' monic float forms (``bezout._companion_stack``); None for a
+    stage whose monic form leaves the float64 range, or for every stage if
+    the eigensolver fails.  They are only the points of a sign test, so
+    nothing about them needs to be right.
+    """
+    rows = []
+    for ints in stages:
+        try:
+            rows.append([v / ints[0] for v in ints])  # int / int rounds correctly, or overflows
+        except OverflowError:
+            rows.append(None)
+    todo = [row for row in rows if row is not None]
+    if not todo:
+        return rows
+    import numpy as np
+
+    try:
+        eigs = np.linalg.eigvals(_companion_stack(todo))
+    except np.linalg.LinAlgError:
+        return [None] * len(rows)
+    found = iter(np.sort(eigs.real, axis=-1).tolist())
+    return [next(found) if row is not None else None for row in rows]
+
+
+def _certify(p: Polynomial, stages: list, seeds: dict, last) -> tuple[bool, bool]:
+    """``certify_stages`` on the integer stages of p at one eps.
+
+    ``seeds`` maps each even stage l >= 2 below the last to its ascending
+    float roots, or None; ``last`` holds the ascending float roots of the
+    family point, possibly none.
+    """
+    proved = None  # what the Cauchy index of the stage before proves of this one
     for l, stage in enumerate(stages[:-1]):
-        if proved and proved[0]:
-            proved = None
+        shown, proved = proved, None
+        if shown and shown[0]:
+            continue
+        seed = seeds.get(l - l % 2)  # stage l's own roots at even l, stage l - 1's at odd l
+        if seed is not None and _changes_sign(stage, seed if l % 2 else _midpoints(seed)):
             continue
         proved = _next_stage(_sturm_ends(p.as_exact()) if l == 0 else _int_sturm_chain(stage)[0])
         if proved is None:
@@ -392,7 +476,47 @@ def certify_stages(p: Polynomial, epsilon) -> tuple[bool, bool]:
         interlaced = True
     if proved and proved[1]:
         return interlaced, True
-    return interlaced, sturm_real_root_count(Polynomial.exact(stages[-1])) == len(stages)
+    stage = stages[-1]
+    if _changes_sign(stage, _midpoints(last)):
+        return interlaced, True
+    return interlaced, len(stage) > 1 and _chain_count(_int_sturm_chain(stage)[0])[0] == len(stages)
+
+
+def _midpoints(xs) -> list:
+    """The midpoints of consecutive floats of xs, ascending when xs is."""
+    return [0.5 * a + 0.5 * b for a, b in zip(xs, xs[1:])]
+
+
+def _changes_sign(c: list, points) -> bool:
+    """Whether the integer polynomial c (leading first) of degree n >= 1 has
+    n distinct real roots, shown by nonzero values that change sign n times
+    along -inf, points, +inf.
+
+    Each change puts a root of c strictly between two neighbouring places
+    of that list (intermediate value theorem), so n changes put n roots in
+    n disjoint intervals.  Each value is exact (``_int_horner`` at the
+    dyadic value of the float), so the points need not be trusted: a
+    certificate checked, not found (McConnell, Mehlhorn, Naeher and
+    Schweitzer, "Certifying algorithms", 2011).  A zero value, a point that
+    is not finite and a point below the one before it show nothing, and so
+    fail.
+    """
+    n = len(c) - 1
+    if n < 1:
+        return False
+    lead = c[0] > 0
+    sign = lead == (n % 2 == 0)  # the sign at -inf
+    changes, prev = 0, -math.inf
+    for x in points:
+        if not (math.isfinite(x) and prev <= x):  # an eigenvalue that overflowed, or disorder
+            return False
+        prev = x
+        v = _int_horner(c, *x.as_integer_ratio())[0]
+        if not v:
+            return False
+        changes += (v > 0) != sign
+        sign = v > 0
+    return changes + (sign != lead) == n
 
 
 def _next_stage(ends: list) -> tuple[bool, bool] | None:
@@ -418,6 +542,12 @@ def _next_stage(ends: list) -> tuple[bool, bool] | None:
         return None
     signed = [(n, s if i % 2 == 0 else not s) for i, (n, s) in enumerate(ends)]
     m, gcd_degree = ends[0][0] - 1, ends[-1][0] - 1
+    # Always True here, so a mutant that loosens it is equivalent (the tests
+    # pin every end pattern up to m = 5): a neighbour pair of a chain drops
+    # at most one variation, and only when its degrees differ by an odd
+    # number, so the count m - deg g of a hyperbolic P_l needs m - deg g
+    # pairs: consecutive degrees and one leading sign.  The alternated signs
+    # then vary at +inf and not at -inf in every pair, a drop of -(m - deg g)
     hyperbolic = abs(_variation_drop(signed)) == m - gcd_degree
     return hyperbolic, hyperbolic and gcd_degree == 0
 

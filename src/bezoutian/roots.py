@@ -32,9 +32,9 @@ integer divisions, and the Sturm chain of pseudo-remainders ends at
 gcd(p, p') and returns the degree and leading sign of each member, which
 give the real-root count.  The monic factors, counts and roots they return
 equal those of Fraction arithmetic.  The Sturm kernel takes an integer list
-directly, so a caller holding one (the Nuij stage chain of
-``nuij.certify_stages``, which also reads the Cauchy index of the next stage
-from those ends) builds no Polynomial for it.
+directly, so a caller holding one (a Nuij stage of ``nuij.certify_stages``
+that sign changes do not certify, whose chain ends also give the Cauchy
+index of the next stage) builds no Polynomial for it.
 """
 
 from __future__ import annotations
@@ -195,21 +195,23 @@ def _sturm_sequence(a: list) -> list[list]:
     return chain
 
 
-def _variation_drop(ends: list) -> int:
-    """Sign variations at -inf minus those at +inf of a polynomial sequence,
-    given as the (degree + 1, leading sign) of each member.
+def _end_variations(ends: list) -> tuple[int, int]:
+    """Sign variations at -inf and at +inf of a polynomial sequence, given as
+    the (degree + 1, leading sign) of each member.
 
     A member's sign at +inf is its leading sign, and at -inf that sign
-    flipped at odd degree; so two neighbours vary at -inf exactly when they
-    vary at +inf or their degrees differ in parity, not both.
+    flipped at odd degree.
     """
-    drop = 0
-    n0, s0 = ends[0]
-    for n, s in ends[1:]:
-        change = s != s0
-        drop += (change != ((n - n0) % 2 == 1)) - change
-        n0, s0 = n, s
-    return drop
+    at_inf = [s for _, s in ends]
+    at_minus_inf = [s == (n % 2 == 1) for n, s in ends]
+    return (sum(a != b for a, b in zip(at_minus_inf, at_minus_inf[1:])),
+            sum(a != b for a, b in zip(at_inf, at_inf[1:])))
+
+
+def _variation_drop(ends: list) -> int:
+    """Sign variations at -inf minus those at +inf (``_end_variations``)."""
+    at_minus_inf, at_inf = _end_variations(ends)
+    return at_minus_inf - at_inf
 
 
 def _chain_count(ends: list) -> tuple[int, int]:
@@ -237,8 +239,8 @@ def _sturm(p: Polynomial) -> tuple[list, tuple, list]:
     and ``factorization.derivative_bound_constant`` read their verdicts from
     the ends, Yun's decomposition starts from the gcd,
     ``nuij.certify_stages`` reads stage 0 and the Cauchy index of stage 1 at
-    every eps, and the roots of a square-free p are isolated on the chain
-    itself.
+    every eps, and the roots of a square-free p are counted from the ends
+    and isolated on the chain itself.
     """
     return p.derived("sturm", lambda: _int_sturm_chain(p.primitive[0]))
 
@@ -289,24 +291,22 @@ def _root_bound(c) -> int:
                    default=0)
 
 
-def _isolate(chain: list) -> list[tuple[int, int, int]]:
+def _isolate(chain: list, ends: list) -> list[tuple[int, int, int]]:
     """Ascending brackets (lo/d, hi/d], each holding exactly one real root of chain[0].
 
-    Each bracket (lo, hi, d) halves (-B, B] (``_root_bound``) some number of
-    times, d a power of two.  Sturm's theorem counts the distinct real roots
-    in (lo/d, hi/d] as the variations at lo/d minus those at hi/d; brackets
-    holding more are halved.  Raises NonHyperbolicError when the count over
-    (-B, B] falls short of the degree of the square-free chain[0].
+    ``chain`` is the Sturm chain of a square-free integer polynomial and
+    ``ends`` its ends (``_int_sturm_chain``).  Each bracket (lo, hi, d)
+    halves (-B, B] (``_root_bound``) some number of times, d a power of
+    two.  Sturm's theorem counts the distinct real roots in (lo/d, hi/d]
+    as the variations at lo/d minus those at hi/d; brackets holding more
+    are halved.  B bounds every root of chain[0], and the variations change
+    only at its roots, so those at -B and B are the ones at -inf and +inf,
+    read from the ends.
     """
-    n = len(chain[0]) - 1
     e = _root_bound(chain[0])
     b, d = (1 << e, 1) if e >= 0 else (1, 1 << -e)
-    v_lo, v_hi = _variations(chain, -b, d), _variations(chain, b, d)
-    if v_lo - v_hi < n:
-        raise NonHyperbolicError(f"complex roots detected: {n - (v_lo - v_hi)} of the {n} "
-                                 "roots of a square-free factor are not real")
     out = []
-    todo = [(-b, b, d, v_lo, v_hi)]
+    todo = [(-b, b, d, *_end_variations(ends))]
     while todo:
         lo, hi, d, v_lo, v_hi = todo.pop()
         if v_lo - v_hi == 1:
@@ -369,15 +369,20 @@ def _factor_roots(f: Polynomial) -> list:
     """The real roots of the square-free exact f, ascending: each a Fraction
     when rational, else the float nearest it.
 
-    A degree-1 f gives its root directly.  Otherwise each Sturm bracket on
-    the chain f keeps (``_sturm``, ``_isolate``) is settled by ``_settle``
-    on f's primitive integers.  Raises NonHyperbolicError when f has a
-    complex root.
+    A degree-1 f gives its root directly.  Otherwise the count of the chain
+    f keeps (``sturm_real_root_count``) refuses f with a complex root
+    (NonHyperbolicError), and each Sturm bracket on that chain (``_sturm``,
+    ``_isolate``) is settled by ``_settle`` on f's primitive integers.
     """
     c = f.primitive[0]
     if len(c) == 2:
         return [Fraction(-c[1], c[0])]
-    return [_settle(c, *bracket) for bracket in _isolate(_sturm(f)[2])]
+    n, count = len(c) - 1, sturm_real_root_count(f)
+    if count < n:
+        raise NonHyperbolicError(f"complex roots detected: {n - count} of the {n} "
+                                 "roots of a square-free factor are not real")
+    ends, _, chain = _sturm(f)
+    return [_settle(c, *bracket) for bracket in _isolate(chain, ends)]
 
 
 def _polish_roots(pf: Polynomial, zs) -> list[complex]:

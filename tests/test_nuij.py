@@ -1,5 +1,6 @@
 """Smoothing operator: transform, inversion, gap floors and interlacing."""
 
+import contextlib
 import itertools
 import math
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 import corpus
 from bezoutian import (
     Polynomial,
+    RootProfile,
     bezout_matrix,
     build_family,
     certify_stages,
@@ -29,7 +31,15 @@ from bezoutian import (
 )
 from bezoutian import nuij, roots
 from bezoutian.cli import main
-from bezoutian.nuij import _int_stages, _simplest_rational
+from bezoutian.nuij import (
+    NuijFamilyPoint,
+    _certify,
+    _changes_sign,
+    _int_stages,
+    _midpoints,
+    _simplest_rational,
+    _stage_roots,
+)
 from bezoutian.roots import _hyperbolic_strict, sturm_real_root_count
 
 EPS = Fraction(1, 10)
@@ -508,6 +518,158 @@ def test_the_index_of_a_stage_that_is_not_hyperbolic_decides_nothing():
     p = Polynomial.exact([1, 0, 1]) * Polynomial.exact([1, -1])
     assert nuij._next_stage(chain_of(p.coeffs)) is None
     assert certify_stages(p, Fraction(1, 10)) == stage_reference(p, Fraction(1, 10))
+
+
+def with_complex_pair(p: Polynomial, k: int) -> Polynomial:
+    """p (x^2 + k): not hyperbolic for k > 0."""
+    return p * Polynomial.exact([1, 0, k]) if k else p
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 7), st.integers(0, 3),
+       st.sampled_from(default_epsilon_grid() + (0.1, Fraction(1, 10), Fraction(7, 3), 1)))
+def test_certify_stages_equals_the_reference_with_and_without_the_family_point(seed, m, k, eps):
+    # any multiplicity up to m, so stages with a repeated root run their
+    # chains; k > 0 adds a complex pair.  The last stage reads the roots of
+    # the family point when p keeps one and runs its own count otherwise
+    rg = corpus.rng(seed)
+    p = with_complex_pair(Polynomial.from_roots(corpus.hyperbolic_profile(rg, m, max_mult=m)), k)
+    want = stage_reference(p, eps)
+    assert certify_stages(p, eps) == want
+    with contextlib.suppress(ValueError, ArithmeticError):  # a point that fails is not kept
+        build_family(p, (eps,))
+    assert certify_stages(p, eps) == want
+
+
+def stage_points(p: Polynomial, eps: Fraction):
+    """The integer stages of p at eps and the float roots of stages 2, 3 and the last."""
+    stages = _int_stages(p, eps, int(p.degree) - 1)
+    return stages, _stage_roots([stages[2], stages[3], stages[-1]])
+
+
+def chains_run(p: Polynomial, stages: list, seeds: dict, last) -> tuple:
+    """_certify's verdict and the stages whose Sturm chains it ran."""
+    roots._sturm_ends(p)  # p keeps its chain, as after a request's gate
+    with mock.patch.object(nuij, "_int_sturm_chain", wraps=roots._int_sturm_chain) as chain:
+        verdict = _certify(p, stages, seeds, last)
+    return verdict, [call.args[0] for call in chain.call_args_list]
+
+
+def test_the_float_roots_certify_every_stage_of_a_strict_p():
+    p = Polynomial.from_roots([0, 1, 2, 3, 4])
+    stages, (r2, _, r_last) = stage_points(p, EPS)
+    assert chains_run(p, stages, {2: r2}, r_last) == ((True, True), [])
+    # without a family point the last stage runs its own count
+    assert chains_run(p, stages, {2: r2}, ()) == ((True, True), [stages[-1]])
+
+
+def test_a_seed_moved_across_a_root_of_the_odd_stage_falls_to_its_chain():
+    # stage 3 is signed at the roots of stage 2; one of them moved left past
+    # the root of stage 3 below it still separates stage 2 by its midpoints
+    p = Polynomial.from_roots([0, 1, 2, 3, 4])
+    stages, (r2, r3, r_last) = stage_points(p, EPS)
+    moved = list(r2)
+    moved[2] = 0.5 * r2[1] + 0.5 * r3[2]
+    assert r2[1] < moved[2] < r3[2] < r2[2]
+    assert _changes_sign(stages[2], _midpoints(moved))
+    assert not _changes_sign(stages[3], moved)
+    verdict, chains = chains_run(p, stages, {2: moved}, r_last)
+    assert verdict == stage_reference(p, EPS) == (True, True)
+    assert chains == [stages[3]]
+
+
+def test_a_seed_moved_across_a_root_of_the_even_stage_falls_to_its_chain():
+    # the chain of stage 2 certifies it, and its Cauchy index stage 3
+    p = Polynomial.from_roots([0, 1, 2, 3, 4])
+    stages, (r2, _, r_last) = stage_points(p, EPS)
+    moved = sorted(r2[:2] + r2[3:] + [0.5 * r2[3] + 0.5 * r2[4]])
+    assert not _changes_sign(stages[2], _midpoints(moved))
+    verdict, chains = chains_run(p, stages, {2: moved}, r_last)
+    assert verdict == stage_reference(p, EPS) == (True, True)
+    assert chains == [stages[2]]
+
+
+def test_a_last_stage_with_a_complex_pair_is_refused_and_counted():
+    # (x^2 + 1)(x - 1)(x - 2)(x - 3): at eps = 1/10 the last stage keeps the
+    # complex pair, and the midpoints of its real eigenvalue parts separate
+    # its three real roots: 3 = m - 2 sign changes, which must not pass
+    p = with_complex_pair(Polynomial.from_roots([1, 2, 3]), 1)
+    stages, (_, _, r_last) = stage_points(p, EPS)
+    assert sum(abs(z.imag) > 0.5 for z in np.roots([float(v) for v in stages[-1]])) == 2
+    assert not _changes_sign(stages[-1], _midpoints(r_last))
+    verdict, chains = chains_run(p, stages, {}, r_last)
+    assert verdict == stage_reference(p, EPS) == (False, False)
+    assert chains == [stages[-1]]
+
+
+@pytest.mark.parametrize("roots_, points, want", [
+    ([0, 1, 2, 3, 4], [-0.5, 0.5, 1.5, 2.5, 3.5], True),
+    ([0, 1, 2, 3, 4], [-0.5, 0.5, 1.5, 3.5], False),  # one interval holds two roots
+    ([0, 1, 2, 3, 4], [-0.5, 0.5, 1.0, 2.5, 3.5], False),  # a zero shows nothing
+    ([0, 1, 2, 3, 4], [-0.5, 0.5, 1.5, 2.5, math.inf], False),  # nor does an overflow
+    ([0, 1, 2], [-0.5, 0.5, 1.5, 2.5], False),  # x^2 + 1 times three real roots
+    ([0, 1, 2], [0.5, 1.5], False),
+    ([0, 1, 2], [-0.5, 0.5, -0.5, 0.5, 1.5], False),  # out of order: five changes
+])
+def test_sign_changes_certify_only_m_distinct_real_roots(roots_, points, want):
+    p = Polynomial.from_roots(roots_)
+    if len(roots_) == 3:
+        p = with_complex_pair(p, 1)
+    assert _changes_sign(list(p.primitive[0]), points) is want
+
+
+def end_patterns(m: int):
+    """Every (degree + 1, leading sign) sequence with strictly falling degrees from m."""
+    for k in range(m + 1):
+        for lower in itertools.combinations(range(m - 1, -1, -1), k):
+            degrees = (m,) + lower
+            for signs in itertools.product((True, False), repeat=len(degrees)):
+                yield [(d + 1, s) for d, s in zip(degrees, signs)]
+
+
+def test_the_index_of_every_hyperbolic_end_pattern_proves_the_next_stage():
+    # _next_stage's index comparison cannot fail once _chain_verdict says
+    # hyperbolic: the count m - g needs consecutive degrees and one leading
+    # sign, and then the alternated signs drop by exactly m - g
+    hyperbolic = 0
+    for m in range(1, 6):
+        for ends in end_patterns(m):
+            if not roots._chain_verdict(ends)[0]:
+                assert nuij._next_stage(ends) is None
+                continue
+            hyperbolic += 1
+            degrees = [n for n, _ in ends]
+            assert degrees == list(range(degrees[0], degrees[-1] - 1, -1))
+            assert len({s for _, s in ends}) == 1
+            assert nuij._next_stage(ends) == (True, degrees[-1] == 1)
+    assert hyperbolic == 40
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-20, 20), min_size=2, max_size=9).filter(lambda c: c[0] != 0))
+def test_the_index_of_a_hyperbolic_integer_chain_proves_the_next_stage(ints):
+    ends = roots._int_sturm_chain(ints)[0]
+    if roots._chain_verdict(ends)[0]:
+        assert nuij._next_stage(ends)[0]
+    else:
+        assert nuij._next_stage(ends) is None
+
+
+def test_verify_gaps_fails_a_gap_below_its_floor():
+    # a family point whose smallest gap lies in [c_m eps / 2, c_m eps - tol):
+    # the check must fail, and would pass against half the floor
+    p = Polynomial.exact([1, 0, 0, 0])
+    eps = 0.1
+    floor = gap_constants(3).floor
+    gap = 0.75 * floor * eps
+    tol = max(1e-12, 1e-6 * eps)
+    assert floor * eps / 2 <= gap < floor * eps - tol
+    point = nuij_family(p, eps)
+    planted = RootProfile((-1.0, -1.0 + gap, 1.0), (1, 1, 1))
+    p.memo[nuij._family_key(eps)] = NuijFamilyPoint(eps, point.p_eps, planted, point.q_eps)
+    check = verify_gaps(p, eps)
+    assert not check.passed and not check.marginal
+    assert check.min_gap_over_eps == pytest.approx(0.75 * floor)
 
 
 def test_certify_stages_controls():

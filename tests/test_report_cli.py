@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bezoutian import Polynomial, bezout, exactla, nuij, roots
+from bezoutian import Polynomial, bezout, energy, exactla, nuij, roots
 from bezoutian.cli import build_parser, main
 from bezoutian.report import CertifiedReport
 
@@ -333,13 +333,43 @@ def test_quasi_rejects_samples_below_one(capsys, samples):
     ["--samples", "1000000000"],  # 536 GiB of draws, a MemoryError traceback before
     ["--samples", "11112"],  # 100008 pairs over the 9 points of the default grid
     ["--samples", "50001", "--eps-grid", "1:1e-4:2"],
-    ["--samples", "2", "--eps-grid", "1:1e-4:50001"],
+    ["--samples", "101", "--eps-grid", "1:1e-4:1000"],
 ])
 def test_quasi_refuses_more_sample_pairs_than_its_bound(capsys, argv):
     # refused before any sample is drawn; none of these requests allocates
     code, out, err = run_cli(capsys, "quasi", "--poly", "[1,0,0]", *argv)
     assert (code, out) == (2, "")
     assert err.startswith("input error: --samples") and "100000 sample pairs" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("nuij", ["--eps-grid", "1:1e-4:1001"]),
+    ("nuij", ["--eps-grid", "1:1e-4:1000000000"]),  # no tuple of 10^9 floats is built
+    ("quasi", ["--eps-grid", "1:1e-4:1001(lin)", "--samples", "1"]),
+])
+def test_a_grid_past_its_bound_is_refused_before_it_is_built(capsys, monkeypatch, command, argv):
+    built = count_calls(monkeypatch, nuij.default_epsilon_grid)
+    code, out, err = run_cli(capsys, command, "--poly", "[1,0,-1]", *argv)
+    assert (code, out, built) == (2, "", [])
+    assert err.startswith("input error: --eps-grid count must be at most 1000")
+    assert err.count("\n") == 1
+    code, _, _ = run_cli(capsys, "nuij", "--poly", "[1,-1]", "--eps-grid", "1:1e-4:1000")
+    assert code == 0
+
+
+@pytest.mark.parametrize("poly, steps", [
+    ("[1,0,-1]", "3125000"),  # 3125001 * 2 states of 16 bytes: just past 10^8
+    ("[1,0,-1]", "1000000000"),
+    ("[1,0,0,0,0,0,0,0,-1]", "781250"),  # the same bytes at degree 8
+    ("[1,0,1]", "1000000000"),  # before the hyperbolicity gate, which exits 3
+])
+def test_energy_refuses_a_trajectory_past_its_byte_budget(capsys, monkeypatch, poly, steps):
+    # refused before propagate builds any array
+    runs = count_calls(monkeypatch, energy.propagate)
+    code, out, err = run_cli(capsys, "energy", "--poly", poly, "--steps", steps)
+    assert (code, out, runs) == (2, "", [])
+    assert err.startswith(f"input error: --steps {steps} at degree") and "100000000 bytes" in err
     assert err.count("\n") == 1
 
 
@@ -876,20 +906,22 @@ def test_nuij_transforms_p_once_per_eps(capsys, monkeypatch):
     assert calls == [p] * len(json.loads(out)["inputs"]["grid"])
 
 
-@pytest.mark.parametrize("ints", [
-    [1, -3, 3, -1],
-    [1.0, -6.0, 11.0, -6.0],
-    [1, 4, 1, -10, -4, 8, 0, 0, 0],  # x^3 (x - 1)^2 (x + 2)^3
+@pytest.mark.parametrize("ints, stage_chains", [
+    ([1, -3, 3, -1], 0),
+    ([1.0, -6.0, 11.0, -6.0], 0),
+    ([1, 4, 1, -10, -4, 8, 0, 0, 0], 0),  # x^3 (x - 1)^2 (x + 2)^3
+    # x^8: stages 1-6 keep a repeated root at 0, so stages 2, 4 and 6 run
+    # their chains, whose Cauchy indices certify stages 3, 5 and 7
+    ([1, 0, 0, 0, 0, 0, 0, 0, 0], 3),
 ])
-def test_nuij_runs_the_sturm_chain_of_p_once(capsys, monkeypatch, ints):
-    # stage 0 is p at every eps, and p keeps its chain; the chains of the even
-    # stages p_2, p_4, ... certify their own stage and, by the Cauchy index,
-    # the next one: floor((m - 1) / 2) chains per eps, 1 at m = 3 and 3 at m = 8
-    m = len(ints) - 1
+def test_nuij_runs_the_sturm_chain_of_p_once(capsys, monkeypatch, ints, stage_chains):
+    # stage 0 is p at every eps, and p keeps its chain; a later stage with
+    # distinct roots is certified by sign changes at points from float roots,
+    # and one with a repeated root runs its own chain
     chains = count_calls(monkeypatch, roots._int_sturm_chain)
     code, out, _ = run_cli(capsys, "nuij", "--poly", json.dumps(ints))
     assert code == 0
-    assert len(chains) == 1 + (m - 1) // 2 * len(json.loads(out)["inputs"]["grid"])
+    assert len(chains) == 1 + stage_chains * len(json.loads(out)["inputs"]["grid"])
     assert [list(chain) for chain in chains].count(ints) == 1
 
 

@@ -33,6 +33,7 @@ machine):
 p at eps = 1/10000, the simplest rational that rounds to 1e-4 (4.2 ms at
 m = 12, 21 ms at m = 16, 0.27 s at m = 24; at the dyadic value of 1e-4,
 which source trees before that choice certify, 33 ms, 0.23 s and 3.8 s),
+with p holding its family point at that eps, as in a ``nuij`` request,
 and not at all on a source tree without it; ``leray_symmetrizer_float`` times
 ``leray_symmetrizer`` on the float64 rounding of p, which it certifies at
 its exact dyadic value, as a decimal ``leray`` request does (0.59 s at
@@ -52,7 +53,8 @@ one grid point eps = 1e-4 with r = 0, and ``verify_quasi_grid`` on the
 nine eps of the default grid with r = 0, as a ``quasi`` request does.
 ``certify_stages_grid_point`` certifies the stages at 0.00010000000000000002,
 the last point of the default grid, which lands off the decimal: its
-simplest rational has a 52-bit denominator, where 1e-4 has 1/10000.  The
+simplest rational has a 52-bit denominator, where 1e-4 has 1/10000; p
+holds the family point of that eps too.  The
 float rows of the energy layer run there as well, on the float64 rounding
 pf of p with q = pf' and T = 10, 400 steps, as an ``energy`` request with
 the defaults does: ``propagate_strict`` propagates U0 = (1, ..., 1) through
@@ -278,6 +280,9 @@ def layer_rows(degrees) -> list:
             calls["verify_quasi_grid"] = lambda: verify_quasi(fresh(p), grid, r=0)
             calls["factorization_bundle"] = lambda: factorization_bundle(fresh(p), dp)
             if certify_stages is not None:
+                # p keeps its family points, as in a nuij request, whose last stage reads them
+                nuij_family(p, 1e-4)
+                nuij_family(p, GRID_POINT)
                 calls["certify_stages"] = lambda: certify_stages(p, 1e-4)
                 calls["certify_stages_grid_point"] = lambda: certify_stages(p, GRID_POINT)
             calls.update(energy_calls(m))

@@ -11,7 +11,7 @@ from fractions import Fraction
 from bezoutian import (
     Polynomial,
     default_epsilon_grid,
-    gap_constants,
+    gap_constant,
     invert_transform,
     nuij_family,
     nuij_transform,
@@ -20,9 +20,8 @@ from bezoutian import (
 
 p = Polynomial.from_roots([0, 0, 0, 2])  # triple root plus a simple one
 m = int(p.degree)
-table = gap_constants(m)
 print("p =", p)
-print("gap floor constants c_2..c_m:", [round(c, 6) for c in table.constants])
+print("gap floor constants c_2..c_m:", [round(gap_constant(l), 6) for l in range(2, m + 1)])
 
 print(f"\n{'eps':>10} {'min gap':>12} {'gap/eps':>10} {'floor':>8}  pass")
 for eps in default_epsilon_grid():

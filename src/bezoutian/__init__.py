@@ -55,24 +55,18 @@ from .factorization import (
 from .leray import LeraySymmetrizer, h_b_relation_check, leray_symmetrizer, power_sum_matrix
 from .nuij import (
     GapCheck,
-    GapConstantTable,
     NuijFamilyPoint,
     build_family,
-    certify_stages,
+    certify_grid,
     default_epsilon_grid,
-    gap_constants,
+    gap_constant,
     invert_transform,
     nuij_family,
     nuij_inverse_coeffs,
     nuij_transform,
     verify_gaps,
 )
-from .polynomial import (
-    Polynomial,
-    RootProfile,
-    elementary_symmetric,
-    power_sums,
-)
+from .polynomial import Polynomial, RootProfile, power_sums
 from .quasi import (
     CommutatorParts,
     QuasiConditions,

@@ -43,7 +43,7 @@ from .nuij import (
     build_family,
     certify_grid,
     default_epsilon_grid,
-    gap_constants,
+    gap_constant,
     invert_transform,
     nuij_family,
     verify_gaps,
@@ -250,8 +250,7 @@ def cmd_nuij(args, report: CertifiedReport):
     report.inputs = {"poly": _echo_poly(typed), "grid": list(grid)}
     table = [("epsilon", "min_gap", "gap_floor_constant", "pass")]
     if m >= 2:
-        consts = gap_constants(m)
-        report.add("gap floor constant", "nuij-gap-constants", float(consts.floor), PASS)
+        report.add("gap floor constant", "nuij-gap-constants", gap_constant(m), PASS)
     build_family(p, grid)
     # the last Nuij stage reads the roots of the family points; an eps <= 0
     # raises here, with the message verify_gaps would give

@@ -353,9 +353,6 @@ class ChainBoundResult:
     constant: float
     slack: float
 
-    def __bool__(self) -> bool:
-        return self.passed
-
 
 def chain_bound_check(p: Polynomial, j: int, source, T: float = 10.0) -> ChainBoundResult:
     """Check d/dt (H_j Du, Du) <= 2 |p^(j)(D_t)u| |p^(j+1)(D_t)u| along u.

@@ -48,8 +48,9 @@ def lagrange_basis_matrix(roots) -> np.ndarray:
     Float roots of shape (..., m) give a float G of shape (..., m, m), one
     matrix per row of roots; exact roots (ints, Fractions or 'n/d' strings)
     come as one list and give an m x m object array of Fractions.  Every
-    deleted-root row runs the recurrence of ``elementary_symmetric`` at
-    once, so each entry keeps the bits of that function on its m - 1 roots.
+    deleted-root row runs the elementary symmetric recurrence
+    e_i += v e_(i-1) at once, so each entry keeps the bits of that
+    recurrence run on its m - 1 roots alone.
     """
     import numpy as np
 
@@ -179,9 +180,6 @@ class FactorizationBundle:
     basis_matrix: np.ndarray
     weights: tuple
     residual: object
-
-    def reconstruct(self) -> np.ndarray:
-        return _weighted_gram(self.basis_matrix, self.weights)
 
 
 def factorization_bundle(p: Polynomial, q: Polynomial) -> FactorizationBundle:

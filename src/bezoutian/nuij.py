@@ -15,7 +15,7 @@ coefficient of p, which every stage keeps; it equals the Fraction
 derivative sum coefficient for coefficient.
 
 A stage p_l + eps p_l' interlaces p_l iff p_l is hyperbolic, as their Bezout
-form is eps H(p_l, p_l'); ``certify_stages`` decides that exactly, at the
+form is eps H(p_l, p_l'); ``certify_grid`` decides that exactly, at the
 simplest rational that rounds to a float eps (1/10000 for 1e-4), not at
 its dyadic value, whose denominator would add about 65 bits per stage.
 Stage 0 is p, whose Sturm chain certifies it and, by the Cauchy index of
@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bezout import _companion_stack
+from .errors import NonHyperbolicError
 from .polynomial import Polynomial, RootProfile, _derivative, _int_horner, _int_primitive
 from .roots import (
     _chain_count,
@@ -57,18 +58,15 @@ from .roots import (
 from .scalars import BACKEND_EXACT, is_exact_value
 
 
-def nuij_transform(p: Polynomial, epsilon, applications: int | None = None) -> Polynomial:
-    """(1 + eps d/dx)**applications applied to p; default is deg(p) - 1 times.
+def nuij_transform(p: Polynomial, epsilon) -> Polynomial:
+    """(1 + eps d/dx)**(m - 1) applied to p of degree m (the zero polynomial stays zero).
 
-    Exact whenever p and eps are exact: the last of ``applications`` integer
+    Exact whenever p and eps are exact: the last of the m - 1 integer
     stages (``_int_stages``), a positive multiple of the result, scaled to
     the leading coefficient of p.  A float eps rounds an exact p to float64
-    first; float p is the finite sum of C(n,k) eps^k p^(k).
+    first; float p is the finite sum of C(m - 1, k) eps^k p^(k).
     """
-    if applications is None:
-        applications = max(int(p.degree) - 1, 0) if not p.is_zero else 0
-    if applications < 0:
-        raise ValueError("applications must be nonnegative")
+    applications = max(int(p.degree) - 1, 0) if not p.is_zero else 0
     if p.backend == BACKEND_EXACT and not is_exact_value(epsilon):
         p = p.as_float()
     if p.backend == BACKEND_EXACT:
@@ -174,8 +172,12 @@ def _build_points(p: Polynomial, grid) -> None:
             roots_eps = real_roots(floats, 1e-12, imag_tol=1e-7)
         except OverflowError as exc:
             raise ValueError(_range_message(eps)) from exc
+        except NonHyperbolicError as exc:
+            # p passed the exact hyperbolicity gate; its float point did not
+            raise ValueError(f"smoothing family at eps={eps} has complex roots "
+                             "in float64") from exc
         # q_eps = p - p_eps: p_eps has p's degree and leading coefficient, and
-        # x - y is the x + (-y) of Polynomial.__sub__, in IEEE as in rational arithmetic
+        # x - y is x + (-1) * y, in IEEE as in rational arithmetic
         base = p if p.backend == p_eps.backend else p.as_float()
         q_eps = Polynomial(tuple(x - y for x, y in zip(base.coeffs, p_eps.coeffs)), p_eps.backend)
         p.memo[_family_key(eps)] = NuijFamilyPoint(eps, p_eps, roots_eps, q_eps)
@@ -237,42 +239,21 @@ def invert_transform(p_eps: Polynomial, epsilon) -> Polynomial:
     return Polynomial(tuple(out), p_eps.backend)
 
 
-@dataclass(frozen=True)
-class GapConstantTable:
-    """Root-gap floor constants c_2..c_m; stage l certifies gaps >= c_l * eps
-    among the lowest l roots after l-1 applications of the operator."""
-
-    degree: int
-    constants: tuple
-
-    def for_stage(self, stage: int) -> float:
-        if not 2 <= stage <= self.degree:
-            raise ValueError(f"stage {stage} out of range 2..{self.degree}")
-        return self.constants[stage - 2]
-
-    @property
-    def floor(self) -> float:
-        """The full-transform constant c_m."""
-        return self.constants[-1]
-
-
 @functools.cache
-def gap_constants(m: int) -> GapConstantTable:
-    """Gap-floor recursion c_2 = 1, c_{l+1} = min over k of the quadratic root.
+def gap_constant(m: int) -> float:
+    """The root-gap floor c_m: after l - 1 applications of the operator the
+    lowest l roots are at least c_l * eps apart, for l = 2..m.
 
-    The table is frozen and depends on m alone, so each m is built once.
+    Float recursion c_2 = 1, c_(l+1) = min over k = 2..l of the smaller
+    root (k + c_l - sqrt((k + c_l)^2 - 4 c_l)) / 2.  It depends on m
+    alone, so each m is computed once.
     """
     if m < 2:
         raise ValueError("gap constants need m >= 2")
-    consts = [1.0]
+    c = 1.0
     for l in range(2, m):
-        c = consts[-1]
-        best = None
-        for k in range(2, l + 1):
-            val = (k + c - math.sqrt((k + c) ** 2 - 4 * c)) / 2
-            best = val if best is None else min(best, val)
-        consts.append(best)
-    return GapConstantTable(m, tuple(consts))
+        c = min((k + c - math.sqrt((k + c) ** 2 - 4 * c)) / 2 for k in range(2, l + 1))
+    return c
 
 
 @dataclass(frozen=True)
@@ -298,7 +279,7 @@ def verify_gaps(p: Polynomial, epsilon) -> GapCheck:
     if eps <= 0:
         raise ValueError("epsilon must be positive")
     tol = max(1e-12, 1e-6 * eps)
-    floor = gap_constants(m).floor
+    floor = gap_constant(m)
     roots = nuij_family(p, eps).roots_eps.flattened
     if len(roots) < m:
         # a merged cluster means a gap of numerical zero
@@ -358,8 +339,9 @@ def _simplest_rational(x: float) -> Fraction:
     return Fraction(num, den)
 
 
-def certify_stages(p: Polynomial, epsilon) -> tuple[bool, bool]:
-    """(interlaced, strict) of the stages p_0 = p, p_(l+1) = p_l + eps p_l'.
+def certify_grid(p: Polynomial, grid) -> list[tuple[bool, bool]]:
+    """(interlaced, strict) of the stages p_0 = p, p_(l+1) = p_l + eps p_l'
+    at each eps of grid.
 
     Interlaced: p_0 .. p_(m-2) are hyperbolic.  Strict: p_(m-1) has m distinct
     real roots.  Decided on the exact p and eps, on the primitive integer
@@ -387,18 +369,10 @@ def certify_stages(p: Polynomial, epsilon) -> tuple[bool, bool]:
     certified at the simplest rational that rounds to it (least denominator;
     1/10000 for 1e-4), whose float is the echoed eps.  For hyperbolic p every
     eps > 0 gives (True, True), so the choice of rational moves no verdict
-    there, only the size of the integers.  The one-eps case of
-    ``certify_grid``.
-    """
-    return certify_grid(p, (epsilon,))[0]
-
-
-def certify_grid(p: Polynomial, grid) -> list[tuple[bool, bool]]:
-    """``certify_stages`` at each eps of grid, the float roots of every even
-    stage of every eps from one stacked eigensolver call.
-
-    Raises ValueError at the first eps that is not positive, before any stage
-    is built.
+    there, only the size of the integers.  The float roots of every even
+    stage of every eps come from one stacked eigensolver call.  Raises
+    ValueError at the first eps that is not positive, before any stage is
+    built.
     """
     rationals = [_stage_eps(eps) for eps in grid]
     count = int(p.degree) - 1
@@ -454,7 +428,7 @@ def _stage_roots(stages) -> list:
 
 
 def _certify(p: Polynomial, stages: list, seeds: dict, last) -> tuple[bool, bool]:
-    """``certify_stages`` on the integer stages of p at one eps.
+    """``certify_grid`` on the integer stages of p at one eps.
 
     ``seeds`` maps each even stage l >= 2 below the last to its ascending
     float roots, or None; ``last`` holds the ascending float roots of the

@@ -47,18 +47,6 @@ class Polynomial:
         return cls(tuple(coeffs), BACKEND_EXACT)
 
     @classmethod
-    def float64(cls, coeffs: Iterable) -> "Polynomial":
-        return cls(tuple(coeffs), BACKEND_FLOAT)
-
-    @classmethod
-    def zero(cls, backend: str = BACKEND_EXACT) -> "Polynomial":
-        return cls((), backend)
-
-    @classmethod
-    def one(cls, backend: str = BACKEND_EXACT) -> "Polynomial":
-        return cls((1,), backend)
-
-    @classmethod
     def from_roots(cls, roots) -> "Polynomial":
         """Monic polynomial with exactly the given roots (with multiplicity).
 
@@ -137,22 +125,10 @@ class Polynomial:
             out[i] = out[i] + c
         return Polynomial(tuple(reversed(out)), self.backend)
 
-    def __radd__(self, other) -> "Polynomial":
-        return self.__add__(other)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs), self.backend)
-
-    def __sub__(self, other) -> "Polynomial":
-        return self.__add__(self._coerced(other).__neg__())
-
-    def __rsub__(self, other) -> "Polynomial":
-        return self.__neg__().__add__(other)
-
     def __mul__(self, other) -> "Polynomial":
         other = self._coerced(other)
         if self.is_zero or other.is_zero:
-            return Polynomial.zero(self.backend)
+            return Polynomial((), self.backend)
         a, b = self.coeffs, other.coeffs
         zero = to_scalar(0, self.backend)
         out = [zero] * (len(a) + len(b) - 1)
@@ -171,7 +147,7 @@ class Polynomial:
         rem = list(self.coeffs)
         div = other.coeffs
         if len(rem) < len(div):
-            return Polynomial.zero(self.backend), self
+            return Polynomial((), self.backend), self
         lead = div[0]
         q = []
         for i in range(len(rem) - len(div) + 1):
@@ -184,12 +160,6 @@ class Polynomial:
             Polynomial(tuple(q), self.backend),
             Polynomial(tuple(rem[len(q):]), self.backend),
         )
-
-    def __floordiv__(self, other) -> "Polynomial":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other) -> "Polynomial":
-        return divmod(self, other)[1]
 
     def __hash__(self) -> int:
         return self._hash
@@ -434,27 +404,8 @@ class RootProfile:
         return tuple(out)
 
     @property
-    def degree(self) -> int:
-        return sum(self.multiplicities)
-
-    @property
-    def max_multiplicity(self) -> int:
-        return max(self.multiplicities)
-
-    @property
     def is_strict(self) -> bool:
         return all(m == 1 for m in self.multiplicities)
-
-
-def elementary_symmetric(values: Sequence) -> list:
-    """All elementary symmetric functions e_0..e_n of the values."""
-    values = list(values)
-    one = to_scalar(1, infer_backend(values))
-    out = [one] + [one * 0] * len(values)
-    for v in values:
-        for i in range(len(out) - 1, 0, -1):
-            out[i] = out[i] + v * out[i - 1]
-    return out
 
 
 def power_sums(p: Polynomial, upto: int) -> list:

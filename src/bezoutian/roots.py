@@ -32,7 +32,7 @@ integer divisions, and the Sturm chain of pseudo-remainders ends at
 gcd(p, p') and returns the degree and leading sign of each member, which
 give the real-root count.  The monic factors, counts and roots they return
 equal those of Fraction arithmetic.  The Sturm kernel takes an integer list
-directly, so a caller holding one (a Nuij stage of ``nuij.certify_stages``
+directly, so a caller holding one (a Nuij stage of ``nuij.certify_grid``
 that sign changes do not certify, whose chain ends also give the Cauchy
 index of the next stage) builds no Polynomial for it.
 """
@@ -118,7 +118,7 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     while b:
         a, b = b, _int_primitive(_prem(a, b))
     if not a:
-        return Polynomial.zero()
+        return Polynomial()
     return Polynomial.exact([Fraction(v, a[0]) for v in a])
 
 
@@ -238,7 +238,7 @@ def _sturm(p: Polynomial) -> tuple[list, tuple, list]:
     ``is_hyperbolic``, ``sturm_real_root_count``, ``factorization.separates``
     and ``factorization.derivative_bound_constant`` read their verdicts from
     the ends, Yun's decomposition starts from the gcd,
-    ``nuij.certify_stages`` reads stage 0 and the Cauchy index of stage 1 at
+    ``nuij.certify_grid`` reads stage 0 and the Cauchy index of stage 1 at
     every eps, and the roots of a square-free p are counted from the ends
     and isolated on the chain itself.
     """
@@ -546,9 +546,6 @@ class HyperbolicityVerdict:
     is_strict: bool
     _witness: object  # the witness, or a function computing it on first read
     method: str
-
-    def __bool__(self) -> bool:
-        return self.is_hyperbolic
 
     @functools.cached_property
     def witness(self):

@@ -16,12 +16,12 @@ from bezoutian import (
     build_family,
     companion_matrix,
     default_epsilon_grid,
-    elementary_symmetric,
     is_hyperbolic,
     nuij_family,
 )
 from bezoutian.errors import NonHyperbolicError
 from bezoutian.quasi import _eps_power, max_multiplicity
+from bezoutian.scalars import infer_backend, to_scalar
 
 DENOMS = (1, 2, 3, 4)
 
@@ -282,6 +282,17 @@ def quasi_diagonal_reference(point) -> list:
         raise ValueError(f"smoothing family at eps={float(point.epsilon):g} has merged roots "
                          "in float64: p_eps' vanishes at a root")
     return d
+
+
+def elementary_symmetric(values) -> list:
+    """All elementary symmetric functions e_0..e_n of the values."""
+    values = list(values)
+    one = to_scalar(1, infer_backend(values))
+    out = [one] + [one * 0] * len(values)
+    for v in values:
+        for i in range(len(out) - 1, 0, -1):
+            out[i] = out[i] + v * out[i - 1]
+    return out
 
 
 def basis_matrix_reference(roots) -> np.ndarray:

@@ -41,7 +41,7 @@ from bezoutian import (
     derivative_identity_check,
     energy_series,
     factorization_bundle,
-    gap_constants,
+    gap_constant,
     h_b_relation_check,
     invert_transform,
     is_hyperbolic,
@@ -58,8 +58,10 @@ from bezoutian import (
     verify_quasi,
 )
 from bezoutian.exactla import det
+from bezoutian.factorization import _weighted_gram
 from bezoutian.nuij import default_epsilon_grid
 from bezoutian.roots import poly_gcd, squarefree_decomposition, sturm_real_root_count
+from bezoutian.scalars import BACKEND_FLOAT
 from test_leray import vandermonde_relation_residual
 
 
@@ -153,13 +155,14 @@ def test_criterion_04_factorization():
         if min((b - a for a, b in zip(roots, roots[1:])), default=1.0) < 0.25:
             continue
         p = Polynomial.from_roots(roots)
-        q = Polynomial.float64([rg.uniform(-2, 2) for _ in range(m)])
+        q = Polynomial([rg.uniform(-2, 2) for _ in range(m)], BACKEND_FLOAT)
         if q.is_zero:
             continue
         worst_float = max(worst_float, float(factorization_bundle(p, q).residual))
     b3 = factorization_bundle(Polynomial.exact([1, 0, -1, 0]),
                               Polynomial.exact([3, 0, -1]))
-    worked = b3.reconstruct().tolist() == [[1, 0, -1], [0, 2, 0], [-1, 0, 3]]
+    worked = _weighted_gram(b3.basis_matrix, b3.weights).tolist() == \
+        [[1, 0, -1], [0, 2, 0], [-1, 0, 3]]
     ok = worst_float <= 1e-8 and worked
     verdict(4, "weighted factorization reproduces the Bezout matrix", ok,
             f"exact residual 0, float residual {worst_float:.2e}")
@@ -214,7 +217,7 @@ def test_criterion_06_nuij_gaps():
     eps = Fraction(1, 10)
     prof = real_roots(nuij_transform(Polynomial.exact([1, 0, 0]), eps))
     exact_gap = prof.flattened[1] - prof.flattened[0] == 2 * eps
-    c3 = gap_constants(3).for_stage(3)
+    c3 = gap_constant(3)
     c3_ok = abs(c3 - (3 - math.sqrt(5)) / 2) <= 1e-12
     ok = failures == 0 and exact_gap and c3_ok
     verdict(6, "gap floor along the smoothing family", ok,
@@ -235,10 +238,10 @@ def test_criterion_07_nuij_inversion():
 def test_criterion_08_quasi_uniformity():
     grid = default_epsilon_grid()
     eps = 0.1
-    p_eps = nuij_transform(Polynomial.float64([1, 0, 0]), eps)
+    p_eps = nuij_transform(Polynomial([1, 0, 0], BACKEND_FLOAT), eps)
     H = np.asarray(bezout_matrix(p_eps, p_eps.derivative()), float)
     H_closed = np.array([[4 * eps**2, 2 * eps], [2 * eps, 2.0]])
-    A = np.asarray(companion_matrix(Polynomial.float64([1, 0, 0])), float)
+    A = np.asarray(companion_matrix(Polynomial([1, 0, 0], BACKEND_FLOAT)), float)
     K = H @ A - A.T @ H
     K_closed = np.array([[0.0, 4 * eps**2], [-4 * eps**2, 0.0]])
     closed_ok = (np.max(np.abs(H - H_closed)) <= 1e-12

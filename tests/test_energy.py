@@ -17,6 +17,7 @@ from bezoutian import (
     real_roots,
 )
 from bezoutian.energy import _balance, _expm, _uniform_draws
+from bezoutian.scalars import BACKEND_FLOAT
 
 X2_MINUS_1 = Polynomial.exact([1, 0, -1])
 X3_MINUS_X = Polynomial.exact([1, 0, -1, 0])
@@ -33,7 +34,7 @@ def test_propagate_eigenvector_modes():
 
 
 def test_propagate_jordan_block():
-    traj = propagate(Polynomial.float64([1, 0, 0]), [0, 1], 2.0, 40)
+    traj = propagate(Polynomial([1, 0, 0], BACKEND_FLOAT), [0, 1], 2.0, 40)
     expect = np.stack([1j * traj.times, np.ones_like(traj.times)], axis=1)
     assert np.max(np.abs(traj.states - expect)) < 1e-12
 
@@ -57,7 +58,7 @@ def test_energy_series_examples():
     series = energy_series(X2_MINUS_1, Polynomial.exact([1, 0]), traj)
     assert series.values[0] == pytest.approx(2.0)
     assert series.spread < 1e-12
-    jordan = propagate(Polynomial.float64([1, 0, 0]), [0, 1], 10.0, 200)
+    jordan = propagate(Polynomial([1, 0, 0], BACKEND_FLOAT), [0, 1], 10.0, 200)
     series = energy_series(Polynomial.exact([1, 0, 0]), Polynomial.exact([2, 0]), jordan)
     assert series.values[0] == pytest.approx(2.0)
     assert series.spread < 1e-12

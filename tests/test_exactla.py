@@ -488,7 +488,7 @@ def enumeration_rational_roots(f: Polynomial):
         for cand in cands:
             if work.degree >= 1 and work(cand) == 0:
                 found.append(cand)
-                work = work // Polynomial.exact((1, -cand))
+                work = divmod(work, Polynomial.exact((1, -cand)))[0]
     return sorted(found), work
 
 

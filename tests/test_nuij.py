@@ -17,9 +17,9 @@ from bezoutian import (
     RootProfile,
     bezout_matrix,
     build_family,
-    certify_stages,
+    certify_grid,
     default_epsilon_grid,
-    gap_constants,
+    gap_constant,
     invert_transform,
     is_hyperbolic,
     nuij_family,
@@ -31,6 +31,7 @@ from bezoutian import (
 )
 from bezoutian import nuij, roots
 from bezoutian.cli import main
+from bezoutian.errors import NonHyperbolicError
 from bezoutian.nuij import (
     NuijFamilyPoint,
     _certify,
@@ -41,26 +42,34 @@ from bezoutian.nuij import (
     _stage_roots,
 )
 from bezoutian.roots import _hyperbolic_strict, sturm_real_root_count
+from bezoutian.scalars import BACKEND_FLOAT
 
 EPS = Fraction(1, 10)
 
 
 def test_transform_examples():
-    assert nuij_transform(Polynomial.exact([1, 0, 0]), EPS, 1).coeffs == (1, 2 * EPS, 0)
-    assert nuij_transform(Polynomial.exact([1, 0, -1]), EPS, 1).coeffs == (1, 2 * EPS, -1)
-    out = nuij_transform(Polynomial.exact([1, 0, 0, 0]), EPS, 2)
+    assert nuij_transform(Polynomial.exact([1, 0, 0]), EPS).coeffs == (1, 2 * EPS, 0)
+    assert nuij_transform(Polynomial.exact([1, 0, -1]), EPS).coeffs == (1, 2 * EPS, -1)
+    out = nuij_transform(Polynomial.exact([1, 0, 0, 0]), EPS)
     assert out.coeffs == (1, 6 * EPS, 6 * EPS**2, 0)
 
 
-def test_transform_defaults_to_degree_minus_one():
+def stage_poly(ints: list) -> Polynomial:
+    """The monic exact polynomial of an integer stage of ``_int_stages``."""
+    return Polynomial.exact([Fraction(v, ints[0]) for v in ints])
+
+
+def test_the_stages_start_at_p_and_end_at_the_transform():
+    # x^3 at eps = 1/10: P_1 = 10 x^3 + 3 x^2, P_2 = (100 x^3 + 60 x^2 + 6 x) / 2
     p = Polynomial.exact([1, 0, 0, 0])
-    assert nuij_transform(p, EPS) == nuij_transform(p, EPS, 2)
-    assert nuij_transform(p, EPS, 0) == p
+    stages = _int_stages(p, EPS, 2)
+    assert [list(ints) for ints in stages] == [[1, 0, 0, 0], [10, 3, 0, 0], [50, 30, 3, 0]]
+    assert stage_poly(stages[-1]) == nuij_transform(p, EPS)
 
 
 def derivative_sum_reference(p: Polynomial, eps: Fraction, applications: int) -> Polynomial:
     """sum_k C(n,k) eps^k p^(k) over Fraction polynomials."""
-    out = Polynomial.zero()
+    out = Polynomial()
     for k in range(applications + 1):
         dk = p.derivative(k)
         if dk.is_zero:
@@ -74,15 +83,24 @@ def derivative_sum_reference(p: Polynomial, eps: Fraction, applications: int) ->
        st.sampled_from([Fraction(1e-4), Fraction(1, 10), Fraction(-3, 7), Fraction(0), Fraction(2)]),
        st.data())
 def test_transform_matches_derivative_sum(p, eps, data):
-    applications = data.draw(st.integers(0, int(p.degree) + 2))
-    got = nuij_transform(p, eps, applications)
-    assert got.coeffs == derivative_sum_reference(p, eps, applications).coeffs
+    got = nuij_transform(p, eps)
+    assert got.coeffs == derivative_sum_reference(p, eps, max(int(p.degree) - 1, 0)).coeffs
     assert all(type(c) is Fraction for c in got.coeffs)
+    # every stage, past the m - 1 of the transform too, is a positive
+    # primitive multiple of its derivative sum
+    count = data.draw(st.integers(0, int(p.degree) + 2))
+    for k, ints in enumerate(_int_stages(p, eps, count)):
+        want = derivative_sum_reference(p, eps, k)
+        scale = want.leading / ints[0]
+        assert scale > 0 and math.gcd(*ints) == 1
+        assert tuple(scale * v for v in ints) == want.coeffs
 
 
 def test_transform_exact_edge_cases():
-    assert nuij_transform(Polynomial.zero(), EPS, 3).is_zero
-    assert nuij_transform(Polynomial.exact([Fraction(-5, 3)]), EPS, 2).coeffs == (Fraction(-5, 3),)
+    assert nuij_transform(Polynomial(), EPS).is_zero
+    assert nuij_transform(Polynomial.exact([Fraction(-5, 3)]), EPS).coeffs == (Fraction(-5, 3),)
+    assert [list(ints) for ints in _int_stages(Polynomial.exact([Fraction(-5, 3)]), EPS, 2)] \
+        == [[-1]] * 3
     # integer eps; the default count is deg - 1
     p = Polynomial.exact([Fraction(1, 2), 0, 0, -1])
     assert nuij_transform(p, 2) == derivative_sum_reference(p, Fraction(2), 2)
@@ -95,13 +113,17 @@ def test_transform_float_epsilon_promotes_backend():
 
 def float_sum_reference(p: Polynomial, eps: float, applications: int) -> Polynomial:
     """The float transform as a sum of float64 Polynomials, term by term."""
-    out = Polynomial.zero("float64")
+    out = Polynomial((), BACKEND_FLOAT)
     for k in range(applications + 1):
         dk = p.derivative(k)
         if dk.is_zero:
             break
         out = out + math.comb(applications, k) * eps**k * dk
     return out
+
+
+def float_poly(coeffs) -> Polynomial:
+    return Polynomial(coeffs, BACKEND_FLOAT)
 
 
 def float_bits(fn):
@@ -115,15 +137,14 @@ def float_bits(fn):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(
            st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=9)
-           .map(Polynomial.float64),
-           st.lists(st.floats(-100, 100), max_size=9).map(Polynomial.float64),
+           .map(float_poly),
+           st.lists(st.floats(-100, 100), max_size=9).map(float_poly),
            corpus.factored_poly(max_linear=3)),
        st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-10, 10),
-                 st.sampled_from([1e-4, 0.1, 0.0, -0.0, 5e-324])),
-       st.data())
-def test_float_transform_matches_the_polynomial_sum_bit_for_bit(p, eps, data):
-    applications = data.draw(st.integers(0, len(p.coeffs) + 1))
-    got = float_bits(lambda: nuij_transform(p, eps, applications))
+                 st.sampled_from([1e-4, 0.1, 0.0, -0.0, 5e-324])))
+def test_float_transform_matches_the_polynomial_sum_bit_for_bit(p, eps):
+    applications = max(len(p.coeffs) - 2, 0)  # deg p - 1, and 0 for the zero polynomial
+    got = float_bits(lambda: nuij_transform(p, eps))
     assert got == float_bits(lambda: float_sum_reference(p.as_float(), eps, applications))
 
 
@@ -141,11 +162,11 @@ def float_inversion_reference(p_eps: Polynomial, eps: float) -> Polynomial:
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(
            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=9)
-           .map(Polynomial.float64),
-           st.lists(st.floats(-100, 100), min_size=3, max_size=9).map(Polynomial.float64),
+           .map(float_poly),
+           st.lists(st.floats(-100, 100), min_size=3, max_size=9).map(float_poly),
            # signed zeros next to values whose products underflow
            st.lists(st.sampled_from([0.0, -0.0, 1.0, -3.0, 1e-300, -1e-300, 1e300]),
-                    min_size=3, max_size=9).map(Polynomial.float64),
+                    min_size=3, max_size=9).map(float_poly),
            corpus.factored_poly(max_linear=3).map(lambda p: nuij_transform(p.as_float(), 0.01))),
        st.one_of(st.floats(0, 1e3), st.floats(allow_nan=False, allow_infinity=False),
                  st.sampled_from([1e-4, 0.1, 1e-30, 1e-160, 1e-170, 5e-324])))
@@ -192,19 +213,19 @@ def test_inversion_identity_exact_random():
         assert invert_transform(nuij_transform(p, eps), eps) == p
 
 
-def test_gap_constants_table():
-    t2 = gap_constants(2)
-    assert t2.constants == (1.0,)
-    t3 = gap_constants(3)
-    assert t3.for_stage(3) == pytest.approx((3 - math.sqrt(5)) / 2, abs=1e-15)
-    t4 = gap_constants(4)
+def test_gap_constants():
+    assert gap_constant(2) == 1.0
+    assert gap_constant(3) == pytest.approx((3 - math.sqrt(5)) / 2, abs=1e-15)
     # recursion oracle for the next stage, evaluated inline
     c3 = (3 - math.sqrt(5)) / 2
     expect = min(
         (k + c3 - math.sqrt((k + c3) ** 2 - 4 * c3)) / 2 for k in (2, 3)
     )
-    assert t4.floor == pytest.approx(expect, abs=1e-15)
-    assert all(a > b > 0 for a, b in zip(t4.constants, t4.constants[1:]))
+    assert gap_constant(4) == pytest.approx(expect, abs=1e-15)
+    consts = [gap_constant(m) for m in range(2, 10)]
+    assert all(a > b > 0 for a, b in zip(consts, consts[1:]))
+    with pytest.raises(ValueError, match="m >= 2"):
+        gap_constant(1)
 
 
 def test_verify_gaps_examples():
@@ -259,7 +280,7 @@ def float_roots_reference(p: Polynomial) -> list:
 
 
 def family_point_reference(p: Polynomial, eps) -> tuple:
-    """(p_eps, roots, q_eps) of eps alone: its own eigensolver call and a Polynomial subtraction."""
+    """(p_eps, roots, q_eps) of eps alone: its own eigensolver call and a Polynomial sum."""
     try:
         p_eps = nuij_transform(p, eps)
         floats = p_eps.as_float()
@@ -269,8 +290,10 @@ def family_point_reference(p: Polynomial, eps) -> tuple:
             roots_eps = real_roots(floats, 1e-12, imag_tol=1e-7)
     except OverflowError as exc:
         raise ValueError(f"smoothing family at eps={eps} leaves the float64 range") from exc
+    except NonHyperbolicError as exc:
+        raise ValueError(f"smoothing family at eps={eps} has complex roots in float64") from exc
     base = p if p.backend == p_eps.backend else p.as_float()
-    return p_eps, roots_eps, base - p_eps
+    return p_eps, roots_eps, base + (-1) * p_eps
 
 
 def point_bits(p_eps, roots_eps, q_eps) -> tuple:
@@ -347,7 +370,7 @@ def test_a_failing_family_point_is_built_once(capsys):
         return nuij_transform(*args)
 
     with mock.patch.object(nuij, "nuij_transform", counted):
-        assert main(["nuij", "--poly", "[1,684,155952,11852352]"]) == 3
+        assert main(["nuij", "--poly", "[1,684,155952,11852352]"]) == 2
     assert calls == list(default_epsilon_grid())
     assert "complex roots" in capsys.readouterr().err
 
@@ -359,14 +382,14 @@ def test_stagewise_gap_law():
     for _ in range(15):
         m = rg.randint(3, 6)
         p = Polynomial.from_roots(corpus.hyperbolic_profile(rg, m, max_mult=3))
-        table = gap_constants(m)
         for eps in (Fraction(1), Fraction(1, 100)):
+            stages = _int_stages(p, eps, m - 1)
             for stage in range(2, m + 1):
                 roots = sorted(
                     float(r) for r in
-                    real_roots(nuij_transform(p, eps, stage - 1)).flattened
+                    real_roots(stage_poly(stages[stage - 1])).flattened
                 )
-                floor = table.for_stage(stage) * float(eps)
+                floor = gap_constant(stage) * float(eps)
                 slack = max(1e-12, 1e-6 * float(eps))
                 for k in range(1, stage):
                     assert roots[k] - roots[k - 1] >= floor - slack
@@ -379,8 +402,8 @@ def test_interlacing_cascade():
         p = Polynomial.from_roots(corpus.hyperbolic_profile(rg, m, max_mult=3))
         eps = Fraction(rg.randint(1, 9), rg.choice([1, 10, 100]))
         prev = [float(r) for r in real_roots(p).flattened]
-        for stage in range(1, m):
-            cur = [float(r) for r in real_roots(nuij_transform(p, eps, stage)).flattened]
+        for ints in _int_stages(p, eps, m - 1)[1:]:
+            cur = [float(r) for r in real_roots(stage_poly(ints)).flattened]
             tiny = 1e-9 * max(1.0, max(abs(v) for v in prev + cur))
             for i in range(m):
                 assert cur[i] <= prev[i] + tiny
@@ -392,17 +415,17 @@ def test_interlacing_cascade():
 @settings(max_examples=80, deadline=None)
 @given(corpus.factored_poly(max_linear=3),
        st.sampled_from([Fraction(1e-4), Fraction(1, 10), Fraction(1), 1e-4]))
-def test_certify_stages_agrees_with_the_bezout_forms_of_consecutive_stages(p, eps):
+def test_certify_grid_agrees_with_the_bezout_forms_of_consecutive_stages(p, eps):
     # the paper's route: stage l+1 interlaces stage l iff H(p_l, p_(l+1)) >= 0;
     # a float eps is certified at its simplest rational, 1/10000 for 1e-4
     assume(p.degree <= 9)
     exact_eps = _simplest_rational(eps) if isinstance(eps, float) else eps
     stages = [p]
     for _ in range(int(p.degree) - 1):
-        stages.append(nuij_transform(stages[-1], exact_eps, 1))
+        stages.append(derivative_sum_reference(stages[-1], exact_eps, 1))
     psd = [psd_check(bezout_matrix(cur, nxt)).is_psd for cur, nxt in zip(stages, stages[1:])]
     assert psd == [_hyperbolic_strict(cur)[0] for cur in stages[:-1]]
-    interlaced, strict = certify_stages(p, eps)
+    interlaced, strict = certify_grid(p, (eps,))[0]
     assert interlaced == all(psd)
     hyperbolic = is_hyperbolic(p).is_hyperbolic
     assert interlaced == hyperbolic
@@ -461,18 +484,18 @@ def test_simplest_rational_examples():
                      corpus.hyperbolic_profile(corpus.rng(seed), m)),
                  st.integers(0, 10**6), st.integers(2, 7)),
        st.sampled_from(default_epsilon_grid() + (0.1, 1e-4, 2.5)))
-def test_certify_stages_float_eps_agrees_with_its_dyadic_value(p, x):
+def test_certify_grid_float_eps_agrees_with_its_dyadic_value(p, x):
     # for hyperbolic p every eps > 0 gives (True, True), so the rational
     # certified for a float eps moves no verdict
-    assert certify_stages(p, x) == certify_stages(p, Fraction(x)) == (True, True)
+    assert certify_grid(p, (x,))[0] == certify_grid(p, (Fraction(x),))[0] == (True, True)
 
 
 def stage_reference(p: Polynomial, eps) -> tuple[bool, bool]:
-    """certify_stages from the verdict of every stage, each built as a Polynomial."""
+    """The stage certificate from the verdict of every stage, each built as a Polynomial."""
     exact_eps = _simplest_rational(eps) if isinstance(eps, float) else Fraction(eps)
     stages = [p.as_exact()]
     for _ in range(int(p.degree) - 1):
-        stages.append(nuij_transform(stages[-1], exact_eps, 1))
+        stages.append(derivative_sum_reference(stages[-1], exact_eps, 1))
     interlaced = all(_hyperbolic_strict(stage)[0] for stage in stages[:-1])
     return interlaced, sturm_real_root_count(stages[-1]) == p.degree
 
@@ -480,10 +503,10 @@ def stage_reference(p: Polynomial, eps) -> tuple[bool, bool]:
 @settings(max_examples=150, deadline=None)
 @given(corpus.factored_poly().filter(lambda p: 1 <= p.degree <= 9),
        st.sampled_from(default_epsilon_grid() + (Fraction(1, 10), Fraction(7, 3), 1)))
-def test_certify_stages_equals_the_verdicts_of_its_stages(p, eps):
+def test_certify_grid_equals_the_verdicts_of_its_stages(p, eps):
     # the Cauchy index of stage l against stage l + 1 stands in for the chain
     # of every odd stage; non-hyperbolic p are drawn too
-    assert certify_stages(p, eps) == stage_reference(p, eps)
+    assert certify_grid(p, (eps,))[0] == stage_reference(p, eps)
 
 
 def chain_of(coeffs) -> list:
@@ -508,16 +531,16 @@ def test_the_index_leaves_strictness_to_the_stage_after_a_repeated_root(power, r
     p = Polynomial.from_roots([r] * power)
     ends = chain_of(p.coeffs)
     assert nuij._next_stage(ends) == (True, False)
-    stage = nuij_transform(p, EPS, 1)
+    stage = derivative_sum_reference(p, EPS, 1)
     assert _hyperbolic_strict(stage) == (True, power == 2)
-    assert certify_stages(p, EPS) == (True, True)
+    assert certify_grid(p, (EPS,))[0] == (True, True)
 
 
 def test_the_index_of_a_stage_that_is_not_hyperbolic_decides_nothing():
     # control: (x^2 + 1)(x - 1) has a complex pair, so the index proves nothing
     p = Polynomial.exact([1, 0, 1]) * Polynomial.exact([1, -1])
     assert nuij._next_stage(chain_of(p.coeffs)) is None
-    assert certify_stages(p, Fraction(1, 10)) == stage_reference(p, Fraction(1, 10))
+    assert certify_grid(p, (Fraction(1, 10),))[0] == stage_reference(p, Fraction(1, 10))
 
 
 def with_complex_pair(p: Polynomial, k: int) -> Polynomial:
@@ -528,17 +551,17 @@ def with_complex_pair(p: Polynomial, k: int) -> Polynomial:
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6), st.integers(1, 7), st.integers(0, 3),
        st.sampled_from(default_epsilon_grid() + (0.1, Fraction(1, 10), Fraction(7, 3), 1)))
-def test_certify_stages_equals_the_reference_with_and_without_the_family_point(seed, m, k, eps):
+def test_certify_grid_equals_the_reference_with_and_without_the_family_point(seed, m, k, eps):
     # any multiplicity up to m, so stages with a repeated root run their
     # chains; k > 0 adds a complex pair.  The last stage reads the roots of
     # the family point when p keeps one and runs its own count otherwise
     rg = corpus.rng(seed)
     p = with_complex_pair(Polynomial.from_roots(corpus.hyperbolic_profile(rg, m, max_mult=m)), k)
     want = stage_reference(p, eps)
-    assert certify_stages(p, eps) == want
+    assert certify_grid(p, (eps,))[0] == want
     with contextlib.suppress(ValueError, ArithmeticError):  # a point that fails is not kept
         build_family(p, (eps,))
-    assert certify_stages(p, eps) == want
+    assert certify_grid(p, (eps,))[0] == want
 
 
 def stage_points(p: Polynomial, eps: Fraction):
@@ -660,7 +683,7 @@ def test_verify_gaps_fails_a_gap_below_its_floor():
     # the check must fail, and would pass against half the floor
     p = Polynomial.exact([1, 0, 0, 0])
     eps = 0.1
-    floor = gap_constants(3).floor
+    floor = gap_constant(3)
     gap = 0.75 * floor * eps
     tol = max(1e-12, 1e-6 * eps)
     assert floor * eps / 2 <= gap < floor * eps - tol
@@ -672,16 +695,16 @@ def test_verify_gaps_fails_a_gap_below_its_floor():
     assert check.min_gap_over_eps == pytest.approx(0.75 * floor)
 
 
-def test_certify_stages_controls():
+def test_certify_grid_controls():
     # (x^2 + 1)(x - 1) is not hyperbolic, so stage 1 does not interlace it;
     # at eps = 1/10 its full transform keeps a complex pair too
     p = Polynomial.exact([1, 0, 1]) * Polynomial.exact([1, -1])
-    assert certify_stages(p, Fraction(1, 10)) == (False, False)
-    assert certify_stages(Polynomial.exact([1, 0, 0, 0]), 1e-4) == (True, True)
-    assert certify_stages(Polynomial.float64([1.0, -2.0, 1.0]), 0.1) == (True, True)
+    assert certify_grid(p, (Fraction(1, 10),))[0] == (False, False)
+    assert certify_grid(Polynomial.exact([1, 0, 0, 0]), (1e-4,))[0] == (True, True)
+    assert certify_grid(Polynomial([1.0, -2.0, 1.0], BACKEND_FLOAT), (0.1,))[0] == (True, True)
     for eps in (0, -0.1, Fraction(-1, 3)):
         with pytest.raises(ValueError):
-            certify_stages(Polynomial.exact([1, 0, 0]), eps)
+            certify_grid(Polynomial.exact([1, 0, 0]), (eps,))[0]
 
 
 def test_coefficient_convergence_linear_in_eps():

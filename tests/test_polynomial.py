@@ -15,7 +15,7 @@ from bezoutian import (
     power_sums,
 )
 from bezoutian.polynomial import _primitive
-from bezoutian.scalars import to_scalar
+from bezoutian.scalars import BACKEND_FLOAT, to_scalar
 
 X2_MINUS_1 = Polynomial.exact([1, 0, -1])
 X3_MINUS_X = Polynomial.exact([1, 0, -1, 0])
@@ -28,7 +28,7 @@ def test_derivative_power_rule():
 
 def test_derivative_over_differentiation():
     assert Polynomial.exact([1, 0, 0]).derivative(3).is_zero
-    assert Polynomial.zero().derivative().is_zero
+    assert Polynomial().derivative().is_zero
 
 
 def test_derivative_order_zero_and_negative():
@@ -54,23 +54,23 @@ def test_ring_ops_examples():
     x2 = Polynomial.exact([1, 0, 0])
     eps = Fraction(1, 10)
     shifted = Polynomial.exact([1, 2 * eps, 0])
-    assert (x2 - shifted).coeffs == (-2 * eps, 0)
+    assert (x2 + (-1) * shifted).coeffs == (-2 * eps, 0)
     assert X3_MINUS_X(2) == 6
     assert Polynomial.exact([1, -1]) * Polynomial.exact([1, 1]) == X2_MINUS_1
 
 
 def test_zero_polynomial_degree_sentinel():
-    z = Polynomial.zero()
+    z = Polynomial()
     assert z.degree == float("-inf")
-    assert (X2_MINUS_1 - X2_MINUS_1).is_zero
+    assert (X2_MINUS_1 + (-1) * X2_MINUS_1).is_zero
     assert z(5) == 0
 
 
 def test_backend_mismatch_raises():
     with pytest.raises(BackendMismatchError):
-        X2_MINUS_1 + Polynomial.float64([1.0, 0.0])
+        X2_MINUS_1 + Polynomial([1.0, 0.0], BACKEND_FLOAT)
     with pytest.raises(BackendMismatchError):
-        X2_MINUS_1 * Polynomial.float64([1.0])
+        X2_MINUS_1 * Polynomial([1.0], BACKEND_FLOAT)
 
 
 def test_exact_backend_rejects_bare_floats():
@@ -201,7 +201,7 @@ def test_from_roots_flatten_roundtrip(roots):
     assert p.is_monic
     for r in roots:
         assert p(r) == 0
-    product = Polynomial.one()
+    product = Polynomial((1,))
     for r in roots:
         product = product * Polynomial.exact([1, -r])
     assert p == product
@@ -244,5 +244,5 @@ def test_root_profile_validation():
         RootProfile((0,), (0,))
     prof = RootProfile((Fraction(0),), (2,))
     assert prof.flattened == (0, 0)
-    assert prof.max_multiplicity == 2
+    assert prof.multiplicities == (2,)
     assert not prof.is_strict

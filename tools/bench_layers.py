@@ -2,8 +2,8 @@
 
 Times ``bezout_matrix``, ``psd_certificate``, ``symmetrization_defect``,
 ``det``, ``separation_lower_bound_check``, ``h_b_relation_check``,
-``leray_symmetrizer``, ``is_hyperbolic``, ``separates`` and
-``certify_stages`` on exact inputs: at each degree m, the monic p with m
+``leray_symmetrizer``, ``is_hyperbolic``, ``separates`` and the Nuij
+stage certificate on exact inputs: at each degree m, the monic p with m
 distinct rational roots drawn from a fixed seed, its Bezout form H of
 (p, p') and its companion matrix A.  A polynomial keeps what is derived
 from it (its forms, roots, family points and power-sum symmetrizer), so
@@ -29,7 +29,9 @@ deflate q at float roots raise ValueError.
 Thirteen rows run at m <= ``SLOW_MAX_DEGREE`` only, three of them because
 one call of each takes seconds beyond it on some source trees (2-core x86_64
 machine):
-``certify_stages(p, 1e-4)`` builds and certifies the m - 1 Nuij stages of
+``certify_stages`` (``certify_grid(p, (1e-4,))[0]``, or
+``certify_stages(p, 1e-4)`` on a source tree that exports only that) builds
+and certifies the m - 1 Nuij stages of
 p at eps = 1/10000, the simplest rational that rounds to 1e-4 (4.2 ms at
 m = 12, 21 ms at m = 16, 0.27 s at m = 24; at the dyadic value of 1e-4,
 which source trees before that choice certify, 33 ms, 0.23 s and 3.8 s),
@@ -121,9 +123,16 @@ from bezoutian.exactla import det, psd_certificate
 from bezoutian.roots import _float_roots, _sturm_ends
 
 try:
-    from bezoutian import certify_stages
-except ImportError:  # a source tree from before the exact stage certificate
-    certify_stages = None
+    from bezoutian import certify_grid
+
+    def certify_stages(p, eps):
+        """The stage certificate at one eps, the one-eps case of the grid kernel."""
+        return certify_grid(p, (eps,))[0]
+except ImportError:  # a source tree that exports the one-eps certificate alone
+    try:
+        from bezoutian import certify_stages
+    except ImportError:  # a source tree from before the exact stage certificate
+        certify_stages = None
 try:
     from bezoutian import build_family
 except ImportError:  # a source tree from before the grid kernel

@@ -1,7 +1,8 @@
 """tools/reach.py: the rule that matches a called code object to a function.
 
-The tool itself runs in CI (it takes seconds per thousand requests); these
-tests pin its matching rule on a small package and its recorded list.
+The tool itself is a CI step of its own (about 14 s on a 2-core host, too
+long for tier-1); these tests pin its matching rule on a small package and
+check that every name it records is a function of the package.
 """
 
 import importlib

@@ -33,7 +33,7 @@ print(f"relative spread over [0, 10]: {series.relative_spread():.2e}")
 print(f"minimum along the trajectory: {float(np.min(series.values)):.6f} (stays >= 0)")
 
 signal = ExponentialSignal.of((1.0, 0.7), (0.5 - 0.25j, 2.1), (0.3, -1.4))
-resid = derivative_identity_check(p, q, signal)
+resid = derivative_identity_check(p, q, signal, t_max=10.0)
 print(f"\nderivative identity residual on a generic signal: {resid:.2e}")
 
 for j in range(3):

@@ -37,7 +37,7 @@ from . import exactla
 from .errors import BackendMismatchError, DegreeMismatchError, NonzeroRemainderError
 from .exactla import IntMatrix, PsdVerdict, psd_certificate
 from .polynomial import Polynomial, _int_horner
-from .scalars import BACKEND_EXACT
+from .scalars import BACKEND_EXACT, DEFAULT_TOL
 
 if TYPE_CHECKING:
     import numpy as np
@@ -223,7 +223,8 @@ def resultant(p: Polynomial, q: Polynomial) -> Resultant:
     return Resultant(det_h, Fraction(num, den), resultant_sign(m))
 
 
-def separation_lower_bound_check(p: Polynomial, q: Polynomial, c, tol: float = 1e-9) -> bool:
+def separation_lower_bound_check(p: Polynomial, q: Polynomial, c,
+                                 tol: float = DEFAULT_TOL) -> bool:
     """Check H(p, q) - c * H(p, p') >= 0 for monic p.
 
     H(p, p') is the deleted-factor gram sum_k v_k v_k^T, v_k the ascending

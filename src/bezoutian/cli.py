@@ -40,6 +40,7 @@ from .errors import DegreeMismatchError, NonHyperbolicError
 from .factorization import difference_product, separates
 from .leray import h_b_relation_check, leray_symmetrizer
 from .nuij import (
+    DEFAULT_GRID,
     build_family,
     certify_grid,
     default_epsilon_grid,
@@ -52,7 +53,7 @@ from .polynomial import Polynomial
 from .quasi import UNIFORMITY_FACTOR, check_conditions, max_multiplicity, verify_quasi
 from .report import FAIL, MARGINAL, PASS, CertifiedReport
 from .roots import is_hyperbolic, real_roots
-from .scalars import BACKEND_EXACT, scalar_to_json
+from .scalars import BACKEND_EXACT, DEFAULT_TOL, scalar_to_json
 
 
 # sample pairs (z, w) a quasi request may draw over its grid: 32 n bytes of
@@ -63,6 +64,8 @@ MAX_STATE_BYTES = 10 ** 8
 # eps per --eps-grid: nuij stacks the float forms of about m / 2 Nuij stages
 # per eps for one eigensolver call, about 120 MB at degree 32
 MAX_GRID_POINTS = 1000
+# the --eps-grid default, DEFAULT_GRID as a spec: "1:0.0001:9(log)"
+DEFAULT_GRID_SPEC = "{:g}:{:g}:{:d}(log)".format(*DEFAULT_GRID)
 
 
 class InputError(Exception):
@@ -192,13 +195,15 @@ def cmd_analyze(args, report: CertifiedReport):
     report.backend = p.backend
     report.inputs = {"poly": _echo_poly(typed), "q": _echo_poly(typed_q)}
 
+    # echoed before anything is certified, so an entry too long to print
+    # stops the request first
+    H = bezout_matrix(p, q)
     A = companion_matrix(p)
+    report.inputs["bezout_matrix"] = _echo_matrix(H)
+    report.inputs["companion_matrix"] = _echo_matrix(A)
     # H(p, p') and its LDL serve hermite-criterion, the separation bound and discriminant
     profile = real_roots(p)
     hermite = psd_check(bezout_matrix(p, p.derivative()))
-    H = bezout_matrix(p, q)
-    report.inputs["bezout_matrix"] = _echo_matrix(H)
-    report.inputs["companion_matrix"] = _echo_matrix(A)
     defect = symmetrization_defect(H, A)
     report.add_bool("companion symmetrization defect", "companion-symmetrization",
                     defect <= tol, _exact_witness(defect), tol)
@@ -309,7 +314,7 @@ def cmd_quasi(args, report: CertifiedReport):
                     conditions.c_lower > 0, float(conditions.c_lower))
     report.add_bool("perturbation ratio condition", "quasi-cond-perturbation",
                     math.isfinite(conditions.C_upper), float(conditions.C_upper))
-    verdict = verify_quasi(p, grid, r=r, s=s, samples=args.samples, seed=report.seed)
+    verdict = verify_quasi(p, grid, r, s, args.samples, report.seed)
     factor = UNIFORMITY_FACTOR
     report.add_bool("lower bound uniformity", "quasi-lower-bound",
                     verdict.lower_decay < factor, float(verdict.lower_decay), factor)
@@ -399,7 +404,7 @@ def cmd_energy(args, report: CertifiedReport):
     series = energy_series(p, q, traj)
     spread = series.relative_spread()
     report.add_bool("energy conservation", "energy-conservation",
-                    spread <= max(tol, 1e-9), spread, max(tol, 1e-9))
+                    spread <= max(tol, DEFAULT_TOL), spread, max(tol, DEFAULT_TOL))
     if q.degree == m - 1 and separates(p, q, tol):
         nonneg = float(np.min(series.values)) >= -tol * max(1.0, float(np.max(np.abs(series.values))))
         report.add_bool("energy nonnegative", "energy-nonnegative",
@@ -411,7 +416,7 @@ def cmd_energy(args, report: CertifiedReport):
                     residual <= 1e-8, residual, 1e-8)
     if m >= 2:
         # the floor constant is 1/m, certified by the Sturm chain of p's exact value
-        chain = chain_bound_check(p, 0, traj, T=args.T)
+        chain = chain_bound_check(p, 0, traj)
         report.add_bool("chain bound along trajectory", "energy-chain-bound",
                         chain.passed, chain.derivative_margin)
     table = [("t", "value")]
@@ -432,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--poly", help='coefficients, leading first, e.g. "[1,0,-1]"')
         sp.add_argument("--poly-file", help="JSON file with {'coeffs': [...]}")
-        sp.add_argument("--tol", type=float, default=1e-9,
+        sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help="certification tolerance (default 1e-9)")
         sp.add_argument("--seed", type=int, default=0, help="seed for randomized cross-checks")
         sp.add_argument("--output", choices=("json", "csv", "both"), default="json")
@@ -444,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("nuij", help="smoothing family: gap law, interlacing, inversion")
     common(sp)
     sp.add_argument("--eps", type=float, help="single epsilon instead of a grid")
-    sp.add_argument("--eps-grid", default="1:1e-4:9(log)",
+    sp.add_argument("--eps-grid", default=DEFAULT_GRID_SPEC,
                     help='grid spec start:stop:count(log|lin), default "1:1e-4:9(log)"')
 
     sp = sub.add_parser("quasi", help="uniform-in-eps quasi-symmetrizer certification")
@@ -452,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", type=float, default=None,
                     help="lower-bound exponent; defaults to multiplicity - 1")
     sp.add_argument("--s", type=float, default=1.0, help="commutator exponent (default 1)")
-    sp.add_argument("--eps-grid", default="1:1e-4:9(log)")
+    sp.add_argument("--eps-grid", default=DEFAULT_GRID_SPEC)
     sp.add_argument("--samples", type=int, default=24)
 
     sp = sub.add_parser("leray", help="power-sum symmetrizer and its determinant laws")

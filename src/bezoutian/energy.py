@@ -317,7 +317,7 @@ def _uniform_draws(seed: int, n: int, low: float, high: float) -> list[float]:
 
 
 def derivative_identity_check(p: Polynomial, q: Polynomial, signal: ExponentialSignal,
-                              t_max: float = 10.0) -> float:
+                              t_max: float) -> float:
     """Residual of d/dt (H Du, Du) = i (p(D_t)u conj(q(D_t)u) - conj(p(D_t)u) q(D_t)u).
 
     The left side expands in closed form through the matrix entries of H,

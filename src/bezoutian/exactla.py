@@ -290,7 +290,7 @@ class PsdVerdict:
     witness: str = ""
 
 
-def _integer_psd(A: list[list[int]], D: int = 1) -> PsdVerdict:
+def _integer_psd(A: list[list[int]], D: int) -> PsdVerdict:
     """LDL pivot signs of the symmetric matrix A / D (D > 0) on Python ints.
 
     Symmetric fraction-free elimination (Bareiss 1968) with diagonal

@@ -31,7 +31,7 @@ from .bezout import bezout_matrix, psd_check
 from .errors import DegreeMismatchError, MultipleRootError, NonHyperbolicError
 from .polynomial import Polynomial, RootProfile, _horner_rows
 from .roots import _exact_quotient, _hyperbolic_strict, _sturm_gcd, real_roots
-from .scalars import BACKEND_EXACT, infer_backend
+from .scalars import BACKEND_EXACT, DEFAULT_TOL, infer_backend
 
 if TYPE_CHECKING:
     import numpy as np
@@ -110,7 +110,7 @@ def _match_backend(poly: Polynomial, profile: RootProfile) -> tuple[Polynomial, 
     return poly.as_float(), [float(r) for r in roots]
 
 
-def lagrange_weights(p: Polynomial, q: Polynomial, tol: float = 1e-9) -> tuple:
+def lagrange_weights(p: Polynomial, q: Polynomial, tol: float = DEFAULT_TOL) -> tuple:
     """Interpolation weights expressing q in the deleted-factor basis, at the roots of p at ``tol``.
 
     One weight per distinct root lambda_k of multiplicity r_k: with
@@ -239,7 +239,7 @@ def _root_failure(profile: RootProfile, q: Polynomial, tol: float) -> str:
     return ""
 
 
-def separates(p: Polynomial, q: Polynomial, tol: float = 1e-9) -> SeparationCertificate:
+def separates(p: Polynomial, q: Polynomial, tol: float = DEFAULT_TOL) -> SeparationCertificate:
     """Decide whether q separates p and emit the certified lower-bound constant.
 
     q separates the hyperbolic p when it carries each multiple root of p

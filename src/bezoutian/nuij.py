@@ -280,10 +280,8 @@ def verify_gaps(p: Polynomial, epsilon) -> GapCheck:
         raise ValueError("epsilon must be positive")
     tol = max(1e-12, 1e-6 * eps)
     floor = gap_constant(m)
+    # the m flattened roots: a pair that float64 merged has a gap of 0.0
     roots = nuij_family(p, eps).roots_eps.flattened
-    if len(roots) < m:
-        # a merged cluster means a gap of numerical zero
-        return GapCheck(0.0, floor, False, True)
     gaps = [float(b) - float(a) for a, b in zip(roots, roots[1:])]
     min_gap = min(gaps)
     passed = min_gap >= floor * eps - tol
@@ -526,7 +524,12 @@ def _next_stage(ends: list) -> tuple[bool, bool] | None:
     return hyperbolic, hyperbolic and gcd_degree == 0
 
 
-def default_epsilon_grid(start: float = 1.0, stop: float = 1e-4, count: int = 9) -> tuple:
+# start, stop and point count of the default eps grid, log-spaced
+DEFAULT_GRID = (1.0, 1e-4, 9)
+
+
+def default_epsilon_grid(start: float = DEFAULT_GRID[0], stop: float = DEFAULT_GRID[1],
+                         count: int = DEFAULT_GRID[2]) -> tuple:
     """Logarithmic grid from start down to stop, inclusive."""
     if count < 2:
         return (float(start),)

@@ -88,7 +88,7 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[0]
 
-    def require_monic(self, what: str = "polynomial") -> "Polynomial":
+    def require_monic(self, what: str) -> "Polynomial":
         if not self.is_monic:
             got = f"leading coefficient {self.coeffs[0]}" if self.coeffs else "the zero polynomial"
             raise NonMonicError(f"{what} must be monic, got {got}")
@@ -376,7 +376,7 @@ class RootProfile:
         object.__setattr__(self, "multiplicities", mults)
 
     @classmethod
-    def from_flat(cls, values, tol: float = 0.0) -> "RootProfile":
+    def from_flat(cls, values, tol: float) -> "RootProfile":
         """Group a flat root list; entries within ``tol*max(1,|root|)`` merge."""
         vals = sorted(values)
         if not vals:

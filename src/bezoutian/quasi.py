@@ -18,10 +18,10 @@ the (E, m) arrays of the roots, d and q_eps(root) (``_family_stack``);
 ``lagrange_basis_matrix`` maps float roots (..., m) to G (..., m, m), and
 ``commutator_decomposition`` maps one eps to m x m matrices and a grid to
 (E, m, m) stacks.  Each eps keeps the bits and the error it has alone.
-The default lower exponent r is the largest root multiplicity minus one,
-read from the Yun decomposition of the exact p (``max_multiplicity``): the
-CLI certifies a decimal p at its exact dyadic value, as ``verify_quasi``
-decides hyperbolicity there.
+The grid, r, s and the sampling are the caller's: the CLI's ``quasi``
+takes r as the largest root multiplicity minus one, read from the Yun
+decomposition of the exact p (``max_multiplicity``), after its
+hyperbolicity gate.
 """
 
 from __future__ import annotations
@@ -32,11 +32,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .bezout import _companion_stack
-from .errors import NonHyperbolicError
 from .factorization import lagrange_basis_matrix, scaled_inverse_diagonal
-from .nuij import build_family, default_epsilon_grid, nuij_family
+from .nuij import build_family, nuij_family
 from .polynomial import Polynomial, _horner_rows
-from .roots import is_hyperbolic, squarefree_decomposition
+from .roots import squarefree_decomposition
 
 if TYPE_CHECKING:
     import numpy as np
@@ -107,8 +106,7 @@ class QuasiConditions:
     rows: tuple  # (eps, min_derivative_over_eps_r, max_perturbation_ratio)
 
 
-def check_conditions(p: Polynomial, epsilon_grid=None, r: float = 0.0,
-                     s: float = 1.0) -> QuasiConditions:
+def check_conditions(p: Polynomial, epsilon_grid, r: float, s: float) -> QuasiConditions:
     """The two family conditions on the grid.
 
     The family point ``nuij_family(p, eps)`` of every grid eps, which needs
@@ -117,8 +115,7 @@ def check_conditions(p: Polynomial, epsilon_grid=None, r: float = 0.0,
     eps <= 0 raises ValueError where it comes up in grid order, and no
     point is built at or after it.
     """
-    grid = tuple(float(eps) for eps in (epsilon_grid if epsilon_grid is not None
-                                        else default_epsilon_grid()))
+    grid = tuple(float(eps) for eps in epsilon_grid)
     positive = next((i for i, eps in enumerate(grid) if eps <= 0), len(grid))
     build_family(p, grid[:positive])
     _, _, d_rows, q_rows = _family_stack(p, grid[:positive])
@@ -301,12 +298,10 @@ def _sample_ratios(Z: np.ndarray, W: np.ndarray, H: np.ndarray, K: np.ndarray,
     return ratios
 
 
-def verify_quasi(p: Polynomial, epsilon_grid=None, r: float | None = None,
-                 s: float = 1.0, samples: int = 24, seed: int = 0) -> QuasiVerdict:
+def verify_quasi(p: Polynomial, epsilon_grid, r: float, s: float, samples: int,
+                 seed: int) -> QuasiVerdict:
     """Certify the two quasi-symmetrizer bounds over an epsilon grid.
 
-    Without r, p must be hyperbolic at its exact value, and r is its
-    largest root multiplicity minus one (``max_multiplicity``).
     Each grid point gives a lower constant and a commutator constant; the
     verdict is uniform when, ordered by eps, the lower constant never falls
     and the commutator constant never rises by ``UNIFORMITY_FACTOR`` or more
@@ -325,15 +320,7 @@ def verify_quasi(p: Polynomial, epsilon_grid=None, r: float | None = None,
     """
     import numpy as np
 
-    if r is None:
-        # decided at the exact value of p, as the CLI certifies a decimal
-        exact = p.as_exact()
-        verdict = is_hyperbolic(exact)
-        if not verdict.is_hyperbolic:
-            raise NonHyperbolicError(f"not hyperbolic: {verdict.witness}")
-        r = max_multiplicity(exact) - 1
-    grid = tuple(float(e) for e in (epsilon_grid if epsilon_grid is not None
-                                    else default_epsilon_grid()))
+    grid = tuple(float(e) for e in epsilon_grid)
     build_family(p, grid)
     powers = []
     for eps in grid:

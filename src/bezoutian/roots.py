@@ -48,9 +48,7 @@ from fractions import Fraction
 from .errors import NonHyperbolicError
 from .bezout import _companion_stack
 from .polynomial import Polynomial, RootProfile, _derivative, _int_horner, _int_primitive
-from .scalars import BACKEND_EXACT
-
-DEFAULT_TOL = 1e-9
+from .scalars import BACKEND_EXACT, DEFAULT_TOL
 
 def _strip(c: list) -> list:
     i = 0

@@ -14,6 +14,10 @@ BACKEND_FLOAT = "float64"
 
 BACKENDS = (BACKEND_EXACT, BACKEND_FLOAT)
 
+# the certification tolerance of a request that sets no --tol, and of the
+# library calls that take one
+DEFAULT_TOL = 1e-9
+
 
 def check_backend(backend: str) -> str:
     if backend not in BACKENDS:

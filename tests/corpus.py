@@ -15,12 +15,9 @@ from bezoutian import (
     RootProfile,
     build_family,
     companion_matrix,
-    default_epsilon_grid,
-    is_hyperbolic,
     nuij_family,
 )
-from bezoutian.errors import NonHyperbolicError
-from bezoutian.quasi import _eps_power, max_multiplicity
+from bezoutian.quasi import _eps_power
 from bezoutian.scalars import infer_backend, to_scalar
 
 DENOMS = (1, 2, 3, 4)
@@ -353,12 +350,7 @@ def conditions_reference(p: Polynomial, grid, r, s) -> tuple:
 
 def verify_quasi_reference(p: Polynomial, grid, r, s, samples, seed) -> tuple:
     """The fields of ``verify_quasi``'s verdict, one eps at a time."""
-    if r is None:
-        verdict = is_hyperbolic(p.as_exact())
-        if not verdict.is_hyperbolic:
-            raise NonHyperbolicError(f"not hyperbolic: {verdict.witness}")
-        r = max_multiplicity(p.as_exact()) - 1
-    grid = tuple(float(e) for e in (grid if grid is not None else default_epsilon_grid()))
+    grid = tuple(float(e) for e in grid)
     build_family(p, grid)
     points = []
     for eps in grid:

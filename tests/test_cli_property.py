@@ -1,12 +1,15 @@
-"""A property test of ``analyze`` and ``energy`` on drawn exact hyperbolic input.
+"""A property test of the CLI commands on drawn exact hyperbolic input.
 
 Each input is a product of (x - n/d)^r over distinct rationals, |n| <= 40,
 d in {1, 2, 3, 4, 6, 8, 12} and r in 1..3, of degree 1..16, optionally times
 x^2 - k for a non-square k.  It goes to the CLI as fractions or, when every
-coefficient is a float exactly, as decimals.  ``analyze`` certifies the
-exact value, so every check must pass; ``energy`` on fractions may fail a
-float tolerance (exit 1) but must not report complex roots (exit 3).  Every
-request writes strict JSON and no traceback, within a time budget.
+coefficient is a float exactly, as decimals.  ``analyze`` and ``leray``
+certify the exact value, so every check must pass; ``energy`` on fractions
+may fail a float tolerance (exit 1) but must not report complex roots
+(exit 3).  ``nuij`` and ``quasi``, drawn at degree <= 8, read float family
+points, which may fail a check (exit 1) or not exist in float64 (exit 2),
+but p passed their hyperbolicity gate, so they never exit 3.  Every request
+writes strict JSON and no traceback, within a time budget.
 
 Times x^2 + 10^-j and sent as decimals, the same inputs have a pair of
 complex roots near 0 that rounding to floats keeps off the real line, and
@@ -31,6 +34,7 @@ from bezoutian.cli import main
 from test_report_cli import strict_json
 
 MAX_DEGREE = 16
+SMOOTHING_MAX_DEGREE = 8  # nuij and quasi
 DENOMINATORS = (1, 2, 3, 4, 6, 8, 12)
 BUDGET_S = 5.0  # process time per request; the slowest drawn request takes about 0.2 s
 
@@ -42,10 +46,10 @@ non_squares = st.integers(2, 40).filter(lambda k: math.isqrt(k) ** 2 != k)
 
 
 @st.composite
-def hyperbolic_inputs(draw):
+def hyperbolic_inputs(draw, max_degree=MAX_DEGREE):
     """(roots with multiplicities, k of the factor x^2 - k or None, encoding)."""
     k = draw(st.none() | non_squares)
-    room = MAX_DEGREE - (2 if k else 0)
+    room = max_degree - (2 if k else 0)
     roots = []
     for root, mult in draw(rational_roots):
         if mult <= room:
@@ -61,6 +65,16 @@ def product(roots, k) -> Polynomial:
         for _ in range(mult):
             p = p * Polynomial.exact([1, -root])
     return p * Polynomial.exact([1, 0, -k]) if k else p
+
+
+def encoded(drawn) -> str:
+    """The drawn input's --poly argument: fractions, or decimals where every one is exact."""
+    roots, k, encoding = drawn
+    p = product(roots, k)
+    if encoding == "decimal":
+        assume(all(Fraction(float(c)) == c for c in p.coeffs))
+        return json.dumps([float(c) for c in p.coeffs])
+    return json.dumps([f"{c.numerator}/{c.denominator}" for c in p.coeffs])
 
 
 def run(*argv) -> tuple[int, dict | None, str]:
@@ -84,19 +98,32 @@ def run(*argv) -> tuple[int, dict | None, str]:
 @example((((Fraction(13, 12), 2), (Fraction(4), 1), (Fraction(17, 4), 1), (Fraction(6), 1),
            (Fraction(26, 3), 1)), 6, "fraction"))
 def test_analyze_certifies_and_energy_finds_real_roots(drawn):
-    roots, k, encoding = drawn
-    p = product(roots, k)
-    if encoding == "decimal":
-        assume(all(Fraction(float(c)) == c for c in p.coeffs))
-        poly = json.dumps([float(c) for c in p.coeffs])
-    else:
-        poly = json.dumps([f"{c.numerator}/{c.denominator}" for c in p.coeffs])
+    poly = encoded(drawn)
     code, report, _ = run("analyze", "--poly", poly)
     assert code == 0, code
     assert report["all_pass"], [c for c in report["checks"] if c["verdict"] != "pass"]
-    if encoding == "fraction":
+    if drawn[2] == "fraction":
         code, report, _ = run("energy", "--poly", poly)
         assert code in (0, 1), code
+
+
+@settings(max_examples=60, deadline=None)
+@given(hyperbolic_inputs())
+def test_leray_certifies(drawn):
+    code, report, _ = run("leray", "--poly", encoded(drawn))
+    assert code == 0, code
+    assert report["all_pass"], [c for c in report["checks"] if c["verdict"] != "pass"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(hyperbolic_inputs(SMOOTHING_MAX_DEGREE), st.sampled_from(["nuij", "quasi"]))
+# (x + 7)(x - 3)(x - 7)^2 (x - 8)^3: the float family point at the grid's last
+# eps has complex roots, exit 2 (ROADMAP item 3), where it once exited 3
+@example((((Fraction(-7), 1), (Fraction(3), 1), (Fraction(7), 2), (Fraction(8), 3)),
+          None, "fraction"), "nuij")
+def test_nuij_and_quasi_pass_the_hyperbolicity_gate(drawn, command):
+    code, _, err = run(command, "--poly", encoded(drawn))
+    assert code in (0, 1, 2), (code, err)
 
 
 @settings(max_examples=40, deadline=None)

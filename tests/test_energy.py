@@ -80,15 +80,17 @@ def test_conservation_random_separating_pairs():
 
 def test_derivative_identity_examples():
     residual = derivative_identity_check(
-        X2_MINUS_1, Polynomial.exact([2, 0]), ExponentialSignal.of((1.0, 2.0))
+        X2_MINUS_1, Polynomial.exact([2, 0]), ExponentialSignal.of((1.0, 2.0)), t_max=10.0
     )
     assert residual <= 1e-9
     # kernel signal: both sides vanish
     kernel = ExponentialSignal.of((1.0, 1.0), (0.5, -1.0))
-    residual = derivative_identity_check(X2_MINUS_1, Polynomial.exact([2, 0]), kernel)
+    residual = derivative_identity_check(X2_MINUS_1, Polynomial.exact([2, 0]), kernel,
+                                         t_max=10.0)
     assert residual <= 1e-12
     residual = derivative_identity_check(
-        X3_MINUS_X, X3_MINUS_X.derivative(), ExponentialSignal.of((1.0, 1.0), (1.0, 3.0))
+        X3_MINUS_X, X3_MINUS_X.derivative(), ExponentialSignal.of((1.0, 1.0), (1.0, 3.0)),
+        t_max=10.0
     )
     assert residual <= 1e-8
 
@@ -103,7 +105,7 @@ def test_derivative_identity_random_signals():
             *[(complex(rg.uniform(-1, 1), rg.uniform(-1, 1)), rg.uniform(-3, 3))
               for _ in range(3)]
         )
-        assert derivative_identity_check(p, q, signal) <= 1e-8
+        assert derivative_identity_check(p, q, signal, t_max=10.0) <= 1e-8
 
 
 def test_chain_bound_closed_form_signal():

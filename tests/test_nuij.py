@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import corpus
 from bezoutian import (
+    GapCheck,
     Polynomial,
     RootProfile,
     bezout_matrix,
@@ -693,6 +694,17 @@ def test_verify_gaps_fails_a_gap_below_its_floor():
     check = verify_gaps(p, eps)
     assert not check.passed and not check.marginal
     assert check.min_gap_over_eps == pytest.approx(0.75 * floor)
+
+
+def test_verify_gaps_fails_a_merged_pair_by_its_zero_gap():
+    # a family point whose float roots merged a pair still flattens to m
+    # roots, and the pair's gap 0.0 fails the law outright, not as marginal
+    p = Polynomial.exact([1, 0, 0, 0])
+    eps = 0.1
+    point = nuij_family(p, eps)
+    planted = RootProfile((-1.0, 1.0), (2, 1))
+    p.memo[nuij._family_key(eps)] = NuijFamilyPoint(eps, point.p_eps, planted, point.q_eps)
+    assert verify_gaps(p, eps) == GapCheck(0.0, gap_constant(3), False, False)
 
 
 def test_certify_grid_controls():

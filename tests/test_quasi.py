@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import json
 import math
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from bezoutian import (
     verify_quasi,
 )
 from bezoutian.cli import main
-from bezoutian.quasi import _sample_pairs, _sample_ratios
+from bezoutian.quasi import _sample_pairs, _sample_ratios, max_multiplicity
 
 X_SQUARED = Polynomial.exact([1, 0, 0])
 GRID = (1.0, 10**-0.5, 0.1, 10**-1.5, 0.01, 10**-2.5, 1e-3, 10**-3.5, 1e-4)
@@ -129,7 +130,7 @@ def test_exact_family_symmetrization_identity():
 
 
 def test_verify_quasi_double_root():
-    v = verify_quasi(X_SQUARED, GRID, r=1, s=1, seed=3)
+    v = verify_quasi(X_SQUARED, GRID, r=1, s=1, samples=24, seed=3)
     assert v.uniform_pass
     assert v.sampling_consistent
     # commutator constant is exactly 2 for this family
@@ -138,15 +139,16 @@ def test_verify_quasi_double_root():
     assert max(v.lower_bound_constants) == pytest.approx(2.0, rel=1e-6)
 
 
-def test_quasi_for_multiplicity_exponents():
-    assert verify_quasi(X_SQUARED, GRID).r == 1
-    assert verify_quasi(Polynomial.exact([1, 0, -1]), GRID).r == 0
-    assert verify_quasi(Polynomial.exact([1, 0, 0, 0]), GRID).r == 2
+def test_quasi_for_multiplicity_exponents(capsys):
+    # without --r, a quasi request takes the largest multiplicity minus one
+    for coeffs, r in (([1, 0, 0], 1), ([1, 0, -1], 0), ([1, 0, 0, 0], 2)):
+        assert main(["quasi", "--poly", json.dumps(coeffs)]) == 0
+        assert json.loads(capsys.readouterr().out)["inputs"]["r"] == r
 
 
 def test_quasi_lower_bound_scales_with_exponent():
     # for x^3 with r = 2 the per-eps constants approach 12 from below
-    v = verify_quasi(Polynomial.exact([1, 0, 0, 0]), GRID[2:], r=2, s=1, seed=5)
+    v = verify_quasi(Polynomial.exact([1, 0, 0, 0]), GRID[2:], r=2, s=1, samples=24, seed=5)
     assert v.lower_bound_constants[-1] == pytest.approx(12.0, rel=1e-6)
     assert v.uniform_pass
 
@@ -156,7 +158,8 @@ def test_sampling_never_exceeds_certified_norm():
     for _ in range(6):
         m = rg.randint(2, 5)
         p = Polynomial.from_roots(corpus.hyperbolic_profile(rg, m, max_mult=2))
-        v = verify_quasi(p, GRID[::2], samples=40, seed=7)
+        v = verify_quasi(p, GRID[::2], r=max_multiplicity(p) - 1, s=1.0, samples=40,
+                         seed=7)
         assert v.sampling_consistent
         for sampled, certified in zip(v.sample_max_ratios, v.commutator_constants):
             assert sampled <= certified * (1 + 1e-6) + 1e-9
@@ -192,11 +195,11 @@ def test_uniformity_is_one_sided_and_ordered_by_eps():
 
 
 def test_reversed_grid_gives_the_same_verdict():
-    for coeffs, r, s in (([1, 0, 0, 0], None, 1), ([1, 0, 0, 0], 1, 1),
-                         ([1, 0, 0], None, 2), ([1, 0, -1, 0], None, 1)):
+    for coeffs, r, s in (([1, 0, 0, 0], 2, 1), ([1, 0, 0, 0], 1, 1),
+                         ([1, 0, 0], 1, 2), ([1, 0, -1, 0], 0, 1)):
         p = Polynomial.exact(coeffs)
-        down = verify_quasi(p, GRID, r=r, s=s, seed=0)
-        up = verify_quasi(p, GRID[::-1], r=r, s=s, seed=0)
+        down = verify_quasi(p, GRID, r=r, s=s, samples=24, seed=0)
+        up = verify_quasi(p, GRID[::-1], r=r, s=s, samples=24, seed=0)
         assert up.uniform_pass == down.uniform_pass
         assert up.lower_decay == pytest.approx(down.lower_decay, rel=1e-9)
         assert up.commutator_growth == pytest.approx(down.commutator_growth, rel=1e-9)
@@ -225,9 +228,9 @@ def sampling_cases():
     rg = corpus.rng(63)
     for _ in range(6):
         p = Polynomial.from_roots(corpus.hyperbolic_profile(rg, rg.randint(2, 5), max_mult=2))
-        cases.append((p, GRID[::2], None, 1, 40, 7))
-    for coeffs, r, s in (([1, 0, 0, 0], None, 1), ([1, 0, 0, 0], 1, 1),
-                         ([1, 0, 0], None, 2), ([1, 0, -1, 0], None, 1)):
+        cases.append((p, GRID[::2], max_multiplicity(p) - 1, 1, 40, 7))
+    for coeffs, r, s in (([1, 0, 0, 0], 2, 1), ([1, 0, 0, 0], 1, 1),
+                         ([1, 0, 0], 1, 2), ([1, 0, -1, 0], 0, 1)):
         cases.append((Polynomial.exact(coeffs), GRID, r, s, 24, 0))
     return cases
 
@@ -274,14 +277,15 @@ def test_batched_sampling_edge_counts():
     K = np.array([[0.0, 1.0], [-1.0, 0.0]])
     ratios = _sample_ratios(np.array([[0, 1j], [1, 1]]), np.array([[1, 0], [1, 0]]), H, K, 1.0)
     assert np.isnan(ratios[0]) and ratios[1] == pytest.approx(1.0)
-    assert verify_quasi(X_SQUARED, GRID[:2], r=1, samples=0).sample_max_ratios == (0.0, 0.0)
+    assert verify_quasi(X_SQUARED, GRID[:2], r=1, s=1.0, samples=0, seed=0).sample_max_ratios \
+        == (0.0, 0.0)
 
 
 def test_a_family_point_with_merged_roots_raises_value_error():
     # at eps = 1e-16 the float roots 0 and -2e-16 of x^2 + 2 eps x merge, and
     # p_eps' vanishes at the merged root that both conditions divide by
     with pytest.raises(ValueError, match="merged roots"):
-        check_conditions(X_SQUARED, (1e-16,))
+        check_conditions(X_SQUARED, (1e-16,), r=0.0, s=1.0)
     with pytest.raises(ValueError, match="merged roots"):
         commutator_decomposition(X_SQUARED, 1e-16)
 
@@ -328,12 +332,12 @@ QUASI_EPS = st.one_of(st.sampled_from(default_epsilon_grid()
 
 @settings(max_examples=60, deadline=None)
 @given(corpus.multiple_root_polys(), st.lists(QUASI_EPS, max_size=6),
-       st.sampled_from([0, 1, 2, 0.5, 40, None]), st.sampled_from([1, 2, 0.5, 200]))
+       st.sampled_from([0, 1, 2, 0.5, 40]), st.sampled_from([1, 2, 0.5, 200]))
 @example(X_SQUARED, [1.0, 1e-16, 0.1], 1, 1)          # merged roots at 1e-16
 @example(X_SQUARED, [0.1, 1e-16, 1e300], 1, 1)        # merged before a point past the range
 @example(X_SQUARED, [1e-3, 1e-16], 200, 1)            # eps**400 underflows before the merge
 @example(Polynomial.from_roots([1, 1, 2]), [0.5, -0.5, 1e-16], 40, 1)
-@example(Polynomial.from_roots([1, 1, 2]), list(default_epsilon_grid())[::-1], None, 1)
+@example(Polynomial.from_roots([1, 1, 2]), list(default_epsilon_grid())[::-1], 1, 1)
 @example(Polynomial.exact([1, 0, -1]), [-0.5], 0.5, 1)  # eps**r would be complex
 @example(Polynomial.exact([1, 0, -1]), [0.0], 0, -1)    # 0**s would divide by zero
 def test_grid_kernels_equal_the_per_eps_reference(p, grid, r, s):
@@ -341,9 +345,8 @@ def test_grid_kernels_equal_the_per_eps_reference(p, grid, r, s):
     def fresh():
         return Polynomial(p.coeffs, p.backend)
 
-    r_conditions = 0 if r is None else r
-    assert outcome(lambda: dataclasses.astuple(check_conditions(fresh(), grid, r_conditions, s))) \
-        == outcome(lambda: corpus.conditions_reference(fresh(), grid, r_conditions, s))
+    assert outcome(lambda: dataclasses.astuple(check_conditions(fresh(), grid, r, s))) \
+        == outcome(lambda: corpus.conditions_reference(fresh(), grid, r, s))
     assert outcome(lambda: dataclasses.astuple(verify_quasi(fresh(), grid, r=r, s=s, samples=8,
                                                             seed=3))) \
         == outcome(lambda: corpus.verify_quasi_reference(fresh(), grid, r, s, 8, 3))

@@ -821,6 +821,17 @@ def test_analyze_on_a_highly_composite_quadratic_takes_bounded_time(capsys):
     assert time.process_time() - start < 2.0
 
 
+def test_analyze_refuses_an_unprintable_echo_before_it_certifies(capsys):
+    # (x - 1)(x - 10^4000): the Bezout form's entries have more digits than
+    # Python prints, so the echo fails, before the root search (2.4 s of CPU)
+    poly = json.dumps([1, -(10 ** 4000 + 1), 10 ** 4000])
+    start = time.process_time()
+    code, out, err = run_cli(capsys, "analyze", "--poly", poly)
+    assert time.process_time() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: Exceeds the limit (4300 digits)"), err
+
+
 def test_analyze_certifies_roots_one_ulp_apart(capsys):
     # 1 +- 10^-20 round to one float, which made the root profile an input
     # error (exit 2); as Fractions the roots stay distinct

@@ -9,11 +9,15 @@ import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# 60 before nuij_transform lost applications and Polynomial.zero and
-# Polynomial.one (each with a backend default) went; 65 before psd_check and
-# psd_certificate lost tol and PsdVerdict lost min_eigenvalue and the
-# defaults of pivots and rank
-RECORDED = 57
+# 57 before check_conditions lost the defaults of its grid, r and s,
+# verify_quasi those of its grid, r, s, samples and seed, and
+# derivative_identity_check(t_max), Polynomial.require_monic(what),
+# exactla._integer_psd(D) and RootProfile.from_flat(tol) theirs, so that the
+# CLI parser decides every request default; 60 before nuij_transform lost
+# applications and Polynomial.zero and Polynomial.one (each with a backend
+# default) went; 65 before psd_check and psd_certificate lost tol and
+# PsdVerdict lost min_eigenvalue and the defaults of pivots and rank
+RECORDED = 45
 
 
 def load_tool():

@@ -29,14 +29,12 @@ deflate q at float roots raise ValueError.
 Thirteen rows run at m <= ``SLOW_MAX_DEGREE`` only, three of them because
 one call of each takes seconds beyond it on some source trees (2-core x86_64
 machine):
-``certify_stages`` (``certify_grid(p, (1e-4,))[0]``, or
-``certify_stages(p, 1e-4)`` on a source tree that exports only that) builds
-and certifies the m - 1 Nuij stages of
-p at eps = 1/10000, the simplest rational that rounds to 1e-4 (4.2 ms at
-m = 12, 21 ms at m = 16, 0.27 s at m = 24; at the dyadic value of 1e-4,
-which source trees before that choice certify, 33 ms, 0.23 s and 3.8 s),
-with p holding its family point at that eps, as in a ``nuij`` request,
-and not at all on a source tree without it; ``leray_symmetrizer_float`` times
+``certify_stages`` (``certify_grid(p, (1e-4,))[0]``) builds and certifies
+the m - 1 Nuij stages of p at eps = 1/10000, the simplest rational that
+rounds to 1e-4 (4.2 ms at m = 12, 21 ms at m = 16, 0.27 s at m = 24; at
+the dyadic value of 1e-4, which source trees before that choice certify,
+33 ms, 0.23 s and 3.8 s), with p holding its family point at that eps, as
+in a ``nuij`` request; ``leray_symmetrizer_float`` times
 ``leray_symmetrizer`` on the float64 rounding of p, which it certifies at
 its exact dyadic value, as a decimal ``leray`` request does (0.59 s at
 m = 12, 2.9 s at m = 16, 14.7 s at m = 24: at m = 12 the rounded
@@ -45,14 +43,15 @@ coefficients have 48-bit denominators, and the power sums in S carry
 smoothing workload run there too: ``nuij_family`` builds the float family
 point ``nuij_family(p, 1e-4)`` (p_eps, its roots and q_eps), ``nuij_grid``
 builds the points of all nine default-grid eps as a ``nuij`` request does
-(through ``build_family`` first, on a source tree that has it),
+(through ``build_family`` first),
 ``real_roots_float`` finds the roots of the float64 rounding of p,
 ``float_roots`` its polished companion eigenvalues alone (all real),
 ``invert_transform`` recovers p from that point's float p_eps, as the
 ``nuij-inversion`` check of a ``nuij`` request does per eps, and
 ``verify_quasi_point`` certifies the quasi-symmetrizer constants of p at the
 one grid point eps = 1e-4 with r = 0, and ``verify_quasi_grid`` on the
-nine eps of the default grid with r = 0, as a ``quasi`` request does.
+nine eps of the default grid with r = 0, both with s = 1 and 24 samples at
+seed 0, as a ``quasi`` request does.
 ``certify_stages_grid_point`` certifies the stages at 0.00010000000000000002,
 the last point of the default grid, which lands off the decimal: its
 simplest rational has a 52-bit denominator, where 1e-4 has 1/10000; p
@@ -70,8 +69,7 @@ so every source tree runs the same calls.  ``factorization_bundle`` finds
 the exact roots of p, factors the form of (p, p') as G^T diag(w) G on
 them and takes its residual against the directly built form.
 One row at no degree, ``energy_draw``, times the three test frequencies
-an ``energy`` request draws (``energy._uniform_draws`` at seed 0; ``best_s``
-is null on a source tree without it) and numpy's
+an ``energy`` request draws (``energy._uniform_draws`` at seed 0) and numpy's
 ``default_rng(0).uniform(-3, 3, 3)``, which they equal, as
 ``numpy_best_s``.
 Each run also records ``import``: the best of five fresh interpreters
@@ -96,7 +94,6 @@ Python version and the commit of the timed source.
 from __future__ import annotations
 
 import argparse
-import inspect
 import itertools
 import json
 import os
@@ -113,36 +110,15 @@ import numpy as np
 
 import bezoutian
 from bezoutian import ExponentialSignal, Polynomial, bezout_matrix
-from bezoutian import chain_bound_check, companion_matrix, derivative_identity_check, energy_series
-from bezoutian import factorization_bundle
+from bezoutian import build_family, certify_grid, chain_bound_check, companion_matrix
+from bezoutian import derivative_identity_check, energy_series, factorization_bundle
 from bezoutian import default_epsilon_grid, h_b_relation_check, invert_transform, is_hyperbolic
 from bezoutian import leray_symmetrizer
 from bezoutian import nuij_family, nuij_transform, propagate, real_roots, separates
 from bezoutian import separation_lower_bound_check, symmetrization_defect, verify_quasi
+from bezoutian.energy import _uniform_draws
 from bezoutian.exactla import det, psd_certificate
 from bezoutian.roots import _float_roots, _sturm_ends
-
-try:
-    from bezoutian import certify_grid
-
-    def certify_stages(p, eps):
-        """The stage certificate at one eps, the one-eps case of the grid kernel."""
-        return certify_grid(p, (eps,))[0]
-except ImportError:  # a source tree that exports the one-eps certificate alone
-    try:
-        from bezoutian import certify_stages
-    except ImportError:  # a source tree from before the exact stage certificate
-        certify_stages = None
-try:
-    from bezoutian import build_family
-except ImportError:  # a source tree from before the grid kernel
-    build_family = None
-try:
-    from bezoutian.energy import _uniform_draws
-except ImportError:  # a source tree whose energy draws through numpy.random
-    _uniform_draws = None
-# propagate takes the polynomial; a source tree from before that takes its companion matrix
-PROPAGATE_TAKES_POLY = next(iter(inspect.signature(propagate).parameters)) == "p"
 
 DEGREES = (4, 8, 12, 16, 24)
 SLOW_MAX_DEGREE = 12
@@ -219,8 +195,7 @@ def best_per_call(fn) -> float:
 def family_grid(p: Polynomial) -> list:
     """The family points of every default-grid eps, built as a ``nuij`` request builds them."""
     grid = default_epsilon_grid()
-    if build_family is not None:
-        build_family(p, grid)
+    build_family(p, grid)
     return [nuij_family(p, eps) for eps in grid]
 
 
@@ -233,16 +208,16 @@ def energy_calls(m: int) -> dict:
     U0 = [1.0] * m
 
     def propagated(poly):  # a fresh polynomial, whose companion matrix and roots propagate builds
-        generator = fresh(poly) if PROPAGATE_TAKES_POLY else companion_matrix(fresh(poly))
-        return propagate(generator, U0, ENERGY_T, ENERGY_STEPS)
+        return propagate(fresh(poly), U0, ENERGY_T, ENERGY_STEPS)
 
     traj = propagated(pf)
     return {
         "propagate_strict": lambda: propagated(pf),
         "propagate_multiple": lambda: propagated(double),
         "energy_series": lambda: energy_series(fresh(pf), dpf, traj),
-        "derivative_identity_check": lambda: derivative_identity_check(fresh(pf), dpf, SIGNAL),
-        "chain_bound_check": lambda: chain_bound_check(fresh(pf), 0, traj, T=ENERGY_T),
+        "derivative_identity_check":
+            lambda: derivative_identity_check(fresh(pf), dpf, SIGNAL, t_max=ENERGY_T),
+        "chain_bound_check": lambda: chain_bound_check(fresh(pf), 0, traj),
     }
 
 
@@ -284,16 +259,17 @@ def layer_rows(degrees) -> list:
             calls["float_roots"] = lambda: _float_roots(fresh(pf))
             p_eps = nuij_transform(p, 1e-4)
             calls["invert_transform"] = lambda: invert_transform(p_eps, 1e-4)
-            calls["verify_quasi_point"] = lambda: verify_quasi(fresh(p), (1e-4,), r=0)
+            calls["verify_quasi_point"] = \
+                lambda: verify_quasi(fresh(p), (1e-4,), r=0, s=1.0, samples=24, seed=0)
             grid = default_epsilon_grid()
-            calls["verify_quasi_grid"] = lambda: verify_quasi(fresh(p), grid, r=0)
+            calls["verify_quasi_grid"] = \
+                lambda: verify_quasi(fresh(p), grid, r=0, s=1.0, samples=24, seed=0)
             calls["factorization_bundle"] = lambda: factorization_bundle(fresh(p), dp)
-            if certify_stages is not None:
-                # p keeps its family points, as in a nuij request, whose last stage reads them
-                nuij_family(p, 1e-4)
-                nuij_family(p, GRID_POINT)
-                calls["certify_stages"] = lambda: certify_stages(p, 1e-4)
-                calls["certify_stages_grid_point"] = lambda: certify_stages(p, GRID_POINT)
+            # p keeps its family points, as in a nuij request, whose last stage reads them
+            nuij_family(p, 1e-4)
+            nuij_family(p, GRID_POINT)
+            calls["certify_stages"] = lambda: certify_grid(p, (1e-4,))[0]
+            calls["certify_stages_grid_point"] = lambda: certify_grid(p, (GRID_POINT,))[0]
             calls.update(energy_calls(m))
         for layer, fn in calls.items():
             rows.append({"layer": layer, "m": m, "best_s": best_per_call(fn)})
@@ -305,8 +281,7 @@ def draw_row() -> dict:
     numpy's ``default_rng(0).uniform(-3, 3, 3)`` beside them (numpy.random
     already imported)."""
     return {"layer": "energy_draw", "m": None,
-            "best_s": (best_per_call(lambda: _uniform_draws(0, 3, -3.0, 3.0))
-                       if _uniform_draws is not None else None),
+            "best_s": best_per_call(lambda: _uniform_draws(0, 3, -3.0, 3.0)),
             "numpy_best_s": best_per_call(lambda: np.random.default_rng(0).uniform(-3.0, 3.0, 3))}
 
 

@@ -46,6 +46,7 @@ from .nuij import (
     default_epsilon_grid,
     gap_constant,
     invert_transform,
+    keep_inverses,
     nuij_family,
     verify_gaps,
 )
@@ -260,6 +261,8 @@ def cmd_nuij(args, report: CertifiedReport):
     # the last Nuij stage reads the roots of the family points; an eps <= 0
     # raises here, with the message verify_gaps would give
     stage_verdicts = certify_grid(p, grid)
+    # every p_eps keeps its inversion, all found in one array pass
+    keep_inverses([(nuij_family(p, eps).p_eps, float(eps)) for eps in grid])
     p_scale = None  # the eps-independent half of the inversion check, read once
     for eps, (interlaced, strict) in zip(grid, stage_verdicts):
         # the gap law and the inversion read p's one float family point of eps,

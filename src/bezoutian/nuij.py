@@ -38,6 +38,7 @@ A point that fails raises its error in that pass, and is built once.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -55,7 +56,7 @@ from .roots import (
     _variation_drop,
     real_roots,
 )
-from .scalars import BACKEND_EXACT, is_exact_value
+from .scalars import BACKEND_EXACT, BACKEND_FLOAT, is_exact_value
 
 
 def nuij_transform(p: Polynomial, epsilon) -> Polynomial:
@@ -75,21 +76,75 @@ def nuij_transform(p: Polynomial, epsilon) -> Polynomial:
         last = _int_stages(p, Fraction(epsilon), applications)[-1]
         scale = p.leading / last[0]
         return Polynomial.exact([scale * v for v in last])
-    # floats: the same products and sums, in the same order, as the Polynomial
-    # sum of C(n,k) eps^k p^(k), on plain lists
+    if p.is_zero:
+        return p
     eps = float(epsilon)
-    dk = list(p.coeffs)
-    acc = [0.0] * len(dk)
-    for k in range(applications + 1):
-        if not dk:
-            break
-        w = math.comb(applications, k) * eps**k
-        if w:  # a zero weight is a zero term, which adds nothing
-            shift = len(acc) - len(dk)
-            for i, v in enumerate(dk):
-                acc[shift + i] += v * w
+    return p.derived(_transform_key(eps), lambda: Polynomial(
+        _family_rows(p.coeffs, [_weights(applications, eps)])[0], BACKEND_FLOAT))
+
+
+def _transform_key(eps: float) -> tuple:
+    return ("nuij_transform", eps)
+
+
+def _keep_transforms(pf: Polynomial, grid) -> None:
+    """The nonzero float pf keeps ``nuij_transform(pf, eps)`` of each eps of
+    grid, all built in one array pass (``_family_rows``).
+
+    An eps whose weights leave the float range is left to its own
+    ``nuij_transform`` call, which raises the OverflowError.
+    """
+    applications = max(len(pf.coeffs) - 2, 0)
+    todo = {}
+    for eps in map(float, grid):
+        if (key := _transform_key(eps)) not in pf.memo:
+            try:
+                todo[key] = _weights(applications, eps)
+            except OverflowError:
+                pass
+    for key, row in zip(todo, _family_rows(pf.coeffs, list(todo.values()))):
+        pf.memo[key] = Polynomial(row, BACKEND_FLOAT)
+
+
+def _weights(applications: int, eps: float) -> list:
+    """C(n, k) eps^k for k = 0..n, the Python floats the sum weights its terms by.
+
+    Raises OverflowError where eps^k does.
+    """
+    return [math.comb(applications, k) * eps**k for k in range(applications + 1)]
+
+
+def _family_rows(coeffs: tuple, weights: list):
+    """The float sum of C(n, k) eps^k p^(k) for each weight row of ``weights``.
+
+    ``coeffs`` are the float coefficients of p (leading first, nonzero
+    leading), and each row of ``weights`` is ``_weights(n, eps)`` for one
+    eps.  Returns a tuple per row of weights: the row adds the terms
+    v * w of the k-th derivative, k = 0..n, into zeros in that order, as
+    the per-eps sum on Python floats does; a zero weight adds nothing.
+    numpy runs the same IEEE products and sums elementwise, so each row has
+    the bits of that eps alone, signed zeros included (a sum started at 0.0
+    never reads -0.0).
+    """
+    if not weights:
+        return []
+    import numpy as np
+
+    W = np.array(weights, dtype=float)
+    K, n = W.shape[1], len(coeffs)
+    rows, dk = [], list(coeffs)
+    for k in range(K):  # the k-th derivative, right-aligned
+        rows.append([0.0] * k + dk)
         dk = _derivative(dk)
-    return Polynomial(tuple(acc), p.backend)
+    shift = np.arange(n) >= np.arange(K)[:, None]
+    with np.errstate(all="ignore"):
+        # what the per-eps sum skips (the places left of a derivative, a zero
+        # weight) becomes 0.0, which adds nothing to a sum that is never -0.0
+        terms = np.where((W != 0)[:, :, None] & shift, W[:, :, None] * np.array(rows), 0.0)
+        acc = 0.0 + terms[:, 0]
+        for k in range(1, K):
+            acc += terms[:, k]
+    return list(map(tuple, acc.tolist()))
 
 
 @dataclass(frozen=True)
@@ -146,14 +201,18 @@ def build_family(p: Polynomial, grid) -> None:
 def _build_points(p: Polynomial, grid) -> None:
     """Keep the family point of each eps of grid on p, or raise the first failure.
 
-    One pass: p_eps and its float rounding for every eps, then one stacked
-    eigensolver call for all their companion matrices
-    (``roots._keep_eigenvalues``), then each point's roots, polished and
-    checked by ``real_roots``, and q_eps on the coefficient lists.  A
-    stacked call gives every matrix the bits of a call on it alone, so each
-    point is the one the eps alone builds.  The points before the first
-    failing eps are kept before its error is raised.
+    One pass: the float p_eps of every float eps as the rows of one array
+    (``_keep_transforms``), then one stacked eigensolver call for all their
+    companion matrices (``roots._keep_eigenvalues``), then each point's
+    roots, polished and checked by ``real_roots``, and q_eps on the
+    coefficient lists.  The array rows and a stacked call give every point
+    the bits the eps alone builds.  The points before the first failing eps
+    are kept before its error is raised.
     """
+    floats = [eps for eps in grid if p.backend != BACKEND_EXACT or not is_exact_value(eps)]
+    if floats:
+        with contextlib.suppress(OverflowError):  # p's rounding fails in the first eps's call
+            _keep_transforms(p.as_float(), floats)
     staged = []
     overflow = None
     for eps in grid:
@@ -208,35 +267,82 @@ def nuij_inverse_coeffs(m: int) -> tuple:
 def invert_transform(p_eps: Polynomial, epsilon) -> Polynomial:
     """Recover p from its smoothed image (degree-m exact inversion)."""
     m = int(p_eps.degree)
-    coeffs = nuij_inverse_coeffs(m)
     if p_eps.backend == BACKEND_EXACT:
         eps = Fraction(epsilon)
         out = p_eps
-        for l, c in enumerate(coeffs, start=1):
+        for l, c in enumerate(nuij_inverse_coeffs(m), start=1):
             term = p_eps.derivative(l)
             if term.is_zero:
                 break
             out = out + c * eps**l * term
         return out
-    # floats: the products and sums of the Polynomial sum above, in its order,
-    # on plain lists, with the derivative carried from one order to the next
     eps = float(epsilon)
-    out = list(p_eps.coeffs)
-    dk = p_eps.coeffs
-    for l, c in enumerate(coeffs, start=1):
-        dk = _derivative(dk)
-        w = float(c) * eps**l
-        if not w:  # a zero weight is a zero term, which adds nothing
-            continue
-        # 0.0 + v * w is the Polynomial product's entry (never -0.0), and its
-        # leading zeros are stripped before the sum
-        term = [0.0 + v * w for v in dk]
-        while term and term[0] == 0:
-            del term[0]
-        shift = len(out) - len(term)
-        for i, v in enumerate(term):
-            out[shift + i] += v
-    return Polynomial(tuple(out), p_eps.backend)
+    return p_eps.derived(_inverse_key(eps), lambda: Polynomial(
+        _inverse_rows([p_eps.coeffs], [_inverse_weights(m, eps)])[0], p_eps.backend))
+
+
+def _inverse_key(eps: float) -> tuple:
+    return ("invert_transform", eps)
+
+
+def keep_inverses(pairs) -> None:
+    """Each float p_eps of the (p_eps, eps) pairs keeps ``invert_transform(p_eps, eps)``,
+    all built in one array pass (``_inverse_rows``).
+
+    The p_eps share one degree m >= 1.  A pair whose weights leave the float
+    range is left to its own ``invert_transform`` call, which raises the
+    OverflowError.
+    """
+    todo = {}
+    for p_eps, eps in pairs:
+        key = _inverse_key(float(eps))
+        if key not in p_eps.memo and (id(p_eps), key) not in todo:
+            with contextlib.suppress(OverflowError):
+                todo[id(p_eps), key] = p_eps, _inverse_weights(int(p_eps.degree), float(eps))
+    rows = _inverse_rows([p_eps.coeffs for p_eps, _ in todo.values()],
+                         [w for _, w in todo.values()])
+    for ((_, key), (p_eps, _)), row in zip(todo.items(), rows):
+        p_eps.memo[key] = Polynomial(row, p_eps.backend)
+
+
+def _inverse_weights(m: int, eps: float) -> list:
+    """float(c_l) eps^l for l = 1..m, the weights of the float inversion.
+
+    Raises OverflowError where eps^l does.
+    """
+    return [float(c) * eps**l for l, c in enumerate(nuij_inverse_coeffs(m), start=1)]
+
+
+def _inverse_rows(rows, weights):
+    """The float ``invert_transform`` of each row at the weights beside it.
+
+    ``rows`` are float coefficient lists of one degree m >= 1 (leading first,
+    nonzero leading).  Returns a tuple per row: row e starts at
+    rows[e] and adds, for l = 1..m, the entries 0.0 + v * w of the l-th
+    derivative of rows[e] times w = float(c_l) eps^l of weights[e]
+    (``_inverse_weights``), right-aligned, in
+    order, as the per-eps sum of Polynomials does.  A zero weight adds
+    nothing, and nor do a term's leading zeros, which the Polynomial sum
+    strips before it adds; 0.0 + v * w is the Polynomial product's entry,
+    never -0.0.  numpy runs the same IEEE products and sums elementwise, so
+    each row has the bits of its eps alone.
+    """
+    if not rows:
+        return []
+    import numpy as np
+
+    out = np.array(rows, dtype=float)
+    W = np.array(weights, dtype=float)
+    dk = out
+    with np.errstate(all="ignore"):
+        for l in range(1, W.shape[1] + 1):
+            dk = dk[:, :-1] * np.arange(dk.shape[1] - 1, 0, -1)
+            w = W[:, l - 1:l]
+            term = 0.0 + dk * w
+            skip = np.logical_and.accumulate(term == 0, axis=1) | (w == 0)
+            tail = out[:, l:]
+            out[:, l:] = np.where(skip, tail, tail + term)
+    return list(map(tuple, out.tolist()))
 
 
 @functools.cache
@@ -377,13 +483,37 @@ def certify_grid(p: Polynomial, grid) -> list[tuple[bool, bool]]:
     stages = [_int_stages(p, eps, count) for eps in rationals]
     even = range(2, count, 2)
     roots = iter(_stage_roots([ints[l] for ints in stages for l in even]))
-    out = []
-    for eps, ints in zip(grid, stages):
+    plans = []
+    for eps in grid:
         seeds = {l: next(roots) for l in even}
         point = p.memo.get(_family_key(eps))
-        last = point.roots_eps.flattened if point is not None else ()
-        out.append(_certify(p, ints, seeds, last))
+        plans.append(_sign_points(count, seeds, point.roots_eps.flattened if point else ()))
+    verdicts = iter(_float_signs([(ints[l], xs) for ints, points in zip(stages, plans)
+                                  for l, xs in points.items()]))
+    out = []
+    for ints, points in zip(stages, plans):
+        signed = {l for l in points if next(verdicts)}
+        out.append(_certify(p, ints, points, signed))
     return out
+
+
+def _sign_points(count: int, seeds: dict, last) -> dict:
+    """The points each stage l >= 2 of one eps is signed at, keyed by l.
+
+    ``seeds`` maps each even stage l >= 2 below the last, ``count``, to its
+    ascending float roots, or None; ``last`` holds the ascending float roots
+    of the family point, possibly none.  An even stage is signed at the
+    midpoints of its roots, an odd one at the roots of the stage before it,
+    and the last at the midpoints of ``last``; a stage whose seed is None
+    has no points.
+    """
+    points = {}
+    for l in range(2, count):
+        seed = seeds[l - l % 2]
+        if seed is not None:
+            points[l] = seed if l % 2 else _midpoints(seed)
+    points[max(count, 0)] = _midpoints(last)
+    return points
 
 
 def _stage_eps(epsilon) -> Fraction:
@@ -425,20 +555,23 @@ def _stage_roots(stages) -> list:
     return [next(found) if row is not None else None for row in rows]
 
 
-def _certify(p: Polynomial, stages: list, seeds: dict, last) -> tuple[bool, bool]:
+def _certify(p: Polynomial, stages: list, points: dict, signed) -> tuple[bool, bool]:
     """``certify_grid`` on the integer stages of p at one eps.
 
-    ``seeds`` maps each even stage l >= 2 below the last to its ascending
-    float roots, or None; ``last`` holds the ascending float roots of the
-    family point, possibly none.
+    ``points`` maps a stage to the points it is signed at (``_sign_points``),
+    and ``signed`` holds the stages whose signs there the float pass
+    (``_float_signs``) has proved to change as they must; any other stage
+    with points is signed exactly (``_changes_sign``).
     """
+    def shown_by_signs(l: int) -> bool:
+        return l in signed or (l in points and _changes_sign(stages[l], points[l]))
+
     proved = None  # what the Cauchy index of the stage before proves of this one
     for l, stage in enumerate(stages[:-1]):
         shown, proved = proved, None
         if shown and shown[0]:
             continue
-        seed = seeds.get(l - l % 2)  # stage l's own roots at even l, stage l - 1's at odd l
-        if seed is not None and _changes_sign(stage, seed if l % 2 else _midpoints(seed)):
+        if shown_by_signs(l):
             continue
         proved = _next_stage(_sturm_ends(p.as_exact()) if l == 0 else _int_sturm_chain(stage)[0])
         if proved is None:
@@ -448,9 +581,9 @@ def _certify(p: Polynomial, stages: list, seeds: dict, last) -> tuple[bool, bool
         interlaced = True
     if proved and proved[1]:
         return interlaced, True
-    stage = stages[-1]
-    if _changes_sign(stage, _midpoints(last)):
+    if shown_by_signs(len(stages) - 1):
         return interlaced, True
+    stage = stages[-1]
     return interlaced, len(stage) > 1 and _chain_count(_int_sturm_chain(stage)[0])[0] == len(stages)
 
 
@@ -489,6 +622,99 @@ def _changes_sign(c: list, points) -> bool:
         changes += (v > 0) != sign
         sign = v > 0
     return changes + (sign != lead) == n
+
+
+def _float_signs(tests) -> list[bool]:
+    """For each (c, points) of tests, whether float arithmetic proves that
+    ``_changes_sign(c, points)`` holds; False leaves it undecided.
+
+    Every c is an integer stage of one degree n >= 1 (leading first), and
+    one array pass (``_float_horner``) evaluates every test.  A test with no
+    points, a c past the float64 range, a point that is not finite or below
+    the one before it, or a value whose sign the pass cannot decide proves
+    nothing, and nor does a test whose signs change fewer or more than n
+    times along -inf, points, +inf.  Each False is left to the exact
+    ``_changes_sign``.
+    """
+    out = [False] * len(tests)
+    rows, places, where = [], [], []
+    for t, (c, xs) in enumerate(tests):
+        if not xs:
+            continue
+        try:
+            rows.append([float(v) for v in c])  # correctly rounded, or OverflowError
+        except OverflowError:
+            continue
+        places.append(xs)
+        where.append(t)
+    if not rows:
+        return out
+    import numpy as np
+
+    n = len(rows[0]) - 1
+    width = max(map(len, places))
+    C = np.array(rows)
+    # pad each row of points with its last point, which changes no sign
+    X = np.array([list(xs) + [xs[-1]] * (width - len(xs)) for xs in places], dtype=float)
+    y, decided = _float_horner(C, X)
+    with np.errstate(invalid="ignore"):
+        ordered = np.isfinite(X).all(axis=1) & (X[:, 1:] >= X[:, :-1]).all(axis=1)
+    up = y > 0
+    lead = C[:, 0] > 0
+    changes = ((up[:, 0] != (lead == (n % 2 == 0))).astype(int)  # against the sign at -inf
+               + (up[:, 1:] != up[:, :-1]).sum(axis=1) + (up[:, -1] != lead))
+    proved = decided.all(axis=1) & ordered & (changes == n)
+    for t, ok in zip(where, proved.tolist()):
+        out[t] = ok
+    return out
+
+
+# Horner on coefficients rounded to float64 errs by less than this many units
+# of 2^-53 per coefficient, relative to the sum of |P_i| |x|^(n - i)
+_HORNER_ULPS = 4
+# the least absolute sum the float pass reads: its bound stays a normal float
+_TINY = 2.0**-900
+
+
+def _float_horner(C, X):
+    """(y, decided) of integer polynomials P at float points, in one array pass.
+
+    Row t of C holds the coefficients C_i = fl(P_i) of one P of degree n
+    (leading first, each the float nearest the integer), and row t of X
+    the points it is evaluated at.  y is fl Horner of C at each x, and
+    decided says where y has the sign of the exact P(x), which is then
+    nonzero: where x is finite, |y| > 4 (n + 1) 2^-53 s, s being fl Horner
+    of |C_i| at |x|, and s >= 2^-900.
+
+    Proof (u = 2^-53; Higham, Accuracy and Stability of Numerical
+    Algorithms, eq. 5.3 and section 2.1): the rounding of P to C errs by
+    |P(x) - C(x)| <= u S_P <= u S_C / (1 - u), where S_C = sum |C_i|
+    |x|^(n - i).  Horner errs by |C(x) - y| <= gamma_2n S_C + (1 + gamma_2n) E,
+    with gamma_k = k u / (1 - k u) and E = 2^-1075 sum_(j < n) |x|^j, the
+    absolute error a product may take in the subnormal range (a sum with a
+    subnormal result is exact).  The terms of s are nonnegative, so s >=
+    (1 - gamma_2n) S_C - (1 + gamma_2n) E.  As |C_0| >= 1, S_C >= |x|^n,
+    so E <= n 2^-1075 S_C when |x| >= 1, and E <= n 2^-1075 <= n 2^-175 s
+    otherwise; either way E is below n 2^-170 s.  So |P(x) - y| is below
+    ((2 n + 1) u (1 + 4 n u) + n 2^-169) s, below 4 (n + 1) u (1 - u) s,
+    and so below the rounded bound, for every n below 2^40.  Overflow:
+    every intermediate of y is at most the matching one of s in size
+    (rounding is monotone), so an overflow leaves s infinite or NaN and
+    decides nothing; s >= 2^-900 keeps the bound a normal float.
+    """
+    import numpy as np
+
+    n, width = C.shape[1] - 1, X.shape[1]
+    A, absX = np.abs(C), np.abs(X)
+    with np.errstate(all="ignore"):
+        y = np.repeat(C[:, :1], width, axis=1)
+        s = np.repeat(A[:, :1], width, axis=1)
+        for i in range(1, n + 1):
+            y = y * X + C[:, i:i + 1]
+            s = s * absX + A[:, i:i + 1]
+        bound = (_HORNER_ULPS * (n + 1) * 2.0**-53) * s
+        decided = (np.abs(y) > bound) & (s >= _TINY) & np.isfinite(X)
+    return y, decided
 
 
 def _next_stage(ends: list) -> tuple[bool, bool] | None:

@@ -102,28 +102,22 @@ def _exact_quotient(a: list, b: list) -> list:
     return q
 
 
-def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Monic gcd over the rationals; the zero polynomial when both are zero.
+def poly_gcd(a: list, b: list) -> tuple[Polynomial, tuple]:
+    """The gcd of integer polynomials a and b (leading first) over the
+    rationals: the monic gcd and its primitive ints, with a positive leading
+    coefficient; the zero polynomial and () when both are zero.
 
-    A primitive polynomial remainder sequence on Python ints (Collins 1967,
+    A primitive polynomial remainder sequence on the lists (Collins 1967,
     Brown 1971): pseudo-remainders, each divided by its integer content.
     """
-    if f.backend != BACKEND_EXACT or g.backend != BACKEND_EXACT:
-        raise ValueError("poly_gcd requires the exact backend")
-    a, b = f.primitive[0], g.primitive[0]
+    a, b = _int_primitive(list(a)), _int_primitive(list(b))
     if len(a) < len(b):
         a, b = b, a
     while b:
         a, b = b, _int_primitive(_prem(a, b))
     if not a:
-        return Polynomial()
-    return Polynomial.exact([Fraction(v, a[0]) for v in a])
-
-
-def _int_gcd(a: list, b: list) -> tuple[Polynomial, tuple]:
-    """poly_gcd of integer polynomials: the monic gcd and its primitive ints."""
-    g = poly_gcd(Polynomial.exact(a), Polynomial.exact(b))
-    return g, g.primitive[0]
+        return Polynomial(), ()
+    return Polynomial.exact([Fraction(v, a[0]) for v in a]), tuple(a if a[0] > 0 else [-v for v in a])
 
 
 def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
@@ -150,7 +144,7 @@ def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
     out = []
     i = 1
     while True:
-        factor, a = _int_gcd(c, d)
+        factor, a = poly_gcd(c, d)
         if len(a) > 1:
             out.append((factor, i))
             c = _exact_quotient(c, a)

@@ -106,8 +106,8 @@ def test_criterion_02_hermite_criterion():
         hermite = psd_check(bezout_matrix(p, p.derivative()))
         agree = sturm_says == hermite.is_psd == v.is_hyperbolic
         if hermite.is_psd:
-            agree = agree and hermite.rank == m - poly_gcd(p, p.derivative()).degree \
-                and v.is_strict == (hermite.rank == m)
+            gcd = poly_gcd(p.primitive[0], p.derivative().primitive[0])[0]
+            agree = agree and hermite.rank == m - gcd.degree and v.is_strict == (hermite.rank == m)
         else:
             agree = agree and not v.is_strict
         if not agree:

@@ -30,6 +30,7 @@ def load_tool():
 def test_bench_layers_writes_rows_for_every_layer_and_degree(tmp_path, monkeypatch):
     tool = load_tool()
     monkeypatch.setattr(tool, "MIN_TIME", 0.0005)
+    monkeypatch.setattr(tool, "PROCESSES", 3)
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "layers.json"
     out.write_text(json.dumps({"runs": {"earlier": {"rows": []}}}))
@@ -52,7 +53,20 @@ def test_bench_layers_writes_rows_for_every_layer_and_degree(tmp_path, monkeypat
     assert {(r["layer"], r["m"]) for r in rows} == \
         {(k, m) for k in LAYERS for m in (2, 3)} | {("energy_draw", None)}
     assert all(r["best_s"] > 0 for r in rows)
-    assert rows[-1]["numpy_best_s"] > 0
+    assert rows[-1]["numpy_best_s"] > 0 and rows[-1]["numpy_median_s"] >= rows[-1]["numpy_best_s"]
+    # each row is timed in three fresh processes, and reports their spread
+    assert run["processes"] == 3
+    for r in rows:
+        assert len(r["runs_s"]) == 3 and r["best_s"] == min(r["runs_s"])
+        assert r["best_s"] <= r["q1_s"] <= r["median_s"] <= r["q3_s"] <= max(r["runs_s"])
+        assert r["iqr_s"] == r["q3_s"] - r["q1_s"]
+
+
+def test_spread_takes_inclusive_quartiles():
+    tool = load_tool()
+    assert tool.spread([4.0, 1.0, 3.0, 2.0, 5.0]) == \
+        {"median_s": 3.0, "q1_s": 2.0, "q3_s": 4.0, "iqr_s": 2.0}
+    assert tool.spread([0.5]) == {"median_s": 0.5, "q1_s": 0.5, "q3_s": 0.5, "iqr_s": 0.0}
 
 
 def test_bench_layers_requires_out(capsys):

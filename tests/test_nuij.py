@@ -1,9 +1,13 @@
 """Smoothing operator: transform, inversion, gap floors and interlacing."""
 
 import contextlib
+import importlib.util
 import itertools
+import json
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -37,11 +41,15 @@ from bezoutian.nuij import (
     NuijFamilyPoint,
     _certify,
     _changes_sign,
+    _float_horner,
+    _float_signs,
     _int_stages,
     _midpoints,
+    _sign_points,
     _simplest_rational,
     _stage_roots,
 )
+from bezoutian.polynomial import _int_horner
 from bezoutian.roots import _hyperbolic_strict, sturm_real_root_count
 from bezoutian.scalars import BACKEND_FLOAT
 
@@ -572,11 +580,21 @@ def stage_points(p: Polynomial, eps: Fraction):
 
 
 def chains_run(p: Polynomial, stages: list, seeds: dict, last) -> tuple:
-    """_certify's verdict and the stages whose Sturm chains it ran."""
+    """_certify's verdict and the stages whose Sturm chains it ran, as
+    certify_grid calls it: the float pass first, and again with every stage
+    left to the exact signs, which must run the same chains."""
     roots._sturm_ends(p)  # p keeps its chain, as after a request's gate
-    with mock.patch.object(nuij, "_int_sturm_chain", wraps=roots._int_sturm_chain) as chain:
-        verdict = _certify(p, stages, seeds, last)
-    return verdict, [call.args[0] for call in chain.call_args_list]
+    count = len(stages) - 1
+    points = _sign_points(count, {l: seeds.get(l) for l in range(2, count, 2)}, last)
+    tests = list(points.items())
+    floats = _float_signs([(stages[l], xs) for l, xs in tests])
+    runs = []
+    for signed in ({l for (l, _), ok in zip(tests, floats) if ok}, set()):
+        with mock.patch.object(nuij, "_int_sturm_chain", wraps=roots._int_sturm_chain) as chain:
+            verdict = _certify(p, stages, points, signed)
+        runs.append((verdict, [call.args[0] for call in chain.call_args_list]))
+    assert runs[0] == runs[1]
+    return runs[0]
 
 
 def test_the_float_roots_certify_every_stage_of_a_strict_p():
@@ -640,6 +658,129 @@ def test_sign_changes_certify_only_m_distinct_real_roots(roots_, points, want):
     if len(roots_) == 3:
         p = with_complex_pair(p, 1)
     assert _changes_sign(list(p.primitive[0]), points) is want
+
+
+def int_poly_of(roots_, scale: int) -> list:
+    """scale times the product of (d x - n) over the roots n/d, as ints, leading first."""
+    c = [scale]
+    for r in roots_:
+        c = [a * r.denominator - b * r.numerator for a, b in zip(c + [0], [0] + c)]
+    return c
+
+
+def float_signs_at(c: list, xs: list) -> list:
+    """Each sign the float pass decides for c at xs (True for positive), None where it does not."""
+    y, decided = _float_horner(np.array([[float(v) for v in c]]), np.array([xs], dtype=float))
+    return [v > 0 if d else None for v, d in zip(y[0].tolist(), decided[0].tolist())]
+
+
+def exact_sign(c: list, x: float):
+    v = _int_horner(c, *x.as_integer_ratio())[0]
+    return v > 0 if v else None
+
+
+# roots that are small rationals, that sit near the subnormal range, or whose
+# integer polynomial has coefficients near or past 2^1024
+FILTER_ROOTS = st.one_of(
+    st.builds(Fraction, st.integers(-60, 60), st.integers(1, 9)),
+    st.sampled_from([Fraction(1, 2**1000), Fraction(-3, 2**1010), Fraction(5, 2**1030),
+                     Fraction(2**600 + 1, 2**600), Fraction(10**15 + 1, 10**15)]))
+EXTRA_POINTS = [0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-300, 1e-200, 7.5, -1e10]
+
+
+def filter_points(roots_) -> list:
+    """The roots as floats, one ulp beside each, the midpoints between them and a few others."""
+    at = sorted(float(r) for r in roots_)
+    beside = [math.nextafter(x, d) for x in at for d in (-math.inf, math.inf)]
+    return at + beside + _midpoints(at) + EXTRA_POINTS
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(FILTER_ROOTS, min_size=1, max_size=16),
+       st.sampled_from([1, -7, 2**600, 2**1000, 2**1100]))
+@example([Fraction(k) for k in range(1, 17)], 1)
+def test_every_sign_the_float_pass_decides_is_the_exact_sign(roots_, scale):
+    c = int_poly_of(roots_, scale)
+    points = filter_points(roots_)
+    try:
+        got = float_signs_at(c, points)
+    except OverflowError:  # a coefficient past the float64 range: no test runs on floats
+        assert max(abs(v) for v in c) >= 2**1024
+        assert _float_signs([(c, sorted(points))]) == [False]
+        return
+    for x, sign in zip(points, got):
+        if sign is not None:
+            assert sign == exact_sign(c, x), x
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(FILTER_ROOTS, min_size=1, max_size=16, unique=True),
+       st.sampled_from([1, -7, 2**600, 2**1100]), st.randoms(use_true_random=False))
+def test_the_float_pass_proves_only_sign_changes_that_hold(roots_, scale, rng):
+    c = int_poly_of(roots_, scale)
+    at = sorted(float(r) for r in roots_)
+    shuffled = _midpoints(at) + [math.nextafter(at[0], math.inf)]
+    rng.shuffle(shuffled)
+    for points in (_midpoints(at), at, shuffled, _midpoints(at)[:-1], _midpoints(at) + [math.inf]):
+        if _float_signs([(c, points)]) == [True]:
+            assert _changes_sign(c, points)
+
+
+def test_float_horner_leaves_a_wrong_float_sign_undecided():
+    # Wilkinson's polynomial prod (x - k), k = 1..20, one ulp below its root 1:
+    # the exact value is positive, and plain float Horner reads -512
+    c = int_poly_of([Fraction(k) for k in range(1, 21)], 1)
+    x = math.nextafter(1.0, 0.0)
+    plain = 0.0
+    for v in c:
+        plain = plain * x + float(v)
+    assert exact_sign(c, x) is True and plain == -512.0
+    assert float_signs_at(c, [x]) == [None]
+    # halfway between the roots the ends are decided, and the middle, where
+    # |W| is below 10^-13 of the sum of |c_i| |x|^i, is not: no sign is wrong
+    halves = [k + 0.5 for k in range(0, 21)]
+    got = float_signs_at(c, halves)
+    assert got[:3] == [exact_sign(c, x) for x in halves[:3]] and got[10] is None
+    assert all(sign in (None, exact_sign(c, x)) for x, sign in zip(halves, got))
+    # prod (x - k), k = 1..8, is decided at every midpoint, and the pass proves its roots
+    c8 = int_poly_of([Fraction(k) for k in range(1, 9)], 1)
+    assert _float_signs([(c8, halves[1:8])]) == [True]
+
+
+def load_bench_workloads():
+    """bench/workloads.py, loaded as a module of its own name (its dataclasses look it up)."""
+    name = "bench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(
+            name, Path(__file__).resolve().parent.parent / "bench" / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+def test_certify_grid_on_the_benchmark_inputs_equals_the_exact_signs():
+    # the 112 nuij requests of smoothing_sweep at seed 21, each certified on
+    # its family points as a request does; the all-exact verdicts run every
+    # sign test through _changes_sign, with the float pass deciding nothing
+    workload = load_bench_workloads().WORKLOADS["smoothing_sweep"]
+    seconds = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json")
+                         .read_text())["run_seconds"]
+    requests = [r for _, cycle in zip(range(workload.cycle_count(seconds)),
+                                      workload.cycles(21)) for r in cycle if r.command == "nuij"]
+    assert len(requests) == 112
+    grid = default_epsilon_grid()
+    certified = []
+    for r in requests:
+        p = Polynomial.from_coeff_list(json.loads(r.argv[2]))
+        with contextlib.suppress(ValueError):  # a request whose family fails stops before
+            build_family(p, grid)
+            certified.append(p)
+    with mock.patch.object(nuij, "_int_horner", wraps=nuij._int_horner) as horner:
+        got = [certify_grid(p, grid) for p in certified]
+    assert horner.call_count < 1000  # 16776 with every sign exact
+    with mock.patch.object(nuij, "_float_signs", lambda tests: [False] * len(tests)):
+        assert [certify_grid(p, grid) for p in certified] == got
 
 
 def end_patterns(m: int):

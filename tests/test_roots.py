@@ -381,6 +381,14 @@ def same_coeffs(a: Polynomial, b: Polynomial) -> bool:
     return a.coeffs == b.coeffs and all(type(c) is Fraction for c in a.coeffs)
 
 
+def gcd_of(f: Polynomial, g: Polynomial) -> Polynomial:
+    """The monic gcd of exact f and g by ``poly_gcd`` on their primitive ints,
+    whose second entry is the primitive ints of that monic gcd."""
+    monic, ints = poly_gcd(f.primitive[0], g.primitive[0])
+    assert ints == monic.primitive[0]
+    return monic
+
+
 @settings(max_examples=120, deadline=None)
 @given(corpus.factored_poly(), corpus.factored_poly(), st.sampled_from([0, 1, 2]))
 def test_poly_gcd_matches_euclid(f, g, shared):
@@ -389,9 +397,9 @@ def test_poly_gcd_matches_euclid(f, g, shared):
     for _ in range(shared):
         h = h * g.derivative() if g.degree >= 2 else h * g
     f, g = f * h, g * h
-    assert same_coeffs(poly_gcd(f, g), euclid_gcd(f, g))
-    assert same_coeffs(poly_gcd(g, f), euclid_gcd(g, f))
-    assert same_coeffs(poly_gcd(f, f.derivative()), euclid_gcd(f, f.derivative()))
+    assert same_coeffs(gcd_of(f, g), euclid_gcd(f, g))
+    assert same_coeffs(gcd_of(g, f), euclid_gcd(g, f))
+    assert same_coeffs(gcd_of(f, f.derivative()), euclid_gcd(f, f.derivative()))
 
 
 @settings(max_examples=100, deadline=None)
@@ -423,7 +431,7 @@ def test_sturm_count_matches_radical_chain(p):
     for f, _ in squarefree_decomposition(p):
         radical = radical * f
     assert sturm_real_root_count(p) == want == sturm_real_root_count(radical)
-    assert p.degree - poly_gcd(p, p.derivative()).degree == radical.degree
+    assert p.degree - gcd_of(p, p.derivative()).degree == radical.degree
 
 
 @settings(max_examples=120, deadline=None)
@@ -432,9 +440,9 @@ def test_sturm_chain_ends_at_the_gcd_with_the_derivative(p):
     # one chain gives both the count and deg gcd(p, p'), so the hyperbolicity
     # decision needs no separate poly_gcd
     ends = _int_sturm_chain(p.primitive[0])[0]
-    assert _chain_count(ends) == (sturm_reference(p), poly_gcd(p, p.derivative()).degree)
+    assert _chain_count(ends) == (sturm_reference(p), gcd_of(p, p.derivative()).degree)
     # its last member is the primitive gcd, leading coefficient positive
-    assert _sturm_gcd(p) == poly_gcd(p, p.derivative()).primitive[0]
+    assert _sturm_gcd(p) == poly_gcd(p.primitive[0], p.derivative().primitive[0])[1]
     distinct = squarefree_degree(p)
     hyperbolic = sturm_reference(p) == distinct
     assert _hyperbolic_strict(p) == (hyperbolic, hyperbolic and distinct == p.degree)
@@ -442,17 +450,17 @@ def test_sturm_chain_ends_at_the_gcd_with_the_derivative(p):
 
 def test_the_decomposition_after_the_hyperbolicity_gate_divides_p_by_p_prime_once(monkeypatch):
     # is_hyperbolic runs the Sturm chain of p, which ends at gcd(p, p'); Yun's
-    # decomposition starts from that member, so only its own steps call _int_gcd
+    # decomposition starts from that member, so only its own steps call poly_gcd
     p = Polynomial.from_roots([1, 1, 1, -2, -2, 3])
     assert is_hyperbolic(p).is_hyperbolic
     calls = []
-    original = roots._int_gcd
+    original = roots.poly_gcd
 
     def counted(a, b):
         calls.append((a, b))
         return original(a, b)
 
-    monkeypatch.setattr(roots, "_int_gcd", counted)
+    monkeypatch.setattr(roots, "poly_gcd", counted)
     assert max_multiplicity(p) == 3
     assert len(calls) == 3  # one per Yun step i = 1, 2, 3
     assert all(list(a) != list(p.primitive[0]) for a, _ in calls)
@@ -460,18 +468,16 @@ def test_the_decomposition_after_the_hyperbolicity_gate_divides_p_by_p_prime_onc
 
 
 def test_poly_gcd_edge_cases():
-    zero = Polynomial()
-    f = Polynomial.exact([-4, 0, 4])  # -4 (x^2 - 1)
-    assert poly_gcd(zero, zero).is_zero
-    assert poly_gcd(f, zero).coeffs == (1, 0, -1)
-    assert poly_gcd(zero, f).coeffs == (1, 0, -1)
-    assert poly_gcd(Polynomial.exact([Fraction(-3, 7)]), f).coeffs == (1,)
-    assert poly_gcd(zero, Polynomial.exact([5])).coeffs == (1,)
-    assert poly_gcd(f, Polynomial.exact([2, 2])).coeffs == (1, 1)
-    with pytest.raises(ValueError):
-        poly_gcd(Polynomial([1, 0, -1], BACKEND_FLOAT), Polynomial([1, 1], BACKEND_FLOAT))
-    with pytest.raises(ValueError):
-        poly_gcd(f, Polynomial([1, 1], BACKEND_FLOAT))
+    f = [-4, 0, 4]  # -4 (x^2 - 1)
+    x2_1 = (Polynomial.exact([1, 0, -1]), (1, 0, -1))
+    assert poly_gcd([], []) == (Polynomial(), ())
+    assert poly_gcd(f, []) == x2_1
+    assert poly_gcd([], f) == x2_1
+    assert poly_gcd([-3], f) == (Polynomial.exact([1]), (1,))
+    assert poly_gcd([], [5]) == (Polynomial.exact([1]), (1,))
+    assert poly_gcd(f, [2, 2]) == (Polynomial.exact([1, 1]), (1, 1))
+    # the primitive ints lead with a positive coefficient, as the monic gcd does
+    assert poly_gcd([-6, 3], [-2, 1]) == (Polynomial.exact([1, Fraction(-1, 2)]), (2, -1))
 
 
 def test_squarefree_and_sturm_edge_cases():

@@ -82,10 +82,15 @@ source, so no tree is timed against a stale ``__pycache__`` or a compile;
 ran so.
 Each layer is timed as the best of five batches (stdlib
 ``time.perf_counter``); a batch repeats the call until it lasts
-``MIN_TIME`` seconds, and the per-call time is reported.  The rows go into
-``--out`` (required, so that no run rewrites an earlier record by default)
-under ``--label``, next to the rows other labels left there, with the
-Python version and the commit of the timed source.
+``MIN_TIME`` seconds, and the per-call time is kept.  ``PROCESSES`` fresh
+interpreters, one after another, each time every row, so a row holds
+their per-call times (``runs_s``), their median (``median_s``), quartiles
+(``q1_s``, ``q3_s``, inclusive method, as ``tools/ab.py`` takes them) and
+interquartile range (``iqr_s``), and the least of them (``best_s``); one
+process timed once could not tell load on a shared host from a change.
+The rows go into ``--out`` (required, so that no run rewrites an earlier
+record by default) under ``--label``, next to the rows other labels left
+there, with the Python version and the commit of the timed source.
 
     PYTHONPATH=src python tools/bench_layers.py --label change --out BENCH_N.json
     PYTHONPATH=<other checkout>/src python tools/bench_layers.py --label parent --out BENCH_N.json
@@ -100,6 +105,7 @@ import os
 import platform
 import random
 import subprocess
+import statistics
 import sys
 import tempfile
 import time
@@ -124,6 +130,7 @@ DEGREES = (4, 8, 12, 16, 24)
 SLOW_MAX_DEGREE = 12
 QUADRATIC_MAX_DEGREE = 16
 REPEATS = 5
+PROCESSES = 5  # fresh interpreters that time every row of one label
 MIN_TIME = 0.02  # seconds one timed batch lasts at least
 GRID_POINT = 0.00010000000000000002  # the default grid's last eps
 ENERGY_T, ENERGY_STEPS = 10.0, 400
@@ -133,6 +140,16 @@ IMPORT_PROBE = ("import sys, time; t = time.perf_counter(); c = time.process_tim
                 "print(time.perf_counter() - t, time.process_time() - c, "
                 "'numpy' in sys.modules, 'scipy.linalg' in sys.modules, "
                 "sys.dont_write_bytecode, sys.pycache_prefix)")
+# Runs in a fresh interpreter: this file's rows at the degrees and MIN_TIME of
+# argv, as one JSON line.
+ROWS_PROBE = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("bench_layers", sys.argv[1])
+tool = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tool)
+degrees, tool.MIN_TIME = json.loads(sys.argv[2])
+print(json.dumps(tool.layer_rows(degrees) + [tool.draw_row()]))
+"""
 
 
 def exact_input(m: int) -> list:
@@ -285,6 +302,42 @@ def draw_row() -> dict:
             "numpy_best_s": best_per_call(lambda: np.random.default_rng(0).uniform(-3.0, 3.0, 3))}
 
 
+def source_env() -> dict:
+    """The environment of a fresh interpreter that imports the timed source."""
+    return dict(os.environ, PYTHONPATH=str(Path(bezoutian.__file__).resolve().parent.parent))
+
+
+def spread(values: list) -> dict:
+    """Median, quartiles (inclusive method) and interquartile range of values."""
+    if len(values) == 1:
+        q1 = median = q3 = values[0]
+    else:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median_s": median, "q1_s": q1, "q3_s": q3, "iqr_s": q3 - q1}
+
+
+def process_rows(degrees) -> list:
+    """Every row, timed in each of PROCESSES fresh interpreters, with its spread."""
+    runs = []
+    for _ in range(PROCESSES):
+        done = subprocess.run([sys.executable, "-c", ROWS_PROBE, str(Path(__file__).resolve()),
+                               json.dumps([list(degrees), MIN_TIME])],
+                              env=source_env(), capture_output=True, text=True, check=True,
+                              timeout=3600)
+        runs.append(json.loads(done.stdout.splitlines()[-1]))
+    rows = []
+    for timed in zip(*runs):
+        times = [r["best_s"] for r in timed]
+        row = {"layer": timed[0]["layer"], "m": timed[0]["m"], "best_s": min(times),
+               "runs_s": times, **spread(times)}
+        if "numpy_best_s" in timed[0]:
+            numpy_times = [r["numpy_best_s"] for r in timed]
+            row.update(numpy_best_s=min(numpy_times),
+                       numpy_median_s=statistics.median(numpy_times))
+        rows.append(row)
+    return rows
+
+
 def import_row() -> dict:
     """Best of REPEATS fresh interpreters importing bezoutian.cli from the timed source.
 
@@ -292,8 +345,7 @@ def import_row() -> dict:
     PYTHONPYCACHEPREFIX, which one untimed import fills first.
     """
     with tempfile.TemporaryDirectory() as cache:
-        env = dict(os.environ, PYTHONPYCACHEPREFIX=cache,
-                   PYTHONPATH=str(Path(bezoutian.__file__).resolve().parent.parent))
+        env = dict(source_env(), PYTHONPYCACHEPREFIX=cache)
         env.pop("PYTHONDONTWRITEBYTECODE", None)
         runs = []
         for _ in range(REPEATS + 1):
@@ -341,8 +393,9 @@ def main(argv=None) -> int:
         "machine": platform.machine(),
         "nproc": os.cpu_count(),
         "repeats": REPEATS,
+        "processes": PROCESSES,
         "import": import_row(),
-        "rows": layer_rows(degrees) + [draw_row()],
+        "rows": process_rows(degrees),
     }
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0

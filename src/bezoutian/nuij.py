@@ -98,10 +98,8 @@ def _keep_transforms(pf: Polynomial, grid) -> None:
     todo = {}
     for eps in map(float, grid):
         if (key := _transform_key(eps)) not in pf.memo:
-            try:
+            with contextlib.suppress(OverflowError):
                 todo[key] = _weights(applications, eps)
-            except OverflowError:
-                pass
     for key, row in zip(todo, _family_rows(pf.coeffs, list(todo.values()))):
         pf.memo[key] = Polynomial(row, BACKEND_FLOAT)
 
@@ -209,10 +207,10 @@ def _build_points(p: Polynomial, grid) -> None:
     the bits the eps alone builds.  The points before the first failing eps
     are kept before its error is raised.
     """
-    floats = [eps for eps in grid if p.backend != BACKEND_EXACT or not is_exact_value(eps)]
-    if floats:
+    float_eps = [eps for eps in grid if p.backend != BACKEND_EXACT or not is_exact_value(eps)]
+    if float_eps:
         with contextlib.suppress(OverflowError):  # p's rounding fails in the first eps's call
-            _keep_transforms(p.as_float(), floats)
+            _keep_transforms(p.as_float(), float_eps)
     staged = []
     overflow = None
     for eps in grid:
@@ -293,15 +291,13 @@ def keep_inverses(pairs) -> None:
     range is left to its own ``invert_transform`` call, which raises the
     OverflowError.
     """
-    todo = {}
+    todo = []
     for p_eps, eps in pairs:
-        key = _inverse_key(float(eps))
-        if key not in p_eps.memo and (id(p_eps), key) not in todo:
+        if (key := _inverse_key(float(eps))) not in p_eps.memo:
             with contextlib.suppress(OverflowError):
-                todo[id(p_eps), key] = p_eps, _inverse_weights(int(p_eps.degree), float(eps))
-    rows = _inverse_rows([p_eps.coeffs for p_eps, _ in todo.values()],
-                         [w for _, w in todo.values()])
-    for ((_, key), (p_eps, _)), row in zip(todo.items(), rows):
+                todo.append((p_eps, key, _inverse_weights(int(p_eps.degree), float(eps))))
+    rows = _inverse_rows([p_eps.coeffs for p_eps, _, _ in todo], [w for _, _, w in todo])
+    for (p_eps, key, _), row in zip(todo, rows):
         p_eps.memo[key] = Polynomial(row, p_eps.backend)
 
 
@@ -310,7 +306,13 @@ def _inverse_weights(m: int, eps: float) -> list:
 
     Raises OverflowError where eps^l does.
     """
-    return [float(c) * eps**l for l, c in enumerate(nuij_inverse_coeffs(m), start=1)]
+    return [c * eps**l for l, c in enumerate(_inverse_floats(m), start=1)]
+
+
+@functools.cache
+def _inverse_floats(m: int) -> tuple:
+    """float(c_l) of ``nuij_inverse_coeffs(m)``, computed once per m."""
+    return tuple(map(float, nuij_inverse_coeffs(m)))
 
 
 def _inverse_rows(rows, weights):
@@ -333,15 +335,19 @@ def _inverse_rows(rows, weights):
 
     out = np.array(rows, dtype=float)
     W = np.array(weights, dtype=float)
+    E, n = out.shape
+    derivs = np.zeros((E, W.shape[1], n))  # the l-th derivative of each row, right-aligned
     dk = out
     with np.errstate(all="ignore"):
         for l in range(1, W.shape[1] + 1):
-            dk = dk[:, :-1] * np.arange(dk.shape[1] - 1, 0, -1)
-            w = W[:, l - 1:l]
-            term = 0.0 + dk * w
-            skip = np.logical_and.accumulate(term == 0, axis=1) | (w == 0)
-            tail = out[:, l:]
-            out[:, l:] = np.where(skip, tail, tail + term)
+            dk = dk[:, :-1] * np.arange(n - l, 0, -1)
+            derivs[:, l - 1, l:] = dk
+        terms = 0.0 + derivs * W[:, :, None]
+        # a term's leading zeros (the places left of its derivative among
+        # them) and a zero weight's term add nothing
+        skip = np.logical_and.accumulate(terms == 0, axis=2) | (W == 0)[:, :, None]
+        for l in range(W.shape[1]):
+            out = np.where(skip[:, l], out, out + terms[:, l])
     return list(map(tuple, out.tolist()))
 
 
@@ -487,7 +493,8 @@ def certify_grid(p: Polynomial, grid) -> list[tuple[bool, bool]]:
     for eps in grid:
         seeds = {l: next(roots) for l in even}
         point = p.memo.get(_family_key(eps))
-        plans.append(_sign_points(count, seeds, point.roots_eps.flattened if point else ()))
+        last = point.roots_eps.flattened if point is not None else ()
+        plans.append(_sign_points(count, seeds, last))
     verdicts = iter(_float_signs([(ints[l], xs) for ints, points in zip(stages, plans)
                                   for l, xs in points.items()]))
     out = []
@@ -647,7 +654,7 @@ def _float_signs(tests) -> list[bool]:
             continue
         places.append(xs)
         where.append(t)
-    if not rows:
+    if not rows or len(rows[0]) < 2:
         return out
     import numpy as np
 
@@ -657,8 +664,7 @@ def _float_signs(tests) -> list[bool]:
     # pad each row of points with its last point, which changes no sign
     X = np.array([list(xs) + [xs[-1]] * (width - len(xs)) for xs in places], dtype=float)
     y, decided = _float_horner(C, X)
-    with np.errstate(invalid="ignore"):
-        ordered = np.isfinite(X).all(axis=1) & (X[:, 1:] >= X[:, :-1]).all(axis=1)
+    ordered = np.isfinite(X).all(axis=1) & (X[:, 1:] >= X[:, :-1]).all(axis=1)
     up = y > 0
     lead = C[:, 0] > 0
     changes = ((up[:, 0] != (lead == (n % 2 == 0))).astype(int)  # against the sign at -inf
@@ -669,8 +675,8 @@ def _float_signs(tests) -> list[bool]:
     return out
 
 
-# Horner on coefficients rounded to float64 errs by less than this many units
-# of 2^-53 per coefficient, relative to the sum of |P_i| |x|^(n - i)
+# the float pass's error bound on a value, in units of (n + 1) 2^-53 times the
+# sum of |C_i| |x|^(n - i) (``_float_horner`` proves it)
 _HORNER_ULPS = 4
 # the least absolute sum the float pass reads: its bound stays a normal float
 _TINY = 2.0**-900

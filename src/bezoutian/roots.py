@@ -110,14 +110,15 @@ def poly_gcd(a: list, b: list) -> tuple[Polynomial, tuple]:
     A primitive polynomial remainder sequence on the lists (Collins 1967,
     Brown 1971): pseudo-remainders, each divided by its integer content.
     """
-    a, b = _int_primitive(list(a)), _int_primitive(list(b))
+    a, b = _int_primitive(a), _int_primitive(b)
     if len(a) < len(b):
         a, b = b, a
     while b:
         a, b = b, _int_primitive(_prem(a, b))
     if not a:
         return Polynomial(), ()
-    return Polynomial.exact([Fraction(v, a[0]) for v in a]), tuple(a if a[0] > 0 else [-v for v in a])
+    ints = tuple(a) if a[0] > 0 else tuple(-v for v in a)
+    return Polynomial.exact([Fraction(v, ints[0]) for v in ints]), ints
 
 
 def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:

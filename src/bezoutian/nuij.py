@@ -26,14 +26,24 @@ from float roots: the midpoints of an even stage's own roots, which one
 stacked eigensolver call gives for every even stage of a grid
 (``certify_grid``); the roots of the even stage before an odd one, where
 the odd stage has the sign of that stage's derivative; and the midpoints
-of the family point's roots for the last stage.  A stage whose points
-fall short, as one with a repeated root must, runs its own Sturm chain.
+of the family point's roots for the last stage.  Each sign is read first
+from one float Horner pass over every (stage, point) pair of the grid
+(``_float_signs``), and counts only where its value clears a proven error
+bound, 4 (n + 1) 2^-53 times the Horner sum of |C_i| |x|^(n - i)
+(``_float_horner``); a stage whose float signs do not all decide and
+change m times is signed exactly on ints (``_changes_sign``), and one
+whose points fall short, as one with a repeated root must, runs its own
+Sturm chain.  So every verdict is the exact one.
 
 The float family points of a request's grid are built in one pass
-(``build_family``): every p_eps, one stacked eigensolver call for all
-their companion matrices, then the polished roots and q_eps of each, with
-the bits of each eps built alone; ``nuij_family`` is its one-eps case.
-A point that fails raises its error in that pass, and is built once.
+(``build_family``): every float p_eps as a row of one array
+(``_keep_transforms``), one stacked eigensolver call for all their
+companion matrices, then the polished roots and q_eps of each, with the
+bits of each eps built alone; ``nuij_family`` is its one-eps case, and
+so is the float ``nuij_transform``.  A point that fails raises its error
+in that pass, and is built once.  ``keep_inverses`` inverts the float
+p_eps of a grid in one array pass, and ``invert_transform`` reads what
+each p_eps keeps.
 """
 
 from __future__ import annotations
@@ -469,11 +479,19 @@ def certify_grid(p: Polynomial, grid) -> list[tuple[bool, bool]]:
     - the last stage at the midpoints of the polished roots of the family
       point that p keeps for this eps (``build_family``).
 
-    A stage whose points fall short (a repeated root, complex or misplaced
-    float roots, no family point kept) runs its own Sturm chain, which
-    certifies it by its count and the stage after it by its Cauchy index;
-    a last stage left undecided runs its own count.  Both routes are exact,
-    so the verdict does not depend on the float roots, only its cost does.
+    The signs are read in this order: every sign test of the grid in one
+    float pass (``_float_signs``), where a stage whose values all clear the
+    error bound of ``_float_horner``, |y| > 4 (n + 1) 2^-53 s with s the
+    float Horner sum of |C_i| |x|^(n - i), and change m times is
+    certified; then, for any other stage, the exact values on ints
+    (``_changes_sign``), which decide the values inside the bound, stages
+    past float64 and sums below 2^-900 alike.  A stage whose points
+    fall short (a repeated root, complex or misplaced float roots, no
+    family point kept) runs its own Sturm chain, which certifies it by its
+    count and the stage after it by its Cauchy index; a last stage left
+    undecided runs its own count.  All three routes are exact, so the
+    verdict does not depend on the float roots or the float pass, only its
+    cost does.
 
     An int or Fraction eps is used as it is; a positive finite float eps is
     certified at the simplest rational that rounds to it (least denominator;

@@ -180,7 +180,9 @@ class Polynomial:
         which every tolerance reads (``roots._exact_roots``), its
         Sturm chain with the chain's ends and gcd (``roots._sturm``), its
         smoothing family points
-        (``nuij.nuij_family``) and its power-sum symmetrizer
+        (``nuij.nuij_family``), a float polynomial's smoothing transforms
+        and inversions (``nuij.nuij_transform``, ``nuij.invert_transform``),
+        which a grid builds in one array pass, and its power-sum symmetrizer
         (``leray.leray_symmetrizer``) are built on first request
         and kept here, as a matrix keeps its certificate, so every check of
         one request reads the same objects and each belongs to p.

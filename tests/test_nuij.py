@@ -736,8 +736,9 @@ def test_float_horner_leaves_a_wrong_float_sign_undecided():
         plain = plain * x + float(v)
     assert exact_sign(c, x) is True and plain == -512.0
     assert float_signs_at(c, [x]) == [None]
-    # halfway between the roots the ends are decided, and the middle, where
-    # |W| is below 10^-13 of the sum of |c_i| |x|^i, is not: no sign is wrong
+    # halfway between the roots the ends are decided, and the middle is not:
+    # at 10.5, |W| is 3.3e-15 of the sum of |c_i| |x|^i, inside the bound
+    # 4 * 21 * 2^-53 = 9.3e-15; no decided sign is wrong
     halves = [k + 0.5 for k in range(0, 21)]
     got = float_signs_at(c, halves)
     assert got[:3] == [exact_sign(c, x) for x in halves[:3]] and got[10] is None
@@ -773,7 +774,7 @@ def test_certify_grid_on_the_benchmark_inputs_equals_the_exact_signs():
     certified = []
     for r in requests:
         p = Polynomial.from_coeff_list(json.loads(r.argv[2]))
-        with contextlib.suppress(ValueError):  # a request whose family fails stops before
+        with contextlib.suppress(ValueError):  # such a request exits before the certificate
             build_family(p, grid)
             certified.append(p)
     with mock.patch.object(nuij, "_int_horner", wraps=nuij._int_horner) as horner:

@@ -46,8 +46,9 @@ builds the points of all nine default-grid eps as a ``nuij`` request does
 (through ``build_family`` first),
 ``real_roots_float`` finds the roots of the float64 rounding of p,
 ``float_roots`` its polished companion eigenvalues alone (all real),
-``invert_transform`` recovers p from that point's float p_eps, as the
-``nuij-inversion`` check of a ``nuij`` request does per eps, and
+``invert_transform`` recovers p from a fresh copy of that point's float
+p_eps, which keeps no inversion yet, as the ``nuij-inversion`` check of a
+``nuij`` request does per eps, and
 ``verify_quasi_point`` certifies the quasi-symmetrizer constants of p at the
 one grid point eps = 1e-4 with r = 0, and ``verify_quasi_grid`` on the
 nine eps of the default grid with r = 0, both with s = 1 and 24 samples at
@@ -275,7 +276,8 @@ def layer_rows(degrees) -> list:
             calls["real_roots_float"] = lambda: real_roots(fresh(pf))
             calls["float_roots"] = lambda: _float_roots(fresh(pf))
             p_eps = nuij_transform(p, 1e-4)
-            calls["invert_transform"] = lambda: invert_transform(p_eps, 1e-4)
+            # a fresh p_eps, which keeps no inversion yet
+            calls["invert_transform"] = lambda: invert_transform(fresh(p_eps), 1e-4)
             calls["verify_quasi_point"] = \
                 lambda: verify_quasi(fresh(p), (1e-4,), r=0, s=1.0, samples=24, seed=0)
             grid = default_epsilon_grid()

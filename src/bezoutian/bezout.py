@@ -15,7 +15,8 @@ denominator of cp * cq; the companion matrix of monic p is built from its
 primitive P.
 The float companion matrices have one builder, ``_companion_stack``, which
 stacks those of several polynomials of one degree for one eigensolver call
-(``roots._keep_eigenvalues``) and gives ``companion_matrix`` its one matrix.
+(the float family points of a Nuij grid, ``nuij._build_points``) and gives
+``roots._float_roots`` and ``companion_matrix`` their one matrix.
 For monic p the form of (p, p') is the deleted-factor gram
 sum_k p_k(x) p_k(y), p_k = p / (x - lambda_k), so the separation bound
 H(p, q) - c * H(p, p') >= 0 needs no roots.  It, the exact symmetrization

@@ -46,7 +46,6 @@ from .nuij import (
     default_epsilon_grid,
     gap_constant,
     invert_transform,
-    keep_inverses,
     nuij_family,
     verify_gaps,
 )
@@ -67,6 +66,7 @@ MAX_STATE_BYTES = 10 ** 8
 MAX_GRID_POINTS = 1000
 # the --eps-grid default, DEFAULT_GRID as a spec: "1:0.0001:9(log)"
 DEFAULT_GRID_SPEC = "{:g}:{:g}:{:d}(log)".format(*DEFAULT_GRID)
+EPS_GRID_HELP = 'grid spec start:stop:count(log|lin), default "%(default)s"'
 
 
 class InputError(Exception):
@@ -124,7 +124,8 @@ def _parse_grid(spec: str) -> tuple:
     if count == 1:
         return (start,)
     step = (stop - start) / (count - 1)
-    return tuple(start + step * i for i in range(count))
+    # the last point is stop as typed: start + step * (count - 1) can round past it
+    return tuple(start + step * i for i in range(count - 1)) + (stop,)
 
 
 def _echo_poly(p: Polynomial) -> list:
@@ -261,13 +262,12 @@ def cmd_nuij(args, report: CertifiedReport):
     # the last Nuij stage reads the roots of the family points; an eps <= 0
     # raises here, with the message verify_gaps would give
     stage_verdicts = certify_grid(p, grid)
-    # every p_eps keeps its inversion, all found in one array pass
-    keep_inverses([(nuij_family(p, eps).p_eps, float(eps)) for eps in grid])
+    # the gap law and the inversion read p's one float family point per eps,
+    # which build_family built; every p_eps is inverted in one array pass
+    points = [nuij_family(p, eps).p_eps for eps in grid]
+    inverses = invert_transform(points, grid)
     p_scale = None  # the eps-independent half of the inversion check, read once
-    for eps, (interlaced, strict) in zip(grid, stage_verdicts):
-        # the gap law and the inversion read p's one float family point of eps,
-        # which build_family built
-        p_eps = nuij_family(p, eps).p_eps
+    for eps, (interlaced, strict), p_eps, recon in zip(grid, stage_verdicts, points, inverses):
         check = verify_gaps(p, eps)
         verdict = PASS if check.passed and not check.marginal else (
             MARGINAL if check.passed else FAIL)
@@ -280,7 +280,6 @@ def cmd_nuij(args, report: CertifiedReport):
                         strict, "strict" if strict else "not strict")
         report.add_bool(f"stage interlacing at eps={eps:g}", "nuij-interlacing",
                         interlaced, "interlaced" if interlaced else "violated")
-        recon = invert_transform(p_eps, float(eps))
         if p_scale is None:  # here p has a float family point, so its float rounding exists
             p_ascending = p.as_float().ascending(m + 1)
             p_scale = [abs(float(c)) for c in p.coeffs]
@@ -441,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--poly", help='coefficients, leading first, e.g. "[1,0,-1]"')
         sp.add_argument("--poly-file", help="JSON file with {'coeffs': [...]}")
         sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                        help="certification tolerance (default 1e-9)")
+                        help="certification tolerance (default %(default)s)")
         sp.add_argument("--seed", type=int, default=0, help="seed for randomized cross-checks")
         sp.add_argument("--output", choices=("json", "csv", "both"), default="json")
 
@@ -452,15 +451,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("nuij", help="smoothing family: gap law, interlacing, inversion")
     common(sp)
     sp.add_argument("--eps", type=float, help="single epsilon instead of a grid")
-    sp.add_argument("--eps-grid", default=DEFAULT_GRID_SPEC,
-                    help='grid spec start:stop:count(log|lin), default "1:1e-4:9(log)"')
+    sp.add_argument("--eps-grid", default=DEFAULT_GRID_SPEC, help=EPS_GRID_HELP)
 
     sp = sub.add_parser("quasi", help="uniform-in-eps quasi-symmetrizer certification")
     common(sp)
     sp.add_argument("--r", type=float, default=None,
                     help="lower-bound exponent; defaults to multiplicity - 1")
     sp.add_argument("--s", type=float, default=1.0, help="commutator exponent (default 1)")
-    sp.add_argument("--eps-grid", default=DEFAULT_GRID_SPEC)
+    sp.add_argument("--eps-grid", default=DEFAULT_GRID_SPEC, help=EPS_GRID_HELP)
     sp.add_argument("--samples", type=int, default=24)
 
     sp = sub.add_parser("leray", help="power-sum symmetrizer and its determinant laws")

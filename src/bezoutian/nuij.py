@@ -36,19 +36,19 @@ whose points fall short, as one with a repeated root must, runs its own
 Sturm chain.  So every verdict is the exact one.
 
 The float family points of a request's grid are built in one pass
-(``build_family``): every float p_eps as a row of one array
-(``_keep_transforms``), one stacked eigensolver call for all their
-companion matrices, then the polished roots and q_eps of each, with the
-bits of each eps built alone; ``nuij_family`` is its one-eps case, and
-so is the float ``nuij_transform``.  A point that fails raises its error
-in that pass, and is built once.  ``keep_inverses`` inverts the float
-p_eps of a grid in one array pass, and ``invert_transform`` reads what
-each p_eps keeps.
+(``build_family``): every p_eps from one ``nuij_transform`` call on the
+grid, whose float eps are the rows of one array (``_family_rows``), one
+stacked eigensolver call for all their companion matrices, then the
+polished roots, checked as the float ``real_roots`` checks them, and q_eps
+of each, with the bits of each eps built alone; ``nuij_family`` is its
+one-eps case.  A point that fails raises its error in that pass, and is
+built once.  ``invert_transform`` on a grid's p_eps inverts them all in
+one array pass (``_inverse_rows``).  Each of these array kernels is the
+only producer of its result: one eps is a grid of one.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -60,58 +60,48 @@ from .polynomial import Polynomial, RootProfile, _derivative, _int_horner, _int_
 from .roots import (
     _chain_count,
     _chain_verdict,
+    _float_profile,
     _int_sturm_chain,
-    _keep_eigenvalues,
+    _polish_roots,
     _sturm_ends,
     _variation_drop,
-    real_roots,
 )
 from .scalars import BACKEND_EXACT, BACKEND_FLOAT, is_exact_value
 
 
-def nuij_transform(p: Polynomial, epsilon) -> Polynomial:
-    """(1 + eps d/dx)**(m - 1) applied to p of degree m (the zero polynomial stays zero).
+def nuij_transform(p: Polynomial, epsilon):
+    """(1 + eps d/dx)**(m - 1) applied to p of degree m (the zero polynomial
+    stays zero), at one eps or on a grid.
 
-    Exact whenever p and eps are exact: the last of the m - 1 integer
-    stages (``_int_stages``), a positive multiple of the result, scaled to
-    the leading coefficient of p.  A float eps rounds an exact p to float64
-    first; float p is the finite sum of C(m - 1, k) eps^k p^(k).
+    ``epsilon`` is one eps, giving one Polynomial, or a sequence of eps,
+    giving a list of one Polynomial per eps.  Exact whenever p and eps are
+    exact: the last of the m - 1 integer stages (``_int_stages``), a
+    positive multiple of the result, scaled to the leading coefficient of
+    p.  A float eps rounds an exact p to float64 first; float p is the
+    finite sum of C(m - 1, k) eps^k p^(k), and the float eps of a grid are
+    the rows of one array pass (``_family_rows``), each with the bits of
+    its eps alone.  The first eps in grid order whose rounding or weights
+    leave the float64 range raises OverflowError.
     """
+    import numpy as np
+
+    one = np.ndim(epsilon) == 0
     applications = max(int(p.degree) - 1, 0) if not p.is_zero else 0
-    if p.backend == BACKEND_EXACT and not is_exact_value(epsilon):
-        p = p.as_float()
-    if p.backend == BACKEND_EXACT:
-        if p.is_zero:
-            return p
-        last = _int_stages(p, Fraction(epsilon), applications)[-1]
-        scale = p.leading / last[0]
-        return Polynomial.exact([scale * v for v in last])
-    if p.is_zero:
-        return p
-    eps = float(epsilon)
-    return p.derived(_transform_key(eps), lambda: Polynomial(
-        _family_rows(p.coeffs, [_weights(applications, eps)])[0], BACKEND_FLOAT))
-
-
-def _transform_key(eps: float) -> tuple:
-    return ("nuij_transform", eps)
-
-
-def _keep_transforms(pf: Polynomial, grid) -> None:
-    """The nonzero float pf keeps ``nuij_transform(pf, eps)`` of each eps of
-    grid, all built in one array pass (``_family_rows``).
-
-    An eps whose weights leave the float range is left to its own
-    ``nuij_transform`` call, which raises the OverflowError.
-    """
-    applications = max(len(pf.coeffs) - 2, 0)
-    todo = {}
-    for eps in map(float, grid):
-        if (key := _transform_key(eps)) not in pf.memo:
-            with contextlib.suppress(OverflowError):
-                todo[key] = _weights(applications, eps)
-    for key, row in zip(todo, _family_rows(pf.coeffs, list(todo.values()))):
-        pf.memo[key] = Polynomial(row, BACKEND_FLOAT)
+    out, weights = [], []
+    for eps in (epsilon,) if one else epsilon:
+        q = p if p.backend == BACKEND_EXACT and is_exact_value(eps) else p.as_float()
+        if q.is_zero:
+            out.append(q)
+        elif q.backend == BACKEND_EXACT:
+            last = _int_stages(q, Fraction(eps), applications)[-1]
+            scale = q.leading / last[0]
+            out.append(Polynomial.exact([scale * v for v in last]))
+        else:
+            weights.append(_weights(applications, float(eps)))
+            out.append(None)  # the next row of the array pass
+    rows = iter(_family_rows(p.as_float().coeffs, weights) if weights else ())
+    out = [Polynomial(next(rows), BACKEND_FLOAT) if t is None else t for t in out]
+    return out[0] if one else out
 
 
 def _weights(applications: int, eps: float) -> list:
@@ -203,29 +193,35 @@ def build_family(p: Polynomial, grid) -> None:
             break
         if (key := _family_key(eps)) not in p.memo:
             todo.setdefault(key, eps)
-    _build_points(p, tuple(todo.values()))
+    if todo:
+        _build_points(p, tuple(todo.values()))
 
 
 def _build_points(p: Polynomial, grid) -> None:
     """Keep the family point of each eps of grid on p, or raise the first failure.
 
-    One pass: the float p_eps of every float eps as the rows of one array
-    (``_keep_transforms``), then one stacked eigensolver call for all their
-    companion matrices (``roots._keep_eigenvalues``), then each point's
-    roots, polished and checked by ``real_roots``, and q_eps on the
-    coefficient lists.  The array rows and a stacked call give every point
-    the bits the eps alone builds.  The points before the first failing eps
-    are kept before its error is raised.
+    One pass: the p_eps of every eps (``nuij_transform`` on the grid, whose
+    float eps are the rows of one array), then one stacked eigensolver call
+    for all their companion matrices, then each point's roots, polished
+    (``roots._polish_roots``) and checked as the float ``real_roots``
+    checks them (``roots._float_profile``), and q_eps on the coefficient
+    lists.  The array rows and a stacked call give every point the bits
+    the eps alone builds.  The points before the first failing eps are
+    kept before its error is raised; a grid with an eps whose transform
+    leaves the float64 range is built one eps at a time, so that it is.
     """
-    float_eps = [eps for eps in grid if p.backend != BACKEND_EXACT or not is_exact_value(eps)]
-    if float_eps:
-        with contextlib.suppress(OverflowError):  # p's rounding fails in the first eps's call
-            _keep_transforms(p.as_float(), float_eps)
+    try:
+        transforms = nuij_transform(p, grid)
+    except OverflowError as exc:
+        if len(grid) == 1:
+            raise ValueError(_range_message(grid[0])) from exc
+        for eps in grid:  # the one-eps call of the eps that overflows raises
+            _build_points(p, (eps,))
+        return
     staged = []
     overflow = None
-    for eps in grid:
+    for eps, p_eps in zip(grid, transforms):
         try:
-            p_eps = nuij_transform(p, eps)
             floats = p_eps.as_float()
             if not all(map(math.isfinite, floats.coeffs)):
                 raise OverflowError("nonfinite coefficient")
@@ -233,10 +229,16 @@ def _build_points(p: Polynomial, grid) -> None:
             overflow = eps, exc
             break
         staged.append((eps, p_eps, floats))
-    _keep_eigenvalues([floats for _, _, floats in staged])
-    for eps, p_eps, floats in staged:
+    eigenvalues = []
+    if staged:
+        if p.degree < 1:  # as the float real_roots refuses it
+            raise ValueError("real_roots requires degree >= 1")
+        import numpy as np
+
+        eigenvalues = np.linalg.eigvals(_companion_stack([f.coeffs for _, _, f in staged]))
+    for (eps, p_eps, floats), zs in zip(staged, eigenvalues):
         try:
-            roots_eps = real_roots(floats, 1e-12, imag_tol=1e-7)
+            roots_eps = _float_profile(floats, _polish_roots(floats, zs), 1e-12, 1e-7)
         except OverflowError as exc:
             raise ValueError(_range_message(eps)) from exc
         except NonHyperbolicError as exc:
@@ -272,43 +274,37 @@ def nuij_inverse_coeffs(m: int) -> tuple:
     return tuple(out)
 
 
-def invert_transform(p_eps: Polynomial, epsilon) -> Polynomial:
-    """Recover p from its smoothed image (degree-m exact inversion)."""
-    m = int(p_eps.degree)
-    if p_eps.backend == BACKEND_EXACT:
-        eps = Fraction(epsilon)
-        out = p_eps
-        for l, c in enumerate(nuij_inverse_coeffs(m), start=1):
-            term = p_eps.derivative(l)
-            if term.is_zero:
-                break
-            out = out + c * eps**l * term
-        return out
-    eps = float(epsilon)
-    return p_eps.derived(_inverse_key(eps), lambda: Polynomial(
-        _inverse_rows([p_eps.coeffs], [_inverse_weights(m, eps)])[0], p_eps.backend))
+def invert_transform(p_eps, epsilon):
+    """Recover p from its smoothed image (degree-m exact inversion), at one eps or on a grid.
 
-
-def _inverse_key(eps: float) -> tuple:
-    return ("invert_transform", eps)
-
-
-def keep_inverses(pairs) -> None:
-    """Each float p_eps of the (p_eps, eps) pairs keeps ``invert_transform(p_eps, eps)``,
-    all built in one array pass (``_inverse_rows``).
-
-    The p_eps share one degree m >= 1.  A pair whose weights leave the float
-    range is left to its own ``invert_transform`` call, which raises the
-    OverflowError.
+    ``epsilon`` is one eps with one p_eps, giving one Polynomial, or a
+    sequence of eps with a sequence of p_eps beside it, giving a list of
+    one Polynomial per eps.  The float p_eps of a grid share one degree and
+    are inverted as the rows of one array pass (``_inverse_rows``), each
+    with the bits of its eps alone; the first eps in grid order whose
+    weights leave the float64 range raises OverflowError.
     """
-    todo = []
-    for p_eps, eps in pairs:
-        if (key := _inverse_key(float(eps))) not in p_eps.memo:
-            with contextlib.suppress(OverflowError):
-                todo.append((p_eps, key, _inverse_weights(int(p_eps.degree), float(eps))))
-    rows = _inverse_rows([p_eps.coeffs for p_eps, _, _ in todo], [w for _, _, w in todo])
-    for (p_eps, key, _), row in zip(todo, rows):
-        p_eps.memo[key] = Polynomial(row, p_eps.backend)
+    import numpy as np
+
+    one = np.ndim(epsilon) == 0
+    out, rows, weights = [], [], []
+    for q, eps in [(p_eps, epsilon)] if one else zip(p_eps, epsilon):
+        if q.backend == BACKEND_EXACT:
+            eps = Fraction(eps)
+            inverse = q
+            for l, c in enumerate(nuij_inverse_coeffs(int(q.degree)), start=1):
+                term = q.derivative(l)
+                if term.is_zero:
+                    break
+                inverse = inverse + c * eps**l * term
+        else:
+            weights.append(_inverse_weights(int(q.degree), float(eps)))
+            rows.append(q.coeffs)
+            inverse = None  # the next row of the array pass
+        out.append(inverse)
+    inverses = iter(_inverse_rows(rows, weights))
+    out = [Polynomial(next(inverses), BACKEND_FLOAT) if r is None else r for r in out]
+    return out[0] if one else out
 
 
 def _inverse_weights(m: int, eps: float) -> list:

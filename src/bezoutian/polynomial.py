@@ -176,13 +176,10 @@ class Polynomial:
         The derivatives and the other backend of p (``derivative``,
         ``as_float``, ``as_exact``), its Bezout forms (``bezout.bezout_matrix``,
         keyed by the value of q), its roots (``roots.real_roots``), its
-        companion eigenvalues (``roots._float_roots``), its exact roots,
-        which every tolerance reads (``roots._exact_roots``), its
-        Sturm chain with the chain's ends and gcd (``roots._sturm``), its
-        smoothing family points
-        (``nuij.nuij_family``), a float polynomial's smoothing transforms
-        and inversions (``nuij.nuij_transform``, ``nuij.invert_transform``),
-        which a grid builds in one array pass, and its power-sum symmetrizer
+        exact roots, which every tolerance reads (``roots._exact_roots``),
+        its Sturm chain with the chain's ends and gcd (``roots._sturm``),
+        its smoothing family points (``nuij.nuij_family``), which a grid
+        builds in one pass, and its power-sum symmetrizer
         (``leray.leray_symmetrizer``) are built on first request
         and kept here, as a matrix keeps its certificate, so every check of
         one request reads the same objects and each belongs to p.

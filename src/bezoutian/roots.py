@@ -16,12 +16,14 @@ factor c is k/|lc c| (rational root theorem), so a bracket narrower than
 1/|lc c| holds one candidate, tested exactly; a root that fails it is
 irrational and is halved to the float nearest it.  A Sturm count short of
 the degree raises NonHyperbolicError.
-A float polynomial keeps its companion eigenvalues, which a batch of
-polynomials of one degree gets from one stacked LAPACK call on the
-matrices of ``bezout._companion_stack``; the Newton polish
-(``_polish_roots``) stops at a fixed point or a cycle, evaluates by
-Horner's rule inline, with the bits of ``Polynomial.__call__``, and runs a
-real eigenvalue as a float.
+A float polynomial's roots start as its companion eigenvalues, from one
+LAPACK call on the matrix of ``bezout._companion_stack`` (a grid of Nuij
+family points stacks all its matrices into one call,
+``nuij._build_points``); the Newton polish (``_polish_roots``) stops at a
+fixed point or a cycle, evaluates by Horner's rule inline, with the bits
+of ``Polynomial.__call__``, and runs a real eigenvalue as a float; and
+one helper (``_float_profile``) refuses complex roots, merges clusters and
+checks residuals for both.
 
 The exact kernels run on a polynomial's primitive integer coefficients
 (``Polynomial.primitive``, Python ints, leading first, computed once per
@@ -425,33 +427,17 @@ def _polish_roots(pf: Polynomial, zs) -> list[complex]:
     return out
 
 
-def _keep_eigenvalues(pfs) -> None:
-    """Each float polynomial of pfs, all of one degree, keeps its companion eigenvalues.
-
-    The companion matrices of p / lc(p) of those that keep none yet
-    (``Polynomial.memo``), built by ``bezout._companion_stack``, go to one
-    stacked ``np.linalg.eigvals`` call.  LAPACK runs on each matrix of a
-    stack as on that matrix alone, so each polynomial gets the bits a call
-    on it alone gives.  ``_float_roots`` polishes what a polynomial keeps.
-    """
-    todo = [pf for pf in pfs if "eigenvalues" not in pf.memo]
-    if not todo or todo[0].degree < 1:
-        return
-    import numpy as np
-
-    for pf, eigs in zip(todo, np.linalg.eigvals(_companion_stack([pf.coeffs for pf in todo]))):
-        pf.memo["eigenvalues"] = eigs
-
-
 def _float_roots(p: Polynomial) -> list[complex]:
     """Polished eigenvalues of the companion matrix (any multiplicity pattern).
 
-    The float rounding of p keeps its eigenvalues (``_keep_eigenvalues``),
-    which a batch of polynomials may have found in one call already.
+    One ``np.linalg.eigvals`` call on the companion matrix of the float
+    rounding of p (``bezout._companion_stack``), each eigenvalue then
+    polished (``_polish_roots``).
     """
+    import numpy as np
+
     pf = p.as_float()
-    _keep_eigenvalues([pf])
-    return _polish_roots(pf, pf.memo["eigenvalues"])
+    return _polish_roots(pf, np.linalg.eigvals(_companion_stack([pf.coeffs]))[0])
 
 
 def _require_real(values, tol: float) -> list[float]:
@@ -486,9 +472,10 @@ def real_roots(p: Polynomial, tol: float = DEFAULT_TOL,
     backend: companion eigenvalues, Newton polishing, and merging of
     clusters closer than tol*max(1,|root|), each root passing the residual
     check.  ``imag_tol`` loosens only the complex-root rejection threshold;
-    callers that already know the input is real rooted (smoothing
-    families) use it to tolerate the conjugate splitting the eigensolver
-    produces at tight root clusters.  p keeps the
+    callers that already know the input is real rooted (``energy``, and
+    the float Nuij family points through ``_float_profile``) use it to
+    tolerate the conjugate splitting the eigensolver produces at tight
+    root clusters.  p keeps the
     profile of each (tol, imag_tol) pair (``Polynomial.memo``).
     """
     p.require_monic("real_roots input")
@@ -502,7 +489,18 @@ def _real_roots(p: Polynomial, tol: float, itol: float) -> RootProfile:
     if p.backend == BACKEND_EXACT:
         # p keeps its exact roots, which every tol reads
         return RootProfile(*p.derived("exact roots", functools.partial(_exact_roots, p)))
-    profile = RootProfile.from_flat(_require_real(_float_roots(p), itol), tol=tol)
+    return _float_profile(p, _float_roots(p), tol, itol)
+
+
+def _float_profile(p: Polynomial, zs, tol: float, itol: float) -> RootProfile:
+    """The float ``real_roots`` profile of float p from its polished roots zs.
+
+    Refuses an imaginary part past itol (NonHyperbolicError), merges
+    clusters closer than tol*max(1,|root|) and checks each residual.
+    ``nuij._build_points`` hands it the roots it polished from one stacked
+    eigensolver call for a whole grid of family points.
+    """
+    profile = RootProfile.from_flat(_require_real(zs, itol), tol=tol)
     _residual_check(p, profile.distinct_roots, max(tol, 1e-12))
     return profile
 

@@ -50,7 +50,7 @@ from bezoutian.nuij import (
     _stage_roots,
 )
 from bezoutian.polynomial import _int_horner
-from bezoutian.roots import _hyperbolic_strict, sturm_real_root_count
+from bezoutian.roots import _hyperbolic_strict, _polish_roots, sturm_real_root_count
 from bezoutian.scalars import BACKEND_FLOAT
 
 EPS = Fraction(1, 10)
@@ -185,6 +185,32 @@ def test_float_inversion_matches_the_polynomial_sum_bit_for_bit(p_eps, eps):
     assume(p_eps.degree >= 2)
     got = float_bits(lambda: invert_transform(p_eps, eps))
     assert got == float_bits(lambda: float_inversion_reference(p_eps, eps))
+
+
+def grid_bits(fn):
+    """(backend, coefficients) of each Polynomial fn() returns, floats as hex, or its error type."""
+    try:
+        return [(q.backend, tuple(c.hex() if isinstance(c, float) else c for c in q.coeffs))
+                for q in fn()]
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(corpus.factored_poly(max_linear=3),
+                 corpus.factored_poly(max_linear=3).map(Polynomial.as_float)),
+       st.lists(st.one_of(st.sampled_from([1e-4, 0.1, 1e300, 5e-324, Fraction(1, 3), 2]),
+                          st.floats(-10, 10)), max_size=6))
+@example(Polynomial.exact([1, 0, -1, 0]), [0.5, Fraction(1, 3), 1e300])
+def test_a_grid_transforms_and_inverts_as_each_eps_alone(p, grid):
+    # each Polynomial of a grid call has the bits of its eps alone, exact and
+    # float eps mixed, and the grid raises what its first failing eps raises
+    want = grid_bits(lambda: [nuij_transform(p, eps) for eps in grid])
+    assert grid_bits(lambda: nuij_transform(p, grid)) == want
+    if isinstance(want, list):
+        p_eps = nuij_transform(p, grid)
+        assert grid_bits(lambda: invert_transform(p_eps, grid)) == \
+            grid_bits(lambda: [invert_transform(q, eps) for q, eps in zip(p_eps, grid)])
 
 
 def series_inverse_oracle(m: int) -> list:
@@ -371,16 +397,23 @@ def test_grid_kernel_keeps_the_points_before_a_failure():
 
 def test_a_failing_family_point_is_built_once(capsys):
     # (x + 228)^3 fails at the last eps of the default grid; build_family
-    # raises there, so the per-eps loop of cmd_nuij never builds it again
-    calls = []
+    # raises there, so the per-eps loop of cmd_nuij never builds it again:
+    # each eps is transformed once and the roots of its p_eps polished once
+    transformed, polished = [], []
 
-    def counted(*args):
-        calls.append(args[1])
-        return nuij_transform(*args)
+    def transform(p, eps):
+        transformed.extend(np.atleast_1d(eps).tolist())
+        return nuij_transform(p, eps)
 
-    with mock.patch.object(nuij, "nuij_transform", counted):
+    def polish(pf, zs):
+        polished.append(pf)
+        return _polish_roots(pf, zs)
+
+    with mock.patch.object(nuij, "nuij_transform", transform), \
+            mock.patch.object(nuij, "_polish_roots", polish):
         assert main(["nuij", "--poly", "[1,684,155952,11852352]"]) == 2
-    assert calls == list(default_epsilon_grid())
+    assert transformed == list(default_epsilon_grid())
+    assert len(polished) == len(transformed)
     assert "complex roots" in capsys.readouterr().err
 
 

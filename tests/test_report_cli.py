@@ -418,6 +418,10 @@ def test_grid_mode_must_be_log_or_lin(capsys):
     code, out, _ = run_cli(capsys, "nuij", "--poly", "[1,0,0]", "--eps-grid", "1:1e-2:3(lin)")
     assert code == 0
     assert json.loads(out)["inputs"]["grid"] == pytest.approx([1.0, 0.505, 0.01])
+    # the last point is stop as typed, not start + step, which rounds to 0.0 here
+    code, out, err = run_cli(capsys, "nuij", "--poly", "[1,0,-1]", "--eps-grid", "1:1e-20:2(lin)")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["inputs"]["grid"] == [1.0, 1e-20]
 
 
 def test_quasi_csv_columns(capsys):
@@ -872,14 +876,21 @@ def test_root_free_and_rescaled_checks_pass_where_they_failed(capsys, name, chec
     assert records and all(c["verdict"] == "pass" for c in records)
 
 
+def eps_transformed(calls) -> list:
+    """The eps of each logged ``nuij_transform(p, eps)`` call, one eps or a grid, in call order."""
+    return [eps for _, grid in calls for eps in np.atleast_1d(grid).tolist()]
+
+
 def test_quasi_builds_one_family_point_per_eps(capsys, monkeypatch):
     # check_conditions and verify_quasi share the points, and the default r
     # of exact p comes from its Yun decomposition, not from its roots
-    root_calls = count_calls(monkeypatch, roots._float_roots)
-    family_calls = count_calls(monkeypatch, nuij.nuij_transform)
-    code, _, _ = run_cli(capsys, "quasi", "--poly", "[1,0,0]")
+    polished = count_calls(monkeypatch, roots._polish_roots)
+    transforms = count_calls(monkeypatch, nuij.nuij_transform, arity=2)
+    code, out, _ = run_cli(capsys, "quasi", "--poly", "[1,0,0]")
     assert code == 0
-    assert (len(root_calls), len(family_calls)) == (9, 9)
+    grid = json.loads(out)["inputs"]["grid"]
+    assert eps_transformed(transforms) == grid
+    assert len(polished) == len(grid)
 
 
 def test_nuij_finds_every_family_root_in_one_eigensolver_call(capsys, monkeypatch):
@@ -913,10 +924,24 @@ def test_nuij_transforms_p_once_per_eps(capsys, monkeypatch):
     # the family point's p_eps serves the inversion check, and certify_stages
     # runs its stages on integer lists
     p = Polynomial.exact([1, -3, 3, -1])
-    calls = count_calls(monkeypatch, nuij.nuij_transform)
+    calls = count_calls(monkeypatch, nuij.nuij_transform, arity=2)
     code, out, _ = run_cli(capsys, "nuij", "--poly", fraction_argv(p))
     assert code == 0
-    assert calls == [p] * len(json.loads(out)["inputs"]["grid"])
+    assert {q for q, _ in calls} == {p}
+    assert eps_transformed(calls) == json.loads(out)["inputs"]["grid"]
+
+
+def test_nuij_transforms_and_inverts_the_grid_in_one_call_each(capsys, monkeypatch):
+    transforms = count_calls(monkeypatch, nuij.nuij_transform, arity=2)
+    inversions = count_calls(monkeypatch, nuij.invert_transform, arity=2)
+    code, out, _ = run_cli(capsys, "nuij", "--poly", "[1,0,-1]")
+    assert code == 0
+    grid = json.loads(out)["inputs"]["grid"]
+    assert [len(calls) for calls in (transforms, inversions)] == [1, 1]
+    assert list(transforms[0][1]) == list(inversions[0][1]) == grid
+    assert [q.coeffs for q in inversions[0][0]] == \
+        [nuij.nuij_transform(Polynomial([1.0, 0.0, -1.0], BACKEND_FLOAT), eps).coeffs
+         for eps in grid]
 
 
 @pytest.mark.parametrize("ints, stage_chains", [
